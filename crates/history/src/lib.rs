@@ -43,9 +43,9 @@ pub mod store;
 
 pub use metrics::HistoryMetrics;
 pub use scan::{
-    history_from_scan, scan_history, CurvePoint, EstimatorAccuracy, FleetHistory, FleetNode,
-    HistoryResolver, ModeThroughput, NodeAttribution, Pctls, ResolvedPlan, SessionHistory,
-    WorkloadPercentiles,
+    history_from_scan, scan_history, scan_session_curve, CurvePoint, EstimatorAccuracy,
+    FleetHistory, FleetNode, HistoryResolver, ModeThroughput, NodeAttribution, Pctls, ResolvedPlan,
+    SessionCurveScan, SessionHistory, WorkloadPercentiles,
 };
 pub use store::{
     plan_features, HistoryStore, ObservedRun, PlanFeatures, PredictionBasis, ResourcePrediction,

@@ -12,7 +12,8 @@
 
 use crate::store::{plan_features, PlanFeatures};
 use lqs_journal::{
-    scan_dir, JournalExecMode, JournalScan, RecoveredSession, SessionMeta, TerminalKind,
+    list_sessions, read_session, scan_dir, JournalExecMode, JournalScan, RecoveredSession,
+    SessionMeta, TerminalKind,
 };
 use lqs_metrics::percentile;
 use lqs_plan::PhysicalPlan;
@@ -177,7 +178,10 @@ pub struct Pctls {
 
 impl Pctls {
     fn from_samples(mut values: Vec<f64>) -> Pctls {
-        values.sort_by(|a, b| a.partial_cmp(b).expect("history samples are finite"));
+        // `total_cmp`, not `partial_cmp`: a degenerate journal can replay to
+        // a NaN error sample, and one bad session must not panic the whole
+        // summary. NaNs sort to the ends and surface in the top percentiles.
+        values.sort_by(f64::total_cmp);
         Pctls {
             p50: percentile(&values, 0.50),
             p90: percentile(&values, 0.90),
@@ -287,16 +291,11 @@ impl FleetHistory {
     /// bare session id (resolved in the **newest** epoch that has it, so
     /// the bare form always means "the most recent run with that id").
     pub fn session(&self, key: &str) -> Option<&SessionHistory> {
-        if let Some(rest) = key.strip_prefix('e') {
-            let (epoch, sid) = rest.split_once("-s")?;
-            let (epoch, sid) = (epoch.parse::<u32>().ok()?, sid.parse::<u64>().ok()?);
-            return self
-                .sessions
-                .iter()
-                .find(|s| s.epoch == epoch && s.session_id == sid);
-        }
-        let sid = key.parse::<u64>().ok()?;
-        self.sessions.iter().rev().find(|s| s.session_id == sid)
+        let (epoch, sid) = parse_session_key(key)?;
+        self.sessions
+            .iter()
+            .rev()
+            .find(|s| s.session_id == sid && epoch.is_none_or(|e| s.epoch == e))
     }
 
     /// Per-workload percentile summaries, sorted by workload label.
@@ -455,10 +454,13 @@ fn terminal_label(kind: TerminalKind) -> &'static str {
     }
 }
 
-/// Build one session's history from its recovered journal stream.
+/// Build one session's history from its recovered journal stream. `score`
+/// runs the §5 accuracy replay (the dominant cost, one estimator pass per
+/// snapshot); without it `error_avg`/`error_time` are `None`.
 fn session_history(
     session: &RecoveredSession,
     resolver: Option<&dyn HistoryResolver>,
+    score: bool,
 ) -> SessionHistory {
     let last = session.snapshots.last();
     let total_cpu_ns = last.map_or(0, |s| s.nodes.iter().map(|n| n.cpu_ns).sum());
@@ -524,7 +526,7 @@ fn session_history(
         .terminal
         .as_ref()
         .is_some_and(|t| t.kind == TerminalKind::Succeeded);
-    let (error_avg, error_time_v) = match (&resolved, &session.meta, succeeded) {
+    let (error_avg, error_time_v) = match (&resolved, &session.meta, score && succeeded) {
         (Some(r), Some(meta), true) if !session.snapshots.is_empty() => {
             let (final_snap, trace) = session
                 .snapshots
@@ -609,7 +611,7 @@ pub fn history_from_scan(
         sessions: scan
             .sessions
             .iter()
-            .map(|s| session_history(s, resolver))
+            .map(|s| session_history(s, resolver, true))
             .collect(),
         corrupt_records: scan.corrupt_records,
         bytes_scanned: scan.bytes_scanned,
@@ -631,4 +633,99 @@ pub fn scan_history(
         scan.retain_window(since, until);
     }
     Ok(history_from_scan(&scan, resolver))
+}
+
+/// What [`scan_session_curve`] found and what finding it cost.
+#[derive(Debug, Clone)]
+pub struct SessionCurveScan {
+    /// The addressed session, or `None` when no journaled session matches
+    /// the key inside the window. `error_avg`/`error_time` are always
+    /// `None`: the curve view skips the accuracy replay.
+    pub session: Option<SessionHistory>,
+    /// Journal bytes read to answer.
+    pub bytes_scanned: u64,
+    /// Sessions read from disk to answer (more than one only when a bare
+    /// id had to fall back past a swept or out-of-window newer epoch).
+    pub sessions_read: u64,
+}
+
+/// The route-scoped read behind `/history/session/{key}/curve`: list the
+/// directory by name, then read **only** the segments of the session `key`
+/// addresses — same key forms, same windowing and same sweep-race handling
+/// as [`scan_history`] followed by [`FleetHistory::session`], so the
+/// returned curve, attribution and outcome are identical to that session's
+/// entry in a full scan. Only `error_avg`/`error_time` differ (not
+/// computed here).
+pub fn scan_session_curve(
+    dir: &Path,
+    key: &str,
+    window: Option<(u64, u64)>,
+    resolver: Option<&dyn HistoryResolver>,
+) -> std::io::Result<SessionCurveScan> {
+    let mut out = SessionCurveScan {
+        session: None,
+        bytes_scanned: 0,
+        sessions_read: 0,
+    };
+    let Some((epoch, session_id)) = parse_session_key(key) else {
+        return Ok(out);
+    };
+    let listed = list_sessions(dir)?;
+    // Newest epoch first: a bare id means "the most recent run with that
+    // id" among the sessions a full scan would have kept.
+    let candidates = listed
+        .iter()
+        .rev()
+        .filter(|l| l.session_id == session_id && epoch.is_none_or(|e| l.epoch == e));
+    for candidate in candidates {
+        let read = read_session(candidate);
+        out.bytes_scanned += read.bytes_scanned;
+        out.sessions_read += 1;
+        let in_scan = read
+            .session
+            .filter(|s| window.is_none_or(|(since, until)| s.overlaps_window(since, until)));
+        if let Some(session) = in_scan {
+            out.session = Some(session_history(&session, resolver, false));
+            break;
+        }
+    }
+    Ok(out)
+}
+
+/// Parse a session key: `e{epoch}-s{id}` or a bare id (any epoch).
+fn parse_session_key(key: &str) -> Option<(Option<u32>, u64)> {
+    match key.strip_prefix('e') {
+        Some(rest) => {
+            let (epoch, sid) = rest.split_once("-s")?;
+            Some((Some(epoch.parse().ok()?), sid.parse().ok()?))
+        }
+        None => Some((None, key.parse().ok()?)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn nan_sample_does_not_panic_the_percentiles() {
+        // One degenerate session replaying to a NaN error must not take
+        // the whole summary down; the finite samples keep their order.
+        let p = Pctls::from_samples(vec![0.3, f64::NAN, 0.1, 0.2]);
+        assert_eq!(p.p50, percentile(&[0.1, 0.2, 0.3, f64::NAN], 0.50));
+        assert!(p.p50.is_finite());
+        assert!(
+            p.p99.is_nan(),
+            "the NaN surfaces at the top, not as a panic"
+        );
+    }
+
+    #[test]
+    fn session_keys_parse_both_forms() {
+        assert_eq!(parse_session_key("e3-s12"), Some((Some(3), 12)));
+        assert_eq!(parse_session_key("12"), Some((None, 12)));
+        assert_eq!(parse_session_key("e3"), None);
+        assert_eq!(parse_session_key("e3-sx"), None);
+        assert_eq!(parse_session_key("nope"), None);
+    }
 }

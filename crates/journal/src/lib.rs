@@ -25,7 +25,10 @@ pub mod writer;
 
 pub use breaker::{BreakerConfig, BreakerEvent, BreakerState, CircuitBreaker, WriteAdmit};
 pub use metrics::JournalMetrics;
-pub use reader::{scan_dir, scan_dir_window, JournalScan, RecoveredSession};
+pub use reader::{
+    list_sessions, read_session, scan_dir, scan_dir_window, JournalScan, RecoveredSession,
+    SessionRead, SessionSegments,
+};
 pub use record::{
     crc32, plan_fingerprint, AlertKind, AlertRecord, EstimatorRecord, JournalExecMode, Record,
     SegmentHeader, SessionMeta, TerminalKind, TerminalRecord, FORMAT_VERSION, MAX_PAYLOAD_BYTES,

@@ -1,8 +1,14 @@
 //! The read side: scan a journal directory, reassemble every session's
 //! record stream across its segments, and classify how each session ended.
 //!
-//! Corruption tolerance is absolute — [`scan_dir`] never panics and never
-//! returns a decode error. A session's stream is read frame by frame and
+//! Reading comes in two pieces: [`list_sessions`] groups the directory's
+//! segment files by session from their names alone, and [`read_session`]
+//! reads one listed session. [`scan_dir`] is the two composed over every
+//! session; a caller that wants one session (the `/history` curve route)
+//! lists, picks, and reads only that one.
+//!
+//! Corruption tolerance is absolute — [`read_session`] never panics and
+//! never returns a decode error. A session's stream is read frame by frame and
 //! truncated at the first invalid frame (torn length prefix, oversized
 //! length, CRC mismatch, undecodable payload); everything before it is
 //! kept, and each truncation tallies one corrupt record. Recovery built on
@@ -16,7 +22,7 @@ use crate::record::{
 use crate::writer::parse_segment_file_name;
 use lqs_exec::DmvSnapshot;
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Everything read back for one journaled session.
 #[derive(Debug, Clone)]
@@ -108,12 +114,35 @@ impl JournalScan {
     }
 }
 
-/// Read every session journal under `dir`. I/O errors on the directory
-/// itself propagate; unreadable *content* never does (it is tallied as
-/// corruption instead). Unknown files are ignored.
-pub fn scan_dir(dir: &Path) -> std::io::Result<JournalScan> {
-    // (epoch, session) -> segment index -> path
-    let mut groups: BTreeMap<(u32, u64), BTreeMap<u32, std::path::PathBuf>> = BTreeMap::new();
+/// One session's segment files, as found by [`list_sessions`]: names only,
+/// nothing opened or read yet.
+#[derive(Debug, Clone)]
+pub struct SessionSegments {
+    /// Epoch parsed from the file names.
+    pub epoch: u32,
+    /// Session id parsed from the file names.
+    pub session_id: u64,
+    /// Segment index -> path.
+    pub segments: BTreeMap<u32, PathBuf>,
+}
+
+/// What [`read_session`] made of one listed session.
+#[derive(Debug, Clone)]
+pub struct SessionRead {
+    /// The recovered session; `None` when its files vanished before any of
+    /// it was read (a concurrent retention sweep deleted it between
+    /// directory listing and read). Not an error and not corruption — the
+    /// sweep won the race.
+    pub session: Option<RecoveredSession>,
+    /// Bytes read from this session's segments.
+    pub bytes_scanned: u64,
+}
+
+/// List the session journals under `dir` from file names alone, ordered by
+/// `(epoch, session_id)`. I/O errors on the directory itself propagate;
+/// unknown files are ignored.
+pub fn list_sessions(dir: &Path) -> std::io::Result<Vec<SessionSegments>> {
+    let mut groups: BTreeMap<(u32, u64), BTreeMap<u32, PathBuf>> = BTreeMap::new();
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let Some((epoch, session, segment)) =
@@ -126,103 +155,139 @@ pub fn scan_dir(dir: &Path) -> std::io::Result<JournalScan> {
             .or_default()
             .insert(segment, entry.path());
     }
-    let mut scan = JournalScan::default();
-    for ((epoch, session_id), segments) in groups {
-        let mut recovered = RecoveredSession {
+    Ok(groups
+        .into_iter()
+        .map(|((epoch, session_id), segments)| SessionSegments {
             epoch,
             session_id,
-            meta: None,
-            snapshots: Vec::new(),
-            terminal: None,
-            alerts: Vec::new(),
-            estimator: None,
-            clean_shutdown: false,
-            corrupt_records: 0,
+            segments,
+        })
+        .collect())
+}
+
+/// Read one listed session: walk its segment chain in order and fold every
+/// valid record straight into the [`RecoveredSession`]. Unreadable content
+/// never errors — it is tallied as corruption on the session.
+pub fn read_session(listed: &SessionSegments) -> SessionRead {
+    let SessionSegments {
+        epoch,
+        session_id,
+        ref segments,
+    } = *listed;
+    let mut recovered = RecoveredSession {
+        epoch,
+        session_id,
+        meta: None,
+        snapshots: Vec::new(),
+        terminal: None,
+        alerts: Vec::new(),
+        estimator: None,
+        clean_shutdown: false,
+        corrupt_records: 0,
+    };
+    let mut bytes_scanned = 0u64;
+    let mut truncated = false;
+    let mut swept = false;
+    for expect in 0.. {
+        // Stop at the first gap in the segment chain: anything past a
+        // missing segment is unordered and untrusted.
+        let Some(path) = segments.get(&expect) else {
+            break;
         };
-        let mut truncated = false;
-        let mut swept = false;
-        for expect in 0.. {
-            // Stop at the first gap in the segment chain: anything past a
-            // missing segment is unordered and untrusted.
-            let Some(path) = segments.get(&expect) else {
-                break;
-            };
-            if truncated || swept {
-                // A corrupt segment invalidates everything after it; later
-                // segments exist but their records follow a hole. Count
-                // each skipped segment as one corrupt record. (After a
-                // sweep race the rest of the session is gone too, but that
-                // is deletion, not damage — nothing is tallied.)
-                if truncated {
-                    recovered.corrupt_records += 1;
-                }
-                continue;
+        if truncated || swept {
+            // A corrupt segment invalidates everything after it; later
+            // segments exist but their records follow a hole. Count
+            // each skipped segment as one corrupt record. (After a
+            // sweep race the rest of the session is gone too, but that
+            // is deletion, not damage — nothing is tallied.)
+            if truncated {
+                recovered.corrupt_records += 1;
             }
-            let bytes = match std::fs::read(path) {
-                Ok(b) => b,
-                // The file was listed but is gone by the time we read it: a
-                // concurrent retention sweep deleted this session. Sweeps
-                // remove whole session journals oldest-epoch-first, so
-                // treat the session as swept — truncate what we have
-                // without tallying corruption; if nothing was read yet the
-                // whole session is dropped below, exactly as if the sweep
-                // had finished before the scan started.
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    swept = true;
-                    continue;
-                }
-                Err(_) => {
-                    recovered.corrupt_records += 1;
-                    truncated = true;
-                    continue;
-                }
-            };
-            scan.bytes_scanned += bytes.len() as u64;
-            let (records, corrupt) = read_segment(&bytes, epoch, session_id, expect);
-            recovered.corrupt_records += corrupt;
-            truncated = corrupt > 0;
-            for record in records {
-                match record {
-                    Record::Meta(m) => {
-                        // First meta wins; a duplicate would be a writer bug.
-                        if recovered.meta.is_none() {
-                            // A baked-in selection (rewritten journal) seeds
-                            // the session's estimator; a later standalone
-                            // record overrides it.
-                            if recovered.estimator.is_none() {
-                                recovered.estimator = m.estimator.clone();
-                            }
-                            recovered.meta = Some(*m);
-                        }
-                    }
-                    Record::Snapshot(s) => {
-                        // Snapshots after the terminal record would be a
-                        // writer bug; tolerate by ignoring them.
-                        if recovered.terminal.is_none() {
-                            recovered.snapshots.push(s);
-                        }
-                    }
-                    Record::Terminal(t) => {
-                        if recovered.terminal.is_none() {
-                            recovered.terminal = Some(t);
-                        }
-                    }
-                    Record::CleanShutdown => recovered.clean_shutdown = true,
-                    Record::Alert(a) => recovered.alerts.push(a),
-                    Record::Estimator(sel) => recovered.estimator = Some(sel),
-                }
-            }
-        }
-        if swept && recovered.meta.is_none() && recovered.snapshots.is_empty() {
-            // The sweep removed the session before any of it was read:
-            // report it as swept rather than as an empty (and apparently
-            // corrupt) session — a scan racing retention must agree with a
-            // scan run after it.
-            scan.sessions_swept += 1;
             continue;
         }
-        scan.corrupt_records += recovered.corrupt_records;
-        scan.sessions.push(recovered);
+        let bytes = match std::fs::read(path) {
+            Ok(b) => b,
+            // The file was listed but is gone by the time we read it: a
+            // concurrent retention sweep deleted this session. Sweeps
+            // remove whole session journals oldest-epoch-first, so
+            // treat the session as swept — truncate what we have
+            // without tallying corruption; if nothing was read yet the
+            // whole session is dropped below, exactly as if the sweep
+            // had finished before the scan started.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                swept = true;
+                continue;
+            }
+            Err(_) => {
+                recovered.corrupt_records += 1;
+                truncated = true;
+                continue;
+            }
+        };
+        bytes_scanned += bytes.len() as u64;
+        let corrupt = read_segment(&bytes, epoch, session_id, expect, |record| {
+            fold_record(&mut recovered, record)
+        });
+        recovered.corrupt_records += corrupt;
+        truncated = corrupt > 0;
+    }
+    // The sweep removed the session before any of it was read: report it as
+    // swept rather than as an empty (and apparently corrupt) session — a
+    // scan racing retention must agree with a scan run after it.
+    let gone = swept && recovered.meta.is_none() && recovered.snapshots.is_empty();
+    SessionRead {
+        session: (!gone).then_some(recovered),
+        bytes_scanned,
+    }
+}
+
+fn fold_record(recovered: &mut RecoveredSession, record: Record) {
+    match record {
+        Record::Meta(m) => {
+            // First meta wins; a duplicate would be a writer bug.
+            if recovered.meta.is_none() {
+                // A baked-in selection (rewritten journal) seeds the
+                // session's estimator; a later standalone record
+                // overrides it.
+                if recovered.estimator.is_none() {
+                    recovered.estimator = m.estimator.clone();
+                }
+                recovered.meta = Some(*m);
+            }
+        }
+        Record::Snapshot(s) => {
+            // Snapshots after the terminal record would be a writer bug;
+            // tolerate by ignoring them.
+            if recovered.terminal.is_none() {
+                recovered.snapshots.push(s);
+            }
+        }
+        Record::Terminal(t) => {
+            if recovered.terminal.is_none() {
+                recovered.terminal = Some(t);
+            }
+        }
+        Record::CleanShutdown => recovered.clean_shutdown = true,
+        Record::Alert(a) => recovered.alerts.push(a),
+        Record::Estimator(sel) => recovered.estimator = Some(sel),
+    }
+}
+
+/// Read every session journal under `dir`: [`list_sessions`], then
+/// [`read_session`] on each. I/O errors on the directory itself propagate;
+/// unreadable *content* never does (it is tallied as corruption instead).
+pub fn scan_dir(dir: &Path) -> std::io::Result<JournalScan> {
+    let mut scan = JournalScan::default();
+    for listed in list_sessions(dir)? {
+        let read = read_session(&listed);
+        scan.bytes_scanned += read.bytes_scanned;
+        match read.session {
+            Some(session) => {
+                scan.corrupt_records += session.corrupt_records;
+                scan.sessions.push(session);
+            }
+            None => scan.sessions_swept += 1,
+        }
     }
     Ok(scan)
 }
@@ -235,49 +300,55 @@ pub fn scan_dir_window(dir: &Path, since_ns: u64, until_ns: u64) -> std::io::Res
     Ok(scan)
 }
 
-/// Decode one segment's bytes into records, truncating at the first
-/// invalid frame. Returns `(records, corrupt_records)` where
-/// `corrupt_records` is 1 when the segment was truncated (the torn/invalid
-/// frame itself), plus 1 if the segment header was unusable.
-fn read_segment(bytes: &[u8], epoch: u32, session_id: u64, segment: u32) -> (Vec<Record>, u64) {
+/// Decode one segment's bytes, handing each record to `sink` and stopping
+/// at the first invalid frame. Returns the corrupt-record count: 1 when the
+/// segment was truncated (the torn/invalid frame itself) or its header was
+/// unusable, else 0.
+fn read_segment(
+    bytes: &[u8],
+    epoch: u32,
+    session_id: u64,
+    segment: u32,
+    mut sink: impl FnMut(Record),
+) -> u64 {
     let Some(header) = SegmentHeader::decode(bytes) else {
-        return (Vec::new(), 1);
+        return 1;
     };
     if header.epoch != epoch || header.session_id != session_id || header.segment != segment {
         // Header intact but claims a different identity than its file name
         // — a renamed or cross-linked file. Nothing in it is trustworthy.
-        return (Vec::new(), 1);
+        return 1;
     }
-    let mut pos = SEGMENT_HEADER_BYTES as usize;
-    let mut records = Vec::new();
-    while pos < bytes.len() {
-        let Some(rest) = bytes.get(pos..) else { break };
+    let mut rest = &bytes[SEGMENT_HEADER_BYTES as usize..];
+    while !rest.is_empty() {
         if rest.len() < 8 {
-            return (records, 1); // torn frame header
+            return 1; // torn frame header
         }
         let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
         let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
         if len > MAX_PAYLOAD_BYTES as usize || rest.len() < 8 + len {
-            return (records, 1); // absurd length / torn payload
+            return 1; // absurd length / torn payload
         }
         let payload = &rest[8..8 + len];
         if crate::record::crc32(payload) != crc {
-            return (records, 1); // bit rot or torn write inside the payload
+            return 1; // bit rot or torn write inside the payload
         }
         match Record::decode_payload(payload) {
-            Some(r) => records.push(r),
-            None => return (records, 1), // CRC-valid but undecodable
+            Some(r) => sink(r),
+            None => return 1, // CRC-valid but undecodable
         }
-        pos += 8 + len;
+        rest = &rest[8 + len..];
     }
-    (records, 0)
+    0
 }
 
 /// Decode a standalone segment byte buffer (exposed for tests and offline
 /// tooling); same truncation semantics as [`scan_dir`].
 pub fn read_segment_bytes(bytes: &[u8]) -> (Vec<Record>, u64) {
-    match SegmentHeader::decode(bytes) {
-        Some(h) => read_segment(bytes, h.epoch, h.session_id, h.segment),
-        None => (Vec::new(), 1),
-    }
+    let mut records = Vec::new();
+    let corrupt = match SegmentHeader::decode(bytes) {
+        Some(h) => read_segment(bytes, h.epoch, h.session_id, h.segment, |r| records.push(r)),
+        None => 1,
+    };
+    (records, corrupt)
 }

@@ -47,16 +47,62 @@ pub const TAG_ALERT: u8 = 5;
 /// Estimator-selection record tag (ensemble final selection + weights).
 pub const TAG_ESTIMATOR: u8 = 6;
 
-/// CRC32 (IEEE 802.3, reflected) over `data`. Table-free bitwise variant —
-/// journal records are small and this keeps the implementation auditable.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// CRC32 polynomial (IEEE 802.3), reflected form.
+const CRC32_POLY: u32 = 0xEDB8_8320;
+
+/// Slice-by-8 lookup tables, built at compile time. `CRC32_TABLES[0]` is the
+/// classic byte-at-a-time table; `CRC32_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, which lets eight input bytes be folded with
+/// eight independent lookups instead of 64 dependent shift/xor rounds.
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC32_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// CRC32 (IEEE 802.3, reflected) over `data`: slice-by-8 over whole 8-byte
+/// groups, byte-at-a-time over the tail. Safe code only; the tables are
+/// 8 KiB of read-only data.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut groups = data.chunks_exact(8);
+    for g in &mut groups {
+        let lo = crc ^ u32::from_le_bytes([g[0], g[1], g[2], g[3]]);
+        let hi = u32::from_le_bytes([g[4], g[5], g[6], g[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in groups.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     !crc
 }
@@ -415,13 +461,15 @@ fn cost_model_from_fields(f: &[f64]) -> Option<CostModel> {
 // ---------------------------------------------------------------------------
 // Encoding
 
-struct Enc {
-    buf: Vec<u8>,
+/// Little-endian writer appending one payload to a caller-owned buffer.
+struct Enc<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Enc {
-    fn new(tag: u8) -> Self {
-        Enc { buf: vec![tag] }
+impl<'a> Enc<'a> {
+    fn new(buf: &'a mut Vec<u8>, tag: u8) -> Self {
+        buf.push(tag);
+        Enc { buf }
     }
 
     fn u8(&mut self, v: u8) {
@@ -576,12 +624,25 @@ fn decode_estimator(d: &mut Dec) -> Option<EstimatorRecord> {
     Some(EstimatorRecord { selected, weights })
 }
 
-impl Record {
-    /// Encode this record's payload (type tag + body, no framing).
-    pub fn encode_payload(&self) -> Vec<u8> {
+/// A borrowed view of one record: what the append path encodes from, so a
+/// published snapshot is framed straight out of the publisher's reference
+/// instead of being cloned into an owned [`Record`] first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RecordRef<'a> {
+    Meta(&'a SessionMeta),
+    Snapshot(&'a DmvSnapshot),
+    Terminal(&'a TerminalRecord),
+    CleanShutdown,
+    Alert(&'a AlertRecord),
+    Estimator(&'a EstimatorRecord),
+}
+
+impl RecordRef<'_> {
+    /// Append this record's payload (type tag + body, no framing) to `buf`.
+    fn encode_payload_into(self, buf: &mut Vec<u8>) {
         match self {
-            Record::Meta(m) => {
-                let mut e = Enc::new(TAG_META);
+            RecordRef::Meta(m) => {
+                let mut e = Enc::new(buf, TAG_META);
                 e.u16(FORMAT_VERSION);
                 e.u64(m.session_id);
                 e.str(&m.name);
@@ -606,49 +667,74 @@ impl Record {
                         encode_estimator(&mut e, sel);
                     }
                 }
-                e.buf
             }
-            Record::Snapshot(s) => {
-                let mut e = Enc::new(TAG_SNAPSHOT);
+            RecordRef::Snapshot(s) => {
+                let mut e = Enc::new(buf, TAG_SNAPSHOT);
                 e.u64(s.ts_ns);
                 e.u32(s.nodes.len() as u32);
                 for c in &s.nodes {
                     encode_counters(&mut e, c);
                 }
-                e.buf
             }
-            Record::Terminal(t) => {
-                let mut e = Enc::new(TAG_TERMINAL);
+            RecordRef::Terminal(t) => {
+                let mut e = Enc::new(buf, TAG_TERMINAL);
                 e.u8(t.kind.to_tag());
                 e.u64(t.at_ns);
                 e.u64(t.rows_returned);
                 e.str(&t.message);
-                e.buf
             }
-            Record::CleanShutdown => vec![TAG_CLEAN_SHUTDOWN],
-            Record::Alert(a) => {
-                let mut e = Enc::new(TAG_ALERT);
+            RecordRef::CleanShutdown => buf.push(TAG_CLEAN_SHUTDOWN),
+            RecordRef::Alert(a) => {
+                let mut e = Enc::new(buf, TAG_ALERT);
                 e.u8(a.kind.to_tag());
                 e.u64(a.ts_ns);
                 e.u64(a.seq);
                 e.str(&a.detail);
-                e.buf
             }
-            Record::Estimator(sel) => {
-                let mut e = Enc::new(TAG_ESTIMATOR);
+            RecordRef::Estimator(sel) => {
+                let mut e = Enc::new(buf, TAG_ESTIMATOR);
                 encode_estimator(&mut e, sel);
-                e.buf
             }
         }
     }
 
+    /// Append this record's frame to `buf`: the payload is encoded in place
+    /// behind an 8-byte hole, then its length and CRC are patched into the
+    /// hole — one buffer, no intermediate payload vector.
+    pub(crate) fn encode_frame_into(self, buf: &mut Vec<u8>) {
+        let start = buf.len();
+        buf.extend_from_slice(&[0; 8]);
+        self.encode_payload_into(buf);
+        let (head, payload) = buf[start..].split_at_mut(8);
+        head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    }
+}
+
+impl Record {
+    /// This record as the borrowed view the encoder works from.
+    pub(crate) fn borrowed(&self) -> RecordRef<'_> {
+        match self {
+            Record::Meta(m) => RecordRef::Meta(m),
+            Record::Snapshot(s) => RecordRef::Snapshot(s),
+            Record::Terminal(t) => RecordRef::Terminal(t),
+            Record::CleanShutdown => RecordRef::CleanShutdown,
+            Record::Alert(a) => RecordRef::Alert(a),
+            Record::Estimator(sel) => RecordRef::Estimator(sel),
+        }
+    }
+
+    /// Encode this record's payload (type tag + body, no framing).
+    pub fn encode_payload(&self) -> Vec<u8> {
+        let mut payload = Vec::new();
+        self.borrowed().encode_payload_into(&mut payload);
+        payload
+    }
+
     /// Frame this record for appending: length prefix + CRC + payload.
     pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let mut frame = Vec::new();
+        self.borrowed().encode_frame_into(&mut frame);
         frame
     }
 
@@ -786,11 +872,112 @@ mod tests {
         }
     }
 
+    /// The original bit-at-a-time CRC32 loop, kept as the oracle the table
+    /// kernel is checked against.
+    fn crc32_bitwise(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // Standard IEEE CRC32 check values.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn crc32_matches_bitwise_oracle_at_every_short_length_and_offset() {
+        // Every length through several 8-byte groups plus every tail, at
+        // every start offset within a group of one shared buffer.
+        let shared: Vec<u8> = (0..80u32).map(|i| (i * 151 + 43) as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let data = &shared[offset..offset + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bitwise(data),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn crc32_matches_bitwise_oracle_on_random_buffers(
+            data in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..65_537),
+        ) {
+            proptest::prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+        }
+    }
+
+    /// Frames of the sample records as the pre-`RecordRef` encoder (payload
+    /// vector, then a second framed vector) wrote them. The single-buffer
+    /// encoder must stay byte-identical: these are the on-disk format.
+    #[test]
+    fn golden_frames_are_byte_identical() {
+        let golden: [(Record, &str); 6] = [
+            (
+                Record::Meta(Box::new(SessionMeta {
+                    estimator: Some(sample_estimator()),
+                    ..sample_meta()
+                })),
+                "23010000b8e2f564010100070000000000000008000000747063682d713031040000007470636805000000efbeadde00000000c0000000000000000120a107000000000017000000000000000088e3400000000000004440000000000000104000000000000020400000000000002e40000000000000284000000000000020400000000000003e40333333333333e33f00000000008051400000000000804b400000000000003e4000000000008041400000000000003240000000000000344000000000000039400000000000003e400000000000003940000000000080464000000000000039400000000000006940000000000000f03f00000000000024400201030000006c717302000000030000006c7173000000000000e83f03000000646e65000000000000d03f",
+            ),
+            (
+                Record::Snapshot(sample_snapshot()),
+                "a3000000e47e4b400240e2010000000000020000000a0000000000000014000000000000000300000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000101000000000000000102000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000",
+            ),
+            (
+                Record::Terminal(TerminalRecord {
+                    kind: TerminalKind::Failed,
+                    at_ns: 42,
+                    rows_returned: 0,
+                    message: "boom".into(),
+                }),
+                "1a000000b03c3e1a03032a00000000000000000000000000000004000000626f6f6d",
+            ),
+            (
+                Record::Alert(AlertRecord {
+                    kind: AlertKind::Diverging,
+                    ts_ns: 9_000,
+                    seq: 17,
+                    detail: "estimate 0.90 vs observed 0.20".into(),
+                }),
+                "3400000070d538f60501282300000000000011000000000000001e000000657374696d61746520302e3930207673206f6273657276656420302e3230",
+            ),
+            (
+                Record::Estimator(sample_estimator()),
+                "2a000000a996b4cc06030000006c717302000000030000006c7173000000000000e83f03000000646e65000000000000d03f",
+            ),
+            (Record::CleanShutdown, "01000000942b6fd504"),
+        ];
+        for (record, hex) in &golden {
+            let frame: String = record
+                .encode_frame()
+                .iter()
+                .map(|b| format!("{b:02x}"))
+                .collect();
+            assert_eq!(&frame, hex, "{record:?}");
+        }
+        // Frames appended back to back into one reused buffer (the writer's
+        // shape) are the same bytes.
+        let mut buf = Vec::new();
+        for (record, _) in &golden {
+            buf.clear();
+            record.borrowed().encode_frame_into(&mut buf);
+            assert_eq!(buf, record.encode_frame());
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::breaker::{BreakerConfig, BreakerEvent, BreakerState, CircuitBreaker, WriteAdmit};
 use crate::metrics::JournalMetrics;
-use crate::record::{Record, SegmentHeader, SessionMeta, TerminalRecord, FORMAT_VERSION};
+use crate::record::{RecordRef, SegmentHeader, SessionMeta, TerminalRecord, FORMAT_VERSION};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -235,6 +235,7 @@ impl Journal {
                 fault: self.config.fault.clone(),
                 fsync_policy: self.config.fsync,
                 segment_max_bytes: self.config.segment_max_bytes,
+                frame: Vec::new(),
             }),
             metrics: self.metrics.clone(),
             breaker: Arc::clone(&self.breaker),
@@ -317,6 +318,9 @@ struct WriterInner {
     fault: Option<std::sync::Arc<dyn JournalFaultInjector>>,
     fsync_policy: FsyncPolicy,
     segment_max_bytes: u64,
+    /// The one frame buffer every append of this writer encodes into; kept
+    /// so a steady-state append allocates nothing.
+    frame: Vec<u8>,
 }
 
 impl WriterInner {
@@ -361,7 +365,9 @@ impl WriterInner {
         self.write_chunk(&header)
     }
 
-    fn append_frame(&mut self, frame: &[u8]) -> std::io::Result<()> {
+    /// Encode `record` into the writer's frame buffer and append it with
+    /// one `write_all`.
+    fn append_record(&mut self, record: RecordRef<'_>) -> std::io::Result<()> {
         if self.dead {
             self.append_index += 1;
             return Ok(());
@@ -376,6 +382,15 @@ impl WriterInner {
                 )));
             }
         }
+        let mut frame = std::mem::take(&mut self.frame);
+        frame.clear();
+        record.encode_frame_into(&mut frame);
+        let result = self.write_frame(&frame);
+        self.frame = frame;
+        result
+    }
+
+    fn write_frame(&mut self, frame: &[u8]) -> std::io::Result<()> {
         // Rotate before the append if this frame would overflow the
         // segment (never rotate an empty segment — oversized single
         // records just get their own long segment).
@@ -421,8 +436,7 @@ impl SessionJournal {
     fn open_first_segment(&mut self, meta: &SessionMeta) -> std::io::Result<()> {
         let inner = self.inner.get_mut().expect("journal writer poisoned");
         inner.open_segment()?;
-        inner.append_frame(&Record::Meta(Box::new(meta.clone())).encode_frame())?;
-        Ok(())
+        inner.append_record(RecordRef::Meta(meta))
     }
 
     /// Run one append under the breaker. Returns whether the record made
@@ -485,35 +499,33 @@ impl SessionJournal {
         }
     }
 
-    /// Append one published DMV snapshot, fsyncing per policy.
-    pub fn append_snapshot(&self, snapshot: &lqs_exec::DmvSnapshot) {
-        let frame = Record::Snapshot(snapshot.clone()).encode_frame();
+    /// Append one record under the breaker, then fsync as its kind demands:
+    /// snapshots follow the policy's cadence, the terminal record and the
+    /// clean-shutdown sentinel are the recovery contract and are forced
+    /// (any policy except `Never`), and annotations (alerts, estimator
+    /// selections) ride the next forced flush.
+    fn append(&self, record: RecordRef<'_>) {
         let mut fsynced = None;
         let ok = self.with_inner(|inner| {
-            inner.append_frame(&frame)?;
-            if let FsyncPolicy::EveryN(n) = inner.fsync_policy {
-                inner.snapshots_since_fsync += 1;
-                if inner.snapshots_since_fsync >= n.max(1) {
-                    inner.snapshots_since_fsync = 0;
-                    fsynced = inner.fsync()?;
+            inner.append_record(record)?;
+            let due = match record {
+                RecordRef::Snapshot(_) => match inner.fsync_policy {
+                    FsyncPolicy::EveryN(n) => {
+                        inner.snapshots_since_fsync += 1;
+                        let due = inner.snapshots_since_fsync >= n.max(1);
+                        if due {
+                            inner.snapshots_since_fsync = 0;
+                        }
+                        due
+                    }
+                    _ => false,
+                },
+                RecordRef::Terminal(_) | RecordRef::CleanShutdown => {
+                    inner.fsync_policy != FsyncPolicy::Never
                 }
-            }
-            Ok(())
-        });
-        self.record_fsync(fsynced);
-        if let (Some(m), true) = (&self.metrics, ok) {
-            m.records_appended.inc();
-        }
-    }
-
-    /// Append the terminal-state record and force it to disk (any policy
-    /// except `Never`) — the terminal state is the recovery contract.
-    pub fn append_terminal(&self, terminal: &TerminalRecord) {
-        let frame = Record::Terminal(terminal.clone()).encode_frame();
-        let mut fsynced = None;
-        let ok = self.with_inner(|inner| {
-            inner.append_frame(&frame)?;
-            if inner.fsync_policy != FsyncPolicy::Never {
+                RecordRef::Meta(_) | RecordRef::Alert(_) | RecordRef::Estimator(_) => false,
+            };
+            if due {
                 fsynced = inner.fsync()?;
             }
             Ok(())
@@ -524,15 +536,22 @@ impl SessionJournal {
         }
     }
 
+    /// Append one published DMV snapshot, fsyncing per policy.
+    pub fn append_snapshot(&self, snapshot: &lqs_exec::DmvSnapshot) {
+        self.append(RecordRef::Snapshot(snapshot));
+    }
+
+    /// Append the terminal-state record and force it to disk (any policy
+    /// except `Never`) — the terminal state is the recovery contract.
+    pub fn append_terminal(&self, terminal: &TerminalRecord) {
+        self.append(RecordRef::Terminal(terminal));
+    }
+
     /// Append a watchdog alert annotation. Fsyncs per the snapshot policy's
     /// spirit: alerts are diagnostics, not the recovery contract, so they
     /// ride the next forced flush rather than forcing one themselves.
     pub fn append_alert(&self, alert: &crate::record::AlertRecord) {
-        let frame = Record::Alert(alert.clone()).encode_frame();
-        let ok = self.with_inner(|inner| inner.append_frame(&frame));
-        if let (Some(m), true) = (&self.metrics, ok) {
-            m.records_appended.inc();
-        }
+        self.append(RecordRef::Alert(alert));
     }
 
     /// Append the session's final ensemble estimator selection. Written at
@@ -540,29 +559,13 @@ impl SessionJournal {
     /// alerts it is an annotation, not the recovery contract, so it rides
     /// the next forced flush.
     pub fn append_estimator(&self, sel: &crate::record::EstimatorRecord) {
-        let frame = Record::Estimator(sel.clone()).encode_frame();
-        let ok = self.with_inner(|inner| inner.append_frame(&frame));
-        if let (Some(m), true) = (&self.metrics, ok) {
-            m.records_appended.inc();
-        }
+        self.append(RecordRef::Estimator(sel));
     }
 
     /// Append the clean-shutdown sentinel and flush — called by the service
     /// at orderly shutdown so recovery can tell a clean exit from a crash.
     pub fn append_clean_shutdown(&self) {
-        let frame = Record::CleanShutdown.encode_frame();
-        let mut fsynced = None;
-        let ok = self.with_inner(|inner| {
-            inner.append_frame(&frame)?;
-            if inner.fsync_policy != FsyncPolicy::Never {
-                fsynced = inner.fsync()?;
-            }
-            Ok(())
-        });
-        self.record_fsync(fsynced);
-        if let (Some(m), true) = (&self.metrics, ok) {
-            m.records_appended.inc();
-        }
+        self.append(RecordRef::CleanShutdown);
     }
 
     /// Force buffered appends to stable storage. Bypasses the breaker (no

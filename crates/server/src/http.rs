@@ -15,7 +15,7 @@
 //!   the window, as JSON (scanned fresh from the journal directory).
 //! * `GET /history/session/{key}/curve` — one session's progress-over-time
 //!   curve and per-node time attribution (`key` is `e{epoch}-s{id}` or a
-//!   bare session id).
+//!   bare session id). Reads only that session's segments.
 //! * `GET /history/percentiles[?workload=W]` — per-workload p50/p90/p99 of
 //!   runtime, CPU, logical reads, ErrorAvg, ErrorTime.
 //! * `GET /history/predict?fingerprint=F` — predicted CPU/IO/runtime for a
@@ -30,16 +30,23 @@
 //!   classifications as JSON, ordered by session id (requires a
 //!   [`crate::Watchdog`] wired via [`ServerConfig::watchdog`]).
 //!
-//! The three journal-backed routes re-scan the journal directory on every
-//! request, so they are computed purely from journal bytes: two scrapes
-//! over an unchanged directory return byte-for-byte identical bodies.
+//! The three journal-backed routes read the journal directory afresh on
+//! every request (the two fleet routes scan all of it, the curve route
+//! lists it and reads one session), so they are computed purely from
+//! journal bytes: two scrapes over an unchanged directory return
+//! byte-for-byte identical bodies. What each request cost is recorded as
+//! `lqs_history_scan_seconds`, `lqs_history_scan_bytes_total` and
+//! `lqs_history_scan_sessions_total`, labelled by `route`.
 //!
 //! Ingress is a bounded worker pool, not a serial loop: one acceptor
 //! thread hands connections to [`IngressConfig::workers`] service threads
 //! over a bounded channel. A slow-loris client burns one worker for at
 //! most the head deadline (408), never the acceptor; when every worker and
 //! queue slot is busy the acceptor sheds inline with `503` +
-//! `Retry-After` instead of queueing unboundedly. Accept errors are
+//! `Retry-After` instead of queueing unboundedly. A handler that panics
+//! (a hostile journal reaching an estimator replay, say) costs its own
+//! request a `500`, never the worker (`lqs_http_handler_panics_total`).
+//! Accept errors are
 //! counted (`lqs_http_accept_errors_total`), not silently dropped, and
 //! shutdown drains: queued connections are served before workers exit.
 
@@ -48,14 +55,15 @@ use crate::registry::SessionRegistry;
 use crate::session::{SessionDurability, SessionHandle, SessionId, SessionResult};
 use crate::watchdog::Watchdog;
 use lqs_history::{
-    scan_history, FleetHistory, HistoryMetrics, HistoryResolver, HistoryStore, Pctls,
-    ResourcePrediction, SessionHistory,
+    scan_history, scan_session_curve, FleetHistory, HistoryMetrics, HistoryResolver, HistoryStore,
+    Pctls, ResourcePrediction, SessionHistory,
 };
 use lqs_journal::Journal;
 use lqs_metrics::MetricsRegistry;
 use serde::Value;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -97,7 +105,9 @@ impl Default for IngressConfig {
 
 /// Configuration for the `/history/*` routes.
 pub struct HistoryEndpoints {
-    /// Journal directory scanned (fresh) on every history request.
+    /// Journal directory the history routes read, afresh on every request:
+    /// `/history/sessions` and `/history/percentiles` scan all of it, the
+    /// curve route lists it and reads only the addressed session.
     pub journal_dir: PathBuf,
     /// Plan resolver for estimator-grade analytics (operator names,
     /// ErrorAvg/ErrorTime in percentiles). `None` serves journal-pure
@@ -293,13 +303,26 @@ fn accept_loop(
 /// One ingress worker: serve queued connections until the acceptor hangs
 /// up, then drain and exit.
 fn worker_loop(rx: &Mutex<mpsc::Receiver<TcpStream>>, state: &ServerState) {
+    let handler_panics = state.metrics.counter(
+        "lqs_http_handler_panics_total",
+        "Requests answered 500 because their handler panicked (the ingress worker survives)",
+        &[],
+    );
     loop {
         // Hold the lock only while waiting for a connection, never while
         // serving one — otherwise the pool would be a serial loop in
         // disguise.
         let stream = rx.lock().expect("ingress queue poisoned").recv();
-        let Ok(stream) = stream else { return };
-        let _ = serve_connection(stream, state);
+        let Ok(mut stream) = stream else { return };
+        // A panicking handler must cost its own request, not this worker:
+        // `workers` such requests would otherwise leave nobody serving.
+        // Handlers build their body before writing any of it, so the
+        // connection is still clean for the 500.
+        let served = catch_unwind(AssertUnwindSafe(|| serve_connection(&mut stream, state)));
+        if served.is_err() {
+            handler_panics.inc();
+            let _ = respond(&mut stream, 500, "text/plain", "request handler panicked\n");
+        }
     }
 }
 
@@ -317,13 +340,13 @@ fn reject_busy(mut stream: TcpStream, retry_after_secs: u32) -> std::io::Result<
     )
 }
 
-fn serve_connection(mut stream: TcpStream, state: &ServerState) -> std::io::Result<()> {
+fn serve_connection(stream: &mut TcpStream, state: &ServerState) -> std::io::Result<()> {
     let ingress = &state.config.ingress;
     stream.set_write_timeout(Some(ingress.io_timeout))?;
-    let head = match read_head(&mut stream, ingress.head_deadline)? {
+    let head = match read_head(stream, ingress.head_deadline)? {
         HeadOutcome::Head(head) => head,
         HeadOutcome::TooLarge => {
-            return respond(&mut stream, 431, "text/plain", "request head too large\n")
+            return respond(stream, 431, "text/plain", "request head too large\n")
         }
         HeadOutcome::TimedOut => {
             // Slow loris: the head trickled in slower than the deadline.
@@ -336,7 +359,7 @@ fn serve_connection(mut stream: TcpStream, state: &ServerState) -> std::io::Resu
                     &[],
                 )
                 .inc();
-            return respond(&mut stream, 408, "text/plain", "request head timed out\n");
+            return respond(stream, 408, "text/plain", "request head timed out\n");
         }
     };
     stream.set_read_timeout(Some(ingress.io_timeout))?;
@@ -344,7 +367,7 @@ fn serve_connection(mut stream: TcpStream, state: &ServerState) -> std::io::Resu
     let (method, target) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     if method != "GET" {
         return respond_with(
-            &mut stream,
+            stream,
             405,
             "text/plain",
             "only GET is supported\n",
@@ -357,23 +380,23 @@ fn serve_connection(mut stream: TcpStream, state: &ServerState) -> std::io::Resu
     };
     match path {
         "/metrics" => respond(
-            &mut stream,
+            stream,
             200,
             "text/plain; version=0.0.4; charset=utf-8",
             &state.metrics.render(),
         ),
         "/sessions" => respond(
-            &mut stream,
+            stream,
             200,
             "application/json",
             &sessions_json(&state.sessions),
         ),
-        "/healthz" => respond(&mut stream, 200, "application/json", &healthz_json(state)),
-        "/alerts" => serve_alerts(&mut stream, state),
-        _ if path.starts_with("/history/") => serve_history(&mut stream, state, path, query),
-        _ if path.starts_with("/profile/") => serve_profile(&mut stream, state, path, query),
+        "/healthz" => respond(stream, 200, "application/json", &healthz_json(state)),
+        "/alerts" => serve_alerts(stream, state),
+        _ if path.starts_with("/history/") => serve_history(stream, state, path, query),
+        _ if path.starts_with("/profile/") => serve_profile(stream, state, path, query),
         "/" => respond(
-            &mut stream,
+            stream,
             200,
             "text/plain",
             "lqs metrics server\n\
@@ -387,7 +410,7 @@ fn serve_connection(mut stream: TcpStream, state: &ServerState) -> std::io::Resu
              \x20 GET /profile/{session}              per-operator time attribution (format=collapsed)\n\
              \x20 GET /alerts                         live watchdog alerts as JSON\n",
         ),
-        _ => respond(&mut stream, 404, "text/plain", "not found\n"),
+        _ => respond(stream, 404, "text/plain", "not found\n"),
     }
 }
 
@@ -403,8 +426,17 @@ fn serve_history(
     if path == "/history/predict" {
         return serve_predict(stream, history, query);
     }
-    // The remaining routes are journal scans. Parse the window first so a
-    // bad parameter fails before any I/O.
+    // The remaining routes read the journal. Resolve the route and parse
+    // the window first so a bad path or parameter fails before any I/O.
+    let curve_key = path
+        .strip_prefix("/history/session/")
+        .and_then(|rest| rest.strip_suffix("/curve"));
+    let route = match (path, curve_key) {
+        ("/history/sessions", _) => HistoryRoute::Sessions,
+        ("/history/percentiles", _) => HistoryRoute::Percentiles,
+        (_, Some(key)) => HistoryRoute::Curve(key),
+        _ => return respond(stream, 404, "text/plain", "not found\n"),
+    };
     let since = match query_u64(query, "since") {
         Ok(v) => v.unwrap_or(0),
         Err(bad) => return bad_param(stream, "since", &bad),
@@ -417,8 +449,36 @@ fn serve_history(
         .resolver
         .as_deref()
         .map(|r| r as &dyn HistoryResolver);
-    let fleet = match scan_history(&history.journal_dir, Some((since, until)), resolver) {
-        Ok(fleet) => fleet,
+    let window = Some((since, until));
+    let started = Instant::now();
+    // A fleet route scans the whole directory and renders the fleet.
+    let fleet = |render: &dyn Fn(&FleetHistory) -> String| {
+        scan_history(&history.journal_dir, window, resolver).map(|fleet| {
+            let sessions = fleet.sessions.len() as u64;
+            (200, render(&fleet), fleet.bytes_scanned, sessions)
+        })
+    };
+    // (status, body, journal bytes read, sessions materialised)
+    let answer = match route {
+        HistoryRoute::Sessions => fleet(&history_sessions_json),
+        HistoryRoute::Percentiles => {
+            let workload = query_param(query, "workload");
+            fleet(&|f| percentiles_json(f, workload.as_deref()))
+        }
+        // One session's curve needs one session's segments: list the
+        // directory by name, read only those, skip the accuracy replay the
+        // curve body never prints.
+        HistoryRoute::Curve(key) => scan_session_curve(&history.journal_dir, key, window, resolver)
+            .map(|scan| {
+                let (status, body) = match &scan.session {
+                    Some(s) => (200, curve_json(s)),
+                    None => (404, "no such journaled session\n".to_owned()),
+                };
+                (status, body, scan.bytes_scanned, scan.sessions_read)
+            }),
+    };
+    let (status, body, bytes, sessions) = match answer {
+        Ok(answer) => answer,
         Err(e) => {
             return respond(
                 stream,
@@ -428,35 +488,72 @@ fn serve_history(
             )
         }
     };
-    match path {
-        "/history/sessions" => respond(
-            stream,
-            200,
-            "application/json",
-            &history_sessions_json(&fleet),
-        ),
-        "/history/percentiles" => {
-            let workload = query_param(query, "workload");
-            respond(
-                stream,
-                200,
-                "application/json",
-                &percentiles_json(&fleet, workload.as_deref()),
-            )
-        }
-        _ => {
-            if let Some(key) = path
-                .strip_prefix("/history/session/")
-                .and_then(|rest| rest.strip_suffix("/curve"))
-            {
-                return match fleet.session(key) {
-                    Some(s) => respond(stream, 200, "application/json", &curve_json(s)),
-                    None => respond(stream, 404, "text/plain", "no such journaled session\n"),
-                };
-            }
-            respond(stream, 404, "text/plain", "not found\n")
+    record_history_scan(
+        &state.metrics,
+        route.label(),
+        started.elapsed(),
+        bytes,
+        sessions,
+    );
+    let content_type = if status == 200 {
+        "application/json"
+    } else {
+        "text/plain"
+    };
+    respond(stream, status, content_type, &body)
+}
+
+/// A journal-backed `/history` route.
+#[derive(Clone, Copy)]
+enum HistoryRoute<'a> {
+    Sessions,
+    Percentiles,
+    /// `/history/session/{key}/curve`, with its `key`.
+    Curve(&'a str),
+}
+
+impl HistoryRoute<'_> {
+    /// The `route` label value on the scan-cost metrics.
+    fn label(self) -> &'static str {
+        match self {
+            HistoryRoute::Sessions => "sessions",
+            HistoryRoute::Percentiles => "percentiles",
+            HistoryRoute::Curve(_) => "curve",
         }
     }
+}
+
+/// Self-observability of the journal-backed routes: what one request's
+/// read of the journal directory cost, by route.
+fn record_history_scan(
+    metrics: &MetricsRegistry,
+    route: &str,
+    elapsed: Duration,
+    bytes: u64,
+    sessions: u64,
+) {
+    let labels = [("route", route)];
+    metrics
+        .histogram(
+            "lqs_history_scan_seconds",
+            "Wall time a /history request spent reading journals and building its answer",
+            &labels,
+        )
+        .observe(elapsed.as_secs_f64());
+    metrics
+        .counter(
+            "lqs_history_scan_bytes_total",
+            "Journal bytes read by /history requests",
+            &labels,
+        )
+        .add(bytes);
+    metrics
+        .counter(
+            "lqs_history_scan_sessions_total",
+            "Journaled sessions materialised by /history requests",
+            &labels,
+        )
+        .add(sessions);
 }
 
 fn serve_predict(
@@ -703,6 +800,7 @@ fn respond_with(
         405 => "Method Not Allowed",
         408 => "Request Timeout",
         431 => "Request Header Fields Too Large",
+        500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Error",
     };
@@ -942,7 +1040,8 @@ fn history_sessions_json(fleet: &FleetHistory) -> String {
     body.to_json() + "\n"
 }
 
-fn curve_json(s: &SessionHistory) -> String {
+/// The `/history/session/{key}/curve` body for one session's history.
+pub fn curve_json(s: &SessionHistory) -> String {
     let curve: Vec<Value> = s
         .curve
         .iter()

@@ -4,7 +4,7 @@
 //! and predicted-cost admission falls back to the fixed limit until the
 //! store warms.
 
-use lqs_history::{HistoryResolver, HistoryStore, ResolvedPlan};
+use lqs_history::{scan_history, HistoryResolver, HistoryStore, ResolvedPlan};
 use lqs_journal::{plan_fingerprint, Journal, JournalConfig, SessionMeta};
 use lqs_metrics::MetricsRegistry;
 use lqs_plan::{AggFunc, Aggregate, Expr, PhysicalPlan, PlanBuilder, SortKey};
@@ -321,6 +321,211 @@ fn history_endpoints_are_deterministic_and_healthz_reports() {
     assert_eq!(parsed["sessions_recovered"].as_u64(), Some(3));
     assert_eq!(parsed["journal"]["dir_exists"].as_bool(), Some(true));
     assert!(parsed["journal"]["segments"].as_i64().unwrap() >= 3);
+
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Journal `names` (one session each, ids in submission order) under a new
+/// epoch of `dir`, with segments small enough that every session rotates.
+fn journal_epoch(dir: &std::path::Path, db: &Arc<Database>, names: &[(&str, &Arc<PhysicalPlan>)]) {
+    let journal =
+        Journal::open(JournalConfig::new(dir).with_segment_max_bytes(2048)).expect("open journal");
+    let service = QueryService::new(Arc::clone(db), 2).with_journal(journal);
+    for (name, plan) in names {
+        service.submit(QuerySpec::new(*name, Arc::clone(plan)));
+    }
+    service.wait_all();
+    service.shutdown();
+}
+
+/// Segment paths of session `(epoch, id)`, ascending.
+fn segments_of(dir: &std::path::Path, epoch: u32, id: u64) -> Vec<PathBuf> {
+    let mut out: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| {
+            let name = p.file_name().unwrap().to_string_lossy().into_owned();
+            lqs_journal::parse_segment_file_name(&name)
+                .is_some_and(|(e, s, _)| e == epoch && s == id)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// Leave `path` listed but unreadable-as-NotFound — what a scan sees when a
+/// retention sweep deletes the file between directory listing and read.
+#[cfg(unix)]
+fn sweep_after_listing(path: &std::path::Path) {
+    std::fs::remove_file(path).unwrap();
+    std::os::unix::fs::symlink(path.with_extension("swept"), path).unwrap();
+}
+
+/// The route-scoped curve read (list, then read one session, no accuracy
+/// replay) must answer exactly what rendering that session out of a full
+/// `scan_history` answers — over two epochs, rotated segments, a torn
+/// tail, sessions swept mid-scan, both key forms, and time windows.
+#[cfg(unix)]
+#[test]
+fn curve_route_matches_a_full_scan_byte_for_byte() {
+    let (db, t) = db();
+    let db = Arc::new(db);
+    let plans = plans(&db, t);
+    let dir = tmpdir("curve-equivalence");
+
+    // Epoch 0 runs q0,q1,q2 as ids 0,1,2; epoch 1 runs them rotated, so the
+    // same id names sessions with different virtual-time windows.
+    journal_epoch(
+        &dir,
+        &db,
+        &[("q0", &plans[0]), ("q1", &plans[1]), ("q2", &plans[2])],
+    );
+    journal_epoch(
+        &dir,
+        &db,
+        &[("q1", &plans[1]), ("q2", &plans[2]), ("q0", &plans[0])],
+    );
+    assert!(
+        segments_of(&dir, 0, 0).len() > 1,
+        "2 KiB segments must rotate"
+    );
+    // e0-s1: torn tail (the 9-byte sentinel frame gone, the frame before it
+    // cut mid-payload).
+    let tail = segments_of(&dir, 0, 1).pop().unwrap();
+    let bytes = std::fs::read(&tail).unwrap();
+    std::fs::write(&tail, &bytes[..bytes.len() - 19]).unwrap();
+    // e1-s1: swept before any of it was read; e1-s2: swept after its first
+    // segment was.
+    for path in segments_of(&dir, 1, 1) {
+        sweep_after_listing(&path);
+    }
+    for path in segments_of(&dir, 1, 2).iter().skip(1) {
+        sweep_after_listing(path);
+    }
+
+    let catalog: Vec<(String, Arc<PhysicalPlan>)> = plans
+        .iter()
+        .enumerate()
+        .map(|(i, p)| (format!("q{i}"), Arc::clone(p)))
+        .collect();
+    let resolve: Arc<dyn HistoryResolver + Send + Sync> =
+        Arc::new(resolver(Arc::clone(&db), catalog));
+    let registry = Arc::new(MetricsRegistry::new());
+    let server = MetricsServer::start_with(
+        "127.0.0.1:0",
+        Arc::clone(&registry),
+        Arc::new(SessionRegistry::new()),
+        ServerConfig {
+            history: Some(HistoryEndpoints {
+                journal_dir: dir.clone(),
+                resolver: Some(Arc::clone(&resolve)),
+                store: None,
+                metrics: None,
+            }),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let addr = server.addr();
+
+    let full = scan_history(&dir, None, Some(&*resolve)).expect("full scan");
+    assert_eq!(full.sessions_swept, 1, "e1-s1 is gone entirely");
+    assert_eq!(full.sessions.len(), 5);
+    // Windows cut from the sessions' own virtual times, so each keeps some
+    // sessions and drops others.
+    let earliest_end = full.sessions.iter().map(|s| s.runtime_ns).min().unwrap();
+    let latest_end = full.sessions.iter().map(|s| s.runtime_ns).max().unwrap();
+    assert!(earliest_end < latest_end);
+    let windows: [(Option<u64>, Option<u64>); 6] = [
+        (None, None),
+        (Some(0), None),
+        (Some(earliest_end + 1), None),
+        (Some(latest_end), Some(u64::MAX)),
+        (None, Some(0)),
+        (Some(latest_end + 1), None),
+    ];
+    let keys = [
+        "e0-s0", "e0-s1", "e0-s2", "e1-s0", "e1-s1", "e1-s2", "0", "1", "2", "e9-s9", "7", "e1",
+    ];
+    let (mut served, mut windowed_out) = (0, 0);
+    for (since, until) in windows {
+        let params: Vec<String> = [
+            since.map(|v| format!("since={v}")),
+            until.map(|v| format!("until={v}")),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        let query = if params.is_empty() {
+            String::new()
+        } else {
+            format!("?{}", params.join("&"))
+        };
+        let window = Some((since.unwrap_or(0), until.unwrap_or(u64::MAX)));
+        let fleet = scan_history(&dir, window, Some(&*resolve)).expect("full scan");
+        for key in keys {
+            let path = format!("/history/session/{key}/curve{query}");
+            let response = http_get(addr, &path);
+            match fleet.session(key) {
+                Some(expected) => {
+                    assert!(
+                        response.starts_with("HTTP/1.1 200 OK"),
+                        "{path}: {response}"
+                    );
+                    assert_eq!(
+                        body_of(&response),
+                        lqs_server::http::curve_json(expected),
+                        "{path}"
+                    );
+                    served += 1;
+                }
+                None => {
+                    assert!(response.starts_with("HTTP/1.1 404"), "{path}: {response}");
+                    if full.session(key).is_some() {
+                        windowed_out += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        served >= 8 * 2,
+        "the comparison must have had something to compare"
+    );
+    assert!(
+        windowed_out > 0,
+        "a window that excludes the session is a 404"
+    );
+    // The bare id falls back past the swept newer epoch.
+    assert_eq!(full.session("1").unwrap().key(), "e0-s1");
+    assert!(full.session("1").unwrap().corrupt_records > 0, "torn tail");
+
+    // The cost shows in the server's own registry: a curve request reads
+    // one session's bytes, a fleet request the whole directory's.
+    http_get(addr, "/history/sessions");
+    let metrics = registry.render();
+    let counter = |series: &str| -> u64 {
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(series)?.trim().parse().ok())
+            .unwrap_or_else(|| panic!("{series} missing:\n{metrics}"))
+    };
+    assert_eq!(
+        counter("lqs_history_scan_bytes_total{route=\"sessions\"}"),
+        full.bytes_scanned
+    );
+    assert_eq!(
+        counter("lqs_history_scan_sessions_total{route=\"sessions\"}"),
+        5
+    );
+    let curve_requests = (windows.len() * (keys.len() - 1)) as u64; // "e1" never reads
+    assert!(
+        counter("lqs_history_scan_bytes_total{route=\"curve\"}")
+            < curve_requests * full.bytes_scanned / 2,
+        "curve requests must not pay for the whole directory"
+    );
+    assert!(metrics.contains("lqs_history_scan_seconds_count{route=\"curve\"}"));
 
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);

@@ -2,10 +2,13 @@
 //! worker, never the listener — concurrent scrapes complete promptly
 //! (this test fails against a serial accept loop); trickled heads are cut
 //! off with 408 at the head deadline; a saturated pool sheds with `503` +
-//! `Retry-After`; and non-GET methods get a proper `Allow` header.
+//! `Retry-After`; non-GET methods get a proper `Allow` header; and a
+//! panicking request handler costs its own request a 500, never the worker.
 
+use lqs_history::ResolvedPlan;
+use lqs_journal::{Journal, JournalConfig, JournalExecMode, SessionMeta};
 use lqs_metrics::MetricsRegistry;
-use lqs_server::{IngressConfig, MetricsServer, ServerConfig, SessionRegistry};
+use lqs_server::{HistoryEndpoints, IngressConfig, MetricsServer, ServerConfig, SessionRegistry};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -176,4 +179,74 @@ fn non_get_method_gets_405_with_allow_header() {
     let metrics = raw_get(addr, "/metrics");
     assert!(metrics.contains("lqs_http_accept_errors_total 0"));
     server.stop();
+}
+
+#[test]
+fn panicking_handler_answers_500_and_the_pool_survives() {
+    // One journaled session and a resolver that panics on it: the shape of
+    // a hostile journal blowing up an estimator replay under /history/*.
+    let dir = std::env::temp_dir().join(format!("lqs-ingress-panic-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = Journal::open(JournalConfig::new(&dir)).expect("open journal");
+    let writer = journal
+        .writer(SessionMeta {
+            session_id: 0,
+            name: "q0".into(),
+            workload: "w".into(),
+            n_nodes: 1,
+            plan_fingerprint: 1,
+            snapshot_target: 8,
+            snapshot_interval_ns: None,
+            cost_model: lqs_plan::CostModel::default(),
+            exec_mode: JournalExecMode::Unknown,
+            estimator: None,
+        })
+        .expect("open session journal");
+    writer.flush();
+
+    const WORKERS: usize = 2;
+    let server = MetricsServer::start_with(
+        "127.0.0.1:0",
+        Arc::new(MetricsRegistry::new()),
+        Arc::new(SessionRegistry::new()),
+        ServerConfig {
+            history: Some(HistoryEndpoints {
+                journal_dir: dir.clone(),
+                resolver: Some(Arc::new(|_: &SessionMeta| -> Option<ResolvedPlan> {
+                    panic!("resolver blew up on a hostile journal")
+                })),
+                store: None,
+                metrics: None,
+            }),
+            ingress: IngressConfig {
+                workers: WORKERS,
+                ..IngressConfig::default()
+            },
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind ephemeral port");
+    let addr = server.addr();
+
+    // One more panicking request than there are workers: were a panic to
+    // kill its worker, nobody would be left to serve the scrape below.
+    for path in [
+        "/history/sessions",
+        "/history/percentiles",
+        "/history/session/0/curve",
+    ] {
+        let response = raw_get(addr, path);
+        assert!(
+            response.starts_with("HTTP/1.1 500"),
+            "{path}: expected 500, got: {response}"
+        );
+    }
+    let metrics = raw_get(addr, "/metrics");
+    assert!(metrics.starts_with("HTTP/1.1 200"), "got: {metrics}");
+    assert!(
+        metrics.contains(&format!("lqs_http_handler_panics_total {}", WORKERS + 1)),
+        "panics not counted:\n{metrics}"
+    );
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
 }
