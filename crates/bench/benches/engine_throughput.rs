@@ -6,18 +6,12 @@
 //! Volcano loop, `batch` the vectorized drive path — so the criterion
 //! report shows the tuple-vs-batch spread per operator. The committed
 //! before/after numbers live in `BENCH_engine.json` (see
-//! `lqs_engine_bench`); this bench is for interactive profiling. A final
-//! group measures snapshot publishing: the `SnapshotSlot` seqlock against
-//! the mutex-over-`Arc` design it replaced, with an aggressive poller
-//! hammering reads while the publisher runs.
+//! `lqs_engine_bench`); this bench is for interactive profiling.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use lqs::exec::{execute, DmvSnapshot, ExecMode, ExecOptions, NodeCounters};
+use lqs::exec::{execute, ExecMode, ExecOptions};
 use lqs::plan::{AggFunc, Aggregate, Expr, JoinKind, PhysicalPlan, PlanBuilder, SortKey};
-use lqs::server::SnapshotSlot;
 use lqs::storage::{Column, DataType, Database, Schema, Table, Value};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 
 fn db(rows: i64) -> (Database, lqs::storage::TableId) {
     let mut t = Table::new(
@@ -111,96 +105,5 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
-const SNAP_NODES: usize = 8;
-
-fn snapshot() -> DmvSnapshot {
-    DmvSnapshot {
-        ts_ns: 7,
-        nodes: vec![
-            NodeCounters {
-                rows_output: 42,
-                rows_input: 42,
-                cpu_ns: 1234,
-                ..NodeCounters::default()
-            };
-            SNAP_NODES
-        ],
-    }
-}
-
-/// Spawn `n` threads spinning on `read()`; returns a guard that stops and
-/// joins them on drop.
-struct Pollers {
-    stop: Arc<AtomicBool>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Pollers {
-    fn spawn(n: usize, read: impl Fn() + Send + Clone + 'static) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let handles = (0..n)
-            .map(|_| {
-                let stop = Arc::clone(&stop);
-                let read = read.clone();
-                std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        read();
-                    }
-                })
-            })
-            .collect();
-        Pollers { stop, handles }
-    }
-}
-
-impl Drop for Pollers {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        for h in self.handles.drain(..) {
-            h.join().unwrap();
-        }
-    }
-}
-
-fn bench_publish(c: &mut Criterion) {
-    let mut g = c.benchmark_group("snapshot_publish");
-    let snap = snapshot();
-
-    g.bench_function("seqlock/idle", |b| {
-        let slot = SnapshotSlot::new(SNAP_NODES);
-        b.iter(|| slot.publish(&snap))
-    });
-    g.bench_function("seqlock/2_pollers", |b| {
-        let slot = Arc::new(SnapshotSlot::new(SNAP_NODES));
-        let reader = Arc::clone(&slot);
-        let _pollers = Pollers::spawn(2, move || {
-            let mut buf = DmvSnapshot {
-                ts_ns: 0,
-                nodes: Vec::new(),
-            };
-            let _ = reader.read_into(&mut buf);
-        });
-        b.iter(|| slot.publish(&snap))
-    });
-    g.bench_function("mutex_arc/idle", |b| {
-        let slot = Mutex::new(Arc::new(snapshot()));
-        b.iter(|| *slot.lock().unwrap() = Arc::new(snap.clone()))
-    });
-    g.bench_function("mutex_arc/2_pollers", |b| {
-        let slot = Arc::new(Mutex::new(Arc::new(snapshot())));
-        let reader = Arc::clone(&slot);
-        let _pollers = Pollers::spawn(2, move || {
-            let shared = Arc::clone(&reader.lock().unwrap());
-            let _copy = DmvSnapshot {
-                ts_ns: shared.ts_ns,
-                nodes: shared.nodes.clone(),
-            };
-        });
-        b.iter(|| *slot.lock().unwrap() = Arc::new(snap.clone()))
-    });
-
-    g.finish();
-}
-
-criterion_group!(benches, bench_engine, bench_publish);
+criterion_group!(benches, bench_engine);
 criterion_main!(benches);

@@ -1,14 +1,12 @@
 //! `lqs_engine_bench` — engine substrate throughput: per-tuple vs
-//! vectorized drive loop, plus the snapshot-publishing contention
-//! microbench.
+//! vectorized drive loop.
 //!
 //! Measures each workload in both [`ExecMode::Tuple`] (the "before" row:
 //! the reference Volcano loop) and [`ExecMode::Batch`] (the "after" row:
-//! the vectorized path) with a best-of-K wall-clock timer, and the
-//! [`SnapshotSlot`] seqlock publisher against a mutex-protected slot (the
-//! pre-seqlock design) with and without an aggressive poller hammering
-//! reads. Self-timed with `std::time::Instant` — no criterion — so it can
-//! run as a plain binary in CI and emit machine-readable JSON.
+//! the vectorized path) with a best-of-K wall-clock timer. Self-timed with
+//! `std::time::Instant` — no criterion — so it can run as a plain binary
+//! in CI and emit machine-readable JSON. (Snapshot publishing is measured
+//! by the benchmark ledger's `server.seqslot.*` layer figures, not here.)
 //!
 //! The headline "row-mode tuples/sec" figure is `pipeline12` (a table
 //! scan under twelve stacked filters): per-operator overhead dominates
@@ -21,9 +19,6 @@
 //! ```
 //!
 //! Checks (exit non-zero on failure):
-//! * always: the seqlock publisher must not stall under a hammering
-//!   poller (contended publish ≤ 3× idle publish — "executor stall
-//!   ~zero"; re-measured up to twice to rule out scheduling dips);
 //! * always: batch-native profiling must stay cheap — the headline
 //!   pipeline run vectorized *with a recording event sink attached* must
 //!   keep its throughput within 10% of the bare batch run (re-measured up
@@ -36,19 +31,15 @@
 //!   to twice to rule out scheduling dips). Ratios, not absolute rates,
 //!   so the check is meaningful across machines.
 
-use lqs::exec::{execute, execute_traced, DmvSnapshot, ExecMode, ExecOptions, NodeCounters};
+use lqs::exec::{execute, execute_traced, ExecMode, ExecOptions};
 use lqs::obs::RingBufferSink;
 use lqs::plan::{AggFunc, Aggregate, Expr, JoinKind, PhysicalPlan, PlanBuilder, SortKey};
-use lqs::server::SnapshotSlot;
 use lqs::storage::{Column, DataType, Database, Schema, Table, Value};
 use serde_json::Value as Json;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 const HEADLINE: &str = "pipeline12";
 const MIN_HEADLINE_SPEEDUP: f64 = 2.0;
-const MAX_CONTENDED_STALL: f64 = 3.0;
 const CHECK_TOLERANCE: f64 = 0.9;
 /// Batch-traced throughput may cost at most this fraction of bare batch.
 const MAX_TRACED_OVERHEAD: f64 = 0.10;
@@ -301,104 +292,6 @@ fn workloads(
     out
 }
 
-// ---- contention microbench ------------------------------------------------
-
-const CONTENTION_NODES: usize = 8;
-const CONTENTION_PUBLISHES: u64 = 200_000;
-
-fn snapshot(nodes: usize, i: u64) -> DmvSnapshot {
-    DmvSnapshot {
-        ts_ns: i + 1,
-        nodes: vec![
-            NodeCounters {
-                rows_output: i,
-                rows_input: i,
-                cpu_ns: i * 3,
-                ..NodeCounters::default()
-            };
-            nodes
-        ],
-    }
-}
-
-/// ns/publish through the seqlock slot with `pollers` hammering reads.
-fn seqlock_publish_ns(pollers: usize) -> f64 {
-    let slot = Arc::new(SnapshotSlot::new(CONTENTION_NODES));
-    let stop = Arc::new(AtomicBool::new(false));
-    let handles: Vec<_> = (0..pollers)
-        .map(|_| {
-            let slot = Arc::clone(&slot);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut buf = DmvSnapshot {
-                    ts_ns: 0,
-                    nodes: Vec::new(),
-                };
-                let mut reads = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    if slot.read_into(&mut buf) {
-                        assert_eq!(buf.nodes[0].rows_output, buf.nodes[0].rows_input);
-                    }
-                    reads += 1;
-                }
-                reads
-            })
-        })
-        .collect();
-    let snap = snapshot(CONTENTION_NODES, 7);
-    let t0 = Instant::now();
-    for _ in 0..CONTENTION_PUBLISHES {
-        slot.publish(&snap);
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().unwrap();
-    }
-    elapsed * 1e9 / CONTENTION_PUBLISHES as f64
-}
-
-/// ns/publish through the pre-seqlock design (an `Arc` swapped under a
-/// mutex, cloned out by every poller) with `pollers` hammering reads.
-fn mutex_publish_ns(pollers: usize) -> f64 {
-    let slot = Arc::new(Mutex::new(Arc::new(snapshot(CONTENTION_NODES, 0))));
-    let stop = Arc::new(AtomicBool::new(false));
-    let handles: Vec<_> = (0..pollers)
-        .map(|_| {
-            let slot = Arc::clone(&slot);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut reads = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    // The old poller copied counters out under the lock's
-                    // Arc; model the full clone cost.
-                    let snap = Arc::clone(&slot.lock().unwrap());
-                    let copy = DmvSnapshot {
-                        ts_ns: snap.ts_ns,
-                        nodes: snap.nodes.clone(),
-                    };
-                    assert_eq!(copy.nodes[0].rows_output, copy.nodes[0].rows_input);
-                    reads += 1;
-                }
-                reads
-            })
-        })
-        .collect();
-    let snap = snapshot(CONTENTION_NODES, 7);
-    let t0 = Instant::now();
-    for _ in 0..CONTENTION_PUBLISHES {
-        // The old publisher allocated a fresh Arc per publish — the slot's
-        // Arc is shared with pollers, so it cannot reuse a buffer.
-        *slot.lock().unwrap() = Arc::new(snap.clone());
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    stop.store(true, Ordering::Relaxed);
-    for h in handles {
-        h.join().unwrap();
-    }
-    elapsed * 1e9 / CONTENTION_PUBLISHES as f64
-}
-
 // ---- JSON -----------------------------------------------------------------
 
 fn obj(fields: Vec<(&str, Json)>) -> Json {
@@ -410,12 +303,7 @@ fn obj(fields: Vec<(&str, Json)>) -> Json {
     )
 }
 
-fn emit_json(
-    rows: i64,
-    results: &[WorkloadResult],
-    profiling: &ProfilingResult,
-    contention: &[(String, f64)],
-) -> Json {
+fn emit_json(rows: i64, results: &[WorkloadResult], profiling: &ProfilingResult) -> Json {
     obj(vec![
         ("generated_by", Json::String("lqs_engine_bench".into())),
         ("rows", Json::Int(rows)),
@@ -447,13 +335,6 @@ fn emit_json(
                 ),
                 ("traced_overhead_frac", Json::Float(profiling.overhead)),
             ]),
-        ),
-        (
-            "contention",
-            obj(contention
-                .iter()
-                .map(|(k, v)| (k.as_str(), Json::Float(*v)))
-                .collect()),
         ),
     ])
 }
@@ -495,34 +376,6 @@ fn main() {
         ));
     }
 
-    println!("\nsnapshot publishing: {CONTENTION_PUBLISHES} publishes, {CONTENTION_NODES} nodes");
-    let mut seq_idle = seqlock_publish_ns(0);
-    let mut seq_contended = seqlock_publish_ns(2);
-    // Same noise policy as the headline and profiling checks: a scheduler
-    // hiccup during the contended run inflates the ratio far more often
-    // than a real publisher stall does, so re-measure up to twice while
-    // the gate would fail and keep the better pair.
-    for _ in 0..2 {
-        if seq_contended <= seq_idle * MAX_CONTENDED_STALL {
-            break;
-        }
-        let (idle, contended) = (seqlock_publish_ns(0), seqlock_publish_ns(2));
-        if contended / idle < seq_contended / seq_idle {
-            seq_idle = idle;
-            seq_contended = contended;
-        }
-    }
-    let mutex_idle = mutex_publish_ns(0);
-    let mutex_contended = mutex_publish_ns(2);
-    println!("seqlock  publish: idle {seq_idle:7.1} ns   2 pollers {seq_contended:7.1} ns");
-    println!("mutex    publish: idle {mutex_idle:7.1} ns   2 pollers {mutex_contended:7.1} ns");
-    let contention = vec![
-        ("seqlock_publish_ns_idle".to_string(), seq_idle),
-        ("seqlock_publish_ns_contended".to_string(), seq_contended),
-        ("mutex_publish_ns_idle".to_string(), mutex_idle),
-        ("mutex_publish_ns_contended".to_string(), mutex_contended),
-    ];
-
     let mut headline_speedup = results
         .iter()
         .find(|r| r.name == HEADLINE)
@@ -535,13 +388,6 @@ fn main() {
              {MIN_HEADLINE_SPEEDUP:.1}x — not committing a baseline below the claim"
         ));
     }
-    if seq_contended > seq_idle * MAX_CONTENDED_STALL {
-        failures.push(format!(
-            "seqlock publish stalls under pollers: {seq_contended:.1} ns contended vs \
-             {seq_idle:.1} ns idle (allowed {MAX_CONTENDED_STALL:.0}x)"
-        ));
-    }
-
     if let Some(path) = &args.check {
         let baseline = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
@@ -583,7 +429,7 @@ fn main() {
     }
 
     if let Some(path) = &args.out {
-        let json = emit_json(args.rows, &results, &profiling, &contention);
+        let json = emit_json(args.rows, &results, &profiling);
         let mut text = serde_json::to_string_pretty(&json).expect("serialize");
         text.push('\n');
         std::fs::write(path, text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));

@@ -24,51 +24,10 @@
 
 use lqs::journal::scan_dir;
 use lqs::prelude::*;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use lqs_bench::{fail, http_get, http_get_deterministic};
 use std::path::PathBuf;
 use std::process::exit;
 use std::sync::Arc;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("lqs_ensemble_smoke: FAIL: {msg}");
-    exit(1);
-}
-
-/// Minimal HTTP/1.1 GET over a raw socket; returns (status, body).
-fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr)
-        .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap_or_else(|e| fail(&format!("cannot send request: {e}")));
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .unwrap_or_else(|e| fail(&format!("cannot read response: {e}")));
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| fail(&format!("malformed status line in {response:.60?}")));
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_owned())
-        .unwrap_or_default();
-    (status, body)
-}
-
-/// GET `path` twice and insist the bodies are byte-for-byte identical.
-fn http_get_deterministic(addr: SocketAddr, path: &str) -> (u16, String) {
-    let (status, first) = http_get(addr, path);
-    let (status2, second) = http_get(addr, path);
-    if status != status2 || first != second {
-        fail(&format!("two scrapes of {path} differ"));
-    }
-    (status, first)
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();

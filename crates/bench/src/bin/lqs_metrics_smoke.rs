@@ -13,40 +13,8 @@
 //! scrape smoke test.
 
 use lqs::prelude::*;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::process::exit;
+use lqs_bench::{fail, http_get};
 use std::sync::Arc;
-
-fn fail(msg: &str) -> ! {
-    eprintln!("lqs_metrics_smoke: FAIL: {msg}");
-    exit(1);
-}
-
-/// Minimal HTTP/1.1 GET over a raw socket; returns (status, body).
-fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr)
-        .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap_or_else(|e| fail(&format!("cannot send request: {e}")));
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .unwrap_or_else(|e| fail(&format!("cannot read response: {e}")));
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| fail(&format!("malformed status line in {response:.60?}")));
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_owned())
-        .unwrap_or_default();
-    (status, body)
-}
 
 fn main() {
     // A small table and three plan shapes, each tagged with its own

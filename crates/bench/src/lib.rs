@@ -101,3 +101,53 @@ pub fn render_series(
     }
     out
 }
+
+/// Report the first failed check of a smoke binary as
+/// `<binary name>: FAIL: <msg>` on stderr and exit 1.
+pub fn fail(msg: &str) -> ! {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&argv0)
+        .file_stem()
+        .and_then(|s| s.to_str())
+        .unwrap_or("lqs-bench");
+    eprintln!("{bin}: FAIL: {msg}");
+    std::process::exit(1);
+}
+
+/// Minimal HTTP/1.1 GET over a raw socket; returns (status, body).
+pub fn http_get(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(addr)
+        .unwrap_or_else(|e| fail(&format!("cannot connect to {addr}: {e}")));
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
+    )
+    .unwrap_or_else(|e| fail(&format!("cannot send request: {e}")));
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .unwrap_or_else(|e| fail(&format!("cannot read response: {e}")));
+    let status: u16 = response
+        .split_whitespace()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| fail(&format!("malformed status line in {response:.60?}")));
+    let body = response
+        .split_once("\r\n\r\n")
+        .map(|(_, b)| b.to_owned())
+        .unwrap_or_default();
+    (status, body)
+}
+
+/// GET `path` twice and insist the bodies are byte-for-byte identical —
+/// journal- and profile-backed endpoints must be pure functions of the
+/// journal bytes and the virtual state.
+pub fn http_get_deterministic(addr: std::net::SocketAddr, path: &str) -> (u16, String) {
+    let (status, first) = http_get(addr, path);
+    let (status2, second) = http_get(addr, path);
+    if status != status2 || first != second {
+        fail(&format!("two scrapes of {path} differ"));
+    }
+    (status, first)
+}

@@ -29,6 +29,7 @@
 //! produce byte-identical summaries (the CI `overload-soak` job diffs
 //! them).
 
+use crate::soak::metric_value;
 use lqs_exec::{ExecOptions, FaultInjector, IoVerdict};
 use lqs_journal::{BreakerConfig, BreakerState, Journal, JournalConfig, JournalFaultInjector};
 use lqs_metrics::MetricsRegistry;
@@ -205,15 +206,6 @@ fn prepare_workloads(cfg: &OverloadSoakConfig) -> Vec<PreparedWorkload> {
             (name, db, queries)
         })
         .collect()
-}
-
-/// Value of the first sample of family `name` in an exposition, if any.
-fn metric_value(text: &str, name: &str) -> Option<f64> {
-    text.lines()
-        .filter(|l| !l.starts_with('#'))
-        .find(|l| l.starts_with(name))
-        .and_then(|l| l.rsplit_once(' '))
-        .and_then(|(_, v)| v.parse().ok())
 }
 
 /// One full GET against the soak's metrics server, returning the raw

@@ -124,7 +124,7 @@ fn malformed_exposition_lines(text: &str) -> Vec<String> {
 }
 
 /// Value of the first sample of family `name` in an exposition, if any.
-fn metric_value(text: &str, name: &str) -> Option<f64> {
+pub(crate) fn metric_value(text: &str, name: &str) -> Option<f64> {
     text.lines()
         .filter(|l| !l.starts_with('#'))
         .find(|l| l.starts_with(name))

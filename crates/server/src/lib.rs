@@ -8,13 +8,13 @@
 //! * [`QueryService`] — a bounded worker pool executing many queries in
 //!   parallel. Each query stays single-threaded and deterministic on its
 //!   own virtual clock; concurrency never perturbs a session's trace.
-//! * [`SessionRegistry`] + [`SessionHandle`] — the shared, lock-free
-//!   counter surface. The executing worker publishes every
+//! * [`SessionRegistry`] + [`SessionHandle`] — the shared counter
+//!   surface. The executing worker publishes every
 //!   [`lqs_exec::DmvSnapshot`] into its session's latest-snapshot slot
-//!   (a [`SnapshotSlot`] seqlock — wait-free, allocation-free) at snapshot
-//!   boundaries (the [`lqs_exec::SnapshotPublisher`] hook); pollers copy
-//!   it out into reusable buffers, retrying on torn reads, without ever
-//!   blocking execution.
+//!   (a [`SnapshotSlot`]: one mutex around one reusable buffer) at
+//!   snapshot boundaries (the [`lqs_exec::SnapshotPublisher`] hook);
+//!   pollers copy it out into reusable buffers. Either side holds the
+//!   lock for one allocation-free copy of the counters and nothing else.
 //! * [`RegistryPoller`] — the SSMS-client analog: turns each session's
 //!   latest snapshot into a [`lqs_progress::ProgressReport`], reusing one
 //!   [`lqs_progress::ProgressEstimator`] per session across polls.

@@ -245,28 +245,6 @@ impl PollerMetrics {
         self.registry.remove("lqs_session_snapshot_age_us", &labels);
     }
 
-    /// Publish the registry-wide seqlock contention totals (summed across
-    /// the currently registered sessions' snapshot slots). Gauges, not
-    /// counters: sessions carry their slot totals with them when evicted,
-    /// so the sum can step down — the interesting signal is the rate while
-    /// a population is live.
-    pub(crate) fn set_snapshot_contention(&self, torn: u64, fallback: u64) {
-        self.registry
-            .gauge(
-                "lqs_snapshot_torn_reads_total",
-                "Snapshot-slot reads discarded because a publish landed mid-copy, summed over registered sessions",
-                &[],
-            )
-            .set(torn.min(i64::MAX as u64) as i64);
-        self.registry
-            .gauge(
-                "lqs_snapshot_fallback_reads_total",
-                "Snapshot-slot reads served through the mutex-guarded shape-mismatch fallback, summed over registered sessions",
-                &[],
-            )
-            .set(fallback.min(i64::MAX as u64) as i64);
-    }
-
     /// Refresh the derived quantile gauges from the latency/staleness
     /// histograms. Uses the `_count`-guarded [`Histogram::quantile_or_zero`]
     /// path, so an idle poller exposes 0 — never `NaN` — for p50/p99.

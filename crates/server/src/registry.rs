@@ -141,6 +141,26 @@ struct Backoff {
 /// from being starved indefinitely.
 const MAX_BACKOFF_ROUNDS: u64 = 16;
 
+/// Everything the poller remembers about one session, created on its first
+/// poll and dropped whole by [`RegistryPoller::evict_finished`].
+#[derive(Default)]
+struct PollState {
+    /// Built on the first poll that finds a snapshot (or on scoring).
+    estimator: Option<GuardedEstimator>,
+    /// Publish seq of the last completed poll (`None` until one completes);
+    /// while the session has not published since, polls serve `report`
+    /// without re-estimating.
+    last_seq: Option<u64>,
+    /// Report served by that poll, and its snapshot's virtual timestamp.
+    report: Option<ProgressReport>,
+    ts_ns: Option<u64>,
+    /// Accuracy has been scored (or ruled out), so the replay runs exactly
+    /// once per session.
+    scored: bool,
+    /// Present only after a failed poll.
+    backoff: Option<Backoff>,
+}
+
 /// Polls a [`SessionRegistry`], reusing one [`GuardedEstimator`] per
 /// session across polls — estimator statics depend only on (plan, db, cost
 /// model), so rebuilding them every 500 ms poll would be pure waste (the
@@ -150,18 +170,10 @@ pub struct RegistryPoller {
     db: Arc<Database>,
     registry: Arc<SessionRegistry>,
     config: EstimatorConfig,
-    estimators: HashMap<SessionId, GuardedEstimator>,
-    /// Last-seen publish seq per session; sessions that have not published
-    /// since keep returning their previous progress without re-estimating.
-    last_seen: HashMap<SessionId, (u64, Option<ProgressReport>, Option<u64>)>,
+    states: HashMap<SessionId, PollState>,
     metrics: Option<PollerMetrics>,
-    /// Sessions whose accuracy has been scored (or ruled out), so the
-    /// replay runs exactly once per session.
-    accuracy_done: HashSet<SessionId>,
     /// Client-side fault injection on the poll path (chaos testing).
     poll_fault: Option<Box<dyn PollFaultInjector>>,
-    /// Active backoff per session (present only after a failed poll).
-    backoff: HashMap<SessionId, Backoff>,
     /// Completed [`Self::poll`] rounds — the backoff time axis.
     round: u64,
     /// Snapshot age beyond which a served report is downgraded to `Stale`.
@@ -170,7 +182,7 @@ pub struct RegistryPoller {
     /// (built per session with this tuning) instead of the single `config`
     /// estimator, and accuracy scoring covers every member.
     ensemble: Option<EnsembleConfig>,
-    /// Reusable snapshot buffer: every poll copies the session's seqlock
+    /// Reusable snapshot buffer: every poll copies the session's snapshot
     /// slot into this instead of allocating a fresh snapshot per session
     /// per round.
     scratch: lqs_exec::DmvSnapshot,
@@ -183,12 +195,9 @@ impl RegistryPoller {
             db,
             registry,
             config,
-            estimators: HashMap::new(),
-            last_seen: HashMap::new(),
+            states: HashMap::new(),
             metrics: None,
-            accuracy_done: HashSet::new(),
             poll_fault: None,
-            backoff: HashMap::new(),
             round: 0,
             stale_after: Duration::from_secs(1),
             ensemble: None,
@@ -236,15 +245,6 @@ impl RegistryPoller {
         self.round += 1;
         let sessions = self.registry.sessions();
         let mut out = Vec::with_capacity(sessions.len());
-        let (mut torn, mut fallback) = (0u64, 0u64);
-        for handle in &sessions {
-            let (t, f) = handle.snapshot_contention();
-            torn += t;
-            fallback += f;
-        }
-        if let Some(metrics) = &self.metrics {
-            metrics.set_snapshot_contention(torn, fallback);
-        }
         for handle in sessions {
             if let Some(metrics) = &self.metrics {
                 // Staleness of the poller's view: age of the snapshot this
@@ -271,14 +271,13 @@ impl RegistryPoller {
     pub fn poll_session(&mut self, handle: &SessionHandle) -> SessionProgress {
         self.maybe_score_accuracy(handle);
         let id = handle.id();
+        let st = self.states.entry(id).or_default();
 
         // In backoff after a failed poll: serve the cached report (marked
         // at least Stale) without touching the session until the retry
         // round arrives.
-        if let Some(b) = self.backoff.get(&id) {
-            if self.round < b.retry_at_round {
-                return self.cached_progress(handle, EstimateQuality::Stale);
-            }
+        if st.backoff.is_some_and(|b| self.round < b.retry_at_round) {
+            return self.cached_progress(handle, EstimateQuality::Stale);
         }
         // Transient client-side poll failure: count it, extend the backoff
         // (capped exponential, in poll rounds — the poller's deterministic
@@ -288,56 +287,32 @@ impl RegistryPoller {
                 if let Some(metrics) = &self.metrics {
                     metrics.poll_faults.inc();
                 }
-                let streak = self.backoff.get(&id).map_or(0, |b| b.streak) + 1;
+                let streak = st.backoff.map_or(0, |b| b.streak) + 1;
                 let skip = (1u64 << streak.min(8)).min(MAX_BACKOFF_ROUNDS);
-                self.backoff.insert(
-                    id,
-                    Backoff {
-                        streak,
-                        retry_at_round: self.round + skip,
-                    },
-                );
+                st.backoff = Some(Backoff {
+                    streak,
+                    retry_at_round: self.round + skip,
+                });
                 return self.cached_progress(handle, EstimateQuality::Stale);
             }
         }
-        self.backoff.remove(&id);
+        st.backoff = None;
 
         let seq = handle.published_seq();
         // Reuse the cached report when nothing new was published (but
         // re-stamp its staleness — the query may have silently moved on).
-        if let Some((last_seq, _, _)) = self.last_seen.get(&id) {
-            if *last_seq == seq {
-                return self.cached_progress(handle, EstimateQuality::Fresh);
-            }
+        if st.last_seq == Some(seq) {
+            return self.cached_progress(handle, EstimateQuality::Fresh);
         }
-        // Pooled read: the seqlock slot is copied into the poller's scratch
-        // buffer (taken out of `self` for the duration to keep the borrow
-        // checker happy alongside the estimator map), so steady-state polls
-        // allocate nothing.
-        let mut scratch = std::mem::replace(
-            &mut self.scratch,
-            lqs_exec::DmvSnapshot {
-                ts_ns: 0,
-                nodes: Vec::new(),
-            },
-        );
-        let have_snapshot = handle.read_snapshot_into(&mut scratch);
-        // A snapshot whose node count does not match the plan (possible only
-        // from a reshaping snapshot filter or a buggy publisher) would make
-        // the estimator index out of bounds; the guard counts it as
-        // malformed and the poller keeps its previous view rather than
-        // panicking.
-        let (report, ts_ns) = if have_snapshot {
-            let snap = &scratch;
-            let n_nodes = handle.plan().len();
-            let db = &self.db;
-            let config = &self.config;
-            let ensemble = self.ensemble.as_ref();
-            let guarded = self
-                .estimators
-                .entry(id)
-                .or_insert_with(|| make_guarded(db, config, ensemble, handle));
-            if snap.nodes.len() == n_nodes {
+        // Pooled read: the slot is copied into the poller's scratch buffer,
+        // so steady-state polls allocate nothing.
+        let snap = &mut self.scratch;
+        let (report, ts_ns) = if handle.read_snapshot_into(snap) {
+            let (db, config, ensemble) = (&self.db, &self.config, self.ensemble.as_ref());
+            let guarded = st
+                .estimator
+                .get_or_insert_with(|| make_guarded(db, config, ensemble, handle));
+            if snap.nodes.len() == handle.plan().len() {
                 let report = guarded.observe(snap);
                 // Surface the live ensemble selection on the handle so
                 // `GET /sessions` can show it mid-run — but never for a
@@ -351,49 +326,23 @@ impl RegistryPoller {
                 }
                 (Some(report), Some(snap.ts_ns))
             } else {
-                let _ = guarded; // keep the estimator; drop the snapshot
-                let prev = self.last_seen.get(&id);
-                (
-                    prev.and_then(|(_, r, _)| r.clone()),
-                    prev.and_then(|(_, _, t)| *t),
-                )
+                // A snapshot whose node count does not match the plan
+                // (possible only from a reshaping snapshot filter or a
+                // buggy publisher) would make the estimator index out of
+                // bounds: keep the estimator, drop the snapshot, and serve
+                // the previous view rather than panicking.
+                (st.report.clone(), st.ts_ns)
             }
         } else {
             (None, None)
         };
-        self.scratch = scratch;
-        let state = handle.state();
-        // An orphaned session's snapshot is the last thing a dead process
-        // managed to journal: serve it, but never as anything better than
-        // Degraded — the run it describes no longer exists. The same cap
-        // applies when the journal circuit breaker dropped records (the
-        // durable trail is incomplete) or the watchdog quarantined the
-        // session (its telemetry stopped moving long ago).
-        let report = report.map(|mut r| {
-            if state == SessionState::Orphaned
-                || handle.durability() == SessionDurability::Lost
-                || handle.is_quarantined()
-            {
-                r.quality = EstimateQuality::Degraded;
-            }
-            r
-        });
-        if let (Some(metrics), Some(r)) = (&self.metrics, &report) {
-            metrics.set_session_gauges(
-                &id.to_string(),
-                r.query_progress,
-                handle.snapshot_age().map(|a| a.as_micros() as u64),
-            );
+        let progress = self.finish(handle, seq, ts_ns, report);
+        if let Some(st) = self.states.get_mut(&id) {
+            st.last_seq = Some(seq);
+            st.report = progress.report.clone();
+            st.ts_ns = ts_ns;
         }
-        self.last_seen.insert(id, (seq, report.clone(), ts_ns));
-        SessionProgress {
-            id,
-            name: handle.name().to_string(),
-            state,
-            seq,
-            ts_ns,
-            report,
-        }
+        progress
     }
 
     /// Serve a session's cached report, re-stamped for the present: the
@@ -406,36 +355,62 @@ impl RegistryPoller {
         handle: &SessionHandle,
         min_quality: EstimateQuality,
     ) -> SessionProgress {
-        let id = handle.id();
-        let (seq, report, ts_ns) = match self.last_seen.get(&id) {
-            Some((seq, report, ts_ns)) => (*seq, report.clone(), *ts_ns),
-            None => (handle.published_seq(), None, None),
+        let (seq, mut report, ts_ns) = match self.states.get(&handle.id()) {
+            Some(st) => (st.last_seq, st.report.clone(), st.ts_ns),
+            None => (None, None, None),
         };
-        let state = handle.state();
-        let report = report.map(|mut r| {
-            let age = handle.snapshot_age().unwrap_or_default();
+        let seq = seq.unwrap_or_else(|| handle.published_seq());
+        let age = handle.snapshot_age().unwrap_or_default();
+        if let Some(r) = &mut report {
             r.staleness_ns = age.as_nanos().min(u128::from(u64::MAX)) as u64;
             r.quality = r.quality.max(min_quality);
-            if state == SessionState::Running
+        }
+        let mut progress = self.finish(handle, seq, ts_ns, report);
+        // Only a report still `Fresh` is downgraded, so this commutes with
+        // `finish`'s Degraded cap and can use the state it stamped.
+        if let Some(r) = &mut progress.report {
+            if progress.state == SessionState::Running
                 && age > self.stale_after
                 && r.quality == EstimateQuality::Fresh
             {
                 r.quality = EstimateQuality::Stale;
             }
+        }
+        progress
+    }
+
+    /// The one way a poll's answer leaves the poller: cap the report's
+    /// quality where the session's telemetry cannot be trusted, refresh the
+    /// per-session gauges, and stamp the session's current state.
+    fn finish(
+        &self,
+        handle: &SessionHandle,
+        seq: u64,
+        ts_ns: Option<u64>,
+        mut report: Option<ProgressReport>,
+    ) -> SessionProgress {
+        let id = handle.id();
+        let state = handle.state();
+        // An orphaned session's snapshot is the last thing a dead process
+        // managed to journal: serve it, but never as anything better than
+        // Degraded — the run it describes no longer exists. The same cap
+        // applies when the journal circuit breaker dropped records (the
+        // durable trail is incomplete) or the watchdog quarantined the
+        // session (its telemetry stopped moving long ago).
+        if let Some(r) = &mut report {
             if state == SessionState::Orphaned
                 || handle.durability() == SessionDurability::Lost
                 || handle.is_quarantined()
             {
                 r.quality = EstimateQuality::Degraded;
             }
-            r
-        });
-        if let (Some(metrics), Some(r)) = (&self.metrics, &report) {
-            metrics.set_session_gauges(
-                &id.to_string(),
-                r.query_progress,
-                handle.snapshot_age().map(|a| a.as_micros() as u64),
-            );
+            if let Some(metrics) = &self.metrics {
+                metrics.set_session_gauges(
+                    &id.to_string(),
+                    r.query_progress,
+                    handle.snapshot_age().map(|a| a.as_micros() as u64),
+                );
+            }
         }
         SessionProgress {
             id,
@@ -456,25 +431,23 @@ impl RegistryPoller {
     /// individually plus the composed `"ensemble"` figure, and the replay's
     /// final selection is journaled and stashed on the handle.
     fn maybe_score_accuracy(&mut self, handle: &SessionHandle) {
-        if (self.metrics.is_none() && self.ensemble.is_none())
-            || self.accuracy_done.contains(&handle.id())
-            || !handle.state().is_terminal()
-        {
+        if (self.metrics.is_none() && self.ensemble.is_none()) || !handle.state().is_terminal() {
+            return;
+        }
+        let st = self.states.entry(handle.id()).or_default();
+        if st.scored {
             return;
         }
         // Run at most once per session, whatever the result variant:
         // aborted and failed runs have no ground truth to score against.
-        self.accuracy_done.insert(handle.id());
+        st.scored = true;
         let Some(SessionResult::Completed(run)) = handle.result() else {
             return;
         };
-        let db = &self.db;
-        let config = &self.config;
-        let ensemble = self.ensemble.as_ref();
-        let guarded = self
-            .estimators
-            .entry(handle.id())
-            .or_insert_with(|| make_guarded(db, config, ensemble, handle));
+        let (db, config, ensemble) = (&self.db, &self.config, self.ensemble.as_ref());
+        let guarded = st
+            .estimator
+            .get_or_insert_with(|| make_guarded(db, config, ensemble, handle));
         // Replay through the *stateless* estimators (never the guard's live
         // anomaly state): the run's recorded trace is already clean, and
         // the accuracy figures must stay bit-identical to an offline replay
@@ -540,7 +513,10 @@ impl RegistryPoller {
 
     /// Number of estimators currently cached (one per polled session).
     pub fn cached_estimators(&self) -> usize {
-        self.estimators.len()
+        self.states
+            .values()
+            .filter(|st| st.estimator.is_some())
+            .count()
     }
 
     /// Drop cached estimators, reports, backoff state, accuracy
@@ -551,17 +527,16 @@ impl RegistryPoller {
     /// value in every future scrape.
     pub fn evict_finished(&mut self) {
         let live: HashSet<SessionId> = self.registry.sessions().iter().map(|h| h.id()).collect();
-        if let Some(metrics) = &self.metrics {
-            for id in self.last_seen.keys() {
-                if !live.contains(id) {
+        let metrics = self.metrics.as_ref();
+        self.states.retain(|id, _| {
+            let keep = live.contains(id);
+            if !keep {
+                if let Some(metrics) = metrics {
                     metrics.remove_session_gauges(&id.to_string());
                 }
             }
-        }
-        self.estimators.retain(|id, _| live.contains(id));
-        self.last_seen.retain(|id, _| live.contains(id));
-        self.accuracy_done.retain(|id| live.contains(id));
-        self.backoff.retain(|id, _| live.contains(id));
+            keep
+        });
     }
 }
 

@@ -1,250 +1,88 @@
-//! Wait-free latest-snapshot slot: a seqlock over plain atomic words.
+//! Latest-snapshot slot: one mutex around one reusable [`DmvSnapshot`].
 //!
-//! The DMV slot is written by exactly one executing worker at snapshot
-//! cadence and read by any number of pollers. The previous implementation
-//! kept an `Arc<DmvSnapshot>` behind a mutex: publishes were O(1) in the
-//! critical section but still took a lock, deep-copied the snapshot into a
-//! fresh allocation every publish, and left the publisher exposed to an
-//! unlucky poller being preempted inside the lock.
-//!
-//! This slot removes the lock and the per-publish allocation entirely. All
-//! counter state lives in a fixed array of `AtomicU64` words (the node
-//! count is known from the plan at session creation), and a generation
-//! counter (`seq`) brackets every write, following the classic seqlock
-//! recipe adapted to the C++11/Rust memory model (Boehm, *Can seqlocks get
-//! along with programming language memory models?*, MSPC '12):
-//!
-//! * **Publish** (wait-free w.r.t. pollers): bump `seq` to odd, store the
-//!   words, bump `seq` to even. No allocation, no poller can block it —
-//!   a writer-only mutex serializes the rare case of two publishers (a
-//!   terminal publish racing recovery) and is never touched by readers.
-//! * **Read** (lock-free, retry on torn data): load `seq` (even or spin),
-//!   copy the words into a caller-provided buffer, reload `seq`; if it
-//!   moved, the copy may be torn — throw it away and retry. Readers pay a
-//!   copy per successful read but reuse their buffer across polls, so the
-//!   steady state allocates nothing on either side.
-//!
-//! Snapshots whose node count differs from the preallocated capacity (a
-//! reshaping [`lqs_exec::SnapshotFilter`] can truncate or pad) fall back to
-//! a mutex-guarded overflow slot. The fallback participates in the same
-//! `seq` protocol, so mixed publishes still read consistently; only this
-//! degraded path ever takes a lock on the read side.
+//! One executing worker publishes here at snapshot cadence (tens of times
+//! per query, each right after microseconds of journal append) and pollers
+//! read every few hundred milliseconds, so a lock is all the hand-off needs;
+//! the end-to-end ledger could not see the seqlock this replaced
+//! (EXPERIMENTS.md, "Snapshot slot A/B" — the ledger's `server.seqslot.*`
+//! figures are why the module keeps its name). Publish copies into the
+//! slot's buffer, read copies that buffer into the caller's, and both reuse
+//! the destination's allocation, so after the first publish and first read
+//! of a shape neither side allocates. Any node count takes the same path: a
+//! reshaping [`lqs_exec::SnapshotFilter`] merely resizes the buffers once.
 
-use lqs_exec::{DmvSnapshot, NodeCounters};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use lqs_exec::DmvSnapshot;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Words per node: every [`NodeCounters`] field flattened to one `u64`.
-const NODE_WORDS: usize = 11;
-
-/// `None` sentinel for the three `Option<u64>` timestamp fields. Virtual
-/// timestamps are elapsed nanoseconds and never reach `u64::MAX`; publishes
-/// clamp to `u64::MAX - 1` so the sentinel stays unambiguous.
-const NONE: u64 = u64::MAX;
-
-/// A single-slot seqlock holding the most recently published
-/// [`DmvSnapshot`].
+/// A single slot holding the most recently published [`DmvSnapshot`].
 pub struct SnapshotSlot {
-    /// Generation counter: even = stable, odd = publish in progress.
-    /// Zero means never published.
-    seq: AtomicU64,
-    /// Virtual timestamp of the stable snapshot.
-    ts_ns: AtomicU64,
-    /// Flattened counters, `NODE_WORDS` per node.
-    words: Box<[AtomicU64]>,
-    /// Whether the stable generation lives in `fallback` instead of
-    /// `words` (node-count mismatch).
-    in_fallback: AtomicBool,
-    /// Overflow for shape-changing snapshots; see module docs.
-    fallback: Mutex<Option<DmvSnapshot>>,
-    /// Serializes publishers only. Pollers never touch it, so a reader
-    /// preempted mid-copy cannot stall a publish.
-    writer: Mutex<()>,
-    /// Reads discarded because a publish landed mid-copy (the seqlock
-    /// retry). A high rate means pollers are hammering a slot that
-    /// publishes faster than they can copy it.
-    torn_reads: AtomicU64,
-    /// Reads served from the mutex-guarded overflow slot (shape-changing
-    /// snapshot published by a reshaping filter) — the only read path that
-    /// takes a lock.
-    fallback_reads: AtomicU64,
+    inner: Mutex<Inner>,
+}
+
+struct Inner {
+    /// `snapshot` starts as an empty preallocated buffer, not a publish.
+    published: bool,
+    snapshot: DmvSnapshot,
+}
+
+/// `DmvSnapshot`'s derived `clone_from` reallocates; going field by field
+/// lets `Vec::clone_from` reuse `dst`'s allocation.
+fn copy_into(dst: &mut DmvSnapshot, src: &DmvSnapshot) {
+    dst.ts_ns = src.ts_ns;
+    dst.nodes.clone_from(&src.nodes);
 }
 
 impl SnapshotSlot {
-    /// A slot sized for plans of `nodes` operators.
+    /// A slot preallocated for plans of `nodes` operators.
     pub fn new(nodes: usize) -> Self {
-        SnapshotSlot {
-            seq: AtomicU64::new(0),
-            ts_ns: AtomicU64::new(0),
-            words: (0..nodes * NODE_WORDS).map(|_| AtomicU64::new(0)).collect(),
-            in_fallback: AtomicBool::new(false),
-            fallback: Mutex::new(None),
-            writer: Mutex::new(()),
-            torn_reads: AtomicU64::new(0),
-            fallback_reads: AtomicU64::new(0),
-        }
+        let snapshot = DmvSnapshot {
+            ts_ns: 0,
+            nodes: Vec::with_capacity(nodes),
+        };
+        let inner = Mutex::new(Inner {
+            published: false,
+            snapshot,
+        });
+        SnapshotSlot { inner }
     }
 
-    /// Reads retried because a concurrent publish tore the copy, over the
-    /// slot's lifetime. Contention telemetry — not part of the snapshot
-    /// contract.
-    pub fn torn_reads(&self) -> u64 {
-        self.torn_reads.load(Ordering::Relaxed)
+    /// Poison is recovered, not propagated: the buffer is plain counters
+    /// that the next publish overwrites whole with a copy that cannot panic
+    /// part-way, so a panicking session thread leaves nothing broken here.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Reads served through the mutex-guarded fallback path (mismatched
-    /// node count), over the slot's lifetime.
-    pub fn fallback_reads(&self) -> u64 {
-        self.fallback_reads.load(Ordering::Relaxed)
-    }
-
-    /// Node capacity of the word array.
-    pub fn capacity(&self) -> usize {
-        self.words.len() / NODE_WORDS
-    }
-
-    /// Whether at least one snapshot has been published.
-    pub fn published(&self) -> bool {
-        self.seq.load(Ordering::Acquire) != 0
-    }
-
-    /// Publish `snapshot` as the new stable generation. Wait-free with
-    /// respect to readers; allocation-free when the node count matches the
-    /// slot capacity.
+    /// Make `snapshot` the latest.
     pub fn publish(&self, snapshot: &DmvSnapshot) {
-        let _w = self.writer.lock().expect("snapshot slot writer poisoned");
-        // Enter the odd (write-in-progress) generation. The release fence
-        // orders the seq bump before the data stores for readers that
-        // acquire-load seq.
-        let s = self.seq.load(Ordering::Relaxed);
-        self.seq.store(s.wrapping_add(1), Ordering::Relaxed);
-        fence(Ordering::Release);
-        if snapshot.nodes.len() == self.capacity() {
-            self.ts_ns.store(snapshot.ts_ns, Ordering::Relaxed);
-            for (i, n) in snapshot.nodes.iter().enumerate() {
-                let w = &self.words[i * NODE_WORDS..];
-                w[0].store(n.rows_output, Ordering::Relaxed);
-                w[1].store(n.rows_input, Ordering::Relaxed);
-                w[2].store(n.logical_reads, Ordering::Relaxed);
-                w[3].store(n.segments_processed, Ordering::Relaxed);
-                w[4].store(n.cpu_ns, Ordering::Relaxed);
-                w[5].store(encode_opt(n.open_ns), Ordering::Relaxed);
-                w[6].store(encode_opt(n.first_row_ns), Ordering::Relaxed);
-                w[7].store(encode_opt(n.close_ns), Ordering::Relaxed);
-                w[8].store(n.rows_buffered, Ordering::Relaxed);
-                w[9].store(n.rows_processed, Ordering::Relaxed);
-                w[10].store(n.executions, Ordering::Relaxed);
-            }
-            self.in_fallback.store(false, Ordering::Relaxed);
-        } else {
-            *self.fallback.lock().expect("snapshot slot poisoned") = Some(snapshot.clone());
-            self.ts_ns.store(snapshot.ts_ns, Ordering::Relaxed);
-            self.in_fallback.store(true, Ordering::Relaxed);
-        }
-        // Leave the odd generation: the release store publishes the data
-        // to readers that see the new (even) seq.
-        self.seq.store(s.wrapping_add(2), Ordering::Release);
+        let mut inner = self.lock();
+        copy_into(&mut inner.snapshot, snapshot);
+        inner.published = true;
     }
 
-    /// Copy the stable snapshot into `buf`, reusing its allocations.
-    /// Returns `false` if nothing has been published yet. Retries on torn
-    /// reads (a publish that landed mid-copy); each attempt is one pass
-    /// over the words, and the writer can tear at most one in-flight read
-    /// per publish, so the loop terminates unless publishes outrun copies
-    /// indefinitely.
+    /// Copy the latest snapshot into `buf`, reusing its allocation.
+    /// Returns `false`, leaving `buf` alone, before the first publish.
     pub fn read_into(&self, buf: &mut DmvSnapshot) -> bool {
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 == 0 {
-                return false;
-            }
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            if self.in_fallback.load(Ordering::Relaxed) {
-                let copy = self
-                    .fallback
-                    .lock()
-                    .expect("snapshot slot poisoned")
-                    .clone();
-                fence(Ordering::Acquire);
-                if self.seq.load(Ordering::Relaxed) == s1 {
-                    if let Some(snap) = copy {
-                        *buf = snap;
-                        self.fallback_reads.fetch_add(1, Ordering::Relaxed);
-                        return true;
-                    }
-                    // in_fallback was itself torn; retry.
-                }
-                self.torn_reads.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            let cap = self.capacity();
-            buf.ts_ns = self.ts_ns.load(Ordering::Relaxed);
-            buf.nodes.resize(cap, NodeCounters::default());
-            for (i, n) in buf.nodes.iter_mut().enumerate() {
-                let w = &self.words[i * NODE_WORDS..];
-                n.rows_output = w[0].load(Ordering::Relaxed);
-                n.rows_input = w[1].load(Ordering::Relaxed);
-                n.logical_reads = w[2].load(Ordering::Relaxed);
-                n.segments_processed = w[3].load(Ordering::Relaxed);
-                n.cpu_ns = w[4].load(Ordering::Relaxed);
-                n.open_ns = decode_opt(w[5].load(Ordering::Relaxed));
-                n.first_row_ns = decode_opt(w[6].load(Ordering::Relaxed));
-                n.close_ns = decode_opt(w[7].load(Ordering::Relaxed));
-                n.rows_buffered = w[8].load(Ordering::Relaxed);
-                n.rows_processed = w[9].load(Ordering::Relaxed);
-                n.executions = w[10].load(Ordering::Relaxed);
-            }
-            // The acquire fence orders the data loads before the seq
-            // re-check; an equal seq proves no publish overlapped the copy.
-            fence(Ordering::Acquire);
-            if self.seq.load(Ordering::Relaxed) == s1 {
-                return true;
-            }
-            self.torn_reads.fetch_add(1, Ordering::Relaxed);
+        let inner = self.lock();
+        if inner.published {
+            copy_into(buf, &inner.snapshot);
         }
+        inner.published
     }
 
-    /// The stable snapshot's virtual timestamp without copying the nodes
-    /// (for listings that only need the position). `None` before the first
-    /// publish.
+    /// The latest snapshot's virtual timestamp without copying the nodes.
+    /// `None` before the first publish.
     pub fn read_ts(&self) -> Option<u64> {
-        loop {
-            let s1 = self.seq.load(Ordering::Acquire);
-            if s1 == 0 {
-                return None;
-            }
-            if s1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let ts = self.ts_ns.load(Ordering::Relaxed);
-            fence(Ordering::Acquire);
-            if self.seq.load(Ordering::Relaxed) == s1 {
-                return Some(ts);
-            }
-            self.torn_reads.fetch_add(1, Ordering::Relaxed);
-        }
+        let inner = self.lock();
+        inner.published.then_some(inner.snapshot.ts_ns)
     }
-}
-
-fn encode_opt(v: Option<u64>) -> u64 {
-    match v {
-        Some(x) => x.min(NONE - 1),
-        None => NONE,
-    }
-}
-
-fn decode_opt(w: u64) -> Option<u64> {
-    (w != NONE).then_some(w)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use lqs_exec::NodeCounters;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     /// A snapshot where every word of every node equals `g` — any torn
     /// mix of two generations is detectable field-by-field.
@@ -313,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_node_count_falls_back() {
+    fn shape_change_takes_the_same_path() {
         let slot = SnapshotSlot::new(2);
         // A truncating filter shrinks the snapshot below the plan size.
         let small = uniform(1, 5);
@@ -325,11 +163,12 @@ mod tests {
         assert!(slot.read_into(&mut buf));
         assert_eq!(buf, small);
         assert_eq!(slot.read_ts(), Some(5));
-        // A matching publish moves the slot back to the word path.
-        let full = uniform(2, 6);
-        slot.publish(&full);
-        assert!(slot.read_into(&mut buf));
-        assert_eq!(buf, full);
+        // Back to the plan size, then padded beyond it.
+        for full in [uniform(2, 6), uniform(5, 7)] {
+            slot.publish(&full);
+            assert!(slot.read_into(&mut buf));
+            assert_eq!(buf, full);
+        }
     }
 
     #[test]
@@ -350,27 +189,46 @@ mod tests {
         assert_eq!(buf.nodes.capacity(), cap);
     }
 
+    /// Write-side twin of `buffer_is_reused_across_reads`: a second publish
+    /// of the same shape copies into the slot's existing allocation.
     #[test]
-    fn contention_counters_track_fallback_reads() {
-        let slot = SnapshotSlot::new(2);
-        slot.publish(&uniform(1, 5));
-        let mut buf = DmvSnapshot {
-            ts_ns: 0,
-            nodes: vec![],
+    fn slot_buffer_is_reused_across_publishes() {
+        let slot = SnapshotSlot::new(64);
+        let allocation = || {
+            let nodes = &slot.lock().snapshot.nodes;
+            (nodes.as_ptr(), nodes.capacity())
         };
-        assert!(slot.read_into(&mut buf));
-        assert_eq!(slot.fallback_reads(), 1);
-        assert_eq!(slot.torn_reads(), 0);
-        // Back on the word path: no further fallback reads.
-        slot.publish(&uniform(2, 6));
-        assert!(slot.read_into(&mut buf));
-        assert_eq!(slot.fallback_reads(), 1);
+        slot.publish(&uniform(64, 1));
+        let before = allocation();
+        slot.publish(&uniform(64, 2));
+        assert_eq!(slot.read_ts(), Some(2));
+        assert_eq!(allocation(), before, "publish moved the slot's buffer");
     }
 
-    /// The seqlock contract under real contention: concurrent readers must
-    /// never observe a snapshot mixing two publishes, and the publisher
-    /// must finish a fixed batch of publishes while readers hammer the
-    /// slot (pollers cannot block it).
+    /// A thread that panics while holding the lock must not wedge the slot
+    /// for the publisher or the pollers that come after it.
+    #[test]
+    fn poisoned_lock_is_recovered() {
+        let slot = SnapshotSlot::new(1);
+        slot.publish(&uniform(1, 1));
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = slot.lock();
+                panic!("poison the slot");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        slot.publish(&uniform(1, 2));
+        let mut buf = uniform(0, 0);
+        assert!(slot.read_into(&mut buf));
+        assert_eq!(buf, uniform(1, 2));
+    }
+
+    /// The slot contract under real contention: concurrent readers must
+    /// never observe a snapshot mixing two publishes nor go back in time,
+    /// and the publisher must finish a fixed batch of publishes while
+    /// readers hammer the slot.
     #[test]
     fn concurrent_reads_are_never_torn() {
         const NODES: usize = 32;

@@ -1,16 +1,20 @@
 //! Regression: a long-lived poller over a churning service must not grow
-//! without bound — `evict_finished` has to drop estimators, cached
-//! reports, and accuracy bookkeeping for every evicted session.
+//! without bound — `evict_finished` has to drop the estimator, cached
+//! report, backoff, and accuracy bookkeeping of every evicted session.
 
 use lqs_metrics::MetricsRegistry;
-use lqs_plan::{AggFunc, Aggregate, PlanBuilder};
-use lqs_progress::EstimatorConfig;
-use lqs_server::{PollerMetrics, QueryService, QuerySpec, RegistryPoller, ServiceMetrics};
+use lqs_plan::{AggFunc, Aggregate, PhysicalPlan, PlanBuilder};
+use lqs_progress::{EstimateQuality, EstimatorConfig};
+use lqs_server::{
+    PollFaultInjector, PollerMetrics, QueryService, QuerySpec, RegistryPoller, ServiceMetrics,
+    SessionId, SessionProgress,
+};
 use lqs_storage::{Column, DataType, Database, Schema, Table, Value};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-#[test]
-fn poller_caches_stay_bounded_under_session_churn() {
+/// A 2000-row table and a scan → hash-aggregate plan over it.
+fn fixture() -> (Arc<Database>, Arc<PhysicalPlan>) {
     let mut t = Table::new(
         "t",
         Schema::new(vec![
@@ -27,7 +31,12 @@ fn poller_caches_stay_bounded_under_session_churn() {
     let scan = b.table_scan(tid);
     let agg = b.hash_aggregate(scan, vec![1], vec![Aggregate::of_col(AggFunc::Sum, 0)]);
     let plan = Arc::new(b.finish(agg));
-    let db = Arc::new(db);
+    (Arc::new(db), plan)
+}
+
+#[test]
+fn poller_caches_stay_bounded_under_session_churn() {
+    let (db, plan) = fixture();
 
     let registry = Arc::new(MetricsRegistry::new());
     let service = QueryService::with_metrics(
@@ -102,25 +111,7 @@ fn poller_caches_stay_bounded_under_session_churn() {
 /// sessions evicted hours earlier.
 #[test]
 fn evicted_sessions_take_their_gauges_with_them() {
-    let mut t = Table::new(
-        "t",
-        Schema::new(vec![
-            Column::new("a", DataType::Int),
-            Column::new("b", DataType::Int),
-        ]),
-    );
-    for i in 0..2000 {
-        t.insert(vec![Value::Int(i), Value::Int(i % 50)]).unwrap();
-    }
-    let mut db = Database::new();
-    let tid = db.add_table_analyzed(t);
-    let plan = {
-        let mut b = PlanBuilder::new(&db);
-        let scan = b.table_scan(tid);
-        let agg = b.hash_aggregate(scan, vec![1], vec![Aggregate::of_col(AggFunc::Sum, 0)]);
-        Arc::new(b.finish(agg))
-    };
-    let db = Arc::new(db);
+    let (db, plan) = fixture();
 
     let registry = Arc::new(MetricsRegistry::new());
     let service = QueryService::with_metrics(
@@ -169,4 +160,68 @@ fn evicted_sessions_take_their_gauges_with_them() {
     // The gauge *families* and quantile gauges survive eviction, NaN-free.
     assert!(text.contains("lqs_poll_latency_us"));
     assert!(!text.contains("NaN"), "exposition contains NaN:\n{text}");
+}
+
+/// Fails every poll while the shared switch is on.
+struct FailWhileOn(Arc<AtomicBool>);
+
+impl PollFaultInjector for FailWhileOn {
+    fn poll_fails(&self, _session: SessionId, _round: u64) -> bool {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// One `evict_finished()` drops everything the poller holds for a session
+/// together: estimator, cached report, backoff, and the scored flag.
+#[test]
+fn eviction_drops_the_whole_poll_record() {
+    let (db, plan) = fixture();
+    let registry = Arc::new(MetricsRegistry::new());
+    let service = QueryService::new(Arc::clone(&db), 2);
+    let failing = Arc::new(AtomicBool::new(false));
+    let mut poller = RegistryPoller::new(
+        Arc::clone(&db),
+        Arc::clone(service.registry()),
+        EstimatorConfig::full(),
+    )
+    .with_metrics(PollerMetrics::new(Arc::clone(&registry)))
+    .with_poll_fault(Box::new(FailWhileOn(Arc::clone(&failing))));
+    let scored = || {
+        registry
+            .counter("lqs_accuracy_sessions_total", "", &[])
+            .get()
+    };
+    let quality = |p: &SessionProgress| p.report.as_ref().map(|r| r.quality);
+
+    let a = service.submit(QuerySpec::new("a", Arc::clone(&plan)));
+    let b = service.submit(QuerySpec::new("b", Arc::clone(&plan)));
+    a.wait_terminal();
+    b.wait_terminal();
+
+    // Round 1 scores and estimates both; a failed round 2 puts both into
+    // backoff until round 4, so round 3 serves the cached reports as Stale
+    // without the injector being asked.
+    poller.poll();
+    assert_eq!((scored(), poller.cached_estimators()), (2, 2));
+    failing.store(true, Ordering::Relaxed);
+    poller.poll();
+    failing.store(false, Ordering::Relaxed);
+    for p in poller.poll() {
+        assert_eq!(quality(&p), Some(EstimateQuality::Stale), "{}", p.name);
+    }
+
+    assert_eq!(service.registry().evict_terminal().len(), 2);
+    poller.evict_finished();
+    assert_eq!(poller.cached_estimators(), 0);
+
+    // Still round 3. `a`: no backoff left, so this is a real poll with a
+    // fresh estimate, and the dropped scored flag has it scored again.
+    assert_eq!(
+        quality(&poller.poll_session(&a)),
+        Some(EstimateQuality::Fresh)
+    );
+    assert_eq!(scored(), 3);
+    // `b`: a failing poll has no cached report left to fall back on.
+    failing.store(true, Ordering::Relaxed);
+    assert!(poller.poll_session(&b).report.is_none());
 }
