@@ -2,11 +2,12 @@
 //! operators, to document the simulator's own cost (distinct from the
 //! virtual time it models).
 //!
-//! Each workload runs in both execution modes — `tuple` is the reference
-//! Volcano loop, `batch` the vectorized drive path — so the criterion
-//! report shows the tuple-vs-batch spread per operator. The committed
-//! before/after numbers live in `BENCH_engine.json` (see
-//! `lqs_engine_bench`); this bench is for interactive profiling.
+//! Each workload runs at both root limits — `tuple` asks the root for one
+//! row per `next_batch` call, `batch` for `batch_size` (production), over
+//! the same operator code — so the criterion report shows what batching
+//! amortizes per operator. The committed numbers live in
+//! `BENCH_engine.json` (see `lqs_engine_bench`); this bench is for
+//! interactive profiling.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use lqs::exec::{execute, ExecMode, ExecOptions};
@@ -69,7 +70,7 @@ fn bench_engine(c: &mut Criterion) {
         bench_modes(&mut g, "filter_scan", &d, &plan);
     }
     // Deep row-mode pipeline: scan under stacked filters, where per-operator
-    // overhead dominates — the headline case for the vectorized path.
+    // overhead dominates — the headline case for a large `limit`.
     for depth in [6usize, 12] {
         let mut pb = PlanBuilder::new(&d);
         let mut node = pb.table_scan(t);

@@ -1,11 +1,11 @@
 //! Tracing overhead accounting: the same plan run bare, with a no-op sink
-//! attached, and with a recording ring-buffer sink — in *both* execution
-//! modes. `ExecMode::Auto` resolves to the vectorized loop whether or not
-//! a sink is attached (batch-native spans, not de-vectorization), so the
-//! figures that matter operationally are the batch-mode ones; the tuple
-//! arms remain as the reference the batch loop is gated against. The
-//! acceptance bar is <2% regression for the no-op sink and single-digit
-//! percent for the recording sink, per mode.
+//! attached, and with a recording ring-buffer sink — at both root limits.
+//! The figures that matter operationally are the `batch` ones (production
+//! drives the root with `limit = batch_size`); the `tuple` arms run the
+//! same code with `limit = 1`, where every charging scope covers one row
+//! and so emits one span per row — the worst case for the recording sink.
+//! The acceptance bar is <2% regression for the no-op sink and
+//! single-digit percent for the recording sink on the `batch` arms.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use lqs::exec::{execute, execute_traced, ExecMode, ExecOptions};

@@ -1,7 +1,10 @@
-//! Quick tuple-vs-batch engine throughput check (development aid).
+//! Quick `limit 1`-vs-`limit 1024` engine throughput check (development
+//! aid).
 //!
-//! Runs each workload in both execution modes with a best-of-K wall-clock
-//! timer and prints Melem/s plus the batch/tuple speedup. The committed
+//! Runs each workload with the root driven one row per call
+//! (`ExecMode::Tuple`) and `batch_size` rows per call (`ExecMode::Batch`),
+//! the same operator code either way, with a best-of-K wall-clock timer,
+//! and prints Melem/s plus the batch/tuple speedup. The committed
 //! numbers live in `BENCH_engine.json` (produced by `lqs_engine_bench`);
 //! this example exists for fast local iteration.
 

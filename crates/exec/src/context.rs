@@ -168,7 +168,7 @@ pub(crate) fn install_quiet_abort_hook() {
 }
 
 /// One node's published counters plus engine-internal charging state, kept
-/// side by side so the per-tuple hot path updates both under a single
+/// side by side so a charge updates both under a single
 /// `RefCell` borrow.
 ///
 /// The carry is deliberately *not* a [`NodeCounters`] field: it is
@@ -216,10 +216,11 @@ pub struct ExecContext<'a> {
     cancel: Option<CancellationToken>,
     /// Virtual-time budget: the run aborts once the clock reaches this.
     deadline_ns: Option<u64>,
-    /// Deterministic fault oracle, consulted on I/O charges and GetNexts.
+    /// Deterministic fault oracle, consulted by [`BatchCharge`] on every
+    /// I/O charge and every output row.
     fault: Option<&'a dyn FaultInjector>,
     /// Number of live [`BatchCharge`] scopes (0 or 1). Debug-asserted
-    /// against per-tuple charging and scope nesting: a scope caches its
+    /// against direct charging and scope nesting: a scope caches its
     /// flush budget, which is only exact while nothing else moves the
     /// clock.
     live_scopes: Cell<u32>,
@@ -452,7 +453,7 @@ impl<'a> ExecContext<'a> {
         debug_assert_eq!(
             self.live_scopes.get(),
             0,
-            "per-tuple charge_cpu while a BatchCharge scope is live"
+            "direct charge_cpu while a BatchCharge scope is live"
         );
         let whole = {
             let mut accounts = self.accounts.borrow_mut();
@@ -473,59 +474,15 @@ impl<'a> ExecContext<'a> {
         self.advance(whole);
     }
 
-    /// Charge logical page reads to a node (advances the clock by
-    /// `pages × io_page_ns`, plus any injected slow-page penalty).
+    /// Charge logical page reads to a node: one [`BatchCharge::io`] charge
+    /// in a span-less scope of its own, for reads issued outside an
+    /// operator's charging loop (a seek's descent, a columnstore segment).
     ///
     /// # Panics
     /// Unwinds with a [`QueryFault`] payload when an attached
     /// [`FaultInjector`] fails the read.
     pub fn charge_io(&self, node: NodeId, pages: u64) {
-        debug_assert_eq!(
-            self.live_scopes.get(),
-            0,
-            "per-tuple charge_io while a BatchCharge scope is live"
-        );
-        if pages == 0 {
-            return;
-        }
-        let total = {
-            let mut accounts = self.accounts.borrow_mut();
-            let c = &mut accounts[node.0].counters;
-            c.logical_reads += pages;
-            c.logical_reads
-        };
-        let mut io_ns = (pages as f64 * self.cost.io_page_ns) as u64;
-        if let Some(fault) = self.fault {
-            match fault.on_io(node, total, self.clock_ns.get()) {
-                IoVerdict::Ok => {}
-                IoVerdict::Slow { extra_ns } => io_ns = io_ns.saturating_add(extra_ns),
-                IoVerdict::Error { message, transient } => {
-                    // Clock and counters up to the failed read stay charged:
-                    // the pages were requested, the time was spent.
-                    self.accounts.borrow_mut()[node.0].elapsed_ns += io_ns;
-                    self.advance(io_ns);
-                    std::panic::panic_any(QueryFault {
-                        node,
-                        message,
-                        transient,
-                        at_ns: self.clock_ns.get(),
-                    });
-                }
-            }
-        }
-        self.accounts.borrow_mut()[node.0].elapsed_ns += io_ns;
-        self.advance(io_ns);
-    }
-
-    /// Whether the batched execution path may be used: true unless a fault
-    /// injector is attached. Faults are consulted per I/O charge and per
-    /// GetNext, so they force the per-tuple path; a trace sink does *not* —
-    /// batch execution emits batch-granularity span events from the
-    /// [`BatchCharge`] flush path instead of per-row lifecycle events, with
-    /// final counters and clock still bit-identical to per-tuple. The
-    /// executor's `Auto` mode picks batch execution exactly when this holds.
-    pub fn batch_path_ok(&self) -> bool {
-        self.fault.is_none()
+        self.scope(node, false).io(pages);
     }
 
     /// Open a batched charging scope for `node`: CPU/I/O charges accumulate
@@ -537,9 +494,9 @@ impl<'a> ExecContext<'a> {
     /// The scope takes the node's fractional-carry state with it and
     /// returns it on flush, and it iterates the carry arithmetic per
     /// charge, so the whole-nanosecond sequence — and therefore the final
-    /// clock, the snapshot cadence, and any deadline-abort tick — is
-    /// bit-identical to issuing the same charges through
-    /// [`charge_cpu`]/[`charge_io`] one at a time.
+    /// clock, the snapshot cadence, and any deadline-abort tick — does not
+    /// depend on how the charges are sliced into scopes (one per row at
+    /// batch size 1, one per 1024 rows in production).
     ///
     /// The scope also carries deferred row counts
     /// ([`BatchCharge::rows_in`]/[`BatchCharge::rows_out`]): they settle at
@@ -547,6 +504,11 @@ impl<'a> ExecContext<'a> {
     /// the node's row counters in step with its charges — required by the
     /// progress estimator's cardinality bounds, which assume at most one
     /// in-flight consumed-but-unemitted row per operator.
+    ///
+    /// An attached [`FaultInjector`] is consulted from inside the scope, on
+    /// every [`BatchCharge::io`] charge and every [`BatchCharge::rows_out`]
+    /// row, so faults fire at the same `(node, pages)` / `(node, k)` at any
+    /// batch size.
     ///
     /// Contract: scopes are exclusive. While a scope is live, nothing else
     /// may move the clock — no second scope (for any node), and no
@@ -561,6 +523,14 @@ impl<'a> ExecContext<'a> {
     /// [`charge_cpu`]: ExecContext::charge_cpu
     /// [`charge_io`]: ExecContext::charge_io
     pub fn batch_charge(&self, node: NodeId) -> BatchCharge<'_, 'a> {
+        self.scope(node, self.trace_enabled())
+    }
+
+    /// [`batch_charge`](ExecContext::batch_charge), choosing whether the
+    /// scope emits [`EventKind::OperatorBatch`] spans. The context's own
+    /// single-charge helpers pass `false`: they are not batches, and a span
+    /// per seek rebind or per counted row would only inflate the trace.
+    fn scope(&self, node: NodeId, spans: bool) -> BatchCharge<'_, 'a> {
         debug_assert_eq!(
             self.live_scopes.get(),
             0,
@@ -578,7 +548,7 @@ impl<'a> ExecContext<'a> {
             rows_out_pending: 0,
             clock_pending: 0,
             flush_at: self.flush_budget(),
-            span_start_ns: self.clock_ns.get(),
+            span_start_ns: spans.then(|| self.clock_ns.get()),
         }
     }
 
@@ -591,110 +561,21 @@ impl<'a> ExecContext<'a> {
             .saturating_sub(self.clock_ns.get())
     }
 
-    /// Charge `rows` CPU charges of `per_row_ns` each to `node` in one
-    /// call, bit-identical to `rows` separate [`ExecContext::charge_cpu`]
-    /// calls (the fractional carry is iterated per row; snapshot boundaries
-    /// and the deadline fire at the exact same ticks).
-    pub fn charge_cpu_batch(&self, node: NodeId, per_row_ns: f64, rows: u64) {
-        let mut scope = self.batch_charge(node);
-        for _ in 0..rows {
-            scope.cpu(per_row_ns);
-        }
-        scope.finish();
-    }
-
-    /// Charge `reads` I/O charges of `pages_per_read` pages each to `node`
-    /// in one call, bit-identical to `reads` separate
-    /// [`ExecContext::charge_io`] calls (the per-call truncation of
-    /// `pages × io_page_ns` is preserved). Batch execution runs without a
-    /// fault injector, so no I/O fault hook fires here.
-    pub fn charge_io_batch(&self, node: NodeId, pages_per_read: u64, reads: u64) {
-        let mut scope = self.batch_charge(node);
-        for _ in 0..reads {
-            scope.io(pages_per_read);
-        }
-        scope.finish();
-    }
-
     /// Record `n` rows consumed from children.
     pub fn count_input(&self, node: NodeId, n: u64) {
         self.accounts.borrow_mut()[node.0].counters.rows_input += n;
     }
 
-    /// Record one row output (a successful GetNext — increments `kᵢ`).
+    /// Record `n` rows output (`n` successful GetNexts — `kᵢ += n`): one
+    /// [`BatchCharge::rows_out`] in a span-less scope of its own, for rows
+    /// counted after the operator's charging scope has settled.
     ///
     /// # Panics
     /// Unwinds with a [`QueryFault`] payload when an attached
-    /// [`FaultInjector`] panics the operator at this GetNext count.
-    pub fn count_output(&self, node: NodeId) {
-        let (first, k) = {
-            let mut accounts = self.accounts.borrow_mut();
-            let c = &mut accounts[node.0].counters;
-            c.rows_output += 1;
-            let first = if c.first_row_ns.is_none() {
-                c.first_row_ns = Some(self.clock_ns.get());
-                true
-            } else {
-                false
-            };
-            (first, c.rows_output)
-        };
-        if first {
-            self.emit(Some(node), EventKind::OperatorFirstRow);
-        }
-        if let Some(fault) = self.fault {
-            match fault.on_get_next(node, k, self.clock_ns.get()) {
-                None => {}
-                Some(GetNextFault::Stall { ns }) => {
-                    // A stall is pure elapsed time: the clock advances (and
-                    // snapshots keep being recorded) with no counter moving
-                    // — but the time is still the stalled node's to own.
-                    self.accounts.borrow_mut()[node.0].elapsed_ns += ns;
-                    self.advance(ns);
-                }
-                Some(GetNextFault::Panic { message, transient }) => {
-                    std::panic::panic_any(QueryFault {
-                        node,
-                        message,
-                        transient,
-                        at_ns: self.clock_ns.get(),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Record `n` rows output in one call. With no fault injector attached
-    /// this is `n` [`count_output`] calls collapsed into one borrow (same
-    /// `first_row_ns` stamp, same final `rows_output`), emitting one
-    /// [`EventKind::OperatorFirstRow`] if the stamp lands; when a fault
-    /// injector is present it falls back to the per-row path so every
-    /// GetNext still reaches the hook.
-    ///
-    /// [`count_output`]: ExecContext::count_output
-    pub fn count_output_batch(&self, node: NodeId, n: u64) {
-        if n == 0 {
-            return;
-        }
-        if !self.batch_path_ok() {
-            for _ in 0..n {
-                self.count_output(node);
-            }
-            return;
-        }
-        let first = {
-            let mut accounts = self.accounts.borrow_mut();
-            let c = &mut accounts[node.0].counters;
-            c.rows_output += n;
-            if c.first_row_ns.is_none() {
-                c.first_row_ns = Some(self.clock_ns.get());
-                true
-            } else {
-                false
-            }
-        };
-        if first {
-            self.emit(Some(node), EventKind::OperatorFirstRow);
+    /// [`FaultInjector`] panics the operator at one of these GetNext counts.
+    pub fn count_output(&self, node: NodeId, n: u64) {
+        if n > 0 {
+            self.scope(node, false).rows_out(n);
         }
     }
 
@@ -853,8 +734,7 @@ impl<'a> ExecContext<'a> {
 /// only when a snapshot boundary or the deadline would be crossed, on
 /// [`finish`](BatchCharge::finish), or on drop. Because the fractional
 /// carry is iterated per charge, every flush leaves the clock, counters,
-/// and carry exactly where the equivalent sequence of per-tuple
-/// `charge_cpu`/`charge_io` calls would have left them.
+/// and carry exactly where one scope per charge would have left them.
 pub struct BatchCharge<'s, 'a> {
     ctx: &'s ExecContext<'a>,
     node: NodeId,
@@ -869,7 +749,8 @@ pub struct BatchCharge<'s, 'a> {
     rows_in_pending: u64,
     /// Rows output but not yet in the counters.
     rows_out_pending: u64,
-    /// Clock nanoseconds (CPU + I/O) not yet applied via `advance`.
+    /// Clock nanoseconds (CPU, I/O, injected stalls) not yet applied via
+    /// `advance`.
     clock_pending: u64,
     /// Pending clock nanoseconds at which the next snapshot boundary (or
     /// the deadline) is crossed. Cached at scope creation and refreshed at
@@ -879,11 +760,12 @@ pub struct BatchCharge<'s, 'a> {
     /// compare on the hot path.
     flush_at: u64,
     /// Virtual time at which the current trace span began: the clock at
-    /// scope open, reset after every flush. Traced batch runs emit one
+    /// scope open, reset after every flush. Traced runs emit one
     /// [`EventKind::OperatorBatch`] span per flush instead of per-row
     /// events — timestamps are coarsened to flush boundaries, counters are
-    /// not.
-    span_start_ns: u64,
+    /// not. `None` for a scope that emits no spans (untraced run, or one of
+    /// the context's single-charge helpers).
+    span_start_ns: Option<u64>,
 }
 
 impl BatchCharge<'_, '_> {
@@ -907,16 +789,35 @@ impl BatchCharge<'_, '_> {
         }
     }
 
-    /// Charge logical page reads (same per-call `pages × io_page_ns`
-    /// truncation as [`ExecContext::charge_io`]; no fault hook — batch
-    /// execution runs without a fault injector).
+    /// Charge logical page reads: `pages × io_page_ns`, truncated per call,
+    /// plus whatever slow-page penalty an attached [`FaultInjector`] adds.
+    ///
+    /// # Panics
+    /// Unwinds with a [`QueryFault`] payload when the injector fails the
+    /// read. The scope is flushed first, so the clock, the counters and the
+    /// node's self-time all carry the failed read: the pages were
+    /// requested, the time was spent.
     #[inline]
     pub fn io(&mut self, pages: u64) {
         if pages == 0 {
             return;
         }
         self.reads_pending += pages;
-        let io_ns = (pages as f64 * self.ctx.cost.io_page_ns) as u64;
+        let mut io_ns = (pages as f64 * self.ctx.cost.io_page_ns) as u64;
+        if let Some(fault) = self.ctx.fault {
+            let settled = self.ctx.accounts.borrow()[self.node.0]
+                .counters
+                .logical_reads;
+            let total = settled + self.reads_pending;
+            match fault.on_io(self.node, total, self.now_ns()) {
+                IoVerdict::Ok => {}
+                IoVerdict::Slow { extra_ns } => io_ns = io_ns.saturating_add(extra_ns),
+                IoVerdict::Error { message, transient } => {
+                    self.clock_pending += io_ns;
+                    self.raise(message, transient);
+                }
+            }
+        }
         self.clock_pending += io_ns;
         if io_ns > 0 && self.due() {
             self.flush();
@@ -934,14 +835,59 @@ impl BatchCharge<'_, '_> {
         self.rows_in_pending += n;
     }
 
-    /// Record rows output (deferred [`ExecContext::count_output`]; same
-    /// settle-before-advance visibility as [`rows_in`](BatchCharge::rows_in)).
-    /// `first_row_ns` is stamped at the settling flush, not at the exact
-    /// per-row clock — the one documented counter divergence between the
-    /// batched and per-tuple paths.
+    /// Record rows output (same settle-before-advance visibility as
+    /// [`rows_in`](BatchCharge::rows_in)). `first_row_ns` is stamped at the
+    /// settling flush, not at the exact per-row clock, so it is the one
+    /// counter that depends on the batch size.
+    ///
+    /// An attached [`FaultInjector`] sees every row: `on_get_next` is
+    /// visited once per row with the node's cumulative `k`. A stall is pure
+    /// elapsed time — pending clock the next flush credits to this node,
+    /// with no counter moving.
+    ///
+    /// # Panics
+    /// Unwinds with a [`QueryFault`] payload (after flushing, with the
+    /// faulting row counted) when the injector panics the operator.
     #[inline]
     pub fn rows_out(&mut self, n: u64) {
-        self.rows_out_pending += n;
+        let Some(fault) = self.ctx.fault else {
+            self.rows_out_pending += n;
+            return;
+        };
+        for _ in 0..n {
+            self.rows_out_pending += 1;
+            // Re-read per row: a stall's flush settles the pending rows.
+            let settled = self.ctx.accounts.borrow()[self.node.0].counters.rows_output;
+            let k = settled + self.rows_out_pending;
+            match fault.on_get_next(self.node, k, self.now_ns()) {
+                None => {}
+                Some(GetNextFault::Stall { ns }) => {
+                    self.clock_pending += ns;
+                    if ns > 0 && self.due() {
+                        self.flush();
+                    }
+                }
+                Some(GetNextFault::Panic { message, transient }) => self.raise(message, transient),
+            }
+        }
+    }
+
+    /// The virtual clock as this scope sees it: flushed plus pending.
+    fn now_ns(&self) -> u64 {
+        self.ctx.clock_ns.get() + self.clock_pending
+    }
+
+    /// Flush — counters, then clock — and unwind with a [`QueryFault`]
+    /// stamped at the flushed clock. [`Drop`] skips the clock while
+    /// unwinding, so anything still pending here would be lost.
+    fn raise(&mut self, message: String, transient: bool) -> ! {
+        self.flush();
+        std::panic::panic_any(QueryFault {
+            node: self.node,
+            message,
+            transient,
+            at_ns: self.ctx.clock_ns.get(),
+        })
     }
 
     /// Would applying the pending clock time cross the next snapshot
@@ -996,9 +942,11 @@ impl BatchCharge<'_, '_> {
     /// the counts settled by this flush, `advanced` the clock nanoseconds
     /// it applied; all-zero flushes emit nothing.
     fn emit_span(&mut self, rows_in: u64, rows_out: u64, advanced: u64) {
-        let end = self.ctx.clock_ns.get();
-        let start = std::mem::replace(&mut self.span_start_ns, end);
-        if (advanced > 0 || rows_in > 0 || rows_out > 0) && self.ctx.trace_enabled() {
+        let Some(start) = self.span_start_ns else {
+            return;
+        };
+        self.span_start_ns = Some(self.ctx.clock_ns.get());
+        if advanced > 0 || rows_in > 0 || rows_out > 0 {
             self.ctx.emit(
                 Some(self.node),
                 EventKind::OperatorBatch {
@@ -1027,14 +975,25 @@ impl BatchCharge<'_, '_> {
     /// Flush and consume the scope. Equivalent to dropping it, spelled out
     /// so call sites show where the batch settles.
     pub fn finish(self) {}
+
+    /// [`finish`](BatchCharge::finish), then count `n` rows output at the
+    /// settled clock: a producer's rows become visible (and `first_row_ns`
+    /// is stamped) only once every charge for them has been applied. The
+    /// count is not part of the span the flush closed.
+    pub fn finish_emitting(mut self, n: u64) {
+        self.flush();
+        self.span_start_ns = None;
+        self.rows_out(n);
+    }
 }
 
 impl Drop for BatchCharge<'_, '_> {
     fn drop(&mut self) {
         // Both the normal path (`finish`/end of scope) and the unwind path
-        // (abort raised by a flush inside `cpu`/`io`, or a plain panic)
-        // land here: settle pending counters and the carry first, then —
-        // only when not unwinding — apply the pending clock time.
+        // (abort raised by a flush inside `cpu`/`io`, an injected fault that
+        // `raise` already flushed for, or a plain panic) land here: settle
+        // pending counters and the carry first, then — only when not
+        // unwinding — apply the pending clock time.
         // Advancing during an unwind could re-raise the abort and turn it
         // into a double panic; skipping it loses at most the clock slice
         // of an already-aborted run's final partial state.
@@ -1091,8 +1050,8 @@ mod tests {
         let db = Database::new();
         let c = ctx(&db);
         c.charge_cpu(NodeId(0), 500.0);
-        c.count_output(NodeId(0));
-        c.count_output(NodeId(0));
+        c.count_output(NodeId(0), 1);
+        c.count_output(NodeId(0), 1);
         let counters = c.counters_of(NodeId(0));
         assert_eq!(counters.rows_output, 2);
         assert_eq!(counters.first_row_ns, Some(500));

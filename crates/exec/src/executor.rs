@@ -10,24 +10,16 @@ use lqs_obs::EventSink;
 use lqs_plan::{CostModel, PhysicalOp, PhysicalPlan};
 use lqs_storage::Database;
 
-/// Which GetNext loop drives the operator tree.
+/// How many rows the root operator is asked for per `next_batch` call.
+/// Both values drive the same operator code; the only counter that depends
+/// on the choice is `first_row_ns`, stamped when a charging scope settles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Batch unless a fault injector is attached (its hooks fire per I/O
-    /// charge and per GetNext, which only the per-tuple loop visits). A
-    /// trace sink does *not* force tuple mode: the batched path emits
-    /// batch-granularity span events instead of per-row lifecycle events,
-    /// so tracing no longer de-vectorizes the engine.
-    #[default]
-    Auto,
-    /// Always the per-tuple Volcano loop.
+    /// One row per call (`limit = 1`), whatever `batch_size` says: the
+    /// root and every pipelined operator under it run row-at-a-time.
     Tuple,
-    /// Always the vectorized loop. Trace timestamps coarsen to flush
-    /// granularity (one `OperatorBatch` span per settled charging scope,
-    /// `first_row_ns` stamped at the settling flush); with a fault injector
-    /// attached, batched I/O charges skip the injector's per-read check —
-    /// which is why `Auto` falls back to `Tuple` for fault-injected runs.
-    /// Counters and the clock stay exact regardless.
+    /// `batch_size` rows per call — production.
+    #[default]
     Batch,
 }
 
@@ -42,9 +34,10 @@ pub struct ExecOptions {
     pub snapshot_interval_ns: Option<u64>,
     /// Cost/charging constants.
     pub cost_model: CostModel,
-    /// Per-tuple vs vectorized drive loop (see [`ExecMode`]).
+    /// Row-at-a-time or `batch_size` rows per root call (see [`ExecMode`]).
     pub mode: ExecMode,
-    /// Rows per batch on the vectorized path (clamped to ≥ 1).
+    /// Rows per root `next_batch` call in [`ExecMode::Batch`] (clamped to
+    /// ≥ 1).
     pub batch_size: usize,
 }
 
@@ -54,7 +47,7 @@ impl Default for ExecOptions {
             snapshot_target: 192,
             snapshot_interval_ns: None,
             cost_model: CostModel::default(),
-            mode: ExecMode::Auto,
+            mode: ExecMode::Batch,
             batch_size: 1024,
         }
     }
@@ -76,8 +69,10 @@ pub struct ExecHooks<'a> {
     /// Records the run's final counters into metric families at close time.
     /// Aborted runs record nothing (their counters are not totals).
     pub metrics: Option<&'a crate::metrics::ExecMetrics>,
-    /// Deterministic fault oracle consulted on every I/O charge and
-    /// GetNext. Injected hard failures unwind with a
+    /// Deterministic fault oracle consulted on every I/O charge and every
+    /// output row, from inside the charging scopes — so a fault-injected
+    /// run executes the same code, at the same batch size, as a clean one.
+    /// Injected hard failures unwind with a
     /// [`crate::fault::QueryFault`] payload, which [`execute_hooked`]
     /// re-raises for the caller to catch (it is *not* an abort).
     pub fault: Option<&'a dyn crate::fault::FaultInjector>,
@@ -273,34 +268,22 @@ fn execute_inner(
     if let Some(fault) = hooks.fault {
         ctx = ctx.with_fault(fault);
     }
+    let limit = match opts.mode {
+        ExecMode::Tuple => 1,
+        ExecMode::Batch => opts.batch_size.max(1),
+    };
     // The abort path unwinds out of the operator tree with a `QueryAborted`
     // payload; catching it here (and only it) turns the unwind into a
     // structured error while leaving real panics fatal. The context lives
     // outside the catch, so the partial trace survives the unwind.
-    let use_batch = match opts.mode {
-        ExecMode::Tuple => false,
-        ExecMode::Batch => true,
-        ExecMode::Auto => ctx.batch_path_ok(),
-    };
     let drive = crate::context::catch_query_abort(|| {
         let mut root = build_operator(plan, db, plan.root());
         root.open(&ctx);
         let mut rows_returned = 0u64;
-        if use_batch {
-            let limit = opts.batch_size.max(1);
-            let mut batch = crate::ops::RowBatch::with_capacity(limit);
-            loop {
-                let more = root.next_batch(&ctx, &mut batch, limit);
-                rows_returned += batch.len() as u64;
-                batch.clear();
-                if !more {
-                    break;
-                }
-            }
-        } else {
-            while root.next(&ctx).is_some() {
-                rows_returned += 1;
-            }
+        let mut batch = crate::ops::RowBatch::with_capacity(limit);
+        while root.next_batch(&ctx, &mut batch, limit) {
+            rows_returned += batch.len() as u64;
+            batch.clear();
         }
         root.close(&ctx);
         rows_returned

@@ -5,6 +5,12 @@
 //! counters sampled on a deterministic virtual clock, exactly the interface
 //! the paper's client-side progress estimator polls (§2).
 //!
+//! There is one GetNext — [`Operator::next_batch`] — and so one execution
+//! path: the batch size (1024 in production, 1 for a row-at-a-time run)
+//! only sets how many rows the root is asked for per call, and a
+//! [`FaultInjector`] is consulted from inside the charging scopes
+//! ([`BatchCharge`]) at whatever batch size the run uses.
+//!
 //! * [`context`] — virtual clock, counter charging, snapshot recording,
 //!   runtime bitmaps, nested-loops correlation state.
 //! * [`dmv`] — the `sys.dm_exec_query_profiles` analog.

@@ -71,70 +71,6 @@ impl Operator for StreamAggregateOp {
         self.child.open(ctx);
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        loop {
-            if self.input_done {
-                // Flush the final group; scalar aggregates emit one row even
-                // over empty input.
-                if let Some((key, states)) = self.current.take() {
-                    ctx.count_output(self.id);
-                    return Some(finish_group(key, &states));
-                }
-                if self.group_by.is_empty() && !self.emitted_scalar {
-                    self.emitted_scalar = true;
-                    ctx.count_output(self.id);
-                    return Some(finish_group(Vec::new(), &make_states(&self.aggs)));
-                }
-                self.done = true;
-                ctx.mark_close(self.id);
-                return None;
-            }
-            match self.child.next(ctx) {
-                None => {
-                    self.input_done = true;
-                }
-                Some(row) => {
-                    ctx.count_input(self.id, 1);
-                    ctx.charge_cpu(
-                        self.id,
-                        ctx.cost.stream_agg_row_ns
-                            + self.aggs.len() as f64 * ctx.cost.compute_expr_ns,
-                    );
-                    let key = key_of(&row, &self.group_by);
-                    match &mut self.current {
-                        Some((cur_key, states)) if *cur_key == key => {
-                            fold(&self.aggs, states, &row);
-                        }
-                        Some(_) => {
-                            // Group boundary: emit the finished group, start
-                            // the new one.
-                            let (done_key, done_states) =
-                                self.current.take().expect("checked Some");
-                            let mut states = make_states(&self.aggs);
-                            fold(&self.aggs, &mut states, &row);
-                            if self.group_by.is_empty() {
-                                unreachable!("scalar aggregate has a single group");
-                            }
-                            self.current = Some((key, states));
-                            self.emitted_scalar = true;
-                            ctx.count_output(self.id);
-                            return Some(finish_group(done_key, &done_states));
-                        }
-                        None => {
-                            let mut states = make_states(&self.aggs);
-                            fold(&self.aggs, &mut states, &row);
-                            self.current = Some((key, states));
-                            self.emitted_scalar = true;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
         if self.done {
             return false;
@@ -181,7 +117,7 @@ impl Operator for StreamAggregateOp {
                 scope.finish();
                 ctx.count_input(self.id, consumed);
                 if appended > 0 {
-                    ctx.count_output_batch(self.id, appended);
+                    ctx.count_output(self.id, appended);
                     return true;
                 }
                 continue;
@@ -189,13 +125,13 @@ impl Operator for StreamAggregateOp {
             if self.input_done {
                 if let Some((key, states)) = self.current.take() {
                     out.push(finish_group(key, &states));
-                    ctx.count_output_batch(self.id, 1);
+                    ctx.count_output(self.id, 1);
                     return true;
                 }
                 if self.group_by.is_empty() && !self.emitted_scalar {
                     self.emitted_scalar = true;
                     out.push(finish_group(Vec::new(), &make_states(&self.aggs)));
-                    ctx.count_output_batch(self.id, 1);
+                    ctx.count_output(self.id, 1);
                     return true;
                 }
                 self.done = true;
@@ -263,28 +199,18 @@ impl HashAggregateOp {
             + self.aggs.len() as f64 * ctx.cost.compute_expr_ns)
             * factor;
         let mut table: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-        if ctx.batch_path_ok() {
-            let mut scratch = RowBatch::with_capacity(CONSUME_BATCH);
-            while self.child.next_batch(ctx, &mut scratch, CONSUME_BATCH) {
-                ctx.count_input(self.id, scratch.len() as u64);
-                let mut scope = ctx.batch_charge(self.id);
-                for row in scratch.iter() {
-                    scope.cpu(row_cpu);
-                    let key = key_of(row, &self.group_by);
-                    let states = table.entry(key).or_insert_with(|| make_states(&self.aggs));
-                    fold(&self.aggs, states, row);
-                }
-                scope.finish();
-                scratch.clear();
-            }
-        } else {
-            while let Some(row) = self.child.next(ctx) {
-                ctx.count_input(self.id, 1);
-                ctx.charge_cpu(self.id, row_cpu);
-                let key = key_of(&row, &self.group_by);
+        let mut scratch = RowBatch::with_capacity(CONSUME_BATCH);
+        while self.child.next_batch(ctx, &mut scratch, CONSUME_BATCH) {
+            ctx.count_input(self.id, scratch.len() as u64);
+            let mut scope = ctx.batch_charge(self.id);
+            for row in scratch.iter() {
+                scope.cpu(row_cpu);
+                let key = key_of(row, &self.group_by);
                 let states = table.entry(key).or_insert_with(|| make_states(&self.aggs));
-                fold(&self.aggs, states, &row);
+                fold(&self.aggs, states, row);
             }
+            scope.finish();
+            scratch.clear();
         }
         if self.group_by.is_empty() && table.is_empty() {
             table.insert(Vec::new(), make_states(&self.aggs));
@@ -306,27 +232,6 @@ impl Operator for HashAggregateOp {
     fn open(&mut self, ctx: &ExecContext) {
         ctx.mark_open(self.id);
         self.child.open(ctx);
-    }
-
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        if self.output.is_none() {
-            self.build(ctx);
-        }
-        let out = self.output.as_ref().expect("built above");
-        if self.pos >= out.len() {
-            self.done = true;
-            ctx.mark_close(self.id);
-            return None;
-        }
-        let row = out[self.pos].clone();
-        self.pos += 1;
-        let factor = if self.batch { 0.3 } else { 1.0 };
-        ctx.charge_cpu(self.id, ctx.cost.hash_output_row_ns * factor);
-        ctx.count_output(self.id);
-        Some(row)
     }
 
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
@@ -353,9 +258,8 @@ impl Operator for HashAggregateOp {
             scope.cpu(row_cpu);
             out.push(row.clone());
         }
-        scope.finish();
         self.pos += n;
-        ctx.count_output_batch(self.id, n as u64);
+        scope.finish_emitting(n as u64);
         true
     }
 
@@ -378,6 +282,7 @@ impl Operator for HashAggregateOp {
 mod tests {
     use super::*;
     use crate::ops::scan::ConstantScanOp;
+    use crate::ops::testing::drain;
     use lqs_plan::{AggFunc, CostModel};
     use lqs_storage::Database;
 
@@ -395,10 +300,7 @@ mod tests {
 
     fn run(op: &mut dyn Operator, ctx: &ExecContext) -> Vec<Vec<Value>> {
         op.open(ctx);
-        let mut out = Vec::new();
-        while let Some(r) = op.next(ctx) {
-            out.push(r.to_vec());
-        }
+        let out = drain(op, ctx).iter().map(|r| r.to_vec()).collect();
         op.close(ctx);
         out
     }

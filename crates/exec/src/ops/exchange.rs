@@ -6,10 +6,10 @@
 //! that matters to progress estimation (Figures 7–8: the exchange's `k`
 //! lagging its child's `k` by large, slowly converging ratios) by
 //! prefetching a large initial block on first demand and `degree` child rows
-//! per `next()` thereafter.
+//! per output row thereafter.
 
 use super::sort::CONSUME_BATCH;
-use super::{BoxedOperator, Operator, RowBatch};
+use super::{push_one, BoxedOperator, Operator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{ExchangeKind, NodeId};
 use lqs_storage::Row;
@@ -59,51 +59,29 @@ impl ExchangeOp {
 
     fn pull(&mut self, ctx: &ExecContext, n: usize) {
         let cap = MAX_BUFFER_PER_DOP * self.degree;
-        if ctx.batch_path_ok() {
-            // Producers fill in chunks; the pull never charges CPU, so the
-            // child's counters and close time match the per-tuple loop
-            // exactly.
-            let mut remaining = n.min(cap.saturating_sub(self.queue.len()));
-            let mut scratch = RowBatch::with_capacity(remaining.min(CONSUME_BATCH));
-            while remaining > 0 && !self.child_done {
-                let want = remaining.min(CONSUME_BATCH);
-                scratch.clear();
-                if !self.child.next_batch(ctx, &mut scratch, want) {
-                    self.child_done = true;
-                    break;
-                }
-                let got = scratch.len();
-                ctx.count_input(self.id, got as u64);
-                while let Some(row) = scratch.pop_front() {
-                    self.queue.push_back(row);
-                }
-                remaining -= got;
+        // Producers fill in chunks; the pull never charges CPU, so the
+        // chunk size shows in no counter and no close time.
+        let mut remaining = n.min(cap.saturating_sub(self.queue.len()));
+        let mut scratch = RowBatch::with_capacity(remaining.min(CONSUME_BATCH));
+        while remaining > 0 && !self.child_done {
+            let want = remaining.min(CONSUME_BATCH);
+            scratch.clear();
+            if !self.child.next_batch(ctx, &mut scratch, want) {
+                self.child_done = true;
+                break;
             }
-        } else {
-            for _ in 0..n {
-                if self.child_done || self.queue.len() >= cap {
-                    break;
-                }
-                match self.child.next(ctx) {
-                    Some(r) => {
-                        ctx.count_input(self.id, 1);
-                        self.queue.push_back(r);
-                    }
-                    None => self.child_done = true,
-                }
+            let got = scratch.len();
+            ctx.count_input(self.id, got as u64);
+            while let Some(row) = scratch.pop_front() {
+                self.queue.push_back(row);
             }
+            remaining -= got;
         }
         ctx.set_buffered(self.id, self.queue.len() as u64);
     }
-}
 
-impl Operator for ExchangeOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
-        self.child.open(ctx);
-    }
-
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
+    /// One consumer-side row: top the queue up, then drain one.
+    fn next_row(&mut self, ctx: &ExecContext) -> Option<Row> {
         if self.done {
             return None;
         }
@@ -121,8 +99,22 @@ impl Operator for ExchangeOp {
         ctx.set_buffered(self.id, self.queue.len() as u64);
         let factor = if self.batch { 0.3 } else { 1.0 };
         ctx.charge_cpu(self.id, ctx.cost.exchange_row_ns * factor);
-        ctx.count_output(self.id);
         Some(row)
+    }
+}
+
+impl Operator for ExchangeOp {
+    fn open(&mut self, ctx: &ExecContext) {
+        ctx.mark_open(self.id);
+        self.child.open(ctx);
+    }
+
+    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
+        if limit == 0 {
+            return true;
+        }
+        let row = self.next_row(ctx);
+        push_one(ctx, self.id, row, out)
     }
 
     fn close(&mut self, ctx: &ExecContext) {
@@ -148,6 +140,7 @@ impl Operator for ExchangeOp {
 mod tests {
     use super::*;
     use crate::ops::scan::ConstantScanOp;
+    use crate::ops::testing::{drain, pull};
     use lqs_plan::CostModel;
     use lqs_storage::{Database, Value};
 
@@ -164,12 +157,11 @@ mod tests {
         let child = Box::new(ConstantScanOp::new(NodeId(0), rows));
         let mut ex = ExchangeOp::new(NodeId(1), ExchangeKind::GatherStreams, degree, false, child);
         ex.open(&ctx);
-        let mut count = 0i64;
-        while let Some(r) = ex.next(&ctx) {
-            assert_eq!(r[0], Value::Int(count));
-            count += 1;
+        let rows = drain(&mut ex, &ctx);
+        assert_eq!(rows.len(), 100);
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(r[0], Value::Int(i as i64));
         }
-        assert_eq!(count, 100);
         ex.close(&ctx);
     }
 
@@ -183,7 +175,7 @@ mod tests {
         let child = Box::new(ConstantScanOp::new(NodeId(0), rows));
         let mut ex = ExchangeOp::new(NodeId(1), ExchangeKind::GatherStreams, degree, false, child);
         ex.open(&ctx);
-        let _ = ex.next(&ctx);
+        let _ = pull(&mut ex, &ctx);
         assert!(ctx.counters_of(NodeId(1)).rows_buffered > 0);
         ex.rewind(&ctx);
         assert_eq!(ctx.counters_of(NodeId(1)).rows_buffered, 0);
@@ -192,9 +184,9 @@ mod tests {
 
     #[test]
     fn rewind_mid_batch_resets_queue_and_gauge() {
-        // Batched path: the queue is filled by the vectorized pull; a rewind
-        // with rows still queued must discard them, zero the gauge, and
-        // restart the child from the top.
+        // The queue is filled in chunks; a rewind with rows still queued
+        // must discard them, zero the gauge, and restart the child from the
+        // top.
         let (db, rows, degree) = make(4, 3000);
         let ctx = ExecContext::new(&db, 2, 0, u64::MAX, CostModel::default());
         let child = Box::new(ConstantScanOp::new(NodeId(0), rows));
@@ -228,7 +220,7 @@ mod tests {
         let child = Box::new(ConstantScanOp::new(NodeId(0), rows));
         let mut ex = ExchangeOp::new(NodeId(1), ExchangeKind::GatherStreams, degree, false, child);
         ex.open(&ctx);
-        let _ = ex.next(&ctx);
+        let _ = pull(&mut ex, &ctx);
         let child_k = ctx.counters_of(NodeId(0)).rows_output;
         let ex_k = ctx.counters_of(NodeId(1)).rows_output;
         // Large initial ratio (Figure 8's ">88x" regime).
@@ -236,7 +228,7 @@ mod tests {
         assert_eq!(ex_k, 1);
         // After draining halfway, the gap narrows relative to progress.
         for _ in 0..5000 {
-            let _ = ex.next(&ctx);
+            let _ = pull(&mut ex, &ctx);
         }
         let child_k2 = ctx.counters_of(NodeId(0)).rows_output;
         let ex_k2 = ctx.counters_of(NodeId(1)).rows_output;

@@ -1,10 +1,10 @@
-//! Row-at-a-time pipelined operators: Filter, Compute Scalar, Top, Segment.
+//! Pipelined operators: Filter, Compute Scalar, Top, Segment.
 
 use super::{BoxedOperator, Operator, RowBatch};
 use crate::context::ExecContext;
 use crate::pred::CompiledPredicate;
 use lqs_plan::{Expr, NodeId};
-use lqs_storage::{Row, Value};
+use lqs_storage::Value;
 
 /// CPU discount applied to batch-mode row operations.
 const BATCH_FACTOR: f64 = 0.2;
@@ -12,9 +12,7 @@ const BATCH_FACTOR: f64 = 0.2;
 /// Row filter.
 pub struct FilterOp {
     id: NodeId,
-    predicate: Expr,
-    /// Specialized form of `predicate` for the batch loop (same results).
-    compiled: CompiledPredicate,
+    predicate: CompiledPredicate,
     batch: bool,
     child: BoxedOperator,
     done: bool,
@@ -24,8 +22,7 @@ impl FilterOp {
     pub(crate) fn new(id: NodeId, predicate: Expr, batch: bool, child: BoxedOperator) -> Self {
         FilterOp {
             id,
-            compiled: CompiledPredicate::compile(&predicate),
-            predicate,
+            predicate: CompiledPredicate::compile(&predicate),
             batch,
             child,
             done: false,
@@ -37,26 +34,6 @@ impl Operator for FilterOp {
     fn open(&mut self, ctx: &ExecContext) {
         ctx.mark_open(self.id);
         self.child.open(ctx);
-    }
-
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        let factor = if self.batch { BATCH_FACTOR } else { 1.0 };
-        loop {
-            let Some(row) = self.child.next(ctx) else {
-                self.done = true;
-                ctx.mark_close(self.id);
-                return None;
-            };
-            ctx.count_input(self.id, 1);
-            ctx.charge_cpu(self.id, ctx.cost.filter_row_ns * factor);
-            if self.predicate.matches(&row) {
-                ctx.count_output(self.id);
-                return Some(row);
-            }
-        }
     }
 
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
@@ -91,7 +68,7 @@ impl Operator for FilterOp {
             for i in before..rows.len() {
                 scope.rows_in(1);
                 scope.cpu(row_cpu);
-                if self.compiled.matches(&rows[i]) {
+                if self.predicate.matches(&rows[i]) {
                     if kept != i {
                         rows.swap(kept, i);
                     }
@@ -146,29 +123,6 @@ impl Operator for ComputeScalarOp {
         self.child.open(ctx);
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        let factor = if self.batch { BATCH_FACTOR } else { 1.0 };
-        let Some(row) = self.child.next(ctx) else {
-            self.done = true;
-            ctx.mark_close(self.id);
-            return None;
-        };
-        ctx.count_input(self.id, 1);
-        ctx.charge_cpu(
-            self.id,
-            ctx.cost.compute_expr_ns * self.exprs.len() as f64 * factor,
-        );
-        let mut out: Vec<Value> = row.to_vec();
-        for e in &self.exprs {
-            out.push(e.eval(&row));
-        }
-        ctx.count_output(self.id);
-        Some(out.into())
-    }
-
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
         if self.done {
             return false;
@@ -197,9 +151,8 @@ impl Operator for ComputeScalarOp {
             }
             *row = v.into();
         }
-        scope.finish();
         ctx.count_input(self.id, n as u64);
-        ctx.count_output_batch(self.id, n as u64);
+        scope.finish_emitting(n as u64);
         true
     }
 
@@ -242,26 +195,6 @@ impl Operator for TopOp {
         self.child.open(ctx);
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done || self.emitted >= self.n {
-            if !self.done {
-                self.done = true;
-                ctx.mark_close(self.id);
-            }
-            return None;
-        }
-        let Some(row) = self.child.next(ctx) else {
-            self.done = true;
-            ctx.mark_close(self.id);
-            return None;
-        };
-        ctx.count_input(self.id, 1);
-        ctx.charge_cpu(self.id, 2.0);
-        self.emitted += 1;
-        ctx.count_output(self.id);
-        Some(row)
-    }
-
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
         if self.done {
             return false;
@@ -290,10 +223,9 @@ impl Operator for TopOp {
             for _ in 0..got {
                 scope.cpu(2.0);
             }
-            scope.finish();
             ctx.count_input(self.id, got);
             self.emitted += got as usize;
-            ctx.count_output_batch(self.id, got);
+            scope.finish_emitting(got);
         }
         true
     }
@@ -339,26 +271,6 @@ impl Operator for SegmentOp {
         self.child.open(ctx);
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        let Some(row) = self.child.next(ctx) else {
-            self.done = true;
-            ctx.mark_close(self.id);
-            return None;
-        };
-        ctx.count_input(self.id, 1);
-        ctx.charge_cpu(self.id, 5.0);
-        let key = super::key_of(&row, &self.group_by);
-        let boundary = self.prev_key.as_ref() != Some(&key);
-        self.prev_key = Some(key);
-        let mut out: Vec<Value> = row.to_vec();
-        out.push(Value::Int(boundary as i64));
-        ctx.count_output(self.id);
-        Some(out.into())
-    }
-
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
         if self.done {
             return false;
@@ -386,9 +298,8 @@ impl Operator for SegmentOp {
             v.push(Value::Int(boundary as i64));
             *row = v.into();
         }
-        scope.finish();
         ctx.count_input(self.id, n as u64);
-        ctx.count_output_batch(self.id, n as u64);
+        scope.finish_emitting(n as u64);
         true
     }
 

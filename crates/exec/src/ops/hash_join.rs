@@ -34,7 +34,7 @@ pub struct HashJoinOp {
     pending: Vec<usize>,
     pending_probe: Option<Row>,
     pending_pos: usize,
-    /// Probe rows pulled but not yet joined (vectorized path only).
+    /// Probe rows pulled but not yet joined.
     scratch: RowBatch,
     probe_done: bool,
     /// For FullOuter: cursor over unmatched build rows.
@@ -93,66 +93,34 @@ impl HashJoinOp {
 
     fn build_phase(&mut self, ctx: &ExecContext) {
         let factor = self.factor();
-        if ctx.batch_path_ok() {
-            let mut scratch = RowBatch::with_capacity(CONSUME_BATCH);
-            while self.build.next_batch(ctx, &mut scratch, CONSUME_BATCH) {
-                // Input counted through the scope, per row: the join bound
-                // derives "probe rows processed" from rows_input, so it
-                // must never lead the rows actually folded into the table.
-                let mut scope = ctx.batch_charge(self.id);
-                while let Some(row) = scratch.pop_front() {
-                    scope.rows_in(1);
-                    scope.cpu(ctx.cost.hash_build_row_ns * factor);
-                    let key = key_of(&row, &self.build_keys);
-                    let idx = self.build_rows.len();
-                    self.build_rows.push(row);
-                    self.matched.push(false);
-                    if !key_has_null(&key) {
-                        if let Some(bm) = self.bitmap {
-                            scope.cpu(ctx.cost.bitmap_row_ns * factor);
-                            ctx.bitmap_insert(bm, &key, self.build_capacity_hint);
-                        }
-                        self.map.entry(key).or_default().push(idx);
-                    }
-                }
-                scope.finish();
-            }
-        } else {
-            while let Some(row) = self.build.next(ctx) {
-                ctx.count_input(self.id, 1);
-                ctx.charge_cpu(self.id, ctx.cost.hash_build_row_ns * factor);
+        let mut scratch = RowBatch::with_capacity(CONSUME_BATCH);
+        while self.build.next_batch(ctx, &mut scratch, CONSUME_BATCH) {
+            // Input counted through the scope, per row: the join bound
+            // derives "probe rows processed" from rows_input, so it
+            // must never lead the rows actually folded into the table.
+            let mut scope = ctx.batch_charge(self.id);
+            while let Some(row) = scratch.pop_front() {
+                scope.rows_in(1);
+                scope.cpu(ctx.cost.hash_build_row_ns * factor);
                 let key = key_of(&row, &self.build_keys);
                 let idx = self.build_rows.len();
                 self.build_rows.push(row);
                 self.matched.push(false);
                 if !key_has_null(&key) {
                     if let Some(bm) = self.bitmap {
-                        ctx.charge_cpu(self.id, ctx.cost.bitmap_row_ns * factor);
+                        scope.cpu(ctx.cost.bitmap_row_ns * factor);
                         ctx.bitmap_insert(bm, &key, self.build_capacity_hint);
                     }
                     self.map.entry(key).or_default().push(idx);
                 }
             }
+            scope.finish();
         }
         self.built = true;
         if self.bitmap.is_some() {
             ctx.emit_bitmap_built(self.id, self.map.len() as u64);
         }
         ctx.emit_phase(self.id, "build", "probe");
-    }
-
-    /// Emit one pending (probe × build) match if any are queued.
-    fn emit_pending(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.pending_pos < self.pending.len() {
-            let bidx = self.pending[self.pending_pos];
-            self.pending_pos += 1;
-            self.matched[bidx] = true;
-            let probe = self.pending_probe.as_ref().expect("probe row queued");
-            let out = concat_rows(probe, &self.build_rows[bidx]);
-            ctx.count_output(self.id);
-            return Some(out);
-        }
-        None
     }
 }
 
@@ -162,82 +130,6 @@ impl Operator for HashJoinOp {
         self.build.open(ctx);
         self.probe.open(ctx);
         self.build_phase(ctx);
-    }
-
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        let factor = self.factor();
-        loop {
-            if let Some(row) = self.emit_pending(ctx) {
-                return Some(row);
-            }
-            if self.probe_done {
-                // FullOuter tail: unmatched build rows padded with NULLs on
-                // the probe side.
-                if self.kind == JoinKind::FullOuter {
-                    while self.unmatched_pos < self.build_rows.len() {
-                        let i = self.unmatched_pos;
-                        self.unmatched_pos += 1;
-                        if !self.matched[i] {
-                            let pad = super::null_row(self.probe_arity);
-                            ctx.count_output(self.id);
-                            return Some(concat_rows(&pad, &self.build_rows[i]));
-                        }
-                    }
-                }
-                self.done = true;
-                ctx.mark_close(self.id);
-                return None;
-            }
-            // Pull the next probe row.
-            let Some(probe_row) = self.probe.next(ctx) else {
-                self.probe_done = true;
-                continue;
-            };
-            ctx.count_input(self.id, 1);
-            ctx.charge_cpu(self.id, ctx.cost.hash_probe_row_ns * factor);
-            let key = key_of(&probe_row, &self.probe_keys);
-            let matches: &[usize] = if key_has_null(&key) {
-                &[]
-            } else {
-                self.map.get(&key).map_or(&[][..], |v| &v[..])
-            };
-            match self.kind {
-                JoinKind::Inner => {
-                    if !matches.is_empty() {
-                        self.pending = matches.to_vec();
-                        self.pending_pos = 0;
-                        self.pending_probe = Some(probe_row);
-                    }
-                }
-                JoinKind::LeftOuter | JoinKind::FullOuter => {
-                    if matches.is_empty() {
-                        ctx.count_output(self.id);
-                        return Some(concat_rows(&probe_row, &super::null_row(self.build_arity)));
-                    }
-                    self.pending = matches.to_vec();
-                    self.pending_pos = 0;
-                    self.pending_probe = Some(probe_row);
-                }
-                JoinKind::LeftSemi => {
-                    if !matches.is_empty() {
-                        for &m in matches {
-                            self.matched[m] = true;
-                        }
-                        ctx.count_output(self.id);
-                        return Some(probe_row);
-                    }
-                }
-                JoinKind::LeftAnti => {
-                    if matches.is_empty() {
-                        ctx.count_output(self.id);
-                        return Some(probe_row);
-                    }
-                }
-            }
-        }
     }
 
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
@@ -354,7 +246,7 @@ impl Operator for HashJoinOp {
                             padded += 1;
                         }
                     }
-                    ctx.count_output_batch(self.id, padded);
+                    ctx.count_output(self.id, padded);
                 }
                 if appended > 0 {
                     break;
@@ -399,6 +291,7 @@ impl Operator for HashJoinOp {
 mod tests {
     use super::*;
     use crate::ops::scan::ConstantScanOp;
+    use crate::ops::testing::drain;
     use lqs_plan::CostModel;
     use lqs_storage::Database;
 
@@ -427,10 +320,7 @@ mod tests {
             p,
         );
         j.open(&ctx);
-        let mut out = Vec::new();
-        while let Some(r) = j.next(&ctx) {
-            out.push(r.to_vec());
-        }
+        let out = drain(&mut j, &ctx).iter().map(|r| r.to_vec()).collect();
         j.close(&ctx);
         out
     }
@@ -503,10 +393,10 @@ mod tests {
 
     #[test]
     fn rewind_mid_batch_discards_scratch_and_pending() {
-        // Batched path: a small limit against a multi-match build leaves
-        // probe rows staged in scratch and matches queued in pending; a
-        // rewind at that point must discard both, rebuild, and replay the
-        // complete join output.
+        // A small limit against a multi-match build leaves probe rows
+        // staged in scratch and matches queued in pending; a rewind at that
+        // point must discard both, rebuild, and replay the complete join
+        // output.
         let db = Database::new();
         let ctx = ExecContext::new(&db, 3, 1, u64::MAX, CostModel::default());
         let build: Vec<Vec<Value>> = (0..4).map(|v| vec![Value::Int(1), Value::Int(v)]).collect();
@@ -590,7 +480,7 @@ mod tests {
             p,
         );
         j.open(&ctx);
-        // Build side (node 0) fully consumed before any next().
+        // Build side (node 0) fully consumed before any next_batch().
         assert_eq!(ctx.counters_of(NodeId(0)).rows_output, 2);
         assert_eq!(ctx.counters_of(NodeId(1)).rows_output, 0);
         j.close(&ctx);

@@ -5,7 +5,10 @@
 //! Duplicate right-side key groups are buffered so each matching left row
 //! joins the whole group.
 
-use super::{concat_rows, key_has_null, key_of, null_row, BoxedOperator, Operator};
+use super::{
+    concat_rows, key_has_null, key_of, null_row, pull_one, push_one, BoxedOperator, Operator,
+    RowBatch,
+};
 use crate::context::ExecContext;
 use lqs_plan::{JoinKind, NodeId};
 use lqs_storage::{Row, Value};
@@ -32,6 +35,8 @@ pub struct MergeJoinOp {
     emit_idx: usize,
     /// Whether the current left row already matched the current group.
     started: bool,
+    /// One-row batch both child pulls go through.
+    scratch: RowBatch,
     done: bool,
 }
 
@@ -65,12 +70,13 @@ impl MergeJoinOp {
             right_done: false,
             emit_idx: 0,
             started: false,
+            scratch: RowBatch::with_capacity(1),
             done: false,
         }
     }
 
     fn pull_left(&mut self, ctx: &ExecContext) {
-        match self.left.next(ctx) {
+        match pull_one(self.left.as_mut(), ctx, &mut self.scratch) {
             Some(r) => {
                 ctx.count_input(self.id, 1);
                 ctx.charge_cpu(self.id, ctx.cost.merge_row_ns);
@@ -90,7 +96,7 @@ impl MergeJoinOp {
         if self.right_done {
             return None;
         }
-        match self.right.next(ctx) {
+        match pull_one(self.right.as_mut(), ctx, &mut self.scratch) {
             Some(r) => {
                 ctx.count_input(self.id, 1);
                 ctx.charge_cpu(self.id, ctx.cost.merge_row_ns);
@@ -134,44 +140,33 @@ impl MergeJoinOp {
     }
 
     /// Handle a left row with no matching right group.
-    fn left_unmatched(&mut self, ctx: &ExecContext) -> Option<Row> {
+    fn left_unmatched(&mut self) -> Option<Row> {
         let left = self.cur_left.take().expect("left row present");
         match self.kind {
             JoinKind::LeftOuter | JoinKind::FullOuter => {
-                ctx.count_output(self.id);
                 Some(concat_rows(&left, &null_row(self.right_arity)))
             }
-            JoinKind::LeftAnti => {
-                ctx.count_output(self.id);
-                Some(left)
-            }
+            JoinKind::LeftAnti => Some(left),
             _ => None,
         }
     }
 
     /// Handle a right group with no matching left row (FullOuter only).
-    fn group_unmatched(&mut self, ctx: &ExecContext) -> Option<Row> {
+    fn group_unmatched(&mut self) -> Option<Row> {
         if self.kind == JoinKind::FullOuter
             && !self.group_matched
             && self.emit_idx < self.group.len()
         {
             let r = self.group[self.emit_idx].clone();
             self.emit_idx += 1;
-            ctx.count_output(self.id);
             return Some(concat_rows(&null_row(self.left_arity), &r));
         }
         None
     }
-}
 
-impl Operator for MergeJoinOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
-        self.left.open(ctx);
-        self.right.open(ctx);
-    }
-
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
+    /// The merge state machine: the next joined row, or `None` when both
+    /// sides are exhausted.
+    fn next_row(&mut self, ctx: &ExecContext) -> Option<Row> {
         if self.done {
             return None;
         }
@@ -182,7 +177,6 @@ impl Operator for MergeJoinOp {
                     if self.emit_idx < self.group.len() {
                         let out = concat_rows(left, &self.group[self.emit_idx]);
                         self.emit_idx += 1;
-                        ctx.count_output(self.id);
                         return Some(out);
                     }
                 }
@@ -197,7 +191,7 @@ impl Operator for MergeJoinOp {
                 // Left exhausted: FullOuter drains remaining right rows.
                 if self.kind == JoinKind::FullOuter {
                     if !self.group_matched {
-                        if let Some(r) = self.group_unmatched(ctx) {
+                        if let Some(r) = self.group_unmatched() {
                             return Some(r);
                         }
                     }
@@ -212,7 +206,7 @@ impl Operator for MergeJoinOp {
             }
             let lkey = self.left_key();
             if key_has_null(&lkey) {
-                if let Some(r) = self.left_unmatched(ctx) {
+                if let Some(r) = self.left_unmatched() {
                     return Some(r);
                 }
                 continue;
@@ -229,7 +223,7 @@ impl Operator for MergeJoinOp {
                     Some(gk) if key_has_null(gk) || gk < &lkey => {
                         // Advance past this group; FullOuter emits it first.
                         if self.kind == JoinKind::FullOuter && !self.group_matched {
-                            if let Some(r) = self.group_unmatched(ctx) {
+                            if let Some(r) = self.group_unmatched() {
                                 return Some(r);
                             }
                         }
@@ -246,9 +240,7 @@ impl Operator for MergeJoinOp {
                     self.group_matched = true;
                     match self.kind {
                         JoinKind::LeftSemi => {
-                            let left = self.cur_left.take().expect("left present");
-                            ctx.count_output(self.id);
-                            return Some(left);
+                            return self.cur_left.take();
                         }
                         JoinKind::LeftAnti => {
                             self.cur_left = None;
@@ -261,12 +253,28 @@ impl Operator for MergeJoinOp {
                 }
                 _ => {
                     // No group matches this left row (right ahead/exhausted).
-                    if let Some(r) = self.left_unmatched(ctx) {
+                    if let Some(r) = self.left_unmatched() {
                         return Some(r);
                     }
                 }
             }
         }
+    }
+}
+
+impl Operator for MergeJoinOp {
+    fn open(&mut self, ctx: &ExecContext) {
+        ctx.mark_open(self.id);
+        self.left.open(ctx);
+        self.right.open(ctx);
+    }
+
+    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
+        if limit == 0 {
+            return true;
+        }
+        let row = self.next_row(ctx);
+        push_one(ctx, self.id, row, out)
     }
 
     fn close(&mut self, ctx: &ExecContext) {
@@ -296,6 +304,7 @@ impl Operator for MergeJoinOp {
 mod tests {
     use super::*;
     use crate::ops::scan::ConstantScanOp;
+    use crate::ops::testing::drain;
     use lqs_plan::CostModel;
     use lqs_storage::Database;
 
@@ -312,10 +321,7 @@ mod tests {
         let r = Box::new(ConstantScanOp::new(NodeId(1), right));
         let mut j = MergeJoinOp::new(NodeId(2), kind, vec![0], vec![0], 2, 2, l, r);
         j.open(&ctx);
-        let mut out = Vec::new();
-        while let Some(row) = j.next(&ctx) {
-            out.push(row.to_vec());
-        }
+        let out = drain(&mut j, &ctx).iter().map(|r| r.to_vec()).collect();
         j.close(&ctx);
         out
     }

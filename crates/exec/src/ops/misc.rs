@@ -3,7 +3,6 @@
 use super::{key_of, BoxedOperator, Operator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{BitmapId, NodeId};
-use lqs_storage::Row;
 
 /// UNION ALL: drains each child in order.
 pub struct ConcatOp {
@@ -32,26 +31,6 @@ impl Operator for ConcatOp {
         }
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        while self.current < self.children.len() {
-            match self.children[self.current].next(ctx) {
-                Some(row) => {
-                    ctx.count_input(self.id, 1);
-                    ctx.charge_cpu(self.id, 2.0);
-                    ctx.count_output(self.id);
-                    return Some(row);
-                }
-                None => self.current += 1,
-            }
-        }
-        self.done = true;
-        ctx.mark_close(self.id);
-        None
-    }
-
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
         if self.done {
             return false;
@@ -73,9 +52,8 @@ impl Operator for ConcatOp {
                 for _ in 0..got {
                     scope.cpu(2.0);
                 }
-                scope.finish();
                 ctx.count_input(self.id, got);
-                ctx.count_output_batch(self.id, got);
+                scope.finish_emitting(got);
             }
             return true;
         }
@@ -140,27 +118,6 @@ impl Operator for BitmapCreateOp {
         self.child.open(ctx);
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        let Some(row) = self.child.next(ctx) else {
-            self.done = true;
-            ctx.emit_bitmap_built(self.id, self.keys_inserted);
-            ctx.mark_close(self.id);
-            return None;
-        };
-        ctx.count_input(self.id, 1);
-        ctx.charge_cpu(self.id, ctx.cost.bitmap_row_ns);
-        let key = key_of(&row, &self.key_columns);
-        if !super::key_has_null(&key) {
-            ctx.bitmap_insert(self.bitmap, &key, self.capacity_hint);
-            self.keys_inserted += 1;
-        }
-        ctx.count_output(self.id);
-        Some(row)
-    }
-
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
         if self.done {
             return false;
@@ -188,9 +145,8 @@ impl Operator for BitmapCreateOp {
                     self.keys_inserted += 1;
                 }
             }
-            scope.finish();
             ctx.count_input(self.id, got);
-            ctx.count_output_batch(self.id, got);
+            scope.finish_emitting(got);
         }
         true
     }
@@ -212,6 +168,7 @@ impl Operator for BitmapCreateOp {
 mod tests {
     use super::*;
     use crate::ops::scan::ConstantScanOp;
+    use crate::ops::testing::drain;
     use lqs_plan::CostModel;
     use lqs_storage::{Database, Value};
 
@@ -226,10 +183,10 @@ mod tests {
         let c2 = Box::new(ConstantScanOp::new(NodeId(1), vec![vec![Value::Int(3)]]));
         let mut cat = ConcatOp::new(NodeId(2), vec![c1, c2]);
         cat.open(&ctx);
-        let mut vals = Vec::new();
-        while let Some(r) = cat.next(&ctx) {
-            vals.push(r[0].as_int().unwrap());
-        }
+        let vals: Vec<i64> = drain(&mut cat, &ctx)
+            .iter()
+            .map(|r| r[0].as_int().unwrap())
+            .collect();
         assert_eq!(vals, vec![1, 2, 3]);
         cat.close(&ctx);
     }
@@ -244,11 +201,8 @@ mod tests {
         ));
         let mut op = BitmapCreateOp::new(NodeId(1), vec![0], BitmapId(0), 64, child);
         op.open(&ctx);
-        let mut n = 0;
-        while op.next(&ctx).is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 2); // rows pass through, including the null-key row
+        // Rows pass through, including the null-key row.
+        assert_eq!(drain(&mut op, &ctx).len(), 2);
         assert!(ctx.bitmap_may_contain(BitmapId(0), &[Value::Int(5)]));
         assert!(!ctx.bitmap_may_contain(BitmapId(0), &[Value::Int(6)]));
         op.close(&ctx);

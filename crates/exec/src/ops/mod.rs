@@ -1,15 +1,26 @@
 //! Physical operator implementations — the demand-driven iterator
 //! (`Open`/`GetNext`/`Close`) engine of the simulator.
 //!
+//! There is one GetNext: [`Operator::next_batch`]. The executor's batch
+//! size only sets the `limit` the root is driven with (1024 in production,
+//! 1 for a row-at-a-time run); every run, fault-injected or not, goes
+//! through the same operator code.
+//!
 //! Every operator:
 //! * charges virtual CPU/I-O to its plan node as it works,
-//! * increments its `kᵢ` (rows output) on every successful `next()`,
+//! * adds the rows it appended to its `kᵢ` (rows output) on every
+//!   `next_batch()`,
 //! * marks itself closed the first time it reports exhaustion,
 //!
 //! so DMV snapshots taken by the [`crate::context::ExecContext`] observe
 //! realistic mid-flight counter trajectories.
+//!
+//! Merge join, nested loops and exchange produce one row per call (their
+//! state machines are written against single rows); the rest fill `out` up
+//! to `limit`.
 
 use crate::context::ExecContext;
+use lqs_plan::NodeId;
 use lqs_storage::Row;
 
 mod agg;
@@ -24,15 +35,14 @@ mod seek;
 mod sort;
 mod spool;
 
-/// A batch of rows flowing between operators on the vectorized path.
+/// A batch of rows flowing between operators.
 ///
 /// A thin wrapper over `VecDeque<Row>` so the batch contract is visible in
 /// signatures: producers append with [`push`](RowBatch::push), consumers
 /// take rows *by move* with [`pop_front`](RowBatch::pop_front). Moving
 /// rather than cloning matters: a `Row` is an `Arc`, and a pipeline that
 /// cloned at every staging buffer would pay two atomic refcount operations
-/// per row per operator — which is most of what the vectorized path exists
-/// to avoid.
+/// per row per operator.
 #[derive(Debug, Default)]
 pub struct RowBatch {
     rows: std::collections::VecDeque<Row>,
@@ -136,40 +146,20 @@ impl<'b> IntoIterator for &'b RowBatch {
 pub trait Operator {
     /// Prepare for execution. Parents open children.
     fn open(&mut self, ctx: &ExecContext);
-    /// Produce the next row, or `None` when exhausted.
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row>;
-    /// Vectorized `GetNext`: append up to `limit` rows to `out`, charging
-    /// through the batched context methods. Returns `false` exactly when
-    /// this call appended **zero** rows and the operator is exhausted (the
-    /// per-batch analogue of `next() == None`).
+    /// `GetNext`: append up to `limit` rows to `out`. Returns `false`
+    /// exactly when this call appended **zero** rows and the operator is
+    /// exhausted; a `true` return with `limit > 0` appended at least one.
     ///
-    /// Contract, relied on for close-time equivalence with the per-tuple
-    /// path:
+    /// Contract, relied on for close times that do not depend on the batch
+    /// size:
     /// * a call returns as soon as it has appended at least one row — it
     ///   never pulls a child again once `out` has grown this call, so when
     ///   an operator observes its input exhausted (and stamps its close
     ///   time), no rows of that input are still buffered in an ancestor's
     ///   in-progress batch;
     /// * `false` is only returned by a call that appended nothing, and the
-    ///   operator marks itself closed on that call, exactly like `next()`
-    ///   returning `None`.
-    ///
-    /// The default implementation bridges to `next()` one row per call, so
-    /// operators gain batch support incrementally; single-row bridging (not
-    /// a fill loop) is what preserves the zero-rows-in-flight guarantee for
-    /// unconverted operators.
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if limit == 0 {
-            return true;
-        }
-        match self.next(ctx) {
-            Some(row) => {
-                out.push(row);
-                true
-            }
-            None => false,
-        }
-    }
+    ///   operator marks itself closed on that call.
+    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool;
     /// Release resources at end of query.
     fn close(&mut self, ctx: &ExecContext);
     /// Re-execute for a new correlation binding (the inner side of a
@@ -350,6 +340,40 @@ pub fn build_operator(
     }
 }
 
+/// Pull exactly one row from `child` through `scratch`, the caller's
+/// reusable one-row batch — how the row-at-a-time operators (merge join,
+/// nested-loops inner side) consume a child.
+pub(crate) fn pull_one(
+    child: &mut dyn Operator,
+    ctx: &ExecContext,
+    scratch: &mut RowBatch,
+) -> Option<Row> {
+    debug_assert!(scratch.is_empty(), "pull_one scratch holds a stale row");
+    if child.next_batch(ctx, scratch, 1) {
+        scratch.pop_front()
+    } else {
+        None
+    }
+}
+
+/// The `next_batch` tail of a row-at-a-time operator: count and append the
+/// one row its state machine produced, or report exhaustion. One row per
+/// call (not a fill loop) is what keeps the zero-rows-in-flight guarantee
+/// of [`Operator::next_batch`] for these operators.
+pub(crate) fn push_one(
+    ctx: &ExecContext,
+    id: NodeId,
+    row: Option<Row>,
+    out: &mut RowBatch,
+) -> bool {
+    let Some(row) = row else {
+        return false;
+    };
+    ctx.count_output(id, 1);
+    out.push(row);
+    true
+}
+
 /// Concatenate two rows.
 pub(crate) fn concat_rows(a: &[lqs_storage::Value], b: &[lqs_storage::Value]) -> Row {
     a.iter().chain(b.iter()).cloned().collect::<Vec<_>>().into()
@@ -368,4 +392,20 @@ pub(crate) fn key_of(row: &[lqs_storage::Value], cols: &[usize]) -> Vec<lqs_stor
 /// Whether any component of a join key is NULL (null keys never join).
 pub(crate) fn key_has_null(key: &[lqs_storage::Value]) -> bool {
     key.iter().any(|v| v.is_null())
+}
+
+/// Shared pull helpers for the in-file operator unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::{pull_one, ExecContext, Operator, Row, RowBatch};
+
+    /// Pull one row (`limit = 1`), or `None` at exhaustion.
+    pub(crate) fn pull(op: &mut dyn Operator, ctx: &ExecContext) -> Option<Row> {
+        pull_one(op, ctx, &mut RowBatch::default())
+    }
+
+    /// Pull row by row until exhausted.
+    pub(crate) fn drain(op: &mut dyn Operator, ctx: &ExecContext) -> Vec<Row> {
+        std::iter::from_fn(|| pull(op, ctx)).collect()
+    }
 }

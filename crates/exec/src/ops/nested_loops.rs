@@ -12,7 +12,7 @@
 //! started (the failure mode the paper describes for driver-node progress).
 
 use super::sort::CONSUME_BATCH;
-use super::{concat_rows, null_row, BoxedOperator, Operator, RowBatch};
+use super::{concat_rows, null_row, pull_one, push_one, BoxedOperator, Operator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{Expr, JoinKind, NodeId};
 use lqs_storage::Row;
@@ -33,6 +33,8 @@ pub struct NestedLoopsOp {
     ctx_pushed: bool,
     inner_opened: bool,
     cur_matched: bool,
+    /// One-row batch the inner-side pulls go through.
+    inner_scratch: RowBatch,
     done: bool,
 }
 
@@ -64,40 +66,28 @@ impl NestedLoopsOp {
             ctx_pushed: false,
             inner_opened: false,
             cur_matched: false,
+            inner_scratch: RowBatch::with_capacity(1),
             done: false,
         }
     }
 
     /// Prefetch up to `outer_buffer` outer rows (semi-blocking behaviour).
     fn refill(&mut self, ctx: &ExecContext) {
-        if ctx.batch_path_ok() {
-            let mut scratch = RowBatch::with_capacity(CONSUME_BATCH.min(self.outer_buffer));
-            while self.buffer.len() < self.outer_buffer && !self.outer_done {
-                let want = (self.outer_buffer - self.buffer.len()).min(CONSUME_BATCH);
-                scratch.clear();
-                if !self.outer.next_batch(ctx, &mut scratch, want) {
-                    self.outer_done = true;
-                    break;
-                }
-                ctx.count_input(self.id, scratch.len() as u64);
-                let mut scope = ctx.batch_charge(self.id);
-                while let Some(row) = scratch.pop_front() {
-                    scope.cpu(ctx.cost.nl_outer_row_ns);
-                    self.buffer.push_back(row);
-                }
-                scope.finish();
+        let mut scratch = RowBatch::with_capacity(CONSUME_BATCH.min(self.outer_buffer));
+        while self.buffer.len() < self.outer_buffer && !self.outer_done {
+            let want = (self.outer_buffer - self.buffer.len()).min(CONSUME_BATCH);
+            scratch.clear();
+            if !self.outer.next_batch(ctx, &mut scratch, want) {
+                self.outer_done = true;
+                break;
             }
-        } else {
-            while self.buffer.len() < self.outer_buffer && !self.outer_done {
-                match self.outer.next(ctx) {
-                    Some(r) => {
-                        ctx.count_input(self.id, 1);
-                        ctx.charge_cpu(self.id, ctx.cost.nl_outer_row_ns);
-                        self.buffer.push_back(r);
-                    }
-                    None => self.outer_done = true,
-                }
+            ctx.count_input(self.id, scratch.len() as u64);
+            let mut scope = ctx.batch_charge(self.id);
+            while let Some(row) = scratch.pop_front() {
+                scope.cpu(ctx.cost.nl_outer_row_ns);
+                self.buffer.push_back(row);
             }
+            scope.finish();
         }
         ctx.set_buffered(self.id, self.buffer.len() as u64);
     }
@@ -129,17 +119,10 @@ impl NestedLoopsOp {
         }
         true
     }
-}
 
-impl Operator for NestedLoopsOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
-        self.outer.open(ctx);
-        // The inner child is opened lazily, once a correlation binding
-        // exists.
-    }
-
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
+    /// The join loop: the next output row, or `None` once the outer side
+    /// is exhausted.
+    fn next_row(&mut self, ctx: &ExecContext) -> Option<Row> {
         if self.done {
             return None;
         }
@@ -150,7 +133,7 @@ impl Operator for NestedLoopsOp {
                 return None;
             }
             let outer = self.cur_outer.clone().expect("bound above");
-            match self.inner.next(ctx) {
+            match pull_one(self.inner.as_mut(), ctx, &mut self.inner_scratch) {
                 Some(inner_row) => {
                     ctx.count_input(self.id, 1);
                     ctx.charge_cpu(self.id, ctx.cost.nl_pair_ns);
@@ -163,13 +146,11 @@ impl Operator for NestedLoopsOp {
                     match self.kind {
                         JoinKind::Inner | JoinKind::LeftOuter => {
                             self.cur_matched = true;
-                            ctx.count_output(self.id);
                             return Some(combined);
                         }
                         JoinKind::LeftSemi => {
                             // One match suffices; move to the next outer row.
                             self.cur_outer = None;
-                            ctx.count_output(self.id);
                             return Some(outer);
                         }
                         JoinKind::LeftAnti => {
@@ -186,18 +167,31 @@ impl Operator for NestedLoopsOp {
                     self.cur_outer = None;
                     match self.kind {
                         JoinKind::LeftOuter if unmatched => {
-                            ctx.count_output(self.id);
                             return Some(concat_rows(&outer, &null_row(self.inner_arity)));
                         }
-                        JoinKind::LeftAnti if unmatched => {
-                            ctx.count_output(self.id);
-                            return Some(outer);
-                        }
+                        JoinKind::LeftAnti if unmatched => return Some(outer),
                         _ => {}
                     }
                 }
             }
         }
+    }
+}
+
+impl Operator for NestedLoopsOp {
+    fn open(&mut self, ctx: &ExecContext) {
+        ctx.mark_open(self.id);
+        self.outer.open(ctx);
+        // The inner child is opened lazily, once a correlation binding
+        // exists.
+    }
+
+    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
+        if limit == 0 {
+            return true;
+        }
+        let row = self.next_row(ctx);
+        push_one(ctx, self.id, row, out)
     }
 
     fn close(&mut self, ctx: &ExecContext) {
@@ -235,6 +229,7 @@ impl Operator for NestedLoopsOp {
 mod tests {
     use super::*;
     use crate::ops::scan::ConstantScanOp;
+    use crate::ops::testing::{drain, pull};
     use lqs_plan::{CostModel, Expr};
     use lqs_storage::{Database, Value};
 
@@ -255,10 +250,7 @@ mod tests {
         let i = Box::new(ConstantScanOp::new(NodeId(1), inner));
         let mut j = NestedLoopsOp::new(NodeId(2), kind, pred, buffer, 1, o, i);
         j.open(&ctx);
-        let mut out = Vec::new();
-        while let Some(r) = j.next(&ctx) {
-            out.push(r.to_vec());
-        }
+        let out = drain(&mut j, &ctx).iter().map(|r| r.to_vec()).collect();
         j.close(&ctx);
         out
     }
@@ -314,7 +306,7 @@ mod tests {
         let i = Box::new(ConstantScanOp::new(NodeId(1), rows(&[1])));
         let mut j = NestedLoopsOp::new(NodeId(2), JoinKind::Inner, None, usize::MAX, 1, o, i);
         j.open(&ctx);
-        let first = j.next(&ctx).unwrap();
+        let first = pull(&mut j, &ctx).unwrap();
         assert_eq!(first[0], Value::Int(1));
         // Outer child fully consumed already.
         assert_eq!(ctx.counters_of(NodeId(0)).rows_output, 5);
@@ -334,7 +326,7 @@ mod tests {
         let i = Box::new(ConstantScanOp::new(NodeId(1), rows(&[1])));
         let mut j = NestedLoopsOp::new(NodeId(2), JoinKind::Inner, None, 64, 1, o, i);
         j.open(&ctx);
-        let _ = j.next(&ctx);
+        let _ = pull(&mut j, &ctx);
         assert!(ctx.counters_of(NodeId(2)).rows_buffered > 0);
         j.rewind(&ctx);
         assert_eq!(ctx.counters_of(NodeId(2)).rows_buffered, 0);
@@ -343,9 +335,9 @@ mod tests {
 
     #[test]
     fn rewind_mid_batch_restarts_outer() {
-        // Batched path: the outer prefetch buffer is filled by the
-        // vectorized refill; a rewind with rows still buffered must discard
-        // them, zero the gauge, and replay the full cross product.
+        // The outer prefetch buffer is filled in chunks; a rewind with rows
+        // still buffered must discard them, zero the gauge, and replay the
+        // full cross product.
         let db = Database::new();
         let ctx = ExecContext::new(&db, 3, 0, u64::MAX, CostModel::default());
         let o = Box::new(ConstantScanOp::new(NodeId(0), rows(&[1, 2, 3, 4, 5])));
@@ -379,7 +371,7 @@ mod tests {
         let i = Box::new(ConstantScanOp::new(NodeId(1), rows(&[7])));
         let mut j = NestedLoopsOp::new(NodeId(2), JoinKind::Inner, None, 1, 1, o, i);
         j.open(&ctx);
-        while j.next(&ctx).is_some() {}
+        drain(&mut j, &ctx);
         // Inner executed 3 times (1 open + 2 rewinds), emitting 3 rows total.
         assert_eq!(ctx.counters_of(NodeId(1)).executions, 3);
         assert_eq!(ctx.counters_of(NodeId(1)).rows_output, 3);

@@ -14,9 +14,7 @@ use lqs_storage::{ColumnstoreId, IndexId, Row, RowId, TableId, Value};
 pub struct TableScanOp {
     id: NodeId,
     table: TableId,
-    predicate: Option<Expr>,
-    /// Specialized form of `predicate` for the batch loop (same results).
-    compiled: Option<CompiledPredicate>,
+    predicate: Option<CompiledPredicate>,
     bitmap: Option<BitmapProbe>,
     pos: RowId,
     last_page: Option<usize>,
@@ -33,8 +31,7 @@ impl TableScanOp {
         TableScanOp {
             id,
             table,
-            compiled: predicate.as_ref().map(CompiledPredicate::compile),
-            predicate,
+            predicate: predicate.as_ref().map(CompiledPredicate::compile),
             bitmap,
             pos: 0,
             last_page: None,
@@ -46,43 +43,6 @@ impl TableScanOp {
 impl Operator for TableScanOp {
     fn open(&mut self, ctx: &ExecContext) {
         ctx.mark_open(self.id);
-    }
-
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        let table = ctx.db.table(self.table);
-        loop {
-            if self.pos >= table.row_count() {
-                self.done = true;
-                ctx.mark_close(self.id);
-                return None;
-            }
-            let rid = self.pos;
-            self.pos += 1;
-            let page = table.page_of(rid);
-            if self.last_page != Some(page) {
-                self.last_page = Some(page);
-                ctx.charge_io(self.id, 1);
-            }
-            let preds = self.predicate.is_some() as u8 as f64;
-            ctx.charge_cpu(self.id, ctx.cost.scan_row_ns + preds * ctx.cost.pred_row_ns);
-            let row = table.row(rid);
-            if let Some(p) = &self.predicate {
-                if !p.matches(row) {
-                    continue;
-                }
-            }
-            if let Some(bp) = &self.bitmap {
-                let key = key_of(row, &bp.key_columns);
-                if !ctx.bitmap_may_contain(bp.bitmap, &key) {
-                    continue;
-                }
-            }
-            ctx.count_output(self.id);
-            return Some(row.clone());
-        }
     }
 
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
@@ -116,7 +76,7 @@ impl Operator for TableScanOp {
             }
             scope.cpu(row_cpu);
             let row = table.row(rid);
-            if let Some(p) = &self.compiled {
+            if let Some(p) = &self.predicate {
                 if !p.matches(row) {
                     continue;
                 }
@@ -130,8 +90,7 @@ impl Operator for TableScanOp {
             out.push(row.clone());
             appended += 1;
         }
-        scope.finish();
-        ctx.count_output_batch(self.id, appended as u64);
+        scope.finish_emitting(appended as u64);
         true
     }
 
@@ -152,9 +111,7 @@ impl Operator for TableScanOp {
 pub struct IndexScanOp {
     id: NodeId,
     index: IndexId,
-    predicate: Option<Expr>,
-    /// Specialized form of `predicate` for the batch loop (same results).
-    compiled: Option<CompiledPredicate>,
+    predicate: Option<CompiledPredicate>,
     bitmap: Option<BitmapProbe>,
     output: IndexOutput,
     /// Materialized `(leaf_ordinal, rid)` in key order (lazily filled).
@@ -175,8 +132,7 @@ impl IndexScanOp {
         IndexScanOp {
             id,
             index,
-            compiled: predicate.as_ref().map(CompiledPredicate::compile),
-            predicate,
+            predicate: predicate.as_ref().map(CompiledPredicate::compile),
             bitmap,
             output,
             entries: None,
@@ -205,57 +161,6 @@ impl IndexScanOp {
 impl Operator for IndexScanOp {
     fn open(&mut self, ctx: &ExecContext) {
         ctx.mark_open(self.id);
-    }
-
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        if self.entries.is_none() {
-            self.entries = Some(
-                ctx.db
-                    .btree(self.index)
-                    .scan()
-                    .map(|(leaf, _, rid)| (leaf, rid))
-                    .collect(),
-            );
-        }
-        let table_id = ctx.db.btree_table(self.index);
-        loop {
-            let entries = self.entries.as_ref().expect("filled above");
-            if self.pos >= entries.len() {
-                self.done = true;
-                ctx.mark_close(self.id);
-                return None;
-            }
-            let (leaf, rid) = entries[self.pos];
-            self.pos += 1;
-            if self.last_leaf != Some(leaf) {
-                self.last_leaf = Some(leaf);
-                ctx.charge_io(self.id, 1);
-            }
-            let preds = self.predicate.is_some() as u8 as f64;
-            ctx.charge_cpu(self.id, ctx.cost.scan_row_ns + preds * ctx.cost.pred_row_ns);
-            let base = ctx.db.table(table_id).row(rid).clone();
-            if let Some(p) = &self.predicate {
-                if !p.matches(&base) {
-                    continue;
-                }
-            }
-            if let Some(bp) = &self.bitmap {
-                // Probe keys are ordinals in this scan's *output*; for
-                // KeyAndRid output they reference the key+rid layout.
-                let out = self.emit_row(ctx, rid);
-                let key = key_of(&out, &bp.key_columns);
-                if !ctx.bitmap_may_contain(bp.bitmap, &key) {
-                    continue;
-                }
-                ctx.count_output(self.id);
-                return Some(out);
-            }
-            ctx.count_output(self.id);
-            return Some(self.emit_row(ctx, rid));
-        }
     }
 
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
@@ -298,7 +203,7 @@ impl Operator for IndexScanOp {
             }
             scope.cpu(row_cpu);
             let base = ctx.db.table(table_id).row(rid);
-            if let Some(p) = &self.compiled {
+            if let Some(p) = &self.predicate {
                 if !p.matches(base) {
                     continue;
                 }
@@ -313,8 +218,7 @@ impl Operator for IndexScanOp {
             out.push(out_row);
             appended += 1;
         }
-        scope.finish();
-        ctx.count_output_batch(self.id, appended as u64);
+        scope.finish_emitting(appended as u64);
         true
     }
 
@@ -443,25 +347,6 @@ impl Operator for ColumnstoreScanOp {
         ctx.mark_open(self.id);
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        loop {
-            if self.pending_pos < self.pending.len() {
-                let row = self.pending[self.pending_pos].clone();
-                self.pending_pos += 1;
-                ctx.count_output(self.id);
-                return Some(row);
-            }
-            if !self.load_segment(ctx) {
-                self.done = true;
-                ctx.mark_close(self.id);
-                return None;
-            }
-        }
-    }
-
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
         if self.done {
             return false;
@@ -477,7 +362,7 @@ impl Operator for ColumnstoreScanOp {
                     out.push(self.pending[self.pending_pos].clone());
                     self.pending_pos += 1;
                 }
-                ctx.count_output_batch(self.id, n as u64);
+                ctx.count_output(self.id, n as u64);
                 return true;
             }
             if !self.load_segment(ctx) {
@@ -525,21 +410,6 @@ impl Operator for ConstantScanOp {
         ctx.mark_open(self.id);
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done || self.pos >= self.rows.len() {
-            if !self.done {
-                self.done = true;
-                ctx.mark_close(self.id);
-            }
-            return None;
-        }
-        let row: Row = self.rows[self.pos].clone().into();
-        self.pos += 1;
-        ctx.charge_cpu(self.id, 2.0);
-        ctx.count_output(self.id);
-        Some(row)
-    }
-
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
         if self.done {
             return false;
@@ -559,8 +429,7 @@ impl Operator for ConstantScanOp {
             out.push(self.rows[self.pos].clone().into());
             self.pos += 1;
         }
-        scope.finish();
-        ctx.count_output_batch(self.id, n as u64);
+        scope.finish_emitting(n as u64);
         true
     }
 

@@ -105,33 +105,6 @@ impl Operator for IndexSeekOp {
         self.done = false;
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        if !self.executed {
-            self.executed = true;
-            self.run_seek(ctx);
-        }
-        let table_id = ctx.db.btree_table(self.index);
-        while self.pos < self.rids.len() {
-            let rid = self.rids[self.pos];
-            self.pos += 1;
-            ctx.charge_cpu(self.id, ctx.cost.seek_row_ns);
-            if let Some(r) = &self.residual {
-                let base = ctx.db.table(table_id).row(rid);
-                if !r.matches(base) {
-                    continue;
-                }
-            }
-            ctx.count_output(self.id);
-            return Some(self.emit_row(ctx, rid));
-        }
-        self.done = true;
-        ctx.mark_close(self.id);
-        None
-    }
-
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
         if self.done {
             return false;
@@ -145,27 +118,29 @@ impl Operator for IndexSeekOp {
         }
         let table_id = ctx.db.btree_table(self.index);
         let mut appended = 0u64;
-        let mut scope = ctx.batch_charge(self.id);
-        while self.pos < self.rids.len() && (appended as usize) < limit {
-            let rid = self.rids[self.pos];
-            self.pos += 1;
-            scope.cpu(ctx.cost.seek_row_ns);
-            if let Some(r) = &self.residual {
-                let base = ctx.db.table(table_id).row(rid);
-                if !r.matches(base) {
-                    continue;
+        // An exhausted seek (every rebind ends on one) opens no scope.
+        if self.pos < self.rids.len() {
+            let mut scope = ctx.batch_charge(self.id);
+            while self.pos < self.rids.len() && (appended as usize) < limit {
+                let rid = self.rids[self.pos];
+                self.pos += 1;
+                scope.cpu(ctx.cost.seek_row_ns);
+                if let Some(r) = &self.residual {
+                    let base = ctx.db.table(table_id).row(rid);
+                    if !r.matches(base) {
+                        continue;
+                    }
                 }
+                out.push(self.emit_row(ctx, rid));
+                appended += 1;
             }
-            out.push(self.emit_row(ctx, rid));
-            appended += 1;
+            scope.finish_emitting(appended);
         }
-        scope.finish();
         if appended == 0 {
             self.done = true;
             ctx.mark_close(self.id);
             return false;
         }
-        ctx.count_output_batch(self.id, appended);
         true
     }
 
@@ -211,27 +186,6 @@ impl Operator for RidLookupOp {
         self.child.open(ctx);
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        let Some(row) = self.child.next(ctx) else {
-            self.done = true;
-            ctx.mark_close(self.id);
-            return None;
-        };
-        ctx.count_input(self.id, 1);
-        let rid = row
-            .last()
-            .and_then(Value::as_int)
-            .expect("RID Lookup child must emit a trailing integer RID") as RowId;
-        ctx.charge_io(self.id, ctx.cost.rid_lookup_pages as u64);
-        ctx.charge_cpu(self.id, ctx.cost.seek_row_ns);
-        let base = ctx.db.table(self.table).row(rid).clone();
-        ctx.count_output(self.id);
-        Some(base)
-    }
-
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
         if self.done {
             return false;
@@ -260,9 +214,8 @@ impl Operator for RidLookupOp {
             scope.cpu(ctx.cost.seek_row_ns);
             *row = ctx.db.table(self.table).row(rid).clone();
         }
-        scope.finish();
         ctx.count_input(self.id, n as u64);
-        ctx.count_output_batch(self.id, n as u64);
+        scope.finish_emitting(n as u64);
         true
     }
 

@@ -61,34 +61,19 @@ impl SortOp {
         // Per-row input cost: comparisons against the run being built. The
         // log factor uses the limit for Top N sorts (bounded heap).
         let top_n_depth = self.top_n.map(|n| CostModel::log2_rows(n as f64));
-        if ctx.batch_path_ok() {
-            // Blocking consume already multi-pulls within one `next()`, so
-            // batching it changes no close event; charge totals are
-            // order-independent, keeping the clock and final counters
-            // bit-identical to the per-tuple loop.
-            let mut scratch = super::RowBatch::with_capacity(CONSUME_BATCH);
-            while self.child.next_batch(ctx, &mut scratch, CONSUME_BATCH) {
-                ctx.count_input(self.id, scratch.len() as u64);
-                let mut scope = ctx.batch_charge(self.id);
-                while let Some(row) = scratch.pop_front() {
-                    let depth = top_n_depth
-                        .unwrap_or_else(|| CostModel::log2_rows((self.buffer.len() + 1) as f64));
-                    scope.cpu(ctx.cost.sort_cmp_ns * depth * ctx.cost.sort_input_fraction);
-                    self.buffer.push(row);
-                }
-                scope.finish();
-            }
-        } else {
-            while let Some(row) = self.child.next(ctx) {
-                ctx.count_input(self.id, 1);
+        // A blocking consume multi-pulls within one `next_batch()` whatever
+        // the caller's limit, so its chunk size changes no close event.
+        let mut scratch = RowBatch::with_capacity(CONSUME_BATCH);
+        while self.child.next_batch(ctx, &mut scratch, CONSUME_BATCH) {
+            ctx.count_input(self.id, scratch.len() as u64);
+            let mut scope = ctx.batch_charge(self.id);
+            while let Some(row) = scratch.pop_front() {
                 let depth = top_n_depth
                     .unwrap_or_else(|| CostModel::log2_rows((self.buffer.len() + 1) as f64));
-                ctx.charge_cpu(
-                    self.id,
-                    ctx.cost.sort_cmp_ns * depth * ctx.cost.sort_input_fraction,
-                );
+                scope.cpu(ctx.cost.sort_cmp_ns * depth * ctx.cost.sort_input_fraction);
                 self.buffer.push(row);
             }
+            scope.finish();
         }
         let keys = self.keys.clone();
         self.buffer.sort_by(|a, b| compare_rows(&keys, a, b));
@@ -124,29 +109,6 @@ impl Operator for SortOp {
         self.child.open(ctx);
     }
 
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        if matches!(self.phase, Phase::Input) {
-            self.consume_input(ctx);
-        }
-        if self.pos >= self.buffer.len() {
-            self.done = true;
-            ctx.mark_close(self.id);
-            return None;
-        }
-        let row = self.buffer[self.pos].clone();
-        self.pos += 1;
-        let log_n = CostModel::log2_rows(self.buffer.len() as f64);
-        ctx.charge_cpu(
-            self.id,
-            ctx.cost.sort_cmp_ns * log_n * (1.0 - ctx.cost.sort_input_fraction),
-        );
-        ctx.count_output(self.id);
-        Some(row)
-    }
-
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
         if self.done {
             return false;
@@ -170,9 +132,8 @@ impl Operator for SortOp {
             scope.cpu(row_cpu);
             out.push(row.clone());
         }
-        scope.finish();
         self.pos += n;
-        ctx.count_output_batch(self.id, n as u64);
+        scope.finish_emitting(n as u64);
         true
     }
 
@@ -199,6 +160,7 @@ mod tests {
     use super::*;
     use crate::context::ExecContext;
     use crate::ops::scan::ConstantScanOp;
+    use crate::ops::testing::{drain, pull};
     use lqs_storage::{Database, Value};
 
     fn run_sort(keys: Vec<SortKey>, top_n: Option<usize>, distinct: bool) -> Vec<i64> {
@@ -211,10 +173,10 @@ mod tests {
         let child = Box::new(ConstantScanOp::new(NodeId(0), rows));
         let mut sort = SortOp::new(NodeId(1), keys, top_n, distinct, child);
         sort.open(&ctx);
-        let mut out = Vec::new();
-        while let Some(r) = sort.next(&ctx) {
-            out.push(r[0].as_int().unwrap());
-        }
+        let out = drain(&mut sort, &ctx)
+            .iter()
+            .map(|r| r[0].as_int().unwrap())
+            .collect();
         sort.close(&ctx);
         out
     }
@@ -259,11 +221,12 @@ mod tests {
         let child = Box::new(ConstantScanOp::new(NodeId(0), rows));
         let mut sort = SortOp::new(NodeId(1), vec![SortKey::asc(0)], None, false, child);
         sort.open(&ctx);
-        // Before the first next(), nothing consumed.
+        // Before the first next_batch(), nothing consumed.
         assert_eq!(ctx.counters_of(NodeId(1)).rows_input, 0);
-        let first = sort.next(&ctx).unwrap();
+        let first = pull(&mut sort, &ctx).unwrap();
         assert_eq!(first[0], Value::Int(0));
-        // After the first next(), the entire input was consumed (blocking).
+        // After the first next_batch(), the entire input was consumed
+        // (blocking).
         let c = ctx.counters_of(NodeId(1));
         assert_eq!(c.rows_input, 100);
         assert_eq!(c.rows_output, 1);

@@ -21,7 +21,7 @@ pub struct SpoolOp {
     write_pending: f64,
     read_pending: f64,
     pos: usize,
-    /// Child rows staged during the lazy first pass (vectorized path only).
+    /// Child rows staged during the lazy first pass.
     scratch: RowBatch,
     /// True once the child is exhausted and `buffer` is complete.
     populated: bool,
@@ -47,47 +47,21 @@ impl SpoolOp {
         }
     }
 
-    fn charge_write(&mut self, ctx: &ExecContext) {
-        ctx.charge_cpu(self.id, ctx.cost.spool_write_row_ns);
-        self.write_pending += 1.0;
-        if self.write_pending >= ctx.cost.spool_rows_per_page {
-            self.write_pending -= ctx.cost.spool_rows_per_page;
-            ctx.charge_io(self.id, 1);
-        }
-    }
-
-    fn charge_read(&mut self, ctx: &ExecContext) {
-        ctx.charge_cpu(self.id, ctx.cost.spool_read_row_ns);
-        self.read_pending += 1.0;
-        if self.read_pending >= ctx.cost.spool_rows_per_page {
-            self.read_pending -= ctx.cost.spool_rows_per_page;
-            ctx.charge_io(self.id, 1);
-        }
-    }
-
     fn populate_all(&mut self, ctx: &ExecContext) {
-        if ctx.batch_path_ok() {
-            let mut scratch = RowBatch::with_capacity(CONSUME_BATCH);
-            while self.child.next_batch(ctx, &mut scratch, CONSUME_BATCH) {
-                ctx.count_input(self.id, scratch.len() as u64);
-                let mut scope = ctx.batch_charge(self.id);
-                while let Some(row) = scratch.pop_front() {
-                    scope.cpu(ctx.cost.spool_write_row_ns);
-                    self.write_pending += 1.0;
-                    if self.write_pending >= ctx.cost.spool_rows_per_page {
-                        self.write_pending -= ctx.cost.spool_rows_per_page;
-                        scope.io(1);
-                    }
-                    self.buffer.push(row);
+        let mut scratch = RowBatch::with_capacity(CONSUME_BATCH);
+        while self.child.next_batch(ctx, &mut scratch, CONSUME_BATCH) {
+            ctx.count_input(self.id, scratch.len() as u64);
+            let mut scope = ctx.batch_charge(self.id);
+            while let Some(row) = scratch.pop_front() {
+                scope.cpu(ctx.cost.spool_write_row_ns);
+                self.write_pending += 1.0;
+                if self.write_pending >= ctx.cost.spool_rows_per_page {
+                    self.write_pending -= ctx.cost.spool_rows_per_page;
+                    scope.io(1);
                 }
-                scope.finish();
-            }
-        } else {
-            while let Some(row) = self.child.next(ctx) {
-                ctx.count_input(self.id, 1);
-                self.charge_write(ctx);
                 self.buffer.push(row);
             }
+            scope.finish();
         }
         if !self.populated {
             self.populated = true;
@@ -100,49 +74,6 @@ impl Operator for SpoolOp {
     fn open(&mut self, ctx: &ExecContext) {
         ctx.mark_open(self.id);
         self.child.open(ctx);
-    }
-
-    fn next(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
-        if !self.lazy && !self.populated {
-            self.populate_all(ctx);
-            self.pos = 0;
-        }
-        if self.replaying || !self.lazy || self.populated {
-            // Serving from the buffer.
-            if self.pos < self.buffer.len() {
-                let row = self.buffer[self.pos].clone();
-                self.pos += 1;
-                self.charge_read(ctx);
-                ctx.count_output(self.id);
-                return Some(row);
-            }
-            if !self.lazy || self.populated || self.replaying {
-                self.done = true;
-                ctx.mark_close(self.id);
-                return None;
-            }
-        }
-        // Lazy first pass: copy through.
-        match self.child.next(ctx) {
-            Some(row) => {
-                ctx.count_input(self.id, 1);
-                self.charge_write(ctx);
-                self.buffer.push(row.clone());
-                self.pos = self.buffer.len();
-                ctx.count_output(self.id);
-                Some(row)
-            }
-            None => {
-                self.populated = true;
-                ctx.emit_phase(self.id, "write", "replay");
-                self.done = true;
-                ctx.mark_close(self.id);
-                None
-            }
-        }
     }
 
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
@@ -170,9 +101,8 @@ impl Operator for SpoolOp {
                     }
                     out.push(self.buffer[i].clone());
                 }
-                scope.finish();
                 self.pos += n;
-                ctx.count_output_batch(self.id, n as u64);
+                scope.finish_emitting(n as u64);
                 return true;
             }
             if !self.lazy || self.populated || self.replaying {
@@ -204,9 +134,8 @@ impl Operator for SpoolOp {
             self.buffer.push(row.clone());
             out.push(row);
         }
-        scope.finish();
         self.pos = self.buffer.len();
-        ctx.count_output_batch(self.id, n);
+        scope.finish_emitting(n);
         true
     }
 
@@ -237,19 +166,12 @@ impl Operator for SpoolOp {
 mod tests {
     use super::*;
     use crate::ops::scan::ConstantScanOp;
+    use crate::ops::testing::{drain, pull};
     use lqs_plan::CostModel;
     use lqs_storage::{Database, Value};
 
     fn rows(n: i64) -> Vec<Vec<Value>> {
         (0..n).map(|v| vec![Value::Int(v)]).collect()
-    }
-
-    fn drain(op: &mut dyn Operator, ctx: &ExecContext) -> usize {
-        let mut n = 0;
-        while op.next(ctx).is_some() {
-            n += 1;
-        }
-        n
     }
 
     #[test]
@@ -259,15 +181,15 @@ mod tests {
         let child = Box::new(ConstantScanOp::new(NodeId(0), rows(50)));
         let mut spool = SpoolOp::new(NodeId(1), false, child);
         spool.open(&ctx);
-        let first = spool.next(&ctx).unwrap();
+        let first = pull(&mut spool, &ctx).unwrap();
         assert_eq!(first[0], Value::Int(0));
         // Entire input consumed on first demand.
         assert_eq!(ctx.counters_of(NodeId(1)).rows_input, 50);
-        assert_eq!(drain(&mut spool, &ctx), 49);
+        assert_eq!(drain(&mut spool, &ctx).len(), 49);
         // Rewind replays without touching the child again.
         let child_k = ctx.counters_of(NodeId(0)).rows_output;
         spool.rewind(&ctx);
-        assert_eq!(drain(&mut spool, &ctx), 50);
+        assert_eq!(drain(&mut spool, &ctx).len(), 50);
         assert_eq!(ctx.counters_of(NodeId(0)).rows_output, child_k);
         spool.close(&ctx);
     }
@@ -279,12 +201,12 @@ mod tests {
         let child = Box::new(ConstantScanOp::new(NodeId(0), rows(50)));
         let mut spool = SpoolOp::new(NodeId(1), true, child);
         spool.open(&ctx);
-        let _ = spool.next(&ctx).unwrap();
+        let _ = pull(&mut spool, &ctx).unwrap();
         // Only one row consumed so far (pipelined).
         assert_eq!(ctx.counters_of(NodeId(1)).rows_input, 1);
-        assert_eq!(drain(&mut spool, &ctx), 49);
+        assert_eq!(drain(&mut spool, &ctx).len(), 49);
         spool.rewind(&ctx);
-        assert_eq!(drain(&mut spool, &ctx), 50);
+        assert_eq!(drain(&mut spool, &ctx).len(), 50);
         spool.close(&ctx);
     }
 

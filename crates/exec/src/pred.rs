@@ -1,13 +1,13 @@
-//! Predicate compilation for the vectorized path.
+//! Predicate compilation for the scan and filter loops.
 //!
 //! The interpreted [`Expr`] walk clones a [`Value`] per `Col`/`Lit` node
-//! and recurses through boxed children on every row — fine for the
-//! per-tuple reference path, but it dominates the per-row cost once the
-//! batch loop has eliminated staging clones. A [`CompiledPredicate`] is
-//! built once when the operator is constructed: the overwhelmingly common
-//! pushed-down shapes (`col <op> literal`, and conjunctions of those)
-//! evaluate with direct slice indexing and zero clones; anything else
-//! falls back to the interpreter, so compilation never changes results.
+//! and recurses through boxed children on every row, which dominates the
+//! per-row cost once the batch loop has eliminated staging clones. A
+//! [`CompiledPredicate`] is built once when the operator is constructed:
+//! the overwhelmingly common pushed-down shapes (`col <op> literal`, and
+//! conjunctions of those) evaluate with direct slice indexing and zero
+//! clones; anything else falls back to the interpreter, so compilation
+//! never changes results.
 
 use lqs_plan::{CmpOp, Expr};
 use lqs_storage::Value;

@@ -1,245 +1,25 @@
-//! Property tests for the batch/tuple equivalence contract: executing any
-//! plan with `ExecMode::Batch` must produce the same virtual-time totals,
-//! the same snapshot cadence, and bit-identical final counter rows as
-//! `ExecMode::Tuple` — except `first_row_ns`, which the vectorized path
-//! stamps at flush granularity (the one documented divergence).
+//! Property tests for the batch-size equivalence contract: there is one
+//! GetNext, so executing any plan one row at a time (`batch_size: 1`) and
+//! `batch_size: N` rows at a time must produce the same virtual-time
+//! totals, the same snapshot cadence, and bit-identical final counter rows
+//! — except `first_row_ns`, which is stamped when a charging scope settles
+//! and so lands later the more rows a scope covers (the one documented
+//! divergence).
 
+mod common;
+
+use common::{make_db, masked, opts, plan_of, spec_strategy};
 use lqs_exec::{execute, execute_traced, ExecMode, ExecOptions};
 use lqs_obs::{EventKind, RingBufferSink};
-use lqs_plan::{
-    AggFunc, Aggregate, ExchangeKind, Expr, JoinKind, NodeId, PhysicalPlan, PlanBuilder, SeekKey,
-    SeekRange, SortKey,
-};
-use lqs_storage::{Column, DataType, Database, Schema, Table, TableId, Value};
+use lqs_plan::{Aggregate, Expr, JoinKind, PhysicalPlan, PlanBuilder, SeekKey, SeekRange};
+use lqs_storage::Database;
 use proptest::prelude::*;
 
-/// A recursive plan specification the strategy generates. Mirrors the
-/// generator in `lqs-progress/tests/bounds_invariant.rs` so the equivalence
-/// contract is exercised over the same operator mix the bounds proofs use.
-#[derive(Debug, Clone)]
-enum Spec {
-    Scan { filtered: bool },
-    IndexedScan,
-    Filter(Box<Spec>, i64),
-    Sort(Box<Spec>),
-    TopNSort(Box<Spec>, usize),
-    Top(Box<Spec>, usize),
-    HashAgg(Box<Spec>, bool),
-    StreamAggScalar(Box<Spec>),
-    HashJoin(Box<Spec>, Box<Spec>, JoinKind),
-    MergeJoinSorted(Box<Spec>, Box<Spec>),
-    NestedLoopsSeek { outer: Box<Spec>, buffered: bool },
-    NestedLoopsSpool { outer: Box<Spec> },
-    Exchange(Box<Spec>),
-    Concat(Box<Spec>, Box<Spec>),
-}
-
-fn leaf() -> impl Strategy<Value = Spec> {
-    prop_oneof![
-        Just(Spec::Scan { filtered: false }),
-        Just(Spec::Scan { filtered: true }),
-        Just(Spec::IndexedScan),
-    ]
-}
-
-fn spec_strategy() -> impl Strategy<Value = Spec> {
-    leaf().prop_recursive(3, 12, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), 0i64..900).prop_map(|(s, t)| Spec::Filter(Box::new(s), t)),
-            inner.clone().prop_map(|s| Spec::Sort(Box::new(s))),
-            (inner.clone(), 1usize..200).prop_map(|(s, n)| Spec::TopNSort(Box::new(s), n)),
-            (inner.clone(), 1usize..200).prop_map(|(s, n)| Spec::Top(Box::new(s), n)),
-            (inner.clone(), any::<bool>()).prop_map(|(s, g)| Spec::HashAgg(Box::new(s), g)),
-            inner
-                .clone()
-                .prop_map(|s| Spec::StreamAggScalar(Box::new(s))),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Spec::HashJoin(
-                Box::new(a),
-                Box::new(b),
-                JoinKind::Inner
-            )),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Spec::HashJoin(
-                Box::new(a),
-                Box::new(b),
-                JoinKind::LeftSemi
-            )),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| Spec::HashJoin(
-                Box::new(a),
-                Box::new(b),
-                JoinKind::LeftOuter
-            )),
-            (inner.clone(), inner.clone())
-                .prop_map(|(a, b)| Spec::MergeJoinSorted(Box::new(a), Box::new(b))),
-            (inner.clone(), any::<bool>()).prop_map(|(o, b)| Spec::NestedLoopsSeek {
-                outer: Box::new(o),
-                buffered: b
-            }),
-            inner
-                .clone()
-                .prop_map(|o| Spec::NestedLoopsSpool { outer: Box::new(o) }),
-            inner.clone().prop_map(|s| Spec::Exchange(Box::new(s))),
-            (inner.clone(), inner).prop_map(|(a, b)| Spec::Concat(Box::new(a), Box::new(b))),
-        ]
-    })
-}
-
-struct Ctx {
-    db: Database,
-    table: TableId,
-    small: TableId,
-    index: lqs_storage::IndexId,
-}
-
-fn make_db(rows: i64, seed: i64) -> Ctx {
-    let mut t = Table::new(
-        "t",
-        Schema::new(vec![
-            Column::new("a", DataType::Int),
-            Column::new("b", DataType::Int),
-            Column::new("c", DataType::Int),
-        ]),
-    );
-    for i in 0..rows {
-        t.insert(vec![
-            Value::Int(i),
-            Value::Int((i * 7 + seed) % 1000),
-            Value::Int((i * i + seed) % 50),
-        ])
-        .unwrap();
-    }
-    let mut s = Table::new(
-        "s",
-        Schema::new(vec![
-            Column::new("a", DataType::Int),
-            Column::new("b", DataType::Int),
-        ]),
-    );
-    for i in 0..40 {
-        s.insert(vec![Value::Int(i), Value::Int((i + seed) % 7)])
-            .unwrap();
-    }
-    let mut db = Database::new();
-    let table = db.add_table_analyzed(t);
-    let small = db.add_table_analyzed(s);
-    let index = db.create_btree_index("ix_c", table, vec![2], false);
-    Ctx {
-        db,
-        table,
-        small,
-        index,
-    }
-}
-
-/// Build the spec into a plan node; always emits ≥ 2 int columns so every
-/// wrapper can reference columns 0 and 1.
-fn build(b: &mut PlanBuilder, ctx: &Ctx, spec: &Spec, depth: usize) -> NodeId {
-    let base = if depth.is_multiple_of(2) {
-        ctx.table
-    } else {
-        ctx.small
-    };
-    match spec {
-        Spec::Scan { filtered } => {
-            if *filtered {
-                b.table_scan_filtered(base, Expr::col(1).lt(Expr::lit(500i64)), true)
-            } else {
-                b.table_scan(base)
-            }
-        }
-        Spec::IndexedScan => b.index_scan(ctx.index),
-        Spec::Filter(inner, t) => {
-            let c = build(b, ctx, inner, depth + 1);
-            b.filter(c, Expr::col(1).lt(Expr::lit(*t)))
-        }
-        Spec::Sort(inner) => {
-            let c = build(b, ctx, inner, depth + 1);
-            b.sort(c, vec![SortKey::asc(0)])
-        }
-        Spec::TopNSort(inner, n) => {
-            let c = build(b, ctx, inner, depth + 1);
-            b.top_n_sort(c, *n, vec![SortKey::asc(0)])
-        }
-        Spec::Top(inner, n) => {
-            let c = build(b, ctx, inner, depth + 1);
-            b.add(lqs_plan::PhysicalOp::Top { n: *n }, vec![c])
-        }
-        Spec::HashAgg(inner, grouped) => {
-            let c = build(b, ctx, inner, depth + 1);
-            let group = if *grouped { vec![1] } else { vec![] };
-            let agg = b.hash_aggregate(c, group, vec![Aggregate::of_col(AggFunc::Sum, 0)]);
-            b.compute_scalar(agg, vec![Expr::lit(0i64)])
-        }
-        Spec::StreamAggScalar(inner) => {
-            let c = build(b, ctx, inner, depth + 1);
-            let agg = b.stream_aggregate(c, vec![], vec![Aggregate::count_star()]);
-            b.compute_scalar(agg, vec![Expr::lit(0i64)])
-        }
-        Spec::HashJoin(l, r, kind) => {
-            let lc = build(b, ctx, l, depth + 1);
-            let rc = build(b, ctx, r, depth + 1);
-            b.hash_join(*kind, lc, rc, vec![1], vec![1])
-        }
-        Spec::MergeJoinSorted(l, r) => {
-            let lc = build(b, ctx, l, depth + 1);
-            let rc = build(b, ctx, r, depth + 1);
-            let ls = b.sort(lc, vec![SortKey::asc(1)]);
-            let rs = b.sort(rc, vec![SortKey::asc(1)]);
-            b.merge_join(JoinKind::Inner, ls, rs, vec![1], vec![1])
-        }
-        Spec::NestedLoopsSeek { outer, buffered } => {
-            let oc = build(b, ctx, outer, depth + 1);
-            let seek = b.index_seek(ctx.index, SeekRange::eq(vec![SeekKey::OuterRef(1)]));
-            b.nested_loops(
-                JoinKind::Inner,
-                oc,
-                seek,
-                None,
-                if *buffered { 4096 } else { 1 },
-            )
-        }
-        Spec::NestedLoopsSpool { outer } => {
-            let oc = build(b, ctx, outer, depth + 1);
-            let scan = b.table_scan(ctx.small);
-            let spool = b.spool(scan, true);
-            b.nested_loops(
-                JoinKind::Inner,
-                oc,
-                spool,
-                Some(Expr::col(1).eq(Expr::col(1))),
-                1,
-            )
-        }
-        Spec::Exchange(inner) => {
-            let c = build(b, ctx, inner, depth + 1);
-            b.exchange(c, ExchangeKind::GatherStreams, 4)
-        }
-        Spec::Concat(l, r) => {
-            let lc = build(b, ctx, l, depth + 1);
-            let rc = build(b, ctx, r, depth + 1);
-            let lp = project2(b, lc);
-            let rp = project2(b, rc);
-            b.add(lqs_plan::PhysicalOp::Concat, vec![lp, rp])
-        }
-    }
-}
-
-/// Canonical two-column projection for Concat arity matching.
-fn project2(b: &mut PlanBuilder, c: NodeId) -> NodeId {
-    b.hash_aggregate(c, vec![0], vec![Aggregate::of_col(AggFunc::Count, 1)])
-}
-
-fn opts(mode: ExecMode, batch_size: usize) -> ExecOptions {
-    ExecOptions {
-        mode,
-        batch_size,
-        ..ExecOptions::default()
-    }
-}
-
-/// Run the plan in both modes and assert the equivalence contract.
+/// Run the plan at batch size 1 and at `batch_size` and assert the
+/// equivalence contract.
 fn check_equivalent(plan: &PhysicalPlan, db: &Database, batch_size: usize) {
-    let tup = execute(db, plan, &opts(ExecMode::Tuple, batch_size));
-    let bat = execute(db, plan, &opts(ExecMode::Batch, batch_size));
+    let tup = execute(db, plan, &opts(1));
+    let bat = execute(db, plan, &opts(batch_size));
 
     assert_eq!(
         tup.rows_returned,
@@ -264,31 +44,16 @@ fn check_equivalent(plan: &PhysicalPlan, db: &Database, batch_size: usize) {
         plan.display_tree()
     );
 
-    // Final counter rows are bit-identical except first_row_ns: the batch
-    // loop stamps it when the producing scope settles, which can land later
-    // on the virtual clock than the per-tuple stamp (never earlier than the
-    // row's true production would allow within the same flush window).
-    assert_eq!(tup.final_counters.len(), bat.final_counters.len());
-    for (i, (t, b)) in tup
-        .final_counters
-        .iter()
-        .zip(bat.final_counters.iter())
-        .enumerate()
-    {
-        let mut t = t.clone();
-        let mut b = b.clone();
-        t.first_row_ns = None;
-        b.first_row_ns = None;
-        assert_eq!(
-            t,
-            b,
-            "final counters diverged at node {i}\nplan:\n{}",
-            plan.display_tree()
-        );
-    }
+    // Final counter rows are bit-identical except first_row_ns.
+    assert_eq!(
+        masked(&tup.final_counters),
+        masked(&bat.final_counters),
+        "final counters diverged\nplan:\n{}",
+        plan.display_tree()
+    );
 
-    // Per-node time attribution is part of the contract too: both modes
-    // credit identical self-time to every node, and either mode's credits
+    // Per-node time attribution is part of the contract too: both sizes
+    // credit identical self-time to every node, and either run's credits
     // sum exactly to its virtual duration (no lost or double-counted ns).
     assert_eq!(
         tup.node_elapsed_ns,
@@ -303,11 +68,11 @@ fn check_equivalent(plan: &PhysicalPlan, db: &Database, batch_size: usize) {
         plan.display_tree()
     );
 
-    // Attaching an event sink must not perturb the batch run: same rows,
-    // same clock, same counters, same attribution — tracing observes the
-    // flush path, it never de-vectorizes or re-times it.
+    // Attaching an event sink must not perturb the run: same rows, same
+    // clock, same counters, same attribution — tracing observes the flush
+    // path, it never re-times it.
     let sink = RingBufferSink::new(1 << 20);
-    let traced = execute_traced(db, plan, &opts(ExecMode::Batch, batch_size), &sink);
+    let traced = execute_traced(db, plan, &opts(batch_size), &sink);
     assert_eq!(traced.rows_returned, bat.rows_returned);
     assert_eq!(traced.duration_ns, bat.duration_ns);
     assert_eq!(traced.final_counters, bat.final_counters);
@@ -340,9 +105,7 @@ proptest! {
     #[test]
     fn batch_mode_matches_tuple_mode(spec in spec_strategy(), seed in 0i64..5) {
         let ctx = make_db(2500, seed);
-        let mut b = PlanBuilder::new(&ctx.db);
-        let root = build(&mut b, &ctx, &spec, 0);
-        let plan = b.finish(root);
+        let plan = plan_of(&ctx, &spec);
         check_equivalent(&plan, &ctx.db, 1024);
     }
 
@@ -351,9 +114,7 @@ proptest! {
     #[test]
     fn batch_size_does_not_matter(spec in spec_strategy(), bs in 1usize..130) {
         let ctx = make_db(900, 3);
-        let mut b = PlanBuilder::new(&ctx.db);
-        let root = build(&mut b, &ctx, &spec, 0);
-        let plan = b.finish(root);
+        let plan = plan_of(&ctx, &spec);
         check_equivalent(&plan, &ctx.db, bs);
     }
 }
@@ -387,4 +148,20 @@ fn equivalence_on_handwritten_corner_cases() {
     let nl2 = b.nested_loops(JoinKind::LeftOuter, nl1, inner_seek, None, 64);
     let plan = b.finish(nl2);
     check_equivalent(&plan, &ctx.db, 1024);
+
+    // `ExecMode::Tuple` is nothing but batch size 1, whatever `batch_size`
+    // says: the two runs agree on everything, `first_row_ns` and snapshot
+    // contents included.
+    let tuple = execute(
+        &ctx.db,
+        &plan,
+        &ExecOptions {
+            mode: ExecMode::Tuple,
+            ..opts(1024)
+        },
+    );
+    let one = execute(&ctx.db, &plan, &opts(1));
+    assert_eq!(tuple.snapshots, one.snapshots);
+    assert_eq!(tuple.final_counters, one.final_counters);
+    assert_eq!(tuple.node_elapsed_ns, one.node_elapsed_ns);
 }

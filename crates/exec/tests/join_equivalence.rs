@@ -49,11 +49,13 @@ fn collect(db: &Database, plan: &lqs_plan::PhysicalPlan) -> Vec<Vec<String>> {
         lqs_exec::ExecContext::new(db, plan.len(), 8, u64::MAX, lqs_plan::CostModel::default());
     let mut root = lqs_exec::build_operator(plan, db, plan.root());
     root.open(&ctx);
-    let mut out = Vec::new();
-    while let Some(row) = root.next(&ctx) {
-        out.push(row.iter().map(|v| v.to_string()).collect::<Vec<_>>());
-    }
+    let mut batch = lqs_exec::RowBatch::default();
+    while root.next_batch(&ctx, &mut batch, 64) {}
     root.close(&ctx);
+    let mut out: Vec<Vec<String>> = batch
+        .iter()
+        .map(|row| row.iter().map(|v| v.to_string()).collect())
+        .collect();
     out.sort();
     out
 }

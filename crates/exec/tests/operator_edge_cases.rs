@@ -90,12 +90,12 @@ fn segment_marks_group_boundaries() {
         lqs_exec::ExecContext::new(&d, plan.len(), 0, u64::MAX, lqs_plan::CostModel::default());
     let mut seg_op = lqs_exec::build_operator(&plan, &d, seg);
     seg_op.open(&ctx);
-    let mut boundaries = 0;
-    while let Some(row) = seg_op.next(&ctx) {
-        if row[flag_col] == Value::Int(1) {
-            boundaries += 1;
-        }
-    }
+    let mut batch = lqs_exec::RowBatch::default();
+    while seg_op.next_batch(&ctx, &mut batch, 64) {}
+    let boundaries = batch
+        .iter()
+        .filter(|row| row[flag_col] == Value::Int(1))
+        .count();
     assert_eq!(boundaries, 10);
 }
 

@@ -42,7 +42,6 @@ pub struct ServiceMetrics {
     pub(crate) trace_events_dropped: Arc<Gauge>,
     pub(crate) rejected: Arc<Counter>,
     pub(crate) retries: Arc<Counter>,
-    pub(crate) tuple_fallback: Arc<Counter>,
     pub(crate) brownout_active: Arc<Gauge>,
     pub(crate) brownout_sessions: Arc<Counter>,
 }
@@ -90,11 +89,6 @@ impl ServiceMetrics {
             "Re-executions of sessions that hit a transient fault within their retry budget",
             &[],
         );
-        let tuple_fallback = registry.counter(
-            "lqs_exec_tuple_fallback_total",
-            "Auto-mode sessions that degraded to tuple-at-a-time execution (fault injector attached)",
-            &[],
-        );
         let brownout_active = registry.gauge(
             "lqs_brownout_active",
             "Whether the service is in sustained-overload brownout (1) or not (0)",
@@ -116,7 +110,6 @@ impl ServiceMetrics {
             trace_events_dropped,
             rejected,
             retries,
-            tuple_fallback,
             brownout_active,
             brownout_sessions,
         })

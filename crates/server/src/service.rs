@@ -556,22 +556,14 @@ fn worker_loop(
     }
 }
 
-/// The execution mode this session will actually run under, decidable at
-/// submit time: the engine's `Auto` resolution depends only on whether a
-/// fault injector is attached (fault hooks are per-GetNext and per-I/O
-/// charge, so they force the tuple loop). Journaled in the session meta so
-/// history analytics can segment throughput by engine path.
+/// The execution mode this session runs under, as journaled in its meta
+/// so history analytics can segment throughput by engine path. A fault
+/// injector does not change it: faults fire from inside the charging
+/// scopes, at whatever batch size the session asked for.
 pub(crate) fn resolved_exec_mode(handle: &SessionHandle) -> JournalExecMode {
     match handle.opts().mode {
         ExecMode::Tuple => JournalExecMode::Tuple,
         ExecMode::Batch => JournalExecMode::Batch,
-        ExecMode::Auto => {
-            if handle.fault_injector().is_some() {
-                JournalExecMode::Tuple
-            } else {
-                JournalExecMode::Batch
-            }
-        }
     }
 }
 
@@ -636,15 +628,6 @@ fn run_session(db: &Database, handle: &SessionHandle, metrics: Option<&ServiceMe
         metrics.running.inc();
     }
     let started = Instant::now();
-    // Mode-fallback visibility: an Auto session with a fault injector runs
-    // the tuple loop, not the vectorized one — count the degradation so a
-    // fleet quietly running de-vectorized is a dashboard fact, not a
-    // surprise in a flamegraph.
-    if matches!(handle.opts().mode, ExecMode::Auto) && handle.fault_injector().is_some() {
-        if let Some(metrics) = metrics {
-            metrics.tuple_fallback.inc();
-        }
-    }
     let tap = handle.trace_sink().map(|sink| sink.tap(handle.id().0));
     let filter = handle.snapshot_filter().cloned();
     // Mid-run publishes go through the session's snapshot filter (the

@@ -1,12 +1,18 @@
 //! Failure-path regressions: a session cancelled while still queued must
 //! stay pollable, a malformed published snapshot must not panic the poller,
-//! and a genuine execution panic must fail only its own session — the
-//! worker, later sessions, and shutdown all survive.
+//! a genuine execution panic must fail only its own session — the worker,
+//! later sessions, and shutdown all survive — and a fault-injected session
+//! runs (and retries) on the same batch path as a clean one.
 
-use lqs_exec::{AbortReason, SnapshotPublisher};
+use lqs_exec::{AbortReason, FaultInjector, IoVerdict, SnapshotPublisher};
+use lqs_journal::{scan_dir, Journal, JournalConfig, JournalExecMode};
+use lqs_metrics::MetricsRegistry;
 use lqs_progress::EstimatorConfig;
-use lqs_server::{QueryService, QuerySpec, RegistryPoller, SessionResult, SessionState};
+use lqs_server::{
+    QueryService, QuerySpec, RegistryPoller, ServiceMetrics, SessionResult, SessionState,
+};
 use lqs_storage::{Column, DataType, Database, Schema, Table, TableId, Value};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn build_db(table_name: &str, rows: i64) -> Database {
@@ -153,4 +159,60 @@ fn execution_panic_fails_session_and_spares_the_worker() {
 
     // No panic out of shutdown (this also exercises the Drop path's join).
     service.shutdown();
+}
+
+/// Fails the first read that reaches page 20 of any node with a transient
+/// error, once: the retry's reads all succeed.
+struct FailOnce(AtomicBool);
+
+impl FaultInjector for FailOnce {
+    fn on_io(&self, _node: lqs_plan::NodeId, total_pages: u64, _now_ns: u64) -> IoVerdict {
+        if total_pages >= 20 && !self.0.swap(true, Ordering::Relaxed) {
+            return IoVerdict::Error {
+                message: "injected transient read error".into(),
+                transient: true,
+            };
+        }
+        IoVerdict::Ok
+    }
+}
+
+/// A fault injector used to drop the session to the tuple loop, where
+/// `ExecMode::Batch` scopes never consulted `on_io`. Now the default-mode
+/// session stays on the batch path: the injected error fires there, is
+/// retried within budget, and the journal records `exec_mode = batch`.
+#[test]
+fn fault_injected_session_runs_and_retries_on_the_batch_path() {
+    let dir = std::env::temp_dir().join(format!("lqs-failure-paths-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Arc::new(build_db("big", 20_000));
+    let plan = sorted_scan(&db, db.table_by_name("big").unwrap());
+    let registry = Arc::new(MetricsRegistry::new());
+    let service = QueryService::with_metrics(
+        Arc::clone(&db),
+        1,
+        ServiceMetrics::new(Arc::clone(&registry)),
+    )
+    .with_journal(Journal::open(JournalConfig::new(&dir)).expect("open journal"));
+
+    let injector = Arc::new(FailOnce(AtomicBool::new(false)));
+    let faulted = service.submit(
+        QuerySpec::new("faulted", plan)
+            .with_fault(Arc::clone(&injector) as Arc<dyn FaultInjector + Send>)
+            .with_retry_budget(1),
+    );
+    assert_eq!(faulted.wait_terminal(), SessionState::Succeeded);
+    assert!(injector.0.load(Ordering::Relaxed), "the fault never fired");
+    service.shutdown();
+
+    let rendered = registry.render();
+    assert!(
+        rendered.contains("lqs_session_retries_total 1"),
+        "{rendered}"
+    );
+    assert!(!rendered.contains("_fallback_total"), "{rendered}");
+    let scan = scan_dir(&dir).expect("scan journal");
+    let meta = scan.sessions[0].meta.as_ref().expect("meta journaled");
+    assert_eq!(meta.exec_mode, JournalExecMode::Batch);
+    let _ = std::fs::remove_dir_all(&dir);
 }
