@@ -90,8 +90,9 @@ pub mod prelude {
     pub use lqs_prof::{NodeProfile, ProfileReport};
     pub use lqs_progress::{
         error_count, error_time, EnsembleConfig, EnsembleEstimator, EnsembleReplay,
-        EnsembleSelection, EstimationPath, EstimatorConfig, ExplainCounters, Explanation,
-        PerOperatorError, ProgressEstimator, ProgressReport, QueryModel, RefinementSource,
+        EnsembleSelection, EstimateScratch, EstimationPath, EstimatorConfig, ExplainCounters,
+        Explanation, PerOperatorError, ProgressEstimator, ProgressReport, QueryModel,
+        RefinementSource, TruthCurves,
     };
     pub use lqs_server::{
         Health, HistoryEndpoints, MetricsServer, PollerMetrics, QueryService, QuerySpec,

@@ -31,6 +31,12 @@ pub struct Bounds {
 }
 
 impl Bounds {
+    /// No information: `[0, +inf)`.
+    pub const UNBOUNDED: Bounds = Bounds {
+        lb: 0.0,
+        ub: f64::INFINITY,
+    };
+
     /// Clamp `estimate` into `[lb, ub]`.
     pub fn clamp(&self, estimate: f64) -> f64 {
         estimate.max(self.lb).min(self.ub)
@@ -39,17 +45,18 @@ impl Bounds {
 
 /// Compute bounds for every node at snapshot `s` (children before parents).
 pub fn compute_bounds(statics: &PlanStatics, s: &DmvSnapshot) -> Vec<Bounds> {
-    let mut out = vec![
-        Bounds {
-            lb: 0.0,
-            ub: f64::INFINITY
-        };
-        statics.nodes.len()
-    ];
-    for &id in &statics.post_order {
-        out[id.0] = node_bounds(statics, s, id.0, &out);
-    }
+    let mut out = Vec::new();
+    compute_bounds_into(statics, s, &mut out);
     out
+}
+
+/// [`compute_bounds`] into a reusable buffer.
+pub(crate) fn compute_bounds_into(statics: &PlanStatics, s: &DmvSnapshot, out: &mut Vec<Bounds>) {
+    out.clear();
+    out.resize(statics.nodes.len(), Bounds::UNBOUNDED);
+    for &id in &statics.post_order {
+        out[id.0] = node_bounds(statics, s, id.0, out);
+    }
 }
 
 fn node_bounds(statics: &PlanStatics, s: &DmvSnapshot, i: usize, computed: &[Bounds]) -> Bounds {

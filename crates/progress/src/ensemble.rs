@@ -30,17 +30,31 @@
 //!   deterministic seeded tie-break, so replays are byte-for-byte
 //!   reproducible.
 //!
+//! König et al. frame the competing estimators as different readings of
+//! one shared feature vector, and that is how a snapshot is processed here:
+//! it is **derived once**. Skipped nodes and Appendix-A bounds depend on the
+//! plan and the counters only, so they are computed once per snapshot; the
+//! five distinct §4 configurations each run one report-free pass over them
+//! into reusable buffers; and a member is a *view* — the id of a pass plus
+//! the rule (`Figure`) that reads a query-level figure off it. Only the
+//! selected member's [`ProgressReport`] is ever built, and `replay` builds
+//! none (`tests/ensemble_shared_equivalence.rs` pins all of it, bit for
+//! bit, to the per-member design it replaced).
+//!
 //! Everything here is a pure function of the snapshot stream: two replays
 //! of the same stream produce identical weights, selections, and estimates
 //! (property-tested in `tests/ensemble_props.rs`).
 
-use crate::bounds::compute_bounds;
 use crate::config::EstimatorConfig;
-use crate::estimator::{EnsembleSelection, ProgressEstimator, ProgressReport};
+use crate::estimator::{
+    CoreBuffers, EnsembleSelection, EstimateScratch, ProgressEstimator, ProgressReport,
+    SnapshotState,
+};
 use crate::statics::PlanStatics;
 use lqs_exec::DmvSnapshot;
-use lqs_plan::PhysicalPlan;
+use lqs_plan::{PhysicalPlan, Pipeline, PipelineId};
 use lqs_storage::Database;
+use std::sync::Arc;
 
 /// A competing single progress estimator. `estimate` must be a pure
 /// function of the snapshot (no internal state), so that an offline replay
@@ -52,115 +66,90 @@ pub trait SingleEstimator: Send {
     fn estimate(&self, s: &DmvSnapshot) -> ProgressReport;
 }
 
-/// A [`ProgressEstimator`] configuration acting as an ensemble member.
-struct ConfigMember {
-    id: &'static str,
-    estimator: ProgressEstimator,
-}
-
-impl SingleEstimator for ConfigMember {
-    fn id(&self) -> &'static str {
-        self.id
-    }
-
-    fn estimate(&self, s: &DmvSnapshot) -> ProgressReport {
-        self.estimator.estimate(s)
-    }
-}
-
-/// Which per-pipeline model a [`PipelineMember`] applies.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum PipelineModel {
-    /// Query progress is the driver progress of the pipeline with the
-    /// largest estimated total work (the "pmax" estimator of the robust
-    /// estimation literature): robust when one pipeline dominates and the
-    /// optimizer misprices the rest.
-    DominantWork,
-    /// Query progress uses Appendix-A worst-case *upper bounds* as
-    /// denominators wherever they are finite — a conservative estimator
-    /// that never overestimates, at the cost of chronic pessimism.
+/// How a member reads its query-level figure off a §4 pass.
+#[derive(Clone, Copy)]
+enum Figure {
+    /// The pass's own Equation-2 figure, as configured.
+    Config,
+    /// Driver progress of the pipeline with the largest estimated total
+    /// work (the "pmax" estimator of the robust estimation literature):
+    /// robust when one pipeline dominates and the optimizer misprices the
+    /// rest. The pipeline is a function of the plan, chosen at build.
+    DominantWork(Option<PipelineId>),
+    /// Appendix-A worst-case *upper bounds* as denominators wherever they
+    /// are finite — a conservative estimator that never overestimates, at
+    /// the cost of chronic pessimism.
     SafeBounds,
 }
 
-/// The per-pipeline PMAX/safe member estimators. Both wrap an inner
-/// bounded-TGN [`ProgressEstimator`] for per-node reporting and override
-/// the query-level figure with their pipeline model.
-struct PipelineMember {
-    id: &'static str,
-    model: PipelineModel,
-    inner: ProgressEstimator,
+/// The pipeline whose nodes carry the most estimated work; ties break on
+/// the lowest pipeline id (deterministic).
+fn dominant_pipeline(statics: &PlanStatics) -> Option<PipelineId> {
+    let mut best: Option<(f64, PipelineId)> = None;
+    for p in statics.pipelines.pipelines() {
+        let work: f64 = p
+            .nodes
+            .iter()
+            .map(|n| statics.nodes[n.0].work_total_ns)
+            .sum();
+        let better = match best {
+            None => true,
+            Some((w, _)) => work > w,
+        };
+        if better {
+            best = Some((work, p.id));
+        }
+    }
+    best.map(|(_, pid)| pid)
 }
 
-impl PipelineMember {
-    /// Driver progress of one pipeline: Σ min(kᵢ, Nᵢ) / Σ Nᵢ over its
-    /// driver nodes, with closed drivers exact. 1.0 once every member node
-    /// has closed.
-    fn pipeline_alpha(statics: &PlanStatics, s: &DmvSnapshot, p: &lqs_plan::Pipeline) -> f64 {
-        if p.nodes.iter().all(|n| s.node(n.0).is_closed()) {
-            return 1.0;
-        }
-        let mut seen = 0.0;
-        let mut total = 0.0;
-        for &d in &p.driver_nodes {
-            let st = &statics.nodes[d.0];
-            let c = s.node(d.0);
-            let n_d = if c.is_closed() {
-                (c.rows_output as f64).max(1.0)
-            } else {
-                st.known_rows.unwrap_or(st.est_rows).max(1.0)
-            };
-            seen += (c.rows_output as f64).min(n_d);
-            total += n_d;
-        }
-        if total <= 0.0 {
-            return 0.0;
-        }
-        (seen / total).clamp(0.0, 1.0)
+/// Driver progress of one pipeline: Σ min(kᵢ, Nᵢ) / Σ Nᵢ over its driver
+/// nodes, with closed drivers exact. 1.0 once every member node has closed.
+fn pipeline_alpha(statics: &PlanStatics, s: &DmvSnapshot, p: &Pipeline) -> f64 {
+    if p.nodes.iter().all(|n| s.node(n.0).is_closed()) {
+        return 1.0;
     }
+    let mut seen = 0.0;
+    let mut total = 0.0;
+    for &d in &p.driver_nodes {
+        let st = &statics.nodes[d.0];
+        let c = s.node(d.0);
+        let n_d = if c.is_closed() {
+            (c.rows_output as f64).max(1.0)
+        } else {
+            st.known_rows.unwrap_or(st.est_rows).max(1.0)
+        };
+        seen += (c.rows_output as f64).min(n_d);
+        total += n_d;
+    }
+    if total <= 0.0 {
+        return 0.0;
+    }
+    (seen / total).clamp(0.0, 1.0)
+}
 
-    fn query_progress(&self, s: &DmvSnapshot) -> f64 {
-        let statics = self.inner.statics();
-        match self.model {
-            PipelineModel::DominantWork => {
-                // The pipeline whose nodes carry the most estimated work;
-                // ties break on the lowest pipeline id (deterministic).
-                let mut best: Option<(f64, usize)> = None;
-                for p in statics.pipelines.pipelines() {
-                    let work: f64 = p
-                        .nodes
-                        .iter()
-                        .map(|n| statics.nodes[n.0].work_total_ns)
-                        .sum();
-                    let better = match best {
-                        None => true,
-                        Some((w, _)) => work > w,
-                    };
-                    if better {
-                        best = Some((work, p.id.0));
-                    }
-                }
-                match best {
-                    Some((_, pid)) => {
-                        let p = &statics.pipelines.pipelines()[pid];
-                        Self::pipeline_alpha(statics, s, p)
-                    }
-                    None => 0.0,
-                }
+impl Figure {
+    /// The member's query progress at `s`, given the shared per-snapshot
+    /// state and its pass's own figure.
+    fn of(self, statics: &PlanStatics, s: &DmvSnapshot, shared: &SnapshotState, own: f64) -> f64 {
+        match self {
+            Figure::Config => own,
+            Figure::DominantWork(None) => 0.0,
+            Figure::DominantWork(Some(pid)) => {
+                pipeline_alpha(statics, s, statics.pipelines.pipeline(pid))
             }
-            PipelineModel::SafeBounds => {
+            Figure::SafeBounds => {
                 // Σkᵢ / Σ ubᵢ with finite worst-case upper bounds as
                 // denominators; where no finite bound exists, fall back to
                 // max(estimate, k) so the denominator never undershoots.
-                let bounds = compute_bounds(statics, s);
                 let mut num = 0.0;
                 let mut den = 0.0;
-                for (i, st) in statics.nodes.iter().enumerate() {
-                    let c = s.node(i);
+                for ((st, c), b) in statics.nodes.iter().zip(&s.nodes).zip(&shared.bounds) {
                     let k = c.rows_output as f64;
                     let n = if c.is_closed() {
                         k.max(1.0)
-                    } else if bounds[i].ub.is_finite() {
-                        bounds[i].ub.max(k).max(1.0)
+                    } else if b.ub.is_finite() {
+                        b.ub.max(k).max(1.0)
                     } else {
                         st.known_rows.unwrap_or(st.est_rows).max(k).max(1.0)
                     };
@@ -177,15 +166,32 @@ impl PipelineMember {
     }
 }
 
-impl SingleEstimator for PipelineMember {
+/// An ensemble member: a view over one of the ensemble's §4 passes. It
+/// owns no derivation of its own — per-node detail is the pass's, and the
+/// query-level figure is its [`Figure`] of the pass and the shared
+/// per-snapshot state. `pmax` and `safe` both read the bounded-TGN pass.
+struct Member {
+    id: &'static str,
+    /// Which of the [`N_PASSES`] passes this member reads. Members naming
+    /// the same pass carry the same configuration; per snapshot the first
+    /// of them runs it and the rest read its buffers.
+    pass: usize,
+    /// That pass's configuration, over the ensemble's one [`PlanStatics`].
+    estimator: ProgressEstimator,
+    figure: Figure,
+}
+
+impl SingleEstimator for Member {
     fn id(&self) -> &'static str {
         self.id
     }
 
     fn estimate(&self, s: &DmvSnapshot) -> ProgressReport {
-        let mut report = self.inner.estimate(s);
-        report.query_progress = self.query_progress(s);
-        report
+        let e = &self.estimator;
+        let mut scratch = EstimateScratch::default();
+        let own = e.estimate_core(s, &mut scratch);
+        let query_progress = self.figure.of(e.statics(), s, &scratch.shared, own);
+        e.report(s, &scratch.shared, &scratch.core, query_progress)
     }
 }
 
@@ -235,43 +241,43 @@ impl Default for EnsembleConfig {
 
 /// Online selection state: everything the ensemble has learned from the
 /// snapshot stream so far. A pure fold over the observed snapshots.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct SelectState {
     /// Observations folded in so far.
     observed: u64,
     /// Σ rows_output across all nodes, per observed snapshot (the
     /// numerator of retrospective true progress).
     sum_k: Vec<f64>,
-    /// Per member: query-progress estimate per observed snapshot.
-    est_hist: Vec<Vec<f64>>,
+    /// Per observed snapshot: every member's query-progress estimate.
+    est_hist: Vec<PerMember>,
     /// Per member: last estimate (monotonicity basis).
-    last_est: Vec<f64>,
+    last_est: PerMember,
     /// Per member: cumulative monotonicity-violation mass.
-    mono: Vec<f64>,
+    mono: PerMember,
     /// Per member: cumulative refinement churn (|ΔΣN̂| / ΣN̂).
-    churn: Vec<f64>,
+    churn: PerMember,
     /// Per member: last Σ refined_n (churn basis).
-    last_total_n: Vec<f64>,
+    last_total_n: PerMember,
     /// Per member: cumulative |estimate − member median|.
-    disagree: Vec<f64>,
+    disagree: PerMember,
     /// Current normalized weights.
-    weights: Vec<f64>,
+    weights: PerMember,
     /// Current selected member index (arg-max weight, seeded tie-break).
     selected: usize,
 }
 
 impl SelectState {
-    fn new(n_members: usize, prior: &[f64], seed: u64) -> Self {
+    fn new(prior: &PerMember, seed: u64) -> Self {
         SelectState {
             observed: 0,
             sum_k: Vec::new(),
-            est_hist: vec![Vec::new(); n_members],
-            last_est: vec![0.0; n_members],
-            mono: vec![0.0; n_members],
-            churn: vec![0.0; n_members],
-            last_total_n: vec![0.0; n_members],
-            disagree: vec![0.0; n_members],
-            weights: prior.to_vec(),
+            est_hist: Vec::new(),
+            last_est: [0.0; N_MEMBERS],
+            mono: [0.0; N_MEMBERS],
+            churn: [0.0; N_MEMBERS],
+            last_total_n: [0.0; N_MEMBERS],
+            disagree: [0.0; N_MEMBERS],
+            weights: *prior,
             selected: argmax_tiebreak(prior, seed),
         }
     }
@@ -289,7 +295,7 @@ fn tie_rank(seed: u64, index: usize) -> u64 {
 
 /// Index of the maximum weight; exact ties resolve by the seeded FNV rank
 /// (then index, for the astronomically unlikely rank collision).
-fn argmax_tiebreak(weights: &[f64], seed: u64) -> usize {
+fn argmax_tiebreak(weights: &PerMember, seed: u64) -> usize {
     let mut best = 0usize;
     for i in 1..weights.len() {
         if weights[i] > weights[best]
@@ -301,18 +307,27 @@ fn argmax_tiebreak(weights: &[f64], seed: u64) -> usize {
     best
 }
 
-/// Median of a small sample (deterministic; `NaN`-free inputs).
-fn median(values: &mut [f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
+/// Median over the members. Ordered by `f64::total_cmp`, so a `NaN` from a
+/// degenerate snapshot sorts to an end instead of panicking the poller.
+fn median(mut values: PerMember) -> f64 {
+    values.sort_unstable_by(f64::total_cmp);
+    0.5 * (values[N_MEMBERS / 2 - 1] + values[N_MEMBERS / 2])
+}
+
+/// Retrospective loss per member: how far its past estimates sit from the
+/// *current best reconstruction* of true progress at those past snapshots,
+/// `Σk_j / denom`. The truth at a past snapshot is the same for every
+/// member, so it is computed once and the six sums advance side by side
+/// (each in its own order).
+fn retrospective_loss(est_hist: &[PerMember], sum_k: &[f64], denom: f64) -> PerMember {
+    let mut loss = [0.0f64; N_MEMBERS];
+    for (past, &sum_k) in est_hist.iter().zip(sum_k) {
+        let truth = (sum_k / denom).clamp(0.0, 1.0);
+        for (loss, est) in loss.iter_mut().zip(past) {
+            *loss += (est - truth).abs();
+        }
     }
-    values.sort_by(|a, b| a.partial_cmp(b).expect("finite estimates"));
-    let mid = values.len() / 2;
-    if values.len() % 2 == 1 {
-        values[mid]
-    } else {
-        0.5 * (values[mid - 1] + values[mid])
-    }
+    loss
 }
 
 /// One deterministic replay of an ensemble over a recorded snapshot trace.
@@ -326,6 +341,38 @@ pub struct EnsembleReplay {
     pub selection: EnsembleSelection,
 }
 
+/// What [`EnsembleEstimator::build`] fixes for a plan: the members (and
+/// through them the §4 passes they read) and the selection tuning.
+struct Lineup {
+    members: [Member; N_MEMBERS],
+    config: EnsembleConfig,
+    /// Pipeline-shape prior over members (normalized).
+    prior: PerMember,
+}
+
+/// What one walk over a snapshot stream accumulates: the selection state,
+/// plus the latest snapshot's derivation in buffers every step reuses.
+struct Run {
+    state: SelectState,
+    /// Derived once per snapshot, read by every pass and member.
+    shared: SnapshotState,
+    /// Per pass: its cardinalities and per-node figures.
+    cores: Vec<CoreBuffers>,
+    /// Per member: query-progress estimate at the latest snapshot.
+    est: PerMember,
+}
+
+impl Run {
+    fn new(lineup: &Lineup) -> Self {
+        Run {
+            state: SelectState::new(&lineup.prior, lineup.config.seed),
+            shared: SnapshotState::default(),
+            cores: (0..N_PASSES).map(|_| CoreBuffers::default()).collect(),
+            est: [0.0; N_MEMBERS],
+        }
+    }
+}
+
 /// The ensemble: a fixed member set plus online selection state.
 ///
 /// Live consumers drive it through [`EnsembleEstimator::observe`] (stateful,
@@ -334,19 +381,18 @@ pub struct EnsembleReplay {
 /// a *fresh* selection state without touching the live one — the poller's
 /// accuracy scoring and the harness's §5 comparison both go through replay,
 /// which is what keeps online metrics bit-identical to offline recomputation.
+///
+/// Either way a snapshot is derived **once**: skipped nodes and Appendix-A
+/// bounds are computed once, each distinct §4 configuration runs one pass
+/// over them, and the six members read their figures off those passes.
 pub struct EnsembleEstimator {
-    members: Vec<Box<dyn SingleEstimator>>,
-    config: EnsembleConfig,
-    /// Pipeline-shape prior over members (normalized).
-    prior: Vec<f64>,
-    state: SelectState,
+    lineup: Lineup,
+    live: Run,
 }
 
 impl EnsembleEstimator {
     /// Build the standard member set for `plan`: `lqs` (the shipped §4
-    /// estimator), `dne`, `tgn`, `norefine`, `pmax`, `safe`. Member 0
-    /// (`lqs`) is also the reference whose refined cardinalities anchor the
-    /// retrospective-loss denominator.
+    /// estimator), `dne`, `tgn`, `norefine`, `pmax`, `safe`.
     pub fn build(
         plan: &PhysicalPlan,
         db: &Database,
@@ -358,138 +404,135 @@ impl EnsembleEstimator {
             propagate_refined: false,
             ..EstimatorConfig::full()
         };
-        let reference = ProgressEstimator::with_cost_model(plan, db, EstimatorConfig::full(), cost);
-        let prior = shape_prior(N_MEMBERS, reference.statics());
-        let members: Vec<Box<dyn SingleEstimator>> = vec![
-            Box::new(ConfigMember {
-                id: "lqs",
-                estimator: reference,
-            }),
-            Box::new(ConfigMember {
-                id: "dne",
-                estimator: ProgressEstimator::with_cost_model(
-                    plan,
-                    db,
-                    EstimatorConfig::dne_refined(),
-                    cost,
-                ),
-            }),
-            Box::new(ConfigMember {
-                id: "tgn",
-                estimator: ProgressEstimator::with_cost_model(
-                    plan,
-                    db,
-                    EstimatorConfig::tgn(),
-                    cost,
-                ),
-            }),
-            Box::new(ConfigMember {
-                id: "norefine",
-                estimator: ProgressEstimator::with_cost_model(plan, db, norefine, cost),
-            }),
-            Box::new(PipelineMember {
-                id: "pmax",
-                model: PipelineModel::DominantWork,
-                inner: ProgressEstimator::with_cost_model(
-                    plan,
-                    db,
-                    EstimatorConfig::tgn_bounded(),
-                    cost,
-                ),
-            }),
-            Box::new(PipelineMember {
-                id: "safe",
-                model: PipelineModel::SafeBounds,
-                inner: ProgressEstimator::with_cost_model(
-                    plan,
-                    db,
-                    EstimatorConfig::tgn_bounded(),
-                    cost,
-                ),
-            }),
+        let statics = Arc::new(PlanStatics::build(plan, db, cost.io_page_ns));
+        let prior = shape_prior(&statics);
+        let dominant = dominant_pipeline(&statics);
+        let member = |id, pass: usize, config, figure| Member {
+            id,
+            pass,
+            estimator: ProgressEstimator::from_statics(statics.clone(), config),
+            figure,
+        };
+        let tgn_bounded = EstimatorConfig::tgn_bounded;
+        let members = [
+            member("lqs", 0, EstimatorConfig::full(), Figure::Config),
+            member("dne", 1, EstimatorConfig::dne_refined(), Figure::Config),
+            member("tgn", 2, EstimatorConfig::tgn(), Figure::Config),
+            member("norefine", 3, norefine, Figure::Config),
+            member("pmax", 4, tgn_bounded(), Figure::DominantWork(dominant)),
+            member("safe", 4, tgn_bounded(), Figure::SafeBounds),
         ];
-        debug_assert_eq!(members.len(), N_MEMBERS);
-        let state = SelectState::new(members.len(), &prior, config.seed);
-        EnsembleEstimator {
+        let lineup = Lineup {
             members,
             config,
             prior,
-            state,
-        }
+        };
+        let live = Run::new(&lineup);
+        EnsembleEstimator { lineup, live }
     }
 
     /// The member ids, in ensemble (and weight) order.
     pub fn member_ids(&self) -> Vec<&'static str> {
-        self.members.iter().map(|m| m.id()).collect()
+        self.lineup.members.iter().map(|m| m.id).collect()
     }
 
     /// The competing members, for stateless per-member scoring.
     pub fn members(&self) -> impl Iterator<Item = &dyn SingleEstimator> {
-        self.members.iter().map(|m| m.as_ref())
+        self.lineup
+            .members
+            .iter()
+            .map(|m| m as &dyn SingleEstimator)
     }
 
     /// The current selection (weights + arg-max member) of the *live*
     /// state.
     pub fn selection(&self) -> EnsembleSelection {
-        self.selection_of(&self.state)
+        self.lineup.selection_of(&self.live.state)
     }
 
-    fn selection_of(&self, state: &SelectState) -> EnsembleSelection {
-        EnsembleSelection {
-            selected: self.members[state.selected].id(),
-            weights: self
-                .members
-                .iter()
-                .zip(&state.weights)
-                .map(|(m, w)| (m.id(), *w))
-                .collect(),
-        }
-    }
-
-    /// Observe one snapshot: estimate with every member, update the
-    /// selection state (unless `freeze` — the guard sets it once the
-    /// telemetry stream has misbehaved, so selection never switches on
+    /// Observe one snapshot: derive it once, read every member's figure,
+    /// update the selection state (unless `freeze` — the guard sets it once
+    /// the telemetry stream has misbehaved, so selection never switches on
     /// reconstructed data), and report the weighted ensemble figure with
-    /// the selected member's per-node detail.
+    /// the selected member's per-node detail — the only report built.
     pub fn observe(&mut self, s: &DmvSnapshot, freeze: bool) -> ProgressReport {
-        let reports: Vec<ProgressReport> = self.members.iter().map(|m| m.estimate(s)).collect();
-        if !freeze {
-            let mut state = std::mem::replace(&mut self.state, SelectState::new(0, &[], 0));
-            self.fold_observation(&mut state, s, &reports);
-            self.state = state;
-        }
-        self.compose(&self.state, &reports)
+        let (lineup, run) = (&self.lineup, &mut self.live);
+        lineup.step(run, s, freeze);
+        let selected = &lineup.members[run.state.selected];
+        let core = &run.cores[selected.pass];
+        let mut report = selected
+            .estimator
+            .report(s, &run.shared, core, lineup.blend(run));
+        report.ensemble = Some(lineup.selection_of(&run.state));
+        report
     }
 
     /// Fold a whole recorded trace through a fresh selection state,
     /// returning every member's estimate sequence, the ensemble's, and the
-    /// final selection. Does not touch the live state; byte-for-byte
-    /// deterministic for a given trace.
+    /// final selection. Does not touch the live state and builds no
+    /// reports; byte-for-byte deterministic for a given trace.
     pub fn replay(&self, snapshots: &[DmvSnapshot]) -> EnsembleReplay {
-        let mut state = SelectState::new(self.members.len(), &self.prior, self.config.seed);
+        let mut run = Run::new(&self.lineup);
+        run.state.sum_k.reserve(snapshots.len());
+        run.state.est_hist.reserve(snapshots.len());
         let mut estimates = Vec::with_capacity(snapshots.len());
-        let mut member_estimates = vec![Vec::with_capacity(snapshots.len()); self.members.len()];
         for s in snapshots {
-            let reports: Vec<ProgressReport> = self.members.iter().map(|m| m.estimate(s)).collect();
-            self.fold_observation(&mut state, s, &reports);
-            for (i, r) in reports.iter().enumerate() {
-                member_estimates[i].push(r.query_progress);
-            }
-            estimates.push(self.compose(&state, &reports).query_progress);
+            self.lineup.step(&mut run, s, false);
+            estimates.push(self.lineup.blend(&run));
         }
+        // The fold's history already holds every member's estimate at
+        // every snapshot, one row per snapshot.
+        let history = &run.state.est_hist;
         EnsembleReplay {
             estimates,
-            member_estimates,
-            selection: self.selection_of(&state),
+            member_estimates: (0..N_MEMBERS)
+                .map(|m| history.iter().map(|row| row[m]).collect())
+                .collect(),
+            selection: self.lineup.selection_of(&run.state),
+        }
+    }
+}
+
+impl Lineup {
+    fn selection_of(&self, state: &SelectState) -> EnsembleSelection {
+        EnsembleSelection {
+            selected: self.members[state.selected].id,
+            weights: self
+                .members
+                .iter()
+                .zip(&state.weights)
+                .map(|(m, w)| (m.id, *w))
+                .collect(),
         }
     }
 
-    /// The weighted ensemble report for one snapshot's member reports:
-    /// per-node detail from the selected member, query progress as the
-    /// weighted mean of member estimates (inside their `[min, max]`
-    /// envelope by construction).
-    fn compose(&self, state: &SelectState, reports: &[ProgressReport]) -> ProgressReport {
-        let mut report = reports[state.selected].clone();
+    /// Derive snapshot `s` once into `run`, read every member's figure off
+    /// it, and (unless `freeze`) fold them into the selection state.
+    fn step(&self, run: &mut Run, s: &DmvSnapshot, freeze: bool) {
+        let statics = self.members[0].estimator.statics();
+        run.shared.refresh(statics, s, true);
+        let mut own = [None; N_PASSES];
+        for (member, est) in self.members.iter().zip(&mut run.est) {
+            let own = *own[member.pass].get_or_insert_with(|| {
+                let core = &mut run.cores[member.pass];
+                member.estimator.core(s, &run.shared, core)
+            });
+            let figure = member.figure.of(statics, s, &run.shared, own);
+            // A member that cannot produce a number reports no progress:
+            // it loses weight like any wrong member, and nothing downstream
+            // has to survive a NaN.
+            *est = if figure.is_nan() { 0.0 } else { figure };
+        }
+        if !freeze {
+            self.fold_observation(run, s);
+        }
+    }
+
+    /// The weighted ensemble figure for the latest snapshot: the weighted
+    /// mean of member estimates (inside their `[min, max]` envelope by
+    /// construction).
+    fn blend(&self, run: &Run) -> f64 {
+        let state = &run.state;
         // Blend only the members the selection layer still takes seriously:
         // a renormalized weighted mean over members within a fixed factor of
         // the top weight. This keeps the smoothing benefit of averaging
@@ -504,60 +547,58 @@ impl EnsembleEstimator {
             .max(f64::MIN_POSITIVE);
         let mut num = 0.0;
         let mut den = 0.0;
-        for (r, &w) in reports.iter().zip(&state.weights) {
+        for (&est, &w) in run.est.iter().zip(&state.weights) {
             if w >= top * BLEND_FLOOR {
-                num += w * r.query_progress;
+                num += w * est;
                 den += w;
             }
         }
         let blended = if den > 0.0 {
             num / den
         } else {
-            reports[state.selected].query_progress
+            run.est[state.selected]
         };
-        report.query_progress = blended.clamp(0.0, 1.0);
-        report.ensemble = Some(self.selection_of(state));
-        report
+        blended.clamp(0.0, 1.0)
     }
 
-    /// Fold one observation into `state`: histories, penalty masses,
-    /// retrospective losses, weights, selection.
-    fn fold_observation(
-        &self,
-        state: &mut SelectState,
-        s: &DmvSnapshot,
-        reports: &[ProgressReport],
-    ) {
-        let n_members = self.members.len();
+    /// Fold the latest derivation in `run` into its selection state:
+    /// histories, penalty masses, retrospective losses, weights, selection.
+    fn fold_observation(&self, run: &mut Run, s: &DmvSnapshot) {
+        let state = &mut run.state;
+        let est = run.est;
         state.observed += 1;
         state
             .sum_k
             .push(s.nodes.iter().map(|c| c.rows_output as f64).sum());
 
         // Per-snapshot disagreement against the member median.
-        let mut ests: Vec<f64> = reports.iter().map(|r| r.query_progress).collect();
-        let med = median(&mut ests);
-        for (m, r) in reports.iter().enumerate() {
-            state.disagree[m] += (r.query_progress - med).abs();
+        let med = median(est);
+        for (disagree, est) in state.disagree.iter_mut().zip(est) {
+            *disagree += (est - med).abs();
         }
 
-        for (m, r) in reports.iter().enumerate() {
-            let est = r.query_progress;
+        // Σ refined_n per pass: a member's total-cardinality view is its
+        // pass's.
+        let mut pass_total_n = [0.0f64; N_PASSES];
+        for (total, core) in pass_total_n.iter_mut().zip(&run.cores) {
+            *total = core.n_hat.iter().copied().sum();
+        }
+        for (m, member) in self.members.iter().enumerate() {
             // Monotonicity-violation mass: true progress never decreases.
             if state.observed > 1 {
-                state.mono[m] += (state.last_est[m] - est).max(0.0);
+                state.mono[m] += (state.last_est[m] - est[m]).max(0.0);
             }
-            state.last_est[m] = est;
-            state.est_hist[m].push(est);
+            state.last_est[m] = est[m];
             // Refinement churn: movement of the member's total-cardinality
             // view between consecutive snapshots, normalized.
-            let total_n: f64 = r.nodes.iter().map(|n| n.refined_n).sum();
+            let total_n = pass_total_n[member.pass];
             if state.observed > 1 && state.last_total_n[m] > 0.0 {
                 state.churn[m] +=
                     (total_n - state.last_total_n[m]).abs() / state.last_total_n[m].max(1.0);
             }
             state.last_total_n[m] = total_n;
         }
+        state.est_hist.push(est);
 
         // Retrospective truth denominator: per-node *median* of the
         // members' refined cardinalities, floored by observed counts, then
@@ -568,30 +609,25 @@ impl EnsembleEstimator {
         // right. Closed nodes pin refined_n to the exact final k in every
         // member, so this still converges to the §5 ground-truth
         // denominator as the run completes.
-        let n_nodes = reports[0].nodes.len();
         let mut denom = 0.0f64;
-        let mut per_member = vec![0.0f64; n_members];
-        for node in 0..n_nodes {
-            for (m, r) in reports.iter().enumerate() {
-                let n = &r.nodes[node];
-                per_member[m] = n.refined_n.max(n.k);
+        let mut per_member = [0.0f64; N_MEMBERS];
+        // Each member's cardinalities, sliced once to the node count.
+        let n_hats: [&[f64]; N_MEMBERS] =
+            std::array::from_fn(|m| &run.cores[self.members[m].pass].n_hat[..s.nodes.len()]);
+        for (node, c) in s.nodes.iter().enumerate() {
+            let k = c.rows_output as f64;
+            for (n, n_hat) in per_member.iter_mut().zip(n_hats) {
+                *n = n_hat[node].max(k);
             }
-            denom += median(&mut per_member);
+            denom += median(per_member);
         }
         let denom = denom.max(1.0);
 
-        // Retrospective loss per member: how far its past estimates sit
-        // from the *current best reconstruction* of true progress at those
-        // past snapshots.
+        let loss = retrospective_loss(&state.est_hist, &state.sum_k, denom);
         let obs = state.observed as f64;
-        let mut scores = vec![0.0f64; n_members];
-        for (m, hist) in state.est_hist.iter().enumerate() {
-            let mut loss = 0.0;
-            for (j, est) in hist.iter().enumerate() {
-                let truth = (state.sum_k[j] / denom).clamp(0.0, 1.0);
-                loss += (est - truth).abs();
-            }
-            scores[m] = loss / obs
+        let mut scores = [0.0f64; N_MEMBERS];
+        for m in 0..N_MEMBERS {
+            scores[m] = loss[m] / obs
                 + self.config.mono_coeff * state.mono[m] / obs
                 + self.config.churn_coeff * state.churn[m] / obs
                 + self.config.disagree_coeff * state.disagree[m] / obs;
@@ -601,25 +637,21 @@ impl EnsembleEstimator {
         // pipeline-shape prior during warmup (the prior's influence decays
         // as observations accumulate).
         const EPS: f64 = 1e-4;
-        let mut inv: Vec<f64> = scores
-            .iter()
-            .map(|&sc| (sc + EPS).powf(-self.config.sharpness))
-            .collect();
+        let mut inv = scores.map(|sc| (sc + EPS).powf(-self.config.sharpness));
         let inv_sum: f64 = inv.iter().sum();
         if inv_sum > 0.0 && inv_sum.is_finite() {
             for w in &mut inv {
                 *w /= inv_sum;
             }
         } else {
-            inv = self.prior.clone();
+            inv = self.prior;
         }
         let prior_mix =
             self.config.warmup_snapshots as f64 / (self.config.warmup_snapshots as f64 + obs);
-        let mut weights: Vec<f64> = inv
-            .iter()
-            .zip(&self.prior)
-            .map(|(w, p)| prior_mix * p + (1.0 - prior_mix) * w)
-            .collect();
+        let mut weights = [0.0f64; N_MEMBERS];
+        for m in 0..N_MEMBERS {
+            weights[m] = prior_mix * self.prior[m] + (1.0 - prior_mix) * inv[m];
+        }
         let w_sum: f64 = weights.iter().sum();
         if w_sum > 0.0 {
             for w in &mut weights {
@@ -634,6 +666,14 @@ impl EnsembleEstimator {
 /// Number of members in the standard ensemble.
 const N_MEMBERS: usize = 6;
 
+/// Number of distinct §4 passes the members read: `full`, `dne_refined`,
+/// `tgn`, `full` without refinement, and `tgn_bounded` (which `pmax` and
+/// `safe` share).
+const N_PASSES: usize = 5;
+
+/// One `f64` per member, in ensemble order.
+type PerMember = [f64; N_MEMBERS];
+
 /// Members whose weight is below this fraction of the top weight are left
 /// out of the composed blend (they still compete for selection — their
 /// scores keep updating every snapshot).
@@ -644,13 +684,9 @@ const BLEND_FLOOR: f64 = 0.25;
 /// full model first, then the driver-node and dominant-pipeline models,
 /// then the baselines — skewed by what the plan's shape says about which
 /// models can even be right here.
-fn shape_prior(n_members: usize, statics: &PlanStatics) -> Vec<f64> {
+fn shape_prior(statics: &PlanStatics) -> PerMember {
     // Base preference: lqs, dne, tgn, norefine, pmax, safe.
-    let mut prior = vec![0.40, 0.15, 0.08, 0.12, 0.15, 0.10];
-    prior.truncate(n_members);
-    while prior.len() < n_members {
-        prior.push(0.05);
-    }
+    let mut prior = [0.40, 0.15, 0.08, 0.12, 0.15, 0.10];
     let n_pipelines = statics.pipelines.pipelines().len();
     let any_batch = statics.nodes.iter().any(|n| n.batch_mode);
     let any_blocking = statics.nodes.iter().any(|n| n.blocking);
@@ -677,4 +713,99 @@ fn shape_prior(n_members: usize, statics: &PlanStatics) -> Vec<f64> {
         *p /= sum;
     }
     prior
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::estimator::REFRESHES;
+    use lqs_exec::{execute, ExecOptions, QueryRun};
+    use lqs_plan::{CostModel, Expr, PlanBuilder, SortKey};
+    use lqs_storage::{Column, DataType, Schema, Table, Value};
+
+    /// scan → filter → sort over 3 000 rows: two pipelines, one blocking
+    /// operator, a few dozen snapshots.
+    fn sorted_scan() -> (Database, PhysicalPlan, QueryRun) {
+        let mut t = Table::new(
+            "t",
+            Schema::new(vec![
+                Column::new("a", DataType::Int),
+                Column::new("b", DataType::Int),
+            ]),
+        );
+        for i in 0..3_000i64 {
+            t.insert(vec![Value::Int(i), Value::Int((i * 7) % 1000)])
+                .unwrap();
+        }
+        let mut db = Database::new();
+        let tid = db.add_table_analyzed(t);
+        let mut b = PlanBuilder::new(&db);
+        let scan = b.table_scan(tid);
+        let filter = b.filter(scan, Expr::col(1).lt(Expr::lit(600i64)));
+        let sort = b.sort(filter, vec![SortKey::asc(1)]);
+        let plan = b.finish(sort);
+        let run = execute(&db, &plan, &ExecOptions::default());
+        assert!(run.snapshots.len() > 8);
+        (db, plan, run)
+    }
+
+    #[test]
+    fn a_snapshot_is_derived_once_per_ensemble() {
+        let (db, plan, run) = sorted_scan();
+        let mut ens =
+            EnsembleEstimator::build(&plan, &db, &run.cost_model, EnsembleConfig::default());
+        let before = REFRESHES.get();
+        ens.replay(&run.snapshots);
+        assert_eq!(REFRESHES.get() - before, run.snapshots.len() as u64);
+        for s in &run.snapshots {
+            let before = REFRESHES.get();
+            ens.observe(s, false);
+            assert_eq!(REFRESHES.get() - before, 1);
+        }
+    }
+
+    /// Regression: the member median used to sort with
+    /// `partial_cmp(..).expect("finite estimates")`, so one NaN estimate
+    /// from a degenerate snapshot panicked the poller's driver thread and
+    /// took every session's polling with it.
+    #[test]
+    fn a_nan_member_estimate_neither_panics_nor_escapes() {
+        let (db, plan, run) = sorted_scan();
+        let mut ens =
+            EnsembleEstimator::build(&plan, &db, &run.cost_model, EnsembleConfig::default());
+        // An infinite optimizer estimate makes Equation 2 read 0 · ∞ under
+        // `tgn`, which never refines it away.
+        let mut statics = PlanStatics::build(&plan, &db, CostModel::default().io_page_ns);
+        for n in &mut statics.nodes {
+            n.est_rows = f64::INFINITY;
+            n.known_rows = None;
+        }
+        let poisoned = ProgressEstimator::from_statics(Arc::new(statics), EstimatorConfig::tgn());
+        for s in &run.snapshots {
+            assert!(poisoned.estimate(s).query_progress.is_nan());
+        }
+        assert_eq!(ens.lineup.members[2].id, "tgn");
+        ens.lineup.members[2].estimator = poisoned;
+
+        let replay = ens.replay(&run.snapshots);
+        for est in replay.estimates.iter().chain(&replay.member_estimates[2]) {
+            assert!((0.0..=1.0).contains(est), "replay estimate {est}");
+        }
+        for s in &run.snapshots {
+            let report = ens.observe(s, false);
+            assert!(
+                (0.0..=1.0).contains(&report.query_progress),
+                "observed {}",
+                report.query_progress
+            );
+            let sel = report.ensemble.expect("ensemble report");
+            assert!(sel.weights.iter().all(|(_, w)| w.is_finite()));
+        }
+    }
+
+    #[test]
+    fn median_orders_nan_instead_of_panicking() {
+        assert_eq!(median([0.1, 0.5, 0.3, 0.2, 0.4, 0.6]), 0.35);
+        assert_eq!(median([f64::NAN, 0.5, 0.3, 0.2, 0.4, 0.6]), 0.45);
+    }
 }

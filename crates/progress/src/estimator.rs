@@ -14,14 +14,15 @@
 //! 5. aggregate to query progress, optionally weighted by optimizer
 //!    per-tuple costs along the longest path (§4.6).
 
-use crate::bounds::{compute_bounds, Bounds};
+use crate::bounds::{compute_bounds_into, Bounds};
 use crate::config::{EstimatorConfig, QueryModel};
 use crate::explain::{EstimationPath, ExplainCounters, Explanation, RefinementSource};
 use crate::statics::PlanStatics;
-use crate::weights::longest_path_nodes;
+use crate::weights::{walk_longest_path, ChainMemo};
 use lqs_exec::DmvSnapshot;
 use lqs_plan::{NodeId, PhysicalPlan};
 use lqs_storage::Database;
+use std::sync::Arc;
 
 /// Progress of a single operator at one snapshot.
 #[derive(Debug, Clone)]
@@ -105,10 +106,95 @@ pub struct ProgressReport {
     pub ensemble: Option<EnsembleSelection>,
 }
 
+/// What every estimator configuration derives identically from one
+/// snapshot: it depends on the plan and the counters, never on an
+/// [`EstimatorConfig`]. An ensemble refreshes one of these per snapshot and
+/// every member reads it.
+#[derive(Debug, Default)]
+pub(crate) struct SnapshotState {
+    /// Nodes that will never execute: never opened, but an enclosing
+    /// operator already closed (e.g. the inner side of a nested-loops join
+    /// whose outer produced zero rows, or a branch pruned at runtime).
+    /// Such nodes are complete by definition — without this, a finished
+    /// query with an unexecuted subtree never reports 100%.
+    pub(crate) skipped: Vec<bool>,
+    /// Appendix-A bounds per node; empty when refreshed without them.
+    pub(crate) bounds: Vec<Bounds>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// [`SnapshotState::refresh`] calls on this thread (the "one derivation
+    /// per snapshot" assertion in the ensemble's tests).
+    pub(crate) static REFRESHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+impl SnapshotState {
+    /// Recompute for snapshot `s`; `bound` says whether any reader needs
+    /// the Appendix-A bounds.
+    pub(crate) fn refresh(&mut self, statics: &PlanStatics, s: &DmvSnapshot, bound: bool) {
+        #[cfg(test)]
+        REFRESHES.with(|c| c.set(c.get() + 1));
+        self.skipped.clear();
+        self.skipped.resize(statics.nodes.len(), false);
+        // Parents before children, so a node's own flag is final when its
+        // children read it.
+        for &id in statics.post_order.iter().rev() {
+            let done = self.skipped[id.0] || s.node(id.0).is_closed();
+            for &ch in &statics.nodes[id.0].children {
+                if done && !s.node(ch.0).is_open() {
+                    self.skipped[ch.0] = true;
+                }
+            }
+        }
+        if bound {
+            compute_bounds_into(statics, s, &mut self.bounds);
+        } else {
+            self.bounds.clear();
+        }
+    }
+}
+
+/// What one estimator configuration derives from one snapshot, in buffers
+/// that are reused from snapshot to snapshot.
+#[derive(Debug, Default)]
+pub(crate) struct CoreBuffers {
+    /// `N̂ᵢ` after refinement and bounding.
+    pub(crate) n_hat: Vec<f64>,
+    /// `N̂ᵢ` after refinement, before bounding.
+    pre_bound: Vec<f64>,
+    /// Where each `N̂ᵢ` came from.
+    sources: Vec<RefinementSource>,
+    /// Per-node progress and the model that produced it.
+    progress: Vec<f64>,
+    path: Vec<EstimationPath>,
+    // Scratch of single steps.
+    alpha: Vec<Option<f64>>,
+    in_scope: Vec<bool>,
+    chains: ChainMemo,
+}
+
+/// Reusable buffers for [`ProgressEstimator::estimate_core`]: keep one per
+/// estimator (or per thread) and pass it to every call. After a call it
+/// holds that snapshot's per-node figures.
+#[derive(Debug, Default)]
+pub struct EstimateScratch {
+    pub(crate) shared: SnapshotState,
+    pub(crate) core: CoreBuffers,
+}
+
+impl EstimateScratch {
+    /// The `N̂ᵢ` of the last estimated snapshot (after refinement and
+    /// bounding), indexed by `NodeId.0`.
+    pub fn refined_n(&self) -> &[f64] {
+        &self.core.n_hat
+    }
+}
+
 /// The estimator, constructed once per (plan, database) pair and then
 /// invoked on every DMV snapshot.
 pub struct ProgressEstimator {
-    statics: PlanStatics,
+    statics: Arc<PlanStatics>,
     config: EstimatorConfig,
 }
 
@@ -126,11 +212,7 @@ impl ProgressEstimator {
     /// cost model"]`: harness code should go through
     /// `lqs_harness::run::estimator_for_run`.
     pub fn new(plan: &PhysicalPlan, db: &Database, config: EstimatorConfig) -> Self {
-        let io_page_ns = lqs_plan::CostModel::default().io_page_ns;
-        ProgressEstimator {
-            statics: PlanStatics::build(plan, db, io_page_ns),
-            config,
-        }
+        Self::with_cost_model(plan, db, config, &lqs_plan::CostModel::default())
     }
 
     /// Build with a specific cost model's I/O constant (for weight parity
@@ -141,10 +223,15 @@ impl ProgressEstimator {
         config: EstimatorConfig,
         cost: &lqs_plan::CostModel,
     ) -> Self {
-        ProgressEstimator {
-            statics: PlanStatics::build(plan, db, cost.io_page_ns),
-            config,
-        }
+        let statics = PlanStatics::build(plan, db, cost.io_page_ns);
+        Self::from_statics(Arc::new(statics), config)
+    }
+
+    /// Another configuration over already-built statics: the statics depend
+    /// on (plan, database, cost model) only, so estimators that differ in
+    /// configuration alone share one copy.
+    pub(crate) fn from_statics(statics: Arc<PlanStatics>, config: EstimatorConfig) -> Self {
+        ProgressEstimator { statics, config }
     }
 
     /// The precomputed statics (exposed for metrics and tests).
@@ -157,73 +244,111 @@ impl ProgressEstimator {
         &self.config
     }
 
-    /// Estimate progress from one DMV snapshot.
+    /// Estimate progress from one DMV snapshot: [`Self::estimate_core`]
+    /// plus the per-node detail and explain diagnostics.
     pub fn estimate(&self, s: &DmvSnapshot) -> ProgressReport {
+        let mut scratch = EstimateScratch::default();
+        let query_progress = self.estimate_core(s, &mut scratch);
+        self.report(s, &scratch.shared, &scratch.core, query_progress)
+    }
+
+    /// Query progress from one DMV snapshot without building a
+    /// [`ProgressReport`]: every figure is the one [`Self::estimate`]
+    /// reports, bit for bit, and nothing is allocated once `scratch` has
+    /// seen a snapshot of this plan.
+    pub fn estimate_core(&self, s: &DmvSnapshot, scratch: &mut EstimateScratch) -> f64 {
+        let bound = self.config.bound_cardinality;
+        scratch.shared.refresh(&self.statics, s, bound);
+        self.core(s, &scratch.shared, &mut scratch.core)
+    }
+
+    /// Steps 1–5 of the module docs over an already-derived `shared`
+    /// state.
+    pub(crate) fn core(
+        &self,
+        s: &DmvSnapshot,
+        shared: &SnapshotState,
+        buf: &mut CoreBuffers,
+    ) -> f64 {
         let n_nodes = self.statics.nodes.len();
-        let skipped = self.skipped_nodes(s);
+        let skipped = &shared.skipped[..];
 
         // --- Steps 1+2: cardinality estimates, optionally refined. -------
-        let mut n_hat: Vec<f64> = self
-            .statics
-            .nodes
-            .iter()
-            .map(|st| st.known_rows.unwrap_or(st.est_rows).max(1.0))
-            .collect();
-        let mut sources = vec![RefinementSource::Static; n_nodes];
+        buf.n_hat.clear();
+        buf.n_hat.extend(
+            self.statics
+                .nodes
+                .iter()
+                .map(|st| st.known_rows.unwrap_or(st.est_rows).max(1.0)),
+        );
+        buf.sources.clear();
+        buf.sources.resize(n_nodes, RefinementSource::Static);
         if self.config.refine_cardinality {
-            self.refine(s, &skipped, &mut n_hat, &mut sources);
+            self.refine(s, skipped, &mut buf.n_hat, &mut buf.sources, &mut buf.alpha);
             if self.config.propagate_refined {
                 // §7 extension (a): a second pass lets downstream pipelines'
                 // driver denominators (and NL outer totals) see upstream
                 // refinements instead of raw optimizer estimates.
-                self.refine(s, &skipped, &mut n_hat, &mut sources);
+                self.refine(s, skipped, &mut buf.n_hat, &mut buf.sources, &mut buf.alpha);
             }
         }
 
         // --- Step 3: bounding. -------------------------------------------
-        let pre_bound = n_hat.clone();
-        let bounds = if self.config.bound_cardinality {
-            let b = compute_bounds(&self.statics, s);
-            for i in 0..n_nodes {
-                n_hat[i] = b[i].clamp(n_hat[i]);
+        buf.pre_bound.clone_from(&buf.n_hat);
+        if self.config.bound_cardinality {
+            for (n, b) in buf.n_hat.iter_mut().zip(&shared.bounds) {
+                *n = b.clamp(*n);
             }
-            b
-        } else {
-            vec![
-                Bounds {
-                    lb: 0.0,
-                    ub: f64::INFINITY
-                };
-                n_nodes
-            ]
-        };
+        }
 
         // --- Step 4: per-node progress. ------------------------------------
+        buf.progress.clear();
+        buf.path.clear();
+        buf.progress.reserve(n_nodes);
+        buf.path.reserve(n_nodes);
+        for i in 0..n_nodes {
+            let (progress, path) = self.node_progress(s, i, skipped, &buf.n_hat);
+            buf.progress.push(progress);
+            buf.path.push(path);
+        }
+
+        // --- Step 5: query progress. ---------------------------------------
+        self.query_progress(s, buf)
+    }
+
+    /// The full report over what [`Self::core`] left in `buf`.
+    pub(crate) fn report(
+        &self,
+        s: &DmvSnapshot,
+        shared: &SnapshotState,
+        buf: &CoreBuffers,
+        query_progress: f64,
+    ) -> ProgressReport {
         let mut counters = ExplainCounters::default();
-        let nodes: Vec<NodeProgress> = (0..n_nodes)
+        let nodes: Vec<NodeProgress> = (0..self.statics.nodes.len())
             .map(|i| {
-                let (progress, path) = self.node_progress(s, i, &skipped, &n_hat);
                 let explanation = Explanation {
-                    path,
-                    refinement: sources[i],
-                    pre_bound_n: pre_bound[i],
-                    clamp_delta: n_hat[i] - pre_bound[i],
+                    path: buf.path[i],
+                    refinement: buf.sources[i],
+                    pre_bound_n: buf.pre_bound[i],
+                    clamp_delta: buf.n_hat[i] - buf.pre_bound[i],
                 };
                 counters.record(&explanation);
                 NodeProgress {
                     node: NodeId(i),
                     name: self.statics.nodes[i].name,
-                    progress,
-                    refined_n: n_hat[i],
-                    bounds: bounds[i],
+                    progress: buf.progress[i],
+                    refined_n: buf.n_hat[i],
+                    bounds: if self.config.bound_cardinality {
+                        shared.bounds[i]
+                    } else {
+                        Bounds::UNBOUNDED
+                    },
                     k: s.k(i),
                     explanation,
                 }
             })
             .collect();
-
-        // --- Step 5: query progress. ---------------------------------------
-        let query_progress = self.query_progress(s, &n_hat, &nodes);
         ProgressReport {
             query_progress,
             nodes,
@@ -236,30 +361,6 @@ impl ProgressEstimator {
 
     // ---------------------------------------------------------------------
 
-    /// Nodes that will never execute: never opened, but an enclosing
-    /// operator already closed (e.g. the inner side of a nested-loops join
-    /// whose outer produced zero rows, or a branch pruned at runtime).
-    /// Such nodes are complete by definition — without this, a finished
-    /// query with an unexecuted subtree never reports 100%.
-    fn skipped_nodes(&self, s: &DmvSnapshot) -> Vec<bool> {
-        let statics = &self.statics;
-        let mut skipped = vec![false; statics.nodes.len()];
-        let Some(&root) = statics.post_order.last() else {
-            return skipped;
-        };
-        let mut stack = vec![root];
-        while let Some(id) = stack.pop() {
-            let done = skipped[id.0] || s.node(id.0).is_closed();
-            for &ch in &statics.nodes[id.0].children {
-                if done && !s.node(ch.0).is_open() {
-                    skipped[ch.0] = true;
-                }
-                stack.push(ch);
-            }
-        }
-        skipped
-    }
-
     /// §4.1 + §4.4 cardinality refinement. Records, per node, which source
     /// last set its estimate in `sources` (for explain diagnostics).
     fn refine(
@@ -268,20 +369,24 @@ impl ProgressEstimator {
         skipped: &[bool],
         n_hat: &mut [f64],
         sources: &mut [RefinementSource],
+        alpha: &mut Vec<Option<f64>>,
     ) {
-        let statics = &self.statics;
+        let statics = &*self.statics;
         // Per-pipeline α = Σ driver k / Σ driver N (§4.1 Equation 3), with
         // driver N taken from exactly-known cardinalities where possible.
-        let mut alpha: Vec<Option<f64>> = vec![None; statics.pipelines.len()];
+        alpha.clear();
+        alpha.resize(statics.pipelines.len(), None);
         for p in statics.pipelines.pipelines() {
             let mut seen = 0.0;
             let mut total = 0.0;
-            let mut drivers: Vec<NodeId> = p.driver_nodes.clone();
-            if self.config.semi_blocking_adjustments {
-                // §4.4(1): inner-side leaves of NL joins become drivers too.
-                drivers.extend(p.nl_inner_leaves.iter().copied());
-            }
-            for &d in &drivers {
+            // §4.4(1): inner-side leaves of NL joins become drivers too.
+            let nl_leaves: &[NodeId] = if self.config.semi_blocking_adjustments {
+                &p.nl_inner_leaves
+            } else {
+                &[]
+            };
+            let drivers = || p.driver_nodes.iter().chain(nl_leaves);
+            for &d in drivers() {
                 let st = &statics.nodes[d.0];
                 let c = s.node(d.0);
                 let n_d = self.driver_total(s, d, n_hat);
@@ -300,11 +405,7 @@ impl ProgressEstimator {
             }
             if total > 0.0 && seen >= self.config.refine_min_driver_rows as f64 {
                 alpha[p.id.0] = Some((seen / total).clamp(0.0, 1.0));
-            } else if total > 0.0
-                && drivers
-                    .iter()
-                    .all(|d| s.node(d.0).is_closed() || skipped[d.0])
-            {
+            } else if total > 0.0 && drivers().all(|d| s.node(d.0).is_closed() || skipped[d.0]) {
                 alpha[p.id.0] = Some(1.0);
             }
         }
@@ -397,7 +498,7 @@ impl ProgressEstimator {
             let pipe = statics.pipelines.pipeline_of(id);
             let (a, source) = if self.config.semi_blocking_adjustments
                 && !st.children.is_empty()
-                && statics.semi_blocking_below(id)
+                && st.semi_blocking_below
             {
                 let mut kk = 0.0;
                 let mut nn = 0.0;
@@ -504,7 +605,7 @@ impl ProgressEstimator {
             }
             // Batch operator above the scan(s): fraction of segments
             // processed in its subtree.
-            let scans = self.statics.columnstore_descendants(NodeId(i));
+            let scans = &st.columnstore_scans;
             if !scans.is_empty() {
                 let done: f64 = scans
                     .iter()
@@ -531,38 +632,36 @@ impl ProgressEstimator {
     }
 
     /// Query-level progress (Equation 2), over the configured node set.
-    fn query_progress(&self, s: &DmvSnapshot, n_hat: &[f64], nodes: &[NodeProgress]) -> f64 {
-        let statics = &self.statics;
-        let in_scope: Vec<bool> = match self.config.query_model {
+    fn query_progress(&self, s: &DmvSnapshot, buf: &mut CoreBuffers) -> f64 {
+        let statics = &*self.statics;
+        let n_hat = &buf.n_hat[..];
+        let in_scope = &mut buf.in_scope;
+        in_scope.clear();
+        match self.config.query_model {
             QueryModel::TotalGetNext => {
                 if self.config.operator_weights {
                     // §4.6: only the longest path of speed-independent
                     // pipelines contributes.
-                    let path = longest_path_nodes(statics, n_hat);
-                    let mut v = vec![false; statics.nodes.len()];
-                    for id in path {
-                        v[id.0] = true;
-                    }
-                    v
+                    in_scope.resize(statics.nodes.len(), false);
+                    walk_longest_path(statics, n_hat, &mut buf.chains, |id| in_scope[id.0] = true);
                 } else {
-                    vec![true; statics.nodes.len()]
+                    in_scope.resize(statics.nodes.len(), true);
                 }
             }
             QueryModel::DriverNodes => {
-                let mut v = vec![false; statics.nodes.len()];
+                in_scope.resize(statics.nodes.len(), false);
                 for p in statics.pipelines.pipelines() {
                     for &d in &p.driver_nodes {
-                        v[d.0] = true;
+                        in_scope[d.0] = true;
                     }
                     if self.config.semi_blocking_adjustments {
                         for &d in &p.nl_inner_leaves {
-                            v[d.0] = true;
+                            in_scope[d.0] = true;
                         }
                     }
                 }
-                v
             }
-        };
+        }
 
         let mut num = 0.0;
         let mut den = 0.0;
@@ -579,7 +678,7 @@ impl ProgressEstimator {
                 && st.blocking
                 && !st.children.is_empty()
                 && !matches!(
-                    nodes[i].explanation.path,
+                    buf.path[i],
                     EstimationPath::Closed | EstimationPath::Skipped
                 )
             {
@@ -609,7 +708,7 @@ impl ProgressEstimator {
                 let n = n_hat[i].max(1.0);
                 // Use the per-node progress (which folds in the §4.3/§4.7
                 // substitutions) as the effective k/N.
-                num += w * nodes[i].progress * n;
+                num += w * buf.progress[i] * n;
                 den += w * n;
             }
         }

@@ -173,9 +173,10 @@ impl SnapshotGuard {
 ///
 /// `observe` sanitizes the incoming snapshot, estimates from the high-water
 /// view, and stamps the report: [`EstimateQuality::Degraded`] once any
-/// anomaly has been absorbed, [`EstimateQuality::Stale`] when the consumer
-/// asks for a report against a `now` far past the newest telemetry (see
-/// [`GuardedEstimator::current`]), [`EstimateQuality::Fresh`] otherwise.
+/// anomaly has been absorbed, [`EstimateQuality::Fresh`] otherwise. The
+/// report is handed to the caller and not kept: a consumer that serves it
+/// again later (the server's poller) holds the one copy and downgrades it
+/// to [`EstimateQuality::Stale`] itself as the telemetry ages.
 /// Because the view is a high-water reconstruction, reported progress obeys
 /// the same §4 bounds and clamps as a fault-free stream — and once the
 /// genuine final snapshot arrives (in any order, amid any garbage), the
@@ -191,7 +192,6 @@ impl SnapshotGuard {
 pub struct GuardedEstimator {
     inner: GuardedInner,
     guard: SnapshotGuard,
-    last_report: Option<ProgressReport>,
 }
 
 /// The model behind a [`GuardedEstimator`].
@@ -199,7 +199,7 @@ enum GuardedInner {
     /// One fixed estimator configuration.
     Single(ProgressEstimator),
     /// The competing-estimator ensemble with online selection.
-    Ensemble(EnsembleEstimator),
+    Ensemble(Box<EnsembleEstimator>),
 }
 
 impl GuardedEstimator {
@@ -208,16 +208,14 @@ impl GuardedEstimator {
         GuardedEstimator {
             inner: GuardedInner::Single(estimator),
             guard: SnapshotGuard::new(n_nodes),
-            last_report: None,
         }
     }
 
     /// Wrap an `ensemble` for a plan with `n_nodes` nodes.
     pub fn new_ensemble(ensemble: EnsembleEstimator, n_nodes: usize) -> Self {
         GuardedEstimator {
-            inner: GuardedInner::Ensemble(ensemble),
+            inner: GuardedInner::Ensemble(Box::new(ensemble)),
             guard: SnapshotGuard::new(n_nodes),
-            last_report: None,
         }
     }
 
@@ -273,23 +271,7 @@ impl GuardedEstimator {
             report.quality = EstimateQuality::Degraded;
         }
         report.staleness_ns = 0;
-        self.last_report = Some(report.clone());
         report
-    }
-
-    /// The latest report re-stamped for a consumer polling at virtual time
-    /// `now_ns`: if the newest telemetry is older than `stale_after_ns`,
-    /// the quality is downgraded to at least `Stale` and the staleness age
-    /// is recorded. Returns `None` before the first `observe`.
-    pub fn current(&self, now_ns: u64, stale_after_ns: u64) -> Option<ProgressReport> {
-        let view = self.guard.view()?;
-        let mut report = self.last_report.clone()?;
-        let age = now_ns.saturating_sub(view.ts_ns);
-        report.staleness_ns = age;
-        if age > stale_after_ns && report.quality == EstimateQuality::Fresh {
-            report.quality = EstimateQuality::Stale;
-        }
-        Some(report)
     }
 }
 

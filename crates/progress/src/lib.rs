@@ -41,9 +41,10 @@ pub use bounds::{compute_bounds, Bounds};
 pub use config::{EstimatorConfig, QueryModel};
 pub use ensemble::{EnsembleConfig, EnsembleEstimator, EnsembleReplay, SingleEstimator};
 pub use estimator::{
-    EnsembleSelection, EstimateQuality, NodeProgress, ProgressEstimator, ProgressReport,
+    EnsembleSelection, EstimateQuality, EstimateScratch, NodeProgress, ProgressEstimator,
+    ProgressReport,
 };
 pub use explain::{EstimationPath, ExplainCounters, Explanation, RefinementSource};
 pub use guard::{AnomalyCounts, GuardedEstimator, SnapshotGuard};
-pub use metrics::{error_count, error_time, PerOperatorError};
+pub use metrics::{error_count, error_time, PerOperatorError, TruthCurves};
 pub use statics::{NodeStatic, PlanStatics};

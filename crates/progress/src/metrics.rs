@@ -14,34 +14,66 @@ use crate::statics::PlanStatics;
 use lqs_exec::QueryRun;
 use std::collections::BTreeMap;
 
-/// Average |estimate − true GetNext progress| over all snapshots of a run.
-pub fn error_count(run: &QueryRun, estimates: &[f64]) -> f64 {
-    assert_eq!(estimates.len(), run.snapshots.len());
-    if run.snapshots.is_empty() {
+/// Average |estimate − truth| over paired observations; 0 for none.
+fn mean_abs_error(estimates: &[f64], truth: impl ExactSizeIterator<Item = f64>) -> f64 {
+    assert_eq!(estimates.len(), truth.len());
+    if estimates.is_empty() {
         return 0.0;
     }
-    let sum: f64 = run
-        .snapshots
+    let sum: f64 = estimates
         .iter()
-        .zip(estimates)
-        .map(|(s, est)| (est - run.true_query_progress(s)).abs())
+        .zip(truth)
+        .map(|(est, t)| (est - t).abs())
         .sum();
-    sum / run.snapshots.len() as f64
+    sum / estimates.len() as f64
+}
+
+/// Average |estimate − true GetNext progress| over all snapshots of a run.
+pub fn error_count(run: &QueryRun, estimates: &[f64]) -> f64 {
+    let truth = run.snapshots.iter().map(|s| run.true_query_progress(s));
+    mean_abs_error(estimates, truth)
 }
 
 /// Average |estimate − elapsed-time fraction| over all snapshots of a run.
 pub fn error_time(run: &QueryRun, estimates: &[f64]) -> f64 {
-    assert_eq!(estimates.len(), run.snapshots.len());
-    if run.snapshots.is_empty() {
-        return 0.0;
+    let truth = run.snapshots.iter().map(|s| run.time_fraction(s));
+    mean_abs_error(estimates, truth)
+}
+
+/// A run's two §5 ground-truth curves, computed once so that several
+/// estimate vectors (every ensemble member plus the ensemble) are scored
+/// against them without recomputing the truth per vector. The figures are
+/// those of [`error_count`] / [`error_time`], bit for bit.
+#[derive(Debug, Clone)]
+pub struct TruthCurves {
+    /// True GetNext progress per snapshot.
+    count: Vec<f64>,
+    /// Elapsed-time fraction per snapshot.
+    time: Vec<f64>,
+}
+
+impl TruthCurves {
+    /// The truth curves of `run`.
+    pub fn of(run: &QueryRun) -> Self {
+        TruthCurves {
+            count: run
+                .snapshots
+                .iter()
+                .map(|s| run.true_query_progress(s))
+                .collect(),
+            time: run.snapshots.iter().map(|s| run.time_fraction(s)).collect(),
+        }
     }
-    let sum: f64 = run
-        .snapshots
-        .iter()
-        .zip(estimates)
-        .map(|(s, est)| (est - run.time_fraction(s)).abs())
-        .sum();
-    sum / run.snapshots.len() as f64
+
+    /// [`error_count`] of `estimates` against this run.
+    pub fn error_count(&self, estimates: &[f64]) -> f64 {
+        mean_abs_error(estimates, self.count.iter().copied())
+    }
+
+    /// [`error_time`] of `estimates` against this run.
+    pub fn error_time(&self, estimates: &[f64]) -> f64 {
+        mean_abs_error(estimates, self.time.iter().copied())
+    }
 }
 
 /// Accumulates per-operator-type errors across queries (Figures 15, 20).
@@ -176,6 +208,22 @@ mod tests {
         assert!(error_count(&run, &ests) < 1e-12);
         let ests: Vec<f64> = run.snapshots.iter().map(|s| run.time_fraction(s)).collect();
         assert!(error_time(&run, &ests) < 1e-12);
+    }
+
+    #[test]
+    fn truth_curves_score_like_the_per_vector_functions() {
+        let run = fake_run(25, 977);
+        let ests: Vec<f64> = (0..25).map(|i| (i as f64 / 31.0).sin().abs()).collect();
+        let truth = TruthCurves::of(&run);
+        assert_eq!(
+            truth.error_count(&ests).to_bits(),
+            error_count(&run, &ests).to_bits()
+        );
+        assert_eq!(
+            truth.error_time(&ests).to_bits(),
+            error_time(&run, &ests).to_bits()
+        );
+        assert_eq!(TruthCurves::of(&fake_run(0, 1)).error_count(&[]), 0.0);
     }
 
     #[test]

@@ -113,6 +113,12 @@ pub struct NodeStatic {
     /// For blocking nodes: fraction of the operator's work attributed to the
     /// input phase (rest is output phase).
     pub input_phase_fraction: f64,
+    /// A semi-blocking operator sits strictly below this node within the
+    /// same pipeline (§4.4(2)'s trigger condition).
+    pub semi_blocking_below: bool,
+    /// Columnstore scans in this node's subtree (itself included), whose
+    /// segment counters give a batch-mode operator its §4.7 progress.
+    pub columnstore_scans: Vec<NodeId>,
 }
 
 /// All static estimator inputs for one plan.
@@ -137,7 +143,8 @@ impl PlanStatics {
             .map(|n| build_node(db, n, io_page_ns))
             .collect();
         // static_ub_per_exec bottom-up.
-        for &id in &plan.post_order() {
+        let post_order = plan.post_order();
+        for &id in &post_order {
             let ub = static_ub(plan, &nodes, id);
             nodes[id.0].static_ub_per_exec = ub;
         }
@@ -174,52 +181,53 @@ impl PlanStatics {
                 }
             }
         }
+        // Both are functions of the plan alone, so they are walked here
+        // once instead of once per node per snapshot.
+        for i in 0..nodes.len() {
+            nodes[i].semi_blocking_below = semi_blocking_below(&nodes, &pipelines, NodeId(i));
+            nodes[i].columnstore_scans = columnstore_descendants(&nodes, NodeId(i));
+        }
         PlanStatics {
             nodes,
             pipelines,
-            post_order: plan.post_order(),
+            post_order,
             io_page_ns,
         }
     }
+}
 
-    /// Whether a semi-blocking operator sits strictly below `node` within
-    /// the same pipeline (§4.4(2)'s trigger condition).
-    pub fn semi_blocking_below(&self, node: NodeId) -> bool {
-        let pipe = self.pipelines.pipeline_of(node);
-        let mut stack: Vec<NodeId> = self.nodes[node.0]
+/// Whether a semi-blocking operator sits strictly below `node` within the
+/// same pipeline.
+fn semi_blocking_below(nodes: &[NodeStatic], pipelines: &PipelineSet, node: NodeId) -> bool {
+    let pipe = pipelines.pipeline_of(node);
+    let same_pipe = |id: NodeId| {
+        nodes[id.0]
             .children
             .iter()
             .copied()
-            .filter(|c| self.pipelines.pipeline_of(*c) == pipe)
-            .collect();
-        while let Some(id) = stack.pop() {
-            if self.nodes[id.0].semi_blocking {
-                return true;
-            }
-            stack.extend(
-                self.nodes[id.0]
-                    .children
-                    .iter()
-                    .copied()
-                    .filter(|c| self.pipelines.pipeline_of(*c) == pipe),
-            );
+            .filter(move |c| pipelines.pipeline_of(*c) == pipe)
+    };
+    let mut stack: Vec<NodeId> = same_pipe(node).collect();
+    while let Some(id) = stack.pop() {
+        if nodes[id.0].semi_blocking {
+            return true;
         }
-        false
+        stack.extend(same_pipe(id));
     }
+    false
+}
 
-    /// Sum of columnstore-scan segment counters among `node`'s same-subtree
-    /// descendants (including itself) — used for batch-pipeline progress.
-    pub fn columnstore_descendants(&self, node: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut stack = vec![node];
-        while let Some(id) = stack.pop() {
-            if self.nodes[id.0].total_segments.is_some() {
-                out.push(id);
-            }
-            stack.extend(self.nodes[id.0].children.iter().copied());
+/// Columnstore scans among `node`'s descendants (including itself).
+fn columnstore_descendants(nodes: &[NodeStatic], node: NodeId) -> Vec<NodeId> {
+    let mut out = Vec::new();
+    let mut stack = vec![node];
+    while let Some(id) = stack.pop() {
+        if nodes[id.0].total_segments.is_some() {
+            out.push(id);
         }
-        out
+        stack.extend(nodes[id.0].children.iter().copied());
     }
+    out
 }
 
 fn build_node(db: &Database, n: &lqs_plan::PlanNode, io_page_ns: f64) -> NodeStatic {
@@ -250,6 +258,8 @@ fn build_node(db: &Database, n: &lqs_plan::PlanNode, io_page_ns: f64) -> NodeSta
         },
         work_total_ns: n.est_cpu_ns.max(n.est_io_pages * io_page_ns).max(1.0),
         input_phase_fraction: 0.6,
+        semi_blocking_below: false,
+        columnstore_scans: Vec::new(),
     };
     match &n.op {
         P::TableScan {

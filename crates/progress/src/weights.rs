@@ -22,40 +22,60 @@ pub fn pipeline_duration(statics: &PlanStatics, pipe: PipelineId, n_hat: &[f64])
         .sum()
 }
 
+/// Per pipeline, once visited: the duration of the most expensive chain of
+/// pipelines starting at it, and the upstream pipeline that chain continues
+/// into (`None` at a leaf pipeline).
+pub(crate) type ChainMemo = Vec<Option<(f64, Option<PipelineId>)>>;
+
 /// The set of nodes on the longest root-to-leaf path of pipelines.
 ///
 /// Recursion over the pipeline dependency tree: a path through pipeline `P`
 /// costs `duration(P)` plus the most expensive path among its upstream
 /// pipelines; the chosen path's member nodes are collected.
 pub fn longest_path_nodes(statics: &PlanStatics, n_hat: &[f64]) -> Vec<NodeId> {
-    let root = PipelineId(0);
-    let mut memo: Vec<Option<(f64, Vec<PipelineId>)>> = vec![None; statics.pipelines.len()];
-    let (_, path) = longest_from(statics, root, n_hat, &mut memo);
-    path.iter()
-        .flat_map(|p| statics.pipelines.pipeline(*p).nodes.iter().copied())
-        .collect()
+    let mut out = Vec::new();
+    walk_longest_path(statics, n_hat, &mut ChainMemo::new(), |n| out.push(n));
+    out
+}
+
+/// Visit the nodes of [`longest_path_nodes`] in its order (root pipeline
+/// first), with `memo` as reusable scratch.
+pub(crate) fn walk_longest_path(
+    statics: &PlanStatics,
+    n_hat: &[f64],
+    memo: &mut ChainMemo,
+    mut visit: impl FnMut(NodeId),
+) {
+    memo.clear();
+    memo.resize(statics.pipelines.len(), None);
+    longest_from(statics, PipelineId(0), n_hat, memo);
+    let mut next = Some(PipelineId(0));
+    while let Some(pipe) = next {
+        for &n in &statics.pipelines.pipeline(pipe).nodes {
+            visit(n);
+        }
+        next = memo[pipe.0].and_then(|(_, up)| up);
+    }
 }
 
 fn longest_from(
     statics: &PlanStatics,
     pipe: PipelineId,
     n_hat: &[f64],
-    memo: &mut Vec<Option<(f64, Vec<PipelineId>)>>,
-) -> (f64, Vec<PipelineId>) {
-    if let Some(m) = &memo[pipe.0] {
-        return m.clone();
+    memo: &mut ChainMemo,
+) -> f64 {
+    if let Some((total, _)) = memo[pipe.0] {
+        return total;
     }
     let own = pipeline_duration(statics, pipe, n_hat);
-    let mut best = (0.0f64, Vec::new());
+    let mut best = (0.0f64, None);
     for &up in &statics.pipelines.pipeline(pipe).upstream {
-        let (d, p) = longest_from(statics, up, n_hat, memo);
+        let d = longest_from(statics, up, n_hat, memo);
         if d > best.0 {
-            best = (d, p);
+            best = (d, Some(up));
         }
     }
-    let mut path = vec![pipe];
-    path.extend(best.1.iter().copied());
-    let result = (own + best.0, path);
-    memo[pipe.0] = Some(result.clone());
-    result
+    let total = own + best.0;
+    memo[pipe.0] = Some((total, best.1));
+    total
 }

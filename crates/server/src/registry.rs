@@ -12,8 +12,8 @@ use crate::session::{
     SessionState,
 };
 use lqs_progress::{
-    error_count, error_time, EnsembleConfig, EnsembleEstimator, EstimateQuality, EstimatorConfig,
-    GuardedEstimator, ProgressEstimator, ProgressReport,
+    EnsembleConfig, EnsembleEstimator, EstimateQuality, EstimateScratch, EstimatorConfig,
+    GuardedEstimator, ProgressEstimator, ProgressReport, TruthCurves,
 };
 use lqs_storage::Database;
 use std::collections::{HashMap, HashSet};
@@ -454,43 +454,40 @@ impl RegistryPoller {
         // of the same trace (asserted in tests). The poller's live state
         // saw only the subsampled snapshots it happened to poll, so it is
         // not deterministic across timing; the full-trace replay is.
+        // Every estimate vector is scored against the same two truth
+        // curves, so those are computed once per run.
+        let metrics = self.metrics.as_ref();
+        let score = metrics.map(|metrics| {
+            let truth = TruthCurves::of(&run);
+            move |id: &str, estimates: &[f64]| {
+                metrics.observe_accuracy(
+                    handle.workload(),
+                    id,
+                    truth.error_count(estimates),
+                    truth.error_time(estimates),
+                );
+            }
+        });
         match guarded.ensemble() {
             None => {
                 let estimator = guarded.single().expect("single when not ensemble");
+                let mut scratch = EstimateScratch::default();
                 let estimates: Vec<f64> = run
                     .snapshots
                     .iter()
-                    .map(|s| estimator.estimate(s).query_progress)
+                    .map(|s| estimator.estimate_core(s, &mut scratch))
                     .collect();
-                if let Some(metrics) = &self.metrics {
-                    metrics.observe_accuracy(
-                        handle.workload(),
-                        "lqs",
-                        error_count(&run, &estimates),
-                        error_time(&run, &estimates),
-                    );
-                    metrics.accuracy_session_done();
+                if let Some(score) = &score {
+                    score("lqs", &estimates);
                 }
             }
             Some(ens) => {
-                let member_ids = ens.member_ids();
                 let replay = ens.replay(&run.snapshots);
-                if let Some(metrics) = &self.metrics {
-                    for (id, estimates) in member_ids.iter().zip(&replay.member_estimates) {
-                        metrics.observe_accuracy(
-                            handle.workload(),
-                            id,
-                            error_count(&run, estimates),
-                            error_time(&run, estimates),
-                        );
+                if let Some(score) = &score {
+                    for (id, estimates) in ens.member_ids().iter().zip(&replay.member_estimates) {
+                        score(id, estimates);
                     }
-                    metrics.observe_accuracy(
-                        handle.workload(),
-                        "ensemble",
-                        error_count(&run, &replay.estimates),
-                        error_time(&run, &replay.estimates),
-                    );
-                    metrics.accuracy_session_done();
+                    score("ensemble", &replay.estimates);
                 }
                 // The replay's final selection is the authoritative one:
                 // journal it for post-mortems and pin it on the handle for
@@ -508,6 +505,9 @@ impl RegistryPoller {
                 }
                 handle.set_estimator_selection(replay.selection);
             }
+        }
+        if let Some(metrics) = metrics {
+            metrics.accuracy_session_done();
         }
     }
 
