@@ -35,8 +35,10 @@
 
 use lqs::exec::{execute, execute_traced, ExecMode, ExecOptions};
 use lqs::obs::RingBufferSink;
-use lqs::plan::{AggFunc, Aggregate, Expr, JoinKind, PhysicalPlan, PlanBuilder, SortKey};
-use lqs::storage::{Column, DataType, Database, Schema, Table, Value};
+use lqs::plan::{
+    AggFunc, Aggregate, Expr, JoinKind, PhysicalPlan, PlanBuilder, SeekKey, SeekRange, SortKey,
+};
+use lqs::storage::{Column, DataType, Database, IndexId, Schema, Table, TableId, Value};
 use serde_json::Value as Json;
 use std::time::Instant;
 
@@ -97,7 +99,8 @@ fn parse_args() -> Args {
     out
 }
 
-fn db(rows: i64) -> (Database, lqs::storage::TableId) {
+/// `t(a, b)`: `a` is the row number and the primary key, `b = a % 97`.
+fn db(rows: i64) -> (Database, TableId, IndexId) {
     let mut t = Table::new(
         "t",
         Schema::new(vec![
@@ -110,7 +113,8 @@ fn db(rows: i64) -> (Database, lqs::storage::TableId) {
     }
     let mut d = Database::new();
     let id = d.add_table_analyzed(t);
-    (d, id)
+    let pk = d.create_btree_index("pk_t", id, vec![0], true);
+    (d, id, pk)
 }
 
 fn opts(mode: ExecMode) -> ExecOptions {
@@ -167,7 +171,7 @@ fn run_workload(
 }
 
 /// The headline plan: a table scan under twelve stacked filters.
-fn headline_plan(d: &Database, t: lqs::storage::TableId) -> PhysicalPlan {
+fn headline_plan(d: &Database, t: TableId) -> PhysicalPlan {
     let mut pb = PlanBuilder::new(d);
     let mut node = pb.table_scan(t);
     for k in 0..12 {
@@ -178,12 +182,7 @@ fn headline_plan(d: &Database, t: lqs::storage::TableId) -> PhysicalPlan {
 
 /// Re-measure just the headline pipeline (used by `--check` to rule out a
 /// transient scheduling dip before declaring a regression).
-fn headline_workload(
-    d: &Database,
-    t: lqs::storage::TableId,
-    rows: i64,
-    reps: usize,
-) -> WorkloadResult {
+fn headline_workload(d: &Database, t: TableId, rows: i64, reps: usize) -> WorkloadResult {
     let plan = headline_plan(d, t);
     run_workload(HEADLINE, rows, reps, d, &plan)
 }
@@ -200,12 +199,7 @@ struct ProfilingResult {
 /// (batch spans land in a ring buffer, the shape `lqs_live --profile`
 /// uses). Interleaved best-of, same as the throughput rows, so the gate
 /// checks a ratio rather than machine-dependent rates.
-fn profiling_overhead(
-    d: &Database,
-    t: lqs::storage::TableId,
-    rows: i64,
-    reps: usize,
-) -> ProfilingResult {
+fn profiling_overhead(d: &Database, t: TableId, rows: i64, reps: usize) -> ProfilingResult {
     let plan = headline_plan(d, t);
     let (mut bare, mut traced) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
@@ -232,12 +226,7 @@ fn profiling_overhead(
     r
 }
 
-fn workloads(
-    d: &Database,
-    t: lqs::storage::TableId,
-    rows: i64,
-    reps: usize,
-) -> Vec<WorkloadResult> {
+fn workloads(d: &Database, t: TableId, pk: IndexId, rows: i64, reps: usize) -> Vec<WorkloadResult> {
     let mut out = Vec::new();
     {
         let mut pb = PlanBuilder::new(d);
@@ -290,6 +279,29 @@ fn workloads(
         let j = pb.hash_join(JoinKind::LeftSemi, l, r, vec![0], vec![0]);
         let plan = pb.finish(j);
         out.push(run_workload("hash_join", rows, reps, d, &plan));
+    }
+    // The row-at-a-time joins, which is what the REAL-3 plans spend their
+    // time in: an index nested-loops self-join on the primary key (one
+    // correlated seek rebind per outer row; `outer_buffer = 1` also turns
+    // the outer scan into 1-row calls) and a merge join over two sorts.
+    for outer_buffer in [1usize, 512] {
+        let mut pb = PlanBuilder::new(d);
+        let outer = pb.table_scan(t);
+        let inner = pb.index_seek(pk, SeekRange::eq(vec![SeekKey::OuterRef(0)]));
+        let j = pb.nested_loops(JoinKind::Inner, outer, inner, None, outer_buffer);
+        let plan = pb.finish(j);
+        let name = format!("index_nl_ob{outer_buffer}");
+        out.push(run_workload(&name, rows, reps, d, &plan));
+    }
+    {
+        let mut pb = PlanBuilder::new(d);
+        let l = pb.table_scan(t);
+        let l = pb.sort(l, vec![SortKey::asc(0)]);
+        let r = pb.table_scan(t);
+        let r = pb.sort(r, vec![SortKey::asc(0)]);
+        let j = pb.merge_join(JoinKind::Inner, l, r, vec![0], vec![0]);
+        let plan = pb.finish(j);
+        out.push(run_workload("merge_join", rows, reps, d, &plan));
     }
     out
 }
@@ -349,8 +361,8 @@ fn main() {
         "engine throughput: rows={} reps={} (best-of)",
         args.rows, args.reps
     );
-    let (d, t) = db(args.rows);
-    let results = workloads(&d, t, args.rows, args.reps);
+    let (d, t, pk) = db(args.rows);
+    let results = workloads(&d, t, pk, args.rows, args.reps);
 
     println!("\nbatch-native profiling overhead ({HEADLINE}, recording sink attached)");
     let mut profiling = profiling_overhead(&d, t, args.rows, args.reps);

@@ -33,7 +33,10 @@ impl BloomFilter {
         }
     }
 
-    fn key_hash(key: &[Value], seed: u64) -> u64 {
+    /// Values are folded one after another with no length prefix, so a
+    /// key hashes the same whether it arrives as a slice or as columns
+    /// picked out of a row.
+    fn key_hash<'k>(key: impl IntoIterator<Item = &'k Value>, seed: u64) -> u64 {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         seed.hash(&mut h);
         for v in key {
@@ -42,10 +45,11 @@ impl BloomFilter {
         h.finish()
     }
 
-    /// Insert a composite key.
-    pub fn insert(&mut self, key: &[Value]) {
+    /// Insert a composite key, given as its values in order (a `&[Value]`,
+    /// or a row's key columns read in place).
+    pub fn insert<'k>(&mut self, key: impl IntoIterator<Item = &'k Value> + Clone) {
         for s in 0..self.hashes {
-            let bit = Self::key_hash(key, s as u64) & self.mask;
+            let bit = Self::key_hash(key.clone(), s as u64) & self.mask;
             self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
         }
         self.items += 1;
@@ -53,9 +57,9 @@ impl BloomFilter {
 
     /// Whether the key *may* have been inserted (false positives possible,
     /// false negatives impossible).
-    pub fn may_contain(&self, key: &[Value]) -> bool {
+    pub fn may_contain<'k>(&self, key: impl IntoIterator<Item = &'k Value> + Clone) -> bool {
         (0..self.hashes).all(|s| {
-            let bit = Self::key_hash(key, s as u64) & self.mask;
+            let bit = Self::key_hash(key.clone(), s as u64) & self.mask;
             self.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0
         })
     }

@@ -23,7 +23,7 @@ use crate::dmv::{DmvSnapshot, NodeCounters};
 use crate::fault::{FaultInjector, GetNextFault, IoVerdict, QueryFault};
 use lqs_obs::{EventKind, EventSink, TraceEvent};
 use lqs_plan::{BitmapId, CostModel, NodeId};
-use lqs_storage::{Database, Row};
+use lqs_storage::{Database, Row, Value};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -526,6 +526,18 @@ impl<'a> ExecContext<'a> {
         self.scope(node, self.trace_enabled())
     }
 
+    /// A scope for the one row a row-at-a-time operator (nested loops,
+    /// merge join) has just pulled: its `rows_in`, its CPU and — through
+    /// [`BatchCharge::finish_emitting`] — the row it may emit settle under
+    /// one carry round-trip instead of three. It emits no span, exactly
+    /// like the [`count_input`](ExecContext::count_input) /
+    /// [`charge_cpu`](ExecContext::charge_cpu) /
+    /// [`count_output`](ExecContext::count_output) sequence it stands for,
+    /// and moves the counters and the clock in the same order.
+    pub(crate) fn row_charge(&self, node: NodeId) -> BatchCharge<'_, 'a> {
+        self.scope(node, false)
+    }
+
     /// [`batch_charge`](ExecContext::batch_charge), choosing whether the
     /// scope emits [`EventKind::OperatorBatch`] spans. The context's own
     /// single-charge helpers pass `false`: they are not batches, and a span
@@ -682,7 +694,12 @@ impl<'a> ExecContext<'a> {
     /// Insert a key into a bitmap, creating it (sized for `capacity_hint`
     /// keys) on first insert. Used by hash-join builds and Bitmap Create
     /// operators as rows stream through.
-    pub fn bitmap_insert(&self, id: BitmapId, key: &[lqs_storage::Value], capacity_hint: usize) {
+    pub fn bitmap_insert<'k>(
+        &self,
+        id: BitmapId,
+        key: impl IntoIterator<Item = &'k Value> + Clone,
+        capacity_hint: usize,
+    ) {
         let mut bitmaps = self.bitmaps.borrow_mut();
         let slot = &mut bitmaps[id.0];
         if slot.is_none() {
@@ -694,7 +711,11 @@ impl<'a> ExecContext<'a> {
     /// Probe a bitmap. Returns `true` (pass) when the bitmap has not been
     /// built yet — a scan running before its hash join's build phase sees no
     /// reduction.
-    pub fn bitmap_may_contain(&self, id: BitmapId, key: &[lqs_storage::Value]) -> bool {
+    pub fn bitmap_may_contain<'k>(
+        &self,
+        id: BitmapId,
+        key: impl IntoIterator<Item = &'k Value> + Clone,
+    ) -> bool {
         match &self.bitmaps.borrow()[id.0] {
             Some(f) => f.may_contain(key),
             None => true,
@@ -713,17 +734,18 @@ impl<'a> ExecContext<'a> {
         self.outer_rows.borrow_mut().pop();
     }
 
-    /// The innermost outer row, for resolving `SeekKey::OuterRef`.
+    /// Run `f` on the innermost outer row, for resolving
+    /// `SeekKey::OuterRef`. The row is lent, not cloned: a correlated seek
+    /// reads one or two values out of it per rebind.
     ///
     /// # Panics
     /// Panics if no nested-loops join is currently driving an inner subtree
     /// — a correlated seek outside a join is a plan bug.
-    pub fn current_outer(&self) -> Row {
-        self.outer_rows
-            .borrow()
+    pub fn with_outer<R>(&self, f: impl FnOnce(&[Value]) -> R) -> R {
+        let outer_rows = self.outer_rows.borrow();
+        f(outer_rows
             .last()
-            .cloned()
-            .expect("correlated seek executed outside a nested-loops inner subtree")
+            .expect("correlated seek executed outside a nested-loops inner subtree"))
     }
 }
 
@@ -899,40 +921,43 @@ impl BatchCharge<'_, '_> {
         self.clock_pending >= self.flush_at
     }
 
-    /// Write pending counters back to the account, then advance the clock.
-    /// Counters land *before* `advance` so a snapshot (or abort unwind)
-    /// triggered by the advance observes them. The carry stays in the
-    /// scope — it is written back when the scope ends.
-    /// Write pending counters (charges *and* row counts) back to the
-    /// account. Split out so the unwind path in `Drop` can settle without
-    /// advancing the clock.
-    fn settle(&mut self) {
-        if self.cpu_pending > 0
+    /// Write everything pending back to the account under one borrow: the
+    /// counters (charges *and* row counts), `clock_ns` nanoseconds of
+    /// self-time about to be applied to the clock, and — when the scope is
+    /// `ending` — the carry. The caller advances the clock *afterwards*, so
+    /// a snapshot (or abort unwind) triggered by the advance observes all of
+    /// it.
+    fn settle(&mut self, clock_ns: u64, ending: bool) {
+        let counted = self.cpu_pending > 0
             || self.reads_pending > 0
             || self.rows_in_pending > 0
-            || self.rows_out_pending > 0
-        {
-            let first = {
-                let mut accounts = self.ctx.accounts.borrow_mut();
-                let a = &mut accounts[self.node.0];
-                a.counters.cpu_ns += self.cpu_pending;
-                a.counters.logical_reads += self.reads_pending;
-                a.counters.rows_input += self.rows_in_pending;
-                a.counters.rows_output += self.rows_out_pending;
-                if self.rows_out_pending > 0 && a.counters.first_row_ns.is_none() {
-                    a.counters.first_row_ns = Some(self.ctx.clock_ns.get());
-                    true
-                } else {
-                    false
-                }
-            };
-            self.cpu_pending = 0;
-            self.reads_pending = 0;
-            self.rows_in_pending = 0;
-            self.rows_out_pending = 0;
-            if first {
-                self.ctx.emit(Some(self.node), EventKind::OperatorFirstRow);
+            || self.rows_out_pending > 0;
+        if !(counted || clock_ns > 0 || ending) {
+            return;
+        }
+        let first = {
+            let mut accounts = self.ctx.accounts.borrow_mut();
+            let a = &mut accounts[self.node.0];
+            a.counters.cpu_ns += self.cpu_pending;
+            a.counters.logical_reads += self.reads_pending;
+            a.counters.rows_input += self.rows_in_pending;
+            a.counters.rows_output += self.rows_out_pending;
+            a.elapsed_ns += clock_ns;
+            if ending {
+                a.cpu_carry = self.carry;
             }
+            let first = self.rows_out_pending > 0 && a.counters.first_row_ns.is_none();
+            if first {
+                a.counters.first_row_ns = Some(self.ctx.clock_ns.get());
+            }
+            first
+        };
+        self.cpu_pending = 0;
+        self.reads_pending = 0;
+        self.rows_in_pending = 0;
+        self.rows_out_pending = 0;
+        if first {
+            self.ctx.emit(Some(self.node), EventKind::OperatorFirstRow);
         }
     }
 
@@ -960,10 +985,9 @@ impl BatchCharge<'_, '_> {
 
     fn flush(&mut self) {
         let (rows_in, rows_out) = (self.rows_in_pending, self.rows_out_pending);
-        self.settle();
         let pending = std::mem::take(&mut self.clock_pending);
+        self.settle(pending, false);
         if pending > 0 {
-            self.ctx.accounts.borrow_mut()[self.node.0].elapsed_ns += pending;
             self.ctx.advance(pending);
         }
         // The advance may have recorded snapshots (moving the boundary)
@@ -998,13 +1022,16 @@ impl Drop for BatchCharge<'_, '_> {
         // into a double panic; skipping it loses at most the clock slice
         // of an already-aborted run's final partial state.
         let (rows_in, rows_out) = (self.rows_in_pending, self.rows_out_pending);
-        self.settle();
-        self.ctx.accounts.borrow_mut()[self.node.0].cpu_carry = self.carry;
+        let unwinding = std::thread::panicking();
+        let pending = if unwinding {
+            0
+        } else {
+            std::mem::take(&mut self.clock_pending)
+        };
+        self.settle(pending, true);
         self.ctx.live_scopes.set(self.ctx.live_scopes.get() - 1);
-        if !std::thread::panicking() {
-            let pending = std::mem::take(&mut self.clock_pending);
+        if !unwinding {
             if pending > 0 {
-                self.ctx.accounts.borrow_mut()[self.node.0].elapsed_ns += pending;
                 self.ctx.advance(pending);
             }
             self.emit_span(rows_in, rows_out, pending);
@@ -1222,12 +1249,12 @@ mod tests {
     fn unbuilt_bitmap_passes_everything() {
         let db = Database::new();
         let c = ctx(&db);
-        assert!(c.bitmap_may_contain(lqs_plan::BitmapId(0), &[lqs_storage::Value::Int(7)]));
+        assert!(c.bitmap_may_contain(lqs_plan::BitmapId(0), &[Value::Int(7)]));
         let mut f = BloomFilter::with_capacity(10);
-        f.insert(&[lqs_storage::Value::Int(1)]);
+        f.insert(&[Value::Int(1)]);
         c.publish_bitmap(lqs_plan::BitmapId(0), f);
-        assert!(c.bitmap_may_contain(lqs_plan::BitmapId(0), &[lqs_storage::Value::Int(1)]));
-        assert!(!c.bitmap_may_contain(lqs_plan::BitmapId(0), &[lqs_storage::Value::Int(2)]));
+        assert!(c.bitmap_may_contain(lqs_plan::BitmapId(0), &[Value::Int(1)]));
+        assert!(!c.bitmap_may_contain(lqs_plan::BitmapId(0), &[Value::Int(2)]));
     }
 
     #[test]

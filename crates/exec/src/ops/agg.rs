@@ -7,12 +7,12 @@
 //! therefore the ones the two-phase model of §4.5 targets — `rows_input`
 //! climbs during the build while `rows_output` stays 0.
 
+use super::keys::{cols_eq, cols_of, hash_cols, KeyTable};
 use super::sort::CONSUME_BATCH;
-use super::{key_of, BoxedOperator, Operator, RowBatch};
+use super::{BoxedOperator, Operator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{AggState, Aggregate, NodeId};
 use lqs_storage::{Row, Value};
-use std::collections::HashMap;
 
 fn make_states(aggs: &[Aggregate]) -> Vec<AggState> {
     aggs.iter().map(|a| AggState::new(a.func)).collect()
@@ -24,10 +24,9 @@ fn fold(aggs: &[Aggregate], states: &mut [AggState], row: &Row) {
     }
 }
 
-fn finish_group(key: Vec<Value>, states: &[AggState]) -> Row {
-    let mut out = key;
-    out.extend(states.iter().map(AggState::finish));
-    out.into()
+/// The output row of a group: its key, then the finished aggregates.
+fn finish_group(key: impl Iterator<Item = Value>, states: &[AggState]) -> Row {
+    key.chain(states.iter().map(AggState::finish)).collect()
 }
 
 /// Aggregation over sorted input; emits each group as it completes, so it is
@@ -37,7 +36,9 @@ pub struct StreamAggregateOp {
     group_by: Vec<usize>,
     aggs: Vec<Aggregate>,
     child: BoxedOperator,
-    current: Option<(Vec<Value>, Vec<AggState>)>,
+    /// The group being folded: its first row (the key is read out of it in
+    /// place) and its running states.
+    current: Option<(Row, Vec<AggState>)>,
     scratch: RowBatch,
     input_done: bool,
     emitted_scalar: bool,
@@ -91,25 +92,18 @@ impl Operator for StreamAggregateOp {
                     };
                     consumed += 1;
                     scope.cpu(row_cpu);
-                    let key = key_of(&row, &self.group_by);
+                    let gb = &self.group_by;
                     match &mut self.current {
-                        Some((cur_key, states)) if *cur_key == key => {
+                        Some((first, states)) if cols_eq(first, gb, &row, gb) => {
                             fold(&self.aggs, states, &row);
                         }
-                        Some(_) => {
-                            let (done_key, done_states) =
-                                self.current.take().expect("checked Some");
+                        current => {
                             let mut states = make_states(&self.aggs);
                             fold(&self.aggs, &mut states, &row);
-                            self.current = Some((key, states));
-                            self.emitted_scalar = true;
-                            out.push(finish_group(done_key, &done_states));
-                            appended += 1;
-                        }
-                        None => {
-                            let mut states = make_states(&self.aggs);
-                            fold(&self.aggs, &mut states, &row);
-                            self.current = Some((key, states));
+                            if let Some((first, done)) = current.replace((row, states)) {
+                                out.push(finish_group(cols_of(&first, gb).cloned(), &done));
+                                appended += 1;
+                            }
                             self.emitted_scalar = true;
                         }
                     }
@@ -123,14 +117,15 @@ impl Operator for StreamAggregateOp {
                 continue;
             }
             if self.input_done {
-                if let Some((key, states)) = self.current.take() {
+                if let Some((first, states)) = self.current.take() {
+                    let key = cols_of(&first, &self.group_by).cloned();
                     out.push(finish_group(key, &states));
                     ctx.count_output(self.id, 1);
                     return true;
                 }
                 if self.group_by.is_empty() && !self.emitted_scalar {
                     self.emitted_scalar = true;
-                    out.push(finish_group(Vec::new(), &make_states(&self.aggs)));
+                    out.push(finish_group(std::iter::empty(), &make_states(&self.aggs)));
                     ctx.count_output(self.id, 1);
                     return true;
                 }
@@ -198,31 +193,43 @@ impl HashAggregateOp {
         let row_cpu = (ctx.cost.hash_build_row_ns
             + self.aggs.len() as f64 * ctx.cost.compute_expr_ns)
             * factor;
-        let mut table: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
+        let gb = &self.group_by;
+        // One entry per group, in first-arrival order: its key and running
+        // states. The key is copied out once per *group* — holding the
+        // group's first row instead would pin a whole (possibly wide, joined)
+        // row per group for the length of the build.
+        let mut table = KeyTable::default();
+        let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
         let mut scratch = RowBatch::with_capacity(CONSUME_BATCH);
         while self.child.next_batch(ctx, &mut scratch, CONSUME_BATCH) {
             ctx.count_input(self.id, scratch.len() as u64);
             let mut scope = ctx.batch_charge(self.id);
             for row in scratch.iter() {
                 scope.cpu(row_cpu);
-                let key = key_of(row, &self.group_by);
-                let states = table.entry(key).or_insert_with(|| make_states(&self.aggs));
-                fold(&self.aggs, states, row);
+                let hash = hash_cols(row, gb);
+                let g = match table.find(hash, |g| groups[g].0.iter().eq(cols_of(row, gb))) {
+                    Some(g) => g,
+                    None => {
+                        let key = cols_of(row, gb).cloned().collect();
+                        groups.push((key, make_states(&self.aggs)));
+                        table.add_group(hash, groups.len() - 1)
+                    }
+                };
+                fold(&self.aggs, &mut groups[g].1, row);
             }
             scope.finish();
             scratch.clear();
         }
-        if self.group_by.is_empty() && table.is_empty() {
-            table.insert(Vec::new(), make_states(&self.aggs));
-        }
-        let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = table.into_iter().collect();
-        groups.sort_by(|a, b| a.0.cmp(&b.0));
-        self.output = Some(
+        // Output order is by key, not by arrival (and never by bucket).
+        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        self.output = Some(if gb.is_empty() && groups.is_empty() {
+            vec![finish_group(std::iter::empty(), &make_states(&self.aggs))]
+        } else {
             groups
                 .into_iter()
-                .map(|(k, s)| finish_group(k, &s))
-                .collect(),
-        );
+                .map(|(key, states)| finish_group(key.into_iter(), &states))
+                .collect()
+        });
         self.pos = 0;
         ctx.emit_phase(self.id, "blocking", "emit");
     }

@@ -13,7 +13,6 @@ use super::{push_one, BoxedOperator, Operator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{ExchangeKind, NodeId};
 use lqs_storage::Row;
-use std::collections::VecDeque;
 
 /// Rows prefetched per degree of parallelism on first demand (models the
 /// initial packet fill by `degree` producer threads).
@@ -30,7 +29,8 @@ pub struct ExchangeOp {
     degree: usize,
     batch: bool,
     child: BoxedOperator,
-    queue: VecDeque<Row>,
+    /// Packet buffers: the child appends straight into them.
+    queue: RowBatch,
     started: bool,
     child_done: bool,
     done: bool,
@@ -50,7 +50,7 @@ impl ExchangeOp {
             degree: degree.max(1),
             batch,
             child,
-            queue: VecDeque::new(),
+            queue: RowBatch::default(),
             started: false,
             child_done: false,
             done: false,
@@ -62,19 +62,17 @@ impl ExchangeOp {
         // Producers fill in chunks; the pull never charges CPU, so the
         // chunk size shows in no counter and no close time.
         let mut remaining = n.min(cap.saturating_sub(self.queue.len()));
-        let mut scratch = RowBatch::with_capacity(remaining.min(CONSUME_BATCH));
         while remaining > 0 && !self.child_done {
-            let want = remaining.min(CONSUME_BATCH);
-            scratch.clear();
-            if !self.child.next_batch(ctx, &mut scratch, want) {
+            let before = self.queue.len();
+            if !self
+                .child
+                .next_batch(ctx, &mut self.queue, remaining.min(CONSUME_BATCH))
+            {
                 self.child_done = true;
                 break;
             }
-            let got = scratch.len();
+            let got = self.queue.len() - before;
             ctx.count_input(self.id, got as u64);
-            while let Some(row) = scratch.pop_front() {
-                self.queue.push_back(row);
-            }
             remaining -= got;
         }
         ctx.set_buffered(self.id, self.queue.len() as u64);

@@ -1,10 +1,11 @@
 //! Pipelined operators: Filter, Compute Scalar, Top, Segment.
 
+use super::keys::cols_eq;
 use super::{BoxedOperator, Operator, RowBatch};
 use crate::context::ExecContext;
 use crate::pred::CompiledPredicate;
 use lqs_plan::{Expr, NodeId};
-use lqs_storage::Value;
+use lqs_storage::{Row, Value};
 
 /// CPU discount applied to batch-mode row operations.
 const BATCH_FACTOR: f64 = 0.2;
@@ -248,7 +249,9 @@ impl Operator for TopOp {
 pub struct SegmentOp {
     id: NodeId,
     group_by: Vec<usize>,
-    prev_key: Option<Vec<Value>>,
+    /// The previous row, whose `group_by` columns the next row is compared
+    /// against in place.
+    prev: Option<Row>,
     child: BoxedOperator,
     done: bool,
 }
@@ -258,7 +261,7 @@ impl SegmentOp {
         SegmentOp {
             id,
             group_by,
-            prev_key: None,
+            prev: None,
             child,
             done: false,
         }
@@ -291,12 +294,14 @@ impl Operator for SegmentOp {
         let rows = out.contiguous_mut();
         for row in &mut rows[before..] {
             scope.cpu(5.0);
-            let key = super::key_of(row, &self.group_by);
-            let boundary = self.prev_key.as_ref() != Some(&key);
-            self.prev_key = Some(key);
-            let mut v: Vec<Value> = row.to_vec();
-            v.push(Value::Int(boundary as i64));
-            *row = v.into();
+            let gb = &self.group_by;
+            let boundary = !self
+                .prev
+                .as_ref()
+                .is_some_and(|prev| cols_eq(prev, gb, row, gb));
+            let marker = Value::Int(boundary as i64);
+            let marked = row.iter().cloned().chain([marker]).collect();
+            self.prev = Some(std::mem::replace(row, marked));
         }
         ctx.count_input(self.id, n as u64);
         scope.finish_emitting(n as u64);
@@ -311,7 +316,7 @@ impl Operator for SegmentOp {
     fn rewind(&mut self, ctx: &ExecContext) {
         ctx.mark_open(self.id);
         self.child.rewind(ctx);
-        self.prev_key = None;
+        self.prev = None;
         self.done = false;
     }
 }

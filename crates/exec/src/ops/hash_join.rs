@@ -6,12 +6,12 @@
 //! is attached, the build phase also populates a Bloom filter that
 //! probe-side scans consult (§4.3, Figure 6).
 
+use super::keys::{cols_eq, cols_have_null, cols_of, hash_cols, KeyTable};
 use super::sort::CONSUME_BATCH;
-use super::{concat_rows, key_has_null, key_of, BoxedOperator, Operator, RowBatch};
+use super::{concat_rows, BoxedOperator, Operator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{BitmapId, JoinKind, NodeId};
-use lqs_storage::{Row, Value};
-use std::collections::HashMap;
+use lqs_storage::Row;
 
 pub struct HashJoinOp {
     id: NodeId,
@@ -25,15 +25,15 @@ pub struct HashJoinOp {
     batch: bool,
     build: BoxedOperator,
     probe: BoxedOperator,
-    /// All build rows; `map` holds indices into it.
+    /// All build rows; `table` chains their indices by key.
     build_rows: Vec<Row>,
     matched: Vec<bool>,
-    map: HashMap<Vec<Value>, Vec<usize>>,
+    table: KeyTable,
     built: bool,
-    /// Matches pending emission for the current probe row.
-    pending: Vec<usize>,
+    /// Next build row to emit for `pending_probe`: a cursor down the
+    /// matching key's chain, which runs in build insertion order.
+    pending: Option<usize>,
     pending_probe: Option<Row>,
-    pending_pos: usize,
     /// Probe rows pulled but not yet joined.
     scratch: RowBatch,
     probe_done: bool,
@@ -71,11 +71,10 @@ impl HashJoinOp {
             probe,
             build_rows: Vec::new(),
             matched: Vec::new(),
-            map: HashMap::new(),
+            table: KeyTable::default(),
             built: false,
-            pending: Vec::new(),
+            pending: None,
             pending_probe: None,
-            pending_pos: 0,
             scratch: RowBatch::default(),
             probe_done: false,
             unmatched_pos: 0,
@@ -102,23 +101,34 @@ impl HashJoinOp {
             while let Some(row) = scratch.pop_front() {
                 scope.rows_in(1);
                 scope.cpu(ctx.cost.hash_build_row_ns * factor);
-                let key = key_of(&row, &self.build_keys);
-                let idx = self.build_rows.len();
-                self.build_rows.push(row);
-                self.matched.push(false);
-                if !key_has_null(&key) {
+                let (rows, keys) = (&self.build_rows, &self.build_keys);
+                let idx = rows.len();
+                // A NULL-keyed row is kept (FULL OUTER pads it) but goes on
+                // no chain: no probe can reach it.
+                if !cols_have_null(&row, keys) {
                     if let Some(bm) = self.bitmap {
                         scope.cpu(ctx.cost.bitmap_row_ns * factor);
-                        ctx.bitmap_insert(bm, &key, self.build_capacity_hint);
+                        ctx.bitmap_insert(bm, cols_of(&row, keys), self.build_capacity_hint);
                     }
-                    self.map.entry(key).or_default().push(idx);
+                    let hash = hash_cols(&row, keys);
+                    match self
+                        .table
+                        .find(hash, |r| cols_eq(&rows[r], keys, &row, keys))
+                    {
+                        Some(group) => self.table.add_row(group, idx),
+                        None => {
+                            self.table.add_group(hash, idx);
+                        }
+                    }
                 }
+                self.build_rows.push(row);
+                self.matched.push(false);
             }
             scope.finish();
         }
         self.built = true;
         if self.bitmap.is_some() {
-            ctx.emit_bitmap_built(self.id, self.map.len() as u64);
+            ctx.emit_bitmap_built(self.id, self.table.groups() as u64);
         }
         ctx.emit_phase(self.id, "build", "probe");
     }
@@ -151,16 +161,15 @@ impl Operator for HashJoinOp {
             // most one probe row at any instant (the +1 the §4.2 join bound
             // allows). The scope must end before pulling the probe child,
             // which opens its own exclusive scope.
-            if self.pending_pos < self.pending.len() || !self.scratch.is_empty() {
+            if self.pending.is_some() || !self.scratch.is_empty() {
                 let mut scope = ctx.batch_charge(self.id);
                 loop {
                     // Drain matches queued for the current probe row first;
                     // a wide match set may span several calls without
                     // overshooting `limit`.
                     let mut drained = 0u64;
-                    while self.pending_pos < self.pending.len() && appended < limit {
-                        let bidx = self.pending[self.pending_pos];
-                        self.pending_pos += 1;
+                    while let Some(bidx) = self.pending.filter(|_| appended < limit) {
+                        self.pending = self.table.next_row(bidx);
                         self.matched[bidx] = true;
                         let probe = self.pending_probe.as_ref().expect("probe row queued");
                         out.push(concat_rows(probe, &self.build_rows[bidx]));
@@ -171,57 +180,56 @@ impl Operator for HashJoinOp {
                     if appended >= limit || self.scratch.is_empty() {
                         break;
                     }
-                    while appended < limit && self.pending_pos >= self.pending.len() {
+                    while appended < limit && self.pending.is_none() {
                         let Some(probe_row) = self.scratch.pop_front() else {
                             break;
                         };
                         scope.rows_in(1);
                         scope.cpu(ctx.cost.hash_probe_row_ns * factor);
-                        let key = key_of(&probe_row, &self.probe_keys);
-                        let matches: &[usize] = if key_has_null(&key) {
-                            &[]
+                        // First build row of the matching key's chain.
+                        let (rows, bk, pk) = (&self.build_rows, &self.build_keys, &self.probe_keys);
+                        let first = if cols_have_null(&probe_row, pk) {
+                            None
                         } else {
-                            self.map.get(&key).map_or(&[][..], |v| &v[..])
+                            self.table
+                                .find(hash_cols(&probe_row, pk), |r| {
+                                    cols_eq(&rows[r], bk, &probe_row, pk)
+                                })
+                                .map(|group| self.table.first_row(group))
                         };
-                        match self.kind {
-                            JoinKind::Inner => {
-                                if !matches.is_empty() {
-                                    self.pending = matches.to_vec();
-                                    self.pending_pos = 0;
-                                    self.pending_probe = Some(probe_row);
-                                }
+                        match (self.kind, first) {
+                            (
+                                JoinKind::Inner | JoinKind::LeftOuter | JoinKind::FullOuter,
+                                Some(_),
+                            ) => {
+                                self.pending = first;
+                                self.pending_probe = Some(probe_row);
                             }
-                            JoinKind::LeftOuter | JoinKind::FullOuter => {
-                                if matches.is_empty() {
-                                    out.push(concat_rows(
-                                        &probe_row,
-                                        &super::null_row(self.build_arity),
-                                    ));
-                                    scope.rows_out(1);
-                                    appended += 1;
-                                } else {
-                                    self.pending = matches.to_vec();
-                                    self.pending_pos = 0;
-                                    self.pending_probe = Some(probe_row);
-                                }
+                            (JoinKind::LeftOuter | JoinKind::FullOuter, None) => {
+                                out.push(concat_rows(
+                                    &probe_row,
+                                    &super::null_row(self.build_arity),
+                                ));
+                                scope.rows_out(1);
+                                appended += 1;
                             }
-                            JoinKind::LeftSemi => {
-                                if !matches.is_empty() {
-                                    for m in matches.iter().copied() {
-                                        self.matched[m] = true;
-                                    }
-                                    out.push(probe_row);
-                                    scope.rows_out(1);
-                                    appended += 1;
+                            (JoinKind::LeftSemi, Some(first)) => {
+                                let chain =
+                                    std::iter::successors(Some(first), |&r| self.table.next_row(r));
+                                for m in chain {
+                                    self.matched[m] = true;
                                 }
+                                out.push(probe_row);
+                                scope.rows_out(1);
+                                appended += 1;
                             }
-                            JoinKind::LeftAnti => {
-                                if matches.is_empty() {
-                                    out.push(probe_row);
-                                    scope.rows_out(1);
-                                    appended += 1;
-                                }
+                            (JoinKind::LeftAnti, None) => {
+                                out.push(probe_row);
+                                scope.rows_out(1);
+                                appended += 1;
                             }
+                            (JoinKind::Inner | JoinKind::LeftSemi, None)
+                            | (JoinKind::LeftAnti, Some(_)) => {}
                         }
                     }
                 }
@@ -274,11 +282,10 @@ impl Operator for HashJoinOp {
         self.probe.rewind(ctx);
         self.build_rows.clear();
         self.matched.clear();
-        self.map.clear();
+        self.table.clear();
         self.built = false;
-        self.pending.clear();
+        self.pending = None;
         self.pending_probe = None;
-        self.pending_pos = 0;
         self.scratch.clear();
         self.probe_done = false;
         self.unmatched_pos = 0;
@@ -293,7 +300,7 @@ mod tests {
     use crate::ops::scan::ConstantScanOp;
     use crate::ops::testing::drain;
     use lqs_plan::CostModel;
-    use lqs_storage::Database;
+    use lqs_storage::{Database, Value};
 
     fn rows(v: &[(i64, i64)]) -> Vec<Vec<Value>> {
         v.iter()

@@ -5,13 +5,11 @@
 //! Duplicate right-side key groups are buffered so each matching left row
 //! joins the whole group.
 
-use super::{
-    concat_rows, key_has_null, key_of, null_row, pull_one, push_one, BoxedOperator, Operator,
-    RowBatch,
-};
+use super::keys::{cols_cmp, cols_eq, cols_have_null};
+use super::{concat_rows, null_row, pull_one, push_one, BoxedOperator, Operator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{JoinKind, NodeId};
-use lqs_storage::{Row, Value};
+use lqs_storage::Row;
 use std::cmp::Ordering;
 
 pub struct MergeJoinOp {
@@ -25,9 +23,10 @@ pub struct MergeJoinOp {
     right: BoxedOperator,
     cur_left: Option<Row>,
     left_done: bool,
-    /// Buffered right rows sharing `group_key`.
+    /// Buffered right rows sharing one key — read in place from
+    /// `group[0]`. Empty before the first group and once the right side is
+    /// exhausted.
     group: Vec<Row>,
-    group_key: Option<Vec<Value>>,
     group_matched: bool,
     /// Lookahead right row not yet in a group.
     right_peek: Option<Row>,
@@ -64,7 +63,6 @@ impl MergeJoinOp {
             cur_left: None,
             left_done: false,
             group: Vec::new(),
-            group_key: None,
             group_matched: false,
             right_peek: None,
             right_done: false,
@@ -75,17 +73,19 @@ impl MergeJoinOp {
         }
     }
 
+    /// Count and charge one row pulled from either side.
+    fn charge_pulled(&self, ctx: &ExecContext) {
+        let mut scope = ctx.row_charge(self.id);
+        scope.rows_in(1);
+        scope.cpu(ctx.cost.merge_row_ns);
+        scope.finish();
+    }
+
     fn pull_left(&mut self, ctx: &ExecContext) {
-        match pull_one(self.left.as_mut(), ctx, &mut self.scratch) {
-            Some(r) => {
-                ctx.count_input(self.id, 1);
-                ctx.charge_cpu(self.id, ctx.cost.merge_row_ns);
-                self.cur_left = Some(r);
-            }
-            None => {
-                self.cur_left = None;
-                self.left_done = true;
-            }
+        self.cur_left = pull_one(self.left.as_mut(), ctx, &mut self.scratch);
+        match self.cur_left {
+            Some(_) => self.charge_pulled(ctx),
+            None => self.left_done = true,
         }
     }
 
@@ -96,17 +96,12 @@ impl MergeJoinOp {
         if self.right_done {
             return None;
         }
-        match pull_one(self.right.as_mut(), ctx, &mut self.scratch) {
-            Some(r) => {
-                ctx.count_input(self.id, 1);
-                ctx.charge_cpu(self.id, ctx.cost.merge_row_ns);
-                Some(r)
-            }
-            None => {
-                self.right_done = true;
-                None
-            }
+        let pulled = pull_one(self.right.as_mut(), ctx, &mut self.scratch);
+        match pulled {
+            Some(_) => self.charge_pulled(ctx),
+            None => self.right_done = true,
         }
+        pulled
     }
 
     /// Load the next right-side group (consecutive equal keys) into
@@ -115,28 +110,32 @@ impl MergeJoinOp {
         self.group.clear();
         self.group_matched = false;
         let Some(first) = self.pull_right(ctx) else {
-            self.group_key = None;
             return false;
         };
-        let key = key_of(&first, &self.right_keys);
         self.group.push(first);
         while let Some(next) = self.pull_right(ctx) {
-            if key_of(&next, &self.right_keys) == key {
+            let rk = &self.right_keys;
+            if cols_eq(&next, rk, &self.group[0], rk) {
                 self.group.push(next);
             } else {
                 self.right_peek = Some(next);
                 break;
             }
         }
-        self.group_key = Some(key);
         true
     }
 
-    fn left_key(&self) -> Vec<Value> {
-        key_of(
-            self.cur_left.as_ref().expect("cur_left set"),
-            &self.left_keys,
-        )
+    /// The current group's key against the current left row's: `None` when
+    /// there is no group, `Less` also when the group's key has a NULL (such
+    /// a group joins nothing and is passed over like a smaller key).
+    fn group_vs_left(&self) -> Option<Ordering> {
+        let group = self.group.first()?;
+        let left = self.cur_left.as_ref().expect("left row present");
+        Some(if cols_have_null(group, &self.right_keys) {
+            Ordering::Less
+        } else {
+            cols_cmp(group, &self.right_keys, left, &self.left_keys)
+        })
     }
 
     /// Handle a left row with no matching right group.
@@ -204,23 +203,23 @@ impl MergeJoinOp {
                 ctx.mark_close(self.id);
                 return None;
             }
-            let lkey = self.left_key();
-            if key_has_null(&lkey) {
+            let left = self.cur_left.as_ref().expect("checked above");
+            if cols_have_null(left, &self.left_keys) {
                 if let Some(r) = self.left_unmatched() {
                     return Some(r);
                 }
                 continue;
             }
-            // Ensure we have a group at or above lkey.
+            // Ensure we have a group at or above the left key.
             loop {
-                match &self.group_key {
+                match self.group_vs_left() {
                     None => {
                         if !self.load_group(ctx) {
                             break; // right exhausted
                         }
                         self.emit_idx = 0;
                     }
-                    Some(gk) if key_has_null(gk) || gk < &lkey => {
+                    Some(Ordering::Less) => {
                         // Advance past this group; FullOuter emits it first.
                         if self.kind == JoinKind::FullOuter && !self.group_matched {
                             if let Some(r) = self.group_unmatched() {
@@ -235,8 +234,8 @@ impl MergeJoinOp {
                     Some(_) => break,
                 }
             }
-            match &self.group_key {
-                Some(gk) if gk.cmp(&lkey) == Ordering::Equal => {
+            match self.group_vs_left() {
+                Some(Ordering::Equal) => {
                     self.group_matched = true;
                     match self.kind {
                         JoinKind::LeftSemi => {
@@ -290,7 +289,6 @@ impl Operator for MergeJoinOp {
         self.cur_left = None;
         self.left_done = false;
         self.group.clear();
-        self.group_key = None;
         self.group_matched = false;
         self.right_peek = None;
         self.right_done = false;
@@ -306,7 +304,7 @@ mod tests {
     use crate::ops::scan::ConstantScanOp;
     use crate::ops::testing::drain;
     use lqs_plan::CostModel;
-    use lqs_storage::Database;
+    use lqs_storage::{Database, Value};
 
     fn rows(v: &[(i64, i64)]) -> Vec<Vec<Value>> {
         v.iter()

@@ -1,6 +1,7 @@
 //! Concatenation (UNION ALL) and Bitmap Create.
 
-use super::{key_of, BoxedOperator, Operator, RowBatch};
+use super::keys::{cols_have_null, cols_of};
+use super::{BoxedOperator, Operator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{BitmapId, NodeId};
 
@@ -139,9 +140,9 @@ impl Operator for BitmapCreateOp {
             let mut scope = ctx.batch_charge(self.id);
             for i in before..out.len() {
                 scope.cpu(ctx.cost.bitmap_row_ns);
-                let key = key_of(out.get(i), &self.key_columns);
-                if !super::key_has_null(&key) {
-                    ctx.bitmap_insert(self.bitmap, &key, self.capacity_hint);
+                let (row, cols) = (out.get(i), &self.key_columns);
+                if !cols_have_null(row, cols) {
+                    ctx.bitmap_insert(self.bitmap, cols_of(row, cols), self.capacity_hint);
                     self.keys_inserted += 1;
                 }
             }

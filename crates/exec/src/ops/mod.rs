@@ -15,9 +15,14 @@
 //! so DMV snapshots taken by the [`crate::context::ExecContext`] observe
 //! realistic mid-flight counter trajectories.
 //!
-//! Merge join, nested loops and exchange produce one row per call (their
-//! state machines are written against single rows); the rest fill `out` up
-//! to `limit`.
+//! Merge join, nested loops and exchange produce one row per call; the rest
+//! fill `out` up to `limit`. That is not an oversight waiting for a
+//! vectorised rewrite: a multi-row `next_batch` for these three would pull
+//! several child rows before charging for the first, re-interleaving charges
+//! between operators and so moving what mid-flight snapshots see. Snapshot
+//! identity is pinned by `tests/golden_trajectory.rs`; making these
+//! operators cheaper per row (keys compared in place, no allocation per
+//! rebind — `ops/keys.rs`) keeps it, batching them would not.
 
 use crate::context::ExecContext;
 use lqs_plan::NodeId;
@@ -27,6 +32,7 @@ mod agg;
 mod exchange;
 mod filter;
 mod hash_join;
+mod keys;
 mod merge_join;
 mod misc;
 mod nested_loops;
@@ -42,7 +48,10 @@ mod spool;
 /// take rows *by move* with [`pop_front`](RowBatch::pop_front). Moving
 /// rather than cloning matters: a `Row` is an `Arc`, and a pipeline that
 /// cloned at every staging buffer would pay two atomic refcount operations
-/// per row per operator.
+/// per row per operator. Under a row-at-a-time operator the batch holds one
+/// row per call — that is what keeps snapshots identical at every batch
+/// size (see the module docs), so those operators reuse one batch for all
+/// their pulls rather than allocating one per call.
 #[derive(Debug, Default)]
 pub struct RowBatch {
     rows: std::collections::VecDeque<Row>,
@@ -374,24 +383,34 @@ pub(crate) fn push_one(
     true
 }
 
-/// Concatenate two rows.
+/// Concatenate two rows. The chained slice iterators report an exact
+/// length, so the `Arc<[Value]>` is allocated once at its final size — no
+/// intermediate `Vec`.
 pub(crate) fn concat_rows(a: &[lqs_storage::Value], b: &[lqs_storage::Value]) -> Row {
-    a.iter().chain(b.iter()).cloned().collect::<Vec<_>>().into()
+    a.iter().chain(b).cloned().collect()
+}
+
+/// What an index access emits for heap row `rid`: the base row, or the
+/// index's key columns followed by the rid (the input a RID Lookup expects).
+pub(crate) fn index_output_row(
+    ctx: &ExecContext,
+    index: lqs_storage::IndexId,
+    output: lqs_plan::IndexOutput,
+    rid: lqs_storage::RowId,
+) -> Row {
+    let base = ctx.db.table(ctx.db.btree_table(index)).row(rid);
+    match output {
+        lqs_plan::IndexOutput::BaseRow => base.clone(),
+        lqs_plan::IndexOutput::KeyAndRid => keys::cols_of(base, ctx.db.btree(index).key_columns())
+            .cloned()
+            .chain([lqs_storage::Value::Int(rid as i64)])
+            .collect(),
+    }
 }
 
 /// A row of `n` NULLs, for outer-join padding.
 pub(crate) fn null_row(n: usize) -> Vec<lqs_storage::Value> {
     vec![lqs_storage::Value::Null; n]
-}
-
-/// Extract key values at `cols` from a row.
-pub(crate) fn key_of(row: &[lqs_storage::Value], cols: &[usize]) -> Vec<lqs_storage::Value> {
-    cols.iter().map(|&c| row[c].clone()).collect()
-}
-
-/// Whether any component of a join key is NULL (null keys never join).
-pub(crate) fn key_has_null(key: &[lqs_storage::Value]) -> bool {
-    key.iter().any(|v| v.is_null())
 }
 
 /// Shared pull helpers for the in-file operator unit tests.

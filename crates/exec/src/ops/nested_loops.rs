@@ -12,11 +12,10 @@
 //! started (the failure mode the paper describes for driver-node progress).
 
 use super::sort::CONSUME_BATCH;
-use super::{concat_rows, null_row, pull_one, push_one, BoxedOperator, Operator, RowBatch};
+use super::{concat_rows, null_row, pull_one, BoxedOperator, Operator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{Expr, JoinKind, NodeId};
 use lqs_storage::Row;
-use std::collections::VecDeque;
 
 pub struct NestedLoopsOp {
     id: NodeId,
@@ -26,7 +25,10 @@ pub struct NestedLoopsOp {
     inner_arity: usize,
     outer: BoxedOperator,
     inner: BoxedOperator,
-    buffer: VecDeque<Row>,
+    /// Prefetched outer rows. The outer child appends straight into it, so
+    /// a refill allocates nothing — with `outer_buffer = 1` there is one
+    /// refill per outer row.
+    buffer: RowBatch,
     outer_done: bool,
     cur_outer: Option<Row>,
     /// Whether the correlation context for `cur_outer` is pushed.
@@ -60,7 +62,7 @@ impl NestedLoopsOp {
             inner_arity,
             outer,
             inner,
-            buffer: VecDeque::new(),
+            buffer: RowBatch::default(),
             outer_done: false,
             cur_outer: None,
             ctx_pushed: false,
@@ -73,19 +75,18 @@ impl NestedLoopsOp {
 
     /// Prefetch up to `outer_buffer` outer rows (semi-blocking behaviour).
     fn refill(&mut self, ctx: &ExecContext) {
-        let mut scratch = RowBatch::with_capacity(CONSUME_BATCH.min(self.outer_buffer));
         while self.buffer.len() < self.outer_buffer && !self.outer_done {
-            let want = (self.outer_buffer - self.buffer.len()).min(CONSUME_BATCH);
-            scratch.clear();
-            if !self.outer.next_batch(ctx, &mut scratch, want) {
+            let before = self.buffer.len();
+            let want = (self.outer_buffer - before).min(CONSUME_BATCH);
+            if !self.outer.next_batch(ctx, &mut self.buffer, want) {
                 self.outer_done = true;
                 break;
             }
-            ctx.count_input(self.id, scratch.len() as u64);
+            let got = self.buffer.len() - before;
+            ctx.count_input(self.id, got as u64);
             let mut scope = ctx.batch_charge(self.id);
-            while let Some(row) = scratch.pop_front() {
+            for _ in 0..got {
                 scope.cpu(ctx.cost.nl_outer_row_ns);
-                self.buffer.push_back(row);
             }
             scope.finish();
         }
@@ -120,8 +121,8 @@ impl NestedLoopsOp {
         true
     }
 
-    /// The join loop: the next output row, or `None` once the outer side
-    /// is exhausted.
+    /// The join loop: the next output row, already counted as output, or
+    /// `None` once the outer side is exhausted.
     fn next_row(&mut self, ctx: &ExecContext) -> Option<Row> {
         if self.done {
             return None;
@@ -132,12 +133,16 @@ impl NestedLoopsOp {
                 ctx.mark_close(self.id);
                 return None;
             }
-            let outer = self.cur_outer.clone().expect("bound above");
+            let outer = self.cur_outer.as_ref().expect("bound above");
             match pull_one(self.inner.as_mut(), ctx, &mut self.inner_scratch) {
                 Some(inner_row) => {
-                    ctx.count_input(self.id, 1);
-                    ctx.charge_cpu(self.id, ctx.cost.nl_pair_ns);
-                    let combined = concat_rows(&outer, &inner_row);
+                    // One scope per pair: the pair's input count and CPU
+                    // settle, then — if the pair produces a row — its
+                    // output is counted at the settled clock.
+                    let mut scope = ctx.row_charge(self.id);
+                    scope.rows_in(1);
+                    scope.cpu(ctx.cost.nl_pair_ns);
+                    let combined = concat_rows(outer, &inner_row);
                     if let Some(p) = &self.predicate {
                         if !p.matches(&combined) {
                             continue;
@@ -146,12 +151,13 @@ impl NestedLoopsOp {
                     match self.kind {
                         JoinKind::Inner | JoinKind::LeftOuter => {
                             self.cur_matched = true;
+                            scope.finish_emitting(1);
                             return Some(combined);
                         }
                         JoinKind::LeftSemi => {
                             // One match suffices; move to the next outer row.
-                            self.cur_outer = None;
-                            return Some(outer);
+                            scope.finish_emitting(1);
+                            return self.cur_outer.take();
                         }
                         JoinKind::LeftAnti => {
                             // A match disqualifies this outer row.
@@ -163,15 +169,16 @@ impl NestedLoopsOp {
                 }
                 None => {
                     // Inner exhausted for this outer row.
-                    let unmatched = !self.cur_matched;
-                    self.cur_outer = None;
-                    match self.kind {
-                        JoinKind::LeftOuter if unmatched => {
-                            return Some(concat_rows(&outer, &null_row(self.inner_arity)));
+                    let outer = self.cur_outer.take().expect("bound above");
+                    let unmatched = match self.kind {
+                        JoinKind::LeftOuter if !self.cur_matched => {
+                            concat_rows(&outer, &null_row(self.inner_arity))
                         }
-                        JoinKind::LeftAnti if unmatched => return Some(outer),
-                        _ => {}
-                    }
+                        JoinKind::LeftAnti if !self.cur_matched => outer,
+                        _ => continue,
+                    };
+                    ctx.count_output(self.id, 1);
+                    return Some(unmatched);
                 }
             }
         }
@@ -190,8 +197,13 @@ impl Operator for NestedLoopsOp {
         if limit == 0 {
             return true;
         }
-        let row = self.next_row(ctx);
-        push_one(ctx, self.id, row, out)
+        // `next_row` has counted the row; one row per call keeps the
+        // zero-rows-in-flight guarantee of `Operator::next_batch`.
+        let Some(row) = self.next_row(ctx) else {
+            return false;
+        };
+        out.push(row);
+        true
     }
 
     fn close(&mut self, ctx: &ExecContext) {

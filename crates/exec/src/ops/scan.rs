@@ -1,7 +1,8 @@
 //! Scan operators: heap table scan, ordered index scan, batch-mode
 //! columnstore scan, and constant scan.
 
-use super::{key_of, Operator, RowBatch};
+use super::keys::cols_of;
+use super::{index_output_row, Operator, RowBatch};
 use crate::context::ExecContext;
 use crate::pred::CompiledPredicate;
 use lqs_plan::{BitmapProbe, CmpOp, Expr, IndexOutput, NodeId};
@@ -82,8 +83,7 @@ impl Operator for TableScanOp {
                 }
             }
             if let Some(bp) = &self.bitmap {
-                let key = key_of(row, &bp.key_columns);
-                if !ctx.bitmap_may_contain(bp.bitmap, &key) {
+                if !ctx.bitmap_may_contain(bp.bitmap, cols_of(row, &bp.key_columns)) {
                     continue;
                 }
             }
@@ -141,21 +141,6 @@ impl IndexScanOp {
             done: false,
         }
     }
-
-    fn emit_row(&self, ctx: &ExecContext, rid: RowId) -> Row {
-        let table_id = ctx.db.btree_table(self.index);
-        let base = ctx.db.table(table_id).row(rid);
-        match self.output {
-            IndexOutput::BaseRow => base.clone(),
-            IndexOutput::KeyAndRid => {
-                let ix = ctx.db.btree(self.index);
-                let mut out: Vec<Value> =
-                    ix.key_columns().iter().map(|&c| base[c].clone()).collect();
-                out.push(Value::Int(rid as i64));
-                out.into()
-            }
-        }
-    }
 }
 
 impl Operator for IndexScanOp {
@@ -208,10 +193,9 @@ impl Operator for IndexScanOp {
                     continue;
                 }
             }
-            let out_row = self.emit_row(ctx, rid);
+            let out_row = index_output_row(ctx, self.index, self.output, rid);
             if let Some(bp) = &self.bitmap {
-                let key = key_of(&out_row, &bp.key_columns);
-                if !ctx.bitmap_may_contain(bp.bitmap, &key) {
+                if !ctx.bitmap_may_contain(bp.bitmap, cols_of(&out_row, &bp.key_columns)) {
                     continue;
                 }
             }
@@ -327,8 +311,7 @@ impl ColumnstoreScanOp {
                     }
                 }
                 if let Some(bp) = &self.bitmap {
-                    let key = key_of(&row, &bp.key_columns);
-                    if !ctx.bitmap_may_contain(bp.bitmap, &key) {
+                    if !ctx.bitmap_may_contain(bp.bitmap, cols_of(&row, &bp.key_columns)) {
                         continue;
                     }
                 }

@@ -1,19 +1,27 @@
 //! Index seeks (point, range, and correlated) and RID lookups.
 
-use super::{Operator, RowBatch};
+use super::{index_output_row, Operator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{Expr, IndexOutput, NodeId, SeekKey, SeekRange};
-use lqs_storage::{IndexId, Row, RowId, TableId, Value};
+use lqs_storage::{IndexId, RowId, TableId, Value};
 
 /// B+tree seek. Correlated seeks (`SeekKey::OuterRef`) resolve against the
 /// current nested-loops outer row; each rewind re-executes the seek with the
 /// new binding, which is how index nested-loops joins drive the inner side.
+/// A rebind happens once per outer row, so the bounds and the matching rids
+/// live in buffers the operator keeps across rebinds.
 pub struct IndexSeekOp {
     id: NodeId,
     index: IndexId,
     seek: SeekRange,
     residual: Option<Expr>,
     output: IndexOutput,
+    /// Lower bound of the current binding: the resolved equality prefix,
+    /// then the range's low key if it has one.
+    lo: Vec<Value>,
+    /// Upper bound, built only when the range has a high key; otherwise
+    /// the equality prefix in `lo` is the upper bound too.
+    hi: Vec<Value>,
     rids: Vec<RowId>,
     pos: usize,
     executed: bool,
@@ -34,6 +42,8 @@ impl IndexSeekOp {
             seek,
             residual,
             output,
+            lo: Vec::new(),
+            hi: Vec::new(),
             rids: Vec::new(),
             pos: 0,
             executed: false,
@@ -41,60 +51,37 @@ impl IndexSeekOp {
         }
     }
 
-    fn resolve(&self, ctx: &ExecContext, key: &SeekKey) -> Value {
-        match key {
-            SeekKey::Lit(v) => v.clone(),
-            SeekKey::OuterRef(c) => ctx.current_outer()[*c].clone(),
-        }
-    }
-
     fn run_seek(&mut self, ctx: &ExecContext) {
-        let prefix: Vec<Value> = self
-            .seek
-            .eq_keys
-            .iter()
-            .map(|k| self.resolve(ctx, k))
-            .collect();
-        let (lo, lo_inc) = match &self.seek.lo {
-            Some((k, inc)) => {
-                let mut v = prefix.clone();
-                v.push(self.resolve(ctx, k));
-                (v, *inc)
-            }
-            None => (prefix.clone(), true),
+        let resolve = |key: &SeekKey| match key {
+            SeekKey::Lit(v) => v.clone(),
+            SeekKey::OuterRef(c) => ctx.with_outer(|outer| outer[*c].clone()),
         };
-        let (hi, hi_inc) = match &self.seek.hi {
-            Some((k, inc)) => {
-                let mut v = prefix.clone();
-                v.push(self.resolve(ctx, k));
-                (v, *inc)
-            }
-            None => (prefix.clone(), true),
+        self.lo.clear();
+        self.lo.extend(self.seek.eq_keys.iter().map(&resolve));
+        let prefix = self.lo.len();
+        let (mut lo_inc, mut hi_inc) = (true, true);
+        if let Some((k, inc)) = &self.seek.hi {
+            self.hi.clear();
+            self.hi.extend_from_slice(&self.lo);
+            self.hi.push(resolve(k));
+            hi_inc = *inc;
+        }
+        if let Some((k, inc)) = &self.seek.lo {
+            self.lo.push(resolve(k));
+            lo_inc = *inc;
+        }
+        let hi = match self.seek.hi {
+            Some(_) => &self.hi[..],
+            None => &self.lo[..prefix],
         };
         let ix = ctx.db.btree(self.index);
-        let (rids, reads) = if lo.is_empty() && hi.is_empty() {
-            ix.seek_range(None, true, None, true)
+        let reads = if self.lo.is_empty() && hi.is_empty() {
+            ix.seek_range_into(None, true, None, true, &mut self.rids)
         } else {
-            ix.seek_range(Some(&lo), lo_inc, Some(&hi), hi_inc)
+            ix.seek_range_into(Some(&self.lo), lo_inc, Some(hi), hi_inc, &mut self.rids)
         };
-        self.rids = rids;
         self.pos = 0;
         ctx.charge_io(self.id, reads as u64);
-    }
-
-    fn emit_row(&self, ctx: &ExecContext, rid: RowId) -> Row {
-        let table_id = ctx.db.btree_table(self.index);
-        let base = ctx.db.table(table_id).row(rid);
-        match self.output {
-            IndexOutput::BaseRow => base.clone(),
-            IndexOutput::KeyAndRid => {
-                let ix = ctx.db.btree(self.index);
-                let mut out: Vec<Value> =
-                    ix.key_columns().iter().map(|&c| base[c].clone()).collect();
-                out.push(Value::Int(rid as i64));
-                out.into()
-            }
-        }
     }
 }
 
@@ -131,7 +118,7 @@ impl Operator for IndexSeekOp {
                         continue;
                     }
                 }
-                out.push(self.emit_row(ctx, rid));
+                out.push(index_output_row(ctx, self.index, self.output, rid));
                 appended += 1;
             }
             scope.finish_emitting(appended);
@@ -164,7 +151,6 @@ pub struct RidLookupOp {
     id: NodeId,
     table: TableId,
     child: super::BoxedOperator,
-    scratch: RowBatch,
     done: bool,
 }
 
@@ -174,7 +160,6 @@ impl RidLookupOp {
             id,
             table,
             child,
-            scratch: RowBatch::default(),
             done: false,
         }
     }
@@ -227,7 +212,6 @@ impl Operator for RidLookupOp {
     fn rewind(&mut self, ctx: &ExecContext) {
         ctx.mark_open(self.id);
         self.child.rewind(ctx);
-        self.scratch.clear();
         self.done = false;
     }
 }

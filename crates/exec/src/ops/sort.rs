@@ -7,7 +7,7 @@
 //! output phase, so DMV snapshots observe the same two-phase counter shape
 //! as the real engine (input rows climbing while `k = 0`, then `k` climbing).
 
-use super::{key_of, BoxedOperator, Operator, RowBatch};
+use super::{BoxedOperator, Operator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{CostModel, NodeId, SortKey};
 use lqs_storage::Row;
@@ -75,12 +75,11 @@ impl SortOp {
             }
             scope.finish();
         }
-        let keys = self.keys.clone();
-        self.buffer.sort_by(|a, b| compare_rows(&keys, a, b));
+        let keys = &self.keys;
+        self.buffer.sort_by(|a, b| compare_rows(keys, a, b));
         if self.distinct {
-            let cols: Vec<usize> = self.keys.iter().map(|k| k.column).collect();
             self.buffer
-                .dedup_by(|a, b| key_of(a, &cols) == key_of(b, &cols));
+                .dedup_by(|a, b| keys.iter().all(|k| a[k.column] == b[k.column]));
         }
         if let Some(n) = self.top_n {
             self.buffer.truncate(n);

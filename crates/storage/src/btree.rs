@@ -7,15 +7,19 @@
 //! realistic — seeks charge `height` reads, range scans charge one read per
 //! leaf visited.
 //!
-//! The tree is bulk-loaded (the simulator's tables are immutable once
-//! generated) but also supports incremental insertion, which the property
-//! tests exercise against a sorted-vector model.
+//! The tree is bulk-loaded once and never changes (the simulator's tables
+//! are immutable once generated; there is no `insert`). That is what lets a
+//! node keep its keys *flattened* — one contiguous `Vec<Value>` per node,
+//! `key arity` values per entry — instead of one heap-allocated key per
+//! entry: a seek's binary searches then walk adjacent memory rather than
+//! chasing a pointer per comparison. A property test holds `seek_range` to
+//! a sorted-vector model, rids and reads both.
 
 use crate::table::RowId;
 use crate::value::Value;
 use std::sync::Arc;
 
-/// Composite index key.
+/// Composite index key, as handed to [`BTreeIndex::bulk_load`].
 pub type Key = Arc<[Value]>;
 
 /// Maximum entries per leaf node (tuned small so scaled-down tables still
@@ -28,23 +32,54 @@ pub const INTERNAL_FANOUT: usize = 64;
 #[derive(Debug, Clone)]
 enum Node {
     Leaf {
-        /// Sorted `(key, rid)` entries. Duplicate keys allowed.
-        entries: Vec<(Key, RowId)>,
+        /// The entries' keys in sorted order, flattened: entry `i`'s key is
+        /// `keys[i * arity..(i + 1) * arity]`. Duplicate keys allowed.
+        keys: Vec<Value>,
+        /// `rids[i]` is entry `i`'s row.
+        rids: Vec<RowId>,
         /// Next-leaf link for range scans.
         next: Option<usize>,
     },
     Internal {
-        /// `separators[i]` is the smallest key in `children[i + 1]`.
-        separators: Vec<Key>,
+        /// Flattened like a leaf's keys: separator `i` is the smallest key
+        /// in `children[i + 1]`.
+        separators: Vec<Value>,
         children: Vec<usize>,
     },
+}
+
+/// Index of the first of the flattened `keys` (`arity` values each) for
+/// which `below` is false; `below` must be true for a prefix of the keys
+/// and false for the rest.
+fn partition_point(keys: &[Value], arity: usize, below: impl Fn(&[Value]) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, keys.len() / arity);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(&keys[mid * arity..(mid + 1) * arity]) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// All of the `keys`' values (`arity` each), one key after another, in an
+/// allocation of exactly that size.
+fn flatten<'k>(keys: impl ExactSizeIterator<Item = &'k Key>, arity: usize) -> Vec<Value> {
+    let mut out = Vec::with_capacity(keys.len() * arity);
+    for key in keys {
+        out.extend_from_slice(key);
+    }
+    out
 }
 
 /// A B+tree index over one or more columns of a table.
 #[derive(Debug, Clone)]
 pub struct BTreeIndex {
     name: String,
-    /// Ordinals of the indexed columns in the base table schema.
+    /// Ordinals of the indexed columns in the base table schema. Their
+    /// count is the key arity: the stride of every node's flattened keys.
     key_columns: Vec<usize>,
     /// Whether this is the clustered index (leaf = base rows, in our model
     /// the distinction only changes costing done by the planner).
@@ -61,12 +96,22 @@ pub struct BTreeIndex {
 
 impl BTreeIndex {
     /// Bulk-load an index from `(key, rid)` pairs (need not be pre-sorted).
+    ///
+    /// # Panics
+    /// Panics if `key_columns` is empty or a key does not have one value per
+    /// key column.
     pub fn bulk_load(
         name: impl Into<String>,
         key_columns: Vec<usize>,
         clustered: bool,
         mut entries: Vec<(Key, RowId)>,
     ) -> Self {
+        let arity = key_columns.len();
+        assert!(arity > 0, "an index needs at least one key column");
+        assert!(
+            entries.iter().all(|(k, _)| k.len() == arity),
+            "every key must have one value per key column"
+        );
         entries.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
         let unique = entries.windows(2).all(|w| w[0].0 != w[1].0);
         let len = entries.len();
@@ -74,31 +119,28 @@ impl BTreeIndex {
 
         // Build leaves.
         let mut level: Vec<(Key, usize)> = Vec::new(); // (min key, node id)
-        if entries.is_empty() {
+        for chunk in entries.chunks(LEAF_FANOUT) {
+            level.push((chunk[0].0.clone(), nodes.len()));
             nodes.push(Node::Leaf {
-                entries: Vec::new(),
+                keys: flatten(chunk.iter().map(|(k, _)| k), arity),
+                rids: chunk.iter().map(|&(_, rid)| rid).collect(),
                 next: None,
             });
-            level.push((Arc::from(vec![].into_boxed_slice()), 0));
-        } else {
-            let mut leaf_ids = Vec::new();
-            let mut iter = entries.into_iter().peekable();
-            while iter.peek().is_some() {
-                let chunk: Vec<(Key, RowId)> = iter.by_ref().take(LEAF_FANOUT).collect();
-                let min_key = chunk[0].0.clone();
-                let id = nodes.len();
-                nodes.push(Node::Leaf {
-                    entries: chunk,
-                    next: None,
-                });
-                leaf_ids.push(id);
-                level.push((min_key, id));
-            }
-            // Wire the leaf chain.
-            for w in leaf_ids.windows(2) {
-                if let Node::Leaf { next, .. } = &mut nodes[w[0]] {
-                    *next = Some(w[1]);
-                }
+        }
+        drop(entries);
+        if nodes.is_empty() {
+            level.push((Arc::from(Vec::new()), 0));
+            nodes.push(Node::Leaf {
+                keys: Vec::new(),
+                rids: Vec::new(),
+                next: None,
+            });
+        }
+        // Wire the leaf chain: leaves were pushed in key order.
+        let leaves = nodes.len();
+        for (id, node) in nodes.iter_mut().enumerate().take(leaves - 1) {
+            if let Node::Leaf { next, .. } = node {
+                *next = Some(id + 1);
             }
         }
         let first_leaf = level[0].1;
@@ -108,13 +150,11 @@ impl BTreeIndex {
         while level.len() > 1 {
             let mut next_level = Vec::new();
             for chunk in level.chunks(INTERNAL_FANOUT) {
-                let min_key = chunk[0].0.clone();
-                let id = nodes.len();
+                next_level.push((chunk[0].0.clone(), nodes.len()));
                 nodes.push(Node::Internal {
-                    separators: chunk[1..].iter().map(|(k, _)| k.clone()).collect(),
+                    separators: flatten(chunk[1..].iter().map(|(k, _)| k), arity),
                     children: chunk.iter().map(|(_, c)| *c).collect(),
                 });
-                next_level.push((min_key, id));
             }
             level = next_level;
             height += 1;
@@ -177,16 +217,8 @@ impl BTreeIndex {
             .count()
     }
 
-    /// Extract this index's key from a base-table row.
-    pub fn key_of(&self, row: &[Value]) -> Key {
-        self.key_columns
-            .iter()
-            .map(|&c| row[c].clone())
-            .collect::<Vec<_>>()
-            .into()
-    }
-
     fn leaf_for(&self, key: &[Value]) -> usize {
+        let arity = self.key_columns.len();
         let mut node = self.root;
         loop {
             match &self.nodes[node] {
@@ -198,8 +230,7 @@ impl BTreeIndex {
                     // Descend to the leftmost child that may hold `key`: with
                     // duplicate keys a run can span several children, and the
                     // leaf chain walks rightward from wherever we land.
-                    let idx = separators.partition_point(|s| s.as_ref() < key);
-                    node = children[idx];
+                    node = children[partition_point(separators, arity, |s| s < key)];
                 }
             }
         }
@@ -223,95 +254,99 @@ impl BTreeIndex {
         hi: Option<&[Value]>,
         hi_inclusive: bool,
     ) -> (Vec<RowId>, usize) {
+        let mut out = Vec::new();
+        let reads = self.seek_range_into(lo, lo_inclusive, hi, hi_inclusive, &mut out);
+        (out, reads)
+    }
+
+    /// [`seek_range`](BTreeIndex::seek_range) into a caller-owned buffer:
+    /// `out` is cleared, filled with the matching rids in key order, and
+    /// the logical reads charged are returned. A correlated seek rebinds
+    /// once per outer row; reusing one buffer spares it an allocation each
+    /// time.
+    ///
+    /// A bound shorter than the key is a *prefix*: it is compared against
+    /// the key's leading values only, so composite keys can be sought on
+    /// their leading columns.
+    pub fn seek_range_into(
+        &self,
+        lo: Option<&[Value]>,
+        lo_inclusive: bool,
+        hi: Option<&[Value]>,
+        hi_inclusive: bool,
+        out: &mut Vec<RowId>,
+    ) -> usize {
+        out.clear();
+        let arity = self.key_columns.len();
         let mut reads = self.height;
         let mut leaf = match lo {
             Some(k) => self.leaf_for(k),
             None => self.first_leaf,
         };
-        let mut out = Vec::new();
+        // Whether the walk has reached the first entry at or above `lo`;
+        // from there on every entry is.
+        let mut above_lo = lo.is_none();
         loop {
-            let Node::Leaf { entries, next } = &self.nodes[leaf] else {
+            let Node::Leaf { keys, rids, next } = &self.nodes[leaf] else {
                 unreachable!("leaf_for returned internal node");
             };
-            let mut past_end = false;
-            for (k, rid) in entries {
-                let k: &[Value] = k.as_ref();
-                let above_lo = match lo {
-                    None => true,
-                    Some(lo) => {
-                        if lo_inclusive {
-                            k >= lo
-                        } else {
-                            k > lo
-                        }
-                    }
-                };
-                if !above_lo {
-                    continue;
-                }
-                let below_hi = match hi {
-                    None => true,
-                    Some(hi) => {
-                        // Prefix semantics: compare only the bound's length so
-                        // composite keys can be sought on a leading prefix.
-                        let kp = &k[..hi.len().min(k.len())];
-                        if hi_inclusive {
-                            kp <= hi
-                        } else {
-                            kp < hi
-                        }
-                    }
-                };
-                if !below_hi {
-                    past_end = true;
-                    break;
-                }
-                // Re-check lo with prefix semantics for composite keys.
-                let lo_ok = match lo {
-                    None => true,
-                    Some(lo) => {
-                        let kp = &k[..lo.len().min(k.len())];
-                        if lo_inclusive {
-                            kp >= lo
-                        } else {
-                            kp > lo
-                        }
-                    }
-                };
-                if lo_ok {
-                    out.push(*rid);
-                }
+            let mut start = 0;
+            if let (false, Some(lo)) = (above_lo, lo) {
+                // Compared whole, a key that extends an exclusive prefix
+                // bound sorts above it; the prefix check below drops it.
+                start =
+                    partition_point(keys, arity, |k| if lo_inclusive { k < lo } else { k <= lo });
+                above_lo = start < rids.len();
             }
-            if past_end {
-                break;
+            for (k, &rid) in keys[start * arity..]
+                .chunks_exact(arity)
+                .zip(&rids[start..])
+            {
+                if let Some(hi) = hi {
+                    let kp = &k[..hi.len().min(arity)];
+                    if !(if hi_inclusive { kp <= hi } else { kp < hi }) {
+                        return reads;
+                    }
+                }
+                let lo_ok = lo.is_none_or(|lo| {
+                    let kp = &k[..lo.len().min(arity)];
+                    if lo_inclusive {
+                        kp >= lo
+                    } else {
+                        kp > lo
+                    }
+                });
+                if lo_ok {
+                    out.push(rid);
+                }
             }
             match next {
                 Some(n) => {
                     leaf = *n;
                     reads += 1;
                 }
-                None => break,
+                None => return reads,
             }
         }
-        (out, reads)
     }
 
     /// Iterate all entries in key order, yielding `(leaf_ordinal, key, rid)`.
     /// The leaf ordinal lets scan operators charge one read per leaf.
-    pub fn scan(&self) -> impl Iterator<Item = (usize, &Key, RowId)> + '_ {
-        let mut leaf = Some(self.first_leaf);
-        let mut ordinal = 0usize;
-        std::iter::from_fn(move || -> Option<Vec<(usize, &Key, RowId)>> {
-            let l = leaf?;
-            let Node::Leaf { entries, next } = &self.nodes[l] else {
-                unreachable!()
-            };
-            let batch: Vec<_> = entries.iter().map(|(k, r)| (ordinal, k, *r)).collect();
-            ordinal += 1;
-            leaf = *next;
-            Some(batch)
-        })
-        .flatten()
+    pub fn scan(&self) -> impl Iterator<Item = (usize, &[Value], RowId)> + '_ {
+        let arity = self.key_columns.len();
+        let nodes = &self.nodes;
+        let leaf = move |id: usize| match &nodes[id] {
+            Node::Leaf { keys, rids, next } => (keys, rids, *next),
+            Node::Internal { .. } => unreachable!("the leaf chain links only leaves"),
+        };
+        std::iter::successors(Some(self.first_leaf), move |&id| leaf(id).2)
+            .enumerate()
+            .flat_map(move |(ordinal, id)| {
+                let (keys, rids, _) = leaf(id);
+                keys.chunks_exact(arity)
+                    .zip(rids)
+                    .map(move |(k, &rid)| (ordinal, k, rid))
+            })
     }
 }
 
@@ -413,5 +448,161 @@ mod tests {
         let t = BTreeIndex::bulk_load("ix", vec![0, 1], false, entries);
         let (rids, _) = t.seek(&[Value::Int(2)]);
         assert_eq!(rids, (20..30).map(|i| i as RowId).collect::<Vec<_>>());
+    }
+
+    // ---- seek_range against a sorted-vector model ----------------------
+
+    type Bound = Option<(Vec<Value>, bool)>;
+
+    /// Order of `key`'s leading values against a (possibly shorter) bound.
+    fn cmp_prefix(key: &[Value], bound: &[Value]) -> std::cmp::Ordering {
+        key[..bound.len().min(key.len())].cmp(bound)
+    }
+
+    /// What `seek_range` must return, worked out on a sorted `Vec` with no
+    /// tree: the rids are a filter; the reads follow from cutting the
+    /// vector into `LEAF_FANOUT`-entry leaves, starting at the last leaf
+    /// whose smallest key sorts below `lo`, and walking right until an entry
+    /// at or above `lo` fails `hi`.
+    fn model(entries: &[(Vec<Value>, RowId)], lo: &Bound, hi: &Bound) -> (Vec<RowId>, usize) {
+        let mut sorted = entries.to_vec();
+        sorted.sort();
+        let lo_ok = |k: &[Value]| match lo {
+            None => true,
+            Some((b, true)) => cmp_prefix(k, b).is_ge(),
+            Some((b, false)) => cmp_prefix(k, b).is_gt(),
+        };
+        let hi_ok = |k: &[Value]| match hi {
+            None => true,
+            Some((b, true)) => cmp_prefix(k, b).is_le(),
+            Some((b, false)) => cmp_prefix(k, b).is_lt(),
+        };
+        let rids = sorted
+            .iter()
+            .filter(|(k, _)| lo_ok(k) && hi_ok(k))
+            .map(|&(_, rid)| rid)
+            .collect();
+
+        let leaves = sorted.len().div_ceil(LEAF_FANOUT).max(1);
+        let mut height = 1;
+        let mut level = leaves;
+        while level > 1 {
+            level = level.div_ceil(INTERNAL_FANOUT);
+            height += 1;
+        }
+        let start = match lo {
+            None => 0,
+            Some((b, _)) => (1..leaves)
+                .rev()
+                .find(|&j| sorted[j * LEAF_FANOUT].0.as_slice() < b.as_slice())
+                .unwrap_or(0),
+        };
+        // Whole-key order decides where the walk starts looking at `hi`.
+        let at_or_above_lo = |k: &[Value]| match lo {
+            None => true,
+            Some((b, true)) => k >= b.as_slice(),
+            Some((b, false)) => k > b.as_slice(),
+        };
+        let last = sorted
+            .iter()
+            .enumerate()
+            .skip(start * LEAF_FANOUT)
+            .find(|(_, (k, _))| at_or_above_lo(k) && !hi_ok(k))
+            .map_or(leaves - 1, |(i, _)| i / LEAF_FANOUT);
+        (rids, height + (last - start))
+    }
+
+    fn check_against_model(arity: usize, entries: &[(Vec<Value>, RowId)], lo: &Bound, hi: &Bound) {
+        let tree = BTreeIndex::bulk_load(
+            "ix",
+            (0..arity).collect(),
+            false,
+            entries
+                .iter()
+                .map(|(k, rid)| (Key::from(k.clone()), *rid))
+                .collect(),
+        );
+        let bound = |b: &Bound| b.as_ref().is_none_or(|(_, inc)| *inc);
+        let got = tree.seek_range(
+            lo.as_ref().map(|(k, _)| k.as_slice()),
+            bound(lo),
+            hi.as_ref().map(|(k, _)| k.as_slice()),
+            bound(hi),
+        );
+        assert_eq!(
+            got,
+            model(entries, lo, hi),
+            "arity {arity}, {} entries, lo {lo:?}, hi {hi:?}",
+            entries.len()
+        );
+    }
+
+    #[test]
+    fn model_on_the_empty_tree() {
+        let five: Bound = Some((vec![Value::Int(5)], true));
+        for (lo, hi) in [
+            (None, None),
+            (five.clone(), None),
+            (None, five.clone()),
+            (five.clone(), five),
+        ] {
+            check_against_model(1, &[], &lo, &hi);
+        }
+        let t = BTreeIndex::bulk_load("ix", vec![0], false, vec![]);
+        assert_eq!(t.seek_range(None, true, None, true), (vec![], 1));
+    }
+
+    use proptest::prelude::*;
+
+    /// A bound before it is cut to the case's arity and key domain:
+    /// `(values kept, first value, second value, inclusive)`.
+    fn raw_bound() -> impl Strategy<Value = Option<(usize, i64, i64, bool)>> {
+        prop::option::weighted(0.85, (1usize..=2, 0i64..1_000, -1i64..5, any::<bool>()))
+    }
+
+    /// Raw `(first, second)` key values for three tree shapes: one or two
+    /// leaves, several leaves, and enough leaves for a third level.
+    fn raw_keys() -> impl Strategy<Value = Vec<(i64, i64)>> {
+        let key = || (0i64..1_000, 0i64..4);
+        prop_oneof![
+            prop::collection::vec(key(), 0..200),
+            prop::collection::vec(key(), 200..700),
+            prop::collection::vec(key(), 4_000..4_600),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(192))]
+
+        #[test]
+        fn seek_range_matches_sorted_vec_model(
+            arity in 1usize..=2,
+            // The first key column is folded into a domain this small, so
+            // duplicate runs span several leaves.
+            dom in 1i64..40,
+            keys in raw_keys(),
+            lo in raw_bound(),
+            hi in raw_bound(),
+        ) {
+            let entries: Vec<(Vec<Value>, RowId)> = keys
+                .iter()
+                .enumerate()
+                .map(|(rid, &(a, b))| {
+                    let mut key = vec![Value::Int(a % dom), Value::Int(b)];
+                    key.truncate(arity);
+                    (key, rid)
+                })
+                .collect();
+            // Bound values reach two past either end of the domain, so keys
+            // missing below and above every entry are sought too.
+            let bound = |raw: Option<(usize, i64, i64, bool)>| -> Bound {
+                raw.map(|(len, a, b, inclusive)| {
+                    let mut key = vec![Value::Int(a % (dom + 4) - 2), Value::Int(b)];
+                    key.truncate(len.min(arity));
+                    (key, inclusive)
+                })
+            };
+            check_against_model(arity, &entries, &bound(lo), &bound(hi));
+        }
     }
 }
