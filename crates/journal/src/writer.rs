@@ -9,7 +9,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// When journal appends are forced to stable storage.
@@ -434,9 +434,23 @@ pub struct SessionJournal {
 
 impl SessionJournal {
     fn open_first_segment(&mut self, meta: &SessionMeta) -> std::io::Result<()> {
-        let inner = self.inner.get_mut().expect("journal writer poisoned");
+        let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
         inner.open_segment()?;
         inner.append_record(RecordRef::Meta(meta))
+    }
+
+    /// Lock the writer, recovering it if a thread panicked while holding the
+    /// lock. The worker appends and the durability stage syncs, so a panic
+    /// on one must not wedge the other; whatever the panicking append left
+    /// behind may be a torn frame, so a recovered writer rotates to a fresh
+    /// segment before its next append (the same rule as a failed append).
+    fn lock_inner(&self) -> MutexGuard<'_, WriterInner> {
+        self.inner.lock().unwrap_or_else(|poisoned| {
+            self.inner.clear_poison();
+            let mut inner = poisoned.into_inner();
+            inner.needs_rotate = true;
+            inner
+        })
     }
 
     /// Run one append under the breaker. Returns whether the record made
@@ -450,7 +464,7 @@ impl SessionJournal {
             }
             return false;
         }
-        let mut inner = self.inner.lock().expect("journal writer poisoned");
+        let mut inner = self.lock_inner();
         let result = rotate_and_run(&mut inner, f);
         let ok = result.is_ok();
         if result.is_err() {
@@ -500,11 +514,13 @@ impl SessionJournal {
     }
 
     /// Append one record under the breaker, then fsync as its kind demands:
-    /// snapshots follow the policy's cadence, the terminal record and the
-    /// clean-shutdown sentinel are the recovery contract and are forced
-    /// (any policy except `Never`), and annotations (alerts, estimator
-    /// selections) ride the next forced flush.
-    fn append(&self, record: RecordRef<'_>) {
+    /// snapshots follow the policy's cadence, the clean-shutdown sentinel is
+    /// forced (any policy except `Never`), and everything else rides the
+    /// next forced flush — annotations (alerts, estimator selections)
+    /// because they are diagnostics, the terminal record because its flush
+    /// is [`sync_terminal`](Self::sync_terminal), a call of its own.
+    /// Returns whether the record made it to the file.
+    fn append(&self, record: RecordRef<'_>) -> bool {
         let mut fsynced = None;
         let ok = self.with_inner(|inner| {
             inner.append_record(record)?;
@@ -520,10 +536,11 @@ impl SessionJournal {
                     }
                     _ => false,
                 },
-                RecordRef::Terminal(_) | RecordRef::CleanShutdown => {
-                    inner.fsync_policy != FsyncPolicy::Never
-                }
-                RecordRef::Meta(_) | RecordRef::Alert(_) | RecordRef::Estimator(_) => false,
+                RecordRef::CleanShutdown => inner.fsync_policy != FsyncPolicy::Never,
+                RecordRef::Meta(_)
+                | RecordRef::Terminal(_)
+                | RecordRef::Alert(_)
+                | RecordRef::Estimator(_) => false,
             };
             if due {
                 fsynced = inner.fsync()?;
@@ -534,6 +551,34 @@ impl SessionJournal {
         if let (Some(m), true) = (&self.metrics, ok) {
             m.records_appended.inc();
         }
+        ok
+    }
+
+    /// Fsync outside the breaker (no record rides on the call). A failure is
+    /// counted as a write error; when the flush was the terminal record's,
+    /// that record can no longer be trusted to be on disk, so it also counts
+    /// as lost and the next append starts a fresh segment.
+    fn force(&self, terminal: bool) {
+        let mut inner = self.lock_inner();
+        if terminal && inner.fsync_policy == FsyncPolicy::Never {
+            return;
+        }
+        let fsynced = match inner.fsync() {
+            Ok(seconds) => seconds,
+            Err(_) => {
+                inner.write_errors += 1;
+                if terminal {
+                    inner.needs_rotate = true;
+                    self.lost.fetch_add(1, Ordering::Relaxed);
+                }
+                if let Some(m) = &self.metrics {
+                    m.write_errors.inc();
+                }
+                None
+            }
+        };
+        drop(inner);
+        self.record_fsync(fsynced);
     }
 
     /// Append one published DMV snapshot, fsyncing per policy.
@@ -542,9 +587,35 @@ impl SessionJournal {
     }
 
     /// Append the terminal-state record and force it to disk (any policy
-    /// except `Never`) — the terminal state is the recovery contract.
+    /// except `Never`) — the terminal state is the recovery contract. This
+    /// is [`append_terminal_record`](Self::append_terminal_record) followed,
+    /// when the record reached the file, by
+    /// [`sync_terminal`](Self::sync_terminal); the service makes the two
+    /// calls from different threads so the flush does not hold up a worker.
     pub fn append_terminal(&self, terminal: &TerminalRecord) {
-        self.append(RecordRef::Terminal(terminal));
+        if self.append_terminal_record(terminal) {
+            self.sync_terminal();
+        }
+    }
+
+    /// Append the terminal-state record without flushing it. Returns
+    /// whether the record reached the file, i.e. whether a
+    /// [`sync_terminal`](Self::sync_terminal) is owed before the session
+    /// may be reported terminal (a suppressed or failed append already
+    /// counted the record as lost; there is nothing to flush).
+    pub fn append_terminal_record(&self, terminal: &TerminalRecord) -> bool {
+        self.append(RecordRef::Terminal(terminal))
+    }
+
+    /// Force the appended terminal record to stable storage (any policy
+    /// except `Never`). Like [`flush`](Self::flush) this bypasses the
+    /// breaker — no record rides on the call, so an fsync failure changes no
+    /// breaker state — but it keeps the consequences a failed terminal
+    /// append has for the session: `write_errors` +1, `lost_records` +1 (the
+    /// session reads `durable: false`) and a fresh segment for the next
+    /// append.
+    pub fn sync_terminal(&self) {
+        self.force(true);
     }
 
     /// Append a watchdog alert annotation. Fsyncs per the snapshot policy's
@@ -572,41 +643,23 @@ impl SessionJournal {
     /// record rides on it); an fsync failure is counted but changes no
     /// breaker state.
     pub fn flush(&self) {
-        let mut inner = self.inner.lock().expect("journal writer poisoned");
-        let fsynced = match inner.fsync() {
-            Ok(seconds) => seconds,
-            Err(_) => {
-                inner.write_errors += 1;
-                if let Some(m) = &self.metrics {
-                    m.write_errors.inc();
-                }
-                None
-            }
-        };
-        drop(inner);
-        self.record_fsync(fsynced);
+        self.force(false);
     }
 
     /// Total bytes this writer has persisted (headers included; stops
     /// advancing at the crash point).
     pub fn bytes_written(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("journal writer poisoned")
-            .total_bytes
+        self.lock_inner().total_bytes
     }
 
     /// Whether the simulated crash point has fired for this writer.
     pub fn crashed(&self) -> bool {
-        self.inner.lock().expect("journal writer poisoned").dead
+        self.lock_inner().dead
     }
 
     /// I/O errors absorbed so far on this session's write path.
     pub fn write_errors(&self) -> u64 {
-        self.inner
-            .lock()
-            .expect("journal writer poisoned")
-            .write_errors
+        self.lock_inner().write_errors
     }
 
     /// Logical records lost to failed or suppressed appends. Lock-free, so
@@ -870,6 +923,90 @@ mod tests {
             s.terminal.is_none(),
             "a suppressed terminal must be absent so recovery reports Orphaned"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn fsyncs(metrics: &JournalMetrics) -> u64 {
+        metrics.fsync_seconds.count()
+    }
+
+    #[test]
+    fn terminal_append_and_sync_are_two_calls_that_compose() {
+        let dir = tmpdir("terminal-halves");
+        let metrics = JournalMetrics::new(Arc::new(lqs_metrics::MetricsRegistry::new()));
+        let journal = Journal::open(JournalConfig::new(&dir))
+            .unwrap()
+            .with_metrics(metrics.clone());
+        let terminal = TerminalRecord {
+            kind: TerminalKind::Succeeded,
+            at_ns: 10,
+            rows_returned: 1,
+            message: String::new(),
+        };
+        let w = journal.writer(meta(0, "halves")).unwrap();
+        assert!(
+            w.append_terminal_record(&terminal),
+            "the append is owed a sync"
+        );
+        assert_eq!(fsyncs(&metrics), 0, "the append half never flushes");
+        w.sync_terminal();
+        assert_eq!(fsyncs(&metrics), 1);
+        let facade = journal.writer(meta(1, "facade")).unwrap();
+        facade.append_terminal(&terminal);
+        assert_eq!(fsyncs(&metrics), 2, "the facade is append + sync");
+        let scan = scan_dir(&dir).unwrap();
+        assert!(scan.sessions.iter().all(|s| s.terminal.is_some()));
+
+        let never_dir = tmpdir("terminal-halves-never");
+        let never = Journal::open(JournalConfig::new(&never_dir).with_fsync(FsyncPolicy::Never))
+            .unwrap()
+            .with_metrics(metrics.clone());
+        never
+            .writer(meta(0, "never"))
+            .unwrap()
+            .append_terminal(&terminal);
+        assert_eq!(fsyncs(&metrics), 2, "`Never` appends without forcing");
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&never_dir);
+    }
+
+    struct PanicAt(u64);
+    impl JournalFaultInjector for PanicAt {
+        fn append_fails(&self, _key: &str, nth: u64) -> bool {
+            assert_ne!(nth, self.0, "injected panic under the writer lock");
+            false
+        }
+    }
+
+    #[test]
+    fn a_panic_under_the_writer_lock_does_not_wedge_later_calls() {
+        let dir = tmpdir("poison");
+        let journal =
+            Journal::open(JournalConfig::new(&dir).with_write_fault(Arc::new(PanicAt(2)))).unwrap();
+        let w = journal.writer(meta(0, "q0")).unwrap();
+        w.append_snapshot(&snap(10, 1));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.append_snapshot(&snap(20, 2));
+        }));
+        assert!(panicked.is_err());
+        // Every entry point still works — from this thread or another — and
+        // the next append lands on a fresh segment.
+        assert!(!w.crashed());
+        assert_eq!(w.write_errors(), 0);
+        w.append_snapshot(&snap(30, 3));
+        w.append_terminal(&TerminalRecord {
+            kind: TerminalKind::Failed,
+            at_ns: 30,
+            rows_returned: 0,
+            message: "boom".into(),
+        });
+        w.flush();
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
+        let scan = scan_dir(&dir).unwrap();
+        let s = &scan.sessions[0];
+        assert_eq!(s.snapshots.len(), 2);
+        assert_eq!(s.terminal.as_ref().unwrap().kind, TerminalKind::Failed);
+        assert_eq!(s.corrupt_records, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -107,7 +107,11 @@ fn make_db(rows: i64, seed: i64) -> Ctx {
 }
 
 fn build(b: &mut PlanBuilder, ctx: &Ctx, spec: &Spec, depth: usize) -> NodeId {
-    let base = if depth % 2 == 0 { ctx.table } else { ctx.small };
+    let base = if depth.is_multiple_of(2) {
+        ctx.table
+    } else {
+        ctx.small
+    };
     match spec {
         Spec::Scan { filtered } => {
             if *filtered {

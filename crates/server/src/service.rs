@@ -3,11 +3,25 @@
 //! Each worker executes one session at a time, single-threaded and
 //! deterministic on that session's own virtual clock; concurrency lives
 //! entirely *between* sessions. The only cross-thread traffic on the hot
-//! path is the snapshot publish into the session handle.
+//! path is the snapshot publish into the session handle and, once per
+//! session, the hand-off to the durability stage.
+//!
+//! The **durability stage** is one thread between "the worker finished
+//! executing" and "the session is terminal". The worker still makes every
+//! journal *append* (final snapshot, terminal record) in its own program
+//! order — so file bytes, crash-point offsets and the shared circuit
+//! breaker's call sequence do not depend on the stage — and then hands the
+//! session over a bounded channel; the stage forces the terminal record to
+//! disk, installs the result and flips the state, while the worker is
+//! already executing the next session. Journaled or not, whatever the fsync
+//! policy, every executed session takes this one path, and none is
+//! observable as terminal before its flush has returned.
 
 use crate::metrics::ServiceMetrics;
 use crate::registry::SessionRegistry;
-use crate::session::{FilteredPublisher, QuerySpec, SessionCost, SessionHandle, SessionState};
+use crate::session::{
+    FilteredPublisher, PendingTerminal, QuerySpec, SessionCost, SessionHandle, SessionState,
+};
 use lqs_exec::{
     execute_hooked, ExecHooks, ExecMode, ExecOptions, FaultInjector, QueryFault, QueryRun,
     SnapshotPublisher,
@@ -18,7 +32,7 @@ use lqs_obs::EventSink;
 use lqs_plan::PhysicalPlan;
 use lqs_storage::Database;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, SendError, Sender, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -35,6 +49,9 @@ pub struct QueryService {
     metrics: Option<Arc<ServiceMetrics>>,
     queue: Option<Sender<Arc<SessionHandle>>>,
     workers: Vec<JoinHandle<()>>,
+    /// The durability stage. Its channel closes when the last worker exits,
+    /// so joining it after the workers drains every pending terminal.
+    stage: Option<JoinHandle<()>>,
     /// Admission control: sessions queued (admitted, not yet dequeued by a
     /// worker). `None` = unbounded (the pre-admission-control behavior).
     admission_limit: Option<usize>,
@@ -227,13 +244,21 @@ impl QueryService {
         let queued_depth = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = channel::<Arc<SessionHandle>>();
         let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..workers.max(1))
+        let workers = workers.max(1);
+        // Bounded at one pending terminal per worker: a disk slower than
+        // the engine blocks the workers instead of queueing `QueryRun`s.
+        let (stage_tx, stage_rx) = sync_channel::<Handoff>(workers);
+        let stage = std::thread::spawn(move || stage_loop(&stage_rx));
+        let workers = (0..workers)
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 let db = Arc::clone(&db);
                 let metrics = metrics.clone();
                 let depth = Arc::clone(&queued_depth);
-                std::thread::spawn(move || worker_loop(&db, &rx, &depth, metrics.as_deref()))
+                let stage_tx = stage_tx.clone();
+                std::thread::spawn(move || {
+                    worker_loop(&db, &rx, &stage_tx, &depth, metrics.as_deref())
+                })
             })
             .collect();
         QueryService {
@@ -242,6 +267,7 @@ impl QueryService {
             metrics,
             queue: Some(tx),
             workers,
+            stage: Some(stage),
             admission_limit: None,
             queued_depth,
             journal: None,
@@ -495,7 +521,8 @@ impl QueryService {
         }
     }
 
-    /// Stop accepting submissions, drain the queue, and join the workers.
+    /// Stop accepting submissions, drain the queue, join the workers, then
+    /// drain and join the durability stage.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -513,13 +540,22 @@ impl QueryService {
                 eprintln!("lqs-server: worker thread panicked outside session execution");
             }
         }
+        // The workers held the only senders, so the stage's channel is now
+        // closed: it settles what is still pending and exits.
+        if let Some(stage) = self.stage.take() {
+            if stage.join().is_err() {
+                eprintln!(
+                    "lqs-server: durability stage panicked outside a session's terminal path"
+                );
+            }
+        }
         if !first_shutdown || self.journal.is_none() {
             return;
         }
-        // Workers are joined, so every admitted session has its terminal
-        // record appended. Flush each journal and stamp the clean-shutdown
-        // sentinel — this is what lets recovery tell an orderly exit from a
-        // crash — then enforce the retention budget.
+        // Workers and stage are joined, so every admitted session has its
+        // terminal record appended and flushed. Stamp the clean-shutdown
+        // sentinel on each journal — this is what lets recovery tell an
+        // orderly exit from a crash — then enforce the retention budget.
         for handle in self.registry.sessions() {
             if let Some(journal) = handle.journal() {
                 journal.append_clean_shutdown();
@@ -539,9 +575,52 @@ impl Drop for QueryService {
     }
 }
 
+/// What a worker hands the durability stage: a session whose execution is
+/// over, and the outcome that becomes observable once its terminal record
+/// is on disk.
+type Handoff = (Arc<SessionHandle>, PendingTerminal);
+
+fn stage_loop(rx: &Receiver<Handoff>) {
+    for (handle, pending) in rx {
+        contain(&handle, || handle.settle(pending));
+    }
+}
+
+/// Run one session's terminal path. A panic on it is contained like a panic
+/// in execution: that session is marked `Failed` — so its waiters wake —
+/// and the stage keeps serving the others.
+fn contain(handle: &SessionHandle, terminal_path: impl FnOnce()) {
+    if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(terminal_path)) {
+        handle.settle(PendingTerminal::failed(format!(
+            "terminal path panicked: {}",
+            panic_message(payload.as_ref())
+        )));
+    }
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<QueryFault>()
+        .map(QueryFault::to_string)
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "panicked with a non-string payload".to_owned())
+}
+
+/// Hand an executed session to the durability stage. The send blocks while
+/// the stage is `workers` sessions behind, and fails only if the stage's
+/// thread is gone — then the worker settles the session itself rather than
+/// strand its waiters.
+fn hand_off(stage: &SyncSender<Handoff>, handle: &Arc<SessionHandle>, pending: PendingTerminal) {
+    if let Err(SendError((handle, pending))) = stage.send((Arc::clone(handle), pending)) {
+        contain(&handle, || handle.settle(pending));
+    }
+}
+
 fn worker_loop(
     db: &Database,
     rx: &Mutex<Receiver<Arc<SessionHandle>>>,
+    stage: &SyncSender<Handoff>,
     queued_depth: &AtomicUsize,
     metrics: Option<&ServiceMetrics>,
 ) {
@@ -552,7 +631,7 @@ fn worker_loop(
             Err(_) => return, // queue closed and drained
         };
         queued_depth.fetch_sub(1, Ordering::AcqRel);
-        run_session(db, &handle, metrics);
+        run_session(db, &handle, stage, metrics);
     }
 }
 
@@ -568,22 +647,28 @@ pub(crate) fn resolved_exec_mode(handle: &SessionHandle) -> JournalExecMode {
 }
 
 /// Execute one session on the calling thread, publishing snapshots into its
-/// handle and recording the outcome.
-fn run_session(db: &Database, handle: &SessionHandle, metrics: Option<&ServiceMetrics>) {
+/// handle, then hand its outcome to the durability stage.
+fn run_session(
+    db: &Database,
+    handle: &Arc<SessionHandle>,
+    stage: &SyncSender<Handoff>,
+    metrics: Option<&ServiceMetrics>,
+) {
     // A session cancelled while still queued never starts. Its partial
     // counters must still be one-per-plan-node (all zero — no work was
     // done): pollers feed the published snapshot to an estimator that
     // indexes it by every plan node.
     if handle.cancel_token().is_cancelled() {
-        handle.abort(lqs_exec::AbortedQuery {
+        if let Some(metrics) = metrics {
+            metrics.finished(SessionState::Cancelled);
+        }
+        let pending = handle.abort(lqs_exec::AbortedQuery {
             reason: lqs_exec::AbortReason::Cancelled,
             at_ns: 0,
             snapshots: Vec::new(),
             partial_counters: vec![lqs_exec::NodeCounters::default(); handle.plan().len()],
         });
-        if let Some(metrics) = metrics {
-            metrics.finished(SessionState::Cancelled);
-        }
+        hand_off(stage, handle, pending);
         return;
     }
     let queue_wait = handle.submitted_at().elapsed();
@@ -639,7 +724,7 @@ fn run_session(db: &Database, handle: &SessionHandle, metrics: Option<&ServiceMe
     });
     let publisher: &dyn SnapshotPublisher = match &filtered {
         Some(fp) => fp,
-        None => handle,
+        None => handle.as_ref(),
     };
     // `QueryAborted` unwinds are already converted to `Err` inside
     // `execute_hooked`; anything that still unwinds here is a genuine bug
@@ -695,8 +780,10 @@ fn run_session(db: &Database, handle: &SessionHandle, metrics: Option<&ServiceMe
             payload.downcast_ref::<QueryFault>().map(|f| f.at_ns),
         ),
     };
-    // Record telemetry *before* publishing the terminal state: anyone woken
-    // by `wait_terminal` must already see this session in the counters.
+    // Record telemetry *before* the hand-off that leads to the terminal
+    // state: anyone woken by `wait_terminal` must already see this session
+    // in the counters. `running` counts executing sessions, so it drops
+    // here and never exceeds the worker count.
     if let Some(metrics) = metrics {
         metrics.running.dec();
         metrics
@@ -718,17 +805,60 @@ fn run_session(db: &Database, handle: &SessionHandle, metrics: Option<&ServiceMe
             handle.publish(&s);
         }
     }
-    match outcome {
+    let pending = match outcome {
         Ok(Ok(run)) => handle.complete(run),
         Ok(Err(aborted)) => handle.abort(aborted),
-        Err(payload) => {
-            let message = payload
-                .downcast_ref::<QueryFault>()
-                .map(QueryFault::to_string)
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "execution panicked with a non-string payload".to_owned());
-            handle.fail(message);
-        }
+        Err(payload) => handle.fail(panic_message(payload.as_ref())),
+    };
+    hand_off(stage, handle, pending);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn handle(registry: &SessionRegistry) -> Arc<SessionHandle> {
+        let db = Database::new();
+        let mut b = lqs_plan::PlanBuilder::new(&db);
+        let scan = b.constant_scan(vec![vec![lqs_storage::Value::Int(1)]]);
+        registry.register(QuerySpec::new("q", Arc::new(b.finish(scan))))
+    }
+
+    /// A panicking terminal path fails that session alone: its waiters
+    /// wake with the reason, and the next hand-off is served as usual.
+    #[test]
+    fn a_panicking_terminal_path_fails_its_session_and_spares_the_stage() {
+        let registry = SessionRegistry::new();
+        let (tx, rx) = sync_channel::<Handoff>(1);
+        let stage = std::thread::spawn(move || stage_loop(&rx));
+
+        let doomed = handle(&registry);
+        doomed.set_state(SessionState::Running);
+        contain(&doomed, || panic!("disk on fire"));
+        assert_eq!(doomed.wait_terminal(), SessionState::Failed);
+        let Some(crate::SessionResult::Failed(message)) = doomed.result() else {
+            panic!("a contained panic must record a Failed result");
+        };
+        assert_eq!(message, "terminal path panicked: disk on fire");
+        assert_eq!(registry.running_now(), 0);
+
+        let next = handle(&registry);
+        next.set_state(SessionState::Running);
+        let pending = next.fail("executed and failed".into());
+        hand_off(&tx, &next, pending);
+        assert_eq!(next.wait_terminal(), SessionState::Failed);
+
+        // A stage whose thread is gone: the worker settles the session
+        // itself instead of stranding its waiters.
+        drop(tx);
+        stage
+            .join()
+            .expect("stage exits when the last sender drops");
+        let (dead_tx, dead_rx) = sync_channel::<Handoff>(1);
+        drop(dead_rx);
+        let stranded = handle(&registry);
+        let pending = stranded.fail("no stage".into());
+        hand_off(&dead_tx, &stranded, pending);
+        assert_eq!(stranded.state(), SessionState::Failed);
     }
 }

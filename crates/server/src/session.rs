@@ -18,7 +18,7 @@ use lqs_journal::{SessionJournal, TerminalKind, TerminalRecord};
 use lqs_obs::SharedSessionSink;
 use lqs_plan::PhysicalPlan;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Opaque session identifier, unique within one [`crate::SessionRegistry`].
@@ -37,7 +37,10 @@ impl std::fmt::Display for SessionId {
 pub enum SessionState {
     /// Submitted, waiting for a worker.
     Queued,
-    /// A worker is executing the query.
+    /// A worker is executing the query — or has finished executing it and
+    /// handed it to the service's durability stage, which has yet to force
+    /// its terminal record to disk. The final counters are already
+    /// published; the terminal state follows the flush.
     Running,
     /// Ran to completion; the full [`QueryRun`] is available.
     Succeeded,
@@ -94,6 +97,31 @@ pub enum SessionResult {
     /// Interrupted by a service crash and restored from the journal; only
     /// the last journaled snapshot (in the handle's DMV slot) survives.
     Orphaned,
+}
+
+/// What a worker leaves behind when a session's execution is over: the
+/// final snapshot and the terminal record are appended to the journal (in
+/// the worker's program order), the outcome is decided, and nothing of it is
+/// observable yet. The service's durability stage turns it into the
+/// session's terminal state with [`SessionHandle::settle`].
+pub(crate) struct PendingTerminal {
+    state: SessionState,
+    result: SessionResult,
+    /// The terminal record reached the journal file and is owed its forced
+    /// flush before the session may be reported terminal.
+    sync_owed: bool,
+}
+
+impl PendingTerminal {
+    /// The outcome of a session whose terminal path itself panicked: no
+    /// journal traffic, just `Failed` with the reason.
+    pub(crate) fn failed(message: String) -> Self {
+        PendingTerminal {
+            state: SessionState::Failed,
+            result: SessionResult::Failed(message),
+            sync_owed: false,
+        }
+    }
 }
 
 /// Shared gauge of sessions currently in [`SessionState::Running`], with a
@@ -390,15 +418,29 @@ impl SessionHandle {
         self.reject_reason.get().map(String::as_str)
     }
 
-    fn journal_terminal(&self, kind: TerminalKind, at_ns: u64, rows_returned: u64, message: &str) {
-        if let Some(journal) = self.journal.get() {
-            journal.append_terminal(&TerminalRecord {
+    /// Append the terminal record of an executed session without flushing
+    /// it (the durability stage does). Returns whether a flush is owed.
+    fn journal_terminal(
+        &self,
+        kind: TerminalKind,
+        at_ns: u64,
+        rows_returned: u64,
+        message: &str,
+    ) -> bool {
+        self.journal.get().is_some_and(|journal| {
+            journal.append_terminal_record(&TerminalRecord {
                 kind,
                 at_ns,
                 rows_returned,
                 message: message.to_owned(),
-            });
-        }
+            })
+        })
+    }
+
+    fn install_result(&self, result: SessionResult) {
+        // The slot holds one whole value, replaced whole: a guard poisoned
+        // by a panicking reader or writer is still safe to overwrite.
+        *self.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
     }
 
     /// Whether this handle was rebuilt from a journal by recovery.
@@ -550,7 +592,10 @@ impl SessionHandle {
 
     /// The session's outcome, once terminal.
     pub fn result(&self) -> Option<SessionResult> {
-        self.result.lock().expect("result slot poisoned").clone()
+        self.result
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     pub(crate) fn set_state(&self, next: SessionState) {
@@ -578,34 +623,30 @@ impl SessionHandle {
         }
     }
 
-    /// Record a completed run: publish the final counters as the last
-    /// snapshot (so pollers see 100% without racing the result slot), then
-    /// flip to `Succeeded`.
-    pub(crate) fn complete(&self, run: QueryRun) {
+    /// Worker half of a completed run: publish the final counters as the
+    /// last snapshot (so pollers see 100% without racing the result slot)
+    /// and append the `Succeeded` record.
+    pub(crate) fn complete(&self, run: QueryRun) -> PendingTerminal {
         self.publish(&DmvSnapshot {
             ts_ns: run.duration_ns,
             nodes: run.final_counters.clone(),
         });
-        self.journal_terminal(
+        let sync_owed = self.journal_terminal(
             TerminalKind::Succeeded,
             run.duration_ns,
             run.rows_returned,
             "",
         );
-        // Warm the prediction history with the now-known ground truth and
-        // score this session's admission-time prediction against it.
-        if let Some(cost) = self.cost.get() {
-            cost.admission
-                .observe_completed(self.plan(), &run, cost.prediction.as_ref());
+        PendingTerminal {
+            state: SessionState::Succeeded,
+            result: SessionResult::Completed(Box::new(run)),
+            sync_owed,
         }
-        *self.result.lock().expect("result slot poisoned") =
-            Some(SessionResult::Completed(Box::new(run)));
-        self.set_state(SessionState::Succeeded);
     }
 
-    /// Record an aborted run, keeping the partial trace honest: the counter
-    /// state at the abort tick becomes the final published snapshot.
-    pub(crate) fn abort(&self, aborted: AbortedQuery) {
+    /// Worker half of an aborted run, keeping the partial trace honest: the
+    /// counter state at the abort tick becomes the final published snapshot.
+    pub(crate) fn abort(&self, aborted: AbortedQuery) -> PendingTerminal {
         self.publish(&DmvSnapshot {
             ts_ns: aborted.at_ns,
             nodes: aborted.partial_counters.clone(),
@@ -617,35 +658,65 @@ impl SessionHandle {
                 TerminalKind::DeadlineExceeded,
             ),
         };
-        self.journal_terminal(kind, aborted.at_ns, 0, "");
-        *self.result.lock().expect("result slot poisoned") = Some(SessionResult::Aborted(aborted));
-        self.set_state(state);
+        PendingTerminal {
+            state,
+            sync_owed: self.journal_terminal(kind, aborted.at_ns, 0, ""),
+            result: SessionResult::Aborted(aborted),
+        }
     }
 
-    /// Record a genuine execution panic. No snapshot is published (the
-    /// counter state is unknown); pollers keep whatever was last published.
-    pub(crate) fn fail(&self, message: String) {
-        self.journal_terminal(TerminalKind::Failed, 0, 0, &message);
-        *self.result.lock().expect("result slot poisoned") = Some(SessionResult::Failed(message));
-        self.set_state(SessionState::Failed);
+    /// Worker half of a genuine execution panic. No snapshot is published
+    /// (the counter state is unknown); pollers keep whatever was last
+    /// published.
+    pub(crate) fn fail(&self, message: String) -> PendingTerminal {
+        PendingTerminal {
+            state: SessionState::Failed,
+            sync_owed: self.journal_terminal(TerminalKind::Failed, 0, 0, &message),
+            result: SessionResult::Failed(message),
+        }
     }
 
-    /// Mark the session shed at admission. Terminal immediately; the
-    /// session never ran, so there are no counters to publish.
+    /// Stage half of every executed session's terminal transition: force
+    /// the terminal record to disk, then — and only then — make the outcome
+    /// observable. A session is never terminal before its flush returned.
+    pub(crate) fn settle(&self, pending: PendingTerminal) {
+        if let (true, Some(journal)) = (pending.sync_owed, self.journal.get()) {
+            journal.sync_terminal();
+        }
+        // Warm the prediction history with the now-known ground truth and
+        // score this session's admission-time prediction against it.
+        if let (SessionResult::Completed(run), Some(cost)) = (&pending.result, self.cost.get()) {
+            cost.admission
+                .observe_completed(self.plan(), run, cost.prediction.as_ref());
+        }
+        self.install_result(pending.result);
+        self.set_state(pending.state);
+    }
+
+    /// Mark the session shed at admission. Terminal immediately, on the
+    /// calling thread (there was no execution for a flush to overlap with);
+    /// the session never ran, so there are no counters to publish.
     pub(crate) fn reject(&self) {
-        self.journal_terminal(TerminalKind::Rejected, 0, 0, "");
-        *self.result.lock().expect("result slot poisoned") = Some(SessionResult::Rejected);
-        self.set_state(SessionState::Rejected);
+        self.reject_as("");
     }
 
     /// [`reject`](Self::reject) with a human-readable reason, journaled on
     /// the terminal record and surfaced by `/sessions` — used by brownout
     /// shedding so an operator can tell *why* a session never ran.
     pub(crate) fn reject_with_reason(&self, reason: impl Into<String>) {
-        let reason = reason.into();
-        self.journal_terminal(TerminalKind::Rejected, 0, 0, &reason);
-        let _ = self.reject_reason.set(reason);
-        *self.result.lock().expect("result slot poisoned") = Some(SessionResult::Rejected);
+        self.reject_as(self.reject_reason.get_or_init(|| reason.into()));
+    }
+
+    fn reject_as(&self, reason: &str) {
+        if let Some(journal) = self.journal.get() {
+            journal.append_terminal(&TerminalRecord {
+                kind: TerminalKind::Rejected,
+                at_ns: 0,
+                rows_returned: 0,
+                message: reason.to_owned(),
+            });
+        }
+        self.install_result(SessionResult::Rejected);
         self.set_state(SessionState::Rejected);
     }
 
@@ -663,7 +734,7 @@ impl SessionHandle {
         if let Some(snapshot) = &snapshot {
             self.publish(snapshot);
         }
-        *self.result.lock().expect("result slot poisoned") = Some(result);
+        self.install_result(result);
         self.set_state(state);
     }
 }
@@ -824,6 +895,28 @@ mod tests {
             elapsed < Duration::from_secs(20),
             "publish stalled behind a poller: {elapsed:?}"
         );
+    }
+
+    /// The worker and the durability stage both touch the result slot; a
+    /// panic on one side while holding it must not wedge the other.
+    #[test]
+    fn a_poisoned_result_slot_still_takes_the_outcome() {
+        let h = Arc::new(SessionHandle::new(
+            SessionId(0),
+            QuerySpec::new("q", dummy_plan()),
+            Arc::default(),
+        ));
+        let poisoner = Arc::clone(&h);
+        let panicked = std::thread::spawn(move || {
+            let _held = poisoner.result.lock().unwrap();
+            panic!("poison the result slot");
+        })
+        .join();
+        assert!(panicked.is_err() && h.result.is_poisoned());
+        h.set_state(SessionState::Running);
+        h.settle(h.fail("boom".into()));
+        assert_eq!(h.state(), SessionState::Failed);
+        assert!(matches!(h.result(), Some(SessionResult::Failed(m)) if m == "boom"));
     }
 
     #[test]
