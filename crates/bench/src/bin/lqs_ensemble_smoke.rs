@@ -136,10 +136,9 @@ fn main() {
         let replay = ens.replay(&run.snapshots);
         let workload = handle.workload().to_owned();
         let mut scored: Vec<(&str, f64, f64)> = ens
-            .member_ids()
-            .iter()
+            .members()
             .zip(&replay.member_estimates)
-            .map(|(id, est)| (*id, error_count(&run, est), error_time(&run, est)))
+            .map(|(m, est)| (m.id(), error_count(&run, est), error_time(&run, est)))
             .collect();
         scored.push((
             "ensemble",
@@ -164,14 +163,14 @@ fn main() {
                 ));
             }
         }
-        let picked = replay.selection.selected;
         let live = handle
             .estimator_selection()
             .unwrap_or_else(|| fail(&format!("{workload}: no live selection stashed")));
-        if live.selected != picked || live.weights != replay.selection.weights {
+        let picked = live.selected;
+        if replay.selection.as_ref() != Some(&live) {
             fail(&format!(
-                "{workload}: live selection {} differs from replay selection {picked}",
-                live.selected
+                "{workload}: live selection {picked} differs from replay selection {:?}",
+                replay.selection
             ));
         }
         let errs: Vec<String> = scored

@@ -9,8 +9,7 @@
 //! * `--json <path>`   also dump the figure data as JSON
 //!
 //! Criterion micro-benchmarks (in `benches/`) measure estimator overhead per
-//! snapshot and engine throughput — the estimator must be cheap enough for
-//! 500 ms DMV polling.
+//! snapshot — the estimator must be cheap enough for 500 ms DMV polling.
 
 use lqs::workloads::WorkloadScale;
 

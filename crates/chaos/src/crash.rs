@@ -36,7 +36,9 @@ use lqs_history::{scan_history, HistoryResolver, ResolvedPlan};
 use lqs_journal::{Journal, JournalConfig, JournalMetrics, SessionMeta, WriteCrashPoint};
 use lqs_metrics::MetricsRegistry;
 use lqs_plan::PhysicalPlan;
-use lqs_progress::{EstimateQuality, EstimatorConfig, GuardedEstimator, ProgressEstimator};
+use lqs_progress::{
+    EnsembleEstimator, EstimateQuality, EstimatorConfig, GuardedEstimator, ProgressEstimator,
+};
 use lqs_server::{
     PollerMetrics, QueryService, QuerySpec, RecoveredOutcome, RecoveryManager, RecoveryReport,
     RegistryPoller, ServiceMetrics, SessionRegistry, SessionResult, SessionState,
@@ -241,7 +243,7 @@ fn in_bounds(p: f64) -> bool {
 fn progress_bits(db: &Database, plan: &PhysicalPlan, run: &QueryRun) -> Vec<u64> {
     let est =
         ProgressEstimator::with_cost_model(plan, db, EstimatorConfig::full(), &run.cost_model);
-    let mut guarded = GuardedEstimator::new(est, plan.len());
+    let mut guarded = GuardedEstimator::new(EnsembleEstimator::single(est));
     let mut bits = Vec::with_capacity(run.snapshots.len() + 1);
     for s in &run.snapshots {
         bits.push(guarded.observe(s).query_progress.to_bits());

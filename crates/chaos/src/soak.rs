@@ -26,7 +26,9 @@ use crate::plan::FaultPlan;
 use lqs_exec::{DmvSnapshot, FaultInjector, IoVerdict, QueryRun};
 use lqs_metrics::MetricsRegistry;
 use lqs_plan::{NodeId, PhysicalPlan};
-use lqs_progress::{EstimatorConfig, GuardedEstimator, ProgressEstimator};
+use lqs_progress::{
+    EnsembleEstimator, EstimateScratch, EstimatorConfig, GuardedEstimator, ProgressEstimator,
+};
 use lqs_server::{
     PollerMetrics, QueryService, QuerySpec, RegistryPoller, ServiceMetrics, SessionResult,
     SessionState,
@@ -152,9 +154,9 @@ fn offline_replay(
         ts_ns: run.duration_ns,
         nodes: run.final_counters.clone(),
     };
-    let fault_free_final = est.estimate(&final_snap).query_progress;
+    let fault_free_final = est.estimate_core(&final_snap, &mut EstimateScratch::default());
     let mangled = mangle_stream(&run.snapshots, &plan.channel, plan.seed ^ stream_seed);
-    let mut guarded = GuardedEstimator::new(est, qplan.len());
+    let mut guarded = GuardedEstimator::new(EnsembleEstimator::single(est));
     let mut bounded = true;
     for s in &mangled {
         bounded &= in_bounds(guarded.observe(s).query_progress);

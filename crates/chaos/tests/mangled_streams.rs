@@ -10,7 +10,7 @@
 use lqs_chaos::{mangle_stream, ChannelFaults};
 use lqs_exec::{execute, DmvSnapshot, ExecOptions, QueryRun};
 use lqs_plan::{AggFunc, Aggregate, PhysicalPlan, PlanBuilder};
-use lqs_progress::{EstimatorConfig, GuardedEstimator, ProgressEstimator};
+use lqs_progress::{EnsembleEstimator, EstimatorConfig, GuardedEstimator, ProgressEstimator};
 use lqs_storage::{Column, DataType, Database, Schema, Table, Value};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -92,10 +92,9 @@ proptest! {
         };
         let mangled = mangle_stream(&ctx.run.snapshots, &faults, seed);
 
-        let mut guard = GuardedEstimator::new(
+        let mut guard = GuardedEstimator::new(EnsembleEstimator::single(
             ProgressEstimator::new(&ctx.plan, &ctx.db, EstimatorConfig::full()),
-            ctx.plan.len(),
-        );
+        ));
         for s in &mangled {
             let r = guard.observe(s);
             prop_assert!(

@@ -67,7 +67,7 @@ pub fn ensemble_errors(
         // §4.6 weights must come from the model the run was charged under.
         let ens = EnsembleEstimator::build(&q.plan, &workload.db, &run.cost_model, config.clone());
         if member_ids.is_empty() {
-            member_ids = ens.member_ids().iter().map(|s| s.to_string()).collect();
+            member_ids = ens.members().map(|m| m.id().to_string()).collect();
             member_sums = vec![(0.0, 0.0); member_ids.len()];
         }
         let replay = ens.replay(&run.snapshots);
@@ -78,9 +78,9 @@ pub fn ensemble_errors(
         }
         ensemble_sum.0 += error_count(&run, &replay.estimates);
         ensemble_sum.1 += error_time(&run, &replay.estimates);
-        *selected
-            .entry(replay.selection.selected.to_string())
-            .or_insert(0) += 1;
+        if let Some(selection) = &replay.selection {
+            *selected.entry(selection.selected.to_string()).or_insert(0) += 1;
+        }
     }
     let norm = |s: f64| {
         if measured == 0 {

@@ -63,16 +63,12 @@ pub fn trace_estimator(
     EstimatorTrace { estimates, reports }
 }
 
-/// Convenience: query-progress estimates only (skips report retention).
+/// Convenience: query-progress estimates only (no report is built).
 pub fn estimates_only(
     plan: &PhysicalPlan,
     db: &Database,
     run: &QueryRun,
     config: EstimatorConfig,
 ) -> Vec<f64> {
-    let est = estimator_for_run(plan, db, run, config);
-    run.snapshots
-        .iter()
-        .map(|s| est.estimate(s).query_progress)
-        .collect()
+    estimator_for_run(plan, db, run, config).estimate_trace(&run.snapshots)
 }

@@ -550,11 +550,7 @@ fn session_history(
                 EstimatorConfig::full(),
                 &run.cost_model,
             );
-            let estimates: Vec<f64> = run
-                .snapshots
-                .iter()
-                .map(|s| est.estimate(s).query_progress)
-                .collect();
+            let estimates = est.estimate_trace(&run.snapshots);
             (
                 Some(error_count(&run, &estimates)),
                 Some(error_time(&run, &estimates)),

@@ -9,10 +9,9 @@
 //! and selecting among them statistically, online. This module implements
 //! that architecture on top of the §4 machinery:
 //!
-//! * [`SingleEstimator`] — the common trait every competing estimator
-//!   implements. Members are **stateless per snapshot** (like
-//!   [`ProgressEstimator::estimate`]), which is what makes offline replays
-//!   bit-identical to online scoring.
+//! * [`Member`] — one competing estimator. Members are **stateless per
+//!   snapshot** (like [`ProgressEstimator::estimate`]), which is what makes
+//!   offline replays bit-identical to online scoring.
 //! * The standard member set ([`EnsembleEstimator::build`]): the shipped
 //!   LQS estimator (`lqs`), the driver-node estimator (`dne`), the total
 //!   GetNext baseline (`tgn`), a cardinality-refinement-off baseline
@@ -29,12 +28,17 @@
 //!   envelope — and the selected member is the arg-max weight with a
 //!   deterministic seeded tie-break, so replays are byte-for-byte
 //!   reproducible.
+//! * A single estimator is a **lineup of one**
+//!   ([`EnsembleEstimator::single`]): the same fold runs, its one weight
+//!   normalises to `w / w == 1.0` and the blend is `1.0 * est / 1.0`, so the
+//!   composed figure is the member's, bit for bit, with no special case.
 //!
 //! König et al. frame the competing estimators as different readings of
 //! one shared feature vector, and that is how a snapshot is processed here:
 //! it is **derived once**. Skipped nodes and Appendix-A bounds depend on the
 //! plan and the counters only, so they are computed once per snapshot; the
-//! five distinct §4 configurations each run one report-free pass over them
+//! lineup's distinct §4 configurations (five for the standard six members)
+//! each run one report-free pass over them
 //! into reusable buffers; and a member is a *view* — the id of a pass plus
 //! the rule (`Figure`) that reads a query-level figure off it. Only the
 //! selected member's [`ProgressReport`] is ever built, and `replay` builds
@@ -55,16 +59,6 @@ use lqs_exec::DmvSnapshot;
 use lqs_plan::{PhysicalPlan, Pipeline, PipelineId};
 use lqs_storage::Database;
 use std::sync::Arc;
-
-/// A competing single progress estimator. `estimate` must be a pure
-/// function of the snapshot (no internal state), so that an offline replay
-/// of a recorded trace reproduces the online figures bit for bit.
-pub trait SingleEstimator: Send {
-    /// Stable identifier (metric label, journal id, JSON value).
-    fn id(&self) -> &'static str;
-    /// Estimate progress from one DMV snapshot.
-    fn estimate(&self, s: &DmvSnapshot) -> ProgressReport;
-}
 
 /// How a member reads its query-level figure off a §4 pass.
 #[derive(Clone, Copy)]
@@ -170,7 +164,9 @@ impl Figure {
 /// owns no derivation of its own — per-node detail is the pass's, and the
 /// query-level figure is its [`Figure`] of the pass and the shared
 /// per-snapshot state. `pmax` and `safe` both read the bounded-TGN pass.
-struct Member {
+/// The figure is a pure function of the snapshot, so an offline replay of a
+/// recorded trace reproduces the online figures bit for bit.
+pub struct Member {
     id: &'static str,
     /// Which of the [`N_PASSES`] passes this member reads. Members naming
     /// the same pass carry the same configuration; per snapshot the first
@@ -181,17 +177,39 @@ struct Member {
     figure: Figure,
 }
 
-impl SingleEstimator for Member {
-    fn id(&self) -> &'static str {
+impl Member {
+    /// Stable identifier (metric label, journal id, JSON value).
+    pub fn id(&self) -> &'static str {
         self.id
     }
 
-    fn estimate(&self, s: &DmvSnapshot) -> ProgressReport {
+    /// This member alone on one DMV snapshot.
+    pub fn estimate(&self, s: &DmvSnapshot) -> ProgressReport {
         let e = &self.estimator;
         let mut scratch = EstimateScratch::default();
         let own = e.estimate_core(s, &mut scratch);
-        let query_progress = self.figure.of(e.statics(), s, &scratch.shared, own);
+        let query_progress = self.read(s, &scratch.shared, own);
         e.report(s, &scratch.shared, &scratch.core, query_progress)
+    }
+
+    /// The member's query progress at `s`, given the shared per-snapshot
+    /// state and its pass's own figure.
+    fn read(&self, s: &DmvSnapshot, shared: &SnapshotState, own: f64) -> f64 {
+        let statics = self.estimator.statics();
+        // A closed root is a finished query, whatever a figure makes of
+        // the nodes that never opened on the way there.
+        if (statics.post_order.last()).is_some_and(|root| s.node(root.0).is_closed()) {
+            return 1.0;
+        }
+        // A member that cannot produce a number reports no progress: it
+        // loses weight like any wrong member, and nothing downstream has to
+        // survive a NaN.
+        let figure = self.figure.of(statics, s, shared, own);
+        if figure.is_nan() {
+            0.0
+        } else {
+            figure
+        }
     }
 }
 
@@ -267,18 +285,19 @@ struct SelectState {
 }
 
 impl SelectState {
-    fn new(prior: &PerMember, seed: u64) -> Self {
+    fn new(lineup: &Lineup) -> Self {
+        let prior = &lineup.prior[..lineup.members.len()];
         SelectState {
             observed: 0,
             sum_k: Vec::new(),
             est_hist: Vec::new(),
-            last_est: [0.0; N_MEMBERS],
-            mono: [0.0; N_MEMBERS],
-            churn: [0.0; N_MEMBERS],
-            last_total_n: [0.0; N_MEMBERS],
-            disagree: [0.0; N_MEMBERS],
-            weights: *prior,
-            selected: argmax_tiebreak(prior, seed),
+            last_est: [0.0; MAX_MEMBERS],
+            mono: [0.0; MAX_MEMBERS],
+            churn: [0.0; MAX_MEMBERS],
+            last_total_n: [0.0; MAX_MEMBERS],
+            disagree: [0.0; MAX_MEMBERS],
+            weights: lineup.prior,
+            selected: argmax_tiebreak(prior, lineup.config.seed),
         }
     }
 }
@@ -295,7 +314,7 @@ fn tie_rank(seed: u64, index: usize) -> u64 {
 
 /// Index of the maximum weight; exact ties resolve by the seeded FNV rank
 /// (then index, for the astronomically unlikely rank collision).
-fn argmax_tiebreak(weights: &PerMember, seed: u64) -> usize {
+fn argmax_tiebreak(weights: &[f64], seed: u64) -> usize {
     let mut best = 0usize;
     for i in 1..weights.len() {
         if weights[i] > weights[best]
@@ -307,20 +326,27 @@ fn argmax_tiebreak(weights: &PerMember, seed: u64) -> usize {
     best
 }
 
-/// Median over the members. Ordered by `f64::total_cmp`, so a `NaN` from a
-/// degenerate snapshot sorts to an end instead of panicking the poller.
-fn median(mut values: PerMember) -> f64 {
+/// Median over the members (`values` is left sorted). Ordered by
+/// `f64::total_cmp`, so a `NaN` from a degenerate snapshot sorts to an end
+/// instead of panicking the poller.
+fn median(values: &mut [f64]) -> f64 {
     values.sort_unstable_by(f64::total_cmp);
-    0.5 * (values[N_MEMBERS / 2 - 1] + values[N_MEMBERS / 2])
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        0.5 * (values[mid - 1] + values[mid])
+    }
 }
 
 /// Retrospective loss per member: how far its past estimates sit from the
 /// *current best reconstruction* of true progress at those past snapshots,
 /// `Σk_j / denom`. The truth at a past snapshot is the same for every
-/// member, so it is computed once and the six sums advance side by side
-/// (each in its own order).
+/// member, so it is computed once and the sums advance side by side (each
+/// in its own order) — all [`MAX_MEMBERS`] lanes of them, so the loop has a
+/// fixed width; the lanes past a shorter lineup are never read.
 fn retrospective_loss(est_hist: &[PerMember], sum_k: &[f64], denom: f64) -> PerMember {
-    let mut loss = [0.0f64; N_MEMBERS];
+    let mut loss = [0.0f64; MAX_MEMBERS];
     for (past, &sum_k) in est_hist.iter().zip(sum_k) {
         let truth = (sum_k / denom).clamp(0.0, 1.0);
         for (loss, est) in loss.iter_mut().zip(past) {
@@ -337,16 +363,18 @@ pub struct EnsembleReplay {
     pub estimates: Vec<f64>,
     /// Per member (ensemble order): query-progress estimate per snapshot.
     pub member_estimates: Vec<Vec<f64>>,
-    /// Final selection (after the last snapshot).
-    pub selection: EnsembleSelection,
+    /// Final selection (after the last snapshot); `None` for a lineup of
+    /// one, which had nothing to choose.
+    pub selection: Option<EnsembleSelection>,
 }
 
-/// What [`EnsembleEstimator::build`] fixes for a plan: the members (and
-/// through them the §4 passes they read) and the selection tuning.
+/// What an [`EnsembleEstimator`] fixes for a plan: the members (and through
+/// them the §4 passes they read) and the selection tuning.
 struct Lineup {
-    members: [Member; N_MEMBERS],
+    /// `1..=MAX_MEMBERS` of them, over one shared [`PlanStatics`].
+    members: Vec<Member>,
     config: EnsembleConfig,
-    /// Pipeline-shape prior over members (normalized).
+    /// Prior over members (normalized).
     prior: PerMember,
 }
 
@@ -365,15 +393,16 @@ struct Run {
 impl Run {
     fn new(lineup: &Lineup) -> Self {
         Run {
-            state: SelectState::new(&lineup.prior, lineup.config.seed),
+            state: SelectState::new(lineup),
             shared: SnapshotState::default(),
             cores: (0..N_PASSES).map(|_| CoreBuffers::default()).collect(),
-            est: [0.0; N_MEMBERS],
+            est: [0.0; MAX_MEMBERS],
         }
     }
 }
 
-/// The ensemble: a fixed member set plus online selection state.
+/// The ensemble: a fixed lineup of members plus online selection state.
+/// A single estimator is a lineup of one.
 ///
 /// Live consumers drive it through [`EnsembleEstimator::observe`] (stateful,
 /// one call per received snapshot); offline consumers use
@@ -384,7 +413,7 @@ impl Run {
 ///
 /// Either way a snapshot is derived **once**: skipped nodes and Appendix-A
 /// bounds are computed once, each distinct §4 configuration runs one pass
-/// over them, and the six members read their figures off those passes.
+/// over them, and the members read their figures off those passes.
 pub struct EnsembleEstimator {
     lineup: Lineup,
     live: Run,
@@ -414,7 +443,7 @@ impl EnsembleEstimator {
             figure,
         };
         let tgn_bounded = EstimatorConfig::tgn_bounded;
-        let members = [
+        let members = vec![
             member("lqs", 0, EstimatorConfig::full(), Figure::Config),
             member("dne", 1, EstimatorConfig::dne_refined(), Figure::Config),
             member("tgn", 2, EstimatorConfig::tgn(), Figure::Config),
@@ -422,6 +451,25 @@ impl EnsembleEstimator {
             member("pmax", 4, tgn_bounded(), Figure::DominantWork(dominant)),
             member("safe", 4, tgn_bounded(), Figure::SafeBounds),
         ];
+        Self::with_lineup(members, config, prior)
+    }
+
+    /// A lineup of one: `estimator` as the member `lqs`. The selection fold
+    /// runs as for any lineup; its one weight normalises to `w / w == 1.0`,
+    /// so every composed figure is `estimator`'s own.
+    pub fn single(estimator: ProgressEstimator) -> Self {
+        let member = Member {
+            id: "lqs",
+            pass: 0,
+            estimator,
+            figure: Figure::Config,
+        };
+        let mut prior = [0.0; MAX_MEMBERS];
+        prior[0] = 1.0;
+        Self::with_lineup(vec![member], EnsembleConfig::default(), prior)
+    }
+
+    fn with_lineup(members: Vec<Member>, config: EnsembleConfig, prior: PerMember) -> Self {
         let lineup = Lineup {
             members,
             config,
@@ -431,22 +479,20 @@ impl EnsembleEstimator {
         EnsembleEstimator { lineup, live }
     }
 
-    /// The member ids, in ensemble (and weight) order.
-    pub fn member_ids(&self) -> Vec<&'static str> {
-        self.lineup.members.iter().map(|m| m.id).collect()
+    /// The plan statics every member shares.
+    pub(crate) fn statics(&self) -> &PlanStatics {
+        self.lineup.members[0].estimator.statics()
     }
 
-    /// The competing members, for stateless per-member scoring.
-    pub fn members(&self) -> impl Iterator<Item = &dyn SingleEstimator> {
-        self.lineup
-            .members
-            .iter()
-            .map(|m| m as &dyn SingleEstimator)
+    /// The competing members in ensemble (and weight) order, for stateless
+    /// per-member scoring.
+    pub fn members(&self) -> impl Iterator<Item = &Member> {
+        self.lineup.members.iter()
     }
 
     /// The current selection (weights + arg-max member) of the *live*
-    /// state.
-    pub fn selection(&self) -> EnsembleSelection {
+    /// state; `None` for a lineup of one, which had nothing to choose.
+    pub fn selection(&self) -> Option<EnsembleSelection> {
         self.lineup.selection_of(&self.live.state)
     }
 
@@ -463,7 +509,7 @@ impl EnsembleEstimator {
         let mut report = selected
             .estimator
             .report(s, &run.shared, core, lineup.blend(run));
-        report.ensemble = Some(lineup.selection_of(&run.state));
+        report.ensemble = lineup.selection_of(&run.state);
         report
     }
 
@@ -485,7 +531,7 @@ impl EnsembleEstimator {
         let history = &run.state.est_hist;
         EnsembleReplay {
             estimates,
-            member_estimates: (0..N_MEMBERS)
+            member_estimates: (0..self.lineup.members.len())
                 .map(|m| history.iter().map(|row| row[m]).collect())
                 .collect(),
             selection: self.lineup.selection_of(&run.state),
@@ -494,8 +540,12 @@ impl EnsembleEstimator {
 }
 
 impl Lineup {
-    fn selection_of(&self, state: &SelectState) -> EnsembleSelection {
-        EnsembleSelection {
+    /// What `state` selected, as reports, journals and `/sessions` show it:
+    /// only where there was a choice. A lineup of one selects itself with
+    /// weight 1, which says nothing — this is the one place the member count
+    /// decides anything.
+    fn selection_of(&self, state: &SelectState) -> Option<EnsembleSelection> {
+        (self.members.len() > 1).then(|| EnsembleSelection {
             selected: self.members[state.selected].id,
             weights: self
                 .members
@@ -503,7 +553,7 @@ impl Lineup {
                 .zip(&state.weights)
                 .map(|(m, w)| (m.id, *w))
                 .collect(),
-        }
+        })
     }
 
     /// Derive snapshot `s` once into `run`, read every member's figure off
@@ -517,11 +567,7 @@ impl Lineup {
                 let core = &mut run.cores[member.pass];
                 member.estimator.core(s, &run.shared, core)
             });
-            let figure = member.figure.of(statics, s, &run.shared, own);
-            // A member that cannot produce a number reports no progress:
-            // it loses weight like any wrong member, and nothing downstream
-            // has to survive a NaN.
-            *est = if figure.is_nan() { 0.0 } else { figure };
+            *est = member.read(s, &run.shared, own);
         }
         if !freeze {
             self.fold_observation(run, s);
@@ -539,15 +585,15 @@ impl Lineup {
         // near-equals while refusing to let a discredited member drag the
         // figure (the estimate stays inside the full member [min, max]
         // envelope either way, since it is a convex combination).
-        let top = state
-            .weights
+        let weights = &state.weights[..self.members.len()];
+        let top = weights
             .iter()
             .cloned()
             .fold(0.0f64, f64::max)
             .max(f64::MIN_POSITIVE);
         let mut num = 0.0;
         let mut den = 0.0;
-        for (&est, &w) in run.est.iter().zip(&state.weights) {
+        for (&est, &w) in run.est.iter().zip(weights) {
             if w >= top * BLEND_FLOOR {
                 num += w * est;
                 den += w;
@@ -564,6 +610,7 @@ impl Lineup {
     /// Fold the latest derivation in `run` into its selection state:
     /// histories, penalty masses, retrospective losses, weights, selection.
     fn fold_observation(&self, run: &mut Run, s: &DmvSnapshot) {
+        let n = self.members.len();
         let state = &mut run.state;
         let est = run.est;
         state.observed += 1;
@@ -572,8 +619,9 @@ impl Lineup {
             .push(s.nodes.iter().map(|c| c.rows_output as f64).sum());
 
         // Per-snapshot disagreement against the member median.
-        let med = median(est);
-        for (disagree, est) in state.disagree.iter_mut().zip(est) {
+        let mut sorted = est;
+        let med = median(&mut sorted[..n]);
+        for (disagree, est) in state.disagree.iter_mut().zip(&est[..n]) {
             *disagree += (est - med).abs();
         }
 
@@ -610,37 +658,38 @@ impl Lineup {
         // member, so this still converges to the §5 ground-truth
         // denominator as the run completes.
         let mut denom = 0.0f64;
-        let mut per_member = [0.0f64; N_MEMBERS];
+        let mut per_member = [0.0f64; MAX_MEMBERS];
         // Each member's cardinalities, sliced once to the node count.
-        let n_hats: [&[f64]; N_MEMBERS] =
-            std::array::from_fn(|m| &run.cores[self.members[m].pass].n_hat[..s.nodes.len()]);
+        let mut n_hats: [&[f64]; MAX_MEMBERS] = [&[]; MAX_MEMBERS];
+        for (n_hat, member) in n_hats.iter_mut().zip(&self.members) {
+            *n_hat = &run.cores[member.pass].n_hat[..s.nodes.len()];
+        }
         for (node, c) in s.nodes.iter().enumerate() {
             let k = c.rows_output as f64;
-            for (n, n_hat) in per_member.iter_mut().zip(n_hats) {
-                *n = n_hat[node].max(k);
+            for (n_m, n_hat) in per_member.iter_mut().zip(&n_hats[..n]) {
+                *n_m = n_hat[node].max(k);
             }
-            denom += median(per_member);
+            denom += median(&mut per_member[..n]);
         }
         let denom = denom.max(1.0);
 
         let loss = retrospective_loss(&state.est_hist, &state.sum_k, denom);
         let obs = state.observed as f64;
-        let mut scores = [0.0f64; N_MEMBERS];
-        for m in 0..N_MEMBERS {
-            scores[m] = loss[m] / obs
-                + self.config.mono_coeff * state.mono[m] / obs
-                + self.config.churn_coeff * state.churn[m] / obs
-                + self.config.disagree_coeff * state.disagree[m] / obs;
-        }
-
         // Weights: inverse-power of the score, blended with the
         // pipeline-shape prior during warmup (the prior's influence decays
         // as observations accumulate).
         const EPS: f64 = 1e-4;
-        let mut inv = scores.map(|sc| (sc + EPS).powf(-self.config.sharpness));
-        let inv_sum: f64 = inv.iter().sum();
+        let mut inv = [0.0f64; MAX_MEMBERS];
+        for m in 0..n {
+            let score = loss[m] / obs
+                + self.config.mono_coeff * state.mono[m] / obs
+                + self.config.churn_coeff * state.churn[m] / obs
+                + self.config.disagree_coeff * state.disagree[m] / obs;
+            inv[m] = (score + EPS).powf(-self.config.sharpness);
+        }
+        let inv_sum: f64 = inv[..n].iter().sum();
         if inv_sum > 0.0 && inv_sum.is_finite() {
-            for w in &mut inv {
+            for w in &mut inv[..n] {
                 *w /= inv_sum;
             }
         } else {
@@ -648,31 +697,33 @@ impl Lineup {
         }
         let prior_mix =
             self.config.warmup_snapshots as f64 / (self.config.warmup_snapshots as f64 + obs);
-        let mut weights = [0.0f64; N_MEMBERS];
-        for m in 0..N_MEMBERS {
+        let mut weights = [0.0f64; MAX_MEMBERS];
+        for m in 0..n {
             weights[m] = prior_mix * self.prior[m] + (1.0 - prior_mix) * inv[m];
         }
-        let w_sum: f64 = weights.iter().sum();
+        let w_sum: f64 = weights[..n].iter().sum();
         if w_sum > 0.0 {
-            for w in &mut weights {
+            for w in &mut weights[..n] {
                 *w /= w_sum;
             }
         }
-        state.selected = argmax_tiebreak(&weights, self.config.seed);
+        state.selected = argmax_tiebreak(&weights[..n], self.config.seed);
         state.weights = weights;
     }
 }
 
-/// Number of members in the standard ensemble.
-const N_MEMBERS: usize = 6;
+/// Most members a lineup holds: the standard ensemble's six.
+const MAX_MEMBERS: usize = 6;
 
-/// Number of distinct §4 passes the members read: `full`, `dne_refined`,
-/// `tgn`, `full` without refinement, and `tgn_bounded` (which `pmax` and
-/// `safe` share).
+/// Most distinct §4 passes a lineup's members read — the standard six's
+/// `full`, `dne_refined`, `tgn`, `full` without refinement, and
+/// `tgn_bounded` (which `pmax` and `safe` share).
 const N_PASSES: usize = 5;
 
-/// One `f64` per member, in ensemble order.
-type PerMember = [f64; N_MEMBERS];
+/// One `f64` per member, in lineup order, on the stack at any lineup size:
+/// every loop over one runs to the lineup's member count, and the lanes
+/// past it stay zero.
+type PerMember = [f64; MAX_MEMBERS];
 
 /// Members whose weight is below this fraction of the top weight are left
 /// out of the composed blend (they still compete for selection — their
@@ -720,7 +771,7 @@ mod tests {
     use super::*;
     use crate::estimator::REFRESHES;
     use lqs_exec::{execute, ExecOptions, QueryRun};
-    use lqs_plan::{CostModel, Expr, PlanBuilder, SortKey};
+    use lqs_plan::{CostModel, Expr, JoinKind, PlanBuilder, SeekKey, SeekRange, SortKey};
     use lqs_storage::{Column, DataType, Schema, Table, Value};
 
     /// scan → filter → sort over 3 000 rows: two pipelines, one blocking
@@ -803,9 +854,54 @@ mod tests {
         }
     }
 
+    /// A nested-loops join whose outer side yields nothing never opens its
+    /// inner seek. `pmax` and `safe` count such a node as unfinished, so the
+    /// terminal publish of a finished query used to be served under 100 %.
+    #[test]
+    fn a_closed_root_reads_as_done_from_every_member() {
+        let (mut db, _, _) = sorted_scan();
+        let tid = db.table_by_name("t").expect("table t");
+        let ix = db.create_btree_index("ix_b", tid, vec![1], false);
+        let mut b = PlanBuilder::new(&db);
+        let scan = b.table_scan(tid);
+        let none = b.filter(scan, Expr::col(0).lt(Expr::lit(0i64)));
+        let seek = b.index_seek(ix, SeekRange::eq(vec![SeekKey::OuterRef(1)]));
+        let join = b.nested_loops(JoinKind::Inner, none, seek, None, 1);
+        let plan = b.finish(join);
+        let run = execute(&db, &plan, &ExecOptions::default());
+        let mut trace = run.snapshots.clone();
+        assert!(trace.iter().all(|s| !s.node(join.0).is_closed()));
+        trace.push(DmvSnapshot {
+            ts_ns: run.duration_ns,
+            nodes: run.final_counters.clone(),
+        });
+        let done = &trace[trace.len() - 1];
+        assert!(done.node(join.0).is_closed() && !done.node(seek.0).is_open());
+
+        let mut ens =
+            EnsembleEstimator::build(&plan, &db, &run.cost_model, EnsembleConfig::default());
+        // Without the rule some member's own figure stops short of 1.
+        let mut scratch = EstimateScratch::default();
+        assert!(ens.members().any(|m| {
+            let own = m.estimator.estimate_core(done, &mut scratch);
+            m.figure
+                .of(m.estimator.statics(), done, &scratch.shared, own)
+                < 1.0
+        }));
+        let replay = ens.replay(&trace);
+        for (m, estimates) in ens.members().zip(&replay.member_estimates) {
+            assert_eq!(m.estimate(done).query_progress, 1.0, "{}", m.id());
+            assert_eq!(estimates.last(), Some(&1.0), "{}", m.id());
+        }
+        assert_eq!(replay.estimates.last(), Some(&1.0));
+        let observed = trace.iter().map(|s| ens.observe(s, false)).last();
+        assert_eq!(observed.map(|r| r.query_progress), Some(1.0));
+    }
+
     #[test]
     fn median_orders_nan_instead_of_panicking() {
-        assert_eq!(median([0.1, 0.5, 0.3, 0.2, 0.4, 0.6]), 0.35);
-        assert_eq!(median([f64::NAN, 0.5, 0.3, 0.2, 0.4, 0.6]), 0.45);
+        assert_eq!(median(&mut [0.1, 0.5, 0.3, 0.2, 0.4, 0.6]), 0.35);
+        assert_eq!(median(&mut [f64::NAN, 0.5, 0.3, 0.2, 0.4, 0.6]), 0.45);
+        assert_eq!(median(&mut [0.7]), 0.7);
     }
 }

@@ -71,9 +71,10 @@ impl EstimateQuality {
 }
 
 /// Which ensemble member produced (and how members were weighted behind)
-/// a [`ProgressReport`]. Only present on reports composed by the
-/// [`crate::ensemble::EnsembleEstimator`]; plain single-estimator reports
-/// carry `None`.
+/// a [`ProgressReport`]. Only present where the
+/// [`crate::ensemble::EnsembleEstimator`] had members to choose between;
+/// reports of a lineup of one (and of a plain
+/// [`ProgressEstimator::estimate`]) carry `None`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnsembleSelection {
     /// Id of the arg-max-weight member whose per-node detail the report
@@ -102,7 +103,8 @@ pub struct ProgressReport {
     /// report computed from the latest snapshot.
     pub staleness_ns: u64,
     /// Ensemble selection behind this report, when an
-    /// [`crate::ensemble::EnsembleEstimator`] composed it.
+    /// [`crate::ensemble::EnsembleEstimator`] of more than one member
+    /// composed it.
     pub ensemble: Option<EnsembleSelection>,
 }
 
@@ -260,6 +262,17 @@ impl ProgressEstimator {
         let bound = self.config.bound_cardinality;
         scratch.shared.refresh(&self.statics, s, bound);
         self.core(s, &scratch.shared, &mut scratch.core)
+    }
+
+    /// Query progress at every snapshot of a recorded trace: one
+    /// [`Self::estimate_core`] per snapshot over one reused scratch, so each
+    /// figure is the one [`Self::estimate`] reports and no report is built.
+    pub fn estimate_trace(&self, snapshots: &[DmvSnapshot]) -> Vec<f64> {
+        let mut scratch = EstimateScratch::default();
+        snapshots
+            .iter()
+            .map(|s| self.estimate_core(s, &mut scratch))
+            .collect()
     }
 
     /// Steps 1–5 of the module docs over an already-derived `shared`

@@ -5,7 +5,7 @@
 //! network from a loaded server: in production the snapshot stream it sees
 //! can arrive late, out of order, duplicated, or — after a session retry on
 //! the server — with counters reset to zero. Feeding such a stream straight
-//! into [`ProgressEstimator::estimate`] silently lies: progress jumps
+//! into an estimator silently lies: progress jumps
 //! backwards, refinement α collapses, and bound clamps fire on garbage.
 //!
 //! [`SnapshotGuard`] sits in front of the estimator and maintains a
@@ -13,12 +13,13 @@
 //! element-wise-maxed (so a reset or reordered snapshot can never drag a
 //! counter backwards), gauge and lifecycle fields follow the newest
 //! timestamp seen, and every anomaly is classified and tallied.
-//! [`GuardedEstimator`] pairs a guard with an estimator and stamps each
+//! [`GuardedEstimator`] pairs a guard with an [`EnsembleEstimator`] — the
+//! standard six-member lineup or a lineup of one — and stamps each
 //! [`ProgressReport`] with an [`EstimateQuality`] plus a staleness age, so
 //! consumers can tell a trustworthy figure from a reconstructed one.
 
 use crate::ensemble::EnsembleEstimator;
-use crate::estimator::{EstimateQuality, ProgressEstimator, ProgressReport};
+use crate::estimator::{EstimateQuality, ProgressReport};
 use lqs_exec::{DmvSnapshot, NodeCounters};
 
 /// Tally of telemetry anomalies a [`SnapshotGuard`] has detected and
@@ -169,7 +170,7 @@ impl SnapshotGuard {
     }
 }
 
-/// A [`ProgressEstimator`] hardened by a [`SnapshotGuard`].
+/// An [`EnsembleEstimator`] hardened by a [`SnapshotGuard`].
 ///
 /// `observe` sanitizes the incoming snapshot, estimates from the high-water
 /// view, and stamps the report: [`EstimateQuality::Degraded`] once any
@@ -182,59 +183,28 @@ impl SnapshotGuard {
 /// genuine final snapshot arrives (in any order, amid any garbage), the
 /// view equals it, so the final report converges to the fault-free one.
 ///
-/// The inner model may be a classic single [`ProgressEstimator`] or an
-/// [`EnsembleEstimator`]. With an ensemble inner, a degraded stream (any
-/// absorbed anomaly) additionally **freezes ensemble selection**: the
-/// member estimates still flow, but the selection state stops updating, so
-/// the ensemble never switches estimators on reconstructed telemetry.
-/// Anomaly counts are monotone — quality is `Degraded` forever once the
-/// stream has misbehaved — so the freeze is likewise permanent.
+/// A degraded stream (any absorbed anomaly) additionally **freezes
+/// selection**: the member estimates still flow, but the selection state
+/// stops updating, so the lineup never switches estimators on reconstructed
+/// telemetry. Anomaly counts are monotone — quality is `Degraded` forever
+/// once the stream has misbehaved — so the freeze is likewise permanent.
 pub struct GuardedEstimator {
-    inner: GuardedInner,
+    ensemble: EnsembleEstimator,
     guard: SnapshotGuard,
 }
 
-/// The model behind a [`GuardedEstimator`].
-enum GuardedInner {
-    /// One fixed estimator configuration.
-    Single(ProgressEstimator),
-    /// The competing-estimator ensemble with online selection.
-    Ensemble(Box<EnsembleEstimator>),
-}
-
 impl GuardedEstimator {
-    /// Wrap a single `estimator` for a plan with `n_nodes` nodes.
-    pub fn new(estimator: ProgressEstimator, n_nodes: usize) -> Self {
-        GuardedEstimator {
-            inner: GuardedInner::Single(estimator),
-            guard: SnapshotGuard::new(n_nodes),
-        }
+    /// Guard `ensemble` against the stream of the plan it was built for.
+    pub fn new(ensemble: EnsembleEstimator) -> Self {
+        let guard = SnapshotGuard::new(ensemble.statics().nodes.len());
+        GuardedEstimator { ensemble, guard }
     }
 
-    /// Wrap an `ensemble` for a plan with `n_nodes` nodes.
-    pub fn new_ensemble(ensemble: EnsembleEstimator, n_nodes: usize) -> Self {
-        GuardedEstimator {
-            inner: GuardedInner::Ensemble(Box::new(ensemble)),
-            guard: SnapshotGuard::new(n_nodes),
-        }
-    }
-
-    /// The raw inner single estimator (stateless `estimate`; used where
-    /// bit-parity with offline replay matters, e.g. accuracy scoring).
-    /// `None` when the inner model is an ensemble.
-    pub fn single(&self) -> Option<&ProgressEstimator> {
-        match &self.inner {
-            GuardedInner::Single(e) => Some(e),
-            GuardedInner::Ensemble(_) => None,
-        }
-    }
-
-    /// The inner ensemble, when this guard wraps one.
-    pub fn ensemble(&self) -> Option<&EnsembleEstimator> {
-        match &self.inner {
-            GuardedInner::Single(_) => None,
-            GuardedInner::Ensemble(e) => Some(e),
-        }
+    /// The inner ensemble (its stateless `replay` and members are used
+    /// where bit-parity with offline replay matters, e.g. accuracy
+    /// scoring).
+    pub fn ensemble(&self) -> &EnsembleEstimator {
+        &self.ensemble
     }
 
     /// The guard's anomaly tallies.
@@ -260,13 +230,10 @@ impl GuardedEstimator {
                 &zero
             }
         };
-        let mut report = match &mut self.inner {
-            GuardedInner::Single(e) => e.estimate(view),
-            // Degraded telemetry freezes ensemble selection: estimates keep
-            // flowing from the already-chosen weights, but no switching
-            // happens on reconstructed data.
-            GuardedInner::Ensemble(e) => e.observe(view, degraded),
-        };
+        // Degraded telemetry freezes selection: estimates keep flowing from
+        // the already-chosen weights, but no switching happens on
+        // reconstructed data.
+        let mut report = self.ensemble.observe(view, degraded);
         if degraded {
             report.quality = EstimateQuality::Degraded;
         }
@@ -343,7 +310,10 @@ mod tests {
         assert!(g.view().is_none());
     }
 
-    fn scan_plan() -> (lqs_storage::Database, lqs_plan::PhysicalPlan) {
+    /// The six-member ensemble over a one-node scan (so [`snap`] is a
+    /// well-formed snapshot of it), guarded.
+    fn guarded_scan() -> GuardedEstimator {
+        use crate::ensemble::{EnsembleConfig, EnsembleEstimator};
         use lqs_storage::{Column, DataType, Schema, Table, Value};
         let mut t = Table::new("t", Schema::new(vec![Column::new("id", DataType::Int)]));
         for i in 0..1_000 {
@@ -354,7 +324,13 @@ mod tests {
         let mut b = lqs_plan::PlanBuilder::new(&db);
         let s = b.table_scan(tid);
         let plan = b.finish(s);
-        (db, plan)
+        let cost = lqs_plan::CostModel::default();
+        GuardedEstimator::new(EnsembleEstimator::build(
+            &plan,
+            &db,
+            &cost,
+            EnsembleConfig::standard(7),
+        ))
     }
 
     /// Regression (staleness interplay): once telemetry degrades, the
@@ -363,64 +339,37 @@ mod tests {
     /// because anomaly counts are monotone (quality is `Degraded` forever).
     #[test]
     fn degraded_stream_freezes_ensemble_selection() {
-        use crate::ensemble::{EnsembleConfig, EnsembleEstimator};
-        let (db, plan) = scan_plan();
-        let ens = EnsembleEstimator::build(
-            &plan,
-            &db,
-            &lqs_plan::CostModel::default(),
-            EnsembleConfig::standard(7),
-        );
-        let mut g = GuardedEstimator::new_ensemble(ens, plan.len());
-        let n = plan.len();
-        let wide = |ts: u64, rows: u64| DmvSnapshot {
-            ts_ns: ts,
-            nodes: vec![counters(rows, rows / 10); n],
-        };
+        let mut g = guarded_scan();
         for i in 1..=5u64 {
-            let r = g.observe(&wide(i * 10, i * 100));
+            let r = g.observe(&snap(i * 10, i * 100));
             assert_eq!(r.quality, EstimateQuality::Fresh);
             assert!(r.ensemble.is_some(), "ensemble reports carry selection");
         }
-        let before = g.ensemble().unwrap().selection();
+        let before = g.ensemble().selection();
         // Out-of-order snapshot: anomaly → Degraded → selection frozen.
-        let r = g.observe(&wide(20, 150));
+        let r = g.observe(&snap(20, 150));
         assert_eq!(r.quality, EstimateQuality::Degraded);
-        assert_eq!(g.ensemble().unwrap().selection(), before);
+        assert_eq!(g.ensemble().selection(), before);
         // Clean-looking follow-ups never unfreeze it either.
-        let r2 = g.observe(&wide(100, 900));
+        let r2 = g.observe(&snap(100, 900));
         assert_eq!(r2.quality, EstimateQuality::Degraded);
-        assert_eq!(g.ensemble().unwrap().selection(), before);
-        assert_eq!(r2.ensemble, Some(before));
-        let _ = r;
+        assert_eq!(g.ensemble().selection(), before);
+        assert_eq!(r2.ensemble, before);
     }
 
     /// The same stream without the fault *does* keep updating selection
     /// state (the freeze test above is meaningful).
     #[test]
     fn clean_stream_keeps_updating_ensemble_state() {
-        use crate::ensemble::{EnsembleConfig, EnsembleEstimator};
-        let (db, plan) = scan_plan();
-        let ens = EnsembleEstimator::build(
-            &plan,
-            &db,
-            &lqs_plan::CostModel::default(),
-            EnsembleConfig::standard(7),
-        );
-        let n = plan.len();
-        let mut g = GuardedEstimator::new_ensemble(ens, n);
-        let wide = |ts: u64, rows: u64| DmvSnapshot {
-            ts_ns: ts,
-            nodes: vec![counters(rows, rows / 10); n],
-        };
-        g.observe(&wide(10, 100));
-        let early = g.ensemble().unwrap().selection();
+        let mut g = guarded_scan();
+        g.observe(&snap(10, 100));
+        let early = g.ensemble().selection();
         for i in 2..=8u64 {
-            g.observe(&wide(i * 10, i * 100));
+            g.observe(&snap(i * 10, i * 100));
         }
-        let late = g.ensemble().unwrap().selection();
+        let late = g.ensemble().selection();
         // Weights move as evidence accumulates (selection id may or may not
         // change, but the weight vector cannot be byte-identical).
-        assert_ne!(early.weights, late.weights);
+        assert_ne!(early.unwrap().weights, late.unwrap().weights);
     }
 }

@@ -18,9 +18,12 @@
 //! | 5 | Errorcount / Errortime metrics | [`metrics`] |
 //!
 //! Beyond the paper, [`ensemble`] implements the robust-estimation
-//! extension (König et al.): competing single estimators behind a
-//! [`SingleEstimator`] trait plus an online statistical selection layer
-//! ([`EnsembleEstimator`]) that weights them per query.
+//! extension (König et al.): a lineup of competing estimators read off one
+//! shared per-snapshot derivation, plus an online statistical selection
+//! layer ([`EnsembleEstimator`]) that weights them per query. There is one
+//! pipeline: a single estimator is a lineup of one
+//! ([`EnsembleEstimator::single`]), and that is what a
+//! [`GuardedEstimator`] holds either way.
 //!
 //! Every technique is an independent toggle in [`EstimatorConfig`], so the
 //! paper's ablation experiments are config deltas.
@@ -39,7 +42,7 @@ pub mod weights;
 
 pub use bounds::{compute_bounds, Bounds};
 pub use config::{EstimatorConfig, QueryModel};
-pub use ensemble::{EnsembleConfig, EnsembleEstimator, EnsembleReplay, SingleEstimator};
+pub use ensemble::{EnsembleConfig, EnsembleEstimator, EnsembleReplay};
 pub use estimator::{
     EnsembleSelection, EstimateQuality, EstimateScratch, NodeProgress, ProgressEstimator,
     ProgressReport,

@@ -193,7 +193,7 @@ proptest! {
         }
 
         // Weights are a probability vector and the selection is its arg-max.
-        let sel = &replay.selection;
+        let sel = replay.selection.as_ref().expect("six members had a choice");
         let total: f64 = sel.weights.iter().map(|(_, w)| *w).sum();
         prop_assert!((total - 1.0).abs() < 1e-9, "weights sum to {total}");
         let max_w = sel

@@ -3,7 +3,7 @@
 //!
 //! The oracle ([`Reference`]) is the old per-member fold, kept verbatim and
 //! written against the public API only: every member estimates alone through
-//! [`SingleEstimator::estimate`] (a full report each), and the selection
+//! `Member::estimate` (a full report each), and the selection
 //! layer folds those reports with one loss loop per member. Over generated
 //! plans (the `ensemble_props` generator) and the three benchmark shapes at
 //! small scale, `to_bits` equality is asserted for
@@ -13,16 +13,20 @@
 //! * `observe()` fed the whole trace vs the oracle's composed reports and
 //!   vs `replay()`,
 //! * `ProgressEstimator::estimate` vs the report-free `estimate_core` over
-//!   one reused scratch, on every `EstimatorConfig` preset.
+//!   one reused scratch, on every `EstimatorConfig` preset,
+//! * a lineup of one vs the lone `ProgressEstimator` it holds: `observe`
+//!   field for field, `replay` vs `estimate_trace`, and — through a
+//!   `GuardedEstimator`, over a mangled stream — vs the lone estimator on a
+//!   `SnapshotGuard`'s view, quality stamps and anomaly counts included.
 
-use lqs_exec::{execute, DmvSnapshot, ExecOptions, QueryRun};
+use lqs_exec::{execute, DmvSnapshot, ExecOptions, NodeCounters, QueryRun};
 use lqs_plan::{
     AggFunc, Aggregate, ExchangeKind, Expr, JoinKind, NodeId, PhysicalPlan, PlanBuilder, SeekKey,
     SeekRange, SortKey,
 };
 use lqs_progress::{
-    EnsembleConfig, EnsembleEstimator, EnsembleSelection, EstimateScratch, EstimatorConfig,
-    ProgressEstimator, ProgressReport,
+    EnsembleConfig, EnsembleEstimator, EnsembleSelection, EstimateQuality, EstimateScratch,
+    EstimatorConfig, GuardedEstimator, ProgressEstimator, ProgressReport, SnapshotGuard,
 };
 use lqs_storage::{Column, DataType, Database, Schema, Table, TableId, Value};
 use lqs_workloads::real::{workload, RealProfile};
@@ -88,11 +92,11 @@ impl Reference {
     /// `fresh` must not have observed anything yet: its selection is then
     /// the pipeline-shape prior.
     fn new(fresh: &EnsembleEstimator, config: EnsembleConfig) -> Self {
-        let start = fresh.selection();
+        let start = fresh.selection().expect("six members have a choice");
         let prior: Vec<f64> = start.weights.iter().map(|(_, w)| *w).collect();
         let n = prior.len();
         Reference {
-            ids: fresh.member_ids(),
+            ids: fresh.members().map(|m| m.id()).collect(),
             observed: 0,
             sum_k: Vec::new(),
             est_hist: vec![Vec::new(); n],
@@ -108,8 +112,8 @@ impl Reference {
         }
     }
 
-    fn selection(&self) -> EnsembleSelection {
-        EnsembleSelection {
+    fn selection(&self) -> Option<EnsembleSelection> {
+        Some(EnsembleSelection {
             selected: self.ids[self.selected],
             weights: self
                 .ids
@@ -117,7 +121,7 @@ impl Reference {
                 .zip(&self.weights)
                 .map(|(id, w)| (*id, *w))
                 .collect(),
-        }
+        })
     }
 
     /// One observation: every member's standalone report, the fold, and the
@@ -155,7 +159,7 @@ impl Reference {
             reports[self.selected].query_progress
         };
         report.query_progress = blended.clamp(0.0, 1.0);
-        report.ensemble = Some(self.selection());
+        report.ensemble = self.selection();
         report
     }
 
@@ -250,14 +254,13 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-fn selection_bits(sel: &EnsembleSelection) -> (&'static str, Vec<(&'static str, u64)>) {
-    (
-        sel.selected,
-        sel.weights
-            .iter()
-            .map(|(id, w)| (*id, w.to_bits()))
-            .collect(),
-    )
+type SelectionBits = Option<(&'static str, Vec<(&'static str, u64)>)>;
+
+fn selection_bits(sel: &Option<EnsembleSelection>) -> SelectionBits {
+    sel.as_ref().map(|sel| {
+        let weights = sel.weights.iter().map(|(id, w)| (*id, w.to_bits()));
+        (sel.selected, weights.collect())
+    })
 }
 
 /// Every field of two reports, floats by bit pattern.
@@ -273,8 +276,8 @@ fn assert_same_report(got: &ProgressReport, want: &ProgressReport, what: &str) {
     assert_eq!(got.quality, want.quality, "{what}: quality");
     assert_eq!(got.staleness_ns, want.staleness_ns, "{what}: staleness");
     assert_eq!(
-        got.ensemble.as_ref().map(selection_bits),
-        want.ensemble.as_ref().map(selection_bits),
+        selection_bits(&got.ensemble),
+        selection_bits(&want.ensemble),
         "{what}: selection"
     );
     assert_eq!(got.nodes.len(), want.nodes.len(), "{what}: node count");
@@ -377,6 +380,89 @@ fn check_trace(plan: &PhysicalPlan, db: &Database, run: &QueryRun, seed: u64) {
             let refined: Vec<f64> = report.nodes.iter().map(|n| n.refined_n).collect();
             assert_eq!(bits(scratch.refined_n()), bits(&refined), "snapshot {j}");
         }
+    }
+
+    // (e) a lineup of one is the estimator it holds.
+    for preset in [
+        EstimatorConfig::full(),
+        EstimatorConfig::tgn(),
+        EstimatorConfig::dne_refined(),
+    ] {
+        check_lineup_of_one(plan, db, run, preset);
+    }
+}
+
+/// `run`'s trace as a bad channel delivers it: a malformed snapshot first,
+/// then duplicates, out-of-order repeats and counter resets among the
+/// genuine ones.
+fn mangled(snapshots: &[DmvSnapshot]) -> Vec<DmvSnapshot> {
+    let mut out = Vec::new();
+    if let Some(first) = snapshots.first() {
+        let mut short = first.clone();
+        short.nodes.pop();
+        out.push(short);
+    }
+    for (i, s) in snapshots.iter().enumerate() {
+        out.push(s.clone());
+        match i % 7 {
+            1 => out.push(s.clone()),
+            3 => out.push(snapshots[i - 2].clone()),
+            5 => out.push(DmvSnapshot {
+                ts_ns: s.ts_ns + 1,
+                nodes: vec![NodeCounters::default(); s.nodes.len()],
+            }),
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The composed figure of a lineup of one is `1.0 * est / 1.0` under a
+/// weight of `w / w`, so everything it reports must be the lone
+/// estimator's, bit for bit — clean or through a guard.
+fn check_lineup_of_one(
+    plan: &PhysicalPlan,
+    db: &Database,
+    run: &QueryRun,
+    preset: EstimatorConfig,
+) {
+    let lone = || ProgressEstimator::with_cost_model(plan, db, preset.clone(), &run.cost_model);
+    let (est, mut one) = (lone(), EnsembleEstimator::single(lone()));
+    assert_eq!(one.members().map(|m| m.id()).collect::<Vec<_>>(), ["lqs"]);
+    assert!(one.selection().is_none());
+
+    for (j, s) in run.snapshots.iter().enumerate() {
+        let what = format!("snapshot {j}: lineup of one");
+        assert_same_report(&one.observe(s, false), &est.estimate(s), &what);
+    }
+    let replay = one.replay(&run.snapshots);
+    let trace = bits(&est.estimate_trace(&run.snapshots));
+    assert_eq!(replay.member_estimates.len(), 1);
+    assert_eq!(bits(&replay.member_estimates[0]), trace);
+    assert_eq!(bits(&replay.estimates), trace);
+    assert!(replay.selection.is_none());
+
+    // Through the guard, against the lone estimator on a guard's view.
+    let mut guarded = GuardedEstimator::new(EnsembleEstimator::single(lone()));
+    let mut guard = SnapshotGuard::new(plan.len());
+    let zero = DmvSnapshot {
+        ts_ns: 0,
+        nodes: vec![NodeCounters::default(); plan.len()],
+    };
+    for (j, s) in mangled(&run.snapshots).iter().enumerate() {
+        guard.ingest(s);
+        let mut want = est.estimate(guard.view().unwrap_or(&zero));
+        if guard.anomalies().total() > 0 {
+            want.quality = EstimateQuality::Degraded;
+        }
+        let what = format!("mangled snapshot {j}: guarded lineup of one");
+        assert_same_report(&guarded.observe(s), &want, &what);
+        assert_eq!(guarded.anomalies(), guard.anomalies(), "{what}");
+    }
+    if run.snapshots.len() > 6 {
+        let seen = guarded.anomalies();
+        assert!(seen.malformed == 1 && seen.duplicates > 0, "{seen:?}");
+        assert!(seen.out_of_order > 0 && seen.counter_resets > 0, "{seen:?}");
     }
 }
 

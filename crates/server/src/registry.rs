@@ -11,14 +11,15 @@ use crate::session::{
     QuerySpec, RunningGauge, SessionDurability, SessionHandle, SessionId, SessionResult,
     SessionState,
 };
+use lqs_plan::{CostModel, PhysicalPlan};
 use lqs_progress::{
-    EnsembleConfig, EnsembleEstimator, EstimateQuality, EstimateScratch, EstimatorConfig,
-    GuardedEstimator, ProgressEstimator, ProgressReport, TruthCurves,
+    EnsembleConfig, EnsembleEstimator, EstimateQuality, EstimatorConfig, GuardedEstimator,
+    ProgressEstimator, ProgressReport, TruthCurves,
 };
 use lqs_storage::Database;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// All sessions ever submitted to one [`crate::QueryService`], live and
@@ -37,35 +38,35 @@ impl SessionRegistry {
         Self::default()
     }
 
+    /// The session list. It is only ever pushed to or replaced whole, so a
+    /// guard poisoned by a thread that panicked while holding it still
+    /// guards a valid list: one failed session must not take the registry
+    /// with it.
+    fn lock(&self) -> MutexGuard<'_, Vec<Arc<SessionHandle>>> {
+        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Register a new session for `spec`, assigning it the next id.
     pub(crate) fn register(&self, spec: QuerySpec) -> Arc<SessionHandle> {
         let id = SessionId(self.next_id.fetch_add(1, Ordering::Relaxed));
         let handle = Arc::new(SessionHandle::new(id, spec, Arc::clone(&self.running)));
-        self.sessions
-            .lock()
-            .expect("registry poisoned")
-            .push(Arc::clone(&handle));
+        self.lock().push(Arc::clone(&handle));
         handle
     }
 
     /// Snapshot of all registered sessions, in submission order.
     pub fn sessions(&self) -> Vec<Arc<SessionHandle>> {
-        self.sessions.lock().expect("registry poisoned").clone()
+        self.lock().clone()
     }
 
     /// Look up one session by id.
     pub fn session(&self, id: SessionId) -> Option<Arc<SessionHandle>> {
-        self.sessions
-            .lock()
-            .expect("registry poisoned")
-            .iter()
-            .find(|h| h.id() == id)
-            .cloned()
+        self.lock().iter().find(|h| h.id() == id).cloned()
     }
 
     /// Number of registered sessions (including finished ones).
     pub fn len(&self) -> usize {
-        self.sessions.lock().expect("registry poisoned").len()
+        self.lock().len()
     }
 
     /// Whether the registry holds no sessions.
@@ -90,9 +91,14 @@ impl SessionRegistry {
     /// Pollers holding estimators for them should drop those too (see
     /// [`RegistryPoller::evict_finished`]).
     pub fn evict_terminal(&self) -> Vec<Arc<SessionHandle>> {
-        let mut sessions = self.sessions.lock().expect("registry poisoned");
-        let (gone, kept): (Vec<_>, Vec<_>) =
-            sessions.drain(..).partition(|h| h.state().is_terminal());
+        let mut sessions = self.lock();
+        // Every state is read before anything moves: a panic in `state()`
+        // half-way through a drain would drop every registered session.
+        let terminal: Vec<bool> = sessions.iter().map(|h| h.state().is_terminal()).collect();
+        let mut terminal = terminal.into_iter();
+        let (gone, kept): (Vec<_>, Vec<_>) = sessions
+            .drain(..)
+            .partition(|_| terminal.next() == Some(true));
         *sessions = kept;
         gone
     }
@@ -169,7 +175,9 @@ struct PollState {
 pub struct RegistryPoller {
     db: Arc<Database>,
     registry: Arc<SessionRegistry>,
-    config: EstimatorConfig,
+    /// Who estimates a session: a lineup of one until
+    /// [`Self::with_ensemble`] names the standard six.
+    lineup: Box<Lineup>,
     states: HashMap<SessionId, PollState>,
     metrics: Option<PollerMetrics>,
     /// Client-side fault injection on the poll path (chaos testing).
@@ -178,10 +186,6 @@ pub struct RegistryPoller {
     round: u64,
     /// Snapshot age beyond which a served report is downgraded to `Stale`.
     stale_after: Duration,
-    /// When set, sessions are estimated by the competing-estimator ensemble
-    /// (built per session with this tuning) instead of the single `config`
-    /// estimator, and accuracy scoring covers every member.
-    ensemble: Option<EnsembleConfig>,
     /// Reusable snapshot buffer: every poll copies the session's snapshot
     /// slot into this instead of allocating a fresh snapshot per session
     /// per round.
@@ -194,13 +198,12 @@ impl RegistryPoller {
         RegistryPoller {
             db,
             registry,
-            config,
+            lineup: lineup_of_one(config),
             states: HashMap::new(),
             metrics: None,
             poll_fault: None,
             round: 0,
             stale_after: Duration::from_secs(1),
-            ensemble: None,
             scratch: lqs_exec::DmvSnapshot {
                 ts_ns: 0,
                 nodes: Vec::new(),
@@ -208,13 +211,15 @@ impl RegistryPoller {
         }
     }
 
-    /// Estimate with the competing-estimator ensemble (one
+    /// Estimate with the standard six-member lineup (one
     /// [`EnsembleEstimator`] per session, tuned by `cfg`) instead of the
-    /// single configured estimator. Accuracy scoring then covers every
-    /// member plus the ensemble, and terminal sessions get their final
-    /// selection journaled and exposed on `GET /sessions`.
+    /// lineup of one. Accuracy scoring covers every member either way; with
+    /// a choice to report, the composed `"ensemble"` figure is scored too
+    /// and terminal sessions get their final selection journaled and
+    /// exposed on `GET /sessions`.
     pub fn with_ensemble(mut self, cfg: EnsembleConfig) -> Self {
-        self.ensemble = Some(cfg);
+        self.lineup =
+            Box::new(move |plan, db, cost| EnsembleEstimator::build(plan, db, cost, cfg.clone()));
         self
     }
 
@@ -308,10 +313,9 @@ impl RegistryPoller {
         // so steady-state polls allocate nothing.
         let snap = &mut self.scratch;
         let (report, ts_ns) = if handle.read_snapshot_into(snap) {
-            let (db, config, ensemble) = (&self.db, &self.config, self.ensemble.as_ref());
             let guarded = st
                 .estimator
-                .get_or_insert_with(|| make_guarded(db, config, ensemble, handle));
+                .get_or_insert_with(|| session_estimator(&self.lineup, &self.db, handle));
             if snap.nodes.len() == handle.plan().len() {
                 let report = guarded.observe(snap);
                 // Surface the live ensemble selection on the handle so
@@ -425,13 +429,13 @@ impl RegistryPoller {
     /// Estimator-accuracy self-telemetry (the paper's §5 evaluation, run
     /// online): the first time this poller sees `handle` terminal with a
     /// completed run, replay the run's full snapshot trace through the
-    /// session's estimator(s), score against the now-known ground truth,
-    /// and fold the error figures into the per-workload, per-estimator
-    /// accuracy histograms. With an ensemble poller, every member is scored
-    /// individually plus the composed `"ensemble"` figure, and the replay's
-    /// final selection is journaled and stashed on the handle.
+    /// session's lineup, score against the now-known ground truth, and fold
+    /// the error figures into the per-workload, per-estimator accuracy
+    /// histograms. Every member is scored individually; where the lineup
+    /// had a choice to make, so is the composed `"ensemble"` figure, and
+    /// the replay's final selection is journaled and stashed on the handle.
     fn maybe_score_accuracy(&mut self, handle: &SessionHandle) {
-        if (self.metrics.is_none() && self.ensemble.is_none()) || !handle.state().is_terminal() {
+        if !handle.state().is_terminal() {
             return;
         }
         let st = self.states.entry(handle.id()).or_default();
@@ -444,10 +448,9 @@ impl RegistryPoller {
         let Some(SessionResult::Completed(run)) = handle.result() else {
             return;
         };
-        let (db, config, ensemble) = (&self.db, &self.config, self.ensemble.as_ref());
         let guarded = st
             .estimator
-            .get_or_insert_with(|| make_guarded(db, config, ensemble, handle));
+            .get_or_insert_with(|| session_estimator(&self.lineup, &self.db, handle));
         // Replay through the *stateless* estimators (never the guard's live
         // anomaly state): the run's recorded trace is already clean, and
         // the accuracy figures must stay bit-identical to an offline replay
@@ -468,43 +471,29 @@ impl RegistryPoller {
                 );
             }
         });
-        match guarded.ensemble() {
-            None => {
-                let estimator = guarded.single().expect("single when not ensemble");
-                let mut scratch = EstimateScratch::default();
-                let estimates: Vec<f64> = run
-                    .snapshots
-                    .iter()
-                    .map(|s| estimator.estimate_core(s, &mut scratch))
-                    .collect();
-                if let Some(score) = &score {
-                    score("lqs", &estimates);
-                }
+        let ens = guarded.ensemble();
+        let replay = ens.replay(&run.snapshots);
+        if let Some(score) = &score {
+            for (member, estimates) in ens.members().zip(&replay.member_estimates) {
+                score(member.id(), estimates);
             }
-            Some(ens) => {
-                let replay = ens.replay(&run.snapshots);
-                if let Some(score) = &score {
-                    for (id, estimates) in ens.member_ids().iter().zip(&replay.member_estimates) {
-                        score(id, estimates);
-                    }
-                    score("ensemble", &replay.estimates);
-                }
-                // The replay's final selection is the authoritative one:
-                // journal it for post-mortems and pin it on the handle for
-                // `GET /sessions`.
-                if let Some(journal) = handle.journal() {
-                    journal.append_estimator(&lqs_journal::EstimatorRecord {
-                        selected: replay.selection.selected.to_owned(),
-                        weights: replay
-                            .selection
-                            .weights
-                            .iter()
-                            .map(|(id, w)| ((*id).to_owned(), *w))
-                            .collect(),
-                    });
-                }
-                handle.set_estimator_selection(replay.selection);
+        }
+        if let Some(selection) = replay.selection {
+            if let Some(score) = &score {
+                score("ensemble", &replay.estimates);
             }
+            // The replay's final selection is the authoritative one:
+            // journal it for post-mortems and pin it on the handle for
+            // `GET /sessions`.
+            if let Some(journal) = handle.journal() {
+                journal.append_estimator(&lqs_journal::EstimatorRecord {
+                    selected: selection.selected.to_owned(),
+                    weights: (selection.weights.iter())
+                        .map(|(id, w)| ((*id).to_owned(), *w))
+                        .collect(),
+                });
+            }
+            handle.set_estimator_selection(selection);
         }
         if let Some(metrics) = metrics {
             metrics.accuracy_session_done();
@@ -540,30 +529,64 @@ impl RegistryPoller {
     }
 }
 
-/// Build one session's guarded estimator: the competing-estimator ensemble
-/// when the poller runs with one, the single configured estimator
-/// otherwise. Either way the session's own cost model feeds the statics
-/// (the same parity rule as the harness's `estimator_for_run`).
-fn make_guarded(
+/// Who estimates a plan: the lineup to run over it, given the database and
+/// the cost model its statics must be derived under.
+pub(crate) type Lineup = dyn Fn(&PhysicalPlan, &Database, &CostModel) -> EnsembleEstimator + Send;
+
+/// The lineup of one: `config` alone.
+pub(crate) fn lineup_of_one(config: EstimatorConfig) -> Box<Lineup> {
+    Box::new(move |plan, db, cost| {
+        let estimator = ProgressEstimator::with_cost_model(plan, db, config.clone(), cost);
+        EnsembleEstimator::single(estimator)
+    })
+}
+
+/// The estimator for one session: `lineup` over the session's plan, with
+/// the session's own cost model feeding the statics (the same parity rule
+/// as the harness's `estimator_for_run`).
+pub(crate) fn session_estimator(
+    lineup: &Lineup,
     db: &Database,
-    config: &EstimatorConfig,
-    ensemble: Option<&EnsembleConfig>,
     handle: &SessionHandle,
 ) -> GuardedEstimator {
-    let n_nodes = handle.plan().len();
-    match ensemble {
-        Some(cfg) => GuardedEstimator::new_ensemble(
-            EnsembleEstimator::build(handle.plan(), db, &handle.opts().cost_model, cfg.clone()),
-            n_nodes,
-        ),
-        None => GuardedEstimator::new(
-            ProgressEstimator::with_cost_model(
-                handle.plan(),
-                db,
-                config.clone(),
-                &handle.opts().cost_model,
-            ),
-            n_nodes,
-        ),
+    GuardedEstimator::new(lineup(handle.plan(), db, &handle.opts().cost_model))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn spec(name: &str) -> QuerySpec {
+        let db = Database::new();
+        let mut b = lqs_plan::PlanBuilder::new(&db);
+        let scan = b.constant_scan(vec![vec![lqs_storage::Value::Int(1)]]);
+        QuerySpec::new(name, Arc::new(b.finish(scan)))
+    }
+
+    /// One thread panicking with the session list locked (a failed session,
+    /// a bug in a caller) must not turn every later `sessions()` into a
+    /// panic of its own.
+    #[test]
+    fn a_poisoned_registry_still_answers() {
+        let registry = SessionRegistry::new();
+        let done = registry.register(spec("done"));
+        done.set_state(SessionState::Running);
+        done.settle(done.fail("boom".into()));
+        let live = registry.register(spec("live"));
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = registry.sessions.lock().unwrap();
+                panic!("poison the registry");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && registry.sessions.is_poisoned());
+
+        let ids = |hs: Vec<Arc<SessionHandle>>| hs.iter().map(|h| h.id()).collect::<Vec<_>>();
+        assert_eq!(ids(registry.sessions()), [done.id(), live.id()]);
+        assert!(registry.session(live.id()).is_some());
+        let late = registry.register(spec("late"));
+        assert_eq!(ids(registry.evict_terminal()), [done.id()]);
+        assert_eq!(ids(registry.sessions()), [live.id(), late.id()]);
     }
 }

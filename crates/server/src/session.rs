@@ -342,7 +342,11 @@ impl SessionHandle {
 
     /// Record the poller's current ensemble selection for this session.
     pub(crate) fn set_estimator_selection(&self, sel: lqs_progress::EnsembleSelection) {
-        *self.estimator_selection.lock().expect("selection poisoned") = Some(sel);
+        // Like the result slot: one whole value, replaced whole.
+        *self
+            .estimator_selection
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) = Some(sel);
     }
 
     /// The latest ensemble estimator selection recorded for this session
@@ -351,7 +355,7 @@ impl SessionHandle {
     pub fn estimator_selection(&self) -> Option<lqs_progress::EnsembleSelection> {
         self.estimator_selection
             .lock()
-            .expect("selection poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .clone()
     }
 

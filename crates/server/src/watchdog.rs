@@ -32,12 +32,12 @@
 //! `GET /alerts`. Returning to health clears the live alert; the journal
 //! record stays, as history.
 
-use crate::registry::SessionRegistry;
+use crate::registry::{lineup_of_one, session_estimator, Lineup, SessionRegistry};
 use crate::session::{SessionId, SessionState};
 use lqs_exec::DmvSnapshot;
 use lqs_journal::{AlertKind, AlertRecord};
 use lqs_metrics::MetricsRegistry;
-use lqs_progress::{EstimatorConfig, GuardedEstimator, ProgressEstimator};
+use lqs_progress::{EstimatorConfig, GuardedEstimator};
 use lqs_storage::Database;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -172,7 +172,7 @@ pub struct Watchdog {
     db: Arc<Database>,
     registry: Arc<SessionRegistry>,
     config: WatchdogConfig,
-    estimator_config: EstimatorConfig,
+    lineup: Box<Lineup>,
     metrics: Option<Arc<MetricsRegistry>>,
     track: HashMap<SessionId, Track>,
     /// Current alerts, keyed (and therefore served) by session id.
@@ -198,7 +198,7 @@ impl Watchdog {
             db,
             registry,
             config,
-            estimator_config,
+            lineup: lineup_of_one(estimator_config),
             metrics: None,
             track: HashMap::new(),
             alerts: BTreeMap::new(),
@@ -261,8 +261,6 @@ impl Watchdog {
             let seq = handle.published_seq();
             let n_nodes = handle.plan().len();
             let have_snapshot = handle.read_snapshot_into(&mut self.scratch);
-            let db = &self.db;
-            let estimator_config = &self.estimator_config;
             let track = self.track.entry(id).or_insert_with(|| Track {
                 last_seq: None,
                 unchanged_sweeps: 0,
@@ -272,15 +270,7 @@ impl Watchdog {
                 health: Health::Healthy,
                 stalled_sweeps: 0,
                 remediated: false,
-                estimator: GuardedEstimator::new(
-                    ProgressEstimator::with_cost_model(
-                        handle.plan(),
-                        db,
-                        estimator_config.clone(),
-                        &handle.opts().cost_model,
-                    ),
-                    n_nodes,
-                ),
+                estimator: session_estimator(&self.lineup, &self.db, handle),
             });
 
             // Stall bookkeeping: the publish sequence is the heartbeat.
