@@ -30,8 +30,11 @@
 //!   is there to buy;
 //! * with `--check FILE`: the measured headline speedup must not fall
 //!   more than 10% below the committed baseline's speedup (re-measured up
-//!   to twice to rule out scheduling dips). Ratios, not absolute rates,
-//!   so the check is meaningful across machines.
+//!   to twice to rule out scheduling dips), and neither must the seek
+//!   path's standing against a bare scan — `index_nl_ob1` ÷ `table_scan`
+//!   batch Melem/s, both from this process — under the same policy.
+//!   Ratios, not absolute rates, so the check is meaningful across
+//!   machines.
 
 use lqs::exec::{execute, execute_traced, ExecMode, ExecOptions};
 use lqs::obs::RingBufferSink;
@@ -43,6 +46,9 @@ use serde_json::Value as Json;
 use std::time::Instant;
 
 const HEADLINE: &str = "pipeline12";
+/// The correlated-seek row and the row its rate is read against.
+const SEEK: &str = "index_nl_ob1";
+const SCAN: &str = "table_scan";
 const MIN_HEADLINE_SPEEDUP: f64 = 2.0;
 const CHECK_TOLERANCE: f64 = 0.9;
 /// Batch-traced throughput may cost at most this fraction of bare batch.
@@ -180,6 +186,43 @@ fn headline_plan(d: &Database, t: TableId) -> PhysicalPlan {
     pb.finish(node)
 }
 
+fn table_scan_plan(d: &Database, t: TableId) -> PhysicalPlan {
+    let mut pb = PlanBuilder::new(d);
+    let scan = pb.table_scan(t);
+    pb.finish(scan)
+}
+
+/// An index nested-loops self-join on the primary key: one correlated seek
+/// rebind per outer row.
+fn index_nl_plan(d: &Database, t: TableId, pk: IndexId, outer_buffer: usize) -> PhysicalPlan {
+    let mut pb = PlanBuilder::new(d);
+    let outer = pb.table_scan(t);
+    let inner = pb.index_seek(pk, SeekRange::eq(vec![SeekKey::OuterRef(0)]));
+    let j = pb.nested_loops(JoinKind::Inner, outer, inner, None, outer_buffer);
+    pb.finish(j)
+}
+
+/// `SEEK` ÷ `SCAN` batch throughput, measured afresh.
+fn seek_over_scan(d: &Database, t: TableId, pk: IndexId, rows: i64, reps: usize) -> f64 {
+    let seek = run_workload(SEEK, rows, reps, d, &index_nl_plan(d, t, pk, 1));
+    let scan = run_workload(SCAN, rows, reps, d, &table_scan_plan(d, t));
+    seek.batch_melem_s / scan.batch_melem_s
+}
+
+/// `value` if it clears `floor`, else the best of it and up to two fresh
+/// measurements: a transient scheduling dip in one best-of window is far
+/// more common than a real regression, and a retry that clears the floor
+/// proves the dip was noise.
+fn above_floor(what: &str, mut value: f64, floor: f64, mut remeasure: impl FnMut() -> f64) -> f64 {
+    let mut attempts = 0;
+    while value < floor && attempts < 2 {
+        attempts += 1;
+        println!("{what} below floor ({value:.4}) — re-measuring ({attempts}/2)");
+        value = value.max(remeasure());
+    }
+    value
+}
+
 /// Re-measure just the headline pipeline (used by `--check` to rule out a
 /// transient scheduling dip before declaring a regression).
 fn headline_workload(d: &Database, t: TableId, rows: i64, reps: usize) -> WorkloadResult {
@@ -228,12 +271,7 @@ fn profiling_overhead(d: &Database, t: TableId, rows: i64, reps: usize) -> Profi
 
 fn workloads(d: &Database, t: TableId, pk: IndexId, rows: i64, reps: usize) -> Vec<WorkloadResult> {
     let mut out = Vec::new();
-    {
-        let mut pb = PlanBuilder::new(d);
-        let scan = pb.table_scan(t);
-        let plan = pb.finish(scan);
-        out.push(run_workload("table_scan", rows, reps, d, &plan));
-    }
+    out.push(run_workload(SCAN, rows, reps, d, &table_scan_plan(d, t)));
     {
         let mut pb = PlanBuilder::new(d);
         let scan = pb.table_scan_filtered(t, Expr::col(1).lt(Expr::lit(50i64)), true);
@@ -285,11 +323,7 @@ fn workloads(d: &Database, t: TableId, pk: IndexId, rows: i64, reps: usize) -> V
     // correlated seek rebind per outer row; `outer_buffer = 1` also turns
     // the outer scan into 1-row calls) and a merge join over two sorts.
     for outer_buffer in [1usize, 512] {
-        let mut pb = PlanBuilder::new(d);
-        let outer = pb.table_scan(t);
-        let inner = pb.index_seek(pk, SeekRange::eq(vec![SeekKey::OuterRef(0)]));
-        let j = pb.nested_loops(JoinKind::Inner, outer, inner, None, outer_buffer);
-        let plan = pb.finish(j);
+        let plan = index_nl_plan(d, t, pk, outer_buffer);
         let name = format!("index_nl_ob{outer_buffer}");
         out.push(run_workload(&name, rows, reps, d, &plan));
     }
@@ -407,29 +441,24 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
         let baseline = serde_json::from_str(&baseline)
             .unwrap_or_else(|e| panic!("baseline {path} is not JSON: {e:?}"));
-        let base_speedup = baseline
-            .get("workloads")
-            .and_then(|ws| match ws {
-                Json::Array(items) => items
-                    .iter()
-                    .find(|w| w.get("name").and_then(Json::as_str) == Some(HEADLINE))
-                    .and_then(|w| w.get("speedup"))
-                    .and_then(Json::as_f64),
-                _ => None,
-            })
-            .expect("baseline has a headline speedup");
+        let base = |workload: &str, field: &str| {
+            baseline
+                .get("workloads")
+                .and_then(|ws| match ws {
+                    Json::Array(items) => items
+                        .iter()
+                        .find(|w| w.get("name").and_then(Json::as_str) == Some(workload))
+                        .and_then(|w| w.get(field))
+                        .and_then(Json::as_f64),
+                    _ => None,
+                })
+                .unwrap_or_else(|| panic!("baseline {path} has no {workload} {field}"))
+        };
+        let base_speedup = base(HEADLINE, "speedup");
         let floor = base_speedup * CHECK_TOLERANCE;
-        // Before declaring a regression, re-measure the headline up to
-        // twice: a transient scheduling dip in one best-of window is far
-        // more common than a real regression, and a retry that clears the
-        // floor proves the dip was noise.
-        let mut attempts = 0;
-        while headline_speedup < floor && attempts < 2 {
-            attempts += 1;
-            println!("headline below floor ({headline_speedup:.2}x) — re-measuring ({attempts}/2)");
-            headline_speedup =
-                headline_speedup.max(headline_workload(&d, t, args.rows, args.reps).speedup);
-        }
+        headline_speedup = above_floor("headline speedup", headline_speedup, floor, || {
+            headline_workload(&d, t, args.rows, args.reps).speedup
+        });
         println!(
             "\ncheck vs {path}: headline speedup {headline_speedup:.2}x \
              (baseline {base_speedup:.2}x, floor {floor:.2}x)"
@@ -438,6 +467,30 @@ fn main() {
             failures.push(format!(
                 "row-mode regression: headline speedup {headline_speedup:.2}x is more than \
                  10% below the committed baseline {base_speedup:.2}x"
+            ));
+        }
+
+        // The same gate on the seek path: a correlated seek is what the
+        // REAL-3 plans spend their time in, and its rate against a bare
+        // scan of the same table in the same process is as
+        // machine-independent as the headline speedup.
+        let batch = |name: &str| {
+            let r = results.iter().find(|r| r.name == name);
+            r.expect("seek and scan workloads present").batch_melem_s
+        };
+        let base_ratio = base(SEEK, "batch_melem_per_s") / base(SCAN, "batch_melem_per_s");
+        let floor = base_ratio * CHECK_TOLERANCE;
+        let seek_ratio = above_floor("seek/scan", batch(SEEK) / batch(SCAN), floor, || {
+            seek_over_scan(&d, t, pk, args.rows, args.reps)
+        });
+        println!(
+            "check vs {path}: {SEEK}/{SCAN} batch {seek_ratio:.4} \
+             (baseline {base_ratio:.4}, floor {floor:.4})"
+        );
+        if seek_ratio < floor {
+            failures.push(format!(
+                "seek-path regression: {SEEK}/{SCAN} batch throughput {seek_ratio:.4} is more \
+                 than 10% below the committed baseline {base_ratio:.4}"
             ));
         }
     }

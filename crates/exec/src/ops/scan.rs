@@ -6,6 +6,7 @@ use super::{index_output_row, Operator, RowBatch};
 use crate::context::ExecContext;
 use crate::pred::CompiledPredicate;
 use lqs_plan::{BitmapProbe, CmpOp, Expr, IndexOutput, NodeId};
+use lqs_storage::btree::LEAF_FANOUT;
 use lqs_storage::{ColumnstoreId, IndexId, Row, RowId, TableId, Value};
 
 /// Full heap scan. Charges one logical read per page crossed and per-row
@@ -114,8 +115,8 @@ pub struct IndexScanOp {
     predicate: Option<CompiledPredicate>,
     bitmap: Option<BitmapProbe>,
     output: IndexOutput,
-    /// Materialized `(leaf_ordinal, rid)` in key order (lazily filled).
-    entries: Option<Vec<(usize, RowId)>>,
+    /// Position in the index's key order; it is on leaf
+    /// `pos / LEAF_FANOUT`.
     pos: usize,
     last_leaf: Option<usize>,
     done: bool,
@@ -135,7 +136,6 @@ impl IndexScanOp {
             predicate: predicate.as_ref().map(CompiledPredicate::compile),
             bitmap,
             output,
-            entries: None,
             pos: 0,
             last_leaf: None,
             done: false,
@@ -155,23 +155,14 @@ impl Operator for IndexScanOp {
         if limit == 0 {
             return true;
         }
-        if self.entries.is_none() {
-            self.entries = Some(
-                ctx.db
-                    .btree(self.index)
-                    .scan()
-                    .map(|(leaf, _, rid)| (leaf, rid))
-                    .collect(),
-            );
-        }
+        let rids = ctx.db.btree(self.index).rids();
         let table_id = ctx.db.btree_table(self.index);
         let preds = self.predicate.is_some() as u8 as f64;
         let row_cpu = ctx.cost.scan_row_ns + preds * ctx.cost.pred_row_ns;
         let mut appended = 0usize;
         let mut scope = ctx.batch_charge(self.id);
         while appended < limit {
-            let entries = self.entries.as_ref().expect("filled above");
-            if self.pos >= entries.len() {
+            if self.pos >= rids.len() {
                 if appended == 0 {
                     scope.finish();
                     self.done = true;
@@ -180,7 +171,7 @@ impl Operator for IndexScanOp {
                 }
                 break;
             }
-            let (leaf, rid) = entries[self.pos];
+            let (leaf, rid) = (self.pos / LEAF_FANOUT, rids[self.pos]);
             self.pos += 1;
             if self.last_leaf != Some(leaf) {
                 self.last_leaf = Some(leaf);

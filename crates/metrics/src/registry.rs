@@ -9,7 +9,7 @@
 use crate::primitives::{Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Kind of a metric family, fixed at first registration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,6 +142,14 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// The family map, poisoned or not. A child goes in or out whole and its
+    /// value is an atomic, so the map is valid at every step; and `child`
+    /// itself panics under the lock on a kind mismatch, which must not turn
+    /// every later scrape and registration into a panic of its own.
+    fn families(&self) -> MutexGuard<'_, BTreeMap<String, Family>> {
+        self.families.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn child<T, F, G>(
         &self,
         name: &str,
@@ -157,7 +165,7 @@ impl MetricsRegistry {
     {
         validate_name(name);
         let key = label_set(labels);
-        let mut families = self.families.lock().expect("metrics registry poisoned");
+        let mut families = self.families();
         let family = families.entry(name.to_owned()).or_insert_with(|| Family {
             kind,
             help: help.to_owned(),
@@ -225,18 +233,14 @@ impl MetricsRegistry {
     /// a child later must not change type).
     pub fn remove(&self, name: &str, labels: &[(&str, &str)]) -> bool {
         let key = label_set(labels);
-        let mut families = self.families.lock().expect("metrics registry poisoned");
-        families
+        self.families()
             .get_mut(name)
             .is_some_and(|f| f.children.remove(&key).is_some())
     }
 
     /// Number of registered families.
     pub fn family_count(&self) -> usize {
-        self.families
-            .lock()
-            .expect("metrics registry poisoned")
-            .len()
+        self.families().len()
     }
 
     /// Render every family in the Prometheus text exposition format,
@@ -244,7 +248,7 @@ impl MetricsRegistry {
     /// cumulative `_bucket{le=...}` lines for non-empty buckets plus the
     /// mandatory `+Inf` bucket, `_sum`, and `_count`.
     pub fn render(&self) -> String {
-        let families = self.families.lock().expect("metrics registry poisoned");
+        let families = self.families();
         let mut out = String::new();
         for (name, family) in families.iter() {
             let _ = writeln!(out, "# HELP {name} {}", family.help.replace('\n', " "));
@@ -375,6 +379,21 @@ mod tests {
         assert!(!r.remove("no_such_family", &[]));
         // The old handle stays usable (writes just go nowhere visible).
         g.set(1);
+    }
+
+    #[test]
+    fn kind_mismatch_panic_does_not_take_the_registry_down() {
+        let r = MetricsRegistry::new();
+        let c = r.counter("x", "h", &[]);
+        // The mis-typed registration panics while holding the lock.
+        let mistyped = std::thread::scope(|s| s.spawn(|| r.gauge("x", "h", &[])).join());
+        assert!(mistyped.is_err());
+        r.counter("x", "h", &[]).inc();
+        assert_eq!(c.get(), 1);
+        assert_eq!(r.family_count(), 1);
+        assert!(r.render().contains("x 1"));
+        assert!(r.remove("x", &[]));
+        assert!(!r.render().contains("x 1"));
     }
 
     #[test]

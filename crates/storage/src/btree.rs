@@ -1,26 +1,32 @@
-//! A paged B+tree used for clustered and nonclustered indexes.
+//! A paged B+tree used for clustered and nonclustered indexes, kept as the
+//! sorted array an immutable bulk-loaded tree is.
 //!
-//! The tree stores `(key, RowId)` pairs, where the key is a tuple of
-//! [`Value`]s drawn from the indexed columns. Nodes have a fixed fanout so
-//! that tree *height* and *leaf-page counts* are realistic, which in turn
-//! makes the logical-read accounting of Index Seek / Index Scan operators
-//! realistic — seeks charge `height` reads, range scans charge one read per
-//! leaf visited.
+//! The index stores `(key, RowId)` pairs, where the key is a tuple of
+//! [`Value`]s drawn from the indexed columns. It is bulk-loaded once and
+//! never changes (the simulator's tables are immutable once generated; there
+//! is no `insert`), so no node ever splits and nothing needs nodes to exist:
+//! the entries sit in key order in one `keys` column and one `rids` column,
+//! and the page structure the logical-read accounting of Index Seek / Index
+//! Scan rests on is arithmetic on the entry count and the two fanouts —
 //!
-//! The tree is bulk-loaded once and never changes (the simulator's tables
-//! are immutable once generated; there is no `insert`). That is what lets a
-//! node keep its keys *flattened* — one contiguous `Vec<Value>` per node,
-//! `key arity` values per entry — instead of one heap-allocated key per
-//! entry: a seek's binary searches then walk adjacent memory rather than
-//! chasing a pointer per comparison. A property test holds `seek_range` to
-//! a sorted-vector model, rids and reads both.
+//! * a **leaf** is a run of [`LEAF_FANOUT`] consecutive entries: position `p`
+//!   is on leaf `p / LEAF_FANOUT`, and there are `⌈len / LEAF_FANOUT⌉` of
+//!   them (one, empty, for an empty index);
+//! * the **height** is the number of levels a tree packed bottom-up at
+//!   [`INTERNAL_FANOUT`] children per node would have over those leaves.
+//!
+//! A seek charges `height` reads for the descent plus one per further leaf
+//! its forward run crosses; a full scan charges one per leaf. The descent
+//! itself is a single binary search over contiguous memory — over plain
+//! `i64`s when the index has one key column and every key is an `Int`,
+//! which is every primary key the REAL workloads seek, and there it first
+//! tries the position an evenly spaced column would put the key at (exact
+//! for consecutive keys). A property test holds `seek_range` to a
+//! sorted-vector model, rids and reads both.
 
-use crate::table::RowId;
+use crate::table::{Row, RowId};
 use crate::value::Value;
-use std::sync::Arc;
-
-/// Composite index key, as handed to [`BTreeIndex::bulk_load`].
-pub type Key = Arc<[Value]>;
+use std::cmp::Ordering;
 
 /// Maximum entries per leaf node (tuned small so scaled-down tables still
 /// produce multi-level trees).
@@ -29,49 +35,54 @@ pub const LEAF_FANOUT: usize = 64;
 /// Maximum children per internal node.
 pub const INTERNAL_FANOUT: usize = 64;
 
+/// Every entry's key, in key order.
 #[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        /// The entries' keys in sorted order, flattened: entry `i`'s key is
-        /// `keys[i * arity..(i + 1) * arity]`. Duplicate keys allowed.
-        keys: Vec<Value>,
-        /// `rids[i]` is entry `i`'s row.
-        rids: Vec<RowId>,
-        /// Next-leaf link for range scans.
-        next: Option<usize>,
-    },
-    Internal {
-        /// Flattened like a leaf's keys: separator `i` is the smallest key
-        /// in `children[i + 1]`.
-        separators: Vec<Value>,
-        children: Vec<usize>,
-    },
+enum Keys {
+    /// One key column and every key a `Value::Int`: the payloads.
+    Ints(Vec<i64>),
+    /// Anything else, flattened: entry `i`'s key is
+    /// `values[i * arity..(i + 1) * arity]`.
+    Values(Vec<Value>),
 }
 
-/// Index of the first of the flattened `keys` (`arity` values each) for
-/// which `below` is false; `below` must be true for a prefix of the keys
-/// and false for the rest.
-fn partition_point(keys: &[Value], arity: usize, below: impl Fn(&[Value]) -> bool) -> usize {
-    let (mut lo, mut hi) = (0, keys.len() / arity);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        if below(&keys[mid * arity..(mid + 1) * arity]) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
+/// Order of `key` — of its leading values only when `prefix` — against a
+/// seek bound. A bound shorter than the key, compared whole, sorts below
+/// every key that extends it.
+fn cmp_bound(key: &[Value], bound: &[Value], prefix: bool) -> Ordering {
+    let n = if prefix {
+        bound.len().min(key.len())
+    } else {
+        key.len()
+    };
+    key[..n].cmp(bound)
+}
+
+/// The first position in `from..to` at which `below` is false; `below` must
+/// be true for a prefix of the range and false for the rest. A `guess` that
+/// turns out to be that position is taken on two probes.
+fn partition_point(
+    from: usize,
+    to: usize,
+    guess: Option<usize>,
+    below: impl Fn(usize) -> bool,
+) -> usize {
+    if let Some(g) = guess.filter(|g| (from..to).contains(g)) {
+        if !below(g) && (g == from || below(g - 1)) {
+            return g;
         }
     }
-    lo
-}
-
-/// All of the `keys`' values (`arity` each), one key after another, in an
-/// allocation of exactly that size.
-fn flatten<'k>(keys: impl ExactSizeIterator<Item = &'k Key>, arity: usize) -> Vec<Value> {
-    let mut out = Vec::with_capacity(keys.len() * arity);
-    for key in keys {
-        out.extend_from_slice(key);
+    // The window `base..base + size` always holds the answer or ends just
+    // before it. Halving it moves `base` by a select, not by a branch the
+    // sought key decides: a random key mispredicts every other level.
+    let (mut base, mut size) = (from, to - from);
+    while size > 1 {
+        let half = size / 2;
+        if below(base + half - 1) {
+            base += half;
+        }
+        size -= half;
     }
-    out
+    base + usize::from(size == 1 && below(base))
 }
 
 /// A B+tree index over one or more columns of a table.
@@ -79,7 +90,7 @@ fn flatten<'k>(keys: impl ExactSizeIterator<Item = &'k Key>, arity: usize) -> Ve
 pub struct BTreeIndex {
     name: String,
     /// Ordinals of the indexed columns in the base table schema. Their
-    /// count is the key arity: the stride of every node's flattened keys.
+    /// count is the key arity.
     key_columns: Vec<usize>,
     /// Whether this is the clustered index (leaf = base rows, in our model
     /// the distinction only changes costing done by the planner).
@@ -87,89 +98,59 @@ pub struct BTreeIndex {
     /// Whether the key is unique (PK indexes): an equality seek on the full
     /// key returns at most one row, which the planner exploits for bounds.
     unique: bool,
-    nodes: Vec<Node>,
-    root: usize,
-    height: usize,
-    len: usize,
-    first_leaf: usize,
+    keys: Keys,
+    /// `rids[i]` is entry `i`'s row. Duplicate keys are in rid order.
+    rids: Vec<RowId>,
 }
 
 impl BTreeIndex {
-    /// Bulk-load an index from `(key, rid)` pairs (need not be pre-sorted).
+    /// Bulk-load an index over `key_columns` of a table's `rows` (in any
+    /// order), whose positions are their rids. The keys are read where they
+    /// lie: nothing is allocated per row, only the sorted columns.
     ///
     /// # Panics
-    /// Panics if `key_columns` is empty or a key does not have one value per
-    /// key column.
+    /// Panics if `key_columns` is empty or names a column a row lacks.
     pub fn bulk_load(
         name: impl Into<String>,
         key_columns: Vec<usize>,
         clustered: bool,
-        mut entries: Vec<(Key, RowId)>,
+        rows: &[Row],
     ) -> Self {
         let arity = key_columns.len();
         assert!(arity > 0, "an index needs at least one key column");
-        assert!(
-            entries.iter().all(|(k, _)| k.len() == arity),
-            "every key must have one value per key column"
-        );
-        entries.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-        let unique = entries.windows(2).all(|w| w[0].0 != w[1].0);
-        let len = entries.len();
-        let mut nodes = Vec::new();
-
-        // Build leaves.
-        let mut level: Vec<(Key, usize)> = Vec::new(); // (min key, node id)
-        for chunk in entries.chunks(LEAF_FANOUT) {
-            level.push((chunk[0].0.clone(), nodes.len()));
-            nodes.push(Node::Leaf {
-                keys: flatten(chunk.iter().map(|(k, _)| k), arity),
-                rids: chunk.iter().map(|&(_, rid)| rid).collect(),
-                next: None,
-            });
-        }
-        drop(entries);
-        if nodes.is_empty() {
-            level.push((Arc::from(Vec::new()), 0));
-            nodes.push(Node::Leaf {
-                keys: Vec::new(),
-                rids: Vec::new(),
-                next: None,
-            });
-        }
-        // Wire the leaf chain: leaves were pushed in key order.
-        let leaves = nodes.len();
-        for (id, node) in nodes.iter_mut().enumerate().take(leaves - 1) {
-            if let Node::Leaf { next, .. } = node {
-                *next = Some(id + 1);
+        let key = |rid: RowId| key_columns.iter().map(move |&c| &rows[rid][c]);
+        let int_key = |rid: RowId| match rows[rid][key_columns[0]] {
+            Value::Int(k) => Some(k),
+            _ => None,
+        };
+        let (unique, keys, rids);
+        if arity == 1 && (0..rows.len()).all(|rid| int_key(rid).is_some()) {
+            let mut ints: Vec<(i64, RowId)> = (0..rows.len())
+                .map(|rid| (int_key(rid).expect("checked above"), rid))
+                .collect();
+            ints.sort_unstable();
+            unique = ints.windows(2).all(|w| w[0].0 != w[1].0);
+            keys = Keys::Ints(ints.iter().map(|&(k, _)| k).collect());
+            rids = ints.iter().map(|&(_, rid)| rid).collect();
+        } else {
+            let mut order: Vec<RowId> = (0..rows.len()).collect();
+            order.sort_unstable_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
+            unique = order.windows(2).all(|w| key(w[0]).ne(key(w[1])));
+            // Exactly sized: `flat_map` has no size hint to collect by.
+            let mut values = Vec::with_capacity(rows.len() * arity);
+            for &rid in &order {
+                values.extend(key(rid).cloned());
             }
+            keys = Keys::Values(values);
+            rids = order;
         }
-        let first_leaf = level[0].1;
-
-        // Build internal levels bottom-up.
-        let mut height = 1;
-        while level.len() > 1 {
-            let mut next_level = Vec::new();
-            for chunk in level.chunks(INTERNAL_FANOUT) {
-                next_level.push((chunk[0].0.clone(), nodes.len()));
-                nodes.push(Node::Internal {
-                    separators: flatten(chunk[1..].iter().map(|(k, _)| k), arity),
-                    children: chunk.iter().map(|(_, c)| *c).collect(),
-                });
-            }
-            level = next_level;
-            height += 1;
-        }
-
         BTreeIndex {
             name: name.into(),
             key_columns,
             clustered,
             unique,
-            root: level[0].1,
-            nodes,
-            height,
-            len,
-            first_leaf,
+            keys,
+            rids,
         }
     }
 
@@ -195,51 +176,42 @@ impl BTreeIndex {
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.len
+        self.rids.len()
     }
 
     /// True if the index holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.rids.is_empty()
     }
 
     /// Tree height (levels from root to leaf inclusive); seeks charge this
     /// many logical reads.
     pub fn height(&self) -> usize {
-        self.height
+        let mut height = 1;
+        let mut level = self.leaf_count();
+        while level > 1 {
+            level = level.div_ceil(INTERNAL_FANOUT);
+            height += 1;
+        }
+        height
     }
 
     /// Number of leaf nodes; a full index scan charges this many reads.
     pub fn leaf_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n, Node::Leaf { .. }))
-            .count()
+        self.len().div_ceil(LEAF_FANOUT).max(1)
     }
 
-    fn leaf_for(&self, key: &[Value]) -> usize {
-        let arity = self.key_columns.len();
-        let mut node = self.root;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { .. } => return node,
-                Node::Internal {
-                    separators,
-                    children,
-                } => {
-                    // Descend to the leftmost child that may hold `key`: with
-                    // duplicate keys a run can span several children, and the
-                    // leaf chain walks rightward from wherever we land.
-                    node = children[partition_point(separators, arity, |s| s < key)];
-                }
-            }
-        }
+    /// Every entry's rid, in key order. The entry at position `p` is on
+    /// leaf `p / LEAF_FANOUT`, which is how a scan charges one read per
+    /// leaf.
+    pub fn rids(&self) -> &[RowId] {
+        &self.rids
     }
 
     /// All `(key, rid)` entries whose key equals `key` exactly.
     ///
     /// Returns the matches plus the number of logical reads performed
-    /// (`height` for the root-to-leaf walk, plus one per extra leaf chained
+    /// (`height` for the root-to-leaf walk, plus one per extra leaf walked
     /// through for duplicate runs).
     pub fn seek(&self, key: &[Value]) -> (Vec<RowId>, usize) {
         self.seek_range(Some(key), true, Some(key), true)
@@ -276,77 +248,79 @@ impl BTreeIndex {
         hi_inclusive: bool,
         out: &mut Vec<RowId>,
     ) -> usize {
-        out.clear();
-        let arity = self.key_columns.len();
-        let mut reads = self.height;
-        let mut leaf = match lo {
-            Some(k) => self.leaf_for(k),
-            None => self.first_leaf,
-        };
-        // Whether the walk has reached the first entry at or above `lo`;
-        // from there on every entry is.
-        let mut above_lo = lo.is_none();
-        loop {
-            let Node::Leaf { keys, rids, next } = &self.nodes[leaf] else {
-                unreachable!("leaf_for returned internal node");
-            };
-            let mut start = 0;
-            if let (false, Some(lo)) = (above_lo, lo) {
-                // Compared whole, a key that extends an exclusive prefix
-                // bound sorts above it; the prefix check below drops it.
-                start =
-                    partition_point(keys, arity, |k| if lo_inclusive { k < lo } else { k <= lo });
-                above_lo = start < rids.len();
-            }
-            for (k, &rid) in keys[start * arity..]
-                .chunks_exact(arity)
-                .zip(&rids[start..])
-            {
-                if let Some(hi) = hi {
-                    let kp = &k[..hi.len().min(arity)];
-                    if !(if hi_inclusive { kp <= hi } else { kp < hi }) {
-                        return reads;
+        let lo = lo.map(|b| (b, lo_inclusive));
+        let hi = hi.map(|b| (b, hi_inclusive));
+        match &self.keys {
+            Keys::Ints(ints) => {
+                // Where an `Int` bound would sit if the keys were evenly
+                // spaced, which consecutive primary keys are.
+                let guess = |bound: &[Value]| match (bound, &ints[..]) {
+                    ([Value::Int(b)], [first, .., last]) => {
+                        let span = (*last as f64 - *first as f64).max(1.0);
+                        let at = (*b as f64 - *first as f64) * (ints.len() - 1) as f64 / span;
+                        Some(at as usize)
                     }
-                }
-                let lo_ok = lo.is_none_or(|lo| {
-                    let kp = &k[..lo.len().min(arity)];
-                    if lo_inclusive {
-                        kp >= lo
-                    } else {
-                        kp > lo
-                    }
-                });
-                if lo_ok {
-                    out.push(rid);
-                }
+                    _ => None,
+                };
+                self.seek_by(lo, hi, out, guess, |i, bound, prefix| match bound {
+                    [Value::Int(b)] => ints[i].cmp(b),
+                    _ => cmp_bound(&[Value::Int(ints[i])], bound, prefix),
+                })
             }
-            match next {
-                Some(n) => {
-                    leaf = *n;
-                    reads += 1;
-                }
-                None => return reads,
+            Keys::Values(values) => {
+                let arity = self.key_columns.len();
+                let key = |i: usize| &values[i * arity..(i + 1) * arity];
+                let cmp = |i: usize, bound: &[Value], prefix| cmp_bound(key(i), bound, prefix);
+                self.seek_by(lo, hi, out, |_| None, cmp)
             }
         }
     }
 
-    /// Iterate all entries in key order, yielding `(leaf_ordinal, key, rid)`.
-    /// The leaf ordinal lets scan operators charge one read per leaf.
-    pub fn scan(&self) -> impl Iterator<Item = (usize, &[Value], RowId)> + '_ {
-        let arity = self.key_columns.len();
-        let nodes = &self.nodes;
-        let leaf = move |id: usize| match &nodes[id] {
-            Node::Leaf { keys, rids, next } => (keys, rids, *next),
-            Node::Internal { .. } => unreachable!("the leaf chain links only leaves"),
-        };
-        std::iter::successors(Some(self.first_leaf), move |&id| leaf(id).2)
-            .enumerate()
-            .flat_map(move |(ordinal, id)| {
-                let (keys, rids, _) = leaf(id);
-                keys.chunks_exact(arity)
-                    .zip(rids)
-                    .map(move |(k, &rid)| (ordinal, k, rid))
-            })
+    /// The seek proper, over whichever key column the index has:
+    /// `cmp(i, bound, prefix)` orders entry `i`'s key against `bound` as
+    /// [`cmp_bound`] does, and `guess(bound)` is where the column expects
+    /// `bound` to sit, if it can say.
+    ///
+    /// The descent lands on the last leaf whose smallest key sorts below
+    /// `lo` (a run of duplicates can start before the leaf a separator
+    /// names), and the forward run ends on the leaf of the first entry at
+    /// or above `lo` that fails `hi`, or on the last leaf.
+    #[inline]
+    fn seek_by(
+        &self,
+        lo: Option<(&[Value], bool)>,
+        hi: Option<(&[Value], bool)>,
+        out: &mut Vec<RowId>,
+        guess: impl Fn(&[Value]) -> Option<usize>,
+        cmp: impl Fn(usize, &[Value], bool) -> Ordering,
+    ) -> usize {
+        out.clear();
+        let len = self.rids.len();
+        let (mut pos, mut lo_leaf) = (0, 0);
+        if let Some((lo, inclusive)) = lo {
+            pos = partition_point(0, len, guess(lo), |i| cmp(i, lo, false).is_lt());
+            lo_leaf = pos.saturating_sub(1) / LEAF_FANOUT;
+            if !inclusive {
+                // Compared whole, a key that extends an exclusive prefix
+                // bound sorts above it; the prefix check below drops it.
+                pos = partition_point(pos, len, None, |i| cmp(i, lo, false).is_le());
+            }
+        }
+        let mut hi_leaf = self.leaf_count() - 1;
+        while pos < len {
+            if let Some((hi, inclusive)) = hi {
+                let ord = cmp(pos, hi, true);
+                if ord.is_gt() || (ord.is_eq() && !inclusive) {
+                    hi_leaf = pos / LEAF_FANOUT;
+                    break;
+                }
+            }
+            if lo.is_none_or(|(lo, inclusive)| inclusive || cmp(pos, lo, true).is_gt()) {
+                out.push(self.rids[pos]);
+            }
+            pos += 1;
+        }
+        self.height() + (hi_leaf - lo_leaf)
     }
 }
 
@@ -354,21 +328,23 @@ impl BTreeIndex {
 mod tests {
     use super::*;
 
-    fn key1(v: i64) -> Key {
-        vec![Value::Int(v)].into()
+    /// One row per key, holding just the key: row `i` is rid `i`.
+    fn rows(keys: impl IntoIterator<Item = Vec<Value>>) -> Vec<Row> {
+        keys.into_iter().map(Row::from).collect()
     }
 
     fn build(n: i64) -> BTreeIndex {
-        let entries: Vec<(Key, RowId)> = (0..n).map(|i| (key1(i), i as RowId)).collect();
-        BTreeIndex::bulk_load("ix", vec![0], false, entries)
+        let rows = rows((0..n).map(|i| vec![Value::Int(i)]));
+        BTreeIndex::bulk_load("ix", vec![0], false, &rows)
     }
 
     #[test]
     fn empty_tree() {
-        let t = BTreeIndex::bulk_load("ix", vec![0], false, vec![]);
+        let t = build(0);
         assert!(t.is_empty());
         assert_eq!(t.seek(&[Value::Int(5)]).0, Vec::<RowId>::new());
-        assert_eq!(t.scan().count(), 0);
+        assert!(t.rids().is_empty());
+        assert_eq!((t.height(), t.leaf_count()), (1, 1));
     }
 
     #[test]
@@ -388,8 +364,8 @@ mod tests {
 
     #[test]
     fn duplicates_all_returned() {
-        let entries: Vec<(Key, RowId)> = (0..500).map(|i| (key1(i % 7), i as RowId)).collect();
-        let t = BTreeIndex::bulk_load("ix", vec![0], false, entries);
+        let rows = rows((0..500).map(|i| vec![Value::Int(i % 7)]));
+        let t = BTreeIndex::bulk_load("ix", vec![0], false, &rows);
         let (rids, _) = t.seek(&[Value::Int(3)]);
         assert_eq!(rids.len(), 500 / 7 + usize::from(3 < 500 % 7));
         // All returned rids actually have key 3.
@@ -418,14 +394,42 @@ mod tests {
 
     #[test]
     fn scan_yields_sorted_and_charges_leaves() {
-        let t = build(1000);
-        let items: Vec<_> = t.scan().collect();
-        assert_eq!(items.len(), 1000);
-        for w in items.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-        let max_leaf = items.iter().map(|(l, _, _)| *l).max().unwrap();
+        // Loaded in reverse, so key order is not rid order.
+        let rows = rows((0..1000).map(|i| vec![Value::Int(999 - i)]));
+        let t = BTreeIndex::bulk_load("ix", vec![0], false, &rows);
+        let want: Vec<RowId> = (0..1000).rev().collect();
+        assert_eq!(t.rids(), want);
+        let max_leaf = (t.rids().len() - 1) / LEAF_FANOUT;
         assert_eq!(max_leaf + 1, t.leaf_count());
+    }
+
+    /// `height` and `leaf_count` feed the planner's seek costs and the
+    /// estimator's `total_pages`, so they are pinned at every boundary of
+    /// the two fanouts, against the level-by-level packing a bulk load does:
+    /// chunk the entries into leaves, then each level into parents, until
+    /// one node is left.
+    #[test]
+    fn height_and_leaf_count_are_the_packed_trees() {
+        for len in [0, 1, 64, 65, 4_096, 4_097, 262_144, 262_145] {
+            let leaves = (0..len).step_by(LEAF_FANOUT).count().max(1);
+            let (mut level, mut height) = (leaves, 1);
+            while level > 1 {
+                level = (0..level).step_by(INTERNAL_FANOUT).count();
+                height += 1;
+            }
+            let t = build(len as i64);
+            assert_eq!((t.leaf_count(), t.height()), (leaves, height), "len {len}");
+        }
+        let shape = |n| {
+            let t = build(n);
+            (t.leaf_count(), t.height())
+        };
+        assert_eq!(shape(64), (1, 1));
+        assert_eq!(shape(65), (2, 2));
+        assert_eq!(shape(4_096), (64, 2));
+        assert_eq!(shape(4_097), (65, 3));
+        assert_eq!(shape(262_144), (4_096, 3));
+        assert_eq!(shape(262_145), (4_097, 4));
     }
 
     #[test]
@@ -439,13 +443,8 @@ mod tests {
     #[test]
     fn composite_key_prefix_seek() {
         // Key (a, b); seek on prefix a=2 must return all b values.
-        let entries: Vec<(Key, RowId)> = (0..100)
-            .map(|i| {
-                let k: Key = vec![Value::Int(i / 10), Value::Int(i % 10)].into();
-                (k, i as RowId)
-            })
-            .collect();
-        let t = BTreeIndex::bulk_load("ix", vec![0, 1], false, entries);
+        let rows = rows((0..100).map(|i| vec![Value::Int(i / 10), Value::Int(i % 10)]));
+        let t = BTreeIndex::bulk_load("ix", vec![0, 1], false, &rows);
         let (rids, _) = t.seek(&[Value::Int(2)]);
         assert_eq!(rids, (20..30).map(|i| i as RowId).collect::<Vec<_>>());
     }
@@ -513,15 +512,10 @@ mod tests {
     }
 
     fn check_against_model(arity: usize, entries: &[(Vec<Value>, RowId)], lo: &Bound, hi: &Bound) {
-        let tree = BTreeIndex::bulk_load(
-            "ix",
-            (0..arity).collect(),
-            false,
-            entries
-                .iter()
-                .map(|(k, rid)| (Key::from(k.clone()), *rid))
-                .collect(),
-        );
+        // An index is loaded over rows, so an entry's rid is its position.
+        assert!(entries.iter().enumerate().all(|(i, (_, rid))| *rid == i));
+        let rows = rows(entries.iter().map(|(k, _)| k.clone()));
+        let tree = BTreeIndex::bulk_load("ix", (0..arity).collect(), false, &rows);
         let bound = |b: &Bound| b.as_ref().is_none_or(|(_, inc)| *inc);
         let got = tree.seek_range(
             lo.as_ref().map(|(k, _)| k.as_slice()),
@@ -548,8 +542,65 @@ mod tests {
         ] {
             check_against_model(1, &[], &lo, &hi);
         }
-        let t = BTreeIndex::bulk_load("ix", vec![0], false, vec![]);
-        assert_eq!(t.seek_range(None, true, None, true), (vec![], 1));
+        assert_eq!(build(0).seek_range(None, true, None, true), (vec![], 1));
+    }
+
+    /// Every pairing of `bounds` (each inclusive and exclusive, and the
+    /// unbounded side) as `lo` and `hi` over `entries`.
+    fn check_all_pairs(arity: usize, entries: &[(Vec<Value>, RowId)], bounds: &[Vec<Value>]) {
+        let sides: Vec<Bound> = std::iter::once(None)
+            .chain(
+                bounds
+                    .iter()
+                    .flat_map(|b| [true, false].map(|inclusive| Some((b.clone(), inclusive)))),
+            )
+            .collect();
+        for lo in &sides {
+            for hi in &sides {
+                check_against_model(arity, entries, lo, hi);
+            }
+        }
+    }
+
+    /// The `Ints` arm answers a bound that is not one `Int` through
+    /// `Value::cmp`, and keys that are not all `Int`, or not alone, take the
+    /// generic arm: the model holds rids and reads on all of them.
+    #[test]
+    fn typed_and_generic_keys_match_the_model() {
+        // 600 entries over ten leaves, loaded out of key order.
+        let ints = |key: fn(i64) -> Vec<Value>| -> Vec<(Vec<Value>, RowId)> {
+            (0..600).map(|i| (key(i * 7 % 600), i as RowId)).collect()
+        };
+        let scalars = [
+            Value::Null,
+            Value::Float(-5.5),
+            Value::Float(-0.0),
+            Value::Float(0.0),
+            Value::Float(2.5),
+            Value::Float(99.5),
+            Value::Float(1e9),
+            Value::Int(50),
+            Value::Int(199),
+            Value::Date(3),
+        ];
+        let single: Vec<Vec<Value>> = scalars.iter().map(|v| vec![v.clone()]).collect();
+        check_all_pairs(1, &ints(|i| vec![Value::Int(i / 3)]), &single);
+        // Evenly spaced keys, where the guessed position is the answer for
+        // a bound on a key and one off for a bound between two.
+        check_all_pairs(1, &ints(|i| vec![Value::Int(i)]), &single);
+        check_all_pairs(1, &ints(|i| vec![Value::Int(3 * i - 100)]), &single);
+        check_all_pairs(1, &ints(|i| vec![Value::Float(i as f64 / 4.0)]), &single);
+        check_all_pairs(1, &ints(|i| vec![Value::Date((i / 2) as i32)]), &single);
+
+        let mut composite = single[..8].to_vec();
+        composite.extend([
+            vec![],
+            vec![Value::Int(7), Value::Int(2)],
+            vec![Value::Float(7.0), Value::Float(1.5)],
+            vec![Value::Int(19), Value::Null],
+        ]);
+        let pairs = ints(|i| vec![Value::Int(i / 30), Value::Int(i % 4)]);
+        check_all_pairs(2, &pairs, &composite);
     }
 
     use proptest::prelude::*;

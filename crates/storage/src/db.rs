@@ -124,22 +124,8 @@ impl Database {
         key_columns: Vec<usize>,
         clustered: bool,
     ) -> IndexId {
-        let t = &self.tables[table.0];
-        let name = name.into();
-        let entries = t
-            .rows()
-            .iter()
-            .enumerate()
-            .map(|(rid, row)| {
-                let key: crate::btree::Key = key_columns
-                    .iter()
-                    .map(|&c| row[c].clone())
-                    .collect::<Vec<_>>()
-                    .into();
-                (key, rid)
-            })
-            .collect();
-        let index = BTreeIndex::bulk_load(name, key_columns, clustered, entries);
+        let rows = self.tables[table.0].rows();
+        let index = BTreeIndex::bulk_load(name, key_columns, clustered, rows);
         let id = IndexId(self.indexes.len());
         self.indexes.push(IndexEntry { table, index });
         id

@@ -7,8 +7,9 @@
 //! * [`table`] — heap tables with an 8 KiB page-packing model, so scans have
 //!   meaningful *logical read* counts (needed by the paper's §4.3 technique,
 //!   which estimates scan progress from the fraction of I/Os issued).
-//! * [`btree`] — paged B+tree indexes (clustered and nonclustered) with
-//!   realistic height/leaf accounting for Index Seek / Index Scan costing.
+//! * [`btree`] — paged B+tree indexes (clustered and nonclustered), held
+//!   as sorted arrays, with realistic height/leaf accounting for Index
+//!   Seek / Index Scan costing.
 //! * [`columnstore`] — segment-oriented columnstore indexes with min/max
 //!   segment metadata; batch-mode scans report *segments processed*, the
 //!   progress denominator of §4.7.

@@ -22,16 +22,18 @@ pub enum Value {
     Int(i64),
     /// 64-bit float (covers decimal/numeric in the cost-insensitive sim).
     Float(f64),
-    /// Interned UTF-8 string. `Arc<str>` keeps row cloning cheap.
-    Str(Arc<str>),
+    /// UTF-8 string. The `Arc` keeps row cloning cheap; the `Box` inside it
+    /// keeps the pointer thin, so the widest payload is 8 bytes and a
+    /// `Value` is 16.
+    Str(Arc<Box<str>>),
     /// Date as days since an arbitrary epoch.
     Date(i32),
 }
 
 impl Value {
     /// Build a string value.
-    pub fn str(s: impl Into<Arc<str>>) -> Self {
-        Value::Str(s.into())
+    pub fn str(s: impl Into<Box<str>>) -> Self {
+        Value::Str(Arc::new(s.into()))
     }
 
     /// True if this is `Value::Null`.
@@ -229,6 +231,15 @@ mod tests {
         let mut h = DefaultHasher::new();
         v.hash(&mut h);
         h.finish()
+    }
+
+    /// A row is an `Arc<[Value]>` and every scan, join, sort and hash moves
+    /// and compares `Value`s by the slice, so their width is memory traffic
+    /// under every row: 16 bytes is the tag plus the widest scalar. A fat
+    /// `Arc<str>` payload would make it 24.
+    #[test]
+    fn value_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
     }
 
     #[test]
