@@ -1,7 +1,7 @@
-//! Metrics overhead accounting: the same pipeline as `tracing_overhead`,
-//! run with no hooks at all, with hooks attached but metrics disabled
-//! (the production default when telemetry is off), and with a live
-//! `ExecMetrics` recording into a registry. The acceptance bar is <2%
+//! Metrics overhead accounting: one representative pipeline (scan → hash
+//! join → aggregate → sort) run with no hooks at all, with hooks attached
+//! but metrics disabled (the production default when telemetry is off), and
+//! with a live `ExecMetrics` recording into a registry. The acceptance bar is <2%
 //! regression for the disabled path; the recording path only adds a
 //! handful of histogram observations at query close, so it should land
 //! in the same band.
@@ -14,27 +14,11 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use lqs::exec::{execute, execute_hooked, ExecHooks, ExecMetrics, ExecOptions};
 use lqs::metrics::MetricsRegistry;
 use lqs::plan::{AggFunc, Aggregate, JoinKind, PlanBuilder, SortKey};
-use lqs::storage::{Column, DataType, Database, Schema, Table, Value};
+use lqs::storage::Database;
 use std::sync::Arc;
 
-fn db(rows: i64) -> (Database, lqs::storage::TableId) {
-    let mut t = Table::new(
-        "t",
-        Schema::new(vec![
-            Column::new("a", DataType::Int),
-            Column::new("b", DataType::Int),
-        ]),
-    );
-    for i in 0..rows {
-        t.insert(vec![Value::Int(i), Value::Int(i % 97)]).unwrap();
-    }
-    let mut d = Database::new();
-    let id = d.add_table_analyzed(t);
-    (d, id)
-}
-
-/// Same representative pipeline as the tracing bench: scan → hash join →
-/// aggregate → sort, so per-operator families cover several op kinds.
+/// Scan → hash join → aggregate → sort, so per-operator families cover
+/// several op kinds.
 fn plan(d: &Database, t: lqs::storage::TableId) -> lqs::plan::PhysicalPlan {
     let mut pb = PlanBuilder::new(d);
     let l = pb.table_scan(t);
@@ -46,13 +30,14 @@ fn plan(d: &Database, t: lqs::storage::TableId) -> lqs::plan::PhysicalPlan {
 }
 
 fn bench_metrics(c: &mut Criterion) {
-    // Smaller than `tracing_overhead`'s 50k: a shorter iteration packs more
-    // samples into the stub's fixed measurement window, and the disabled-path
+    // Small on purpose: a shorter iteration packs more samples into the
+    // stub's fixed measurement window, and the disabled-path
     // comparison needs a stable median more than it needs scale (`execute` is
     // literally `execute_hooked` with default hooks, so any measured gap
     // between the first two entries is scheduler noise, not code).
     const ROWS: i64 = 20_000;
-    let (d, t) = db(ROWS);
+    let mut d = Database::new();
+    let t = d.add_table_analyzed(lqs_bench::table_t(ROWS, 97));
     let plan = plan(&d, t);
     let mut g = c.benchmark_group("metrics");
     g.throughput(Throughput::Elements(ROWS as u64));

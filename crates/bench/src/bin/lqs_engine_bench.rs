@@ -41,7 +41,8 @@ use lqs::obs::RingBufferSink;
 use lqs::plan::{
     AggFunc, Aggregate, Expr, JoinKind, PhysicalPlan, PlanBuilder, SeekKey, SeekRange, SortKey,
 };
-use lqs::storage::{Column, DataType, Database, IndexId, Schema, Table, TableId, Value};
+use lqs::storage::{Database, IndexId, TableId};
+use lqs_bench::{table_t, Cli, Kind};
 use serde_json::Value as Json;
 use std::time::Instant;
 
@@ -54,71 +55,21 @@ const CHECK_TOLERANCE: f64 = 0.9;
 /// Batch-traced throughput may cost at most this fraction of bare batch.
 const MAX_TRACED_OVERHEAD: f64 = 0.10;
 
-struct Args {
-    rows: i64,
-    reps: usize,
-    out: Option<String>,
-    check: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        rows: 200_000,
-        reps: 7,
-        out: None,
-        check: None,
-    };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--rows" => {
-                out.rows = args[i + 1].parse().expect("--rows takes an integer");
-                i += 2;
-            }
-            "--reps" => {
-                out.reps = args[i + 1].parse().expect("--reps takes an integer");
-                i += 2;
-            }
-            "--quick" => {
-                out.rows = 50_000;
-                out.reps = 5;
-                i += 1;
-            }
-            "--out" => {
-                out.out = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--check" => {
-                out.check = Some(args[i + 1].clone());
-                i += 2;
-            }
-            other => {
-                eprintln!(
-                    "unknown flag {other}\nusage: lqs_engine_bench [--rows N] [--reps K] \
-                     [--quick] [--out FILE] [--check FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    out
-}
+const CLI: Cli = Cli {
+    usage: "usage: lqs_engine_bench [--rows N] [--reps K] [--quick] [--out FILE] [--check FILE]",
+    flags: &[
+        ("--rows", Kind::Int),
+        ("--reps", Kind::Int),
+        ("--quick", Kind::Switch),
+        ("--out", Kind::Text),
+        ("--check", Kind::Text),
+    ],
+};
 
 /// `t(a, b)`: `a` is the row number and the primary key, `b = a % 97`.
 fn db(rows: i64) -> (Database, TableId, IndexId) {
-    let mut t = Table::new(
-        "t",
-        Schema::new(vec![
-            Column::new("a", DataType::Int),
-            Column::new("b", DataType::Int),
-        ]),
-    );
-    for i in 0..rows {
-        t.insert(vec![Value::Int(i), Value::Int(i % 97)]).unwrap();
-    }
     let mut d = Database::new();
-    let id = d.add_table_analyzed(t);
+    let id = d.add_table_analyzed(table_t(rows, 97));
     let pk = d.create_btree_index("pk_t", id, vec![0], true);
     (d, id, pk)
 }
@@ -176,14 +127,19 @@ fn run_workload(
     r
 }
 
-/// The headline plan: a table scan under twelve stacked filters.
-fn headline_plan(d: &Database, t: TableId) -> PhysicalPlan {
+/// A table scan under `depth` stacked filters.
+fn pipeline_plan(d: &Database, t: TableId, depth: usize) -> PhysicalPlan {
     let mut pb = PlanBuilder::new(d);
     let mut node = pb.table_scan(t);
-    for k in 0..12 {
+    for k in 0..depth {
         node = pb.filter(node, Expr::col(1).lt(Expr::lit(97 - k as i64)));
     }
     pb.finish(node)
+}
+
+/// The headline plan: twelve stacked filters.
+fn headline_plan(d: &Database, t: TableId) -> PhysicalPlan {
+    pipeline_plan(d, t, 12)
 }
 
 fn table_scan_plan(d: &Database, t: TableId) -> PhysicalPlan {
@@ -221,13 +177,6 @@ fn above_floor(what: &str, mut value: f64, floor: f64, mut remeasure: impl FnMut
         value = value.max(remeasure());
     }
     value
-}
-
-/// Re-measure just the headline pipeline (used by `--check` to rule out a
-/// transient scheduling dip before declaring a regression).
-fn headline_workload(d: &Database, t: TableId, rows: i64, reps: usize) -> WorkloadResult {
-    let plan = headline_plan(d, t);
-    run_workload(HEADLINE, rows, reps, d, &plan)
 }
 
 struct ProfilingResult {
@@ -282,19 +231,9 @@ fn workloads(d: &Database, t: TableId, pk: IndexId, rows: i64, reps: usize) -> V
     // overhead dominates, which is what a larger `limit` amortizes; the
     // deepest is the headline figure.
     for depth in [6usize, 12] {
-        let mut pb = PlanBuilder::new(d);
-        let mut node = pb.table_scan(t);
-        for k in 0..depth {
-            node = pb.filter(node, Expr::col(1).lt(Expr::lit(97 - k as i64)));
-        }
-        let plan = pb.finish(node);
-        out.push(run_workload(
-            &format!("pipeline{depth}"),
-            rows,
-            reps,
-            d,
-            &plan,
-        ));
+        let plan = pipeline_plan(d, t, depth);
+        let name = format!("pipeline{depth}");
+        out.push(run_workload(&name, rows, reps, d, &plan));
     }
     {
         let mut pb = PlanBuilder::new(d);
@@ -388,18 +327,23 @@ fn emit_json(rows: i64, results: &[WorkloadResult], profiling: &ProfilingResult)
 }
 
 fn main() {
-    let args = parse_args();
+    let flags = CLI.parse_env();
+    let (rows, reps) = if flags.on("--quick") {
+        (50_000, 5)
+    } else {
+        (200_000, 7)
+    };
+    let rows = flags.int("--rows").map_or(rows, |n| n as i64);
+    let reps = flags.int("--reps").map_or(reps, |n| n as usize);
+    let (out, check) = (flags.text("--out"), flags.text("--check"));
     let mut failures: Vec<String> = Vec::new();
 
-    println!(
-        "engine throughput: rows={} reps={} (best-of)",
-        args.rows, args.reps
-    );
-    let (d, t, pk) = db(args.rows);
-    let results = workloads(&d, t, pk, args.rows, args.reps);
+    println!("engine throughput: rows={} reps={} (best-of)", rows, reps);
+    let (d, t, pk) = db(rows);
+    let results = workloads(&d, t, pk, rows, reps);
 
     println!("\nbatch-native profiling overhead ({HEADLINE}, recording sink attached)");
-    let mut profiling = profiling_overhead(&d, t, args.rows, args.reps);
+    let mut profiling = profiling_overhead(&d, t, rows, reps);
     // Same noise policy as the headline check: re-measure up to twice
     // before declaring the tracing path too slow — the gate is a tight
     // ratio and a single scheduling dip on either arm can blow it.
@@ -410,7 +354,7 @@ fn main() {
             "traced overhead above gate ({:+.1}%) — re-measuring ({prof_attempts}/2)",
             profiling.overhead * 100.0
         );
-        let retry = profiling_overhead(&d, t, args.rows, args.reps);
+        let retry = profiling_overhead(&d, t, rows, reps);
         if retry.overhead < profiling.overhead {
             profiling = retry;
         }
@@ -429,14 +373,14 @@ fn main() {
         .find(|r| r.name == HEADLINE)
         .expect("headline workload present")
         .speedup;
-    if args.out.is_some() && headline_speedup < MIN_HEADLINE_SPEEDUP {
+    if out.is_some() && headline_speedup < MIN_HEADLINE_SPEEDUP {
         // A committed baseline must demonstrate the claimed improvement.
         failures.push(format!(
             "headline {HEADLINE} speedup {headline_speedup:.2}x < required \
              {MIN_HEADLINE_SPEEDUP:.1}x — not committing a baseline below the claim"
         ));
     }
-    if let Some(path) = &args.check {
+    if let Some(path) = check {
         let baseline = std::fs::read_to_string(path)
             .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
         let baseline = serde_json::from_str(&baseline)
@@ -457,7 +401,7 @@ fn main() {
         let base_speedup = base(HEADLINE, "speedup");
         let floor = base_speedup * CHECK_TOLERANCE;
         headline_speedup = above_floor("headline speedup", headline_speedup, floor, || {
-            headline_workload(&d, t, args.rows, args.reps).speedup
+            run_workload(HEADLINE, rows, reps, &d, &headline_plan(&d, t)).speedup
         });
         println!(
             "\ncheck vs {path}: headline speedup {headline_speedup:.2}x \
@@ -481,7 +425,7 @@ fn main() {
         let base_ratio = base(SEEK, "batch_melem_per_s") / base(SCAN, "batch_melem_per_s");
         let floor = base_ratio * CHECK_TOLERANCE;
         let seek_ratio = above_floor("seek/scan", batch(SEEK) / batch(SCAN), floor, || {
-            seek_over_scan(&d, t, pk, args.rows, args.reps)
+            seek_over_scan(&d, t, pk, rows, reps)
         });
         println!(
             "check vs {path}: {SEEK}/{SCAN} batch {seek_ratio:.4} \
@@ -495,8 +439,8 @@ fn main() {
         }
     }
 
-    if let Some(path) = &args.out {
-        let json = emit_json(args.rows, &results, &profiling);
+    if let Some(path) = out {
+        let json = emit_json(rows, &results, &profiling);
         let mut text = serde_json::to_string_pretty(&json).expect("serialize");
         text.push('\n');
         std::fs::write(path, text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));

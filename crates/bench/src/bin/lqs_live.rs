@@ -49,83 +49,23 @@ use lqs::plan::{NodeId, PhysicalPlan};
 use lqs::prelude::*;
 use lqs::progress::ProgressReport;
 use lqs::workloads::{standard_five, tpch, PhysicalDesign, WorkloadScale};
+use lqs_bench::{Cli, Kind};
 
-struct Args {
-    query: String,
-    frames: usize,
-    scale: f64,
-    seed: u64,
-    trace: Option<String>,
-    journal: Option<String>,
-    fleet: Option<String>,
-    profile: bool,
-    collapsed: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        query: "tpch-q01".to_string(),
-        frames: 8,
-        scale: 0.5,
-        seed: 42,
-        trace: None,
-        journal: None,
-        fleet: None,
-        profile: false,
-        collapsed: None,
-    };
-    let args: Vec<String> = std::env::args().collect();
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--query" => {
-                out.query = args[i + 1].clone();
-                i += 2;
-            }
-            "--frames" => {
-                out.frames = args[i + 1].parse().expect("--frames takes an integer");
-                i += 2;
-            }
-            "--scale" => {
-                out.scale = args[i + 1].parse().expect("--scale takes a float");
-                i += 2;
-            }
-            "--seed" => {
-                out.seed = args[i + 1].parse().expect("--seed takes an integer");
-                i += 2;
-            }
-            "--trace" => {
-                out.trace = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--journal" => {
-                out.journal = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--fleet" => {
-                out.fleet = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--profile" => {
-                out.profile = true;
-                i += 1;
-            }
-            "--collapsed" => {
-                out.collapsed = Some(args[i + 1].clone());
-                i += 2;
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                eprintln!(
-                    "usage: lqs_live [--query NAME] [--frames N] [--scale F] [--seed N] \
-                     [--trace FILE] [--profile] [--collapsed FILE] [--journal DIR] [--fleet DIR]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    out
-}
+const CLI: Cli = Cli {
+    usage: "usage: lqs_live [--query NAME] [--frames N] [--scale F] [--seed N] \
+            [--trace FILE] [--profile] [--collapsed FILE] [--journal DIR] [--fleet DIR]",
+    flags: &[
+        ("--query", Kind::Text),
+        ("--frames", Kind::Int),
+        ("--scale", Kind::Float),
+        ("--seed", Kind::Int),
+        ("--trace", Kind::Text),
+        ("--journal", Kind::Text),
+        ("--fleet", Kind::Text),
+        ("--profile", Kind::Switch),
+        ("--collapsed", Kind::Text),
+    ],
+};
 
 fn bar(p: f64, width: usize) -> String {
     let filled = (p.clamp(0.0, 1.0) * width as f64).round() as usize;
@@ -269,7 +209,7 @@ fn scan_journal_dir_or_exit(dir: &str) -> lqs::journal::JournalScan {
 
 /// `--journal DIR`: read a crash-recovery journal and replay one session's
 /// snapshot stream through the terminal UI, no execution.
-fn replay_journal(args: &Args, dir: &str) {
+fn replay_journal(dir: &str, query: &str, frames: usize, scale: WorkloadScale) {
     let scan = scan_journal_dir_or_exit(dir);
     eprintln!(
         "lqs_live: {} journaled session(s) in {dir}:",
@@ -283,7 +223,7 @@ fn replay_journal(args: &Args, dir: &str) {
     let matches_query = |s: &RecoveredSession| {
         s.meta
             .as_ref()
-            .is_some_and(|m| journaled_query_name(&m.name).contains(&args.query.as_str()))
+            .is_some_and(|m| journaled_query_name(&m.name).contains(&query))
     };
     let session = scan
         .sessions
@@ -304,11 +244,7 @@ fn replay_journal(args: &Args, dir: &str) {
 
     // Rebuild the standard workloads at the requested scale and resolve
     // the journaled query by name (journals store fingerprints, not plans).
-    let workloads = standard_five(WorkloadScale {
-        data_scale: args.scale,
-        query_limit: usize::MAX,
-        seed: args.seed,
-    });
+    let workloads = standard_five(scale);
     let (db, plan) = workloads
         .iter()
         .find_map(|w| {
@@ -369,7 +305,7 @@ fn replay_journal(args: &Args, dir: &str) {
         cost_model: meta.cost_model.clone(),
         node_elapsed_ns: Vec::new(),
     };
-    render_run(plan, db, &run, args.frames);
+    render_run(plan, db, &run, frames);
     match &session.terminal {
         Some(t) => println!(
             "journaled terminal: {:?}, {} rows in {:.2}ms (virtual)",
@@ -387,7 +323,7 @@ fn replay_journal(args: &Args, dir: &str) {
 
 /// `--fleet DIR`: render the whole journal directory as the fleet
 /// analytics view — sessions, per-workload percentiles, slowest nodes.
-fn fleet_view(args: &Args, dir: &str) {
+fn fleet_view(dir: &str, scale: WorkloadScale) {
     use lqs::history::{history_from_scan, HistoryResolver, ResolvedPlan};
     use std::sync::Arc;
 
@@ -395,11 +331,7 @@ fn fleet_view(args: &Args, dir: &str) {
     // Rebuild the standard workloads so sessions resolve to plans
     // (operator names, ErrorAvg/ErrorTime); unresolvable sessions still
     // get journal-pure curves and attribution.
-    let workloads = standard_five(WorkloadScale {
-        data_scale: args.scale,
-        query_limit: usize::MAX,
-        seed: args.seed,
-    });
+    let workloads = standard_five(scale);
     let mut catalog: Vec<(String, Arc<Database>, Arc<PhysicalPlan>)> = Vec::new();
     for w in workloads {
         let db = Arc::new(w.db);
@@ -495,35 +427,34 @@ fn fleet_view(args: &Args, dir: &str) {
 }
 
 fn main() {
-    let args = parse_args();
+    let flags = CLI.parse_env();
     let scale = WorkloadScale {
-        data_scale: args.scale,
+        data_scale: flags.float("--scale").unwrap_or(0.5),
         query_limit: usize::MAX,
-        seed: args.seed,
+        seed: flags.int("--seed").unwrap_or(42),
     };
-    if let Some(dir) = &args.fleet {
-        fleet_view(&args, dir);
+    let query = flags.text("--query").unwrap_or("tpch-q01");
+    let frames = flags.int("--frames").map_or(8, |n| n as usize);
+    if let Some(dir) = flags.text("--fleet") {
+        fleet_view(dir, scale);
         return;
     }
-    if let Some(dir) = &args.journal {
-        replay_journal(&args, dir);
+    if let Some(dir) = flags.text("--journal") {
+        replay_journal(dir, query, frames, scale);
         return;
     }
     let t = tpch::build_db(scale, PhysicalDesign::RowStore);
     let queries = tpch::queries(&t);
-    let q = queries
-        .iter()
-        .find(|q| q.name == args.query)
-        .unwrap_or_else(|| {
-            eprintln!("unknown query {:?}; available:", args.query);
-            for q in &queries {
-                eprintln!("  {}", q.name);
-            }
-            std::process::exit(2);
-        });
+    let q = queries.iter().find(|q| q.name == query).unwrap_or_else(|| {
+        eprintln!("unknown query {query:?}; available:");
+        for q in &queries {
+            eprintln!("  {}", q.name);
+        }
+        std::process::exit(2);
+    });
 
     println!("{}", q.plan.display_tree());
-    let run = match &args.trace {
+    let run = match flags.text("--trace") {
         Some(path) => {
             let sink = RingBufferSink::new(1 << 16);
             let run = execute_traced(&t.db, &q.plan, &ExecOptions::default(), &sink);
@@ -545,7 +476,7 @@ fn main() {
         }
         None => run_query(&t.db, &q.plan, &ExecOptions::default()),
     };
-    if args.profile {
+    if flags.on("--profile") {
         // The attribution view: live runs always carry per-node elapsed
         // time, so from_run only fails on a plan/run shape mismatch.
         let report = lqs::prof::ProfileReport::from_run(&q.plan, &run)
@@ -559,7 +490,7 @@ fn main() {
             run.rows_returned,
             run.duration_ns as f64 / 1e6
         );
-        if let Some(path) = &args.collapsed {
+        if let Some(path) = flags.text("--collapsed") {
             let text = report.collapsed_stacks();
             if let Err(e) = std::fs::write(path, &text) {
                 eprintln!("lqs_live: cannot write collapsed stacks to {path}: {e}");
@@ -579,7 +510,7 @@ fn main() {
 
     // Sample `frames` snapshots evenly across the run, always ending on the
     // last one so the view closes at 100%.
-    render_run(&q.plan, &t.db, &run, args.frames);
+    render_run(&q.plan, &t.db, &run, frames);
     println!(
         "query returned {} rows in {:.2}ms (virtual)",
         run.rows_returned,

@@ -27,10 +27,11 @@
 //! render identical summaries.
 //!
 //! Everything keys off the config seed, virtual-clock counters, and
-//! session names — never wall-clock state — so [`CrashSoakReport::summary`]
-//! is byte-for-byte reproducible (the CI `crash-soak` job diffs two runs
+//! session names — never wall-clock state — so [`SoakReport::summary`]
+//! is byte-for-byte reproducible (the CI `soak` job diffs two runs
 //! per seed).
 
+use crate::soak::{fnv, in_bounds, prepare_workloads, SoakReport};
 use lqs_exec::{DmvSnapshot, ExecOptions, QueryRun};
 use lqs_history::{scan_history, HistoryResolver, ResolvedPlan};
 use lqs_journal::{Journal, JournalConfig, JournalMetrics, SessionMeta, WriteCrashPoint};
@@ -44,19 +45,9 @@ use lqs_server::{
     RegistryPoller, ServiceMetrics, SessionRegistry, SessionResult, SessionState,
 };
 use lqs_storage::Database;
-use lqs_workloads::{standard_five, WorkloadScale};
+use lqs_workloads::WorkloadScale;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-
-/// FNV-1a over a session key — stable, dependency-free.
-fn fnv(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
-}
 
 /// splitmix64 finalizer — decorrelates the FNV hash from the seed.
 fn mix(mut z: u64) -> u64 {
@@ -216,28 +207,6 @@ impl CrashSoakConfig {
     }
 }
 
-/// Outcome of one crash soak.
-pub struct CrashSoakReport {
-    /// Deterministic human-readable summary (one line per cycle plus the
-    /// final-recovery line).
-    pub summary: String,
-    /// Invariant violations (empty on a passing run).
-    pub violations: Vec<String>,
-    /// Sessions submitted across all cycles.
-    pub sessions: usize,
-}
-
-impl CrashSoakReport {
-    /// Whether every invariant held.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-fn in_bounds(p: f64) -> bool {
-    (-1e-9..=1.0 + 1e-9).contains(&p)
-}
-
 /// Progress bit-patterns of a run's full snapshot trace (terminal
 /// snapshot included) through a fresh guarded estimator.
 fn progress_bits(db: &Database, plan: &PhysicalPlan, run: &QueryRun) -> Vec<u64> {
@@ -363,26 +332,6 @@ fn poll_recovered(
     }
 }
 
-fn prepare_workload(cfg: &CrashSoakConfig) -> (String, Arc<Database>, NamedPlans) {
-    let scale = WorkloadScale {
-        data_scale: cfg.data_scale,
-        query_limit: cfg.queries_per_cycle,
-        seed: cfg.seed,
-    };
-    let w = standard_five(scale)
-        .into_iter()
-        .next()
-        .expect("standard_five is never empty");
-    let name = w.name.to_string();
-    let db = Arc::new(w.db);
-    let queries = w
-        .queries
-        .into_iter()
-        .map(|q| (q.name, Arc::new(q.plan)))
-        .collect();
-    (name, db, queries)
-}
-
 /// The resolver a crash soak hands [`RecoveryManager`]: session names are
 /// `c{cycle}-{query}`, so strip the cycle prefix and rebuild the workload
 /// query by name.
@@ -475,8 +424,15 @@ fn check_history(
 }
 
 /// Run the kill/recover soak. See the module docs for the invariants.
-pub fn run_crash_soak(cfg: &CrashSoakConfig) -> CrashSoakReport {
-    let (wl_name, db, queries) = prepare_workload(cfg);
+pub fn run_crash_soak(cfg: &CrashSoakConfig) -> SoakReport {
+    let scale = WorkloadScale {
+        data_scale: cfg.data_scale,
+        query_limit: cfg.queries_per_cycle,
+        seed: cfg.seed,
+    };
+    let (wl_name, db, queries) = prepare_workloads(scale, 1)
+        .pop()
+        .expect("prepare_workloads returns at least one");
     let crash: Arc<dyn WriteCrashPoint> =
         Arc::new(SeededCrashPoint::new(cfg.seed, cfg.crash_one_in));
     let mut lines = vec![format!(
@@ -644,7 +600,7 @@ pub fn run_crash_soak(cfg: &CrashSoakConfig) -> CrashSoakReport {
         sessions_total,
         violations.len()
     ));
-    CrashSoakReport {
+    SoakReport {
         summary: lines.join("\n") + "\n",
         violations,
         sessions: sessions_total,
@@ -654,13 +610,7 @@ pub fn run_crash_soak(cfg: &CrashSoakConfig) -> CrashSoakReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("lqs-crash-soak-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir
-    }
+    use crate::soak::tmpdir;
 
     #[test]
     fn seeded_crash_point_is_deterministic_and_past_min_offset() {

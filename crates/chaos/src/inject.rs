@@ -10,7 +10,9 @@
 use crate::plan::{FaultPlan, OpFaultKind, OperatorTrigger, StorageFaults};
 use lqs_exec::{FaultInjector, GetNextFault, IoVerdict};
 use lqs_plan::NodeId;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Deterministic engine-fault oracle built from a [`FaultPlan`].
 pub struct PlanFaultInjector {
@@ -94,6 +96,40 @@ impl FaultInjector for PlanFaultInjector {
             }
         }
         None
+    }
+}
+
+/// Parks the executing worker inside an I/O charge once `after_pages`
+/// cumulative logical reads have passed, until [`PageGate::open`] — the
+/// stall shape a watchdog must classify and remediate.
+pub struct PageGate {
+    after_pages: u64,
+    release: AtomicBool,
+}
+
+impl PageGate {
+    /// A closed gate that lets `after_pages` logical reads through first.
+    pub fn new(after_pages: u64) -> Arc<Self> {
+        Arc::new(PageGate {
+            after_pages,
+            release: AtomicBool::new(false),
+        })
+    }
+
+    /// Release the parked worker; the gate stays open afterwards.
+    pub fn open(&self) {
+        self.release.store(true, Ordering::Release);
+    }
+}
+
+impl FaultInjector for PageGate {
+    fn on_io(&self, _node: NodeId, total_pages: u64, _now_ns: u64) -> IoVerdict {
+        if total_pages > self.after_pages {
+            while !self.release.load(Ordering::Acquire) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        IoVerdict::Ok
     }
 }
 

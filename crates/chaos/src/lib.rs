@@ -14,7 +14,9 @@
 //!   at chosen GetNext counts), telemetry-channel faults (drop / delay /
 //!   duplicate / reorder / counter-reset) and poll-path faults.
 //! * [`PlanFaultInjector`] — a plan's engine faults as an
-//!   [`lqs_exec::FaultInjector`] (one per session).
+//!   [`lqs_exec::FaultInjector`] (one per session); [`PageGate`] — the
+//!   releasable stall the overload soak and the profile smoke wedge a
+//!   session on.
 //! * [`ChannelFaultFilter`] / [`ChannelMangler`] / [`mangle_stream`] —
 //!   the telemetry channel, live and offline: identical `(faults, seed)`
 //!   produce the identical delivered stream either way.
@@ -45,12 +47,9 @@ pub mod poll;
 pub mod soak;
 
 pub use channel::{mangle_stream, ChannelFaultFilter, ChannelMangler};
-pub use crash::{
-    corrupt_tails, run_crash_soak, CrashSoakConfig, CrashSoakReport, SeededCrashPoint,
-    TailCorruption,
-};
-pub use inject::PlanFaultInjector;
-pub use overload::{run_overload_soak, OverloadSoakConfig, OverloadSoakReport};
+pub use crash::{corrupt_tails, run_crash_soak, CrashSoakConfig, SeededCrashPoint, TailCorruption};
+pub use inject::{PageGate, PlanFaultInjector};
+pub use overload::{run_overload_soak, OverloadSoakConfig};
 pub use plan::{ChannelFaults, FaultPlan, OpFaultKind, OperatorTrigger, PollFaults, StorageFaults};
 pub use poll::SeededPollFault;
 pub use soak::{run_soak, SoakConfig, SoakReport};

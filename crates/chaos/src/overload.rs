@@ -22,29 +22,27 @@
 //!    with an explicit reason, and sustained overload widens the snapshot
 //!    publish interval of admitted sessions.
 //!
-//! The returned [`OverloadSoakReport::summary`] is **deterministic**: it
+//! The returned [`SoakReport::summary`] is **deterministic**: it
 //! is computed from seeded fault windows, append counts, and virtual-clock
 //! outcomes only — wall-clock-dependent figures (how many 503s were shed,
 //! how many polls landed) never enter it — so two runs with the same seed
-//! produce byte-identical summaries (the CI `overload-soak` job diffs
+//! produce byte-identical summaries (the CI `soak` job diffs
 //! them).
 
-use crate::soak::metric_value;
-use lqs_exec::{ExecOptions, FaultInjector, IoVerdict};
+use crate::inject::PageGate;
+use crate::soak::{fnv, metric_value, prepare_workloads, SoakReport};
+use lqs_exec::{ExecOptions, FaultInjector};
 use lqs_journal::{BreakerConfig, BreakerState, Journal, JournalConfig, JournalFaultInjector};
 use lqs_metrics::MetricsRegistry;
-use lqs_plan::{NodeId, PhysicalPlan};
 use lqs_progress::EstimatorConfig;
 use lqs_server::{
     BrownoutConfig, IngressConfig, MetricsServer, QueryService, QuerySpec, RemediationPolicy,
     ServerConfig, ServiceMetrics, SessionDurability, SessionState, Watchdog, WatchdogConfig,
 };
-use lqs_storage::Database;
-use lqs_workloads::{standard_five, WorkloadScale};
+use lqs_workloads::WorkloadScale;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -98,33 +96,6 @@ impl OverloadSoakConfig {
     }
 }
 
-/// Outcome of one overload soak run.
-pub struct OverloadSoakReport {
-    /// Deterministic human-readable summary.
-    pub summary: String,
-    /// Invariant violations (empty on a passing run).
-    pub violations: Vec<String>,
-    /// Sessions executed across all scenes.
-    pub sessions: usize,
-}
-
-impl OverloadSoakReport {
-    /// Whether every invariant held.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-}
-
-/// FNV-1a, the workspace-standard dependency-free string hash.
-fn fnv(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1_0000_0000_01b3);
-    }
-    h
-}
-
 /// Per-session seeded window of journal write failures: appends
 /// `[from, from + len)` fail (0-based logical index; index 0 is the meta
 /// record, which always succeeds so every session is journaled).
@@ -150,62 +121,6 @@ impl JournalFaultInjector for DeadDisk {
     fn append_fails(&self, _session_key: &str, nth: u64) -> bool {
         nth >= 1
     }
-}
-
-/// Parks the executing worker inside an I/O charge once `after_pages`
-/// cumulative logical reads have passed, until released — the stall shape
-/// for the remediation scene.
-struct Gate {
-    after_pages: u64,
-    release: AtomicBool,
-}
-
-impl Gate {
-    fn new(after_pages: u64) -> Arc<Self> {
-        Arc::new(Gate {
-            after_pages,
-            release: AtomicBool::new(false),
-        })
-    }
-
-    fn open(&self) {
-        self.release.store(true, Ordering::Release);
-    }
-}
-
-impl FaultInjector for Gate {
-    fn on_io(&self, _node: NodeId, total_pages: u64, _now_ns: u64) -> IoVerdict {
-        if total_pages > self.after_pages {
-            while !self.release.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        IoVerdict::Ok
-    }
-}
-
-type PreparedWorkload = (String, Arc<Database>, Vec<(String, Arc<PhysicalPlan>)>);
-
-fn prepare_workloads(cfg: &OverloadSoakConfig) -> Vec<PreparedWorkload> {
-    let scale = WorkloadScale {
-        data_scale: cfg.data_scale,
-        query_limit: cfg.queries_per_workload,
-        seed: cfg.seed,
-    };
-    standard_five(scale)
-        .into_iter()
-        .take(cfg.workloads.max(1))
-        .map(|w| {
-            let name = w.name.to_string();
-            let db = Arc::new(w.db);
-            let queries = w
-                .queries
-                .into_iter()
-                .map(|q| (q.name, Arc::new(q.plan)))
-                .collect();
-            (name, db, queries)
-        })
-        .collect()
 }
 
 /// One full GET against the soak's metrics server, returning the raw
@@ -242,8 +157,15 @@ fn get_with_retry(addr: SocketAddr, path: &str) -> Option<String> {
 
 /// Run the overload soak. See the module docs for the scenes and
 /// invariants.
-pub fn run_overload_soak(cfg: &OverloadSoakConfig) -> OverloadSoakReport {
-    let workloads = prepare_workloads(cfg);
+pub fn run_overload_soak(cfg: &OverloadSoakConfig) -> SoakReport {
+    let workloads = prepare_workloads(
+        WorkloadScale {
+            data_scale: cfg.data_scale,
+            query_limit: cfg.queries_per_workload,
+            seed: cfg.seed,
+        },
+        cfg.workloads,
+    );
     let mut lines = vec![format!(
         "lqs-chaos overload soak seed={} workloads={} queries={} pollers={} slow={}",
         cfg.seed,
@@ -340,7 +262,7 @@ pub fn run_overload_soak(cfg: &OverloadSoakConfig) -> OverloadSoakReport {
             },
         )
         .with_metrics(Arc::clone(&mreg));
-        let gate = Gate::new(8);
+        let gate = PageGate::new(8);
         let handle = service.submit(
             QuerySpec::new("remediation-stall", Arc::clone(qplan))
                 .with_retry_budget(3)
@@ -565,7 +487,7 @@ pub fn run_overload_soak(cfg: &OverloadSoakConfig) -> OverloadSoakReport {
     ));
     let body = lines.join("\n") + "\n";
     let summary = format!("{body}checksum={:016x}\n", fnv(&body));
-    OverloadSoakReport {
+    SoakReport {
         summary,
         violations,
         sessions: sessions_total,
@@ -575,13 +497,7 @@ pub fn run_overload_soak(cfg: &OverloadSoakConfig) -> OverloadSoakReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("lqs-overload-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("create temp dir");
-        dir
-    }
+    use crate::soak::tmpdir;
 
     #[test]
     fn tiny_overload_soak_passes_and_is_deterministic() {

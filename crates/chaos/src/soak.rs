@@ -18,7 +18,7 @@
 //! The returned [`SoakReport::summary`] is **deterministic**: it is
 //! computed from virtual-clock outcomes and offline replays only — never
 //! from the wall-clock-dependent live poll loop — so two runs with the
-//! same seed produce byte-identical summaries (the CI `chaos-soak` job
+//! same seed produce byte-identical summaries (the CI `soak` job
 //! diffs them).
 
 use crate::channel::mangle_stream;
@@ -81,13 +81,15 @@ impl SoakConfig {
     }
 }
 
-/// Outcome of one soak run.
+/// Outcome of one soak run — the chaos matrix, the crash soak or the
+/// overload soak.
 pub struct SoakReport {
-    /// Deterministic human-readable summary (one line per matrix cell).
+    /// Deterministic human-readable summary, one line per matrix cell,
+    /// cycle or scene.
     pub summary: String,
     /// Invariant violations (empty on a passing run).
     pub violations: Vec<String>,
-    /// Sessions executed across the matrix (excluding the admission
+    /// Sessions executed (the chaos soak: excluding the admission
     /// scenario).
     pub sessions: usize,
 }
@@ -99,9 +101,9 @@ impl SoakReport {
     }
 }
 
-/// FNV-1a — stable, dependency-free string hash for per-session channel
-/// stream seeds.
-fn fnv(name: &str) -> u64 {
+/// FNV-1a — the crate's stable, dependency-free string hash: per-session
+/// channel stream seeds, crash points, fault windows, summary checksums.
+pub(crate) fn fnv(name: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in name.bytes() {
         h ^= u64::from(b);
@@ -134,7 +136,7 @@ pub(crate) fn metric_value(text: &str, name: &str) -> Option<f64> {
         .and_then(|(_, v)| v.parse().ok())
 }
 
-fn in_bounds(p: f64) -> bool {
+pub(crate) fn in_bounds(p: f64) -> bool {
     (-1e-9..=1.0 + 1e-9).contains(&p)
 }
 
@@ -195,17 +197,14 @@ impl FaultInjector for Gate {
     }
 }
 
-type PreparedWorkload = (String, Arc<Database>, Vec<(String, Arc<PhysicalPlan>)>);
+/// A workload as the soaks run it: name, shared database, named plans.
+pub(crate) type PreparedWorkload = (String, Arc<Database>, Vec<(String, Arc<PhysicalPlan>)>);
 
-fn prepare_workloads(cfg: &SoakConfig) -> Vec<PreparedWorkload> {
-    let scale = WorkloadScale {
-        data_scale: cfg.data_scale,
-        query_limit: cfg.queries_per_workload,
-        seed: cfg.seed,
-    };
+/// The first `workloads` (min 1) of the standard five at `scale`.
+pub(crate) fn prepare_workloads(scale: WorkloadScale, workloads: usize) -> Vec<PreparedWorkload> {
     standard_five(scale)
         .into_iter()
-        .take(cfg.workloads.max(1))
+        .take(workloads.max(1))
         .map(|w| {
             let name = w.name.to_string();
             let db = Arc::new(w.db);
@@ -221,7 +220,14 @@ fn prepare_workloads(cfg: &SoakConfig) -> Vec<PreparedWorkload> {
 
 /// Run the full soak matrix. See the module docs for the invariants.
 pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
-    let workloads = prepare_workloads(cfg);
+    let workloads = prepare_workloads(
+        WorkloadScale {
+            data_scale: cfg.data_scale,
+            query_limit: cfg.queries_per_workload,
+            seed: cfg.seed,
+        },
+        cfg.workloads,
+    );
     let mut lines = vec![format!(
         "lqs-chaos soak seed={} workloads={} queries={} plans={}",
         cfg.seed,
@@ -446,6 +452,15 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         violations,
         sessions: sessions_total,
     }
+}
+
+/// A fresh scratch directory for a soak test of this crate.
+#[cfg(test)]
+pub(crate) fn tmpdir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("lqs-chaos-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 //! One function per table/figure of the paper's evaluation, each returning
-//! the data series the figure plots. The `lqs-bench` binaries print these;
+//! the data series the figure plots. `lqs-bench`'s `paper` binary prints these;
 //! integration tests assert their qualitative shapes.
 
 use crate::experiment::{

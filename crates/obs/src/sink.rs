@@ -1,8 +1,9 @@
 //! Event model and sinks.
 
 use lqs_plan::NodeId;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// What happened. Operator lifecycle events pair with the per-node
 /// counters' `open_ns`/`first_row_ns`/`close_ns` stamps; the rest expose
@@ -112,61 +113,93 @@ impl EventSink for NullSink {
     }
 }
 
+/// The drop-oldest bounded queue behind all three ring sinks: when full,
+/// pushing evicts the oldest item and counts it.
+#[derive(Debug)]
+struct Ring<T> {
+    buf: VecDeque<T>,
+    capacity: usize,
+    dropped: u64,
+}
+
+impl<T> Ring<T> {
+    /// A ring retaining at most `capacity` items (min 1).
+    fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        Ring {
+            buf: VecDeque::with_capacity(capacity.min(4096)),
+            capacity,
+            dropped: 0,
+        }
+    }
+
+    fn push(&mut self, item: T) {
+        if self.buf.len() == self.capacity {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back(item);
+    }
+
+    /// Retained items, oldest first.
+    fn items(&self) -> Vec<T>
+    where
+        T: Clone,
+    {
+        self.buf.iter().cloned().collect()
+    }
+}
+
+/// Lock a shared sink's ring. A trace sink is shared by every session, so
+/// a thread that panicked under the lock must not silence the rest: recover
+/// the guard. Every [`Ring`] update leaves it valid at each step, so the
+/// state behind a poisoned lock is still a ring.
+fn lock<T>(ring: &Mutex<Ring<T>>) -> MutexGuard<'_, Ring<T>> {
+    ring.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Bounded in-memory capture. When full, the oldest event is dropped and
 /// counted, so a long run keeps its most recent window plus an honest
-/// account of what was lost.
+/// account of what was lost. Not `Sync`: the per-session path takes no
+/// lock.
 #[derive(Debug)]
-pub struct RingBufferSink {
-    buf: RefCell<VecDeque<TraceEvent>>,
-    capacity: usize,
-    dropped: Cell<u64>,
-}
+pub struct RingBufferSink(RefCell<Ring<TraceEvent>>);
 
 impl RingBufferSink {
     /// A sink retaining at most `capacity` events (min 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        RingBufferSink {
-            buf: RefCell::new(VecDeque::with_capacity(capacity.min(4096))),
-            capacity,
-            dropped: Cell::new(0),
-        }
+        RingBufferSink(RefCell::new(Ring::new(capacity)))
     }
 
     /// Events currently retained, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.buf.borrow().iter().cloned().collect()
+        self.0.borrow().items()
     }
 
     /// Consume the sink, returning retained events oldest first.
     pub fn into_events(self) -> Vec<TraceEvent> {
-        self.buf.into_inner().into_iter().collect()
+        self.0.into_inner().buf.into_iter().collect()
     }
 
     /// Number of events evicted due to capacity.
     pub fn dropped(&self) -> u64 {
-        self.dropped.get()
+        self.0.borrow().dropped
     }
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.buf.borrow().len()
+        self.0.borrow().buf.len()
     }
 
     /// Whether no events are retained.
     pub fn is_empty(&self) -> bool {
-        self.buf.borrow().is_empty()
+        self.len() == 0
     }
 }
 
 impl EventSink for RingBufferSink {
     fn emit(&self, event: TraceEvent) {
-        let mut buf = self.buf.borrow_mut();
-        if buf.len() == self.capacity {
-            buf.pop_front();
-            self.dropped.set(self.dropped.get() + 1);
-        }
-        buf.push_back(event);
+        self.0.borrow_mut().push(event);
     }
 }
 
@@ -176,46 +209,32 @@ impl EventSink for RingBufferSink {
 /// is acceptable here — sessions that care about tracing overhead attach a
 /// per-session [`RingBufferSink`] instead and merge post-hoc.
 #[derive(Debug)]
-pub struct SharedRingSink {
-    buf: std::sync::Mutex<VecDeque<TraceEvent>>,
-    capacity: usize,
-    dropped: std::sync::atomic::AtomicU64,
-}
+pub struct SharedRingSink(Mutex<Ring<TraceEvent>>);
 
 impl SharedRingSink {
     /// A sink retaining at most `capacity` events (min 1).
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        SharedRingSink {
-            buf: std::sync::Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
-            capacity,
-            dropped: std::sync::atomic::AtomicU64::new(0),
-        }
+        SharedRingSink(Mutex::new(Ring::new(capacity)))
     }
 
     /// Events currently retained, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.buf
-            .lock()
-            .expect("sink poisoned")
-            .iter()
-            .cloned()
-            .collect()
+        lock(&self.0).items()
     }
 
     /// Drain all retained events, oldest first, leaving the sink empty.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        self.buf.lock().expect("sink poisoned").drain(..).collect()
+        lock(&self.0).buf.drain(..).collect()
     }
 
     /// Number of events evicted due to capacity.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(std::sync::atomic::Ordering::Relaxed)
+        lock(&self.0).dropped
     }
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.buf.lock().expect("sink poisoned").len()
+        lock(&self.0).buf.len()
     }
 
     /// Whether no events are retained.
@@ -226,13 +245,7 @@ impl SharedRingSink {
 
 impl EventSink for SharedRingSink {
     fn emit(&self, event: TraceEvent) {
-        let mut buf = self.buf.lock().expect("sink poisoned");
-        if buf.len() == self.capacity {
-            buf.pop_front();
-            self.dropped
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        buf.push_back(event);
+        lock(&self.0).push(event);
     }
 }
 
@@ -256,66 +269,42 @@ pub struct SessionEvent {
 /// [`SharedRingSink`]. Sessions attach through [`SharedSessionSink::tap`],
 /// which stamps every emitted event with that session's id.
 #[derive(Debug)]
-pub struct SharedSessionSink {
-    buf: std::sync::Mutex<VecDeque<SessionEvent>>,
-    capacity: usize,
-    dropped: std::sync::atomic::AtomicU64,
-}
+pub struct SharedSessionSink(Mutex<Ring<SessionEvent>>);
 
 impl SharedSessionSink {
     /// A sink retaining at most `capacity` events (min 1) across all
     /// sessions.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        SharedSessionSink {
-            buf: std::sync::Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
-            capacity,
-            dropped: std::sync::atomic::AtomicU64::new(0),
-        }
+        SharedSessionSink(Mutex::new(Ring::new(capacity)))
     }
 
     /// An [`EventSink`] that stamps everything it receives with `session`.
-    pub fn tap(self: &std::sync::Arc<Self>, session: u64) -> SessionTap {
+    pub fn tap(self: &Arc<Self>, session: u64) -> SessionTap {
         SessionTap {
-            sink: std::sync::Arc::clone(self),
+            sink: Arc::clone(self),
             session,
         }
     }
 
-    fn push(&self, event: SessionEvent) {
-        let mut buf = self.buf.lock().expect("sink poisoned");
-        if buf.len() == self.capacity {
-            buf.pop_front();
-            self.dropped
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        buf.push_back(event);
-    }
-
     /// Events currently retained, oldest first.
     pub fn events(&self) -> Vec<SessionEvent> {
-        self.buf
-            .lock()
-            .expect("sink poisoned")
-            .iter()
-            .cloned()
-            .collect()
+        lock(&self.0).items()
     }
 
     /// Drain all retained events, oldest first, leaving the sink empty.
     /// The dropped count is *not* reset — it stays an honest total.
     pub fn drain(&self) -> Vec<SessionEvent> {
-        self.buf.lock().expect("sink poisoned").drain(..).collect()
+        lock(&self.0).buf.drain(..).collect()
     }
 
     /// Number of events evicted due to capacity.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(std::sync::atomic::Ordering::Relaxed)
+        lock(&self.0).dropped
     }
 
     /// Number of events currently retained.
     pub fn len(&self) -> usize {
-        self.buf.lock().expect("sink poisoned").len()
+        lock(&self.0).buf.len()
     }
 
     /// Whether no events are retained.
@@ -328,7 +317,7 @@ impl SharedSessionSink {
 /// [`SharedSessionSink::tap`]).
 #[derive(Debug, Clone)]
 pub struct SessionTap {
-    sink: std::sync::Arc<SharedSessionSink>,
+    sink: Arc<SharedSessionSink>,
     session: u64,
 }
 
@@ -341,7 +330,7 @@ impl SessionTap {
 
 impl EventSink for SessionTap {
     fn emit(&self, event: TraceEvent) {
-        self.sink.push(SessionEvent {
+        lock(&self.sink.0).push(SessionEvent {
             session: self.session,
             event,
         });
@@ -376,10 +365,10 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SharedRingSink>();
 
-        let sink = std::sync::Arc::new(SharedRingSink::new(1000));
+        let sink = Arc::new(SharedRingSink::new(1000));
         let handles: Vec<_> = (0..4)
             .map(|t| {
-                let sink = std::sync::Arc::clone(&sink);
+                let sink = Arc::clone(&sink);
                 std::thread::spawn(move || {
                     for i in 0..100 {
                         sink.emit(ev(t * 1000 + i));
@@ -412,7 +401,7 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SharedSessionSink>();
 
-        let sink = std::sync::Arc::new(SharedSessionSink::new(3));
+        let sink = Arc::new(SharedSessionSink::new(3));
         let a = sink.tap(7);
         let b = sink.tap(9);
         a.emit(ev(0));
@@ -429,6 +418,36 @@ mod tests {
         assert_eq!(sink.drain().len(), 3);
         assert!(sink.is_empty());
         assert_eq!(sink.dropped(), 1); // drain keeps the loss accounting
+    }
+
+    #[test]
+    fn shared_sinks_survive_a_panic_under_their_lock() {
+        let ring = SharedRingSink::new(3);
+        let sessions = Arc::new(SharedSessionSink::new(3));
+        ring.emit(ev(0));
+        sessions.tap(7).emit(ev(0));
+        std::thread::scope(|s| {
+            let poisoner = s.spawn(|| {
+                let _ring = ring.0.lock().unwrap();
+                let _sessions = sessions.0.lock().unwrap();
+                panic!("poison both sinks");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(ring.0.is_poisoned() && sessions.0.is_poisoned());
+
+        for t in 1..4 {
+            ring.emit(ev(t));
+        }
+        sessions.tap(9).emit(ev(1)); // a later tap still lands
+        assert_eq!((ring.len(), ring.dropped()), (3, 1));
+        assert_eq!(ring.events().len(), 3);
+        assert_eq!(ring.drain().len(), 3);
+        assert!(ring.is_empty());
+        assert_eq!((sessions.len(), sessions.dropped()), (2, 0));
+        let tagged: Vec<u64> = sessions.events().iter().map(|e| e.session).collect();
+        assert_eq!(tagged, vec![7, 9]);
+        assert_eq!(sessions.drain().len(), 2);
     }
 
     #[test]
