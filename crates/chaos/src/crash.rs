@@ -83,13 +83,6 @@ impl SeededCrashPoint {
             span: 4096,
         }
     }
-
-    /// Override the crash-offset window to `[min_offset, min_offset+span)`.
-    pub fn with_offset_window(mut self, min_offset: u64, span: u64) -> Self {
-        self.min_offset = min_offset;
-        self.span = span.max(1);
-        self
-    }
 }
 
 impl WriteCrashPoint for SeededCrashPoint {

@@ -174,12 +174,6 @@ impl FaultPlan {
         self
     }
 
-    /// How many times the I/O error fires before going quiet.
-    pub fn io_error_times(mut self, times: u32) -> Self {
-        self.storage.error_times = times;
-        self
-    }
-
     /// Stall the first operator to produce its `at_row`-th row for `ns`
     /// virtual nanoseconds.
     pub fn stall_at(mut self, at_row: u64, ns: u64) -> Self {

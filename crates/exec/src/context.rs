@@ -445,33 +445,13 @@ impl<'a> ExecContext<'a> {
         }
     }
 
-    /// Charge CPU time to a node. Charges are fractional; the sub-nanosecond
-    /// remainder is carried per node (not truncated), so total charged time
-    /// tracks the exact f64 sum to within 1 ns per node however the charges
-    /// are sliced.
+    /// Charge CPU time to a node: one [`BatchCharge::cpu`] charge in a
+    /// span-less scope of its own. Charges are fractional; the
+    /// sub-nanosecond remainder is carried per node (not truncated), so total
+    /// charged time tracks the exact f64 sum to within 1 ns per node however
+    /// the charges are sliced.
     pub fn charge_cpu(&self, node: NodeId, ns: f64) {
-        debug_assert_eq!(
-            self.live_scopes.get(),
-            0,
-            "direct charge_cpu while a BatchCharge scope is live"
-        );
-        let whole = {
-            let mut accounts = self.accounts.borrow_mut();
-            let a = &mut accounts[node.0];
-            let total = a.cpu_carry + ns.max(0.0);
-            let whole = total as u64;
-            a.cpu_carry = total - whole as f64;
-            debug_assert!(
-                (0.0..1.0).contains(&a.cpu_carry),
-                "node {}: cpu carry {} left [0,1)",
-                node.0,
-                a.cpu_carry
-            );
-            a.counters.cpu_ns += whole;
-            a.elapsed_ns += whole;
-            whole
-        };
-        self.advance(whole);
+        self.scope(node, false).cpu(ns);
     }
 
     /// Charge logical page reads to a node: one [`BatchCharge::io`] charge

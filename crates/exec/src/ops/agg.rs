@@ -8,8 +8,9 @@
 //! climbs during the build while `rows_output` stays 0.
 
 use super::keys::{cols_eq, cols_of, hash_cols, KeyTable};
+use super::node::{Body, Node};
 use super::sort::CONSUME_BATCH;
-use super::{BoxedOperator, Operator, RowBatch};
+use super::{BoxedOperator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{AggState, Aggregate, NodeId};
 use lqs_storage::{Row, Value};
@@ -32,7 +33,6 @@ fn finish_group(key: impl Iterator<Item = Value>, states: &[AggState]) -> Row {
 /// Aggregation over sorted input; emits each group as it completes, so it is
 /// pipelined (not blocking) — a group boundary releases the previous group.
 pub struct StreamAggregateOp {
-    id: NodeId,
     group_by: Vec<usize>,
     aggs: Vec<Aggregate>,
     child: BoxedOperator,
@@ -42,7 +42,6 @@ pub struct StreamAggregateOp {
     scratch: RowBatch,
     input_done: bool,
     emitted_scalar: bool,
-    done: bool,
 }
 
 impl StreamAggregateOp {
@@ -51,9 +50,8 @@ impl StreamAggregateOp {
         group_by: Vec<usize>,
         aggs: Vec<Aggregate>,
         child: BoxedOperator,
-    ) -> Self {
+    ) -> Node<Self> {
         StreamAggregateOp {
-            id,
             group_by,
             aggs,
             child,
@@ -61,31 +59,25 @@ impl StreamAggregateOp {
             scratch: RowBatch::default(),
             input_done: false,
             emitted_scalar: false,
-            done: false,
         }
+        .at(id)
     }
 }
 
-impl Operator for StreamAggregateOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+impl Body for StreamAggregateOp {
+    fn open(&mut self, ctx: &ExecContext, _id: NodeId) {
         self.child.open(ctx);
     }
 
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if self.done {
-            return false;
-        }
-        if limit == 0 {
-            return true;
-        }
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, limit: usize) -> bool {
         let row_cpu =
             ctx.cost.stream_agg_row_ns + self.aggs.len() as f64 * ctx.cost.compute_expr_ns;
         loop {
             if !self.scratch.is_empty() {
                 let mut appended = 0u64;
                 let mut consumed = 0u64;
-                let mut scope = ctx.batch_charge(self.id);
+                let mut scope = ctx.batch_charge(id);
                 while (appended as usize) < limit {
                     let Some(row) = self.scratch.pop_front() else {
                         break;
@@ -109,9 +101,9 @@ impl Operator for StreamAggregateOp {
                     }
                 }
                 scope.finish();
-                ctx.count_input(self.id, consumed);
+                ctx.count_input(id, consumed);
                 if appended > 0 {
-                    ctx.count_output(self.id, appended);
+                    ctx.count_output(id, appended);
                     return true;
                 }
                 continue;
@@ -120,17 +112,15 @@ impl Operator for StreamAggregateOp {
                 if let Some((first, states)) = self.current.take() {
                     let key = cols_of(&first, &self.group_by).cloned();
                     out.push(finish_group(key, &states));
-                    ctx.count_output(self.id, 1);
+                    ctx.count_output(id, 1);
                     return true;
                 }
                 if self.group_by.is_empty() && !self.emitted_scalar {
                     self.emitted_scalar = true;
                     out.push(finish_group(std::iter::empty(), &make_states(&self.aggs)));
-                    ctx.count_output(self.id, 1);
+                    ctx.count_output(id, 1);
                     return true;
                 }
-                self.done = true;
-                ctx.mark_close(self.id);
                 return false;
             }
             if !self.child.next_batch(ctx, &mut self.scratch, limit) {
@@ -141,31 +131,26 @@ impl Operator for StreamAggregateOp {
 
     fn close(&mut self, ctx: &ExecContext) {
         self.child.close(ctx);
-        ctx.mark_close(self.id);
     }
 
-    fn rewind(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+    fn rewind(&mut self, ctx: &ExecContext, _id: NodeId) {
         self.child.rewind(ctx);
         self.current = None;
         self.scratch.clear();
         self.input_done = false;
         self.emitted_scalar = false;
-        self.done = false;
     }
 }
 
 /// Blocking hash aggregation: consumes the entire input into a hash table on
 /// first demand, then emits groups (sorted by key for determinism).
 pub struct HashAggregateOp {
-    id: NodeId,
     group_by: Vec<usize>,
     aggs: Vec<Aggregate>,
     batch: bool,
     child: BoxedOperator,
     output: Option<Vec<Row>>,
     pos: usize,
-    done: bool,
 }
 
 impl HashAggregateOp {
@@ -175,20 +160,19 @@ impl HashAggregateOp {
         aggs: Vec<Aggregate>,
         batch: bool,
         child: BoxedOperator,
-    ) -> Self {
+    ) -> Node<Self> {
         HashAggregateOp {
-            id,
             group_by,
             aggs,
             batch,
             child,
             output: None,
             pos: 0,
-            done: false,
         }
+        .at(id)
     }
 
-    fn build(&mut self, ctx: &ExecContext) {
+    fn build(&mut self, ctx: &ExecContext, id: NodeId) {
         let factor = if self.batch { 0.3 } else { 1.0 };
         let row_cpu = (ctx.cost.hash_build_row_ns
             + self.aggs.len() as f64 * ctx.cost.compute_expr_ns)
@@ -202,8 +186,8 @@ impl HashAggregateOp {
         let mut groups: Vec<(Vec<Value>, Vec<AggState>)> = Vec::new();
         let mut scratch = RowBatch::with_capacity(CONSUME_BATCH);
         while self.child.next_batch(ctx, &mut scratch, CONSUME_BATCH) {
-            ctx.count_input(self.id, scratch.len() as u64);
-            let mut scope = ctx.batch_charge(self.id);
+            ctx.count_input(id, scratch.len() as u64);
+            let mut scope = ctx.batch_charge(id);
             for row in scratch.iter() {
                 scope.cpu(row_cpu);
                 let hash = hash_cols(row, gb);
@@ -231,36 +215,28 @@ impl HashAggregateOp {
                 .collect()
         });
         self.pos = 0;
-        ctx.emit_phase(self.id, "blocking", "emit");
+        ctx.emit_phase(id, "blocking", "emit");
     }
 }
 
-impl Operator for HashAggregateOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+impl Body for HashAggregateOp {
+    fn open(&mut self, ctx: &ExecContext, _id: NodeId) {
         self.child.open(ctx);
     }
 
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if self.done {
-            return false;
-        }
-        if limit == 0 {
-            return true;
-        }
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, limit: usize) -> bool {
         if self.output.is_none() {
-            self.build(ctx);
+            self.build(ctx, id);
         }
         let rows = self.output.as_ref().expect("built above");
         let n = (rows.len() - self.pos).min(limit);
         if n == 0 {
-            self.done = true;
-            ctx.mark_close(self.id);
             return false;
         }
         let factor = if self.batch { 0.3 } else { 1.0 };
         let row_cpu = ctx.cost.hash_output_row_ns * factor;
-        let mut scope = ctx.batch_charge(self.id);
+        let mut scope = ctx.batch_charge(id);
         for row in &rows[self.pos..self.pos + n] {
             scope.cpu(row_cpu);
             out.push(row.clone());
@@ -272,16 +248,13 @@ impl Operator for HashAggregateOp {
 
     fn close(&mut self, ctx: &ExecContext) {
         self.child.close(ctx);
-        ctx.mark_close(self.id);
     }
 
-    fn rewind(&mut self, ctx: &ExecContext) {
+    fn rewind(&mut self, ctx: &ExecContext, _id: NodeId) {
         // A rebind re-executes the aggregation (the input may be correlated).
-        ctx.mark_open(self.id);
         self.child.rewind(ctx);
         self.output = None;
         self.pos = 0;
-        self.done = false;
     }
 }
 
@@ -290,6 +263,7 @@ mod tests {
     use super::*;
     use crate::ops::scan::ConstantScanOp;
     use crate::ops::testing::drain;
+    use crate::ops::Operator;
     use lqs_plan::{AggFunc, CostModel};
     use lqs_storage::Database;
 

@@ -8,10 +8,11 @@
 //! prefetching a large initial block on first demand and `degree` child rows
 //! per output row thereafter.
 
+use super::node::{Body, Node};
 use super::sort::CONSUME_BATCH;
-use super::{push_one, BoxedOperator, Operator, RowBatch};
+use super::{push_one, BoxedOperator, RowBatch};
 use crate::context::ExecContext;
-use lqs_plan::{ExchangeKind, NodeId};
+use lqs_plan::NodeId;
 use lqs_storage::Row;
 
 /// Rows prefetched per degree of parallelism on first demand (models the
@@ -23,9 +24,6 @@ pub const INITIAL_FILL_PER_DOP: usize = 256;
 pub const MAX_BUFFER_PER_DOP: usize = 512;
 
 pub struct ExchangeOp {
-    id: NodeId,
-    #[allow(dead_code)]
-    kind: ExchangeKind,
     degree: usize,
     batch: bool,
     child: BoxedOperator,
@@ -33,31 +31,22 @@ pub struct ExchangeOp {
     queue: RowBatch,
     started: bool,
     child_done: bool,
-    done: bool,
 }
 
 impl ExchangeOp {
-    pub(crate) fn new(
-        id: NodeId,
-        kind: ExchangeKind,
-        degree: usize,
-        batch: bool,
-        child: BoxedOperator,
-    ) -> Self {
+    pub(crate) fn new(id: NodeId, degree: usize, batch: bool, child: BoxedOperator) -> Node<Self> {
         ExchangeOp {
-            id,
-            kind,
             degree: degree.max(1),
             batch,
             child,
             queue: RowBatch::default(),
             started: false,
             child_done: false,
-            done: false,
         }
+        .at(id)
     }
 
-    fn pull(&mut self, ctx: &ExecContext, n: usize) {
+    fn pull(&mut self, ctx: &ExecContext, id: NodeId, n: usize) {
         let cap = MAX_BUFFER_PER_DOP * self.degree;
         // Producers fill in chunks; the pull never charges CPU, so the
         // chunk size shows in no counter and no close time.
@@ -72,65 +61,52 @@ impl ExchangeOp {
                 break;
             }
             let got = self.queue.len() - before;
-            ctx.count_input(self.id, got as u64);
+            ctx.count_input(id, got as u64);
             remaining -= got;
         }
-        ctx.set_buffered(self.id, self.queue.len() as u64);
+        ctx.set_buffered(id, self.queue.len() as u64);
     }
 
     /// One consumer-side row: top the queue up, then drain one.
-    fn next_row(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
+    fn next_row(&mut self, ctx: &ExecContext, id: NodeId) -> Option<Row> {
         if !self.started {
             self.started = true;
-            self.pull(ctx, INITIAL_FILL_PER_DOP * self.degree);
+            self.pull(ctx, id, INITIAL_FILL_PER_DOP * self.degree);
         } else {
-            self.pull(ctx, self.degree);
+            self.pull(ctx, id, self.degree);
         }
-        let Some(row) = self.queue.pop_front() else {
-            self.done = true;
-            ctx.mark_close(self.id);
-            return None;
-        };
-        ctx.set_buffered(self.id, self.queue.len() as u64);
+        let row = self.queue.pop_front()?;
+        ctx.set_buffered(id, self.queue.len() as u64);
         let factor = if self.batch { 0.3 } else { 1.0 };
-        ctx.charge_cpu(self.id, ctx.cost.exchange_row_ns * factor);
+        ctx.charge_cpu(id, ctx.cost.exchange_row_ns * factor);
         Some(row)
     }
 }
 
-impl Operator for ExchangeOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+impl Body for ExchangeOp {
+    fn open(&mut self, ctx: &ExecContext, _id: NodeId) {
         self.child.open(ctx);
     }
 
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if limit == 0 {
-            return true;
-        }
-        let row = self.next_row(ctx);
-        push_one(ctx, self.id, row, out)
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, _: usize) -> bool {
+        let row = self.next_row(ctx, id);
+        push_one(ctx, id, row, out)
     }
 
     fn close(&mut self, ctx: &ExecContext) {
         self.child.close(ctx);
-        ctx.mark_close(self.id);
     }
 
-    fn rewind(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+    fn rewind(&mut self, ctx: &ExecContext, id: NodeId) {
         self.child.rewind(ctx);
         self.queue.clear();
         // The gauge must follow the queue: a rebind that discards buffered
         // rows would otherwise leave a phantom `rows_buffered` in every
         // snapshot until the next pull.
-        ctx.set_buffered(self.id, 0);
+        ctx.set_buffered(id, 0);
         self.started = false;
         self.child_done = false;
-        self.done = false;
     }
 }
 
@@ -139,6 +115,7 @@ mod tests {
     use super::*;
     use crate::ops::scan::ConstantScanOp;
     use crate::ops::testing::{drain, pull};
+    use crate::ops::Operator;
     use lqs_plan::CostModel;
     use lqs_storage::{Database, Value};
 
@@ -153,7 +130,7 @@ mod tests {
         let (db, rows, degree) = make(4, 100);
         let ctx = ExecContext::new(&db, 2, 0, u64::MAX, CostModel::default());
         let child = Box::new(ConstantScanOp::new(NodeId(0), rows));
-        let mut ex = ExchangeOp::new(NodeId(1), ExchangeKind::GatherStreams, degree, false, child);
+        let mut ex = ExchangeOp::new(NodeId(1), degree, false, child);
         ex.open(&ctx);
         let rows = drain(&mut ex, &ctx);
         assert_eq!(rows.len(), 100);
@@ -171,7 +148,7 @@ mod tests {
         let (db, rows, degree) = make(4, 5000);
         let ctx = ExecContext::new(&db, 2, 0, u64::MAX, CostModel::default());
         let child = Box::new(ConstantScanOp::new(NodeId(0), rows));
-        let mut ex = ExchangeOp::new(NodeId(1), ExchangeKind::GatherStreams, degree, false, child);
+        let mut ex = ExchangeOp::new(NodeId(1), degree, false, child);
         ex.open(&ctx);
         let _ = pull(&mut ex, &ctx);
         assert!(ctx.counters_of(NodeId(1)).rows_buffered > 0);
@@ -188,7 +165,7 @@ mod tests {
         let (db, rows, degree) = make(4, 3000);
         let ctx = ExecContext::new(&db, 2, 0, u64::MAX, CostModel::default());
         let child = Box::new(ConstantScanOp::new(NodeId(0), rows));
-        let mut ex = ExchangeOp::new(NodeId(1), ExchangeKind::GatherStreams, degree, false, child);
+        let mut ex = ExchangeOp::new(NodeId(1), degree, false, child);
         ex.open(&ctx);
         let mut batch = RowBatch::default();
         assert!(ex.next_batch(&ctx, &mut batch, 16));
@@ -216,7 +193,7 @@ mod tests {
         let (db, rows, degree) = make(4, 10_000);
         let ctx = ExecContext::new(&db, 2, 0, u64::MAX, CostModel::default());
         let child = Box::new(ConstantScanOp::new(NodeId(0), rows));
-        let mut ex = ExchangeOp::new(NodeId(1), ExchangeKind::GatherStreams, degree, false, child);
+        let mut ex = ExchangeOp::new(NodeId(1), degree, false, child);
         ex.open(&ctx);
         let _ = pull(&mut ex, &ctx);
         let child_k = ctx.counters_of(NodeId(0)).rows_output;

@@ -7,14 +7,14 @@
 //! probe-side scans consult (§4.3, Figure 6).
 
 use super::keys::{cols_eq, cols_have_null, cols_of, hash_cols, KeyTable};
+use super::node::{Body, Node};
 use super::sort::CONSUME_BATCH;
-use super::{concat_rows, BoxedOperator, Operator, RowBatch};
+use super::{concat_rows, BoxedOperator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{BitmapId, JoinKind, NodeId};
 use lqs_storage::Row;
 
 pub struct HashJoinOp {
-    id: NodeId,
     kind: JoinKind,
     build_keys: Vec<usize>,
     probe_keys: Vec<usize>,
@@ -29,7 +29,6 @@ pub struct HashJoinOp {
     build_rows: Vec<Row>,
     matched: Vec<bool>,
     table: KeyTable,
-    built: bool,
     /// Next build row to emit for `pending_probe`: a cursor down the
     /// matching key's chain, which runs in build insertion order.
     pending: Option<usize>,
@@ -39,7 +38,6 @@ pub struct HashJoinOp {
     probe_done: bool,
     /// For FullOuter: cursor over unmatched build rows.
     unmatched_pos: usize,
-    done: bool,
 }
 
 impl HashJoinOp {
@@ -56,9 +54,8 @@ impl HashJoinOp {
         batch: bool,
         build: BoxedOperator,
         probe: BoxedOperator,
-    ) -> Self {
+    ) -> Node<Self> {
         HashJoinOp {
-            id,
             kind,
             build_keys,
             probe_keys,
@@ -72,14 +69,13 @@ impl HashJoinOp {
             build_rows: Vec::new(),
             matched: Vec::new(),
             table: KeyTable::default(),
-            built: false,
             pending: None,
             pending_probe: None,
             scratch: RowBatch::default(),
             probe_done: false,
             unmatched_pos: 0,
-            done: false,
         }
+        .at(id)
     }
 
     fn factor(&self) -> f64 {
@@ -90,14 +86,14 @@ impl HashJoinOp {
         }
     }
 
-    fn build_phase(&mut self, ctx: &ExecContext) {
+    fn build_phase(&mut self, ctx: &ExecContext, id: NodeId) {
         let factor = self.factor();
         let mut scratch = RowBatch::with_capacity(CONSUME_BATCH);
         while self.build.next_batch(ctx, &mut scratch, CONSUME_BATCH) {
             // Input counted through the scope, per row: the join bound
             // derives "probe rows processed" from rows_input, so it
             // must never lead the rows actually folded into the table.
-            let mut scope = ctx.batch_charge(self.id);
+            let mut scope = ctx.batch_charge(id);
             while let Some(row) = scratch.pop_front() {
                 scope.rows_in(1);
                 scope.cpu(ctx.cost.hash_build_row_ns * factor);
@@ -126,29 +122,22 @@ impl HashJoinOp {
             }
             scope.finish();
         }
-        self.built = true;
         if self.bitmap.is_some() {
-            ctx.emit_bitmap_built(self.id, self.table.groups() as u64);
+            ctx.emit_bitmap_built(id, self.table.groups() as u64);
         }
-        ctx.emit_phase(self.id, "build", "probe");
+        ctx.emit_phase(id, "build", "probe");
     }
 }
 
-impl Operator for HashJoinOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+impl Body for HashJoinOp {
+    fn open(&mut self, ctx: &ExecContext, id: NodeId) {
         self.build.open(ctx);
         self.probe.open(ctx);
-        self.build_phase(ctx);
+        self.build_phase(ctx, id);
     }
 
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if self.done {
-            return false;
-        }
-        if limit == 0 {
-            return true;
-        }
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, limit: usize) -> bool {
         let factor = self.factor();
         let mut appended = 0usize;
         loop {
@@ -162,7 +151,7 @@ impl Operator for HashJoinOp {
             // allows). The scope must end before pulling the probe child,
             // which opens its own exclusive scope.
             if self.pending.is_some() || !self.scratch.is_empty() {
-                let mut scope = ctx.batch_charge(self.id);
+                let mut scope = ctx.batch_charge(id);
                 loop {
                     // Drain matches queued for the current probe row first;
                     // a wide match set may span several calls without
@@ -254,13 +243,11 @@ impl Operator for HashJoinOp {
                             padded += 1;
                         }
                     }
-                    ctx.count_output(self.id, padded);
+                    ctx.count_output(id, padded);
                 }
                 if appended > 0 {
                     break;
                 }
-                self.done = true;
-                ctx.mark_close(self.id);
                 return false;
             }
             if !self.probe.next_batch(ctx, &mut self.scratch, limit) {
@@ -273,24 +260,20 @@ impl Operator for HashJoinOp {
     fn close(&mut self, ctx: &ExecContext) {
         self.build.close(ctx);
         self.probe.close(ctx);
-        ctx.mark_close(self.id);
     }
 
-    fn rewind(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+    fn rewind(&mut self, ctx: &ExecContext, id: NodeId) {
         self.build.rewind(ctx);
         self.probe.rewind(ctx);
         self.build_rows.clear();
         self.matched.clear();
         self.table.clear();
-        self.built = false;
         self.pending = None;
         self.pending_probe = None;
         self.scratch.clear();
         self.probe_done = false;
         self.unmatched_pos = 0;
-        self.done = false;
-        self.build_phase(ctx);
+        self.build_phase(ctx, id);
     }
 }
 
@@ -299,6 +282,7 @@ mod tests {
     use super::*;
     use crate::ops::scan::ConstantScanOp;
     use crate::ops::testing::drain;
+    use crate::ops::Operator;
     use lqs_plan::CostModel;
     use lqs_storage::{Database, Value};
 

@@ -6,14 +6,14 @@
 //! joins the whole group.
 
 use super::keys::{cols_cmp, cols_eq, cols_have_null};
-use super::{concat_rows, null_row, pull_one, push_one, BoxedOperator, Operator, RowBatch};
+use super::node::{Body, Node};
+use super::{concat_rows, null_row, pull_one, push_one, BoxedOperator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{JoinKind, NodeId};
 use lqs_storage::Row;
 use std::cmp::Ordering;
 
 pub struct MergeJoinOp {
-    id: NodeId,
     kind: JoinKind,
     left_keys: Vec<usize>,
     right_keys: Vec<usize>,
@@ -36,7 +36,14 @@ pub struct MergeJoinOp {
     started: bool,
     /// One-row batch both child pulls go through.
     scratch: RowBatch,
-    done: bool,
+}
+
+/// Count and charge one row pulled from either side.
+fn charge_pulled(ctx: &ExecContext, id: NodeId) {
+    let mut scope = ctx.row_charge(id);
+    scope.rows_in(1);
+    scope.cpu(ctx.cost.merge_row_ns);
+    scope.finish();
 }
 
 impl MergeJoinOp {
@@ -50,9 +57,8 @@ impl MergeJoinOp {
         right_arity: usize,
         left: BoxedOperator,
         right: BoxedOperator,
-    ) -> Self {
+    ) -> Node<Self> {
         MergeJoinOp {
-            id,
             kind,
             left_keys,
             right_keys,
@@ -69,27 +75,19 @@ impl MergeJoinOp {
             emit_idx: 0,
             started: false,
             scratch: RowBatch::with_capacity(1),
-            done: false,
         }
+        .at(id)
     }
 
-    /// Count and charge one row pulled from either side.
-    fn charge_pulled(&self, ctx: &ExecContext) {
-        let mut scope = ctx.row_charge(self.id);
-        scope.rows_in(1);
-        scope.cpu(ctx.cost.merge_row_ns);
-        scope.finish();
-    }
-
-    fn pull_left(&mut self, ctx: &ExecContext) {
+    fn pull_left(&mut self, ctx: &ExecContext, id: NodeId) {
         self.cur_left = pull_one(self.left.as_mut(), ctx, &mut self.scratch);
         match self.cur_left {
-            Some(_) => self.charge_pulled(ctx),
+            Some(_) => charge_pulled(ctx, id),
             None => self.left_done = true,
         }
     }
 
-    fn pull_right(&mut self, ctx: &ExecContext) -> Option<Row> {
+    fn pull_right(&mut self, ctx: &ExecContext, id: NodeId) -> Option<Row> {
         if let Some(r) = self.right_peek.take() {
             return Some(r);
         }
@@ -98,7 +96,7 @@ impl MergeJoinOp {
         }
         let pulled = pull_one(self.right.as_mut(), ctx, &mut self.scratch);
         match pulled {
-            Some(_) => self.charge_pulled(ctx),
+            Some(_) => charge_pulled(ctx, id),
             None => self.right_done = true,
         }
         pulled
@@ -106,14 +104,14 @@ impl MergeJoinOp {
 
     /// Load the next right-side group (consecutive equal keys) into
     /// `self.group`. Returns false when the right side is exhausted.
-    fn load_group(&mut self, ctx: &ExecContext) -> bool {
+    fn load_group(&mut self, ctx: &ExecContext, id: NodeId) -> bool {
         self.group.clear();
         self.group_matched = false;
-        let Some(first) = self.pull_right(ctx) else {
+        let Some(first) = self.pull_right(ctx, id) else {
             return false;
         };
         self.group.push(first);
-        while let Some(next) = self.pull_right(ctx) {
+        while let Some(next) = self.pull_right(ctx, id) {
             let rk = &self.right_keys;
             if cols_eq(&next, rk, &self.group[0], rk) {
                 self.group.push(next);
@@ -165,10 +163,7 @@ impl MergeJoinOp {
 
     /// The merge state machine: the next joined row, or `None` when both
     /// sides are exhausted.
-    fn next_row(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
+    fn next_row(&mut self, ctx: &ExecContext, id: NodeId) -> Option<Row> {
         loop {
             // Emit remaining cross-product rows for the current match.
             if self.started {
@@ -184,7 +179,7 @@ impl MergeJoinOp {
                 self.cur_left = None;
             }
             if self.cur_left.is_none() && !self.left_done {
-                self.pull_left(ctx);
+                self.pull_left(ctx, id);
             }
             if self.cur_left.is_none() {
                 // Left exhausted: FullOuter drains remaining right rows.
@@ -194,13 +189,11 @@ impl MergeJoinOp {
                             return Some(r);
                         }
                     }
-                    if self.load_group(ctx) {
+                    if self.load_group(ctx, id) {
                         self.emit_idx = 0;
                         continue;
                     }
                 }
-                self.done = true;
-                ctx.mark_close(self.id);
                 return None;
             }
             let left = self.cur_left.as_ref().expect("checked above");
@@ -214,7 +207,7 @@ impl MergeJoinOp {
             loop {
                 match self.group_vs_left() {
                     None => {
-                        if !self.load_group(ctx) {
+                        if !self.load_group(ctx, id) {
                             break; // right exhausted
                         }
                         self.emit_idx = 0;
@@ -226,7 +219,7 @@ impl MergeJoinOp {
                                 return Some(r);
                             }
                         }
-                        if !self.load_group(ctx) {
+                        if !self.load_group(ctx, id) {
                             break;
                         }
                         self.emit_idx = 0;
@@ -261,29 +254,24 @@ impl MergeJoinOp {
     }
 }
 
-impl Operator for MergeJoinOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+impl Body for MergeJoinOp {
+    fn open(&mut self, ctx: &ExecContext, _id: NodeId) {
         self.left.open(ctx);
         self.right.open(ctx);
     }
 
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if limit == 0 {
-            return true;
-        }
-        let row = self.next_row(ctx);
-        push_one(ctx, self.id, row, out)
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, _: usize) -> bool {
+        let row = self.next_row(ctx, id);
+        push_one(ctx, id, row, out)
     }
 
     fn close(&mut self, ctx: &ExecContext) {
         self.left.close(ctx);
         self.right.close(ctx);
-        ctx.mark_close(self.id);
     }
 
-    fn rewind(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+    fn rewind(&mut self, ctx: &ExecContext, _id: NodeId) {
         self.left.rewind(ctx);
         self.right.rewind(ctx);
         self.cur_left = None;
@@ -294,7 +282,6 @@ impl Operator for MergeJoinOp {
         self.right_done = false;
         self.emit_idx = 0;
         self.started = false;
-        self.done = false;
     }
 }
 
@@ -303,6 +290,7 @@ mod tests {
     use super::*;
     use crate::ops::scan::ConstantScanOp;
     use crate::ops::testing::drain;
+    use crate::ops::Operator;
     use lqs_plan::CostModel;
     use lqs_storage::{Database, Value};
 

@@ -1,65 +1,43 @@
 //! Concatenation (UNION ALL) and Bitmap Create.
 
 use super::keys::{cols_have_null, cols_of};
-use super::{BoxedOperator, Operator, RowBatch};
+use super::node::{Body, Node};
+use super::{pass_through, BoxedOperator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{BitmapId, NodeId};
 
 /// UNION ALL: drains each child in order.
 pub struct ConcatOp {
-    id: NodeId,
     children: Vec<BoxedOperator>,
     current: usize,
-    done: bool,
 }
 
 impl ConcatOp {
-    pub(crate) fn new(id: NodeId, children: Vec<BoxedOperator>) -> Self {
+    pub(crate) fn new(id: NodeId, children: Vec<BoxedOperator>) -> Node<Self> {
         ConcatOp {
-            id,
             children,
             current: 0,
-            done: false,
         }
+        .at(id)
     }
 }
 
-impl Operator for ConcatOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+impl Body for ConcatOp {
+    fn open(&mut self, ctx: &ExecContext, _id: NodeId) {
         for c in &mut self.children {
             c.open(ctx);
         }
     }
 
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if self.done {
-            return false;
-        }
-        if limit == 0 {
-            return true;
-        }
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, limit: usize) -> bool {
         while self.current < self.children.len() {
-            // Rows pass through unchanged, so the child appends straight
-            // into `out`.
-            let before = out.len();
-            if !self.children[self.current].next_batch(ctx, out, limit) {
-                self.current += 1;
-                continue;
+            let child = self.children[self.current].as_mut();
+            if pass_through(child, ctx, id, out, limit, |scope, _| scope.cpu(2.0)) {
+                return true;
             }
-            let got = (out.len() - before) as u64;
-            if got > 0 {
-                let mut scope = ctx.batch_charge(self.id);
-                for _ in 0..got {
-                    scope.cpu(2.0);
-                }
-                ctx.count_input(self.id, got);
-                scope.finish_emitting(got);
-            }
-            return true;
+            self.current += 1;
         }
-        self.done = true;
-        ctx.mark_close(self.id);
         false
     }
 
@@ -67,16 +45,13 @@ impl Operator for ConcatOp {
         for c in &mut self.children {
             c.close(ctx);
         }
-        ctx.mark_close(self.id);
     }
 
-    fn rewind(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+    fn rewind(&mut self, ctx: &ExecContext, _id: NodeId) {
         for c in &mut self.children {
             c.rewind(ctx);
         }
         self.current = 0;
-        self.done = false;
     }
 }
 
@@ -84,13 +59,11 @@ impl Operator for ConcatOp {
 /// passing them along unchanged (Figure 6: sits on the build side of a hash
 /// join, with the bitmap probed by the opposite side's scan).
 pub struct BitmapCreateOp {
-    id: NodeId,
     key_columns: Vec<usize>,
     bitmap: BitmapId,
     capacity_hint: usize,
     child: BoxedOperator,
     keys_inserted: u64,
-    done: bool,
 }
 
 impl BitmapCreateOp {
@@ -100,68 +73,46 @@ impl BitmapCreateOp {
         bitmap: BitmapId,
         capacity_hint: usize,
         child: BoxedOperator,
-    ) -> Self {
+    ) -> Node<Self> {
         BitmapCreateOp {
-            id,
             key_columns,
             bitmap,
             capacity_hint: capacity_hint.max(64),
             child,
             keys_inserted: 0,
-            done: false,
         }
+        .at(id)
     }
 }
 
-impl Operator for BitmapCreateOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+impl Body for BitmapCreateOp {
+    fn open(&mut self, ctx: &ExecContext, _id: NodeId) {
         self.child.open(ctx);
     }
 
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if self.done {
-            return false;
-        }
-        if limit == 0 {
-            return true;
-        }
-        // Rows pass through unchanged; pull straight into `out`, then fold
-        // the appended slice into the bitmap.
-        let before = out.len();
-        if !self.child.next_batch(ctx, out, limit) {
-            self.done = true;
-            ctx.emit_bitmap_built(self.id, self.keys_inserted);
-            ctx.mark_close(self.id);
-            return false;
-        }
-        let got = (out.len() - before) as u64;
-        if got > 0 {
-            let mut scope = ctx.batch_charge(self.id);
-            for i in before..out.len() {
-                scope.cpu(ctx.cost.bitmap_row_ns);
-                let (row, cols) = (out.get(i), &self.key_columns);
-                if !cols_have_null(row, cols) {
-                    ctx.bitmap_insert(self.bitmap, cols_of(row, cols), self.capacity_hint);
-                    self.keys_inserted += 1;
-                }
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, limit: usize) -> bool {
+        let more = pass_through(self.child.as_mut(), ctx, id, out, limit, |scope, row| {
+            scope.cpu(ctx.cost.bitmap_row_ns);
+            let cols = &self.key_columns;
+            if !cols_have_null(row, cols) {
+                ctx.bitmap_insert(self.bitmap, cols_of(row, cols), self.capacity_hint);
+                self.keys_inserted += 1;
             }
-            ctx.count_input(self.id, got);
-            scope.finish_emitting(got);
+        });
+        if !more {
+            ctx.emit_bitmap_built(id, self.keys_inserted);
         }
-        true
+        more
     }
 
     fn close(&mut self, ctx: &ExecContext) {
         self.child.close(ctx);
-        ctx.mark_close(self.id);
     }
 
-    fn rewind(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+    fn rewind(&mut self, ctx: &ExecContext, _id: NodeId) {
         self.child.rewind(ctx);
         self.keys_inserted = 0;
-        self.done = false;
     }
 }
 
@@ -170,6 +121,7 @@ mod tests {
     use super::*;
     use crate::ops::scan::ConstantScanOp;
     use crate::ops::testing::drain;
+    use crate::ops::Operator;
     use lqs_plan::CostModel;
     use lqs_storage::{Database, Value};
 

@@ -6,11 +6,13 @@
 //! 1 for a row-at-a-time run); every run, fault-injected or not, goes
 //! through the same operator code.
 //!
-//! Every operator:
-//! * charges virtual CPU/I-O to its plan node as it works,
-//! * adds the rows it appended to its `kᵢ` (rows output) on every
-//!   `next_batch()`,
-//! * marks itself closed the first time it reports exhaustion,
+//! There is one lifecycle too: the tree is built from `Node`s, and
+//! `node.rs` is the only `impl Operator` — it stamps a plan node open, marks
+//! it closed the first time it reports exhaustion and re-opens it on a
+//! rewind, identically for every operator type. The operator files hold
+//! `Body`s, which only
+//! * charge virtual CPU/I-O to their plan node as they work,
+//! * add the rows they appended to their `kᵢ` (rows output) on every call,
 //!
 //! so DMV snapshots taken by the [`crate::context::ExecContext`] observe
 //! realistic mid-flight counter trajectories.
@@ -24,7 +26,7 @@
 //! operators cheaper per row (keys compared in place, no allocation per
 //! rebind — `ops/keys.rs`) keeps it, batching them would not.
 
-use crate::context::ExecContext;
+use crate::context::{BatchCharge, ExecContext};
 use lqs_plan::NodeId;
 use lqs_storage::Row;
 
@@ -36,6 +38,7 @@ mod keys;
 mod merge_join;
 mod misc;
 mod nested_loops;
+mod node;
 mod scan;
 mod seek;
 mod sort;
@@ -96,25 +99,6 @@ impl RowBatch {
         self.rows.clear();
     }
 
-    /// The `i`-th row (front = 0).
-    #[inline]
-    pub fn get(&self, i: usize) -> &Row {
-        &self.rows[i]
-    }
-
-    /// Replace the `i`-th row, returning nothing (the old row is dropped).
-    /// Used by 1:1 transform operators rewriting a child's output in place.
-    #[inline]
-    pub fn replace(&mut self, i: usize, row: Row) {
-        self.rows[i] = row;
-    }
-
-    /// Swap two rows. Used by in-place filtering to compact survivors.
-    #[inline]
-    pub fn swap(&mut self, i: usize, j: usize) {
-        self.rows.swap(i, j);
-    }
-
     /// Drop rows from the back until `len` remain.
     #[inline]
     pub fn truncate(&mut self, len: usize) {
@@ -136,11 +120,6 @@ impl RowBatch {
     pub fn iter(&self) -> std::collections::vec_deque::Iter<'_, Row> {
         self.rows.iter()
     }
-
-    /// Move all rows out into a `Vec`, leaving the batch empty.
-    pub fn take_rows(&mut self) -> Vec<Row> {
-        std::mem::take(&mut self.rows).into()
-    }
 }
 
 impl<'b> IntoIterator for &'b RowBatch {
@@ -151,7 +130,9 @@ impl<'b> IntoIterator for &'b RowBatch {
     }
 }
 
-/// The iterator interface every physical operator implements.
+/// The iterator interface of a plan node. It has one implementation,
+/// `node::Node`, which keeps the lifecycle half of the contract below for
+/// every operator; a new operator is a `node::Body`, not a new `impl`.
 pub trait Operator {
     /// Prepare for execution. Parents open children.
     fn open(&mut self, ctx: &ExecContext);
@@ -166,8 +147,11 @@ pub trait Operator {
     ///   an operator observes its input exhausted (and stamps its close
     ///   time), no rows of that input are still buffered in an ancestor's
     ///   in-progress batch;
-    /// * `false` is only returned by a call that appended nothing, and the
-    ///   operator marks itself closed on that call.
+    /// * `false` is only returned by a call that appended nothing; the node
+    ///   is marked closed on the first such call, and every later call
+    ///   returns `false` again without doing any work (`Node::next_batch`
+    ///   debug-asserts the first half, `tests/operator_lifecycle.rs` checks
+    ///   both for every operator).
     fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool;
     /// Release resources at end of query.
     fn close(&mut self, ctx: &ExecContext);
@@ -324,9 +308,10 @@ pub fn build_operator(
             child(0),
             child(1),
         )),
-        P::Exchange { kind, degree } => Box::new(exchange::ExchangeOp::new(
+        // The flavour (gather / repartition / distribute) only names the
+        // node; all three buffer and forward alike.
+        P::Exchange { degree, .. } => Box::new(exchange::ExchangeOp::new(
             n.id,
-            *kind,
             *degree,
             n.batch_mode,
             child(0),
@@ -365,7 +350,7 @@ pub(crate) fn pull_one(
     }
 }
 
-/// The `next_batch` tail of a row-at-a-time operator: count and append the
+/// The `produce` tail of a row-at-a-time operator: count and append the
 /// one row its state machine produced, or report exhaustion. One row per
 /// call (not a fill loop) is what keeps the zero-rows-in-flight guarantee
 /// of [`Operator::next_batch`] for these operators.
@@ -380,6 +365,36 @@ pub(crate) fn push_one(
     };
     ctx.count_output(id, 1);
     out.push(row);
+    true
+}
+
+/// The `produce` of a 1:1 pass-through operator (Compute Scalar, Segment,
+/// Top, RID Lookup, Bitmap Create; Concatenation, over the child it is
+/// draining): pull the child straight into `out`,
+/// then, under one scope, hand each appended row to `per_row` to charge for
+/// and — if the operator transforms — rewrite in place; count the rows in,
+/// settle, count them out. A child appends at most `limit` rows per call,
+/// so the appended range is always fully processed before the next pull and
+/// no row carries across calls.
+pub(crate) fn pass_through(
+    child: &mut dyn Operator,
+    ctx: &ExecContext,
+    id: NodeId,
+    out: &mut RowBatch,
+    limit: usize,
+    mut per_row: impl FnMut(&mut BatchCharge, &mut Row),
+) -> bool {
+    let before = out.len();
+    if !child.next_batch(ctx, out, limit) {
+        return false;
+    }
+    let n = (out.len() - before) as u64;
+    let mut scope = ctx.batch_charge(id);
+    for row in &mut out.contiguous_mut()[before..] {
+        per_row(&mut scope, row);
+    }
+    ctx.count_input(id, n);
+    scope.finish_emitting(n);
     true
 }
 

@@ -11,14 +11,14 @@
 //! buffer the outer driver node can reach 100% while the join has barely
 //! started (the failure mode the paper describes for driver-node progress).
 
+use super::node::{Body, Node};
 use super::sort::CONSUME_BATCH;
-use super::{concat_rows, null_row, pull_one, BoxedOperator, Operator, RowBatch};
+use super::{concat_rows, null_row, pull_one, BoxedOperator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{Expr, JoinKind, NodeId};
 use lqs_storage::Row;
 
 pub struct NestedLoopsOp {
-    id: NodeId,
     kind: JoinKind,
     predicate: Option<Expr>,
     outer_buffer: usize,
@@ -37,7 +37,6 @@ pub struct NestedLoopsOp {
     cur_matched: bool,
     /// One-row batch the inner-side pulls go through.
     inner_scratch: RowBatch,
-    done: bool,
 }
 
 impl NestedLoopsOp {
@@ -49,13 +48,12 @@ impl NestedLoopsOp {
         inner_arity: usize,
         outer: BoxedOperator,
         inner: BoxedOperator,
-    ) -> Self {
+    ) -> Node<Self> {
         assert!(
             kind != JoinKind::FullOuter,
             "nested loops cannot implement FULL OUTER joins"
         );
         NestedLoopsOp {
-            id,
             kind,
             predicate,
             outer_buffer: outer_buffer.max(1),
@@ -69,12 +67,12 @@ impl NestedLoopsOp {
             inner_opened: false,
             cur_matched: false,
             inner_scratch: RowBatch::with_capacity(1),
-            done: false,
         }
+        .at(id)
     }
 
     /// Prefetch up to `outer_buffer` outer rows (semi-blocking behaviour).
-    fn refill(&mut self, ctx: &ExecContext) {
+    fn refill(&mut self, ctx: &ExecContext, id: NodeId) {
         while self.buffer.len() < self.outer_buffer && !self.outer_done {
             let before = self.buffer.len();
             let want = (self.outer_buffer - before).min(CONSUME_BATCH);
@@ -83,31 +81,31 @@ impl NestedLoopsOp {
                 break;
             }
             let got = self.buffer.len() - before;
-            ctx.count_input(self.id, got as u64);
-            let mut scope = ctx.batch_charge(self.id);
+            ctx.count_input(id, got as u64);
+            let mut scope = ctx.batch_charge(id);
             for _ in 0..got {
                 scope.cpu(ctx.cost.nl_outer_row_ns);
             }
             scope.finish();
         }
-        ctx.set_buffered(self.id, self.buffer.len() as u64);
+        ctx.set_buffered(id, self.buffer.len() as u64);
     }
 
     /// Bind the next outer row and (re)start the inner side.
-    fn advance_outer(&mut self, ctx: &ExecContext) -> bool {
+    fn advance_outer(&mut self, ctx: &ExecContext, id: NodeId) -> bool {
         if self.ctx_pushed {
             ctx.pop_outer();
             self.ctx_pushed = false;
         }
         if self.buffer.is_empty() {
-            self.refill(ctx);
+            self.refill(ctx, id);
         }
         let Some(outer) = self.buffer.pop_front() else {
             self.cur_outer = None;
             return false;
         };
-        ctx.set_buffered(self.id, self.buffer.len() as u64);
-        ctx.count_processed(self.id, 1);
+        ctx.set_buffered(id, self.buffer.len() as u64);
+        ctx.count_processed(id, 1);
         ctx.push_outer(outer.clone());
         self.ctx_pushed = true;
         self.cur_outer = Some(outer);
@@ -123,14 +121,9 @@ impl NestedLoopsOp {
 
     /// The join loop: the next output row, already counted as output, or
     /// `None` once the outer side is exhausted.
-    fn next_row(&mut self, ctx: &ExecContext) -> Option<Row> {
-        if self.done {
-            return None;
-        }
+    fn next_row(&mut self, ctx: &ExecContext, id: NodeId) -> Option<Row> {
         loop {
-            if self.cur_outer.is_none() && !self.advance_outer(ctx) {
-                self.done = true;
-                ctx.mark_close(self.id);
+            if self.cur_outer.is_none() && !self.advance_outer(ctx, id) {
                 return None;
             }
             let outer = self.cur_outer.as_ref().expect("bound above");
@@ -139,7 +132,7 @@ impl NestedLoopsOp {
                     // One scope per pair: the pair's input count and CPU
                     // settle, then — if the pair produces a row — its
                     // output is counted at the settled clock.
-                    let mut scope = ctx.row_charge(self.id);
+                    let mut scope = ctx.row_charge(id);
                     scope.rows_in(1);
                     scope.cpu(ctx.cost.nl_pair_ns);
                     let combined = concat_rows(outer, &inner_row);
@@ -177,7 +170,7 @@ impl NestedLoopsOp {
                         JoinKind::LeftAnti if !self.cur_matched => outer,
                         _ => continue,
                     };
-                    ctx.count_output(self.id, 1);
+                    ctx.count_output(id, 1);
                     return Some(unmatched);
                 }
             }
@@ -185,21 +178,18 @@ impl NestedLoopsOp {
     }
 }
 
-impl Operator for NestedLoopsOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+impl Body for NestedLoopsOp {
+    fn open(&mut self, ctx: &ExecContext, _id: NodeId) {
         self.outer.open(ctx);
         // The inner child is opened lazily, once a correlation binding
         // exists.
     }
 
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if limit == 0 {
-            return true;
-        }
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, _: usize) -> bool {
         // `next_row` has counted the row; one row per call keeps the
         // zero-rows-in-flight guarantee of `Operator::next_batch`.
-        let Some(row) = self.next_row(ctx) else {
+        let Some(row) = self.next_row(ctx, id) else {
             return false;
         };
         out.push(row);
@@ -215,11 +205,9 @@ impl Operator for NestedLoopsOp {
         if self.inner_opened {
             self.inner.close(ctx);
         }
-        ctx.mark_close(self.id);
     }
 
-    fn rewind(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+    fn rewind(&mut self, ctx: &ExecContext, id: NodeId) {
         if self.ctx_pushed {
             ctx.pop_outer();
             self.ctx_pushed = false;
@@ -228,11 +216,10 @@ impl Operator for NestedLoopsOp {
         self.buffer.clear();
         // Keep the gauge in step with the discarded buffer (same phantom-rows
         // leak as the exchange rewind).
-        ctx.set_buffered(self.id, 0);
+        ctx.set_buffered(id, 0);
         self.outer_done = false;
         self.cur_outer = None;
         self.cur_matched = false;
-        self.done = false;
         // The inner child is rewound per outer row as usual.
     }
 }
@@ -242,6 +229,7 @@ mod tests {
     use super::*;
     use crate::ops::scan::ConstantScanOp;
     use crate::ops::testing::{drain, pull};
+    use crate::ops::Operator;
     use lqs_plan::{CostModel, Expr};
     use lqs_storage::{Database, Value};
 

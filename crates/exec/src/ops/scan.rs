@@ -2,7 +2,8 @@
 //! columnstore scan, and constant scan.
 
 use super::keys::cols_of;
-use super::{index_output_row, Operator, RowBatch};
+use super::node::{Body, Node};
+use super::{index_output_row, RowBatch};
 use crate::context::ExecContext;
 use crate::pred::CompiledPredicate;
 use lqs_plan::{BitmapProbe, CmpOp, Expr, IndexOutput, NodeId};
@@ -14,13 +15,11 @@ use lqs_storage::{ColumnstoreId, IndexId, Row, RowId, TableId, Value};
 /// against every stored row but only qualifying rows are emitted — the
 /// storage-engine-pushdown behaviour of §4.3.
 pub struct TableScanOp {
-    id: NodeId,
     table: TableId,
     predicate: Option<CompiledPredicate>,
     bitmap: Option<BitmapProbe>,
     pos: RowId,
     last_page: Option<usize>,
-    done: bool,
 }
 
 impl TableScanOp {
@@ -29,42 +28,30 @@ impl TableScanOp {
         table: TableId,
         predicate: Option<Expr>,
         bitmap: Option<BitmapProbe>,
-    ) -> Self {
+    ) -> Node<Self> {
         TableScanOp {
-            id,
             table,
             predicate: predicate.as_ref().map(CompiledPredicate::compile),
             bitmap,
             pos: 0,
             last_page: None,
-            done: false,
         }
+        .at(id)
     }
 }
 
-impl Operator for TableScanOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
-    }
-
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if self.done {
-            return false;
-        }
-        if limit == 0 {
-            return true;
-        }
+impl Body for TableScanOp {
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, limit: usize) -> bool {
         let table = ctx.db.table(self.table);
         let preds = self.predicate.is_some() as u8 as f64;
         let row_cpu = ctx.cost.scan_row_ns + preds * ctx.cost.pred_row_ns;
         let mut appended = 0usize;
-        let mut scope = ctx.batch_charge(self.id);
+        let mut scope = ctx.batch_charge(id);
         while appended < limit {
             if self.pos >= table.row_count() {
                 if appended == 0 {
                     scope.finish();
-                    self.done = true;
-                    ctx.mark_close(self.id);
                     return false;
                 }
                 break;
@@ -95,22 +82,15 @@ impl Operator for TableScanOp {
         true
     }
 
-    fn close(&mut self, ctx: &ExecContext) {
-        ctx.mark_close(self.id);
-    }
-
-    fn rewind(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+    fn rewind(&mut self, _ctx: &ExecContext, _id: NodeId) {
         self.pos = 0;
         self.last_page = None;
-        self.done = false;
     }
 }
 
 /// Ordered scan of a B+tree index, charging one logical read per leaf node
 /// visited. Emits either full base rows or `(key..., rid)`.
 pub struct IndexScanOp {
-    id: NodeId,
     index: IndexId,
     predicate: Option<CompiledPredicate>,
     bitmap: Option<BitmapProbe>,
@@ -119,7 +99,6 @@ pub struct IndexScanOp {
     /// `pos / LEAF_FANOUT`.
     pos: usize,
     last_leaf: Option<usize>,
-    done: bool,
 }
 
 impl IndexScanOp {
@@ -129,44 +108,32 @@ impl IndexScanOp {
         predicate: Option<Expr>,
         bitmap: Option<BitmapProbe>,
         output: IndexOutput,
-    ) -> Self {
+    ) -> Node<Self> {
         IndexScanOp {
-            id,
             index,
             predicate: predicate.as_ref().map(CompiledPredicate::compile),
             bitmap,
             output,
             pos: 0,
             last_leaf: None,
-            done: false,
         }
+        .at(id)
     }
 }
 
-impl Operator for IndexScanOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
-    }
-
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if self.done {
-            return false;
-        }
-        if limit == 0 {
-            return true;
-        }
+impl Body for IndexScanOp {
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, limit: usize) -> bool {
         let rids = ctx.db.btree(self.index).rids();
         let table_id = ctx.db.btree_table(self.index);
         let preds = self.predicate.is_some() as u8 as f64;
         let row_cpu = ctx.cost.scan_row_ns + preds * ctx.cost.pred_row_ns;
         let mut appended = 0usize;
-        let mut scope = ctx.batch_charge(self.id);
+        let mut scope = ctx.batch_charge(id);
         while appended < limit {
             if self.pos >= rids.len() {
                 if appended == 0 {
                     scope.finish();
-                    self.done = true;
-                    ctx.mark_close(self.id);
                     return false;
                 }
                 break;
@@ -197,15 +164,9 @@ impl Operator for IndexScanOp {
         true
     }
 
-    fn close(&mut self, ctx: &ExecContext) {
-        ctx.mark_close(self.id);
-    }
-
-    fn rewind(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+    fn rewind(&mut self, _ctx: &ExecContext, _id: NodeId) {
         self.pos = 0;
         self.last_leaf = None;
-        self.done = false;
     }
 }
 
@@ -214,14 +175,12 @@ impl Operator for IndexScanOp {
 /// segment's qualifying rows. Progress for this operator is tracked in
 /// *segments processed*, not GetNext calls.
 pub struct ColumnstoreScanOp {
-    id: NodeId,
     columnstore: ColumnstoreId,
     predicate: Option<Expr>,
     bitmap: Option<BitmapProbe>,
     seg: usize,
     pending: Vec<Row>,
     pending_pos: usize,
-    done: bool,
 }
 
 impl ColumnstoreScanOp {
@@ -230,17 +189,16 @@ impl ColumnstoreScanOp {
         columnstore: ColumnstoreId,
         predicate: Option<Expr>,
         bitmap: Option<BitmapProbe>,
-    ) -> Self {
+    ) -> Node<Self> {
         ColumnstoreScanOp {
-            id,
             columnstore,
             predicate,
             bitmap,
             seg: 0,
             pending: Vec::new(),
             pending_pos: 0,
-            done: false,
         }
+        .at(id)
     }
 
     /// Extract simple `[lo, hi]` bounds per column from a conjunctive
@@ -270,7 +228,7 @@ impl ColumnstoreScanOp {
     }
 
     /// Load the next segment into `pending`. Returns false when exhausted.
-    fn load_segment(&mut self, ctx: &ExecContext) -> bool {
+    fn load_segment(&mut self, ctx: &ExecContext, id: NodeId) -> bool {
         let cs = ctx.db.columnstore(self.columnstore);
         let bounds = self.range_bounds();
         loop {
@@ -286,12 +244,12 @@ impl ColumnstoreScanOp {
             if eliminated {
                 // Metadata-only: the segment counts as processed but costs
                 // almost nothing.
-                ctx.charge_cpu(self.id, 100.0);
-                ctx.count_segment(self.id);
+                ctx.charge_cpu(id, 100.0);
+                ctx.count_segment(id);
                 continue;
             }
-            ctx.charge_io(self.id, ctx.cost.segment_io_pages as u64);
-            ctx.charge_cpu(self.id, seg.row_count as f64 * ctx.cost.batch_row_ns);
+            ctx.charge_io(id, ctx.cost.segment_io_pages as u64);
+            ctx.charge_cpu(id, seg.row_count as f64 * ctx.cost.batch_row_ns);
             self.pending.clear();
             self.pending_pos = 0;
             for off in 0..seg.row_count {
@@ -308,7 +266,7 @@ impl ColumnstoreScanOp {
                 }
                 self.pending.push(row);
             }
-            ctx.count_segment(self.id);
+            ctx.count_segment(id);
             if !self.pending.is_empty() {
                 return true;
             }
@@ -316,18 +274,9 @@ impl ColumnstoreScanOp {
     }
 }
 
-impl Operator for ColumnstoreScanOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
-    }
-
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if self.done {
-            return false;
-        }
-        if limit == 0 {
-            return true;
-        }
+impl Body for ColumnstoreScanOp {
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, limit: usize) -> bool {
         loop {
             let avail = self.pending.len() - self.pending_pos;
             if avail > 0 {
@@ -336,68 +285,42 @@ impl Operator for ColumnstoreScanOp {
                     out.push(self.pending[self.pending_pos].clone());
                     self.pending_pos += 1;
                 }
-                ctx.count_output(self.id, n as u64);
+                ctx.count_output(id, n as u64);
                 return true;
             }
-            if !self.load_segment(ctx) {
-                self.done = true;
-                ctx.mark_close(self.id);
+            if !self.load_segment(ctx, id) {
                 return false;
             }
         }
     }
 
-    fn close(&mut self, ctx: &ExecContext) {
-        ctx.mark_close(self.id);
-    }
-
-    fn rewind(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+    fn rewind(&mut self, _ctx: &ExecContext, _id: NodeId) {
         self.seg = 0;
         self.pending.clear();
         self.pending_pos = 0;
-        self.done = false;
     }
 }
 
 /// In-plan constant rows.
 pub struct ConstantScanOp {
-    id: NodeId,
     rows: Vec<Vec<Value>>,
     pos: usize,
-    done: bool,
 }
 
 impl ConstantScanOp {
-    pub(crate) fn new(id: NodeId, rows: Vec<Vec<Value>>) -> Self {
-        ConstantScanOp {
-            id,
-            rows,
-            pos: 0,
-            done: false,
-        }
+    pub(crate) fn new(id: NodeId, rows: Vec<Vec<Value>>) -> Node<Self> {
+        ConstantScanOp { rows, pos: 0 }.at(id)
     }
 }
 
-impl Operator for ConstantScanOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
-    }
-
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if self.done {
-            return false;
-        }
-        if limit == 0 {
-            return true;
-        }
+impl Body for ConstantScanOp {
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, limit: usize) -> bool {
         let n = (self.rows.len() - self.pos).min(limit);
         if n == 0 {
-            self.done = true;
-            ctx.mark_close(self.id);
             return false;
         }
-        let mut scope = ctx.batch_charge(self.id);
+        let mut scope = ctx.batch_charge(id);
         for _ in 0..n {
             scope.cpu(2.0);
             out.push(self.rows[self.pos].clone().into());
@@ -407,13 +330,7 @@ impl Operator for ConstantScanOp {
         true
     }
 
-    fn close(&mut self, ctx: &ExecContext) {
-        ctx.mark_close(self.id);
-    }
-
-    fn rewind(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+    fn rewind(&mut self, _ctx: &ExecContext, _id: NodeId) {
         self.pos = 0;
-        self.done = false;
     }
 }

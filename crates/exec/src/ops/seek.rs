@@ -1,6 +1,7 @@
 //! Index seeks (point, range, and correlated) and RID lookups.
 
-use super::{index_output_row, Operator, RowBatch};
+use super::node::{Body, Node};
+use super::{index_output_row, pass_through, BoxedOperator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{Expr, IndexOutput, NodeId, SeekKey, SeekRange};
 use lqs_storage::{IndexId, RowId, TableId, Value};
@@ -11,7 +12,6 @@ use lqs_storage::{IndexId, RowId, TableId, Value};
 /// A rebind happens once per outer row, so the bounds and the matching rids
 /// live in buffers the operator keeps across rebinds.
 pub struct IndexSeekOp {
-    id: NodeId,
     index: IndexId,
     seek: SeekRange,
     residual: Option<Expr>,
@@ -25,7 +25,6 @@ pub struct IndexSeekOp {
     rids: Vec<RowId>,
     pos: usize,
     executed: bool,
-    done: bool,
 }
 
 impl IndexSeekOp {
@@ -35,9 +34,8 @@ impl IndexSeekOp {
         seek: SeekRange,
         residual: Option<Expr>,
         output: IndexOutput,
-    ) -> Self {
+    ) -> Node<Self> {
         IndexSeekOp {
-            id,
             index,
             seek,
             residual,
@@ -47,11 +45,11 @@ impl IndexSeekOp {
             rids: Vec::new(),
             pos: 0,
             executed: false,
-            done: false,
         }
+        .at(id)
     }
 
-    fn run_seek(&mut self, ctx: &ExecContext) {
+    fn run_seek(&mut self, ctx: &ExecContext, id: NodeId) {
         let resolve = |key: &SeekKey| match key {
             SeekKey::Lit(v) => v.clone(),
             SeekKey::OuterRef(c) => ctx.with_outer(|outer| outer[*c].clone()),
@@ -81,33 +79,22 @@ impl IndexSeekOp {
             ix.seek_range_into(Some(&self.lo), lo_inc, Some(hi), hi_inc, &mut self.rids)
         };
         self.pos = 0;
-        ctx.charge_io(self.id, reads as u64);
+        ctx.charge_io(id, reads as u64);
     }
 }
 
-impl Operator for IndexSeekOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
-        self.executed = false;
-        self.done = false;
-    }
-
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if self.done {
-            return false;
-        }
-        if limit == 0 {
-            return true;
-        }
+impl Body for IndexSeekOp {
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, limit: usize) -> bool {
         if !self.executed {
             self.executed = true;
-            self.run_seek(ctx);
+            self.run_seek(ctx, id);
         }
         let table_id = ctx.db.btree_table(self.index);
         let mut appended = 0u64;
         // An exhausted seek (every rebind ends on one) opens no scope.
         if self.pos < self.rids.len() {
-            let mut scope = ctx.batch_charge(self.id);
+            let mut scope = ctx.batch_charge(id);
             while self.pos < self.rids.len() && (appended as usize) < limit {
                 let rid = self.rids[self.pos];
                 self.pos += 1;
@@ -123,22 +110,11 @@ impl Operator for IndexSeekOp {
             }
             scope.finish_emitting(appended);
         }
-        if appended == 0 {
-            self.done = true;
-            ctx.mark_close(self.id);
-            return false;
-        }
-        true
+        appended > 0
     }
 
-    fn close(&mut self, ctx: &ExecContext) {
-        ctx.mark_close(self.id);
-    }
-
-    fn rewind(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+    fn rewind(&mut self, _ctx: &ExecContext, _id: NodeId) {
         self.executed = false;
-        self.done = false;
         self.rids.clear();
         self.pos = 0;
     }
@@ -148,48 +124,24 @@ impl Operator for IndexSeekOp {
 /// the RID (produced by a `KeyAndRid` index access). Charges one random
 /// page read per row.
 pub struct RidLookupOp {
-    id: NodeId,
     table: TableId,
-    child: super::BoxedOperator,
-    done: bool,
+    child: BoxedOperator,
 }
 
 impl RidLookupOp {
-    pub(crate) fn new(id: NodeId, table: TableId, child: super::BoxedOperator) -> Self {
-        RidLookupOp {
-            id,
-            table,
-            child,
-            done: false,
-        }
+    pub(crate) fn new(id: NodeId, table: TableId, child: BoxedOperator) -> Node<Self> {
+        RidLookupOp { table, child }.at(id)
     }
 }
 
-impl Operator for RidLookupOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+impl Body for RidLookupOp {
+    fn open(&mut self, ctx: &ExecContext, _id: NodeId) {
         self.child.open(ctx);
     }
 
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if self.done {
-            return false;
-        }
-        if limit == 0 {
-            return true;
-        }
-        // 1:1 transform rewritten in place over the child's appended range
-        // (see FilterOp::next_batch for why no rows carry across calls).
-        let before = out.len();
-        if !self.child.next_batch(ctx, out, limit) {
-            self.done = true;
-            ctx.mark_close(self.id);
-            return false;
-        }
-        let n = out.len() - before;
-        let mut scope = ctx.batch_charge(self.id);
-        let rows = out.contiguous_mut();
-        for row in &mut rows[before..] {
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, limit: usize) -> bool {
+        pass_through(self.child.as_mut(), ctx, id, out, limit, |scope, row| {
             let rid = row
                 .last()
                 .and_then(Value::as_int)
@@ -198,20 +150,14 @@ impl Operator for RidLookupOp {
             scope.io(ctx.cost.rid_lookup_pages as u64);
             scope.cpu(ctx.cost.seek_row_ns);
             *row = ctx.db.table(self.table).row(rid).clone();
-        }
-        ctx.count_input(self.id, n as u64);
-        scope.finish_emitting(n as u64);
-        true
+        })
     }
 
     fn close(&mut self, ctx: &ExecContext) {
         self.child.close(ctx);
-        ctx.mark_close(self.id);
     }
 
-    fn rewind(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+    fn rewind(&mut self, ctx: &ExecContext, _id: NodeId) {
         self.child.rewind(ctx);
-        self.done = false;
     }
 }

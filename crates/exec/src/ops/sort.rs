@@ -7,7 +7,8 @@
 //! output phase, so DMV snapshots observe the same two-phase counter shape
 //! as the real engine (input rows climbing while `k = 0`, then `k` climbing).
 
-use super::{BoxedOperator, Operator, RowBatch};
+use super::node::{Body, Node};
+use super::{BoxedOperator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::{CostModel, NodeId, SortKey};
 use lqs_storage::Row;
@@ -23,7 +24,6 @@ enum Phase {
 
 /// Unified Sort / Top N Sort / Distinct Sort operator.
 pub struct SortOp {
-    id: NodeId,
     keys: Vec<SortKey>,
     /// `Some(n)` = Top N Sort.
     top_n: Option<usize>,
@@ -33,7 +33,6 @@ pub struct SortOp {
     buffer: Vec<Row>,
     pos: usize,
     phase: Phase,
-    done: bool,
 }
 
 impl SortOp {
@@ -43,9 +42,8 @@ impl SortOp {
         top_n: Option<usize>,
         distinct: bool,
         child: BoxedOperator,
-    ) -> Self {
+    ) -> Node<Self> {
         SortOp {
-            id,
             keys,
             top_n,
             distinct,
@@ -53,11 +51,11 @@ impl SortOp {
             buffer: Vec::new(),
             pos: 0,
             phase: Phase::Input,
-            done: false,
         }
+        .at(id)
     }
 
-    fn consume_input(&mut self, ctx: &ExecContext) {
+    fn consume_input(&mut self, ctx: &ExecContext, id: NodeId) {
         // Per-row input cost: comparisons against the run being built. The
         // log factor uses the limit for Top N sorts (bounded heap).
         let top_n_depth = self.top_n.map(|n| CostModel::log2_rows(n as f64));
@@ -65,8 +63,8 @@ impl SortOp {
         // the caller's limit, so its chunk size changes no close event.
         let mut scratch = RowBatch::with_capacity(CONSUME_BATCH);
         while self.child.next_batch(ctx, &mut scratch, CONSUME_BATCH) {
-            ctx.count_input(self.id, scratch.len() as u64);
-            let mut scope = ctx.batch_charge(self.id);
+            ctx.count_input(id, scratch.len() as u64);
+            let mut scope = ctx.batch_charge(id);
             while let Some(row) = scratch.pop_front() {
                 let depth = top_n_depth
                     .unwrap_or_else(|| CostModel::log2_rows((self.buffer.len() + 1) as f64));
@@ -86,7 +84,7 @@ impl SortOp {
         }
         self.phase = Phase::Output;
         self.pos = 0;
-        ctx.emit_phase(self.id, "blocking", "emit");
+        ctx.emit_phase(id, "blocking", "emit");
     }
 }
 
@@ -102,31 +100,23 @@ fn compare_rows(keys: &[SortKey], a: &Row, b: &Row) -> Ordering {
     Ordering::Equal
 }
 
-impl Operator for SortOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+impl Body for SortOp {
+    fn open(&mut self, ctx: &ExecContext, _id: NodeId) {
         self.child.open(ctx);
     }
 
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if self.done {
-            return false;
-        }
-        if limit == 0 {
-            return true;
-        }
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, limit: usize) -> bool {
         if matches!(self.phase, Phase::Input) {
-            self.consume_input(ctx);
+            self.consume_input(ctx, id);
         }
         let n = (self.buffer.len() - self.pos).min(limit);
         if n == 0 {
-            self.done = true;
-            ctx.mark_close(self.id);
             return false;
         }
         let log_n = CostModel::log2_rows(self.buffer.len() as f64);
         let row_cpu = ctx.cost.sort_cmp_ns * log_n * (1.0 - ctx.cost.sort_input_fraction);
-        let mut scope = ctx.batch_charge(self.id);
+        let mut scope = ctx.batch_charge(id);
         for row in &self.buffer[self.pos..self.pos + n] {
             scope.cpu(row_cpu);
             out.push(row.clone());
@@ -138,16 +128,13 @@ impl Operator for SortOp {
 
     fn close(&mut self, ctx: &ExecContext) {
         self.child.close(ctx);
-        ctx.mark_close(self.id);
     }
 
-    fn rewind(&mut self, ctx: &ExecContext) {
+    fn rewind(&mut self, ctx: &ExecContext, _id: NodeId) {
         // Rewind = replay the sorted buffer (a rebind without correlation
         // change does not re-sort, matching the engine's rewind semantics).
-        ctx.mark_open(self.id);
         if matches!(self.phase, Phase::Output) {
             self.pos = 0;
-            self.done = false;
         } else {
             self.child.rewind(ctx);
         }
@@ -160,6 +147,7 @@ mod tests {
     use crate::context::ExecContext;
     use crate::ops::scan::ConstantScanOp;
     use crate::ops::testing::{drain, pull};
+    use crate::ops::Operator;
     use lqs_storage::{Database, Value};
 
     fn run_sort(keys: Vec<SortKey>, top_n: Option<usize>, distinct: bool) -> Vec<i64> {

@@ -6,14 +6,14 @@
 //! through incrementally. Both charge spill I/O at a configurable
 //! rows-per-page rate.
 
+use super::node::{Body, Node};
 use super::sort::CONSUME_BATCH;
-use super::{BoxedOperator, Operator, RowBatch};
+use super::{BoxedOperator, RowBatch};
 use crate::context::ExecContext;
 use lqs_plan::NodeId;
 use lqs_storage::Row;
 
 pub struct SpoolOp {
-    id: NodeId,
     lazy: bool,
     child: BoxedOperator,
     buffer: Vec<Row>,
@@ -25,15 +25,11 @@ pub struct SpoolOp {
     scratch: RowBatch,
     /// True once the child is exhausted and `buffer` is complete.
     populated: bool,
-    /// True when a rewind switched us to replay mode.
-    replaying: bool,
-    done: bool,
 }
 
 impl SpoolOp {
-    pub(crate) fn new(id: NodeId, lazy: bool, child: BoxedOperator) -> Self {
+    pub(crate) fn new(id: NodeId, lazy: bool, child: BoxedOperator) -> Node<Self> {
         SpoolOp {
-            id,
             lazy,
             child,
             buffer: Vec::new(),
@@ -42,16 +38,15 @@ impl SpoolOp {
             pos: 0,
             scratch: RowBatch::default(),
             populated: false,
-            replaying: false,
-            done: false,
         }
+        .at(id)
     }
 
-    fn populate_all(&mut self, ctx: &ExecContext) {
+    fn populate_all(&mut self, ctx: &ExecContext, id: NodeId) {
         let mut scratch = RowBatch::with_capacity(CONSUME_BATCH);
         while self.child.next_batch(ctx, &mut scratch, CONSUME_BATCH) {
-            ctx.count_input(self.id, scratch.len() as u64);
-            let mut scope = ctx.batch_charge(self.id);
+            ctx.count_input(id, scratch.len() as u64);
+            let mut scope = ctx.batch_charge(id);
             while let Some(row) = scratch.pop_front() {
                 scope.cpu(ctx.cost.spool_write_row_ns);
                 self.write_pending += 1.0;
@@ -63,66 +58,52 @@ impl SpoolOp {
             }
             scope.finish();
         }
-        if !self.populated {
-            self.populated = true;
-            ctx.emit_phase(self.id, "write", "replay");
-        }
+        self.populated = true;
+        ctx.emit_phase(id, "write", "replay");
     }
 }
 
-impl Operator for SpoolOp {
-    fn open(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
+impl Body for SpoolOp {
+    fn open(&mut self, ctx: &ExecContext, _id: NodeId) {
         self.child.open(ctx);
     }
 
-    fn next_batch(&mut self, ctx: &ExecContext, out: &mut RowBatch, limit: usize) -> bool {
-        if self.done {
-            return false;
-        }
-        if limit == 0 {
-            return true;
-        }
+    #[inline]
+    fn produce(&mut self, ctx: &ExecContext, id: NodeId, out: &mut RowBatch, limit: usize) -> bool {
         if !self.lazy && !self.populated {
-            self.populate_all(ctx);
+            self.populate_all(ctx, id);
             self.pos = 0;
         }
-        if self.replaying || !self.lazy || self.populated {
+        if self.populated {
             // Serving from the buffer.
             let n = (self.buffer.len() - self.pos).min(limit);
-            if n > 0 {
-                let mut scope = ctx.batch_charge(self.id);
-                for i in self.pos..self.pos + n {
-                    scope.cpu(ctx.cost.spool_read_row_ns);
-                    self.read_pending += 1.0;
-                    if self.read_pending >= ctx.cost.spool_rows_per_page {
-                        self.read_pending -= ctx.cost.spool_rows_per_page;
-                        scope.io(1);
-                    }
-                    out.push(self.buffer[i].clone());
-                }
-                self.pos += n;
-                scope.finish_emitting(n as u64);
-                return true;
-            }
-            if !self.lazy || self.populated || self.replaying {
-                self.done = true;
-                ctx.mark_close(self.id);
+            if n == 0 {
                 return false;
             }
+            let mut scope = ctx.batch_charge(id);
+            for i in self.pos..self.pos + n {
+                scope.cpu(ctx.cost.spool_read_row_ns);
+                self.read_pending += 1.0;
+                if self.read_pending >= ctx.cost.spool_rows_per_page {
+                    self.read_pending -= ctx.cost.spool_rows_per_page;
+                    scope.io(1);
+                }
+                out.push(self.buffer[i].clone());
+            }
+            self.pos += n;
+            scope.finish_emitting(n as u64);
+            return true;
         }
         // Lazy first pass: copy a chunk through.
         self.scratch.clear();
         if !self.child.next_batch(ctx, &mut self.scratch, limit) {
             self.populated = true;
-            ctx.emit_phase(self.id, "write", "replay");
-            self.done = true;
-            ctx.mark_close(self.id);
+            ctx.emit_phase(id, "write", "replay");
             return false;
         }
         let n = self.scratch.len() as u64;
-        ctx.count_input(self.id, n);
-        let mut scope = ctx.batch_charge(self.id);
+        ctx.count_input(id, n);
+        let mut scope = ctx.batch_charge(id);
         while let Some(row) = self.scratch.pop_front() {
             scope.cpu(ctx.cost.spool_write_row_ns);
             self.write_pending += 1.0;
@@ -141,24 +122,18 @@ impl Operator for SpoolOp {
 
     fn close(&mut self, ctx: &ExecContext) {
         self.child.close(ctx);
-        ctx.mark_close(self.id);
     }
 
-    fn rewind(&mut self, ctx: &ExecContext) {
-        ctx.mark_open(self.id);
-        if self.lazy && !self.populated {
-            // Rewound before the first pass completed: finish populating so
-            // the replay is complete. (Matches engine behaviour: a lazy
-            // spool rewound mid-stream re-reads what it has and continues
-            // from the child.)
-            self.populate_all(ctx);
-        } else if !self.lazy && !self.populated {
-            self.populate_all(ctx);
+    fn rewind(&mut self, ctx: &ExecContext, id: NodeId) {
+        // Rewound before the first pass completed (or before it began):
+        // finish populating so the replay is complete. (Matches engine
+        // behaviour: a lazy spool rewound mid-stream re-reads what it has
+        // and continues from the child.)
+        if !self.populated {
+            self.populate_all(ctx, id);
         }
-        self.replaying = true;
         self.scratch.clear();
         self.pos = 0;
-        self.done = false;
     }
 }
 
@@ -167,6 +142,7 @@ mod tests {
     use super::*;
     use crate::ops::scan::ConstantScanOp;
     use crate::ops::testing::{drain, pull};
+    use crate::ops::Operator;
     use lqs_plan::CostModel;
     use lqs_storage::{Database, Value};
 

@@ -44,7 +44,7 @@ pub mod store;
 pub use metrics::HistoryMetrics;
 pub use scan::{
     history_from_scan, scan_history, scan_session_curve, CurvePoint, EstimatorAccuracy,
-    FleetHistory, FleetNode, HistoryResolver, ModeThroughput, NodeAttribution, Pctls, ResolvedPlan,
+    FleetHistory, FleetNode, HistoryResolver, NodeAttribution, Pctls, ResolvedPlan,
     SessionCurveScan, SessionHistory, WorkloadPercentiles,
 };
 pub use store::{

@@ -236,26 +236,6 @@ pub struct FleetNode {
     pub logical_reads: u64,
 }
 
-/// Throughput of the fleet's sessions segmented by the execution mode
-/// their journals record — the number that shows whether the vectorized
-/// path's speedup survives in production, not just in benches.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ModeThroughput {
-    /// The journaled execution mode.
-    pub mode: JournalExecMode,
-    /// All sessions journaled under this mode, any outcome.
-    pub sessions: usize,
-    /// Sessions that ran to completion (the throughput population).
-    pub succeeded: usize,
-    /// Rows returned across succeeded sessions.
-    pub total_rows: u64,
-    /// Virtual runtime summed across succeeded sessions.
-    pub total_runtime_ns: u64,
-    /// Rows returned per virtual second across succeeded sessions
-    /// (0 when no succeeded session or zero runtime).
-    pub rows_per_virtual_sec: f64,
-}
-
 /// Accuracy summary for the population of sessions served by one ensemble
 /// estimator selection (as journaled at terminal time).
 #[derive(Debug, Clone)]
@@ -333,43 +313,6 @@ impl FleetHistory {
             error_avg: (!errors.is_empty()).then(|| Pctls::from_samples(errors)),
             error_time: (!error_times.is_empty()).then(|| Pctls::from_samples(error_times)),
         }
-    }
-
-    /// Throughput segmented by journaled execution mode, in stable
-    /// `unknown, tuple, batch` order; modes with no sessions are omitted.
-    pub fn throughput_by_mode(&self) -> Vec<ModeThroughput> {
-        [
-            JournalExecMode::Unknown,
-            JournalExecMode::Tuple,
-            JournalExecMode::Batch,
-        ]
-        .into_iter()
-        .filter_map(|mode| {
-            let all: Vec<&SessionHistory> = self
-                .sessions
-                .iter()
-                .filter(|s| s.exec_mode == mode)
-                .collect();
-            if all.is_empty() {
-                return None;
-            }
-            let done: Vec<&&SessionHistory> = all.iter().filter(|s| s.succeeded()).collect();
-            let total_rows: u64 = done.iter().map(|s| s.rows_returned).sum();
-            let total_runtime_ns: u64 = done.iter().map(|s| s.runtime_ns).sum();
-            Some(ModeThroughput {
-                mode,
-                sessions: all.len(),
-                succeeded: done.len(),
-                total_rows,
-                total_runtime_ns,
-                rows_per_virtual_sec: if total_runtime_ns == 0 {
-                    0.0
-                } else {
-                    total_rows as f64 * 1e9 / total_runtime_ns as f64
-                },
-            })
-        })
-        .collect()
     }
 
     /// Accuracy segmented by the estimator that served each session, sorted

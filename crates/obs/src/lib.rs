@@ -11,9 +11,9 @@
 //! skip event construction entirely when `is_recording()` is false, so
 //! untraced runs pay almost nothing), [`RingBufferSink`] (bounded
 //! single-threaded in-memory capture with drop-oldest overflow), and
-//! [`SharedRingSink`] (the same semantics behind a mutex, `Send + Sync`,
-//! for concurrent sessions sharing one capture buffer — e.g. an
-//! `lqs-server` worker pool).
+//! [`SharedSessionSink`] (the same semantics behind a mutex, `Send + Sync`,
+//! every event tagged with its session, for concurrent sessions sharing
+//! one capture buffer — e.g. an `lqs-server` worker pool).
 //!
 //! Captured traces export two ways (see [`export`]):
 //! - JSONL — one event per line, loss-free, reparseable with
@@ -30,6 +30,6 @@ pub use export::{
     SessionTraceExport,
 };
 pub use sink::{
-    EventKind, EventSink, NullSink, RingBufferSink, SessionEvent, SessionTap, SharedRingSink,
-    SharedSessionSink, TraceEvent,
+    EventKind, EventSink, NullSink, RingBufferSink, SessionEvent, SessionTap, SharedSessionSink,
+    TraceEvent,
 };

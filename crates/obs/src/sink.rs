@@ -203,59 +203,13 @@ impl EventSink for RingBufferSink {
     }
 }
 
-/// A `Send + Sync` ring-buffer sink for concurrent sessions: the same
-/// drop-oldest semantics as [`RingBufferSink`], but mutex-protected so
-/// worker threads can emit while other threads drain. One lock per event
-/// is acceptable here — sessions that care about tracing overhead attach a
-/// per-session [`RingBufferSink`] instead and merge post-hoc.
-#[derive(Debug)]
-pub struct SharedRingSink(Mutex<Ring<TraceEvent>>);
-
-impl SharedRingSink {
-    /// A sink retaining at most `capacity` events (min 1).
-    pub fn new(capacity: usize) -> Self {
-        SharedRingSink(Mutex::new(Ring::new(capacity)))
-    }
-
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
-        lock(&self.0).items()
-    }
-
-    /// Drain all retained events, oldest first, leaving the sink empty.
-    pub fn drain(&self) -> Vec<TraceEvent> {
-        lock(&self.0).buf.drain(..).collect()
-    }
-
-    /// Number of events evicted due to capacity.
-    pub fn dropped(&self) -> u64 {
-        lock(&self.0).dropped
-    }
-
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        lock(&self.0).buf.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl EventSink for SharedRingSink {
-    fn emit(&self, event: TraceEvent) {
-        lock(&self.0).push(event);
-    }
-}
-
 /// A [`TraceEvent`] tagged with the session that emitted it.
 ///
-/// A plain [`SharedRingSink`] merges concurrent sessions into one stream
-/// with no attribution — fine for counting, useless for rendering, since
-/// two sessions' node 0 spans interleave on the same lane. The session tag
-/// restores attribution so exporters can keep sessions apart (one Chrome
-/// trace `pid` per session, see [`crate::export::to_chrome_trace_sessions`]).
+/// Concurrent sessions merged into one untagged stream would be fine for
+/// counting but useless for rendering, since two sessions' node 0 spans
+/// interleave on the same lane. The session tag keeps attribution so
+/// exporters can keep sessions apart (one Chrome trace `pid` per session,
+/// see [`crate::export::to_chrome_trace_sessions`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionEvent {
     /// Caller-chosen session identifier (e.g. an `lqs-server` session id).
@@ -266,7 +220,8 @@ pub struct SessionEvent {
 
 /// A `Send + Sync` ring buffer of [`SessionEvent`]s shared by many
 /// concurrent sessions, with the same drop-oldest overflow accounting as
-/// [`SharedRingSink`]. Sessions attach through [`SharedSessionSink::tap`],
+/// [`RingBufferSink`] but mutex-protected, so worker threads can emit while
+/// other threads drain. Sessions attach through [`SharedSessionSink::tap`],
 /// which stamps every emitted event with that session's id.
 #[derive(Debug)]
 pub struct SharedSessionSink(Mutex<Ring<SessionEvent>>);
@@ -361,42 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_ring_sink_is_thread_safe() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SharedRingSink>();
-
-        let sink = Arc::new(SharedRingSink::new(1000));
-        let handles: Vec<_> = (0..4)
-            .map(|t| {
-                let sink = Arc::clone(&sink);
-                std::thread::spawn(move || {
-                    for i in 0..100 {
-                        sink.emit(ev(t * 1000 + i));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(sink.len(), 400);
-        assert_eq!(sink.dropped(), 0);
-        assert_eq!(sink.drain().len(), 400);
-        assert!(sink.is_empty());
-    }
-
-    #[test]
-    fn shared_ring_sink_drops_oldest() {
-        let sink = SharedRingSink::new(3);
-        for t in 0..5 {
-            sink.emit(ev(t));
-        }
-        assert_eq!(sink.dropped(), 2);
-        let kept: Vec<u64> = sink.events().iter().map(|e| e.ts_ns).collect();
-        assert_eq!(kept, vec![2, 3, 4]);
-    }
-
-    #[test]
     fn session_sink_tags_and_drops_across_sessions() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<SharedSessionSink>();
@@ -422,28 +341,18 @@ mod tests {
 
     #[test]
     fn shared_sinks_survive_a_panic_under_their_lock() {
-        let ring = SharedRingSink::new(3);
         let sessions = Arc::new(SharedSessionSink::new(3));
-        ring.emit(ev(0));
         sessions.tap(7).emit(ev(0));
         std::thread::scope(|s| {
             let poisoner = s.spawn(|| {
-                let _ring = ring.0.lock().unwrap();
                 let _sessions = sessions.0.lock().unwrap();
-                panic!("poison both sinks");
+                panic!("poison the sink");
             });
             assert!(poisoner.join().is_err());
         });
-        assert!(ring.0.is_poisoned() && sessions.0.is_poisoned());
+        assert!(sessions.0.is_poisoned());
 
-        for t in 1..4 {
-            ring.emit(ev(t));
-        }
         sessions.tap(9).emit(ev(1)); // a later tap still lands
-        assert_eq!((ring.len(), ring.dropped()), (3, 1));
-        assert_eq!(ring.events().len(), 3);
-        assert_eq!(ring.drain().len(), 3);
-        assert!(ring.is_empty());
         assert_eq!((sessions.len(), sessions.dropped()), (2, 0));
         let tagged: Vec<u64> = sessions.events().iter().map(|e| e.session).collect();
         assert_eq!(tagged, vec![7, 9]);

@@ -125,19 +125,6 @@ impl PhysicalPlan {
         out.push(id);
     }
 
-    /// Whether `ancestor` is on the path from `node` to the root
-    /// (inclusive of `node == ancestor`).
-    pub fn is_ancestor_or_self(&self, ancestor: NodeId, node: NodeId) -> bool {
-        let mut cur = Some(node);
-        while let Some(id) = cur {
-            if id == ancestor {
-                return true;
-            }
-            cur = self.node(id).parent;
-        }
-        false
-    }
-
     /// Render the plan as an indented tree, showplan-style.
     pub fn display_tree(&self) -> String {
         let mut out = String::new();

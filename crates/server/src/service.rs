@@ -349,20 +349,10 @@ impl QueryService {
             .is_some_and(|b| b.active.load(Ordering::Acquire))
     }
 
-    /// The shared history store, when running predicted-cost admission.
-    pub fn history_store(&self) -> Option<&Arc<HistoryStore>> {
-        self.cost_admission.as_ref().map(|c| &c.store)
-    }
-
     /// Outstanding predicted CPU cost of admitted, unfinished sessions
     /// (`None` unless running predicted-cost admission).
     pub fn predicted_outstanding_ns(&self) -> Option<u64> {
         self.cost_admission.as_ref().map(|c| c.outstanding_cpu_ns())
-    }
-
-    /// Sessions currently admitted and waiting for a worker.
-    pub fn queued_now(&self) -> usize {
-        self.queued_depth.load(Ordering::Acquire)
     }
 
     /// The database this service executes against.

@@ -109,17 +109,6 @@ impl Table {
         self.rows.push(row.into());
         Ok(rid)
     }
-
-    /// Bulk insert; stops at the first schema violation.
-    pub fn insert_all<I>(&mut self, rows: I) -> Result<(), SchemaError>
-    where
-        I: IntoIterator<Item = Vec<Value>>,
-    {
-        for r in rows {
-            self.insert(r)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

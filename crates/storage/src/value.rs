@@ -67,14 +67,6 @@ impl Value {
         }
     }
 
-    /// The date payload, if this is a `Date`.
-    pub fn as_date(&self) -> Option<i32> {
-        match self {
-            Value::Date(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// The logical type of this value, used for schema checking.
     pub fn data_type(&self) -> DataType {
         match self {

@@ -17,7 +17,7 @@
 use crate::rng::{seeded, string_pool, Zipf};
 use crate::suite::{NamedQuery, Workload, WorkloadScale};
 use lqs_plan::{
-    AggFunc, Aggregate, ExchangeKind, Expr, IndexOutput, JoinKind, NodeId, PhysicalOp, PlanBuilder,
+    AggFunc, Aggregate, ExchangeKind, Expr, IndexOutput, JoinKind, PhysicalOp, PlanBuilder,
     SeekKey, SeekRange, SortKey,
 };
 use lqs_storage::{
@@ -1006,11 +1006,6 @@ fn cs_queries(t: &TpchDb) -> Vec<NamedQuery> {
     }
 
     out
-}
-
-/// Node id of the root of query `name`'s plan (test helper).
-pub fn root_of(q: &NamedQuery) -> NodeId {
-    q.plan.root()
 }
 
 #[cfg(test)]
