@@ -235,11 +235,7 @@ fn history(out: Option<&str>) {
     let service = metered_service(&fx, &registry, 2)
         .with_journal(journal)
         .with_admission_limit(64)
-        .with_cost_admission(
-            Arc::clone(&store),
-            u64::MAX / 4,
-            Some(history_metrics.clone()),
-        );
+        .with_cost_admission(Arc::clone(&store), u64::MAX / 4);
 
     // Round 1: the store is cold — every submission is an explicit
     // no-history miss that falls back to the fixed limit, then warms the

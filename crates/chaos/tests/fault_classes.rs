@@ -11,8 +11,7 @@ use lqs_metrics::MetricsRegistry;
 use lqs_plan::{AggFunc, Aggregate, NodeId, PhysicalPlan, PlanBuilder};
 use lqs_progress::EstimatorConfig;
 use lqs_server::{
-    PollerMetrics, QueryService, QuerySpec, RegistryPoller, ServiceMetrics, SessionResult,
-    SessionState,
+    PollerMetrics, QueryService, QuerySpec, RegistryPoller, SessionResult, SessionState,
 };
 use lqs_storage::{Column, DataType, Database, Schema, Table, Value};
 use std::sync::{Arc, Condvar, Mutex};
@@ -42,23 +41,10 @@ fn fixture() -> (Arc<Database>, Arc<PhysicalPlan>) {
     (Arc::new(db), Arc::new(plan))
 }
 
-fn service_with_metrics(
-    db: &Arc<Database>,
-    workers: usize,
-) -> (QueryService, Arc<MetricsRegistry>) {
-    let registry = Arc::new(MetricsRegistry::new());
-    let service = QueryService::with_metrics(
-        Arc::clone(db),
-        workers,
-        ServiceMetrics::new(Arc::clone(&registry)),
-    );
-    (service, registry)
-}
-
 #[test]
 fn permanent_io_error_fails_session_and_pool_survives() {
     let (db, plan) = fixture();
-    let (service, _registry) = service_with_metrics(&db, 2);
+    let service = QueryService::new(Arc::clone(&db), 2);
     let fp = FaultPlan::named("disk-dead").io_error_at(2, false);
 
     let h = service
@@ -80,7 +66,8 @@ fn permanent_io_error_fails_session_and_pool_survives() {
 #[test]
 fn transient_io_error_is_retried_within_budget() {
     let (db, plan) = fixture();
-    let (service, registry) = service_with_metrics(&db, 1);
+    let service = QueryService::new(Arc::clone(&db), 1);
+    let registry = service.metrics().registry();
     // One transient error, budget of two retries: attempt 1 faults,
     // attempt 2 (the fault already consumed) completes.
     let fp = FaultPlan::named("disk-hiccup")
@@ -102,7 +89,8 @@ fn transient_io_error_is_retried_within_budget() {
 #[test]
 fn transient_io_error_without_budget_fails_cleanly() {
     let (db, plan) = fixture();
-    let (service, registry) = service_with_metrics(&db, 1);
+    let service = QueryService::new(Arc::clone(&db), 1);
+    let registry = service.metrics().registry();
     let fp = FaultPlan::named("disk-hiccup").io_error_at(2, true);
 
     let h = service.submit(
@@ -118,7 +106,7 @@ fn transient_io_error_without_budget_fails_cleanly() {
 #[test]
 fn operator_panic_fails_session_and_pool_survives() {
     let (db, plan) = fixture();
-    let (service, _registry) = service_with_metrics(&db, 1);
+    let service = QueryService::new(Arc::clone(&db), 1);
     let fp = FaultPlan::named("op-bug").panic_at(64, false);
 
     let h = service
@@ -139,7 +127,7 @@ fn operator_panic_fails_session_and_pool_survives() {
 #[test]
 fn operator_stall_inflates_virtual_duration_only() {
     let (db, plan) = fixture();
-    let (service, _registry) = service_with_metrics(&db, 1);
+    let service = QueryService::new(Arc::clone(&db), 1);
     const STALL_NS: u64 = 2_000_000;
 
     let clean = service.submit(QuerySpec::new("q-clean", Arc::clone(&plan)));
@@ -168,7 +156,7 @@ fn operator_stall_inflates_virtual_duration_only() {
 #[test]
 fn lossy_channel_still_converges_to_full_progress() {
     let (db, plan) = fixture();
-    let (service, _registry) = service_with_metrics(&db, 1);
+    let service = QueryService::new(Arc::clone(&db), 1);
     let fp = FaultPlan::named("lossy")
         .drop_snapshots(0.3)
         .delay_snapshots(0.3, 4)
@@ -248,13 +236,8 @@ impl FaultInjector for Gate {
 #[test]
 fn full_admission_queue_rejects_cleanly() {
     let (db, plan) = fixture();
-    let registry = Arc::new(MetricsRegistry::new());
-    let service = QueryService::with_metrics(
-        Arc::clone(&db),
-        1,
-        ServiceMetrics::new(Arc::clone(&registry)),
-    )
-    .with_admission_limit(2);
+    let service = QueryService::new(Arc::clone(&db), 1).with_admission_limit(2);
+    let registry = service.metrics().registry();
 
     let gate = Arc::new(Gate::new());
     let blocker = service
@@ -293,7 +276,7 @@ fn full_admission_queue_rejects_cleanly() {
 #[test]
 fn flaky_poll_path_backs_off_and_serves_cached_reports() {
     let (db, plan) = fixture();
-    let (service, _sreg) = service_with_metrics(&db, 1);
+    let service = QueryService::new(Arc::clone(&db), 1);
     let mreg = Arc::new(MetricsRegistry::new());
     let fp = FaultPlan::named("bad-client").flaky_polls(1.0);
     let mut poller = RegistryPoller::new(

@@ -86,24 +86,6 @@ pub trait SnapshotPublisher: Sync {
     fn publish(&self, snapshot: &DmvSnapshot);
 }
 
-/// Fans every publish out to two sinks, in order — the combinator for
-/// feeding one snapshot stream to both a live surface and a durability
-/// sink (e.g. a session's DMV slot *and* its write-ahead journal) without
-/// either knowing about the other.
-pub struct TeePublisher<'a> {
-    /// First sink (published before `second`).
-    pub first: &'a dyn SnapshotPublisher,
-    /// Second sink.
-    pub second: &'a dyn SnapshotPublisher,
-}
-
-impl SnapshotPublisher for TeePublisher<'_> {
-    fn publish(&self, snapshot: &DmvSnapshot) {
-        self.first.publish(snapshot);
-        self.second.publish(snapshot);
-    }
-}
-
 thread_local! {
     /// Depth of [`catch_query_abort`] frames on this thread. The quiet
     /// abort hook stays fully silent only when a frame is active (the

@@ -68,6 +68,9 @@ pub struct ExecHooks<'a> {
     pub deadline_ns: Option<u64>,
     /// Records the run's final counters into metric families at close time.
     /// Aborted runs record nothing (their counters are not totals).
+    /// Optional on purpose, unlike the server's handles: the bare engine is
+    /// a real caller (the ledger's `bare_real3` runs without it,
+    /// `steady_real3` with it).
     pub metrics: Option<&'a crate::metrics::ExecMetrics>,
     /// Deterministic fault oracle consulted on every I/O charge and every
     /// output row, from inside the charging scopes — so a fault-injected

@@ -41,7 +41,6 @@ mod pred;
 
 pub use context::{
     AbortReason, BatchCharge, CancellationToken, ExecContext, QueryAborted, SnapshotPublisher,
-    TeePublisher,
 };
 pub use dmv::{DmvSnapshot, NodeCounters};
 pub use executor::{

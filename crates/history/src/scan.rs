@@ -13,7 +13,7 @@
 use crate::store::{plan_features, PlanFeatures};
 use lqs_journal::{
     list_sessions, read_session, scan_dir, JournalExecMode, JournalScan, RecoveredSession,
-    SessionMeta, TerminalKind,
+    SessionMeta,
 };
 use lqs_metrics::percentile;
 use lqs_plan::PhysicalPlan;
@@ -387,16 +387,6 @@ impl FleetHistory {
     }
 }
 
-fn terminal_label(kind: TerminalKind) -> &'static str {
-    match kind {
-        TerminalKind::Succeeded => "succeeded",
-        TerminalKind::Cancelled => "cancelled",
-        TerminalKind::DeadlineExceeded => "deadline_exceeded",
-        TerminalKind::Failed => "failed",
-        TerminalKind::Rejected => "rejected",
-    }
-}
-
 /// Build one session's history from its recovered journal stream. `score`
 /// runs the §5 accuracy replay (the dominant cost, one estimator pass per
 /// snapshot); without it `error_avg`/`error_time` are `None`.
@@ -462,31 +452,14 @@ fn session_history(
         })
         .unwrap_or_default();
 
-    // §5 accuracy replay, bit-identical to the offline harness and the
-    // poller's online scoring: the terminal publish is the last journaled
-    // snapshot, everything before it is the mid-run trace.
-    let succeeded = session
-        .terminal
-        .as_ref()
-        .is_some_and(|t| t.kind == TerminalKind::Succeeded);
-    let (error_avg, error_time_v) = match (&resolved, &session.meta, score && succeeded) {
-        (Some(r), Some(meta), true) if !session.snapshots.is_empty() => {
-            let (final_snap, trace) = session
-                .snapshots
-                .split_last()
-                .expect("non-empty checked above");
-            let terminal = session
-                .terminal
-                .as_ref()
-                .expect("succeeded implies terminal");
-            let run = lqs_exec::QueryRun {
-                snapshots: trace.to_vec(),
-                final_counters: final_snap.nodes.clone(),
-                duration_ns: terminal.at_ns,
-                rows_returned: terminal.rows_returned,
-                cost_model: meta.cost_model.clone(),
-                node_elapsed_ns: Vec::new(),
-            };
+    // §5 accuracy replay of the journaled run, bit-identical to the offline
+    // harness and the poller's online scoring. A run none of whose
+    // snapshots survived has nothing to score.
+    let scored = (resolved.as_ref())
+        .filter(|_| score && !session.snapshots.is_empty())
+        .and_then(|r| Some((r, session.completed_run()?)));
+    let (error_avg, error_time_v) = match scored {
+        Some((r, run)) => {
             let est = ProgressEstimator::with_cost_model(
                 &r.plan,
                 &r.db,
@@ -499,7 +472,7 @@ fn session_history(
                 Some(error_time(&run, &estimates)),
             )
         }
-        _ => (None, None),
+        None => (None, None),
     };
 
     SessionHistory {
@@ -518,7 +491,7 @@ fn session_history(
         plan_fingerprint: session.meta.as_ref().map_or(0, |m| m.plan_fingerprint),
         outcome: match (&session.meta, &session.terminal) {
             (None, _) => "unreadable",
-            (_, Some(t)) => terminal_label(t.kind),
+            (_, Some(t)) => t.kind.as_str(),
             (_, None) => "interrupted",
         },
         runtime_ns: session.end_ts_ns(),

@@ -16,11 +16,11 @@
 //! the session.
 
 use crate::record::{
-    AlertRecord, EstimatorRecord, Record, SegmentHeader, SessionMeta, TerminalRecord,
+    AlertRecord, EstimatorRecord, Record, SegmentHeader, SessionMeta, TerminalKind, TerminalRecord,
     MAX_PAYLOAD_BYTES, SEGMENT_HEADER_BYTES,
 };
 use crate::writer::parse_segment_file_name;
-use lqs_exec::DmvSnapshot;
+use lqs_exec::{DmvSnapshot, NodeCounters, QueryRun};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
@@ -58,6 +58,48 @@ impl RecoveredSession {
     /// process died.
     pub fn is_interrupted(&self) -> bool {
         self.terminal.is_none()
+    }
+
+    /// The publish stream of a session that reached its terminal record,
+    /// split by the rule every consumer of a finished journal relies on:
+    /// the terminal publish (`complete` / `abort`) journaled the final or
+    /// partial counters as the *last* snapshot record, and everything
+    /// before it is the mid-run trace the engine recorded in
+    /// `QueryRun::snapshots`. Returns `(terminal record, trace, terminal
+    /// publish)`. With no snapshot at all (`Failed` / `Rejected` publish
+    /// nothing) the terminal publish is an all-zero counter state, so
+    /// consumers still see one row per plan node. `None` without a meta or
+    /// a terminal record.
+    pub fn terminal_publish(&self) -> Option<(&TerminalRecord, &[DmvSnapshot], DmvSnapshot)> {
+        let (meta, terminal) = (self.meta.as_ref()?, self.terminal.as_ref()?);
+        Some(match self.snapshots.split_last() {
+            Some((last, trace)) => (terminal, trace, last.clone()),
+            None => (
+                terminal,
+                &[],
+                DmvSnapshot {
+                    ts_ns: terminal.at_ns,
+                    nodes: vec![NodeCounters::default(); meta.n_nodes as usize],
+                },
+            ),
+        })
+    }
+
+    /// The run a `Succeeded` session completed, rebuilt from its journal by
+    /// [`terminal_publish`](Self::terminal_publish)'s rule — what recovery
+    /// re-attaches and history replays, bit-identical to the uninterrupted
+    /// run but for `node_elapsed_ns`, which is not journaled.
+    pub fn completed_run(&self) -> Option<QueryRun> {
+        let meta = self.meta.as_ref()?;
+        let (terminal, trace, last) = self.terminal_publish()?;
+        (terminal.kind == TerminalKind::Succeeded).then(|| QueryRun {
+            snapshots: trace.to_vec(),
+            final_counters: last.nodes,
+            duration_ns: terminal.at_ns,
+            rows_returned: terminal.rows_returned,
+            cost_model: meta.cost_model.clone(),
+            node_elapsed_ns: Vec::new(),
+        })
     }
 
     /// Virtual timestamp of the newest surviving snapshot.

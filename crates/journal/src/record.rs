@@ -311,6 +311,18 @@ pub enum TerminalKind {
 }
 
 impl TerminalKind {
+    /// Stable lowercase label (metric/JSON value); the same words
+    /// `lqs-server`'s `state_label` uses for the matching session states.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            TerminalKind::Succeeded => "succeeded",
+            TerminalKind::Cancelled => "cancelled",
+            TerminalKind::DeadlineExceeded => "deadline_exceeded",
+            TerminalKind::Failed => "failed",
+            TerminalKind::Rejected => "rejected",
+        }
+    }
+
     fn to_tag(self) -> u8 {
         match self {
             TerminalKind::Succeeded => 0,

@@ -156,12 +156,14 @@ pub struct RetentionSweep {
 pub struct Journal {
     config: JournalConfig,
     epoch: u32,
-    metrics: Option<JournalMetrics>,
+    metrics: JournalMetrics,
     breaker: Arc<CircuitBreaker>,
 }
 
 impl Journal {
     /// Create or reopen the journal directory, claiming the next epoch.
+    /// Telemetry is recorded into a registry of the journal's own until
+    /// [`with_metrics`](Self::with_metrics) names a shared one.
     pub fn open(config: JournalConfig) -> std::io::Result<Journal> {
         std::fs::create_dir_all(&config.dir)?;
         let mut max_epoch = None;
@@ -177,13 +179,14 @@ impl Journal {
             epoch: max_epoch.map_or(0, |m| m + 1),
             breaker: Arc::new(CircuitBreaker::new(config.breaker)),
             config,
-            metrics: None,
+            metrics: JournalMetrics::new(Arc::default()),
         })
     }
 
-    /// Record journal telemetry into `metrics`.
+    /// Record journal telemetry into `metrics` (a shared registry's
+    /// handle) instead of the journal's own.
     pub fn with_metrics(mut self, metrics: JournalMetrics) -> Journal {
-        self.metrics = Some(metrics);
+        self.metrics = metrics;
         self
     }
 
@@ -197,9 +200,9 @@ impl Journal {
         self.epoch
     }
 
-    /// The journal's metrics, if attached.
-    pub fn metrics(&self) -> Option<&JournalMetrics> {
-        self.metrics.as_ref()
+    /// The journal's metrics.
+    pub fn metrics(&self) -> &JournalMetrics {
+        &self.metrics
     }
 
     /// The write-path circuit breaker shared by every writer of this
@@ -281,9 +284,7 @@ impl Journal {
                 sessions_deleted += 1;
             }
         }
-        if let Some(m) = &self.metrics {
-            m.set_journal_bytes(total);
-        }
+        self.metrics.set_journal_bytes(total);
         Ok(RetentionSweep {
             bytes_before,
             bytes_after: total,
@@ -425,7 +426,7 @@ impl WriterInner {
 /// journaling on a fresh segment.
 pub struct SessionJournal {
     inner: Mutex<WriterInner>,
-    metrics: Option<JournalMetrics>,
+    metrics: JournalMetrics,
     breaker: Arc<CircuitBreaker>,
     /// Logical records lost to failed or suppressed appends. Non-zero
     /// means this session's journal has a gap: `durable: false`.
@@ -459,9 +460,7 @@ impl SessionJournal {
         let admit = self.breaker.admit();
         if admit == WriteAdmit::Suppress {
             self.lost.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.records_suppressed.inc();
-            }
+            self.metrics.records_suppressed.inc();
             return false;
         }
         let mut inner = self.lock_inner();
@@ -471,18 +470,14 @@ impl SessionJournal {
             inner.needs_rotate = true;
             inner.write_errors += 1;
             self.lost.fetch_add(1, Ordering::Relaxed);
-            if let Some(m) = &self.metrics {
-                m.write_errors.inc();
-            }
+            self.metrics.write_errors.inc();
         }
         let session_id = inner.session_id;
         drop(inner);
         match self.breaker.record_outcome(admit, ok) {
             BreakerEvent::Tripped => {
-                if let Some(m) = &self.metrics {
-                    m.breaker_trips.inc();
-                    m.set_breaker_state(BreakerState::Open);
-                }
+                self.metrics.breaker_trips.inc();
+                self.metrics.set_breaker_state(BreakerState::Open);
                 if let Err(e) = &result {
                     eprintln!(
                         "lqs-journal: circuit breaker tripped open after repeated I/O \
@@ -492,24 +487,18 @@ impl SessionJournal {
                 }
             }
             BreakerEvent::Recovered => {
-                if let Some(m) = &self.metrics {
-                    m.breaker_recoveries.inc();
-                    m.set_breaker_state(BreakerState::Closed);
-                }
+                self.metrics.breaker_recoveries.inc();
+                self.metrics.set_breaker_state(BreakerState::Closed);
             }
-            BreakerEvent::Reopened => {
-                if let Some(m) = &self.metrics {
-                    m.set_breaker_state(BreakerState::Open);
-                }
-            }
+            BreakerEvent::Reopened => self.metrics.set_breaker_state(BreakerState::Open),
             BreakerEvent::None => {}
         }
         ok
     }
 
     fn record_fsync(&self, seconds: Option<f64>) {
-        if let (Some(m), Some(s)) = (&self.metrics, seconds) {
-            m.fsync_seconds.observe(s);
+        if let Some(s) = seconds {
+            self.metrics.fsync_seconds.observe(s);
         }
     }
 
@@ -548,8 +537,8 @@ impl SessionJournal {
             Ok(())
         });
         self.record_fsync(fsynced);
-        if let (Some(m), true) = (&self.metrics, ok) {
-            m.records_appended.inc();
+        if ok {
+            self.metrics.records_appended.inc();
         }
         ok
     }
@@ -571,9 +560,7 @@ impl SessionJournal {
                     inner.needs_rotate = true;
                     self.lost.fetch_add(1, Ordering::Relaxed);
                 }
-                if let Some(m) = &self.metrics {
-                    m.write_errors.inc();
-                }
+                self.metrics.write_errors.inc();
                 None
             }
         };
@@ -693,15 +680,6 @@ fn rotate_and_run(
         inner.needs_rotate = false;
     }
     f(inner)
-}
-
-/// A session journal is itself a snapshot sink, so it composes with
-/// [`lqs_exec::TeePublisher`]: tee the engine's publishes into the live DMV
-/// slot and the journal in one hook.
-impl lqs_exec::SnapshotPublisher for SessionJournal {
-    fn publish(&self, snapshot: &lqs_exec::DmvSnapshot) {
-        self.append_snapshot(snapshot);
-    }
 }
 
 #[cfg(test)]

@@ -117,6 +117,8 @@ pub struct HistoryEndpoints {
     /// that one route answer 404.
     pub store: Option<Arc<HistoryStore>>,
     /// Prediction telemetry for HTTP-issued predictions and cold misses.
+    /// The one server-side handle still optional: the ledger builds this
+    /// struct literally, so the field's type rides with ROADMAP item 1.
     pub metrics: Option<HistoryMetrics>,
 }
 

@@ -26,12 +26,15 @@
 //!   durations, operator close-time totals) and [`PollerMetrics`] (poll
 //!   latency, snapshot staleness, and *online estimator-accuracy scoring*:
 //!   each completed session's estimate trace is replayed against its
-//!   ground truth and folded into per-workload error histograms) record
-//!   into a shared [`lqs_metrics::MetricsRegistry`], which
-//!   [`MetricsServer`] exposes over HTTP (`GET /metrics` in Prometheus
-//!   text format, `GET /sessions` as JSON). Accuracy is scored on the
-//!   first poll that sees a session terminal, so poll once after
-//!   completion before evicting.
+//!   ground truth and folded into per-workload error histograms) are
+//!   always recorded: there is no telemetry-off path. Every component
+//!   (service, journal, poller, watchdog, recovery) starts with a handle
+//!   over a private [`lqs_metrics::MetricsRegistry`], and its
+//!   `with_metrics` only chooses *where* it records — hand each the same
+//!   registry and [`MetricsServer`] exposes the whole stack over HTTP
+//!   (`GET /metrics` in Prometheus text format, `GET /sessions` as JSON).
+//!   Accuracy is scored on the first poll that sees a session terminal,
+//!   so poll once after completion before evicting.
 //! * Durability — started via [`QueryService::with_journal`], every
 //!   session appends its published snapshots and terminal state to a
 //!   per-session [`lqs_journal`] write-ahead journal; orderly shutdown

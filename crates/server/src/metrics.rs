@@ -209,6 +209,11 @@ impl PollerMetrics {
         }
     }
 
+    /// The registry behind this instance.
+    pub fn registry(&self) -> &Arc<MetricsRegistry> {
+        &self.registry
+    }
+
     /// Update the per-session gauges after estimating one session.
     /// `progress` is the Equation 2 figure in `[0, 1]`; `age_us` the
     /// wall-clock snapshot age in microseconds (gauges are integers, so

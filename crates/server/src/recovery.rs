@@ -22,9 +22,10 @@
 //! the plan, refusing to re-attach when the fingerprint no longer matches
 //! (a changed plan would silently produce wrong estimator weights).
 
+use crate::metrics::state_label;
 use crate::registry::SessionRegistry;
 use crate::session::{QuerySpec, SessionHandle, SessionId, SessionResult, SessionState};
-use lqs_exec::{AbortReason, AbortedQuery, DmvSnapshot, ExecOptions, NodeCounters, QueryRun};
+use lqs_exec::{AbortReason, AbortedQuery, ExecOptions, QueryRun};
 use lqs_journal::{
     plan_fingerprint, scan_dir, JournalMetrics, JournalScan, RecoveredSession, SessionMeta,
     TerminalKind,
@@ -76,12 +77,7 @@ impl RecoveredOutcome {
     /// The `outcome` label on `lqs_sessions_recovered_total`.
     pub fn label(self) -> &'static str {
         match self {
-            RecoveredOutcome::Restored(SessionState::Succeeded) => "succeeded",
-            RecoveredOutcome::Restored(SessionState::Cancelled) => "cancelled",
-            RecoveredOutcome::Restored(SessionState::DeadlineExceeded) => "deadline_exceeded",
-            RecoveredOutcome::Restored(SessionState::Failed) => "failed",
-            RecoveredOutcome::Restored(SessionState::Rejected) => "rejected",
-            RecoveredOutcome::Restored(_) => "restored",
+            RecoveredOutcome::Restored(state) => state_label(state),
             RecoveredOutcome::Orphaned => "orphaned",
             RecoveredOutcome::Unreadable => "unreadable",
             RecoveredOutcome::Unresolved => "unresolved",
@@ -150,22 +146,29 @@ impl RecoveryReport {
 /// Rebuilds a [`SessionRegistry`] from a journal directory.
 pub struct RecoveryManager {
     resolver: Box<dyn PlanResolver>,
-    metrics: Option<JournalMetrics>,
+    metrics: JournalMetrics,
 }
 
 impl RecoveryManager {
-    /// A manager resolving plans through `resolver`.
+    /// A manager resolving plans through `resolver`, counting outcomes into
+    /// a registry of its own.
     pub fn new(resolver: impl PlanResolver + 'static) -> Self {
         RecoveryManager {
             resolver: Box::new(resolver),
-            metrics: None,
+            metrics: JournalMetrics::new(Arc::default()),
         }
     }
 
-    /// Record recovery outcomes and scan corruption into `metrics`.
+    /// Record recovery outcomes and scan corruption into `metrics` (a
+    /// shared registry's handle) instead of the manager's own.
     pub fn with_metrics(mut self, metrics: JournalMetrics) -> Self {
-        self.metrics = Some(metrics);
+        self.metrics = metrics;
         self
+    }
+
+    /// The manager's telemetry.
+    pub fn metrics(&self) -> &JournalMetrics {
+        &self.metrics
     }
 
     /// Scan `dir` and register every recoverable session into `registry`.
@@ -180,9 +183,7 @@ impl RecoveryManager {
 
     /// Register every recoverable session of an already-performed scan.
     pub fn recover_scan(&self, scan: &JournalScan, registry: &SessionRegistry) -> RecoveryReport {
-        if let Some(m) = &self.metrics {
-            m.add_corrupt_records(scan.corrupt_records);
-        }
+        self.metrics.add_corrupt_records(scan.corrupt_records);
         let mut report = RecoveryReport {
             sessions: Vec::with_capacity(scan.sessions.len()),
             corrupt_records: scan.corrupt_records,
@@ -190,9 +191,7 @@ impl RecoveryManager {
         };
         for session in &scan.sessions {
             let summary = self.recover_session(session, registry);
-            if let Some(m) = &self.metrics {
-                m.session_recovered(summary.outcome.label());
-            }
+            self.metrics.session_recovered(summary.outcome.label());
             report.sessions.push(summary);
         }
         report
@@ -249,7 +248,7 @@ fn restore_handle(
     session: &RecoveredSession,
     meta: &SessionMeta,
 ) -> RecoveredOutcome {
-    let Some(terminal) = &session.terminal else {
+    let Some((terminal, trace, last)) = session.terminal_publish() else {
         // Died mid-run: the last journaled snapshot is the session's
         // last-known progress; pollers estimate from it at Degraded.
         handle.restore(
@@ -259,27 +258,11 @@ fn restore_handle(
         );
         return RecoveredOutcome::Orphaned;
     };
-    // The terminal publish (`complete`/`abort`) journaled the final/partial
-    // counters as the *last* snapshot record; everything before it is the
-    // mid-run trace the engine recorded in `QueryRun::snapshots`.
-    let (trace, last) = match session.snapshots.split_last() {
-        Some((last, trace)) => (trace.to_vec(), last.clone()),
-        // Terminal record without any snapshot (possible only for Failed /
-        // Rejected, which publish nothing): synthesize an all-zero counter
-        // state so downstream consumers still see one row per plan node.
-        None => (
-            Vec::new(),
-            DmvSnapshot {
-                ts_ns: terminal.at_ns,
-                nodes: vec![NodeCounters::default(); meta.n_nodes as usize],
-            },
-        ),
-    };
     let (state, result, snapshot) = match terminal.kind {
         TerminalKind::Succeeded => (
             SessionState::Succeeded,
             SessionResult::Completed(Box::new(QueryRun {
-                snapshots: trace,
+                snapshots: trace.to_vec(),
                 final_counters: last.nodes.clone(),
                 duration_ns: terminal.at_ns,
                 rows_returned: terminal.rows_returned,
@@ -302,7 +285,7 @@ fn restore_handle(
                 SessionResult::Aborted(AbortedQuery {
                     reason,
                     at_ns: terminal.at_ns,
-                    snapshots: trace,
+                    snapshots: trace.to_vec(),
                     partial_counters: last.nodes.clone(),
                 }),
                 Some(last),

@@ -179,7 +179,7 @@ pub struct RegistryPoller {
     /// [`Self::with_ensemble`] names the standard six.
     lineup: Box<Lineup>,
     states: HashMap<SessionId, PollState>,
-    metrics: Option<PollerMetrics>,
+    metrics: PollerMetrics,
     /// Client-side fault injection on the poll path (chaos testing).
     poll_fault: Option<Box<dyn PollFaultInjector>>,
     /// Completed [`Self::poll`] rounds — the backoff time axis.
@@ -193,14 +193,15 @@ pub struct RegistryPoller {
 }
 
 impl RegistryPoller {
-    /// A poller over `registry`, estimating with `config`.
+    /// A poller over `registry`, estimating with `config` and recording its
+    /// telemetry into a registry of its own.
     pub fn new(db: Arc<Database>, registry: Arc<SessionRegistry>, config: EstimatorConfig) -> Self {
         RegistryPoller {
             db,
             registry,
             lineup: lineup_of_one(config),
             states: HashMap::new(),
-            metrics: None,
+            metrics: PollerMetrics::new(Arc::default()),
             poll_fault: None,
             round: 0,
             stale_after: Duration::from_secs(1),
@@ -224,10 +225,16 @@ impl RegistryPoller {
     }
 
     /// Record poll latency, snapshot staleness, and estimator accuracy
-    /// into `metrics`.
+    /// into `metrics` (a shared registry's handle) instead of the poller's
+    /// own.
     pub fn with_metrics(mut self, metrics: PollerMetrics) -> Self {
-        self.metrics = Some(metrics);
+        self.metrics = metrics;
         self
+    }
+
+    /// The poller's telemetry.
+    pub fn metrics(&self) -> &PollerMetrics {
+        &self.metrics
     }
 
     /// Inject transient poll failures (chaos testing).
@@ -251,24 +258,20 @@ impl RegistryPoller {
         let sessions = self.registry.sessions();
         let mut out = Vec::with_capacity(sessions.len());
         for handle in sessions {
-            if let Some(metrics) = &self.metrics {
-                // Staleness of the poller's view: age of the snapshot this
-                // very poll is about to estimate from, running sessions only
-                // (a terminal session's snapshot is final, not stale).
-                if handle.state() == SessionState::Running {
-                    if let Some(age) = handle.snapshot_age() {
-                        metrics.snapshot_age_seconds.observe(age.as_secs_f64());
-                    }
+            // Staleness of the poller's view: age of the snapshot this very
+            // poll is about to estimate from, running sessions only (a
+            // terminal session's snapshot is final, not stale).
+            if handle.state() == SessionState::Running {
+                if let Some(age) = handle.snapshot_age() {
+                    self.metrics.snapshot_age_seconds.observe(age.as_secs_f64());
                 }
             }
             out.push(self.poll_session(&handle));
         }
-        if let Some(metrics) = &self.metrics {
-            metrics
-                .poll_latency_seconds
-                .observe(started.elapsed().as_secs_f64());
-            metrics.update_quantile_gauges();
-        }
+        self.metrics
+            .poll_latency_seconds
+            .observe(started.elapsed().as_secs_f64());
+        self.metrics.update_quantile_gauges();
         out
     }
 
@@ -289,9 +292,7 @@ impl RegistryPoller {
         // time axis), and serve the cached report.
         if let Some(fault) = &self.poll_fault {
             if fault.poll_fails(id, self.round) {
-                if let Some(metrics) = &self.metrics {
-                    metrics.poll_faults.inc();
-                }
+                self.metrics.poll_faults.inc();
                 let streak = st.backoff.map_or(0, |b| b.streak) + 1;
                 let skip = (1u64 << streak.min(8)).min(MAX_BACKOFF_ROUNDS);
                 st.backoff = Some(Backoff {
@@ -408,13 +409,11 @@ impl RegistryPoller {
             {
                 r.quality = EstimateQuality::Degraded;
             }
-            if let Some(metrics) = &self.metrics {
-                metrics.set_session_gauges(
-                    &id.to_string(),
-                    r.query_progress,
-                    handle.snapshot_age().map(|a| a.as_micros() as u64),
-                );
-            }
+            self.metrics.set_session_gauges(
+                &id.to_string(),
+                r.query_progress,
+                handle.snapshot_age().map(|a| a.as_micros() as u64),
+            );
         }
         SessionProgress {
             id,
@@ -459,29 +458,23 @@ impl RegistryPoller {
         // not deterministic across timing; the full-trace replay is.
         // Every estimate vector is scored against the same two truth
         // curves, so those are computed once per run.
-        let metrics = self.metrics.as_ref();
-        let score = metrics.map(|metrics| {
-            let truth = TruthCurves::of(&run);
-            move |id: &str, estimates: &[f64]| {
-                metrics.observe_accuracy(
-                    handle.workload(),
-                    id,
-                    truth.error_count(estimates),
-                    truth.error_time(estimates),
-                );
-            }
-        });
+        let metrics = &self.metrics;
+        let truth = TruthCurves::of(&run);
+        let score = |id: &str, estimates: &[f64]| {
+            metrics.observe_accuracy(
+                handle.workload(),
+                id,
+                truth.error_count(estimates),
+                truth.error_time(estimates),
+            );
+        };
         let ens = guarded.ensemble();
         let replay = ens.replay(&run.snapshots);
-        if let Some(score) = &score {
-            for (member, estimates) in ens.members().zip(&replay.member_estimates) {
-                score(member.id(), estimates);
-            }
+        for (member, estimates) in ens.members().zip(&replay.member_estimates) {
+            score(member.id(), estimates);
         }
         if let Some(selection) = replay.selection {
-            if let Some(score) = &score {
-                score("ensemble", &replay.estimates);
-            }
+            score("ensemble", &replay.estimates);
             // The replay's final selection is the authoritative one:
             // journal it for post-mortems and pin it on the handle for
             // `GET /sessions`.
@@ -495,9 +488,7 @@ impl RegistryPoller {
             }
             handle.set_estimator_selection(selection);
         }
-        if let Some(metrics) = metrics {
-            metrics.accuracy_session_done();
-        }
+        metrics.accuracy_session_done();
     }
 
     /// Number of estimators currently cached (one per polled session).
@@ -516,13 +507,11 @@ impl RegistryPoller {
     /// value in every future scrape.
     pub fn evict_finished(&mut self) {
         let live: HashSet<SessionId> = self.registry.sessions().iter().map(|h| h.id()).collect();
-        let metrics = self.metrics.as_ref();
+        let metrics = &self.metrics;
         self.states.retain(|id, _| {
             let keep = live.contains(id);
             if !keep {
-                if let Some(metrics) = metrics {
-                    metrics.remove_session_gauges(&id.to_string());
-                }
+                metrics.remove_session_gauges(&id.to_string());
             }
             keep
         });

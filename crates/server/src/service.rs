@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 pub struct QueryService {
     db: Arc<Database>,
     registry: Arc<SessionRegistry>,
-    metrics: Option<Arc<ServiceMetrics>>,
+    metrics: Arc<ServiceMetrics>,
     queue: Option<Sender<Arc<SessionHandle>>>,
     workers: Vec<JoinHandle<()>>,
     /// The durability stage. Its channel closes when the last worker exits,
@@ -121,20 +121,16 @@ struct BrownoutState {
 impl BrownoutState {
     /// Fold one submission-time queue-depth observation in; returns
     /// whether brownout is active for this submission.
-    fn note_submission(&self, depth: usize, metrics: Option<&ServiceMetrics>) -> bool {
+    fn note_submission(&self, depth: usize, metrics: &ServiceMetrics) -> bool {
         if depth >= self.config.queue_high {
             let streak = self.streak.fetch_add(1, Ordering::AcqRel) + 1;
             if streak >= self.config.sustain.max(1) && !self.active.swap(true, Ordering::AcqRel) {
-                if let Some(m) = metrics {
-                    m.brownout_active.set(1);
-                }
+                metrics.brownout_active.set(1);
             }
         } else {
             self.streak.store(0, Ordering::Release);
             if self.active.swap(false, Ordering::AcqRel) {
-                if let Some(m) = metrics {
-                    m.brownout_active.set(0);
-                }
+                metrics.brownout_active.set(0);
             }
         }
         self.active.load(Ordering::Acquire)
@@ -160,7 +156,7 @@ pub(crate) struct CostAdmission {
     store: Arc<HistoryStore>,
     pool_cpu_ns: u64,
     outstanding_cpu_ns: AtomicU64,
-    metrics: Option<HistoryMetrics>,
+    metrics: HistoryMetrics,
 }
 
 impl CostAdmission {
@@ -213,8 +209,8 @@ impl CostAdmission {
         let cpu: Vec<u64> = run.final_counters.iter().map(|n| n.cpu_ns).collect();
         let reads: Vec<u64> = run.final_counters.iter().map(|n| n.logical_reads).collect();
         let observed = ObservedRun::from_totals(&features, run.duration_ns, &cpu, &reads);
-        if let (Some(m), Some(pred)) = (&self.metrics, prediction) {
-            m.observe_prediction(
+        if let Some(pred) = prediction {
+            self.metrics.observe_prediction(
                 pred,
                 observed.cpu_ns,
                 observed.logical_reads,
@@ -228,18 +224,15 @@ impl CostAdmission {
 
 impl QueryService {
     /// Start a service with `workers` worker threads (min 1) over `db`,
-    /// recording no telemetry.
+    /// recording its telemetry into a registry of its own.
     pub fn new(db: Arc<Database>, workers: usize) -> Self {
-        Self::build(db, workers, None)
+        Self::with_metrics(db, workers, ServiceMetrics::new(Arc::default()))
     }
 
     /// [`QueryService::new`], with every worker recording session lifecycle
-    /// and operator close-time telemetry into `metrics`.
+    /// and operator close-time telemetry into `metrics` — a shared
+    /// registry's handle — instead of a private one.
     pub fn with_metrics(db: Arc<Database>, workers: usize, metrics: Arc<ServiceMetrics>) -> Self {
-        Self::build(db, workers, Some(metrics))
-    }
-
-    fn build(db: Arc<Database>, workers: usize, metrics: Option<Arc<ServiceMetrics>>) -> Self {
         let registry = Arc::new(SessionRegistry::new());
         let queued_depth = Arc::new(AtomicUsize::new(0));
         let (tx, rx) = channel::<Arc<SessionHandle>>();
@@ -253,12 +246,10 @@ impl QueryService {
             .map(|_| {
                 let rx = Arc::clone(&rx);
                 let db = Arc::clone(&db);
-                let metrics = metrics.clone();
+                let metrics = Arc::clone(&metrics);
                 let depth = Arc::clone(&queued_depth);
                 let stage_tx = stage_tx.clone();
-                std::thread::spawn(move || {
-                    worker_loop(&db, &rx, &stage_tx, &depth, metrics.as_deref())
-                })
+                std::thread::spawn(move || worker_loop(&db, &rx, &stage_tx, &depth, &metrics))
             })
             .collect();
         QueryService {
@@ -307,20 +298,15 @@ impl QueryService {
     /// the store has never seen (explicit no-history — a cold store never
     /// fabricates a zero estimate) fall back to the fixed
     /// [`QueryService::with_admission_limit`] policy, and their completed
-    /// runs warm the store for next time. `metrics`, when given, records
-    /// predictions issued, cold misses, cost rejections, and — once a
-    /// predicted session completes — prediction error.
-    pub fn with_cost_admission(
-        mut self,
-        store: Arc<HistoryStore>,
-        pool_cpu_ns: u64,
-        metrics: Option<HistoryMetrics>,
-    ) -> Self {
+    /// runs warm the store for next time. Predictions issued, cold misses,
+    /// cost rejections, and — once a predicted session completes —
+    /// prediction error are recorded into the service's own registry.
+    pub fn with_cost_admission(mut self, store: Arc<HistoryStore>, pool_cpu_ns: u64) -> Self {
         self.cost_admission = Some(Arc::new(CostAdmission {
             store,
             pool_cpu_ns: pool_cpu_ns.max(1),
             outstanding_cpu_ns: AtomicU64::new(0),
-            metrics,
+            metrics: HistoryMetrics::new(Arc::clone(self.metrics.registry())),
         }));
         self
     }
@@ -365,10 +351,9 @@ impl QueryService {
         &self.registry
     }
 
-    /// The service's telemetry, when started via
-    /// [`QueryService::with_metrics`].
-    pub fn metrics(&self) -> Option<&Arc<ServiceMetrics>> {
-        self.metrics.as_ref()
+    /// The service's telemetry.
+    pub fn metrics(&self) -> &Arc<ServiceMetrics> {
+        &self.metrics
     }
 
     /// Submit a query. Returns immediately with the session handle; the
@@ -381,11 +366,9 @@ impl QueryService {
         // `opts()` — replay and recovery stay consistent with the run.
         if let Some(brownout) = &self.brownout {
             let depth = self.queued_depth.load(Ordering::Acquire);
-            if brownout.note_submission(depth, self.metrics.as_deref()) {
+            if brownout.note_submission(depth, &self.metrics) {
                 widen_for_brownout(&mut spec.opts, brownout.config.widen_factor);
-                if let Some(metrics) = &self.metrics {
-                    metrics.brownout_sessions.inc();
-                }
+                self.metrics.brownout_sessions.inc();
             }
         }
         let handle = self.registry.register(spec);
@@ -394,9 +377,7 @@ impl QueryService {
                 queue_deadline: brownout.config.queue_deadline,
             });
         }
-        if let Some(metrics) = &self.metrics {
-            metrics.submitted.inc();
-        }
+        self.metrics.submitted.inc();
         // Open the session's journal before admission control runs, so even
         // a shed session leaves a meta + Rejected terminal record behind.
         if let Some(journal) = &self.journal {
@@ -427,9 +408,7 @@ impl QueryService {
         if let Some(cost) = &self.cost_admission {
             match cost.store.predict_plan(handle.plan()) {
                 Some(prediction) => {
-                    if let Some(m) = &cost.metrics {
-                        m.prediction_issued(prediction.basis);
-                    }
+                    cost.metrics.prediction_issued(prediction.basis);
                     let cost_ns = prediction.cpu_ns.max(1.0).ceil() as u64;
                     let admitted = cost.try_admit(cost_ns);
                     handle.attach_cost(
@@ -440,22 +419,16 @@ impl QueryService {
                         if admitted { cost_ns } else { 0 },
                     );
                     if !admitted {
-                        if let Some(m) = &cost.metrics {
-                            m.cost_rejection();
-                        }
-                        if let Some(metrics) = &self.metrics {
-                            metrics.rejected.inc();
-                            metrics.finished(SessionState::Rejected);
-                        }
+                        cost.metrics.cost_rejection();
+                        self.metrics.rejected.inc();
+                        self.metrics.finished(SessionState::Rejected);
                         handle.reject();
                         return handle;
                     }
                     admitted_by_cost = true;
                 }
                 None => {
-                    if let Some(m) = &cost.metrics {
-                        m.cold_miss();
-                    }
+                    cost.metrics.cold_miss();
                     // Still attach the admission state (with no admitted
                     // cost): the completed run must warm the store.
                     handle.attach_cost(
@@ -476,10 +449,8 @@ impl QueryService {
             let mut depth = self.queued_depth.load(Ordering::Acquire);
             loop {
                 if depth >= limit {
-                    if let Some(metrics) = &self.metrics {
-                        metrics.rejected.inc();
-                        metrics.finished(SessionState::Rejected);
-                    }
+                    self.metrics.rejected.inc();
+                    self.metrics.finished(SessionState::Rejected);
                     handle.reject();
                     return handle;
                 }
@@ -612,7 +583,7 @@ fn worker_loop(
     rx: &Mutex<Receiver<Arc<SessionHandle>>>,
     stage: &SyncSender<Handoff>,
     queued_depth: &AtomicUsize,
-    metrics: Option<&ServiceMetrics>,
+    metrics: &ServiceMetrics,
 ) {
     loop {
         // Hold the receiver lock only for the dequeue, not the execution.
@@ -642,16 +613,14 @@ fn run_session(
     db: &Database,
     handle: &Arc<SessionHandle>,
     stage: &SyncSender<Handoff>,
-    metrics: Option<&ServiceMetrics>,
+    metrics: &ServiceMetrics,
 ) {
     // A session cancelled while still queued never starts. Its partial
     // counters must still be one-per-plan-node (all zero — no work was
     // done): pollers feed the published snapshot to an estimator that
     // indexes it by every plan node.
     if handle.cancel_token().is_cancelled() {
-        if let Some(metrics) = metrics {
-            metrics.finished(SessionState::Cancelled);
-        }
+        metrics.finished(SessionState::Cancelled);
         let pending = handle.abort(lqs_exec::AbortedQuery {
             reason: lqs_exec::AbortReason::Cancelled,
             at_ns: 0,
@@ -667,10 +636,8 @@ fn run_session(
     if let Some(shed) = handle.shed_policy() {
         if let Some(deadline) = shed.queue_deadline {
             if queue_wait > deadline {
-                if let Some(metrics) = metrics {
-                    metrics.shed("queue_deadline");
-                    metrics.finished(SessionState::Rejected);
-                }
+                metrics.shed("queue_deadline");
+                metrics.finished(SessionState::Rejected);
                 handle.reject_with_reason(format!(
                     "queue-wait deadline exceeded: waited {:.3}s over a {:.3}s budget",
                     queue_wait.as_secs_f64(),
@@ -685,10 +652,8 @@ fn run_session(
             (handle.deadline_ns(), handle.predicted_cost())
         {
             if prediction.runtime_ns > deadline_ns as f64 {
-                if let Some(metrics) = metrics {
-                    metrics.shed("predicted_over_deadline");
-                    metrics.finished(SessionState::Rejected);
-                }
+                metrics.shed("predicted_over_deadline");
+                metrics.finished(SessionState::Rejected);
                 handle.reject_with_reason(format!(
                     "predicted runtime {:.0}ns exceeds the {deadline_ns}ns virtual deadline",
                     prediction.runtime_ns
@@ -698,10 +663,8 @@ fn run_session(
         }
     }
     handle.set_state(SessionState::Running);
-    if let Some(metrics) = metrics {
-        metrics.queue_wait_seconds.observe(queue_wait.as_secs_f64());
-        metrics.running.inc();
-    }
+    metrics.queue_wait_seconds.observe(queue_wait.as_secs_f64());
+    metrics.running.inc();
     let started = Instant::now();
     let tap = handle.trace_sink().map(|sink| sink.tap(handle.id().0));
     let filter = handle.snapshot_filter().cloned();
@@ -731,7 +694,7 @@ fn run_session(
             publisher: Some(publisher),
             cancel: Some(handle.cancel_token()),
             deadline_ns: handle.deadline_ns(),
-            metrics: metrics.map(ServiceMetrics::exec),
+            metrics: Some(metrics.exec()),
             fault: handle
                 .fault_injector()
                 .map(|f| f.as_ref() as &dyn FaultInjector),
@@ -748,9 +711,7 @@ fn run_session(
             // retry budget racing re-executions against the abort.
             if transient && attempts_left > 0 && !handle.cancel_token().is_cancelled() {
                 attempts_left -= 1;
-                if let Some(metrics) = metrics {
-                    metrics.retries.inc();
-                }
+                metrics.retries.inc();
                 continue;
             }
         }
@@ -774,18 +735,16 @@ fn run_session(
     // state: anyone woken by `wait_terminal` must already see this session
     // in the counters. `running` counts executing sessions, so it drops
     // here and never exceeds the worker count.
-    if let Some(metrics) = metrics {
-        metrics.running.dec();
-        metrics
-            .run_wall_seconds
-            .observe(started.elapsed().as_secs_f64());
-        if let Some(ns) = virtual_ns {
-            metrics.run_virtual_ns.observe_u64(ns);
-        }
-        metrics.finished(state);
-        if let Some(sink) = handle.trace_sink() {
-            metrics.trace_events_dropped.set(sink.dropped() as i64);
-        }
+    metrics.running.dec();
+    metrics
+        .run_wall_seconds
+        .observe(started.elapsed().as_secs_f64());
+    if let Some(ns) = virtual_ns {
+        metrics.run_virtual_ns.observe_u64(ns);
+    }
+    metrics.finished(state);
+    if let Some(sink) = handle.trace_sink() {
+        metrics.trace_events_dropped.set(sink.dropped() as i64);
     }
     // Deliver anything a delaying filter still buffers, then let the
     // terminal publish land last (the guard's high-water view tolerates

@@ -33,7 +33,7 @@
 //! record stays, as history.
 
 use crate::registry::{lineup_of_one, session_estimator, Lineup, SessionRegistry};
-use crate::session::{SessionId, SessionState};
+use crate::session::{SessionHandle, SessionId, SessionState};
 use lqs_exec::DmvSnapshot;
 use lqs_journal::{AlertKind, AlertRecord};
 use lqs_metrics::MetricsRegistry;
@@ -173,7 +173,7 @@ pub struct Watchdog {
     registry: Arc<SessionRegistry>,
     config: WatchdogConfig,
     lineup: Box<Lineup>,
-    metrics: Option<Arc<MetricsRegistry>>,
+    metrics: Arc<MetricsRegistry>,
     track: HashMap<SessionId, Track>,
     /// Current alerts, keyed (and therefore served) by session id.
     alerts: BTreeMap<SessionId, SessionAlert>,
@@ -186,8 +186,8 @@ pub struct Watchdog {
 }
 
 impl Watchdog {
-    /// A watchdog over `registry`, estimating with `estimator_config` and
-    /// classifying with `config`.
+    /// A watchdog over `registry`, estimating with `estimator_config`,
+    /// classifying with `config`, and counting into a registry of its own.
     pub fn new(
         db: Arc<Database>,
         registry: Arc<SessionRegistry>,
@@ -199,7 +199,7 @@ impl Watchdog {
             registry,
             config,
             lineup: lineup_of_one(estimator_config),
-            metrics: None,
+            metrics: Arc::default(),
             track: HashMap::new(),
             alerts: BTreeMap::new(),
             sweeps: 0,
@@ -212,10 +212,15 @@ impl Watchdog {
     }
 
     /// Count raised alerts on `lqs_watchdog_alerts_total{kind=...}` in
-    /// `registry`.
+    /// the shared `registry` instead of the watchdog's own.
     pub fn with_metrics(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.metrics = Some(registry);
+        self.metrics = registry;
         self
+    }
+
+    /// The registry the watchdog counts into.
+    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+        &self.metrics
     }
 
     /// Completed sweeps so far.
@@ -353,33 +358,14 @@ impl Watchdog {
                     }
                 };
                 if let Some((kind, detail)) = kind_detail {
-                    let alert = SessionAlert {
-                        id,
-                        name: handle.name().to_string(),
-                        kind,
-                        ts_ns: handle.latest_snapshot_ts().unwrap_or(0),
-                        seq,
-                        detail,
-                    };
-                    if let Some(metrics) = &self.metrics {
-                        metrics
-                            .counter(
-                                "lqs_watchdog_alerts_total",
-                                "Watchdog alerts raised on transitions into an unhealthy state, by kind",
-                                &[("kind", kind.as_str())],
-                            )
-                            .inc();
-                    }
-                    if let Some(journal) = handle.journal() {
-                        journal.append_alert(&AlertRecord {
-                            kind: alert.kind,
-                            ts_ns: alert.ts_ns,
-                            seq: alert.seq,
-                            detail: alert.detail.clone(),
-                        });
-                    }
-                    self.alerts.insert(id, alert.clone());
-                    raised.push(alert);
+                    self.metrics
+                        .counter(
+                            "lqs_watchdog_alerts_total",
+                            "Watchdog alerts raised on transitions into an unhealthy state, by kind",
+                            &[("kind", kind.as_str())],
+                        )
+                        .inc();
+                    raised.push(raise(&mut self.alerts, handle, kind, seq, detail));
                 }
             }
             // Remediation: after the policy's threshold of consecutive
@@ -409,36 +395,24 @@ impl Watchdog {
                         handle.quarantine();
                     }
                     handle.cancel();
-                    let alert = SessionAlert {
-                        id,
-                        name: handle.name().to_string(),
-                        kind: AlertKind::Remediated,
-                        ts_ns: handle.latest_snapshot_ts().unwrap_or(0),
+                    self.metrics
+                        .counter(
+                            "lqs_watchdog_remediations_total",
+                            "Watchdog remediations fired on sessions that stayed stalled, by action",
+                            &[("action", action)],
+                        )
+                        .inc();
+                    let detail = format!(
+                        "{action} after {} consecutive stalled sweeps",
+                        track.stalled_sweeps
+                    );
+                    raised.push(raise(
+                        &mut self.alerts,
+                        handle,
+                        AlertKind::Remediated,
                         seq,
-                        detail: format!(
-                            "{action} after {} consecutive stalled sweeps",
-                            track.stalled_sweeps
-                        ),
-                    };
-                    if let Some(metrics) = &self.metrics {
-                        metrics
-                            .counter(
-                                "lqs_watchdog_remediations_total",
-                                "Watchdog remediations fired on sessions that stayed stalled, by action",
-                                &[("action", action)],
-                            )
-                            .inc();
-                    }
-                    if let Some(journal) = handle.journal() {
-                        journal.append_alert(&AlertRecord {
-                            kind: alert.kind,
-                            ts_ns: alert.ts_ns,
-                            seq: alert.seq,
-                            detail: alert.detail.clone(),
-                        });
-                    }
-                    self.alerts.insert(id, alert.clone());
-                    raised.push(alert);
+                        detail,
+                    ));
                 }
             }
         }
@@ -447,15 +421,43 @@ impl Watchdog {
         let live: std::collections::HashSet<SessionId> = sessions.iter().map(|h| h.id()).collect();
         self.track.retain(|id, _| live.contains(id));
         self.alerts.retain(|id, _| live.contains(id));
-        if let Some(metrics) = &self.metrics {
-            metrics
-                .histogram(
-                    "lqs_watchdog_sweep_seconds",
-                    "Wall-clock duration of one watchdog sweep over the registry",
-                    &[],
-                )
-                .observe(sweep_started.elapsed().as_secs_f64());
-        }
+        self.metrics
+            .histogram(
+                "lqs_watchdog_sweep_seconds",
+                "Wall-clock duration of one watchdog sweep over the registry",
+                &[],
+            )
+            .observe(sweep_started.elapsed().as_secs_f64());
         raised
     }
+}
+
+/// Raise one alert on `handle`: stamp it with the session's latest snapshot
+/// time, append it to the session's journal, and make it the session's live
+/// alert. Returns it for the sweep's newly-raised list.
+fn raise(
+    alerts: &mut BTreeMap<SessionId, SessionAlert>,
+    handle: &SessionHandle,
+    kind: AlertKind,
+    seq: u64,
+    detail: String,
+) -> SessionAlert {
+    let alert = SessionAlert {
+        id: handle.id(),
+        name: handle.name().to_string(),
+        kind,
+        ts_ns: handle.latest_snapshot_ts().unwrap_or(0),
+        seq,
+        detail,
+    };
+    if let Some(journal) = handle.journal() {
+        journal.append_alert(&AlertRecord {
+            kind: alert.kind,
+            ts_ns: alert.ts_ns,
+            seq: alert.seq,
+            detail: alert.detail.clone(),
+        });
+    }
+    alerts.insert(alert.id, alert.clone());
+    alert
 }

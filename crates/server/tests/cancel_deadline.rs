@@ -3,42 +3,17 @@
 //! disturb unrelated sessions.
 
 use lqs_exec::{execute, AbortReason, ExecOptions};
-use lqs_plan::{PhysicalPlan, PlanBuilder, SortKey};
 use lqs_server::{QueryService, QuerySpec, SessionResult, SessionState};
-use lqs_storage::{Column, DataType, Database, Schema, Table, Value};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn build_db() -> Database {
-    let mut t = Table::new(
-        "big",
-        Schema::new(vec![
-            Column::new("id", DataType::Int),
-            Column::new("v", DataType::Int),
-        ]),
-    );
-    for i in 0..60_000i64 {
-        t.insert(vec![Value::Int(i), Value::Int((i * 13) % 997)])
-            .unwrap();
-    }
-    let mut db = Database::new();
-    db.add_table_analyzed(t);
-    db
-}
-
-/// A plan big enough that cancellation can land mid-run.
-fn big_plan(db: &Database) -> Arc<PhysicalPlan> {
-    let t = db.table_by_name("big").expect("big table");
-    let mut b = PlanBuilder::new(db);
-    let scan = b.table_scan(t);
-    let sort = b.sort(scan, vec![SortKey::desc(1)]);
-    Arc::new(b.finish(sort))
-}
+mod common;
+use common::{orders_db, scan_sort_plan};
 
 #[test]
 fn cancel_before_start_aborts_without_running() {
-    let db = Arc::new(build_db());
-    let plan = big_plan(&db);
+    let db = Arc::new(orders_db(60_000));
+    let plan = scan_sort_plan(&db);
     // Zero workers is clamped to one, but the session is cancelled before
     // the worker can dequeue it by cancelling synchronously on a service
     // whose single worker is busy with an earlier long query.
@@ -56,8 +31,8 @@ fn cancel_before_start_aborts_without_running() {
 
 #[test]
 fn cancel_mid_run_keeps_partial_trace() {
-    let db = Arc::new(build_db());
-    let plan = big_plan(&db);
+    let db = Arc::new(orders_db(60_000));
+    let plan = scan_sort_plan(&db);
     let opts = ExecOptions {
         snapshot_target: 256,
         ..Default::default()
@@ -100,8 +75,8 @@ fn cancel_mid_run_keeps_partial_trace() {
 
 #[test]
 fn deadline_aborts_on_the_virtual_clock() {
-    let db = Arc::new(build_db());
-    let plan = big_plan(&db);
+    let db = Arc::new(orders_db(60_000));
+    let plan = scan_sort_plan(&db);
     let opts = ExecOptions::default();
     let full = execute(&db, &plan, &opts);
     let deadline = full.duration_ns / 2;
@@ -126,8 +101,8 @@ fn deadline_aborts_on_the_virtual_clock() {
 
 #[test]
 fn aborting_one_session_leaves_others_untouched() {
-    let db = Arc::new(build_db());
-    let plan = big_plan(&db);
+    let db = Arc::new(orders_db(60_000));
+    let plan = scan_sort_plan(&db);
     let opts = ExecOptions::default();
     let full = execute(&db, &plan, &opts);
 

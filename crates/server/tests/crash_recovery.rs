@@ -11,59 +11,25 @@
 
 use lqs_journal::{Journal, JournalConfig, JournalMetrics, SessionMeta, WriteCrashPoint};
 use lqs_metrics::MetricsRegistry;
-use lqs_plan::{Expr, PhysicalPlan, PlanBuilder, SortKey};
+use lqs_plan::PhysicalPlan;
 use lqs_progress::{EstimateQuality, EstimatorConfig, ProgressReport};
 use lqs_server::{
     QueryService, QuerySpec, RecoveredOutcome, RecoveryManager, RegistryPoller, SessionRegistry,
     SessionResult, SessionState,
 };
-use lqs_storage::{Column, DataType, Database, Schema, Table, Value};
-use std::path::PathBuf;
+use lqs_storage::{Database, TableId};
 use std::sync::Arc;
 
-fn build_db() -> Database {
-    let mut orders = Table::new(
-        "orders",
-        Schema::new(vec![
-            Column::new("id", DataType::Int),
-            Column::new("cust", DataType::Int),
-            Column::new("amount", DataType::Int),
-        ]),
-    );
-    for i in 0..6000i64 {
-        orders
-            .insert(vec![
-                Value::Int(i),
-                Value::Int(i % 500),
-                Value::Int((i * 7) % 1000),
-            ])
-            .unwrap();
-    }
-    let mut db = Database::new();
-    db.add_table_analyzed(orders);
-    db
-}
+mod common;
+use common::{mixed_db, mixed_plans, tmpdir};
 
-/// Two plans: a scan+sort and a filtered scan aggregate shape.
-fn plans(db: &Database) -> Vec<(String, Arc<PhysicalPlan>)> {
-    let orders = db.table_by_name("orders").expect("orders table");
-    let mut out = Vec::new();
-
-    let mut b = PlanBuilder::new(db);
-    let scan = b.table_scan_filtered(orders, Expr::col(2).lt(Expr::lit(400i64)), true);
-    let sort = b.sort(scan, vec![SortKey::desc(2)]);
-    out.push(("scan-sort".to_string(), Arc::new(b.finish(sort))));
-
-    let mut b = PlanBuilder::new(db);
-    let scan = b.table_scan(orders);
-    let agg = b.hash_aggregate(
-        scan,
-        vec![1],
-        vec![lqs_plan::Aggregate::of_col(lqs_plan::AggFunc::Sum, 2)],
-    );
-    out.push(("hash-agg".to_string(), Arc::new(b.finish(agg))));
-
-    out
+/// The first two [`mixed_plans`] shapes, under the names they journal as.
+fn plans(db: &Database, t: TableId) -> Vec<(String, Arc<PhysicalPlan>)> {
+    ["scan-sort", "hash-agg"]
+        .into_iter()
+        .map(str::to_string)
+        .zip(mixed_plans(db, t))
+        .collect()
 }
 
 fn resolver(
@@ -75,13 +41,6 @@ fn resolver(
             .find(|(n, _)| *n == meta.name)
             .map(|(_, p)| Arc::clone(p))
     }
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lqs-crash-recovery-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
 }
 
 /// The progress bit-patterns a poller serves for a terminal session.
@@ -107,8 +66,9 @@ impl WriteCrashPoint for CrashNamed {
 #[test]
 fn recovered_succeeded_session_replays_bit_identically() {
     let dir = tmpdir("bitident");
-    let db = Arc::new(build_db());
-    let plans = plans(&db);
+    let (db, t) = mixed_db();
+    let db = Arc::new(db);
+    let plans = plans(&db, t);
 
     // First incarnation: run both queries journaled, record what the
     // attached poller serves as each session's final report. The process
@@ -201,8 +161,9 @@ fn recovered_succeeded_session_replays_bit_identically() {
 #[test]
 fn crashed_journal_recovers_orphaned_and_degraded() {
     let dir = tmpdir("orphan");
-    let db = Arc::new(build_db());
-    let plans = plans(&db);
+    let (db, t) = mixed_db();
+    let db = Arc::new(db);
+    let plans = plans(&db, t);
 
     {
         let journal = Journal::open(JournalConfig::new(&dir).with_crash(Arc::new(CrashNamed {
@@ -278,8 +239,9 @@ fn crashed_journal_recovers_orphaned_and_degraded() {
 #[test]
 fn clean_shutdown_recovers_zero_orphans() {
     let dir = tmpdir("clean");
-    let db = Arc::new(build_db());
-    let plans = plans(&db);
+    let (db, t) = mixed_db();
+    let db = Arc::new(db);
+    let plans = plans(&db, t);
 
     {
         let journal = Journal::open(JournalConfig::new(&dir)).expect("open journal");

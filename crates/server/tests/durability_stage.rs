@@ -14,54 +14,20 @@ use lqs_journal::{
     JournalMetrics, Record, TerminalKind,
 };
 use lqs_metrics::MetricsRegistry;
-use lqs_plan::{NodeId, PhysicalPlan, PlanBuilder, SortKey};
+use lqs_plan::NodeId;
 use lqs_server::{QueryService, QuerySpec, SessionDurability, SessionResult, SessionState};
-use lqs_storage::{Column, DataType, Database, Schema, Table, Value};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-fn build_db() -> Database {
-    let mut orders = Table::new(
-        "orders",
-        Schema::new(vec![
-            Column::new("id", DataType::Int),
-            Column::new("amount", DataType::Int),
-        ]),
-    );
-    for i in 0..3000i64 {
-        orders
-            .insert(vec![Value::Int(i), Value::Int((i * 7) % 1000)])
-            .unwrap();
-    }
-    let mut db = Database::new();
-    db.add_table_analyzed(orders);
-    db
-}
-
-fn scan_sort_plan(db: &Database) -> Arc<PhysicalPlan> {
-    let orders = db.table_by_name("orders").expect("orders table");
-    let mut b = PlanBuilder::new(db);
-    let scan = b.table_scan(orders);
-    let sort = b.sort(scan, vec![SortKey::desc(1)]);
-    Arc::new(b.finish(sort))
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lqs-stage-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+mod common;
+use common::{metric_value, orders_db, scan_sort_plan, tmpdir};
 
 /// Fsyncs the journal has completed so far, read off the exposition.
 fn fsyncs_done(registry: &MetricsRegistry) -> usize {
-    registry
-        .render()
-        .lines()
-        .find_map(|l| l.strip_prefix("lqs_journal_fsync_seconds_count "))
-        .and_then(|v| v.trim().parse().ok())
-        .expect("fsync histogram rendered")
+    metric_value(&registry.render(), "lqs_journal_fsync_seconds_count")
+        .expect("fsync histogram rendered") as usize
 }
 
 /// (a) The recovery contract: by the time `wait_terminal` returns, the
@@ -71,7 +37,7 @@ fn fsyncs_done(registry: &MetricsRegistry) -> usize {
 #[test]
 fn terminal_is_never_observable_before_its_flush_returned() {
     let dir = tmpdir("contract");
-    let db = Arc::new(build_db());
+    let db = Arc::new(orders_db(3000));
     let plan = scan_sort_plan(&db);
     let registry = Arc::new(MetricsRegistry::new());
     let journal = Journal::open(JournalConfig::new(&dir))
@@ -115,7 +81,7 @@ fn terminal_is_never_observable_before_its_flush_returned() {
 #[test]
 fn shutdown_drains_the_stage_before_the_sentinels() {
     let dir = tmpdir("shutdown");
-    let db = Arc::new(build_db());
+    let db = Arc::new(orders_db(3000));
     let plan = scan_sort_plan(&db);
     let service = QueryService::new(Arc::clone(&db), 2)
         .with_journal(Journal::open(JournalConfig::new(&dir)).expect("open journal"));
@@ -168,7 +134,7 @@ impl FaultInjector for HardFault {
 #[test]
 fn execution_panic_fails_through_the_stage_and_the_next_session_succeeds() {
     let dir = tmpdir("fault");
-    let db = Arc::new(build_db());
+    let db = Arc::new(orders_db(3000));
     let plan = scan_sort_plan(&db);
     let service = QueryService::new(Arc::clone(&db), 1)
         .with_journal(Journal::open(JournalConfig::new(&dir)).expect("open journal"));
@@ -226,7 +192,7 @@ fn dir_bytes(dir: &Path) -> BTreeMap<String, Vec<u8>> {
 /// exactly, however the stage's flushes interleave with the next session.
 #[test]
 fn one_worker_fault_storm_is_deterministic() {
-    let db = Arc::new(build_db());
+    let db = Arc::new(orders_db(3000));
     let plan = scan_sort_plan(&db);
     let runs: Vec<_> = (0..5)
         .map(|repeat| {
@@ -267,7 +233,7 @@ fn one_worker_fault_storm_is_deterministic() {
 /// fsyncs, sessions complete through the same hand-off.
 #[test]
 fn unjournaled_and_never_fsync_sessions_take_the_same_path() {
-    let db = Arc::new(build_db());
+    let db = Arc::new(orders_db(3000));
     let plan = scan_sort_plan(&db);
 
     let bare = QueryService::new(Arc::clone(&db), 2);

@@ -11,42 +11,20 @@ use lqs_progress::EstimatorConfig;
 use lqs_server::{
     QueryService, QuerySpec, RegistryPoller, ServiceMetrics, SessionResult, SessionState,
 };
-use lqs_storage::{Column, DataType, Database, Schema, Table, TableId, Value};
+use lqs_storage::{Column, DataType, Schema, Table};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn build_db(table_name: &str, rows: i64) -> Database {
-    let mut t = Table::new(
-        table_name,
-        Schema::new(vec![
-            Column::new("id", DataType::Int),
-            Column::new("v", DataType::Int),
-        ]),
-    );
-    for i in 0..rows {
-        t.insert(vec![Value::Int(i), Value::Int((i * 13) % 997)])
-            .unwrap();
-    }
-    let mut db = Database::new();
-    db.add_table_analyzed(t);
-    db
-}
-
-fn sorted_scan(db: &Database, t: TableId) -> Arc<lqs_plan::PhysicalPlan> {
-    let mut b = lqs_plan::PlanBuilder::new(db);
-    let scan = b.table_scan(t);
-    let sort = b.sort(scan, vec![lqs_plan::SortKey::desc(1)]);
-    Arc::new(b.finish(sort))
-}
+mod common;
+use common::{orders_db, scan_sort_plan};
 
 /// Regression: cancelling a still-queued session used to publish a snapshot
 /// with *empty* per-node counters; the next registry poll then indexed the
 /// snapshot by every plan node and panicked out of bounds.
 #[test]
 fn cancel_while_queued_session_is_pollable() {
-    let db = Arc::new(build_db("big", 60_000));
-    let t = db.table_by_name("big").unwrap();
-    let plan = sorted_scan(&db, t);
+    let db = Arc::new(orders_db(60_000));
+    let plan = scan_sort_plan(&db);
 
     let service = QueryService::new(Arc::clone(&db), 1);
     let busy = service.submit(QuerySpec::new("busy", Arc::clone(&plan)));
@@ -91,9 +69,8 @@ fn cancel_while_queued_session_is_pollable() {
 /// a buggy publisher) is treated as "nothing published", not a panic.
 #[test]
 fn mismatched_snapshot_yields_no_report() {
-    let db = Arc::new(build_db("big", 60_000));
-    let t = db.table_by_name("big").unwrap();
-    let plan = sorted_scan(&db, t);
+    let db = Arc::new(orders_db(60_000));
+    let plan = scan_sort_plan(&db);
 
     let service = QueryService::new(Arc::clone(&db), 1);
     let _busy = service.submit(QuerySpec::new("busy", Arc::clone(&plan)));
@@ -125,12 +102,12 @@ fn mismatched_snapshot_yields_no_report() {
 /// alone, keep the worker serving later sessions, and shut down cleanly.
 #[test]
 fn execution_panic_fails_session_and_spares_the_worker() {
-    let served_db = Arc::new(build_db("small", 2_000));
+    let served_db = Arc::new(orders_db(2_000));
     // A plan compiled against a *different* catalog: its TableId is out of
     // range for `served_db`, so executing it panics (the stand-in for any
     // genuine execution bug).
     let other_db = {
-        let mut db = build_db("small", 2_000);
+        let mut db = orders_db(2_000);
         db.add_table_analyzed(Table::new(
             "extra",
             Schema::new(vec![Column::new("x", DataType::Int)]),
@@ -153,8 +130,7 @@ fn execution_panic_fails_session_and_spares_the_worker() {
     assert!(!message.is_empty());
 
     // The same worker thread is still alive and serves the next session.
-    let t = served_db.table_by_name("small").unwrap();
-    let good = service.submit(QuerySpec::new("good", sorted_scan(&served_db, t)));
+    let good = service.submit(QuerySpec::new("good", scan_sort_plan(&served_db)));
     assert_eq!(good.wait_terminal(), SessionState::Succeeded);
 
     // No panic out of shutdown (this also exercises the Drop path's join).
@@ -185,8 +161,8 @@ impl FaultInjector for FailOnce {
 fn fault_injected_session_runs_and_retries_on_the_batch_path() {
     let dir = std::env::temp_dir().join(format!("lqs-failure-paths-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let db = Arc::new(build_db("big", 20_000));
-    let plan = sorted_scan(&db, db.table_by_name("big").unwrap());
+    let db = Arc::new(orders_db(20_000));
+    let plan = scan_sort_plan(&db);
     let registry = Arc::new(MetricsRegistry::new());
     let service = QueryService::with_metrics(
         Arc::clone(&db),

@@ -7,73 +7,18 @@
 use lqs_history::{scan_history, HistoryResolver, HistoryStore, ResolvedPlan};
 use lqs_journal::{plan_fingerprint, Journal, JournalConfig, SessionMeta};
 use lqs_metrics::MetricsRegistry;
-use lqs_plan::{AggFunc, Aggregate, Expr, PhysicalPlan, PlanBuilder, SortKey};
+use lqs_plan::PhysicalPlan;
 use lqs_server::{
     HistoryEndpoints, MetricsServer, QueryService, QuerySpec, ServerConfig, SessionRegistry,
     SessionState,
 };
-use lqs_storage::{Column, DataType, Database, Schema, Table, TableId, Value};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use lqs_storage::Database;
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lqs-hist-http-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-fn db() -> (Database, TableId) {
-    let mut t = Table::new(
-        "t",
-        Schema::new(vec![
-            Column::new("a", DataType::Int),
-            Column::new("b", DataType::Int),
-        ]),
-    );
-    for i in 0..4000 {
-        t.insert(vec![Value::Int(i), Value::Int(i % 97)]).unwrap();
-    }
-    let mut db = Database::new();
-    let id = db.add_table_analyzed(t);
-    (db, id)
-}
-
-fn plans(db: &Database, t: TableId) -> Vec<Arc<PhysicalPlan>> {
-    let scan_sort = {
-        let mut b = PlanBuilder::new(db);
-        let scan = b.table_scan_filtered(t, Expr::col(1).lt(Expr::lit(60i64)), true);
-        let sort = b.sort(scan, vec![SortKey::desc(0)]);
-        Arc::new(b.finish(sort))
-    };
-    let agg = {
-        let mut b = PlanBuilder::new(db);
-        let scan = b.table_scan(t);
-        let agg = b.hash_aggregate(scan, vec![1], vec![Aggregate::of_col(AggFunc::Sum, 0)]);
-        Arc::new(b.finish(agg))
-    };
-    let plain = {
-        let mut b = PlanBuilder::new(db);
-        let scan = b.table_scan(t);
-        Arc::new(b.finish(scan))
-    };
-    vec![scan_sort, agg, plain]
-}
-
-/// Blocking GET over a raw socket; returns the full response (head + body).
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: lqs\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut out = String::new();
-    stream.read_to_string(&mut out).expect("read response");
-    out
-}
+mod common;
+use common::{body_of, http_get, mixed_db, mixed_plans, tmpdir};
 
 /// The pool is released just *after* the terminal-state notify, so a
 /// waiter can observe Succeeded a beat before the settlement lands; spin
@@ -89,10 +34,6 @@ fn wait_settled(service: &QueryService) {
         "predicted-cost pool never settled: {:?}",
         service.predicted_outstanding_ns()
     );
-}
-
-fn body_of(response: &str) -> &str {
-    response.split_once("\r\n\r\n").expect("head/body split").1
 }
 
 /// GET twice and assert the journal-backed response is byte-for-byte
@@ -121,16 +62,16 @@ fn resolver(db: Arc<Database>, plans: Vec<(String, Arc<PhysicalPlan>)>) -> impl 
 
 #[test]
 fn cold_prediction_is_explicit_no_history_and_admission_falls_back() {
-    let (db, t) = db();
+    let (db, t) = mixed_db();
     let db = Arc::new(db);
-    let plans = plans(&db, t);
+    let plans = mixed_plans(&db, t);
     let dir = tmpdir("predict");
     let store = Arc::new(HistoryStore::new());
     let journal = Journal::open(JournalConfig::new(&dir)).expect("open journal");
     let service = QueryService::new(Arc::clone(&db), 2)
         .with_journal(journal)
         .with_admission_limit(8)
-        .with_cost_admission(Arc::clone(&store), 10u64.pow(12), None);
+        .with_cost_admission(Arc::clone(&store), 10u64.pow(12));
 
     // Cold store: nothing is predicted (all three land before any
     // completion can warm the store), yet everything runs — the fixed
@@ -169,7 +110,7 @@ fn cold_prediction_is_explicit_no_history_and_admission_falls_back() {
     let shed = QueryService::new(Arc::clone(&db), 1)
         .with_journal(journal2)
         .with_admission_limit(8)
-        .with_cost_admission(Arc::clone(&store), 1, None);
+        .with_cost_admission(Arc::clone(&store), 1);
     let first = shed.submit(QuerySpec::new("s0", Arc::clone(&plans[1])));
     let second = shed.submit(QuerySpec::new("s1", Arc::clone(&plans[1])));
     assert_eq!(
@@ -231,9 +172,9 @@ fn cold_prediction_is_explicit_no_history_and_admission_falls_back() {
 
 #[test]
 fn history_endpoints_are_deterministic_and_healthz_reports() {
-    let (db, t) = db();
+    let (db, t) = mixed_db();
     let db = Arc::new(db);
-    let plans = plans(&db, t);
+    let plans = mixed_plans(&db, t);
     let dir = tmpdir("endpoints");
     let journal = Journal::open(JournalConfig::new(&dir)).expect("open journal");
     let service = QueryService::new(Arc::clone(&db), 2).with_journal(journal);
@@ -369,9 +310,9 @@ fn sweep_after_listing(path: &std::path::Path) {
 #[cfg(unix)]
 #[test]
 fn curve_route_matches_a_full_scan_byte_for_byte() {
-    let (db, t) = db();
+    let (db, t) = mixed_db();
     let db = Arc::new(db);
-    let plans = plans(&db, t);
+    let plans = mixed_plans(&db, t);
     let dir = tmpdir("curve-equivalence");
 
     // Epoch 0 runs q0,q1,q2 as ids 0,1,2; epoch 1 runs them rotated, so the

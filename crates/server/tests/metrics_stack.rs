@@ -8,81 +8,30 @@
 //! run, because both sides replay the same deterministic virtual-clock
 //! trace through identically-constructed estimators.
 
+use lqs_journal::{Journal, JournalConfig, SessionMeta};
 use lqs_metrics::MetricsRegistry;
 use lqs_obs::{split_sessions, to_chrome_trace_sessions, SessionTraceExport, SharedSessionSink};
-use lqs_plan::{AggFunc, Aggregate, Expr, PhysicalPlan, PlanBuilder, SortKey};
 use lqs_progress::{error_count, error_time, EstimatorConfig, ProgressEstimator};
 use lqs_server::{
-    MetricsServer, PollerMetrics, QueryService, QuerySpec, RegistryPoller, ServiceMetrics,
-    SessionResult,
+    MetricsServer, PollerMetrics, QueryService, QuerySpec, RecoveryManager, RegistryPoller,
+    ServiceMetrics, SessionRegistry, SessionResult, SessionState, Watchdog, WatchdogConfig,
 };
-use lqs_storage::{Column, DataType, Database, Schema, Table, TableId, Value};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
-fn db() -> (Database, TableId) {
-    let mut t = Table::new(
-        "t",
-        Schema::new(vec![
-            Column::new("a", DataType::Int),
-            Column::new("b", DataType::Int),
-        ]),
-    );
-    for i in 0..4000 {
-        t.insert(vec![Value::Int(i), Value::Int(i % 97)]).unwrap();
-    }
-    let mut db = Database::new();
-    let id = db.add_table_analyzed(t);
-    (db, id)
-}
-
-fn plans(db: &Database, t: TableId) -> Vec<Arc<PhysicalPlan>> {
-    let scan_sort = {
-        let mut b = PlanBuilder::new(db);
-        let scan = b.table_scan_filtered(t, Expr::col(1).lt(Expr::lit(60i64)), true);
-        let sort = b.sort(scan, vec![SortKey::desc(0)]);
-        Arc::new(b.finish(sort))
-    };
-    let agg = {
-        let mut b = PlanBuilder::new(db);
-        let scan = b.table_scan(t);
-        let agg = b.hash_aggregate(scan, vec![1], vec![Aggregate::of_col(AggFunc::Sum, 0)]);
-        Arc::new(b.finish(agg))
-    };
-    let plain = {
-        let mut b = PlanBuilder::new(db);
-        let scan = b.table_scan(t);
-        Arc::new(b.finish(scan))
-    };
-    vec![scan_sort, agg, plain]
-}
-
-/// Blocking GET over a raw socket; returns the full response (head + body).
-fn http_get(addr: SocketAddr, path: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect to metrics server");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: lqs\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
-    let mut out = String::new();
-    stream.read_to_string(&mut out).expect("read response");
-    out
-}
-
-fn body_of(response: &str) -> &str {
-    response
-        .split_once("\r\n\r\n")
-        .expect("response has a head/body split")
-        .1
-}
+mod common;
+use common::{
+    body_of, http_get, metric_value, mixed_db, mixed_plans, orders_db, scan_sort_plan,
+    sweep_until_raised, tmpdir, Gate,
+};
 
 #[test]
 fn accuracy_telemetry_matches_direct_computation_exactly() {
-    let (db, t) = db();
+    let (db, t) = mixed_db();
     let db = Arc::new(db);
-    let plans = plans(&db, t);
+    let plans = mixed_plans(&db, t);
     let registry = Arc::new(MetricsRegistry::new());
     let service_metrics = ServiceMetrics::new(Arc::clone(&registry));
     let service = QueryService::with_metrics(Arc::clone(&db), 2, Arc::clone(&service_metrics));
@@ -191,9 +140,9 @@ fn accuracy_telemetry_matches_direct_computation_exactly() {
 
 #[test]
 fn metrics_server_serves_exposition_and_sessions() {
-    let (db, t) = db();
+    let (db, t) = mixed_db();
     let db = Arc::new(db);
-    let plans = plans(&db, t);
+    let plans = mixed_plans(&db, t);
     let registry = Arc::new(MetricsRegistry::new());
     let service_metrics = ServiceMetrics::new(Arc::clone(&registry));
     let service = QueryService::with_metrics(Arc::clone(&db), 2, service_metrics);
@@ -282,9 +231,9 @@ fn metrics_server_serves_exposition_and_sessions() {
 
 #[test]
 fn shared_trace_capture_attributes_sessions_and_surfaces_drops() {
-    let (db, t) = db();
+    let (db, t) = mixed_db();
     let db = Arc::new(db);
-    let plans = plans(&db, t);
+    let plans = mixed_plans(&db, t);
     let registry = Arc::new(MetricsRegistry::new());
     let service_metrics = ServiceMetrics::new(Arc::clone(&registry));
     // One worker serializes sessions so the drop-gauge's last writer is
@@ -339,4 +288,76 @@ fn shared_trace_capture_attributes_sessions_and_surfaces_drops() {
         registry.gauge("lqs_trace_events_dropped", "", &[]).get(),
         tiny.dropped() as i64
     );
+}
+
+/// There is no telemetry-off path: a stack none of whose parts was handed a
+/// shared registry still counts, each part into the registry it owns.
+#[test]
+fn components_without_a_shared_registry_count_into_their_own() {
+    let dir = tmpdir("own-registries");
+    let db = Arc::new(orders_db(6000));
+    let plan = scan_sort_plan(&db);
+    let journal = Journal::open(JournalConfig::new(&dir)).expect("open journal");
+    let service = QueryService::new(Arc::clone(&db), 1).with_journal(journal);
+    let sessions = Arc::clone(service.registry());
+    let mut poller = RegistryPoller::new(
+        Arc::clone(&db),
+        Arc::clone(&sessions),
+        EstimatorConfig::full(),
+    );
+    let mut watchdog = Watchdog::new(
+        Arc::clone(&db),
+        sessions,
+        EstimatorConfig::full(),
+        WatchdogConfig {
+            stall_sweeps: 2,
+            stall_wall: Duration::ZERO,
+            ..WatchdogConfig::default()
+        },
+    );
+
+    // One session, wedged on its first page until the watchdog has raised
+    // its stall alert, then released to finish and be scored.
+    let gate = Gate::new(0);
+    let session = service
+        .submit(QuerySpec::new("wedged", Arc::clone(&plan)).with_fault(Arc::clone(&gate) as _));
+    assert_eq!(sweep_until_raised(&mut watchdog, 2000).len(), 1);
+    gate.open();
+    assert_eq!(session.wait_terminal(), SessionState::Succeeded);
+    poller.poll();
+
+    let count = |registry: &MetricsRegistry, family: &str| {
+        metric_value(&registry.render(), family).unwrap_or(0.0)
+    };
+    assert_eq!(
+        count(service.metrics().registry(), "lqs_sessions_submitted_total"),
+        1.0
+    );
+    let journal = service.journal().expect("journaled service");
+    assert!(
+        count(
+            journal.metrics().registry(),
+            "lqs_journal_records_appended_total"
+        ) >= 3.0,
+        "meta, at least one snapshot, terminal"
+    );
+    assert_eq!(count(watchdog.metrics(), "lqs_watchdog_alerts_total"), 1.0);
+    assert_eq!(
+        count(poller.metrics().registry(), "lqs_accuracy_sessions_total"),
+        1.0
+    );
+
+    service.shutdown();
+    let recovery = RecoveryManager::new(move |_: &SessionMeta| Some(Arc::clone(&plan)));
+    recovery
+        .recover(&dir, &SessionRegistry::new())
+        .expect("recovery scan");
+    assert_eq!(
+        count(
+            recovery.metrics().registry(),
+            "lqs_sessions_recovered_total"
+        ),
+        1.0
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,35 +3,24 @@
 //! report, backoff, and accuracy bookkeeping of every evicted session.
 
 use lqs_metrics::MetricsRegistry;
-use lqs_plan::{AggFunc, Aggregate, PhysicalPlan, PlanBuilder};
+use lqs_plan::PhysicalPlan;
 use lqs_progress::{EstimateQuality, EstimatorConfig};
 use lqs_server::{
     PollFaultInjector, PollerMetrics, QueryService, QuerySpec, RegistryPoller, ServiceMetrics,
     SessionId, SessionProgress,
 };
-use lqs_storage::{Column, DataType, Database, Schema, Table, Value};
+use lqs_storage::Database;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// A 2000-row table and a scan → hash-aggregate plan over it.
+mod common;
+use common::{mixed_db, mixed_plans};
+
+/// [`mixed_db`] and the scan → hash-aggregate plan over it.
 fn fixture() -> (Arc<Database>, Arc<PhysicalPlan>) {
-    let mut t = Table::new(
-        "t",
-        Schema::new(vec![
-            Column::new("a", DataType::Int),
-            Column::new("b", DataType::Int),
-        ]),
-    );
-    for i in 0..2000 {
-        t.insert(vec![Value::Int(i), Value::Int(i % 50)]).unwrap();
-    }
-    let mut db = Database::new();
-    let tid = db.add_table_analyzed(t);
-    let mut b = PlanBuilder::new(&db);
-    let scan = b.table_scan(tid);
-    let agg = b.hash_aggregate(scan, vec![1], vec![Aggregate::of_col(AggFunc::Sum, 0)]);
-    let plan = Arc::new(b.finish(agg));
-    (Arc::new(db), plan)
+    let (db, t) = mixed_db();
+    let agg = mixed_plans(&db, t).swap_remove(1);
+    (Arc::new(db), agg)
 }
 
 #[test]

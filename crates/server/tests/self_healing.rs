@@ -11,82 +11,17 @@ use lqs_journal::{
     SessionMeta,
 };
 use lqs_metrics::MetricsRegistry;
-use lqs_plan::{NodeId, PhysicalPlan, PlanBuilder, SortKey};
 use lqs_progress::{EstimateQuality, EstimatorConfig};
 use lqs_server::{
     BrownoutConfig, QueryService, QuerySpec, RecoveredOutcome, RecoveryManager, RegistryPoller,
     RemediationPolicy, ServiceMetrics, SessionDurability, SessionRegistry, SessionState, Watchdog,
     WatchdogConfig,
 };
-use lqs_storage::{Column, DataType, Database, Schema, Table, Value};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn build_db() -> Database {
-    let mut orders = Table::new(
-        "orders",
-        Schema::new(vec![
-            Column::new("id", DataType::Int),
-            Column::new("amount", DataType::Int),
-        ]),
-    );
-    for i in 0..6000i64 {
-        orders
-            .insert(vec![Value::Int(i), Value::Int((i * 7) % 1000)])
-            .unwrap();
-    }
-    let mut db = Database::new();
-    db.add_table_analyzed(orders);
-    db
-}
-
-fn scan_sort_plan(db: &Database) -> Arc<PhysicalPlan> {
-    let orders = db.table_by_name("orders").expect("orders table");
-    let mut b = PlanBuilder::new(db);
-    let scan = b.table_scan(orders);
-    let sort = b.sort(scan, vec![SortKey::desc(1)]);
-    Arc::new(b.finish(sort))
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lqs-selfheal-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-/// Blocks the executing worker inside an I/O charge once `after_pages`
-/// cumulative logical reads have passed, until released — the stall shape.
-struct Gate {
-    after_pages: u64,
-    release: AtomicBool,
-}
-
-impl Gate {
-    fn new(after_pages: u64) -> Arc<Self> {
-        Arc::new(Gate {
-            after_pages,
-            release: AtomicBool::new(false),
-        })
-    }
-
-    fn open(&self) {
-        self.release.store(true, Ordering::Release);
-    }
-}
-
-impl lqs_exec::FaultInjector for Gate {
-    fn on_io(&self, _node: NodeId, total_pages: u64, _now_ns: u64) -> lqs_exec::IoVerdict {
-        if total_pages > self.after_pages {
-            while !self.release.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        lqs_exec::IoVerdict::Ok
-    }
-}
+mod common;
+use common::{metric_value, orders_db, scan_sort_plan, tmpdir, Gate};
 
 /// Fails every journal append whose 0-based logical index is >= `from`
 /// (index 0 is the session meta record).
@@ -100,19 +35,10 @@ impl JournalFaultInjector for FailFrom {
     }
 }
 
-/// First sample value of metric family `name` in an exposition.
-fn metric_value(text: &str, name: &str) -> Option<f64> {
-    text.lines()
-        .filter(|l| !l.starts_with('#'))
-        .find(|l| l.starts_with(name))
-        .and_then(|l| l.rsplit_once(' '))
-        .and_then(|(_, v)| v.parse().ok())
-}
-
 #[test]
 fn cancel_remediation_lands_terminal_without_burning_retries() {
     let dir = tmpdir("cancel");
-    let db = Arc::new(build_db());
+    let db = Arc::new(orders_db(6000));
     let plan = scan_sort_plan(&db);
 
     let mreg = Arc::new(MetricsRegistry::new());
@@ -202,7 +128,7 @@ fn cancel_remediation_lands_terminal_without_burning_retries() {
 
 #[test]
 fn quarantine_remediation_flags_session_and_degrades_reports() {
-    let db = Arc::new(build_db());
+    let db = Arc::new(orders_db(6000));
     let plan = scan_sort_plan(&db);
 
     let mreg = Arc::new(MetricsRegistry::new());
@@ -264,7 +190,7 @@ fn quarantine_remediation_flags_session_and_degrades_reports() {
 #[test]
 fn breaker_open_completion_recovers_as_orphaned_never_durable() {
     let dir = tmpdir("breaker-recovery");
-    let db = Arc::new(build_db());
+    let db = Arc::new(orders_db(6000));
     let plan = scan_sort_plan(&db);
 
     {
@@ -327,7 +253,7 @@ fn breaker_open_completion_recovers_as_orphaned_never_durable() {
 
 #[test]
 fn brownout_sheds_expired_queue_waits_with_reason() {
-    let db = Arc::new(build_db());
+    let db = Arc::new(orders_db(6000));
     let plan = scan_sort_plan(&db);
 
     let mreg = Arc::new(MetricsRegistry::new());
@@ -368,7 +294,7 @@ fn brownout_sheds_expired_queue_waits_with_reason() {
 
 #[test]
 fn brownout_widens_snapshot_cadence_under_sustained_overload() {
-    let db = Arc::new(build_db());
+    let db = Arc::new(orders_db(6000));
     let plan = scan_sort_plan(&db);
 
     let mreg = Arc::new(MetricsRegistry::new());

@@ -7,83 +7,17 @@
 //! the published snapshot sequence (the tests zero / inflate the wall
 //! windows), so the same injected chaos always yields the same alerts.
 
-use lqs_exec::{DmvSnapshot, ExecOptions, FaultInjector, IoVerdict, SnapshotFilter};
+use lqs_exec::{DmvSnapshot, ExecOptions, SnapshotFilter};
 use lqs_journal::{scan_dir, AlertKind, Journal, JournalConfig};
 use lqs_metrics::MetricsRegistry;
-use lqs_plan::{NodeId, PhysicalPlan, PlanBuilder, SortKey};
+use lqs_plan::NodeId;
 use lqs_progress::EstimatorConfig;
 use lqs_server::{Health, QueryService, QuerySpec, SessionState, Watchdog, WatchdogConfig};
-use lqs_storage::{Column, DataType, Database, Schema, Table, Value};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn build_db() -> Database {
-    let mut orders = Table::new(
-        "orders",
-        Schema::new(vec![
-            Column::new("id", DataType::Int),
-            Column::new("amount", DataType::Int),
-        ]),
-    );
-    for i in 0..6000i64 {
-        orders
-            .insert(vec![Value::Int(i), Value::Int((i * 7) % 1000)])
-            .unwrap();
-    }
-    let mut db = Database::new();
-    db.add_table_analyzed(orders);
-    db
-}
-
-/// scan → sort, returning (plan, scan node id).
-fn scan_sort_plan(db: &Database) -> (Arc<PhysicalPlan>, NodeId) {
-    let orders = db.table_by_name("orders").expect("orders table");
-    let mut b = PlanBuilder::new(db);
-    let scan = b.table_scan(orders);
-    let sort = b.sort(scan, vec![SortKey::desc(1)]);
-    (Arc::new(b.finish(sort)), scan)
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("lqs-watchdog-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    dir
-}
-
-/// Blocks the executing worker inside an I/O charge once `after_pages`
-/// cumulative logical reads have passed, until released. The session stays
-/// `Running` with a frozen publish sequence — the stall shape.
-struct Gate {
-    after_pages: u64,
-    release: AtomicBool,
-}
-
-impl Gate {
-    fn new(after_pages: u64) -> Arc<Self> {
-        Arc::new(Gate {
-            after_pages,
-            release: AtomicBool::new(false),
-        })
-    }
-
-    fn open(&self) {
-        self.release.store(true, Ordering::Release);
-    }
-}
-
-impl FaultInjector for Gate {
-    fn on_io(&self, _node: NodeId, total_pages: u64, _now_ns: u64) -> IoVerdict {
-        if total_pages > self.after_pages {
-            while !self.release.load(Ordering::Acquire) {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        }
-        IoVerdict::Ok
-    }
-}
+mod common;
+use common::{orders_db, scan_sort_plan, sweep_until_raised, tmpdir, Gate};
 
 /// Telemetry mangler: every mid-run snapshot claims the scan is fully
 /// done and everything downstream has produced nothing — the counters a
@@ -110,24 +44,11 @@ impl SnapshotFilter for Mangler {
     }
 }
 
-/// Sweep until the watchdog raises something (bounded), sleeping between
-/// sweeps so the gated worker thread gets scheduled.
-fn sweep_until_raised(wd: &mut Watchdog, max_sweeps: u64) -> Vec<lqs_server::SessionAlert> {
-    for _ in 0..max_sweeps {
-        let raised = wd.sweep();
-        if !raised.is_empty() {
-            return raised;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    Vec::new()
-}
-
 #[test]
 fn stalled_session_raises_one_journaled_alert_and_clears_on_finish() {
     let dir = tmpdir("stalled");
-    let db = Arc::new(build_db());
-    let (plan, _) = scan_sort_plan(&db);
+    let db = Arc::new(orders_db(6000));
+    let plan = scan_sort_plan(&db);
 
     let journal = Journal::open(JournalConfig::new(&dir)).expect("open journal");
     let service = QueryService::new(Arc::clone(&db), 1).with_journal(journal);
@@ -194,8 +115,9 @@ fn stalled_session_raises_one_journaled_alert_and_clears_on_finish() {
 
 #[test]
 fn divergence_mangled_session_raises_diverging_alert() {
-    let db = Arc::new(build_db());
-    let (plan, scan) = scan_sort_plan(&db);
+    let db = Arc::new(orders_db(6000));
+    let plan = scan_sort_plan(&db);
+    let scan = NodeId(0);
 
     let service = QueryService::new(Arc::clone(&db), 1);
     let metrics = Arc::new(MetricsRegistry::new());
@@ -256,8 +178,8 @@ fn divergence_mangled_session_raises_diverging_alert() {
 
 #[test]
 fn healthy_sessions_never_alert() {
-    let db = Arc::new(build_db());
-    let (plan, _) = scan_sort_plan(&db);
+    let db = Arc::new(orders_db(6000));
+    let plan = scan_sort_plan(&db);
     let service = QueryService::new(Arc::clone(&db), 1);
     let mut wd = Watchdog::new(
         Arc::clone(&db),
