@@ -22,7 +22,7 @@
 
 use lqs_plan::PhysicalPlan;
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Optimizer-estimate totals for one operator class (display-name bucket)
 /// of a plan.
@@ -173,11 +173,18 @@ impl HistoryStore {
         HistoryStore::default()
     }
 
+    /// The history. Every critical section only reads it or adds one
+    /// whole run, so a guard poisoned by a panicking holder still guards a
+    /// valid history.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<u64, FingerprintEntry>> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Record one completed run of the plan with the given fingerprint.
     /// `features` must come from the *same* plan (the caller verified the
     /// fingerprint); the first observation fixes the feature vector.
     pub fn observe(&self, fingerprint: u64, features: &PlanFeatures, run: ObservedRun) {
-        let mut inner = self.inner.lock().expect("history store poisoned");
+        let mut inner = self.lock();
         let entry = inner.entry(fingerprint).or_default();
         if entry.runs.is_empty() {
             entry.features = features.clone();
@@ -187,7 +194,7 @@ impl HistoryStore {
 
     /// Number of distinct plan fingerprints with history.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("history store poisoned").len()
+        self.lock().len()
     }
 
     /// True when no runs have been observed.
@@ -197,19 +204,14 @@ impl HistoryStore {
 
     /// Total observed runs across all fingerprints.
     pub fn total_runs(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("history store poisoned")
-            .values()
-            .map(|e| e.runs.len())
-            .sum()
+        self.lock().values().map(|e| e.runs.len()).sum()
     }
 
     /// Predict resources for an incoming plan given its fingerprint and
     /// features. `None` means **no history** — the store is cold or holds
     /// nothing comparable; callers must not treat that as "zero cost".
     pub fn predict(&self, fingerprint: u64, features: &PlanFeatures) -> Option<ResourcePrediction> {
-        let inner = self.inner.lock().expect("history store poisoned");
+        let inner = self.lock();
         if let Some(entry) = inner.get(&fingerprint) {
             if !entry.runs.is_empty() {
                 return Some(ResourcePrediction {
@@ -286,7 +288,7 @@ impl HistoryStore {
     /// `None`, never a fabricated estimate.
     pub fn predict_fingerprint(&self, fingerprint: u64) -> Option<ResourcePrediction> {
         let features = {
-            let inner = self.inner.lock().expect("history store poisoned");
+            let inner = self.lock();
             inner.get(&fingerprint).map(|e| e.features.clone())
         }?;
         self.predict(fingerprint, &features)
@@ -393,6 +395,37 @@ mod tests {
                 .map(|&(c, _, v)| (c.to_owned(), v))
                 .collect(),
         }
+    }
+
+    /// A thread that panicked holding the store (a caller's bug between
+    /// admission and `/history/predict`) must not turn every later
+    /// prediction into a panic.
+    #[test]
+    fn a_poisoned_store_still_answers() {
+        let store = HistoryStore::new();
+        let f = features(&[("Table Scan", 1, 100.0, 10.0, 1000.0)]);
+        store.observe(
+            7,
+            &f,
+            run(100.0, 10.0, 200.0, &[("Table Scan", 100.0, 10.0)]),
+        );
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = store.inner.lock().unwrap();
+                panic!("poison the history store");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && store.inner.is_poisoned());
+
+        store.observe(
+            7,
+            &f,
+            run(300.0, 30.0, 600.0, &[("Table Scan", 300.0, 30.0)]),
+        );
+        assert_eq!((store.len(), store.total_runs()), (1, 2));
+        assert_eq!(store.predict_fingerprint(7).map(|p| p.cpu_ns), Some(200.0));
+        assert!(store.predict(8, &f).is_some());
     }
 
     #[test]

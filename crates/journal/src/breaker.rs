@@ -21,7 +21,7 @@
 //! the chaos soaks rely on for byte-for-byte reproducible summaries.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs of one [`CircuitBreaker`].
@@ -118,6 +118,8 @@ struct BreakerInner {
 /// the protocol.
 pub struct CircuitBreaker {
     config: BreakerConfig,
+    /// Each transition stores whole field values and nothing between two
+    /// stores can unwind, so lockers recover a poisoned guard.
     inner: Mutex<BreakerInner>,
     /// Mirror of the state for lock-free reads (`/healthz`, pollers).
     state_tag: AtomicU8,
@@ -166,7 +168,7 @@ impl CircuitBreaker {
     /// [`record_outcome`](Self::record_outcome) unless it returned
     /// [`WriteAdmit::Suppress`].
     pub fn admit(&self) -> WriteAdmit {
-        let mut inner = self.inner.lock().expect("breaker poisoned");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match self.state() {
             BreakerState::Closed => WriteAdmit::Write,
             BreakerState::HalfOpen => WriteAdmit::Suppress,
@@ -189,7 +191,7 @@ impl CircuitBreaker {
     /// Report how an admitted append went. Returns the state transition,
     /// if any, so the caller can log/count it exactly once.
     pub fn record_outcome(&self, admit: WriteAdmit, ok: bool) -> BreakerEvent {
-        let mut inner = self.inner.lock().expect("breaker poisoned");
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match admit {
             WriteAdmit::Suppress => BreakerEvent::None,
             WriteAdmit::Probe => {
@@ -281,6 +283,30 @@ mod tests {
         assert_eq!(b.record_outcome(admit, true), BreakerEvent::Recovered);
         assert_eq!(b.state(), BreakerState::Closed);
         assert_eq!(b.recoveries(), 1);
+        assert_eq!(b.admit(), WriteAdmit::Write);
+    }
+
+    /// A panic under the breaker's lock must not turn every later journal
+    /// append into a panic on the executor path.
+    #[test]
+    fn a_poisoned_breaker_still_answers() {
+        let b = instant_probe();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = b.inner.lock().unwrap();
+                panic!("poison the breaker");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && b.inner.is_poisoned());
+
+        for _ in 0..3 {
+            b.record_outcome(b.admit(), false);
+        }
+        assert_eq!(b.state(), BreakerState::Open);
+        let probe = b.admit();
+        assert_eq!(probe, WriteAdmit::Probe);
+        assert_eq!(b.record_outcome(probe, true), BreakerEvent::Recovered);
         assert_eq!(b.admit(), WriteAdmit::Write);
     }
 

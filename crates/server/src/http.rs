@@ -66,7 +66,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -313,8 +313,9 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<TcpStream>>, state: &ServerState) {
     loop {
         // Hold the lock only while waiting for a connection, never while
         // serving one — otherwise the pool would be a serial loop in
-        // disguise.
-        let stream = rx.lock().expect("ingress queue poisoned").recv();
+        // disguise. A receiver has no state of ours to leave half-written,
+        // so a lock poisoned by a panicking holder still hands out work.
+        let stream = rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
         let Ok(mut stream) = stream else { return };
         // A panicking handler must cost its own request, not this worker:
         // `workers` such requests would otherwise leave nobody serving.
@@ -624,22 +625,23 @@ fn serve_profile(
     let Some(handle) = state.sessions.session(SessionId(id)) else {
         return respond(stream, 404, "text/plain", "no such session\n");
     };
-    let report = match handle.result() {
+    let result = handle.result();
+    let report = match &result {
         Some(SessionResult::Completed(run)) => {
-            lqs_prof::ProfileReport::from_run(handle.plan(), &run)
+            lqs_prof::ProfileReport::from_run(handle.plan(), run)
         }
         _ => None,
     };
     let collapsed_only = query_param(query, "format").as_deref() == Some("collapsed");
     let Some(report) = report else {
-        let reason = if !handle.state().is_terminal() {
-            "session not terminal yet"
-        } else if matches!(handle.result(), Some(SessionResult::Completed(_))) {
+        let reason = match result {
+            None => "session not terminal yet",
             // A completed run without attribution exists only on the
             // recovery path: journals carry counters, not self-times.
-            "no attribution recorded (journal-reconstructed run)"
-        } else {
-            "no completed run"
+            Some(SessionResult::Completed(_)) => {
+                "no attribution recorded (journal-reconstructed run)"
+            }
+            Some(_) => "no completed run",
         };
         if collapsed_only {
             return respond(stream, 404, "text/plain", &format!("{reason}\n"));
@@ -705,9 +707,11 @@ fn serve_alerts(stream: &mut TcpStream, state: &ServerState) -> std::io::Result<
     let Some(watchdog) = &state.config.watchdog else {
         return respond(stream, 404, "text/plain", "watchdog not configured\n");
     };
-    let (sweeps, alerts) = {
-        let w = watchdog.lock().expect("watchdog poisoned");
-        (w.sweeps(), w.alerts())
+    let (sweeps, alerts) = match watchdog.lock() {
+        Ok(w) => (w.sweeps(), w.alerts()),
+        // A sweep that panicked may have left its bookkeeping half-updated:
+        // say so rather than serve it.
+        Err(_) => return respond(stream, 500, "text/plain", "watchdog poisoned\n"),
     };
     let rows: Vec<Value> = alerts
         .iter()
@@ -1138,4 +1142,43 @@ fn prediction_json(fingerprint: u64, p: &ResourcePrediction) -> Value {
         ),
         ("basis".into(), basis),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An ingress worker that panicked holding the hand-off receiver's lock
+    /// must not stop the other workers from taking connections.
+    #[test]
+    fn a_poisoned_ingress_queue_still_serves() {
+        let state = ServerState {
+            metrics: Arc::default(),
+            sessions: Arc::default(),
+            config: ServerConfig::default(),
+            started: Instant::now(),
+        };
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        client.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+        let (accepted, _) = listener.accept().expect("accept");
+
+        let (tx, rx) = mpsc::sync_channel(1);
+        let rx = Mutex::new(rx);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = rx.lock().unwrap();
+                panic!("poison the ingress queue");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && rx.is_poisoned());
+
+        tx.send(accepted).unwrap();
+        drop(tx);
+        worker_loop(&rx, &state);
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+    }
 }

@@ -15,6 +15,10 @@
 //!   snapshot boundaries (the [`lqs_exec::SnapshotPublisher`] hook);
 //!   pollers copy it out into reusable buffers. Either side holds the
 //!   lock for one allocation-free copy of the counters and nothing else.
+//! * Session lifecycle — one value under one lock: `Queued`, `Running`, or
+//!   done with a [`SessionResult`], whose [`SessionResult::state`] is the
+//!   terminal [`SessionState`]. Only `start` and `finish` move it, and they
+//!   own the running gauge, the cost-pool release and the waiters' wake-up.
 //! * [`RegistryPoller`] — the SSMS-client analog: turns each session's
 //!   latest snapshot into a [`lqs_progress::ProgressReport`], reusing one
 //!   [`lqs_progress::ProgressEstimator`] per session across polls.

@@ -25,7 +25,7 @@
 use crate::metrics::state_label;
 use crate::registry::SessionRegistry;
 use crate::session::{QuerySpec, SessionHandle, SessionId, SessionResult, SessionState};
-use lqs_exec::{AbortReason, AbortedQuery, ExecOptions, QueryRun};
+use lqs_exec::{AbortReason, AbortedQuery, ExecOptions};
 use lqs_journal::{
     plan_fingerprint, scan_dir, JournalMetrics, JournalScan, RecoveredSession, SessionMeta,
     TerminalKind,
@@ -237,69 +237,45 @@ impl RecoveryManager {
             });
         let handle = registry.register(spec);
         summary.id = Some(handle.id());
-        summary.outcome = restore_handle(&handle, session, meta);
+        summary.outcome = restore_handle(&handle, session);
         summary
     }
 }
 
 /// Install a journaled session's state into a freshly registered handle.
-fn restore_handle(
-    handle: &SessionHandle,
-    session: &RecoveredSession,
-    meta: &SessionMeta,
-) -> RecoveredOutcome {
+fn restore_handle(handle: &SessionHandle, session: &RecoveredSession) -> RecoveredOutcome {
     let Some((terminal, trace, last)) = session.terminal_publish() else {
         // Died mid-run: the last journaled snapshot is the session's
         // last-known progress; pollers estimate from it at Degraded.
-        handle.restore(
-            session.snapshots.last().cloned(),
-            SessionResult::Orphaned,
-            SessionState::Orphaned,
-        );
+        handle.restore(session.snapshots.last().cloned(), SessionResult::Orphaned);
         return RecoveredOutcome::Orphaned;
     };
-    let (state, result, snapshot) = match terminal.kind {
-        TerminalKind::Succeeded => (
-            SessionState::Succeeded,
-            SessionResult::Completed(Box::new(QueryRun {
-                snapshots: trace.to_vec(),
-                final_counters: last.nodes.clone(),
-                duration_ns: terminal.at_ns,
-                rows_returned: terminal.rows_returned,
-                cost_model: meta.cost_model.clone(),
-                node_elapsed_ns: Vec::new(),
-            })),
-            Some(last),
-        ),
-        TerminalKind::Cancelled | TerminalKind::DeadlineExceeded => {
-            let (state, reason) = if terminal.kind == TerminalKind::Cancelled {
-                (SessionState::Cancelled, AbortReason::Cancelled)
-            } else {
-                (
-                    SessionState::DeadlineExceeded,
-                    AbortReason::DeadlineExceeded,
-                )
-            };
-            (
-                state,
-                SessionResult::Aborted(AbortedQuery {
-                    reason,
-                    at_ns: terminal.at_ns,
-                    snapshots: trace.to_vec(),
-                    partial_counters: last.nodes.clone(),
-                }),
-                Some(last),
-            )
+    let aborted = |reason| {
+        SessionResult::Aborted(Arc::new(AbortedQuery {
+            reason,
+            at_ns: terminal.at_ns,
+            snapshots: trace.to_vec(),
+            partial_counters: last.nodes.clone(),
+        }))
+    };
+    let (result, snapshot) = match (session.completed_run(), terminal.kind) {
+        (Some(run), _) => (SessionResult::Completed(Arc::new(run)), Some(last)),
+        (None, TerminalKind::Cancelled) => (aborted(AbortReason::Cancelled), Some(last)),
+        (None, TerminalKind::DeadlineExceeded) => {
+            (aborted(AbortReason::DeadlineExceeded), Some(last))
         }
-        TerminalKind::Failed => (
-            SessionState::Failed,
+        (None, TerminalKind::Failed) => (
             SessionResult::Failed(terminal.message.clone()),
             // `fail` publishes nothing, so whatever snapshot is last in the
             // journal is a genuine mid-run publish — keep it visible.
             session.snapshots.last().cloned(),
         ),
-        TerminalKind::Rejected => (SessionState::Rejected, SessionResult::Rejected, None),
+        (None, TerminalKind::Rejected) => (SessionResult::Rejected, None),
+        // Not reached: `completed_run` answers every `Succeeded` record that
+        // `terminal_publish` accepts. A run that is gone is an orphan.
+        (None, TerminalKind::Succeeded) => (SessionResult::Orphaned, Some(last)),
     };
-    handle.restore(snapshot, result, state);
+    let state = result.state();
+    handle.restore(snapshot, result);
     RecoveredOutcome::Restored(state)
 }

@@ -92,13 +92,7 @@ impl SessionRegistry {
     /// [`RegistryPoller::evict_finished`]).
     pub fn evict_terminal(&self) -> Vec<Arc<SessionHandle>> {
         let mut sessions = self.lock();
-        // Every state is read before anything moves: a panic in `state()`
-        // half-way through a drain would drop every registered session.
-        let terminal: Vec<bool> = sessions.iter().map(|h| h.state().is_terminal()).collect();
-        let mut terminal = terminal.into_iter();
-        let (gone, kept): (Vec<_>, Vec<_>) = sessions
-            .drain(..)
-            .partition(|_| terminal.next() == Some(true));
+        let (gone, kept) = sessions.drain(..).partition(|h| h.state().is_terminal());
         *sessions = kept;
         gone
     }
@@ -434,9 +428,10 @@ impl RegistryPoller {
     /// had a choice to make, so is the composed `"ensemble"` figure, and
     /// the replay's final selection is journaled and stashed on the handle.
     fn maybe_score_accuracy(&mut self, handle: &SessionHandle) {
-        if !handle.state().is_terminal() {
+        // A result exists exactly when the session is terminal.
+        let Some(result) = handle.result() else {
             return;
-        }
+        };
         let st = self.states.entry(handle.id()).or_default();
         if st.scored {
             return;
@@ -444,7 +439,7 @@ impl RegistryPoller {
         // Run at most once per session, whatever the result variant:
         // aborted and failed runs have no ground truth to score against.
         st.scored = true;
-        let Some(SessionResult::Completed(run)) = handle.result() else {
+        let SessionResult::Completed(run) = result else {
             return;
         };
         let guarded = st
@@ -559,7 +554,7 @@ mod tests {
     fn a_poisoned_registry_still_answers() {
         let registry = SessionRegistry::new();
         let done = registry.register(spec("done"));
-        done.set_state(SessionState::Running);
+        done.start().unwrap();
         done.settle(done.fail("boom".into()));
         let live = registry.register(spec("live"));
         let panicked = std::thread::scope(|s| {

@@ -12,7 +12,7 @@
 //! order — so file bytes, crash-point offsets and the shared circuit
 //! breaker's call sequence do not depend on the stage — and then hands the
 //! session over a bounded channel; the stage forces the terminal record to
-//! disk, installs the result and flips the state, while the worker is
+//! disk and finishes the session with its outcome, while the worker is
 //! already executing the next session. Journaled or not, whatever the fsync
 //! policy, every executed session takes this one path, and none is
 //! observable as terminal before its flush has returned.
@@ -33,7 +33,7 @@ use lqs_plan::PhysicalPlan;
 use lqs_storage::Database;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, SendError, Sender, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -411,18 +411,16 @@ impl QueryService {
                     cost.metrics.prediction_issued(prediction.basis);
                     let cost_ns = prediction.cpu_ns.max(1.0).ceil() as u64;
                     let admitted = cost.try_admit(cost_ns);
-                    handle.attach_cost(
-                        SessionCost {
-                            admission: Arc::clone(cost),
-                            prediction: Some(prediction),
-                        },
-                        if admitted { cost_ns } else { 0 },
-                    );
+                    handle.attach_cost(SessionCost {
+                        admission: Arc::clone(cost),
+                        prediction: Some(prediction),
+                        admitted_cpu_ns: if admitted { cost_ns } else { 0 },
+                    });
                     if !admitted {
                         cost.metrics.cost_rejection();
                         self.metrics.rejected.inc();
                         self.metrics.finished(SessionState::Rejected);
-                        handle.reject();
+                        handle.reject(None);
                         return handle;
                     }
                     admitted_by_cost = true;
@@ -431,13 +429,11 @@ impl QueryService {
                     cost.metrics.cold_miss();
                     // Still attach the admission state (with no admitted
                     // cost): the completed run must warm the store.
-                    handle.attach_cost(
-                        SessionCost {
-                            admission: Arc::clone(cost),
-                            prediction: None,
-                        },
-                        0,
-                    );
+                    handle.attach_cost(SessionCost {
+                        admission: Arc::clone(cost),
+                        prediction: None,
+                        admitted_cpu_ns: 0,
+                    });
                 }
             }
         }
@@ -451,7 +447,7 @@ impl QueryService {
                 if depth >= limit {
                     self.metrics.rejected.inc();
                     self.metrics.finished(SessionState::Rejected);
-                    handle.reject();
+                    handle.reject(None);
                     return handle;
                 }
                 match self.queued_depth.compare_exchange_weak(
@@ -586,8 +582,10 @@ fn worker_loop(
     metrics: &ServiceMetrics,
 ) {
     loop {
-        // Hold the receiver lock only for the dequeue, not the execution.
-        let handle = match rx.lock().expect("queue poisoned").recv() {
+        // Hold the receiver lock only for the dequeue, not the execution. A
+        // receiver has no state of ours to leave half-written, so a lock
+        // poisoned by a panicking holder still dequeues.
+        let handle = match rx.lock().unwrap_or_else(PoisonError::into_inner).recv() {
             Ok(handle) => handle,
             Err(_) => return, // queue closed and drained
         };
@@ -620,13 +618,13 @@ fn run_session(
     // done): pollers feed the published snapshot to an estimator that
     // indexes it by every plan node.
     if handle.cancel_token().is_cancelled() {
-        metrics.finished(SessionState::Cancelled);
         let pending = handle.abort(lqs_exec::AbortedQuery {
             reason: lqs_exec::AbortReason::Cancelled,
             at_ns: 0,
             snapshots: Vec::new(),
             partial_counters: vec![lqs_exec::NodeCounters::default(); handle.plan().len()],
         });
+        metrics.finished(pending.result.state());
         hand_off(stage, handle, pending);
         return;
     }
@@ -638,11 +636,11 @@ fn run_session(
             if queue_wait > deadline {
                 metrics.shed("queue_deadline");
                 metrics.finished(SessionState::Rejected);
-                handle.reject_with_reason(format!(
+                handle.reject(Some(format!(
                     "queue-wait deadline exceeded: waited {:.3}s over a {:.3}s budget",
                     queue_wait.as_secs_f64(),
                     deadline.as_secs_f64()
-                ));
+                )));
                 return;
             }
         }
@@ -654,15 +652,18 @@ fn run_session(
             if prediction.runtime_ns > deadline_ns as f64 {
                 metrics.shed("predicted_over_deadline");
                 metrics.finished(SessionState::Rejected);
-                handle.reject_with_reason(format!(
+                handle.reject(Some(format!(
                     "predicted runtime {:.0}ns exceeds the {deadline_ns}ns virtual deadline",
                     prediction.runtime_ns
-                ));
+                )));
                 return;
             }
         }
     }
-    handle.set_state(SessionState::Running);
+    // Only a queued session starts; one already finished is not run.
+    if handle.start().is_err() {
+        return;
+    }
     metrics.queue_wait_seconds.observe(queue_wait.as_secs_f64());
     metrics.running.inc();
     let started = Instant::now();
@@ -717,35 +718,12 @@ fn run_session(
         }
         break outcome;
     };
-    let (state, virtual_ns) = match &outcome {
-        Ok(Ok(run)) => (SessionState::Succeeded, Some(run.duration_ns)),
-        Ok(Err(aborted)) => {
-            let state = match aborted.reason {
-                lqs_exec::AbortReason::Cancelled => SessionState::Cancelled,
-                lqs_exec::AbortReason::DeadlineExceeded => SessionState::DeadlineExceeded,
-            };
-            (state, Some(aborted.at_ns))
-        }
-        Err(payload) => (
-            SessionState::Failed,
-            payload.downcast_ref::<QueryFault>().map(|f| f.at_ns),
-        ),
+    let run_wall = started.elapsed();
+    let virtual_ns = match &outcome {
+        Ok(Ok(run)) => Some(run.duration_ns),
+        Ok(Err(aborted)) => Some(aborted.at_ns),
+        Err(payload) => payload.downcast_ref::<QueryFault>().map(|f| f.at_ns),
     };
-    // Record telemetry *before* the hand-off that leads to the terminal
-    // state: anyone woken by `wait_terminal` must already see this session
-    // in the counters. `running` counts executing sessions, so it drops
-    // here and never exceeds the worker count.
-    metrics.running.dec();
-    metrics
-        .run_wall_seconds
-        .observe(started.elapsed().as_secs_f64());
-    if let Some(ns) = virtual_ns {
-        metrics.run_virtual_ns.observe_u64(ns);
-    }
-    metrics.finished(state);
-    if let Some(sink) = handle.trace_sink() {
-        metrics.trace_events_dropped.set(sink.dropped() as i64);
-    }
     // Deliver anything a delaying filter still buffers, then let the
     // terminal publish land last (the guard's high-water view tolerates
     // any interleaving, but in the common case this keeps order sane).
@@ -759,7 +737,34 @@ fn run_session(
         Ok(Err(aborted)) => handle.abort(aborted),
         Err(payload) => handle.fail(panic_message(payload.as_ref())),
     };
+    // Record telemetry *before* the hand-off that leads to the terminal
+    // state: anyone woken by `wait_terminal` must already see this session
+    // in the counters. `running` counts executing sessions, so it drops
+    // here and never exceeds the worker count.
+    metrics.running.dec();
+    metrics.run_wall_seconds.observe(run_wall.as_secs_f64());
+    if let Some(ns) = virtual_ns {
+        metrics.run_virtual_ns.observe_u64(ns);
+    }
+    metrics.finished(pending.result.state());
+    if let Some(sink) = handle.trace_sink() {
+        metrics.trace_events_dropped.set(sink.dropped() as i64);
+    }
     hand_off(stage, handle, pending);
+}
+
+#[cfg(test)]
+impl CostAdmission {
+    /// An unbounded pool over an empty store, `outstanding_cpu_ns` already
+    /// taken from it.
+    pub(crate) fn holding(outstanding_cpu_ns: u64) -> Self {
+        CostAdmission {
+            store: Arc::default(),
+            pool_cpu_ns: u64::MAX,
+            outstanding_cpu_ns: AtomicU64::new(outstanding_cpu_ns),
+            metrics: HistoryMetrics::new(Arc::default()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -782,7 +787,7 @@ mod tests {
         let stage = std::thread::spawn(move || stage_loop(&rx));
 
         let doomed = handle(&registry);
-        doomed.set_state(SessionState::Running);
+        doomed.start().unwrap();
         contain(&doomed, || panic!("disk on fire"));
         assert_eq!(doomed.wait_terminal(), SessionState::Failed);
         let Some(crate::SessionResult::Failed(message)) = doomed.result() else {
@@ -792,7 +797,7 @@ mod tests {
         assert_eq!(registry.running_now(), 0);
 
         let next = handle(&registry);
-        next.set_state(SessionState::Running);
+        next.start().unwrap();
         let pending = next.fail("executed and failed".into());
         hand_off(&tx, &next, pending);
         assert_eq!(next.wait_terminal(), SessionState::Failed);
@@ -809,5 +814,34 @@ mod tests {
         let pending = stranded.fail("no stage".into());
         hand_off(&dead_tx, &stranded, pending);
         assert_eq!(stranded.state(), SessionState::Failed);
+    }
+
+    /// A thread that panicked holding the queue's receiver lock must not
+    /// take the pool with it: the next worker still dequeues and runs.
+    #[test]
+    fn a_poisoned_worker_queue_still_dequeues() {
+        let registry = SessionRegistry::new();
+        let (tx, rx) = channel();
+        let rx = Mutex::new(rx);
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = rx.lock().unwrap();
+                panic!("poison the worker queue");
+            })
+            .join()
+        });
+        assert!(panicked.is_err() && rx.is_poisoned());
+
+        let queued = handle(&registry);
+        tx.send(Arc::clone(&queued)).unwrap();
+        drop(tx);
+        let (stage_tx, stage_rx) = sync_channel::<Handoff>(1);
+        let depth = AtomicUsize::new(1);
+        let metrics = ServiceMetrics::new(Arc::default());
+        worker_loop(&Database::new(), &rx, &stage_tx, &depth, &metrics);
+        drop(stage_tx);
+        stage_loop(&stage_rx);
+        assert_eq!(queued.state(), SessionState::Succeeded);
+        assert_eq!(depth.load(Ordering::Acquire), 0);
     }
 }

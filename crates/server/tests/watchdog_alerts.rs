@@ -12,12 +12,17 @@ use lqs_journal::{scan_dir, AlertKind, Journal, JournalConfig};
 use lqs_metrics::MetricsRegistry;
 use lqs_plan::NodeId;
 use lqs_progress::EstimatorConfig;
-use lqs_server::{Health, QueryService, QuerySpec, SessionState, Watchdog, WatchdogConfig};
-use std::sync::Arc;
+use lqs_server::{
+    Health, MetricsServer, QueryService, QuerySpec, ServerConfig, SessionState, Watchdog,
+    WatchdogConfig,
+};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 mod common;
-use common::{orders_db, scan_sort_plan, sweep_until_raised, tmpdir, Gate};
+use common::{
+    body_of, http_get, metric_value, orders_db, scan_sort_plan, sweep_until_raised, tmpdir, Gate,
+};
 
 /// Telemetry mangler: every mid-run snapshot claims the scan is fully
 /// done and everything downstream has produced nothing — the counters a
@@ -201,4 +206,50 @@ fn healthy_sessions_never_alert() {
     wd.sweep();
     assert!(wd.alerts().is_empty());
     assert!(wd.sweeps() >= 1);
+}
+
+/// A sweep that panics with the shared watchdog locked costs `/alerts` a
+/// 500 that says why — an answer, not a panicking handler — and every
+/// other route keeps answering.
+#[test]
+fn a_poisoned_watchdog_answers_alerts_with_a_500() {
+    let db = Arc::new(orders_db(10));
+    let service = QueryService::new(Arc::clone(&db), 1);
+    let wd = Arc::new(Mutex::new(Watchdog::new(
+        Arc::clone(&db),
+        Arc::clone(service.registry()),
+        EstimatorConfig::full(),
+        WatchdogConfig::default(),
+    )));
+    let metrics = Arc::new(MetricsRegistry::new());
+    let server = MetricsServer::start_with(
+        "127.0.0.1:0",
+        Arc::clone(&metrics),
+        Arc::clone(service.registry()),
+        ServerConfig {
+            watchdog: Some(Arc::clone(&wd)),
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind metrics server");
+    assert!(http_get(server.addr(), "/alerts").starts_with("HTTP/1.1 200"));
+
+    let poisoner = Arc::clone(&wd);
+    let panicked = std::thread::spawn(move || {
+        let _held = poisoner.lock().unwrap();
+        panic!("poison the watchdog");
+    })
+    .join();
+    assert!(panicked.is_err() && wd.is_poisoned());
+
+    let alerts = http_get(server.addr(), "/alerts");
+    assert!(alerts.starts_with("HTTP/1.1 500"), "{alerts}");
+    assert_eq!(body_of(&alerts), "watchdog poisoned\n");
+    assert!(http_get(server.addr(), "/healthz").starts_with("HTTP/1.1 200"));
+    let rendered = metrics.render();
+    assert_eq!(
+        metric_value(&rendered, "lqs_http_handler_panics_total"),
+        Some(0.0)
+    );
+    server.stop();
 }
