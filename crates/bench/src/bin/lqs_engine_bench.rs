@@ -70,7 +70,7 @@ const CLI: Cli = Cli {
 fn db(rows: i64) -> (Database, TableId, IndexId) {
     let mut d = Database::new();
     let id = d.add_table_analyzed(table_t(rows, 97));
-    let pk = d.create_btree_index("pk_t", id, vec![0], true);
+    let pk = d.create_btree_index("pk_t", id, vec![0]);
     (d, id, pk)
 }
 

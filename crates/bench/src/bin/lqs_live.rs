@@ -42,13 +42,13 @@
 //! empty-but-plausible view.
 
 use lqs::exec::execute_traced;
-use lqs::harness::{run_query, trace_estimator};
 use lqs::journal::{plan_fingerprint, scan_dir, RecoveredSession};
 use lqs::obs::to_chrome_trace_with_drops;
 use lqs::plan::{NodeId, PhysicalPlan};
 use lqs::prelude::*;
 use lqs::progress::ProgressReport;
 use lqs::workloads::{standard_five, tpch, PhysicalDesign, WorkloadScale};
+use lqs_bench::run::{run_query, trace_estimator};
 use lqs_bench::{Cli, Kind};
 
 const CLI: Cli = Cli {

@@ -38,10 +38,19 @@
 //! `target/lqs-smoke-<scene>-journal`, emptied first).
 
 use lqs::chaos::PageGate;
-use lqs::history::{history_from_scan, HistoryResolver, ResolvedPlan};
+use lqs::history::{
+    history_from_scan, HistoryMetrics, HistoryResolver, HistoryStore, ResolvedPlan,
+};
 use lqs::journal::{plan_fingerprint, scan_dir, AlertKind, SessionMeta};
+use lqs::metrics::MetricsRegistry;
 use lqs::prelude::*;
-use lqs::server::SessionHandle;
+use lqs::prof::ProfileReport;
+use lqs::progress::{error_count, error_time, EnsembleConfig, EnsembleEstimator};
+use lqs::server::{
+    Health, HistoryEndpoints, MetricsServer, PollerMetrics, QueryService, QuerySpec,
+    RegistryPoller, ServerConfig, ServiceMetrics, SessionHandle, SessionRegistry, SessionResult,
+    SessionState, Watchdog, WatchdogConfig,
+};
 use lqs::workloads::{tpch, PhysicalDesign, WorkloadScale};
 use lqs_bench::{
     fail, fresh_journal, http_get, http_get_deterministic, http_get_ok, parse_json, Cli, Kind,

@@ -11,15 +11,15 @@
 //! ```
 
 use lqs::exec::ExecOptions;
-use lqs::harness::ensemble::{ensemble_real, render_ensemble_markdown};
-use lqs::harness::figures::{self, Point};
-use lqs::harness::report::{render_frequencies, render_per_operator, render_workload_errors};
-use lqs::harness::{
-    calibrate_weights, estimates_only, run_query, workload_errors, ConfigSpec, Metric,
-};
 use lqs::plan::CostModel;
 use lqs::progress::{compute_bounds, error_time, EstimatorConfig, PlanStatics};
 use lqs::workloads::{standard_five, tpcds, tpch, PhysicalDesign, WorkloadScale};
+use lqs_bench::calibrate::calibrate_weights;
+use lqs_bench::ensemble::{ensemble_real, render_ensemble_markdown};
+use lqs_bench::experiment::{workload_errors, ConfigSpec, Metric};
+use lqs_bench::figures::{self, Point};
+use lqs_bench::report::{render_frequencies, render_per_operator, render_workload_errors};
+use lqs_bench::run::{estimates_only, run_query};
 use lqs_bench::{Cli, Kind};
 
 const CLI: Cli = Cli {
@@ -44,7 +44,7 @@ struct Run {
 impl Run {
     fn write_json<T: serde::Serialize>(&self, value: &T) {
         if let Some(path) = &self.json {
-            std::fs::write(path, lqs::harness::report::to_json(value))
+            std::fs::write(path, lqs_bench::report::to_json(value))
                 .expect("failed to write JSON output");
             eprintln!("wrote {path}");
         }
@@ -100,6 +100,9 @@ fn main() {
             println!("{name}");
         }
         return;
+    }
+    if flags.int("--queries") == Some(0) {
+        CLI.reject("--queries 0 leaves nothing to measure");
     }
     let default = WorkloadScale::default();
     let scale = WorkloadScale {

@@ -6,16 +6,16 @@
 //! buffer-pool caching). This module executes a calibration workload and
 //! compares each operator type's *actual* per-tuple virtual cost against
 //! the optimizer's estimate, producing multipliers that
-//! [`lqs_progress::EstimatorConfig::with_weight_feedback`] applies on top
+//! [`lqs::progress::EstimatorConfig::with_weight_feedback`] applies on top
 //! of the static weights.
 
-use lqs_exec::ExecOptions;
-use lqs_plan::CostModel;
-use lqs_workloads::Workload;
+use lqs::exec::ExecOptions;
+use lqs::plan::CostModel;
+use lqs::workloads::Workload;
 use std::collections::BTreeMap;
 
 /// Learned per-operator-type multipliers: actual ÷ estimated per-tuple cost.
-pub type WeightCalibration = BTreeMap<&'static str, f64>;
+pub(crate) type WeightCalibration = BTreeMap<&'static str, f64>;
 
 /// Execute every query of `workload` and aggregate actual vs estimated
 /// per-tuple cost per operator type.
@@ -45,7 +45,7 @@ pub fn calibrate_weights(workload: &Workload, opts: &ExecOptions) -> WeightCalib
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lqs_workloads::{tpcds, WorkloadScale};
+    use lqs::workloads::{tpcds, WorkloadScale};
 
     #[test]
     fn calibration_produces_sane_multipliers() {

@@ -10,9 +10,9 @@
 //! same runs.
 
 use crate::run::run_query;
-use lqs_exec::ExecOptions;
-use lqs_progress::{error_count, error_time, EnsembleConfig, EnsembleEstimator};
-use lqs_workloads::Workload;
+use lqs::exec::ExecOptions;
+use lqs::progress::{error_count, error_time, EnsembleConfig, EnsembleEstimator};
+use lqs::workloads::Workload;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt::Write;
@@ -28,11 +28,11 @@ pub struct EnsembleErrors {
     /// ErrorAvg of the composed (weighted) ensemble estimate.
     pub ensemble_error_avg: f64,
     /// ErrorTime of the composed ensemble estimate.
-    pub ensemble_error_time: f64,
+    pub(crate) ensemble_error_time: f64,
     /// Final selected member per query: member id → query count.
-    pub selected: BTreeMap<String, usize>,
+    pub(crate) selected: BTreeMap<String, usize>,
     /// Queries measured (those that produced at least one snapshot).
-    pub queries: usize,
+    pub(crate) queries: usize,
 }
 
 impl EnsembleErrors {
@@ -48,7 +48,7 @@ impl EnsembleErrors {
 /// Run every query of `workload`, replay its snapshot trace through the
 /// standard member set plus the selection layer, and average both §5 error
 /// metrics per query and then over queries.
-pub fn ensemble_errors(
+pub(crate) fn ensemble_errors(
     workload: &Workload,
     config: &EnsembleConfig,
     opts: &ExecOptions,
@@ -107,8 +107,8 @@ pub fn ensemble_errors(
 /// customer workloads the robustness claim is evaluated on. The selection
 /// seed is the scale's master seed, so the table is a pure function of
 /// `scale`.
-pub fn ensemble_real(scale: lqs_workloads::WorkloadScale) -> Vec<EnsembleErrors> {
-    use lqs_workloads::real::{workload, RealProfile};
+pub fn ensemble_real(scale: lqs::workloads::WorkloadScale) -> Vec<EnsembleErrors> {
+    use lqs::workloads::real::{workload, RealProfile};
     let config = EnsembleConfig::standard(scale.seed);
     [RealProfile::Real1, RealProfile::Real2, RealProfile::Real3]
         .into_iter()

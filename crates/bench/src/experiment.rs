@@ -2,9 +2,9 @@
 //! set of estimator configurations and aggregate the paper's error metrics.
 
 use crate::run::{estimates_only, estimator_for_run, run_query, trace_estimator};
-use lqs_exec::ExecOptions;
-use lqs_progress::{error_count, error_time, EstimatorConfig, PerOperatorError};
-use lqs_workloads::Workload;
+use lqs::exec::ExecOptions;
+use lqs::progress::{error_count, error_time, EstimatorConfig, PerOperatorError};
+use lqs::workloads::Workload;
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -171,7 +171,7 @@ pub fn merge_per_operator(parts: &[PerOperatorErrors]) -> PerOperatorErrors {
 }
 
 /// Count operators by display name across a workload's plans (Figure 19).
-pub fn operator_frequencies(workload: &Workload) -> BTreeMap<String, usize> {
+pub(crate) fn operator_frequencies(workload: &Workload) -> BTreeMap<String, usize> {
     let mut out = BTreeMap::new();
     for q in &workload.queries {
         for n in q.plan.nodes() {

@@ -7,10 +7,10 @@ use crate::experiment::{
     Metric, PerOperatorErrors, WorkloadErrors,
 };
 use crate::run::{run_query, trace_estimator};
-use lqs_exec::ExecOptions;
-use lqs_plan::{NodeId, PhysicalOp};
-use lqs_progress::EstimatorConfig;
-use lqs_workloads::{standard_five, tpcds, tpch, PhysicalDesign, WorkloadScale};
+use lqs::exec::ExecOptions;
+use lqs::plan::{NodeId, PhysicalOp};
+use lqs::progress::EstimatorConfig;
+use lqs::workloads::{standard_five, tpcds, tpch, PhysicalDesign, WorkloadScale};
 use serde::Serialize;
 use std::collections::BTreeMap;
 
@@ -48,14 +48,14 @@ pub struct Fig8 {
 /// Reproduce Figure 7/8: an index nested-loops join under a gather exchange.
 pub fn figure8(scale: WorkloadScale) -> Fig8 {
     let t = tpcds::build_db(scale);
-    let mut b = lqs_plan::PlanBuilder::new(&t.db);
+    let mut b = lqs::plan::PlanBuilder::new(&t.db);
     let ss = b.table_scan(t.store_sales);
     let seek = b.index_seek(
         t.customer_pk,
-        lqs_plan::SeekRange::eq(vec![lqs_plan::SeekKey::OuterRef(2)]),
+        lqs::plan::SeekRange::eq(vec![lqs::plan::SeekKey::OuterRef(2)]),
     );
-    let nl = b.nested_loops(lqs_plan::JoinKind::Inner, ss, seek, None, 64);
-    let ex = b.exchange(nl, lqs_plan::ExchangeKind::GatherStreams, 8);
+    let nl = b.nested_loops(lqs::plan::JoinKind::Inner, ss, seek, None, 64);
+    let ex = b.exchange(nl, lqs::plan::ExchangeKind::GatherStreams, 8);
     let top = b.add(PhysicalOp::Top { n: usize::MAX }, vec![ex]);
     let plan = b.finish(top);
     let run = run_query(&t.db, &plan, &opts());
@@ -212,8 +212,8 @@ pub fn figure12(scale: WorkloadScale) -> Fig12 {
     Fig12 {
         weighted: series(&w.estimates),
         unweighted: series(&u.estimates),
-        error_weighted: lqs_progress::error_time(&run, &w.estimates),
-        error_unweighted: lqs_progress::error_time(&run, &u.estimates),
+        error_weighted: lqs::progress::error_time(&run, &w.estimates),
+        error_unweighted: lqs::progress::error_time(&run, &u.estimates),
     }
 }
 
@@ -255,8 +255,8 @@ pub fn figure13(scale: WorkloadScale) -> Fig13 {
     Fig13 {
         estimator1: series(&e1.estimates),
         estimator2: series(&e2.estimates),
-        error1: lqs_progress::error_time(&run, &e1.estimates),
-        error2: lqs_progress::error_time(&run, &e2.estimates),
+        error1: lqs::progress::error_time(&run, &e1.estimates),
+        error2: lqs::progress::error_time(&run, &e2.estimates),
     }
 }
 
@@ -273,7 +273,7 @@ pub fn figure13(scale: WorkloadScale) -> Fig13 {
 /// applies refinement + bounding within the TGN model; the DNE variant
 /// remains available as [`EstimatorConfig::dne_refined`] and is reported
 /// separately in EXPERIMENTS.md.
-pub fn fig14_configs() -> Vec<ConfigSpec> {
+pub(crate) fn fig14_configs() -> Vec<ConfigSpec> {
     let refined = {
         let mut c = EstimatorConfig::tgn_bounded();
         c.refine_cardinality = true;
@@ -308,7 +308,7 @@ pub fn figure14(scale: WorkloadScale) -> Vec<WorkloadErrors> {
 // ---------------------------------------------------------------------------
 
 /// The three configurations Figure 15 compares.
-pub fn fig15_configs() -> Vec<ConfigSpec> {
+pub(crate) fn fig15_configs() -> Vec<ConfigSpec> {
     let no_refine = EstimatorConfig::tgn();
     let refine = {
         let mut c = EstimatorConfig::tgn();
@@ -350,7 +350,7 @@ pub fn figure15(scale: WorkloadScale) -> PerOperatorErrors {
 // ---------------------------------------------------------------------------
 
 /// The two configurations Figure 16 compares.
-pub fn fig16_configs() -> Vec<ConfigSpec> {
+pub(crate) fn fig16_configs() -> Vec<ConfigSpec> {
     let with_weight = EstimatorConfig::full();
     let without_weight = {
         let mut c = EstimatorConfig::full();
@@ -382,7 +382,7 @@ pub fn figure16(scale: WorkloadScale) -> Vec<WorkloadErrors> {
 // ---------------------------------------------------------------------------
 
 /// The two configurations Figure 17 compares.
-pub fn fig17_configs() -> Vec<ConfigSpec> {
+pub(crate) fn fig17_configs() -> Vec<ConfigSpec> {
     let output_only = {
         let mut c = EstimatorConfig::full();
         c.two_phase_blocking = false;

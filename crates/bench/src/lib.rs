@@ -17,11 +17,27 @@
 //! This library is what the five share: the one command-line parser
 //! ([`Cli`] — nothing else in the crate reads `std::env::args`), the smoke
 //! scenes' fixture ([`SmokeFixture`], [`fresh_journal`]) and their
-//! raw-socket HTTP client.
+//! raw-socket HTTP client; and the experiment harness behind `paper` and
+//! `lqs_live`, which drives the paper's §5 evaluation end to end: it
+//! executes workload queries on the engine ([`run`]), replays their DMV
+//! traces through estimator configurations, aggregates
+//! `Errorcount`/`Errortime` ([`experiment`]), and regenerates every table
+//! and figure of the paper ([`figures`], [`report`]; DESIGN.md holds the
+//! experiment index mapping each figure to its function).
 //!
 //! Criterion micro-benchmarks (in `benches/`) measure estimator overhead per
 //! snapshot — the estimator must be cheap enough for 500 ms DMV polling.
 
+#![warn(unreachable_pub)]
+
+pub mod calibrate;
+pub mod ensemble;
+pub mod experiment;
+pub mod figures;
+pub mod report;
+pub mod run;
+
+use lqs::journal::{Journal, JournalConfig};
 use lqs::prelude::*;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -35,7 +51,8 @@ pub enum Kind {
     Text,
     /// Takes an unsigned integer.
     Int,
-    /// Takes a floating-point number.
+    /// Takes a finite floating-point number greater than zero (every
+    /// `Float` flag is a scale).
     Float,
 }
 
@@ -56,7 +73,7 @@ pub struct Flags(Vec<(&'static str, String)>);
 impl Cli {
     /// Parse `argv` (without the program name). The error is one line
     /// naming the offending argument.
-    pub fn parse(&self, argv: &[String]) -> Result<Flags, String> {
+    pub(crate) fn parse(&self, argv: &[String]) -> Result<Flags, String> {
         let mut out = Vec::new();
         let mut rest = argv.iter();
         while let Some(arg) = rest.next() {
@@ -72,8 +89,14 @@ impl Cli {
             if kind == Kind::Int && value.parse::<u64>().is_err() {
                 return Err(format!("{name} takes an integer, got {value:?}"));
             }
-            if kind == Kind::Float && value.parse::<f64>().is_err() {
-                return Err(format!("{name} takes a number, got {value:?}"));
+            if kind == Kind::Float {
+                match value.parse::<f64>() {
+                    Err(_) => return Err(format!("{name} takes a number, got {value:?}")),
+                    Ok(v) if !(v.is_finite() && v > 0.0) => {
+                        return Err(format!("{name} takes a finite number > 0, got {value:?}"))
+                    }
+                    Ok(_) => {}
+                }
             }
             out.push((name, value));
         }
@@ -355,10 +378,34 @@ mod tests {
             (&["--seed", "x1"], "--seed takes an integer, got \"x1\""),
             (&["--seed", "-3"], "--seed takes an integer, got \"-3\""),
             (&["--scale", "fast"], "--scale takes a number, got \"fast\""),
+            (
+                &["--scale", "inf"],
+                "--scale takes a finite number > 0, got \"inf\"",
+            ),
+            (
+                &["--scale", "nan"],
+                "--scale takes a finite number > 0, got \"nan\"",
+            ),
+            (
+                &["--scale", "0"],
+                "--scale takes a finite number > 0, got \"0\"",
+            ),
+            (
+                &["--scale", "-1"],
+                "--scale takes a finite number > 0, got \"-1\"",
+            ),
             (&["--sede", "7"], "unknown argument --sede"),
             (&["--quick", "stray"], "unknown argument stray"),
         ] {
             assert_eq!(parse(args).unwrap_err(), error, "{args:?}");
+        }
+    }
+
+    #[test]
+    fn a_float_flag_takes_any_finite_number_above_zero() {
+        for value in ["1e-9", "0.05", "1", "1e300"] {
+            let flags = parse(&["--scale", value]).unwrap();
+            assert_eq!(flags.float("--scale"), value.parse().ok(), "{value}");
         }
     }
 

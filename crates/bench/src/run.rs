@@ -1,9 +1,9 @@
 //! Running queries and replaying their DMV traces through estimators.
 
-use lqs_exec::{execute, ExecOptions, QueryRun};
-use lqs_plan::PhysicalPlan;
-use lqs_progress::{EstimatorConfig, ExplainCounters, ProgressEstimator, ProgressReport};
-use lqs_storage::Database;
+use lqs::exec::{execute, ExecOptions, QueryRun};
+use lqs::plan::PhysicalPlan;
+use lqs::progress::{EstimatorConfig, ExplainCounters, ProgressEstimator, ProgressReport};
+use lqs::storage::Database;
 
 /// One estimator's full trajectory over a query run.
 pub struct EstimatorTrace {

@@ -36,3 +36,34 @@ fn paper_list_prints_the_sixteen_experiments() {
     assert_eq!(names.len(), 16, "{stdout}");
     assert_eq!((names[0], names[15]), ("fig08", "ensemble-real"));
 }
+
+#[test]
+fn paper_refuses_zero_queries_with_the_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+        .args(["--only", "fig14", "--queries", "0"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let (error, usage) = stderr.split_once('\n').expect("error line, then usage");
+    assert_eq!(error, "paper: --queries 0 leaves nothing to measure");
+    assert!(usage.starts_with("usage: paper "), "{stderr}");
+}
+
+#[test]
+fn paper_refuses_a_scale_it_cannot_honour() {
+    // `inf` used to build data forever; `0` and `-1` printed tables built
+    // at the generators' row floor as if the scale had been honoured.
+    for scale in ["inf", "nan", "0", "-1"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_paper"))
+            .args(["--only", "table1", "--scale", scale, "--queries", "2"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "--scale {scale}");
+        assert!(out.stdout.is_empty(), "--scale {scale}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        let expected = format!("paper: --scale takes a finite number > 0, got \"{scale}\"\n");
+        assert!(stderr.starts_with(&expected), "{stderr}");
+    }
+}

@@ -3,12 +3,12 @@
 //! harness estimator paired with an executed run must be built from the
 //! *run's* recorded cost model, not `CostModel::default()`.
 
-use lqs_harness::experiment::{per_operator_errors, workload_errors, ConfigSpec, Metric};
-use lqs_harness::run::{estimator_for_run, run_query};
-use lqs_plan::{CostModel, Expr, PlanBuilder, SortKey};
-use lqs_progress::{EstimatorConfig, ProgressEstimator};
-use lqs_storage::{Column, DataType, Database, Schema, Table, Value};
-use lqs_workloads::{NamedQuery, Workload};
+use lqs::plan::{CostModel, Expr, PlanBuilder, SortKey};
+use lqs::progress::{EstimatorConfig, ProgressEstimator};
+use lqs::storage::{Column, DataType, Database, Schema, Table, Value};
+use lqs::workloads::{NamedQuery, Workload};
+use lqs_bench::experiment::{per_operator_errors, workload_errors, ConfigSpec, Metric};
+use lqs_bench::run::{estimator_for_run, run_query};
 
 /// An I/O-heavy cost model far from the default (io_page_ns 40_000).
 fn weird_cost_model() -> CostModel {
@@ -52,7 +52,7 @@ fn tiny_workload() -> Workload {
 fn estimator_for_run_uses_the_runs_cost_model() {
     let w = tiny_workload();
     let q = &w.queries[0];
-    let opts = lqs_exec::ExecOptions {
+    let opts = lqs::exec::ExecOptions {
         cost_model: weird_cost_model(),
         ..Default::default()
     };
@@ -92,7 +92,7 @@ fn experiment_spec_under_non_default_cost_model() {
             config: EstimatorConfig::full(),
         },
     ];
-    let opts = lqs_exec::ExecOptions {
+    let opts = lqs::exec::ExecOptions {
         cost_model: weird_cost_model(),
         ..Default::default()
     };

@@ -1,12 +1,12 @@
 //! The harness surfaces the estimator's explain diagnostics, and replays
 //! runs with the cost model they actually executed under.
 
-use lqs_exec::ExecOptions;
-use lqs_harness::report::render_explain;
-use lqs_harness::{run_query, trace_estimator};
-use lqs_plan::{AggFunc, Aggregate, CostModel, Expr, JoinKind, PlanBuilder, SortKey};
-use lqs_progress::EstimatorConfig;
-use lqs_storage::{Column, DataType, Database, Schema, Table, TableId, Value};
+use lqs::exec::ExecOptions;
+use lqs::plan::{AggFunc, Aggregate, CostModel, Expr, JoinKind, PlanBuilder, SortKey};
+use lqs::progress::EstimatorConfig;
+use lqs::storage::{Column, DataType, Database, Schema, Table, TableId, Value};
+use lqs_bench::report::render_explain;
+use lqs_bench::run::{run_query, trace_estimator};
 
 fn db() -> (Database, TableId, TableId) {
     let mut fact = Table::new(
@@ -36,7 +36,7 @@ fn db() -> (Database, TableId, TableId) {
     (db, f, d)
 }
 
-fn plan(db: &Database, f: TableId, d: TableId) -> lqs_plan::PhysicalPlan {
+fn plan(db: &Database, f: TableId, d: TableId) -> lqs::plan::PhysicalPlan {
     let mut b = PlanBuilder::new(db);
     let dim_scan = b.table_scan(d);
     let fact_scan = b.table_scan_filtered(f, Expr::col(1).lt(Expr::lit(2500i64)), true);
@@ -93,9 +93,13 @@ fn replay_uses_the_runs_cost_model() {
     // default-cost-model estimator (the bug this guards against).
     let cfg = EstimatorConfig::full();
     let traced = trace_estimator(&plan, &db, &run, cfg.clone());
-    let explicit =
-        lqs_progress::ProgressEstimator::with_cost_model(&plan, &db, cfg.clone(), &opts.cost_model);
-    let wrong = lqs_progress::ProgressEstimator::new(&plan, &db, cfg);
+    let explicit = lqs::progress::ProgressEstimator::with_cost_model(
+        &plan,
+        &db,
+        cfg.clone(),
+        &opts.cost_model,
+    );
+    let wrong = lqs::progress::ProgressEstimator::new(&plan, &db, cfg);
 
     let mut diverged = false;
     for (s, est) in run.snapshots.iter().zip(&traced.estimates) {

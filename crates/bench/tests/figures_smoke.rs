@@ -3,8 +3,8 @@
 //! (who wins, roughly by how much), which is the reproduction's acceptance
 //! criterion (DESIGN.md §7).
 
-use lqs_harness::figures;
-use lqs_workloads::WorkloadScale;
+use lqs::workloads::WorkloadScale;
+use lqs_bench::figures;
 
 fn smoke() -> WorkloadScale {
     WorkloadScale {

@@ -1,9 +1,7 @@
 //! Tests for the experiment report rendering and aggregation utilities.
 
-use lqs_harness::report::{
-    render_frequencies, render_per_operator, render_workload_errors, to_json,
-};
-use lqs_harness::{merge_per_operator, PerOperatorErrors, WorkloadErrors};
+use lqs_bench::experiment::{merge_per_operator, PerOperatorErrors, WorkloadErrors};
+use lqs_bench::report::{render_frequencies, render_per_operator, render_workload_errors, to_json};
 use std::collections::BTreeMap;
 
 fn sample_rows() -> Vec<WorkloadErrors> {

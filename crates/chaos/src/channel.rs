@@ -1,7 +1,7 @@
 //! Telemetry-channel fault injection: mangles the stream of published
 //! [`DmvSnapshot`]s the way a lossy DMV polling channel would.
 //!
-//! The core is [`ChannelMangler`], a pure seeded state machine:
+//! The core is `ChannelMangler`, a pure seeded state machine:
 //! feed it snapshots in publish order, get back the snapshots actually
 //! delivered. [`ChannelFaultFilter`] wraps it behind a mutex as an
 //! [`lqs_exec::SnapshotFilter`] for live sessions; [`mangle_stream`] runs
@@ -17,7 +17,7 @@ use std::sync::Mutex;
 
 /// Seeded snapshot-stream mangler (drop / delay / duplicate / reorder /
 /// counter-reset). Deterministic per `(faults, seed)`.
-pub struct ChannelMangler {
+pub(crate) struct ChannelMangler {
     faults: ChannelFaults,
     rng: SmallRng,
     held: VecDeque<DmvSnapshot>,
@@ -25,7 +25,7 @@ pub struct ChannelMangler {
 
 impl ChannelMangler {
     /// A mangler applying `faults`, seeded with `seed`.
-    pub fn new(faults: ChannelFaults, seed: u64) -> Self {
+    pub(crate) fn new(faults: ChannelFaults, seed: u64) -> Self {
         ChannelMangler {
             faults,
             rng: SmallRng::seed_from_u64(seed),
@@ -36,7 +36,7 @@ impl ChannelMangler {
     /// Feed one published snapshot; returns the snapshots delivered
     /// downstream (possibly none, one, or several — including previously
     /// held snapshots released late, i.e. out of order).
-    pub fn push(&mut self, s: &DmvSnapshot) -> Vec<DmvSnapshot> {
+    pub(crate) fn push(&mut self, s: &DmvSnapshot) -> Vec<DmvSnapshot> {
         // Draw every decision every call, used or not: the RNG stream then
         // depends only on (faults, seed, call index), never on which
         // branches earlier snapshots took.
@@ -79,19 +79,19 @@ impl ChannelMangler {
     }
 
     /// Release everything still held, in hold order.
-    pub fn flush(&mut self) -> Vec<DmvSnapshot> {
+    pub(crate) fn flush(&mut self) -> Vec<DmvSnapshot> {
         self.held.drain(..).collect()
     }
 }
 
-/// [`ChannelMangler`] as a live [`SnapshotFilter`] (one per session).
+/// `ChannelMangler` as a live [`SnapshotFilter`] (one per session).
 pub struct ChannelFaultFilter {
     inner: Mutex<ChannelMangler>,
 }
 
 impl ChannelFaultFilter {
     /// A filter applying `faults`, seeded with `seed`.
-    pub fn new(faults: ChannelFaults, seed: u64) -> Self {
+    pub(crate) fn new(faults: ChannelFaults, seed: u64) -> Self {
         ChannelFaultFilter {
             inner: Mutex::new(ChannelMangler::new(faults, seed)),
         }

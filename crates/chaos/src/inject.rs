@@ -33,7 +33,7 @@ fn take_one(left: &AtomicU32) -> bool {
 
 impl PlanFaultInjector {
     /// Build the injector for `plan` (fresh fire-counts).
-    pub fn new(plan: &FaultPlan) -> Self {
+    pub(crate) fn new(plan: &FaultPlan) -> Self {
         PlanFaultInjector {
             slow_next: AtomicU64::new(plan.storage.slow_every_pages.unwrap_or(u64::MAX)),
             error_left: AtomicU32::new(if plan.storage.error_at_pages.is_some() {
@@ -48,11 +48,6 @@ impl PlanFaultInjector {
                 .map(|t| (t.clone(), AtomicU32::new(t.times.max(1))))
                 .collect(),
         }
-    }
-
-    /// Whether this injector can ever fire anything.
-    pub fn is_noop(&self) -> bool {
-        self.storage.is_noop() && self.triggers.is_empty()
     }
 }
 

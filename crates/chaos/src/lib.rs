@@ -17,14 +17,14 @@
 //!   [`lqs_exec::FaultInjector`] (one per session); [`PageGate`] — the
 //!   releasable stall the overload soak and the profile smoke wedge a
 //!   session on.
-//! * [`ChannelFaultFilter`] / [`ChannelMangler`] / [`mangle_stream`] —
+//! * [`ChannelFaultFilter`] / `ChannelMangler` / [`mangle_stream`] —
 //!   the telemetry channel, live and offline: identical `(faults, seed)`
 //!   produce the identical delivered stream either way.
 //! * [`SeededPollFault`] — order-independent seeded poll failures for
 //!   [`lqs_server::RegistryPoller`].
 //! * [`run_soak`] — the N workloads × M fault plans soak matrix with its
 //!   invariant checks and deterministic summary.
-//! * [`SeededCrashPoint`] / [`corrupt_tails`] / [`run_crash_soak`] —
+//! * `SeededCrashPoint` / `corrupt_tails` / [`run_crash_soak`] —
 //!   process-death at chosen journal byte offsets, seeded tail corruption
 //!   of segment files on disk, and the kill/recover soak asserting that
 //!   every journaled session is recovered (faithfully terminal or
@@ -37,19 +37,20 @@
 //!   summary.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod channel;
 pub mod crash;
-pub mod inject;
+pub(crate) mod inject;
 pub mod overload;
 pub mod plan;
 pub mod poll;
 pub mod soak;
 
-pub use channel::{mangle_stream, ChannelFaultFilter, ChannelMangler};
-pub use crash::{corrupt_tails, run_crash_soak, CrashSoakConfig, SeededCrashPoint, TailCorruption};
+pub use channel::{mangle_stream, ChannelFaultFilter};
+pub use crash::{run_crash_soak, CrashSoakConfig};
 pub use inject::{PageGate, PlanFaultInjector};
 pub use overload::{run_overload_soak, OverloadSoakConfig};
-pub use plan::{ChannelFaults, FaultPlan, OpFaultKind, OperatorTrigger, PollFaults, StorageFaults};
+pub use plan::{ChannelFaults, FaultPlan};
 pub use poll::SeededPollFault;
 pub use soak::{run_soak, SoakConfig, SoakReport};

@@ -50,21 +50,21 @@ use std::time::Duration;
 #[derive(Clone)]
 pub struct OverloadSoakConfig {
     /// Master seed (workload data + journal fault windows).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Journal directory (wiped per-scene subdirectories are created
     /// inside it).
-    pub dir: PathBuf,
+    pub(crate) dir: PathBuf,
     /// How many of the standard five workloads to run (≤ 5).
-    pub workloads: usize,
+    pub(crate) workloads: usize,
     /// Queries taken from each workload.
-    pub queries_per_workload: usize,
+    pub(crate) queries_per_workload: usize,
     /// Workload data scale.
-    pub data_scale: f64,
+    pub(crate) data_scale: f64,
     /// Concurrent HTTP scrape clients in the storm scene (including the
     /// slow ones).
-    pub pollers: usize,
+    pub(crate) pollers: usize,
     /// How many of `pollers` are slow-loris clients.
-    pub slow_pollers: usize,
+    pub(crate) slow_pollers: usize,
 }
 
 impl OverloadSoakConfig {
@@ -490,7 +490,6 @@ pub fn run_overload_soak(cfg: &OverloadSoakConfig) -> SoakReport {
     SoakReport {
         summary,
         violations,
-        sessions: sessions_total,
     }
 }
 
@@ -510,7 +509,6 @@ mod tests {
         cfg.slow_pollers = 1;
         let a = run_overload_soak(&cfg);
         assert!(a.passed(), "violations: {:?}", a.violations);
-        assert!(a.sessions > 0);
         let b = run_overload_soak(&cfg);
         assert_eq!(
             a.summary, b.summary,

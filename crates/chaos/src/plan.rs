@@ -18,33 +18,33 @@ use std::sync::Arc;
 /// Storage-layer faults, keyed off a node's cumulative logical-read
 /// counter (the deterministic I/O axis of the virtual clock).
 #[derive(Debug, Clone, Default)]
-pub struct StorageFaults {
+pub(crate) struct StorageFaults {
     /// Inject a slow read roughly every this many pages (a contended or
     /// degraded device). `None` disables.
-    pub slow_every_pages: Option<u64>,
+    pub(crate) slow_every_pages: Option<u64>,
     /// Extra virtual nanoseconds each slow read costs.
-    pub slow_extra_ns: u64,
+    pub(crate) slow_extra_ns: u64,
     /// Fail a read once a node's cumulative logical reads reach this.
     /// `None` disables.
-    pub error_at_pages: Option<u64>,
+    pub(crate) error_at_pages: Option<u64>,
     /// Whether the injected I/O error is transient (retry may succeed).
-    pub error_transient: bool,
+    pub(crate) error_transient: bool,
     /// How many times the error fires (across retries of the same
     /// session) before going quiet. A transient error with `times == 1`
     /// and a retry budget ≥ 1 models a hiccup the retry absorbs.
-    pub error_times: u32,
+    pub(crate) error_times: u32,
 }
 
 impl StorageFaults {
     /// Whether this spec injects nothing.
-    pub fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         self.slow_every_pages.is_none() && self.error_at_pages.is_none()
     }
 }
 
 /// What an [`OperatorTrigger`] does when it fires.
 #[derive(Debug, Clone)]
-pub enum OpFaultKind {
+pub(crate) enum OpFaultKind {
     /// The operator stalls: virtual time passes, no progress.
     Stall {
         /// Virtual nanoseconds the stall lasts.
@@ -61,20 +61,20 @@ pub enum OpFaultKind {
 /// One operator-level fault, firing when a node produces its `at_row`-th
 /// output row.
 #[derive(Debug, Clone)]
-pub struct OperatorTrigger {
+pub(crate) struct OperatorTrigger {
     /// Restrict the trigger to one plan node (`None` = the first node to
     /// reach the row count).
-    pub node: Option<NodeId>,
+    pub(crate) node: Option<NodeId>,
     /// The 1-based GetNext count at which the trigger fires.
-    pub at_row: u64,
+    pub(crate) at_row: u64,
     /// What happens.
-    pub kind: OpFaultKind,
+    pub(crate) kind: OpFaultKind,
     /// How many times it fires (across retries) before going quiet.
-    pub times: u32,
+    pub(crate) times: u32,
 }
 
 /// Telemetry-channel fault probabilities, applied per published snapshot
-/// by a seeded [`ChannelFaultFilter`] / [`crate::ChannelMangler`].
+/// by a seeded [`ChannelFaultFilter`] / `ChannelMangler`.
 #[derive(Debug, Clone, Default)]
 pub struct ChannelFaults {
     /// Probability a snapshot is dropped outright.
@@ -96,7 +96,7 @@ pub struct ChannelFaults {
 
 impl ChannelFaults {
     /// Whether this spec mangles nothing.
-    pub fn is_noop(&self) -> bool {
+    pub(crate) fn is_noop(&self) -> bool {
         self.drop_p == 0.0
             && self.delay_p == 0.0
             && self.duplicate_p == 0.0
@@ -107,26 +107,26 @@ impl ChannelFaults {
 
 /// Client-side poll-path faults.
 #[derive(Debug, Clone, Default)]
-pub struct PollFaults {
+pub(crate) struct PollFaults {
     /// Probability any one `(session, round)` poll fails transiently.
-    pub fail_p: f64,
+    pub(crate) fail_p: f64,
 }
 
 /// A complete, named, seeded fault scenario.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     /// Scenario label (summary tables, metrics).
-    pub name: String,
+    pub(crate) name: String,
     /// Master seed; all random channel/poll decisions derive from it.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Storage-layer faults.
-    pub storage: StorageFaults,
+    pub(crate) storage: StorageFaults,
     /// Operator-level faults.
-    pub operators: Vec<OperatorTrigger>,
+    pub(crate) operators: Vec<OperatorTrigger>,
     /// Telemetry-channel faults.
-    pub channel: ChannelFaults,
+    pub(crate) channel: ChannelFaults,
     /// Poll-path faults.
-    pub poll: PollFaults,
+    pub(crate) poll: PollFaults,
     /// Retry budget sessions run under this plan should be granted.
     pub retry_budget: u32,
 }
@@ -146,18 +146,18 @@ impl FaultPlan {
     }
 
     /// The fault-free control scenario.
-    pub fn baseline() -> Self {
+    pub(crate) fn baseline() -> Self {
         Self::named("baseline")
     }
 
     /// Set the master seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
+    pub(crate) fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
     /// Slow roughly every `every_pages`-th page read by `extra_ns`.
-    pub fn slow_pages(mut self, every_pages: u64, extra_ns: u64) -> Self {
+    pub(crate) fn slow_pages(mut self, every_pages: u64, extra_ns: u64) -> Self {
         self.storage.slow_every_pages = Some(every_pages.max(1));
         self.storage.slow_extra_ns = extra_ns;
         self
@@ -198,7 +198,8 @@ impl FaultPlan {
     }
 
     /// Add a fully specified operator trigger.
-    pub fn trigger(mut self, trigger: OperatorTrigger) -> Self {
+    #[cfg(test)]
+    pub(crate) fn trigger(mut self, trigger: OperatorTrigger) -> Self {
         self.operators.push(trigger);
         self
     }
@@ -287,7 +288,7 @@ impl FaultPlan {
 
     /// The standard soak matrix: one plan per fault class plus a
     /// kitchen-sink combination, all derived from `seed`.
-    pub fn standard_matrix(seed: u64) -> Vec<FaultPlan> {
+    pub(crate) fn standard_matrix(seed: u64) -> Vec<FaultPlan> {
         vec![
             FaultPlan::baseline().with_seed(seed),
             FaultPlan::named("slow-io")

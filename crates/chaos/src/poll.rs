@@ -16,7 +16,7 @@ pub struct SeededPollFault {
 
 impl SeededPollFault {
     /// Fail with probability `fail_p`, decided by `seed`.
-    pub fn new(seed: u64, fail_p: f64) -> Self {
+    pub(crate) fn new(seed: u64, fail_p: f64) -> Self {
         SeededPollFault { seed, fail_p }
     }
 }

@@ -5,9 +5,8 @@
 //! per-operator and per-query progress estimator ([`progress`]) layered on
 //! an instrumented query execution engine ([`exec`]) with its own storage
 //! layer ([`storage`]), mini-optimizer ([`plan`]), benchmark-shaped
-//! workloads ([`workloads`]), experiment harness ([`harness`]), and a
-//! Prometheus-style telemetry subsystem ([`metrics`]) threaded through
-//! the multi-session query service ([`server`]), a durable per-session
+//! workloads ([`workloads`]), and a Prometheus-style telemetry subsystem
+//! ([`metrics`]) threaded through the multi-session query service ([`server`]), a durable per-session
 //! snapshot journal with crash recovery ([`journal`]), fleet-wide
 //! progress analytics and resource prediction over those journals
 //! ([`history`]), exact per-operator time attribution with flamegraph
@@ -51,10 +50,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub use lqs_chaos as chaos;
 pub use lqs_exec as exec;
-pub use lqs_harness as harness;
 pub use lqs_history as history;
 pub use lqs_journal as journal;
 pub use lqs_metrics as metrics;
@@ -66,39 +65,18 @@ pub use lqs_server as server;
 pub use lqs_storage as storage;
 pub use lqs_workloads as workloads;
 
-/// One-stop imports for applications.
+/// One-stop imports for applications: what the quickstart and the
+/// examples use. Everything else is one module path away (`lqs::server`,
+/// `lqs::journal`, ...).
 pub mod prelude {
-    pub use lqs_chaos::{run_soak, ChannelFaultFilter, FaultPlan, PlanFaultInjector, SoakConfig};
     pub use lqs_exec::{
-        execute, execute_traced, plan_node_names, DmvSnapshot, ExecMetrics, ExecOptions,
-        NodeCounters, QueryRun,
+        execute, execute_traced, plan_node_names, DmvSnapshot, ExecOptions, QueryRun,
     };
-    pub use lqs_history::{
-        scan_history, EstimatorAccuracy, FleetHistory, HistoryMetrics, HistoryResolver,
-        HistoryStore, ResolvedPlan, ResourcePrediction, SessionHistory,
-    };
-    pub use lqs_journal::{FsyncPolicy, Journal, JournalConfig, SessionJournal};
-    pub use lqs_metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-    pub use lqs_obs::{
-        to_chrome_trace, to_chrome_trace_sessions, to_jsonl, EventKind, EventSink, NullSink,
-        RingBufferSink, SessionTap, SharedSessionSink, TraceEvent,
-    };
+    pub use lqs_obs::{to_chrome_trace, to_jsonl, RingBufferSink};
     pub use lqs_plan::{
-        AggFunc, Aggregate, ArithOp, CmpOp, CostModel, ExchangeKind, Expr, IndexOutput, JoinKind,
-        NodeId, PhysicalOp, PhysicalPlan, PipelineSet, PlanBuilder, SeekKey, SeekRange, SortKey,
+        AggFunc, Aggregate, Expr, JoinKind, NodeId, PhysicalOp, PhysicalPlan, PipelineSet,
+        PlanBuilder, SeekKey, SeekRange, SortKey,
     };
-    pub use lqs_prof::{NodeProfile, ProfileReport};
-    pub use lqs_progress::{
-        error_count, error_time, EnsembleConfig, EnsembleEstimator, EnsembleReplay,
-        EnsembleSelection, EstimateScratch, EstimationPath, EstimatorConfig, ExplainCounters,
-        Explanation, PerOperatorError, ProgressEstimator, ProgressReport, QueryModel,
-        RefinementSource, TruthCurves,
-    };
-    pub use lqs_server::{
-        Health, HistoryEndpoints, MetricsServer, PollerMetrics, QueryService, QuerySpec,
-        RecoveryManager, RecoveryReport, RegistryPoller, ServerConfig, ServiceMetrics,
-        SessionAlert, SessionProgress, SessionRegistry, SessionResult, SessionState, Watchdog,
-        WatchdogConfig,
-    };
-    pub use lqs_storage::{Column, DataType, Database, Row, Schema, Table, TableId, Value};
+    pub use lqs_progress::{EstimatorConfig, ProgressEstimator, ProgressReport};
+    pub use lqs_storage::{Column, DataType, Database, Schema, Table, Value};
 }

@@ -13,23 +13,21 @@ use std::hash::{Hash, Hasher};
 
 /// A fixed-size Bloom filter over composite key values.
 #[derive(Debug, Clone)]
-pub struct BloomFilter {
+pub(crate) struct BloomFilter {
     bits: Vec<u64>,
     mask: u64,
     hashes: u32,
-    items: usize,
 }
 
 impl BloomFilter {
     /// Create a filter sized for roughly `expected_items` with ~1% false
     /// positive rate (10 bits/key, 4 hash functions).
-    pub fn with_capacity(expected_items: usize) -> Self {
+    pub(crate) fn with_capacity(expected_items: usize) -> Self {
         let bits_needed = (expected_items.max(64) * 10).next_power_of_two();
         BloomFilter {
             bits: vec![0u64; bits_needed / 64],
             mask: (bits_needed - 1) as u64,
             hashes: 4,
-            items: 0,
         }
     }
 
@@ -47,31 +45,20 @@ impl BloomFilter {
 
     /// Insert a composite key, given as its values in order (a `&[Value]`,
     /// or a row's key columns read in place).
-    pub fn insert<'k>(&mut self, key: impl IntoIterator<Item = &'k Value> + Clone) {
+    pub(crate) fn insert<'k>(&mut self, key: impl IntoIterator<Item = &'k Value> + Clone) {
         for s in 0..self.hashes {
             let bit = Self::key_hash(key.clone(), s as u64) & self.mask;
             self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
         }
-        self.items += 1;
     }
 
     /// Whether the key *may* have been inserted (false positives possible,
     /// false negatives impossible).
-    pub fn may_contain<'k>(&self, key: impl IntoIterator<Item = &'k Value> + Clone) -> bool {
+    pub(crate) fn may_contain<'k>(&self, key: impl IntoIterator<Item = &'k Value> + Clone) -> bool {
         (0..self.hashes).all(|s| {
             let bit = Self::key_hash(key.clone(), s as u64) & self.mask;
             self.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0
         })
-    }
-
-    /// Number of keys inserted.
-    pub fn len(&self) -> usize {
-        self.items
-    }
-
-    /// True if nothing was inserted.
-    pub fn is_empty(&self) -> bool {
-        self.items == 0
     }
 }
 
@@ -118,7 +105,6 @@ mod tests {
     #[test]
     fn empty_filter_contains_nothing() {
         let f = BloomFilter::with_capacity(100);
-        assert!(f.is_empty());
         assert!(!f.may_contain(&key(1)));
     }
 }

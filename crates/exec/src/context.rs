@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Maximum snapshots retained before thinning.
-pub const MAX_SNAPSHOTS: usize = 2048;
+pub(crate) const MAX_SNAPSHOTS: usize = 2048;
 
 /// Why an execution was aborted before completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,15 +40,15 @@ pub enum AbortReason {
     DeadlineExceeded,
 }
 
-/// Panic payload thrown by [`ExecContext::advance`] when a run is aborted.
+/// Panic payload thrown by the virtual clock's advance when a run is aborted.
 /// The executor catches it at the drive loop and converts it into a
 /// structured error; any other panic is propagated unchanged.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryAborted {
     /// Why the run stopped.
-    pub reason: AbortReason,
+    pub(crate) reason: AbortReason,
     /// Virtual time at which the abort was observed.
-    pub at_ns: u64,
+    pub(crate) at_ns: u64,
 }
 
 /// A shareable cancellation flag. Cloning is cheap (one `Arc`); cancelling
@@ -180,9 +180,9 @@ struct NodeAccount {
 /// Shared execution state, passed to every operator call.
 pub struct ExecContext<'a> {
     /// The database being queried.
-    pub db: &'a Database,
+    pub(crate) db: &'a Database,
     /// Cost/charging constants.
-    pub cost: CostModel,
+    pub(crate) cost: CostModel,
     clock_ns: Cell<u64>,
     accounts: RefCell<Vec<NodeAccount>>,
     snapshots: RefCell<Vec<DmvSnapshot>>,
@@ -248,21 +248,21 @@ impl<'a> ExecContext<'a> {
 
     /// Attach a trace event sink. Call before handing the context to
     /// operators; events start flowing immediately.
-    pub fn with_sink(mut self, sink: &'a dyn EventSink) -> Self {
+    pub(crate) fn with_sink(mut self, sink: &'a dyn EventSink) -> Self {
         self.sink = Some(sink);
         self
     }
 
     /// Attach a live snapshot publisher: every [`DmvSnapshot`] is handed to
     /// it the moment it is recorded, before execution proceeds.
-    pub fn with_publisher(mut self, publisher: &'a dyn SnapshotPublisher) -> Self {
+    pub(crate) fn with_publisher(mut self, publisher: &'a dyn SnapshotPublisher) -> Self {
         self.publisher = Some(publisher);
         self
     }
 
     /// Attach a cancellation token. Once cancelled, the run aborts (by
     /// unwinding with [`QueryAborted`]) at the next clock tick.
-    pub fn with_cancellation(mut self, token: CancellationToken) -> Self {
+    pub(crate) fn with_cancellation(mut self, token: CancellationToken) -> Self {
         install_quiet_abort_hook();
         self.cancel = Some(token);
         self
@@ -270,7 +270,7 @@ impl<'a> ExecContext<'a> {
 
     /// Set a virtual-time deadline. The run aborts at the first clock tick
     /// at or past `deadline_ns`.
-    pub fn with_deadline(mut self, deadline_ns: u64) -> Self {
+    pub(crate) fn with_deadline(mut self, deadline_ns: u64) -> Self {
         install_quiet_abort_hook();
         self.deadline_ns = Some(deadline_ns);
         self
@@ -295,7 +295,7 @@ impl<'a> ExecContext<'a> {
     /// Whether a recording sink is attached. Emission sites that must
     /// build an event (format strings, compare gauges) check this first so
     /// untraced runs skip the work entirely.
-    pub fn trace_enabled(&self) -> bool {
+    pub(crate) fn trace_enabled(&self) -> bool {
         self.sink.is_some_and(EventSink::is_recording)
     }
 
@@ -317,7 +317,7 @@ impl<'a> ExecContext<'a> {
 
     /// Record an operator phase boundary (hash build → probe, sort
     /// blocking → emit, spool write → replay, ...).
-    pub fn emit_phase(&self, node: NodeId, from: &str, to: &str) {
+    pub(crate) fn emit_phase(&self, node: NodeId, from: &str, to: &str) {
         if self.trace_enabled() {
             self.emit(
                 Some(node),
@@ -331,7 +331,7 @@ impl<'a> ExecContext<'a> {
 
     /// Record a runtime bitmap finishing its build with `keys` distinct
     /// keys inserted.
-    pub fn emit_bitmap_built(&self, node: NodeId, keys: u64) {
+    pub(crate) fn emit_bitmap_built(&self, node: NodeId, keys: u64) {
         if self.trace_enabled() {
             self.emit(Some(node), EventKind::BitmapBuilt { keys });
         }
@@ -432,7 +432,7 @@ impl<'a> ExecContext<'a> {
     /// sub-nanosecond remainder is carried per node (not truncated), so total
     /// charged time tracks the exact f64 sum to within 1 ns per node however
     /// the charges are sliced.
-    pub fn charge_cpu(&self, node: NodeId, ns: f64) {
+    pub(crate) fn charge_cpu(&self, node: NodeId, ns: f64) {
         self.scope(node, false).cpu(ns);
     }
 
@@ -443,14 +443,14 @@ impl<'a> ExecContext<'a> {
     /// # Panics
     /// Unwinds with a [`QueryFault`] payload when an attached
     /// [`FaultInjector`] fails the read.
-    pub fn charge_io(&self, node: NodeId, pages: u64) {
+    pub(crate) fn charge_io(&self, node: NodeId, pages: u64) {
         self.scope(node, false).io(pages);
     }
 
     /// Open a batched charging scope for `node`: CPU/I/O charges accumulate
     /// in locals (no `RefCell` traffic, no `advance` call per row) and are
     /// applied to the counters and the clock when a snapshot boundary or
-    /// the deadline is crossed, when [`BatchCharge::finish`] is called, or
+    /// the deadline is crossed, when `finish` is called, or
     /// when the scope drops.
     ///
     /// The scope takes the node's fractional-carry state with it and
@@ -461,29 +461,26 @@ impl<'a> ExecContext<'a> {
     /// batch size 1, one per 1024 rows in production).
     ///
     /// The scope also carries deferred row counts
-    /// ([`BatchCharge::rows_in`]/[`BatchCharge::rows_out`]): they settle at
+    /// ([`BatchCharge::rows_in`]/`rows_out`): they settle at
     /// every flush *before* the clock advances, so each snapshot observes
     /// the node's row counters in step with its charges — required by the
     /// progress estimator's cardinality bounds, which assume at most one
     /// in-flight consumed-but-unemitted row per operator.
     ///
     /// An attached [`FaultInjector`] is consulted from inside the scope, on
-    /// every [`BatchCharge::io`] charge and every [`BatchCharge::rows_out`]
+    /// every [`BatchCharge::io`] charge and every `rows_out`
     /// row, so faults fire at the same `(node, pages)` / `(node, k)` at any
     /// batch size.
     ///
     /// Contract: scopes are exclusive. While a scope is live, nothing else
     /// may move the clock — no second scope (for any node), and no
-    /// [`charge_cpu`]/[`charge_io`] calls (which for the same node would
+    /// `charge_cpu`/`charge_io` calls (which for the same node would
     /// also double-count the carry). Operators therefore pull their
     /// children *first* and open the scope only for the charging loop over
     /// rows already in hand. Exclusivity is what lets the scope cache its
-    /// flush budget ([`BatchCharge::flush_at`]) instead of re-reading the
+    /// flush budget (`BatchCharge::flush_at`) instead of re-reading the
     /// clock and snapshot cells on every charge — the budget can only
     /// change at the scope's own flushes. Debug builds assert it.
-    ///
-    /// [`charge_cpu`]: ExecContext::charge_cpu
-    /// [`charge_io`]: ExecContext::charge_io
     pub fn batch_charge(&self, node: NodeId) -> BatchCharge<'_, 'a> {
         self.scope(node, self.trace_enabled())
     }
@@ -536,7 +533,7 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Record `n` rows consumed from children.
-    pub fn count_input(&self, node: NodeId, n: u64) {
+    pub(crate) fn count_input(&self, node: NodeId, n: u64) {
         self.accounts.borrow_mut()[node.0].counters.rows_input += n;
     }
 
@@ -547,14 +544,14 @@ impl<'a> ExecContext<'a> {
     /// # Panics
     /// Unwinds with a [`QueryFault`] payload when an attached
     /// [`FaultInjector`] panics the operator at one of these GetNext counts.
-    pub fn count_output(&self, node: NodeId, n: u64) {
+    pub(crate) fn count_output(&self, node: NodeId, n: u64) {
         if n > 0 {
             self.scope(node, false).rows_out(n);
         }
     }
 
     /// Record one columnstore segment fully processed.
-    pub fn count_segment(&self, node: NodeId) {
+    pub(crate) fn count_segment(&self, node: NodeId) {
         self.accounts.borrow_mut()[node.0]
             .counters
             .segments_processed += 1;
@@ -563,7 +560,7 @@ impl<'a> ExecContext<'a> {
     /// Update the buffered-rows gauge for a semi-blocking operator. When
     /// tracing, a rise past the node's previous maximum emits a
     /// [`EventKind::BufferHighWater`] event.
-    pub fn set_buffered(&self, node: NodeId, buffered: u64) {
+    pub(crate) fn set_buffered(&self, node: NodeId, buffered: u64) {
         self.accounts.borrow_mut()[node.0].counters.rows_buffered = buffered;
         if self.trace_enabled() {
             let rose = {
@@ -582,13 +579,13 @@ impl<'a> ExecContext<'a> {
     }
 
     /// Record outer rows fully processed by a buffering nested-loops join.
-    pub fn count_processed(&self, node: NodeId, n: u64) {
+    pub(crate) fn count_processed(&self, node: NodeId, n: u64) {
         self.accounts.borrow_mut()[node.0].counters.rows_processed += n;
     }
 
     /// Mark `Open()`: records the open time on first execution and
     /// increments the execution count.
-    pub fn mark_open(&self, node: NodeId) {
+    pub(crate) fn mark_open(&self, node: NodeId) {
         {
             let mut accounts = self.accounts.borrow_mut();
             let c = &mut accounts[node.0].counters;
@@ -605,7 +602,7 @@ impl<'a> ExecContext<'a> {
 
     /// Mark `Close()` (idempotent; keeps the first close time, which is when
     /// the operator actually finished producing rows).
-    pub fn mark_close(&self, node: NodeId) {
+    pub(crate) fn mark_close(&self, node: NodeId) {
         let stamped = {
             let mut accounts = self.accounts.borrow_mut();
             let c = &mut accounts[node.0].counters;
@@ -648,15 +645,10 @@ impl<'a> ExecContext<'a> {
 
     // ---- bitmaps --------------------------------------------------------
 
-    /// Install a freshly built bitmap.
-    pub fn publish_bitmap(&self, id: BitmapId, filter: BloomFilter) {
-        self.bitmaps.borrow_mut()[id.0] = Some(filter);
-    }
-
     /// Insert a key into a bitmap, creating it (sized for `capacity_hint`
     /// keys) on first insert. Used by hash-join builds and Bitmap Create
     /// operators as rows stream through.
-    pub fn bitmap_insert<'k>(
+    pub(crate) fn bitmap_insert<'k>(
         &self,
         id: BitmapId,
         key: impl IntoIterator<Item = &'k Value> + Clone,
@@ -673,7 +665,7 @@ impl<'a> ExecContext<'a> {
     /// Probe a bitmap. Returns `true` (pass) when the bitmap has not been
     /// built yet — a scan running before its hash join's build phase sees no
     /// reduction.
-    pub fn bitmap_may_contain<'k>(
+    pub(crate) fn bitmap_may_contain<'k>(
         &self,
         id: BitmapId,
         key: impl IntoIterator<Item = &'k Value> + Clone,
@@ -687,12 +679,12 @@ impl<'a> ExecContext<'a> {
     // ---- correlation ----------------------------------------------------
 
     /// Push the current outer row before opening/rewinding an inner subtree.
-    pub fn push_outer(&self, row: Row) {
+    pub(crate) fn push_outer(&self, row: Row) {
         self.outer_rows.borrow_mut().push(row);
     }
 
     /// Pop the outer row after the inner subtree finishes.
-    pub fn pop_outer(&self) {
+    pub(crate) fn pop_outer(&self) {
         self.outer_rows.borrow_mut().pop();
     }
 
@@ -703,7 +695,7 @@ impl<'a> ExecContext<'a> {
     /// # Panics
     /// Panics if no nested-loops join is currently driving an inner subtree
     /// — a correlated seek outside a join is a plan bug.
-    pub fn with_outer<R>(&self, f: impl FnOnce(&[Value]) -> R) -> R {
+    pub(crate) fn with_outer<R>(&self, f: impl FnOnce(&[Value]) -> R) -> R {
         let outer_rows = self.outer_rows.borrow();
         f(outer_rows
             .last()
@@ -716,7 +708,7 @@ impl<'a> ExecContext<'a> {
 /// Charges accumulate in plain locals and are flushed — written to the
 /// node's counters and applied to the virtual clock in one `advance` —
 /// only when a snapshot boundary or the deadline would be crossed, on
-/// [`finish`](BatchCharge::finish), or on drop. Because the fractional
+/// `finish`, or on drop. Because the fractional
 /// carry is iterated per charge, every flush leaves the clock, counters,
 /// and carry exactly where one scope per charge would have left them.
 pub struct BatchCharge<'s, 'a> {
@@ -754,7 +746,7 @@ pub struct BatchCharge<'s, 'a> {
 
 impl BatchCharge<'_, '_> {
     /// Charge fractional CPU nanoseconds (same semantics as
-    /// [`ExecContext::charge_cpu`]).
+    /// `ExecContext::charge_cpu`).
     #[inline]
     pub fn cpu(&mut self, ns: f64) {
         let total = self.carry + ns.max(0.0);
@@ -809,7 +801,7 @@ impl BatchCharge<'_, '_> {
     }
 
     /// Record rows consumed from children (deferred
-    /// [`ExecContext::count_input`]). Pending counts settle into the
+    /// `ExecContext::count_input`). Pending counts settle into the
     /// counters at every flush *before* the clock advances, so any snapshot
     /// the flush records already sees them — the row counters stay in step
     /// with the charges at every observable instant, which the §4.2 bounds
@@ -833,7 +825,7 @@ impl BatchCharge<'_, '_> {
     /// Unwinds with a [`QueryFault`] payload (after flushing, with the
     /// faulting row counted) when the injector panics the operator.
     #[inline]
-    pub fn rows_out(&mut self, n: u64) {
+    pub(crate) fn rows_out(&mut self, n: u64) {
         let Some(fault) = self.ctx.fault else {
             self.rows_out_pending += n;
             return;
@@ -960,13 +952,13 @@ impl BatchCharge<'_, '_> {
 
     /// Flush and consume the scope. Equivalent to dropping it, spelled out
     /// so call sites show where the batch settles.
-    pub fn finish(self) {}
+    pub(crate) fn finish(self) {}
 
-    /// [`finish`](BatchCharge::finish), then count `n` rows output at the
+    /// `finish`, then count `n` rows output at the
     /// settled clock: a producer's rows become visible (and `first_row_ns`
     /// is stamped) only once every charge for them has been applied. The
     /// count is not part of the span the flush closed.
-    pub fn finish_emitting(mut self, n: u64) {
+    pub(crate) fn finish_emitting(mut self, n: u64) {
         self.flush();
         self.span_start_ns = None;
         self.rows_out(n);
@@ -1212,9 +1204,7 @@ mod tests {
         let db = Database::new();
         let c = ctx(&db);
         assert!(c.bitmap_may_contain(lqs_plan::BitmapId(0), &[Value::Int(7)]));
-        let mut f = BloomFilter::with_capacity(10);
-        f.insert(&[Value::Int(1)]);
-        c.publish_bitmap(lqs_plan::BitmapId(0), f);
+        c.bitmap_insert(lqs_plan::BitmapId(0), &[Value::Int(1)], 10);
         assert!(c.bitmap_may_contain(lqs_plan::BitmapId(0), &[Value::Int(1)]));
         assert!(!c.bitmap_may_contain(lqs_plan::BitmapId(0), &[Value::Int(2)]));
     }

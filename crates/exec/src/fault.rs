@@ -95,7 +95,7 @@ pub struct QueryFault {
     /// The plan node at which the fault fired.
     pub node: NodeId,
     /// Human-readable failure description.
-    pub message: String,
+    pub(crate) message: String,
     /// Whether a retry of the whole query could plausibly succeed.
     pub transient: bool,
     /// Virtual time at which the fault fired.
@@ -140,19 +140,18 @@ pub trait SnapshotFilter: Send + Sync {
     }
 }
 
-/// The identity filter: every snapshot is delivered exactly once.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct IdentityFilter;
-
-impl SnapshotFilter for IdentityFilter {
-    fn filter(&self, snapshot: &DmvSnapshot) -> Vec<DmvSnapshot> {
-        vec![snapshot.clone()]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The identity filter: every snapshot is delivered exactly once.
+    struct IdentityFilter;
+
+    impl SnapshotFilter for IdentityFilter {
+        fn filter(&self, snapshot: &DmvSnapshot) -> Vec<DmvSnapshot> {
+            vec![snapshot.clone()]
+        }
+    }
 
     #[test]
     fn query_fault_display_names_classification() {

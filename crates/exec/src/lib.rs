@@ -13,8 +13,9 @@
 //!
 //! * [`context`] — virtual clock, counter charging, snapshot recording,
 //!   runtime bitmaps, nested-loops correlation state.
-//! * [`dmv`] — the `sys.dm_exec_query_profiles` analog.
-//! * [`bloom`] — Bloom filters backing bitmap semi-join reduction (§4.3).
+//! * `dmv` — the `sys.dm_exec_query_profiles` analog ([`DmvSnapshot`],
+//!   [`NodeCounters`]).
+//! * `bloom` — Bloom filters backing bitmap semi-join reduction (§4.3).
 //! * [`ops`] — ~20 physical operators, including the behaviours the paper's
 //!   techniques target: blocking sorts/hash aggregates (§4.5), buffered
 //!   nested loops and exchanges (§4.4), storage-pushed predicates (§4.3),
@@ -27,12 +28,14 @@
 //! snapshot ticks) into an [`lqs_obs::EventSink`] via
 //! [`executor::execute_traced`]; untraced runs pay nothing.
 
+#![warn(unreachable_pub)]
+
 // Operator structs are documented inline; public fields of operators are
 // implementation detail, so missing_docs is not enforced for this crate.
 
-pub mod bloom;
+pub(crate) mod bloom;
 pub mod context;
-pub mod dmv;
+pub(crate) mod dmv;
 pub mod executor;
 pub mod fault;
 pub mod metrics;
@@ -47,8 +50,6 @@ pub use executor::{
     estimated_duration_ns, execute, execute_hooked, execute_traced, plan_node_names, AbortedQuery,
     ExecHooks, ExecMode, ExecOptions, QueryRun,
 };
-pub use fault::{
-    FaultInjector, GetNextFault, IdentityFilter, IoVerdict, QueryFault, SnapshotFilter,
-};
+pub use fault::{FaultInjector, GetNextFault, IoVerdict, QueryFault, SnapshotFilter};
 pub use metrics::ExecMetrics;
 pub use ops::{build_operator, BoxedOperator, Operator, RowBatch};

@@ -28,11 +28,6 @@ impl ExecMetrics {
         ExecMetrics { registry }
     }
 
-    /// The registry this recorder writes to.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
     /// Fold one completed run's final counters into the operator and query
     /// families. Called by the executor after the root operator closes.
     pub(crate) fn record_run(&self, plan: &PhysicalPlan, run: &QueryRun) {

@@ -32,7 +32,7 @@ fn finish_group(key: impl Iterator<Item = Value>, states: &[AggState]) -> Row {
 
 /// Aggregation over sorted input; emits each group as it completes, so it is
 /// pipelined (not blocking) — a group boundary releases the previous group.
-pub struct StreamAggregateOp {
+pub(crate) struct StreamAggregateOp {
     group_by: Vec<usize>,
     aggs: Vec<Aggregate>,
     child: BoxedOperator,
@@ -144,7 +144,7 @@ impl Body for StreamAggregateOp {
 
 /// Blocking hash aggregation: consumes the entire input into a hash table on
 /// first demand, then emits groups (sorted by key for determinism).
-pub struct HashAggregateOp {
+pub(crate) struct HashAggregateOp {
     group_by: Vec<usize>,
     aggs: Vec<Aggregate>,
     batch: bool,

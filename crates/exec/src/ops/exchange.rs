@@ -17,13 +17,13 @@ use lqs_storage::Row;
 
 /// Rows prefetched per degree of parallelism on first demand (models the
 /// initial packet fill by `degree` producer threads).
-pub const INITIAL_FILL_PER_DOP: usize = 256;
+pub(crate) const INITIAL_FILL_PER_DOP: usize = 256;
 
 /// Maximum buffered rows per degree of parallelism: producers block when the
 /// packet buffers are full, so the child's counter lead is bounded.
-pub const MAX_BUFFER_PER_DOP: usize = 512;
+pub(crate) const MAX_BUFFER_PER_DOP: usize = 512;
 
-pub struct ExchangeOp {
+pub(crate) struct ExchangeOp {
     degree: usize,
     batch: bool,
     child: BoxedOperator,

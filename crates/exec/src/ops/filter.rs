@@ -12,7 +12,7 @@ use lqs_storage::{Row, Value};
 const BATCH_FACTOR: f64 = 0.2;
 
 /// Row filter.
-pub struct FilterOp {
+pub(crate) struct FilterOp {
     predicate: CompiledPredicate,
     batch: bool,
     child: BoxedOperator,
@@ -90,7 +90,7 @@ impl Body for FilterOp {
 }
 
 /// Appends computed columns.
-pub struct ComputeScalarOp {
+pub(crate) struct ComputeScalarOp {
     exprs: Vec<Expr>,
     batch: bool,
     child: BoxedOperator,
@@ -141,7 +141,7 @@ impl Body for ComputeScalarOp {
 }
 
 /// Pass through the first `n` rows, then stop pulling from the child.
-pub struct TopOp {
+pub(crate) struct TopOp {
     n: usize,
     emitted: usize,
     child: BoxedOperator,
@@ -189,7 +189,7 @@ impl Body for TopOp {
 
 /// Appends a segment-boundary marker column (1 at the first row of each
 /// group of equal `group_by` values, 0 otherwise). Input must be sorted.
-pub struct SegmentOp {
+pub(crate) struct SegmentOp {
     group_by: Vec<usize>,
     /// The previous row, whose `group_by` columns the next row is compared
     /// against in place.

@@ -14,7 +14,7 @@ use crate::context::ExecContext;
 use lqs_plan::{BitmapId, JoinKind, NodeId};
 use lqs_storage::Row;
 
-pub struct HashJoinOp {
+pub(crate) struct HashJoinOp {
     kind: JoinKind,
     build_keys: Vec<usize>,
     probe_keys: Vec<usize>,

@@ -13,7 +13,7 @@ use lqs_plan::{JoinKind, NodeId};
 use lqs_storage::Row;
 use std::cmp::Ordering;
 
-pub struct MergeJoinOp {
+pub(crate) struct MergeJoinOp {
     kind: JoinKind,
     left_keys: Vec<usize>,
     right_keys: Vec<usize>,

@@ -7,7 +7,7 @@ use crate::context::ExecContext;
 use lqs_plan::{BitmapId, NodeId};
 
 /// UNION ALL: drains each child in order.
-pub struct ConcatOp {
+pub(crate) struct ConcatOp {
     children: Vec<BoxedOperator>,
     current: usize,
 }
@@ -58,7 +58,7 @@ impl Body for ConcatOp {
 /// Builds a bitmap (Bloom filter) from the rows streaming through it,
 /// passing them along unchanged (Figure 6: sits on the build side of a hash
 /// join, with the bitmap probed by the opposite side's scan).
-pub struct BitmapCreateOp {
+pub(crate) struct BitmapCreateOp {
     key_columns: Vec<usize>,
     bitmap: BitmapId,
     capacity_hint: usize,

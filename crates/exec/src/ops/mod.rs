@@ -47,7 +47,7 @@ mod spool;
 /// A batch of rows flowing between operators.
 ///
 /// A thin wrapper over `VecDeque<Row>` so the batch contract is visible in
-/// signatures: producers append with [`push`](RowBatch::push), consumers
+/// signatures: producers append with `push`, consumers
 /// take rows *by move* with [`pop_front`](RowBatch::pop_front). Moving
 /// rather than cloning matters: a `Row` is an `Arc`, and a pipeline that
 /// cloned at every staging buffer would pay two atomic refcount operations
@@ -70,7 +70,7 @@ impl RowBatch {
 
     /// Append a row.
     #[inline]
-    pub fn push(&mut self, row: Row) {
+    pub(crate) fn push(&mut self, row: Row) {
         self.rows.push_back(row);
     }
 
@@ -101,7 +101,7 @@ impl RowBatch {
 
     /// Drop rows from the back until `len` remain.
     #[inline]
-    pub fn truncate(&mut self, len: usize) {
+    pub(crate) fn truncate(&mut self, len: usize) {
         self.rows.truncate(len);
     }
 
@@ -112,7 +112,7 @@ impl RowBatch {
     /// the ring buffer only when it has wrapped, which a freshly filled
     /// batch never has.
     #[inline]
-    pub fn contiguous_mut(&mut self) -> &mut [Row] {
+    pub(crate) fn contiguous_mut(&mut self) -> &mut [Row] {
         self.rows.make_contiguous()
     }
 

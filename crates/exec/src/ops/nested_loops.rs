@@ -18,7 +18,7 @@ use crate::context::ExecContext;
 use lqs_plan::{Expr, JoinKind, NodeId};
 use lqs_storage::Row;
 
-pub struct NestedLoopsOp {
+pub(crate) struct NestedLoopsOp {
     kind: JoinKind,
     predicate: Option<Expr>,
     outer_buffer: usize,

@@ -14,7 +14,7 @@ use lqs_storage::{ColumnstoreId, IndexId, Row, RowId, TableId, Value};
 /// CPU; when a predicate and/or bitmap probe is attached, it is evaluated
 /// against every stored row but only qualifying rows are emitted — the
 /// storage-engine-pushdown behaviour of §4.3.
-pub struct TableScanOp {
+pub(crate) struct TableScanOp {
     table: TableId,
     predicate: Option<CompiledPredicate>,
     bitmap: Option<BitmapProbe>,
@@ -90,7 +90,7 @@ impl Body for TableScanOp {
 
 /// Ordered scan of a B+tree index, charging one logical read per leaf node
 /// visited. Emits either full base rows or `(key..., rid)`.
-pub struct IndexScanOp {
+pub(crate) struct IndexScanOp {
     index: IndexId,
     predicate: Option<CompiledPredicate>,
     bitmap: Option<BitmapProbe>,
@@ -174,7 +174,7 @@ impl Body for IndexScanOp {
 /// charging batch-rate CPU and segment I/O up front and then emitting the
 /// segment's qualifying rows. Progress for this operator is tracked in
 /// *segments processed*, not GetNext calls.
-pub struct ColumnstoreScanOp {
+pub(crate) struct ColumnstoreScanOp {
     columnstore: ColumnstoreId,
     predicate: Option<Expr>,
     bitmap: Option<BitmapProbe>,
@@ -302,7 +302,7 @@ impl Body for ColumnstoreScanOp {
 }
 
 /// In-plan constant rows.
-pub struct ConstantScanOp {
+pub(crate) struct ConstantScanOp {
     rows: Vec<Vec<Value>>,
     pos: usize,
 }

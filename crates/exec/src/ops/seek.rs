@@ -11,7 +11,7 @@ use lqs_storage::{IndexId, RowId, TableId, Value};
 /// new binding, which is how index nested-loops joins drive the inner side.
 /// A rebind happens once per outer row, so the bounds and the matching rids
 /// live in buffers the operator keeps across rebinds.
-pub struct IndexSeekOp {
+pub(crate) struct IndexSeekOp {
     index: IndexId,
     seek: SeekRange,
     residual: Option<Expr>,
@@ -123,7 +123,7 @@ impl Body for IndexSeekOp {
 /// Fetch base rows by heap RID: the child's **last** output column must be
 /// the RID (produced by a `KeyAndRid` index access). Charges one random
 /// page read per row.
-pub struct RidLookupOp {
+pub(crate) struct RidLookupOp {
     table: TableId,
     child: BoxedOperator,
 }

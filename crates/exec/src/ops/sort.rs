@@ -23,7 +23,7 @@ enum Phase {
 }
 
 /// Unified Sort / Top N Sort / Distinct Sort operator.
-pub struct SortOp {
+pub(crate) struct SortOp {
     keys: Vec<SortKey>,
     /// `Some(n)` = Top N Sort.
     top_n: Option<usize>,

@@ -13,7 +13,7 @@ use crate::context::ExecContext;
 use lqs_plan::NodeId;
 use lqs_storage::Row;
 
-pub struct SpoolOp {
+pub(crate) struct SpoolOp {
     lazy: bool,
     child: BoxedOperator,
     buffer: Vec<Row>,

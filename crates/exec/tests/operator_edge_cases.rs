@@ -31,7 +31,7 @@ fn db(rows: i64) -> (Database, TableId) {
 #[test]
 fn key_and_rid_plus_rid_lookup_reconstructs_rows() {
     let (mut d, t) = db(3000);
-    let ix = d.create_btree_index("ix_b", t, vec![1], false);
+    let ix = d.create_btree_index("ix_b", t, vec![1]);
     let mut b = PlanBuilder::new(&d);
     // Nonclustered seek emitting (key, rid), then a RID lookup to the heap.
     let seek = b.add(
@@ -74,7 +74,7 @@ fn top_stops_pulling_early() {
 #[test]
 fn segment_marks_group_boundaries() {
     let (mut d, t) = db(100);
-    let ix = d.create_btree_index("ix_b", t, vec![1], false);
+    let ix = d.create_btree_index("ix_b", t, vec![1]);
     let mut b = PlanBuilder::new(&d);
     let scan = b.index_scan(ix); // ordered by b
     let seg = b.add(PhysicalOp::Segment { group_by: vec![1] }, vec![scan]);
@@ -107,7 +107,7 @@ fn plan_arity(_b: &PlanBuilder, _n: lqs_plan::NodeId) -> usize {
 #[test]
 fn bitmap_probe_on_index_scan() {
     let (mut d, t) = db(5000);
-    let ix = d.create_btree_index("ix_a", t, vec![0], true);
+    let ix = d.create_btree_index("ix_a", t, vec![0]);
     let mut b = PlanBuilder::new(&d);
     let bitmap = b.new_bitmap();
     // Build side: 10% of rows.
@@ -151,7 +151,7 @@ fn bitmap_probe_on_index_scan() {
 #[test]
 fn merge_join_feeds_stream_aggregate() {
     let (mut d, t) = db(2000);
-    let ix = d.create_btree_index("ix_a", t, vec![0], true);
+    let ix = d.create_btree_index("ix_a", t, vec![0]);
     let mut b = PlanBuilder::new(&d);
     let l = b.index_scan(ix);
     let r = b.index_scan(ix);

@@ -46,8 +46,8 @@ fn fixture() -> Fixture {
     }
     let mut db = Database::new();
     let t = db.add_table_analyzed(t);
-    let ix_a = db.create_btree_index("ix_a", t, vec![0], true);
-    let ix_b = db.create_btree_index("ix_b", t, vec![1], false);
+    let ix_a = db.create_btree_index("ix_a", t, vec![0]);
+    let ix_b = db.create_btree_index("ix_b", t, vec![1]);
     let cs = db.create_columnstore_index("cs", t);
     Fixture {
         db,

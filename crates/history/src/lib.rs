@@ -36,6 +36,7 @@
 //! scan in the terminal.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod metrics;
 pub mod scan;

@@ -26,11 +26,6 @@ impl HistoryMetrics {
         HistoryMetrics { registry }
     }
 
-    /// The wrapped registry.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
-    }
-
     /// A prediction was issued, on the given basis.
     pub fn prediction_issued(&self, basis: PredictionBasis) {
         self.registry
@@ -67,7 +62,7 @@ impl HistoryMetrics {
 
     /// Score one resource prediction against its now-known observation.
     /// `resource` is one of `cpu_ns` / `logical_reads` / `runtime_ns`.
-    pub fn observe_error(&self, resource: &str, predicted: f64, observed: f64) {
+    pub(crate) fn observe_error(&self, resource: &str, predicted: f64, observed: f64) {
         let err = (observed - predicted).abs() / observed.max(1.0);
         self.registry
             .histogram(

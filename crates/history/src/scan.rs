@@ -12,8 +12,7 @@
 
 use crate::store::{plan_features, PlanFeatures};
 use lqs_journal::{
-    list_sessions, read_session, scan_dir, JournalExecMode, JournalScan, RecoveredSession,
-    SessionMeta,
+    list_sessions, read_session, scan_dir, JournalScan, RecoveredSession, SessionMeta,
 };
 use lqs_metrics::percentile;
 use lqs_plan::PhysicalPlan;
@@ -126,18 +125,13 @@ pub struct SessionHistory {
     pub nodes: Vec<NodeAttribution>,
     /// Plan features, when a resolver rebuilt the plan (feeds the
     /// prediction store).
-    pub features: Option<PlanFeatures>,
+    pub(crate) features: Option<PlanFeatures>,
     /// Paper §5 ErrorAvg of a full estimator replay over the journaled
     /// trace; `Some` only for succeeded sessions with a resolved,
     /// fingerprint-matching plan.
     pub error_avg: Option<f64>,
     /// Paper §5 ErrorTime, same conditions as `error_avg`.
     pub error_time: Option<f64>,
-    /// Execution mode the run was journaled under (`Unknown` for journals
-    /// written before the meta carried it, or when the meta was lost).
-    pub exec_mode: JournalExecMode,
-    /// Watchdog alerts journaled for this session.
-    pub alerts: usize,
     /// Id of the ensemble member that served the session, when its journal
     /// recorded a selection (`None` for single-estimator sessions and for
     /// journals written before the record existed).
@@ -219,9 +213,7 @@ pub struct WorkloadPercentiles {
 #[derive(Debug, Clone)]
 pub struct FleetNode {
     /// Plan fingerprint the node belongs to.
-    pub plan_fingerprint: u64,
-    /// Workload label of the sessions aggregated.
-    pub workload: String,
+    pub(crate) plan_fingerprint: u64,
     /// Name of (one of) the sessions running this plan.
     pub name: String,
     /// Node index within the plan.
@@ -249,8 +241,6 @@ pub struct EstimatorAccuracy {
     pub scored: usize,
     /// ErrorAvg percentiles over the scored population, when any.
     pub error_avg: Option<Pctls>,
-    /// ErrorTime percentiles over the scored population, when any.
-    pub error_time: Option<Pctls>,
 }
 
 /// The cross-session history view of one journal directory.
@@ -335,13 +325,11 @@ impl FleetHistory {
                     .filter(|s| s.estimator.as_deref().unwrap_or("single") == label)
                     .collect();
                 let errors: Vec<f64> = all.iter().filter_map(|s| s.error_avg).collect();
-                let error_times: Vec<f64> = all.iter().filter_map(|s| s.error_time).collect();
                 EstimatorAccuracy {
                     estimator: label.to_owned(),
                     sessions: all.len(),
                     scored: errors.len(),
                     error_avg: (!errors.is_empty()).then(|| Pctls::from_samples(errors)),
-                    error_time: (!error_times.is_empty()).then(|| Pctls::from_samples(error_times)),
                 }
             })
             .collect()
@@ -359,7 +347,6 @@ impl FleetHistory {
                     .entry((s.plan_fingerprint, n.node))
                     .or_insert(FleetNode {
                         plan_fingerprint: s.plan_fingerprint,
-                        workload: s.workload.clone(),
                         name: s.name.clone(),
                         node: n.node,
                         op: n.op.clone(),
@@ -505,11 +492,6 @@ fn session_history(
         features: resolved.as_ref().map(|r| plan_features(&r.plan)),
         error_avg,
         error_time: error_time_v,
-        exec_mode: session
-            .meta
-            .as_ref()
-            .map_or(JournalExecMode::Unknown, |m| m.exec_mode),
-        alerts: session.alerts.len(),
         estimator: session.estimator.as_ref().map(|e| e.selected.clone()),
     }
 }

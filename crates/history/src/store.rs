@@ -27,15 +27,15 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// Optimizer-estimate totals for one operator class (display-name bucket)
 /// of a plan.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ClassFeatures {
+pub(crate) struct ClassFeatures {
     /// Number of plan nodes of this class.
-    pub count: usize,
+    pub(crate) count: usize,
     /// Summed optimizer CPU estimate, nanoseconds.
-    pub est_cpu_ns: f64,
+    pub(crate) est_cpu_ns: f64,
     /// Summed optimizer I/O estimate, pages.
-    pub est_io_pages: f64,
+    pub(crate) est_io_pages: f64,
     /// Summed estimated total rows (rows/exec × executions).
-    pub est_rows: f64,
+    pub(crate) est_rows: f64,
 }
 
 /// The feature vector the similarity search runs on: per-operator-class
@@ -45,13 +45,13 @@ pub struct ClassFeatures {
 pub struct PlanFeatures {
     /// Per-class estimate totals, keyed by operator display name
     /// (`BTreeMap` for deterministic iteration).
-    pub classes: BTreeMap<String, ClassFeatures>,
+    pub(crate) classes: BTreeMap<String, ClassFeatures>,
     /// Operator class of each plan node, arena order.
-    pub node_class: Vec<String>,
+    pub(crate) node_class: Vec<String>,
     /// Whole-plan optimizer CPU estimate, nanoseconds.
-    pub est_cpu_ns: f64,
+    pub(crate) est_cpu_ns: f64,
     /// Whole-plan optimizer I/O estimate, pages.
-    pub est_io_pages: f64,
+    pub(crate) est_io_pages: f64,
 }
 
 /// Extract [`PlanFeatures`] from a physical plan.
@@ -81,9 +81,9 @@ pub struct ObservedRun {
     /// Total logical page reads across all nodes.
     pub logical_reads: f64,
     /// Observed CPU folded per operator class, nanoseconds.
-    pub per_class_cpu: BTreeMap<String, f64>,
+    pub(crate) per_class_cpu: BTreeMap<String, f64>,
     /// Observed logical reads folded per operator class.
-    pub per_class_reads: BTreeMap<String, f64>,
+    pub(crate) per_class_reads: BTreeMap<String, f64>,
 }
 
 impl ObservedRun {
@@ -130,7 +130,7 @@ pub enum PredictionBasis {
 
 impl PredictionBasis {
     /// Stable label for metrics and JSON (`"exact"` / `"similar"`).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             PredictionBasis::Exact => "exact",
             PredictionBasis::Similar { .. } => "similar",
@@ -193,12 +193,14 @@ impl HistoryStore {
     }
 
     /// Number of distinct plan fingerprints with history.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.lock().len()
     }
 
     /// True when no runs have been observed.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -210,7 +212,11 @@ impl HistoryStore {
     /// Predict resources for an incoming plan given its fingerprint and
     /// features. `None` means **no history** — the store is cold or holds
     /// nothing comparable; callers must not treat that as "zero cost".
-    pub fn predict(&self, fingerprint: u64, features: &PlanFeatures) -> Option<ResourcePrediction> {
+    pub(crate) fn predict(
+        &self,
+        fingerprint: u64,
+        features: &PlanFeatures,
+    ) -> Option<ResourcePrediction> {
         let inner = self.lock();
         if let Some(entry) = inner.get(&fingerprint) {
             if !entry.runs.is_empty() {

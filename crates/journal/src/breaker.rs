@@ -84,7 +84,7 @@ impl BreakerState {
 
 /// What [`CircuitBreaker::admit`] decided for one append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteAdmit {
+pub(crate) enum WriteAdmit {
     /// Breaker closed: perform the write normally.
     Write,
     /// Breaker half-open: perform the write as the recovery probe.
@@ -95,7 +95,7 @@ pub enum WriteAdmit {
 
 /// State transition reported by [`CircuitBreaker::record_outcome`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerEvent {
+pub(crate) enum BreakerEvent {
     /// No transition.
     None,
     /// Closed → Open: the consecutive-failure threshold was reached.
@@ -129,7 +129,7 @@ pub struct CircuitBreaker {
 
 impl CircuitBreaker {
     /// A closed breaker with `config`.
-    pub fn new(config: BreakerConfig) -> Self {
+    pub(crate) fn new(config: BreakerConfig) -> Self {
         CircuitBreaker {
             config,
             inner: Mutex::new(BreakerInner {
@@ -141,11 +141,6 @@ impl CircuitBreaker {
             trips: AtomicU64::new(0),
             recoveries: AtomicU64::new(0),
         }
-    }
-
-    /// The breaker's configuration.
-    pub fn config(&self) -> &BreakerConfig {
-        &self.config
     }
 
     /// Current state (lock-free; may be momentarily stale under races).
@@ -167,7 +162,7 @@ impl CircuitBreaker {
     /// Decide the fate of one append. Every call must be paired with a
     /// [`record_outcome`](Self::record_outcome) unless it returned
     /// [`WriteAdmit::Suppress`].
-    pub fn admit(&self) -> WriteAdmit {
+    pub(crate) fn admit(&self) -> WriteAdmit {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match self.state() {
             BreakerState::Closed => WriteAdmit::Write,
@@ -190,7 +185,7 @@ impl CircuitBreaker {
 
     /// Report how an admitted append went. Returns the state transition,
     /// if any, so the caller can log/count it exactly once.
-    pub fn record_outcome(&self, admit: WriteAdmit, ok: bool) -> BreakerEvent {
+    pub(crate) fn record_outcome(&self, admit: WriteAdmit, ok: bool) -> BreakerEvent {
         let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         match admit {
             WriteAdmit::Suppress => BreakerEvent::None,

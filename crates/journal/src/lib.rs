@@ -17,24 +17,25 @@
 //! torn-tail recovery path is exercised deterministically rather than hoped
 //! about.
 
+#![warn(unreachable_pub)]
+
 pub mod breaker;
 pub mod metrics;
 pub mod reader;
 pub mod record;
 pub mod writer;
 
-pub use breaker::{BreakerConfig, BreakerEvent, BreakerState, CircuitBreaker, WriteAdmit};
+pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use metrics::JournalMetrics;
 pub use reader::{
-    list_sessions, read_session, scan_dir, scan_dir_window, JournalScan, RecoveredSession,
-    SessionRead, SessionSegments,
+    list_sessions, read_session, scan_dir, JournalScan, RecoveredSession, SessionRead,
+    SessionSegments,
 };
 pub use record::{
     crc32, plan_fingerprint, AlertKind, AlertRecord, EstimatorRecord, JournalExecMode, Record,
-    SegmentHeader, SessionMeta, TerminalKind, TerminalRecord, FORMAT_VERSION, MAX_PAYLOAD_BYTES,
-    SEGMENT_HEADER_BYTES, SEGMENT_MAGIC,
+    SegmentHeader, SessionMeta, TerminalKind, TerminalRecord, FORMAT_VERSION, SEGMENT_HEADER_BYTES,
 };
 pub use writer::{
-    parse_segment_file_name, segment_file_name, FsyncPolicy, Journal, JournalConfig,
-    JournalFaultInjector, RetentionSweep, SessionJournal, WriteCrashPoint,
+    parse_segment_file_name, FsyncPolicy, Journal, JournalConfig, JournalFaultInjector,
+    RetentionSweep, SessionJournal, WriteCrashPoint,
 };

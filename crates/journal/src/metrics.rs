@@ -108,13 +108,13 @@ impl JournalMetrics {
     }
 
     /// Record the journal directory's size after a retention sweep.
-    pub fn set_journal_bytes(&self, bytes: u64) {
+    pub(crate) fn set_journal_bytes(&self, bytes: u64) {
         self.bytes.set(bytes.min(i64::MAX as u64) as i64);
     }
 
     /// Mirror the circuit breaker's state into its gauge
     /// (0 = closed, 1 = open, 2 = half-open).
-    pub fn set_breaker_state(&self, state: BreakerState) {
+    pub(crate) fn set_breaker_state(&self, state: BreakerState) {
         self.breaker_state.set(match state {
             BreakerState::Closed => 0,
             BreakerState::Open => 1,

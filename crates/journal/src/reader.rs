@@ -103,13 +103,13 @@ impl RecoveredSession {
     }
 
     /// Virtual timestamp of the newest surviving snapshot.
-    pub fn last_ts_ns(&self) -> Option<u64> {
+    pub(crate) fn last_ts_ns(&self) -> Option<u64> {
         self.snapshots.last().map(|s| s.ts_ns)
     }
 
     /// Virtual timestamp of the oldest surviving snapshot (the start of
     /// this session's observable activity window). 0 when nothing survived.
-    pub fn start_ts_ns(&self) -> u64 {
+    pub(crate) fn start_ts_ns(&self) -> u64 {
         self.snapshots.first().map_or(0, |s| s.ts_ns)
     }
 
@@ -165,7 +165,7 @@ pub struct SessionSegments {
     /// Session id parsed from the file names.
     pub session_id: u64,
     /// Segment index -> path.
-    pub segments: BTreeMap<u32, PathBuf>,
+    pub(crate) segments: BTreeMap<u32, PathBuf>,
 }
 
 /// What [`read_session`] made of one listed session.
@@ -331,14 +331,6 @@ pub fn scan_dir(dir: &Path) -> std::io::Result<JournalScan> {
             None => scan.sessions_swept += 1,
         }
     }
-    Ok(scan)
-}
-
-/// [`scan_dir`] restricted to sessions whose activity intersects the
-/// closed virtual-time window `[since_ns, until_ns]`.
-pub fn scan_dir_window(dir: &Path, since_ns: u64, until_ns: u64) -> std::io::Result<JournalScan> {
-    let mut scan = scan_dir(dir)?;
-    scan.retain_window(since_ns, until_ns);
     Ok(scan)
 }
 

@@ -25,27 +25,27 @@ use lqs_plan::{CostModel, PhysicalPlan};
 pub const FORMAT_VERSION: u16 = 1;
 
 /// Magic bytes opening every segment file.
-pub const SEGMENT_MAGIC: [u8; 4] = *b"LQSJ";
+pub(crate) const SEGMENT_MAGIC: [u8; 4] = *b"LQSJ";
 
 /// Size of the fixed segment header in bytes.
 pub const SEGMENT_HEADER_BYTES: u64 = 4 + 2 + 4 + 8 + 4;
 
 /// Upper bound on a single payload; a length prefix beyond this is treated
 /// as corruption rather than an allocation request.
-pub const MAX_PAYLOAD_BYTES: u32 = 16 * 1024 * 1024;
+pub(crate) const MAX_PAYLOAD_BYTES: u32 = 16 * 1024 * 1024;
 
 /// Record type tags (first payload byte).
-pub const TAG_META: u8 = 1;
+pub(crate) const TAG_META: u8 = 1;
 /// Snapshot record tag.
-pub const TAG_SNAPSHOT: u8 = 2;
+pub(crate) const TAG_SNAPSHOT: u8 = 2;
 /// Terminal-state record tag.
-pub const TAG_TERMINAL: u8 = 3;
+pub(crate) const TAG_TERMINAL: u8 = 3;
 /// Clean-shutdown sentinel tag.
-pub const TAG_CLEAN_SHUTDOWN: u8 = 4;
+pub(crate) const TAG_CLEAN_SHUTDOWN: u8 = 4;
 /// Watchdog alert record tag.
-pub const TAG_ALERT: u8 = 5;
+pub(crate) const TAG_ALERT: u8 = 5;
 /// Estimator-selection record tag (ensemble final selection + weights).
-pub const TAG_ESTIMATOR: u8 = 6;
+pub(crate) const TAG_ESTIMATOR: u8 = 6;
 
 /// CRC32 polynomial (IEEE 802.3), reflected form.
 const CRC32_POLY: u32 = 0xEDB8_8320;
@@ -133,7 +133,7 @@ impl SegmentHeader {
     }
 
     /// Decode from the head of `buf`; `None` on bad magic/short header.
-    pub fn decode(buf: &[u8]) -> Option<SegmentHeader> {
+    pub(crate) fn decode(buf: &[u8]) -> Option<SegmentHeader> {
         if buf.len() < SEGMENT_HEADER_BYTES as usize || buf[..4] != SEGMENT_MAGIC {
             return None;
         }
@@ -210,15 +210,6 @@ pub enum JournalExecMode {
 }
 
 impl JournalExecMode {
-    /// Stable lowercase label (metric/JSON value).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            JournalExecMode::Unknown => "unknown",
-            JournalExecMode::Tuple => "tuple",
-            JournalExecMode::Batch => "batch",
-        }
-    }
-
     fn to_tag(self) -> u8 {
         match self {
             JournalExecMode::Unknown => 0,
@@ -737,7 +728,8 @@ impl Record {
     }
 
     /// Encode this record's payload (type tag + body, no framing).
-    pub fn encode_payload(&self) -> Vec<u8> {
+    #[cfg(test)]
+    pub(crate) fn encode_payload(&self) -> Vec<u8> {
         let mut payload = Vec::new();
         self.borrowed().encode_payload_into(&mut payload);
         payload
@@ -753,7 +745,7 @@ impl Record {
     /// Decode a CRC-verified payload. `None` means the payload is
     /// structurally invalid (unknown tag, truncated body, trailing bytes) —
     /// indistinguishable from corruption and treated identically.
-    pub fn decode_payload(payload: &[u8]) -> Option<Record> {
+    pub(crate) fn decode_payload(payload: &[u8]) -> Option<Record> {
         let (&tag, body) = payload.split_first()?;
         let mut d = Dec::new(body);
         let record = match tag {

@@ -7,7 +7,7 @@ use crate::metrics::JournalMetrics;
 use crate::record::{RecordRef, SegmentHeader, SessionMeta, TerminalRecord, FORMAT_VERSION};
 use std::fs::{File, OpenOptions};
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -52,21 +52,21 @@ pub trait JournalFaultInjector: Send + Sync {
 #[derive(Clone)]
 pub struct JournalConfig {
     /// Directory holding every session's segment files.
-    pub dir: PathBuf,
+    pub(crate) dir: PathBuf,
     /// Fsync policy for all writers.
-    pub fsync: FsyncPolicy,
+    pub(crate) fsync: FsyncPolicy,
     /// Rotate a session's segment once it exceeds this many bytes.
-    pub segment_max_bytes: u64,
+    pub(crate) segment_max_bytes: u64,
     /// Disk budget: [`Journal::sweep_retention`] deletes oldest
     /// prior-epoch session journals until the directory fits. `None` keeps
     /// everything.
-    pub retention_max_bytes: Option<u64>,
+    pub(crate) retention_max_bytes: Option<u64>,
     /// Deterministic process-death simulation (chaos testing).
-    pub crash: Option<std::sync::Arc<dyn WriteCrashPoint>>,
+    pub(crate) crash: Option<std::sync::Arc<dyn WriteCrashPoint>>,
     /// Deterministic append-failure injection (chaos testing).
-    pub fault: Option<std::sync::Arc<dyn JournalFaultInjector>>,
+    pub(crate) fault: Option<std::sync::Arc<dyn JournalFaultInjector>>,
     /// Circuit-breaker tuning for the journal's write path.
-    pub breaker: BreakerConfig,
+    pub(crate) breaker: BreakerConfig,
 }
 
 impl JournalConfig {
@@ -123,7 +123,7 @@ impl JournalConfig {
 
 /// Segment file name for `(epoch, session, segment)`. Zero-padded so
 /// lexicographic directory order equals numeric order.
-pub fn segment_file_name(epoch: u32, session_id: u64, segment: u32) -> String {
+pub(crate) fn segment_file_name(epoch: u32, session_id: u64, segment: u32) -> String {
     format!("e{epoch:05}-s{session_id:08}-g{segment:04}.lqsj")
 }
 
@@ -143,11 +143,11 @@ pub fn parse_segment_file_name(name: &str) -> Option<(u32, u64, u32)> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetentionSweep {
     /// Directory size before the sweep.
-    pub bytes_before: u64,
+    pub(crate) bytes_before: u64,
     /// Directory size after the sweep.
-    pub bytes_after: u64,
+    pub(crate) bytes_after: u64,
     /// Whole session journals deleted.
-    pub sessions_deleted: usize,
+    pub(crate) sessions_deleted: usize,
 }
 
 /// One journal directory, shared by every session of one service
@@ -188,11 +188,6 @@ impl Journal {
     pub fn with_metrics(mut self, metrics: JournalMetrics) -> Journal {
         self.metrics = metrics;
         self
-    }
-
-    /// The journal directory.
-    pub fn dir(&self) -> &Path {
-        &self.config.dir
     }
 
     /// This incarnation's epoch.
@@ -640,7 +635,8 @@ impl SessionJournal {
     }
 
     /// Whether the simulated crash point has fired for this writer.
-    pub fn crashed(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn crashed(&self) -> bool {
         self.lock_inner().dead
     }
 
@@ -660,11 +656,6 @@ impl SessionJournal {
     /// write errors) and recovery cannot treat it as the full story.
     pub fn is_durable(&self) -> bool {
         self.lost_records() == 0
-    }
-
-    /// The journal-wide circuit breaker this writer routes through.
-    pub fn breaker(&self) -> &Arc<CircuitBreaker> {
-        &self.breaker
     }
 }
 

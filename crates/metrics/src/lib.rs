@@ -26,9 +26,10 @@
 //! registry access, no new dependencies.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod primitives;
+pub(crate) mod primitives;
 pub mod registry;
 
 pub use primitives::{percentile, Counter, Gauge, Histogram};
-pub use registry::{MetricKind, MetricsRegistry};
+pub use registry::MetricsRegistry;

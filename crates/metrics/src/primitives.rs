@@ -18,7 +18,7 @@ pub struct Counter {
 
 impl Counter {
     /// A counter at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -47,7 +47,7 @@ pub struct Gauge {
 
 impl Gauge {
     /// A gauge at zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -57,7 +57,7 @@ impl Gauge {
     }
 
     /// Add `n` (may be negative).
-    pub fn add(&self, n: i64) {
+    pub(crate) fn add(&self, n: i64) {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -72,7 +72,8 @@ impl Gauge {
     }
 
     /// Ratchet the gauge up to `v` if it is below it (high-water marks).
-    pub fn fetch_max(&self, v: i64) {
+    #[cfg(test)]
+    pub(crate) fn fetch_max(&self, v: i64) {
         self.value.fetch_max(v, Ordering::Relaxed);
     }
 
@@ -239,7 +240,7 @@ impl Histogram {
     /// Non-empty buckets as `(upper_bound, cumulative_count)` pairs in
     /// ascending bound order — the shape Prometheus `_bucket{le=...}` lines
     /// want. The final implicit `+Inf` bucket equals [`Self::count`].
-    pub fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn cumulative_buckets(&self) -> Vec<(f64, u64)> {
         let mut out = Vec::new();
         let mut cum = 0u64;
         for (i, c) in self.counts.iter().enumerate() {

@@ -25,8 +25,8 @@ pub fn to_jsonl(events: &[TraceEvent], names: &[String]) -> String {
 /// buffer — with a `{"kind":"trace_dropped","dropped":N}` header line, so
 /// the export carries the sink's loss accounting instead of silently
 /// presenting a truncated trace as complete. [`from_jsonl`] skips the
-/// header; [`jsonl_dropped`] reads it back.
-pub fn to_jsonl_with_drops(events: &[TraceEvent], names: &[String], dropped: u64) -> String {
+/// header.
+pub(crate) fn to_jsonl_with_drops(events: &[TraceEvent], names: &[String], dropped: u64) -> String {
     let mut out = String::new();
     if dropped > 0 {
         out.push_str(
@@ -136,16 +136,6 @@ pub fn from_jsonl(s: &str) -> Result<Vec<TraceEvent>, String> {
         });
     }
     Ok(events)
-}
-
-/// The dropped-event count recorded by a [`to_jsonl_with_drops`] header,
-/// or 0 when the export has none (nothing was lost).
-pub fn jsonl_dropped(s: &str) -> u64 {
-    s.lines()
-        .filter_map(|line| serde_json::from_str(line).ok())
-        .find(|v: &Value| v.get("kind").and_then(Value::as_str) == Some("trace_dropped"))
-        .and_then(|v| v.get("dropped").and_then(Value::as_u64))
-        .unwrap_or(0)
 }
 
 // ---- Collapsed stacks (flamegraph) --------------------------------------
@@ -473,6 +463,16 @@ fn close_span(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The dropped-event count recorded by a [`to_jsonl_with_drops`] header,
+    /// or 0 when the export has none (nothing was lost).
+    fn jsonl_dropped(s: &str) -> u64 {
+        s.lines()
+            .filter_map(|line| serde_json::from_str(line).ok())
+            .find(|v: &Value| v.get("kind").and_then(Value::as_str) == Some("trace_dropped"))
+            .and_then(|v| v.get("dropped").and_then(Value::as_u64))
+            .unwrap_or(0)
+    }
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![

@@ -7,9 +7,9 @@
 //! blocking → emit, spool write → replay), exchange buffer high-water
 //! marks, bitmap builds, and DMV snapshot ticks — into an [`EventSink`].
 //!
-//! Three sinks ship with the crate: [`NullSink`] (the default; operators
-//! skip event construction entirely when `is_recording()` is false, so
-//! untraced runs pay almost nothing), [`RingBufferSink`] (bounded
+//! Two sinks ship with the crate (a run with no sink at all skips event
+//! construction entirely, so untraced runs pay almost nothing):
+//! [`RingBufferSink`] (bounded
 //! single-threaded in-memory capture with drop-oldest overflow), and
 //! [`SharedSessionSink`] (the same semantics behind a mutex, `Send + Sync`,
 //! every event tagged with its session, for concurrent sessions sharing
@@ -21,15 +21,15 @@
 //! - Chrome trace-event JSON — open in `chrome://tracing` or Perfetto;
 //!   virtual nanoseconds map to trace microseconds.
 
+#![warn(unreachable_pub)]
+
 pub mod export;
 pub mod sink;
 
 pub use export::{
-    from_jsonl, jsonl_dropped, split_sessions, to_chrome_trace, to_chrome_trace_sessions,
-    to_chrome_trace_with_drops, to_collapsed_stacks, to_jsonl, to_jsonl_with_drops,
-    SessionTraceExport,
+    from_jsonl, split_sessions, to_chrome_trace, to_chrome_trace_sessions,
+    to_chrome_trace_with_drops, to_collapsed_stacks, to_jsonl, SessionTraceExport,
 };
 pub use sink::{
-    EventKind, EventSink, NullSink, RingBufferSink, SessionEvent, SessionTap, SharedSessionSink,
-    TraceEvent,
+    EventKind, EventSink, RingBufferSink, SessionEvent, SessionTap, SharedSessionSink, TraceEvent,
 };

@@ -58,7 +58,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Stable lower-snake tag used by the JSONL exporter.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             EventKind::OperatorOpen => "operator_open",
             EventKind::OperatorFirstRow => "operator_first_row",
@@ -95,21 +95,9 @@ pub trait EventSink {
 
     /// Whether emitting is worthwhile. Call sites with non-trivial event
     /// construction (string formatting, gauge comparisons) check this
-    /// first so a [`NullSink`] costs one virtual call and nothing else.
+    /// first so a sink that never records costs one virtual call and nothing else.
     fn is_recording(&self) -> bool {
         true
-    }
-}
-
-/// Discards everything; `is_recording()` is `false`.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn emit(&self, _event: TraceEvent) {}
-
-    fn is_recording(&self) -> bool {
-        false
     }
 }
 
@@ -185,16 +173,6 @@ impl RingBufferSink {
     pub fn dropped(&self) -> u64 {
         self.0.borrow().dropped
     }
-
-    /// Number of events currently retained.
-    pub fn len(&self) -> usize {
-        self.0.borrow().buf.len()
-    }
-
-    /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl EventSink for RingBufferSink {
@@ -213,9 +191,9 @@ impl EventSink for RingBufferSink {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionEvent {
     /// Caller-chosen session identifier (e.g. an `lqs-server` session id).
-    pub session: u64,
+    pub(crate) session: u64,
     /// The event itself.
-    pub event: TraceEvent,
+    pub(crate) event: TraceEvent,
 }
 
 /// A `Send + Sync` ring buffer of [`SessionEvent`]s shared by many
@@ -248,7 +226,8 @@ impl SharedSessionSink {
 
     /// Drain all retained events, oldest first, leaving the sink empty.
     /// The dropped count is *not* reset — it stays an honest total.
-    pub fn drain(&self) -> Vec<SessionEvent> {
+    #[cfg(test)]
+    pub(crate) fn drain(&self) -> Vec<SessionEvent> {
         lock(&self.0).buf.drain(..).collect()
     }
 
@@ -258,12 +237,14 @@ impl SharedSessionSink {
     }
 
     /// Number of events currently retained.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         lock(&self.0).buf.len()
     }
 
     /// Whether no events are retained.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 }
@@ -274,13 +255,6 @@ impl SharedSessionSink {
 pub struct SessionTap {
     sink: Arc<SharedSessionSink>,
     session: u64,
-}
-
-impl SessionTap {
-    /// The session id this tap stamps onto events.
-    pub fn session(&self) -> u64 {
-        self.session
-    }
 }
 
 impl EventSink for SessionTap {
@@ -357,13 +331,5 @@ mod tests {
         let tagged: Vec<u64> = sessions.events().iter().map(|e| e.session).collect();
         assert_eq!(tagged, vec![7, 9]);
         assert_eq!(sessions.drain().len(), 2);
-    }
-
-    #[test]
-    fn null_sink_reports_not_recording() {
-        assert!(!NullSink.is_recording());
-        let ring = RingBufferSink::new(8);
-        assert!(EventSink::is_recording(&ring));
-        NullSink.emit(ev(1)); // no-op, must not panic
     }
 }

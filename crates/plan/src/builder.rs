@@ -9,8 +9,7 @@ use crate::cardinality;
 use crate::cost::{self, CostModel};
 use crate::expr::{Aggregate, Expr};
 use crate::op::{
-    BitmapId, BitmapProbe, ExchangeKind, IndexOutput, JoinKind, NodeId, PhysicalOp, SeekRange,
-    SortKey,
+    BitmapId, ExchangeKind, IndexOutput, JoinKind, NodeId, PhysicalOp, SeekRange, SortKey,
 };
 use crate::plan::{PhysicalPlan, PlanNode, Provenance};
 use lqs_storage::{ColumnstoreId, Database, IndexId, TableId, Value};
@@ -37,11 +36,6 @@ impl<'a> PlanBuilder<'a> {
         let id = BitmapId(self.next_bitmap);
         self.next_bitmap += 1;
         id
-    }
-
-    /// Number of bitmaps allocated so far.
-    pub fn bitmap_count(&self) -> usize {
-        self.next_bitmap
     }
 
     /// Add an arbitrary operator node. Panics on arity or column-bound
@@ -276,7 +270,7 @@ impl<'a> PlanBuilder<'a> {
         self.finish_with_model(root, &CostModel::default())
     }
     /// Finalize with an explicit cost model.
-    pub fn finish_with_model(mut self, root: NodeId, model: &CostModel) -> PhysicalPlan {
+    pub(crate) fn finish_with_model(mut self, root: NodeId, model: &CostModel) -> PhysicalPlan {
         // Parent links.
         let links: Vec<(NodeId, NodeId)> = self
             .nodes
@@ -531,12 +525,4 @@ fn batch_capable(op: &PhysicalOp) -> bool {
             | PhysicalOp::BitmapCreate { .. }
             | PhysicalOp::Exchange { .. }
     )
-}
-
-/// Convenience: a probe entry for pushed bitmap filters.
-pub fn bitmap_probe(bitmap: BitmapId, key_columns: Vec<usize>) -> BitmapProbe {
-    BitmapProbe {
-        bitmap,
-        key_columns,
-    }
 }

@@ -14,19 +14,19 @@ use crate::plan::{PhysicalPlan, Provenance};
 use lqs_storage::{Database, Value};
 
 /// Default selectivity for equality predicates the histogram can't resolve.
-pub const DEFAULT_EQ_SEL: f64 = 0.1;
+pub(crate) const DEFAULT_EQ_SEL: f64 = 0.1;
 /// Default selectivity for range predicates the histogram can't resolve.
-pub const DEFAULT_RANGE_SEL: f64 = 0.3;
+pub(crate) const DEFAULT_RANGE_SEL: f64 = 0.3;
 /// Default selectivity for out-of-model predicates (scalar functions etc.).
-pub const DEFAULT_OPAQUE_SEL: f64 = 0.25;
+pub(crate) const DEFAULT_OPAQUE_SEL: f64 = 0.25;
 /// Optimizer guess for the fraction of probe-side rows surviving a bitmap
 /// semi-join filter. Deliberately crude: the paper observes that bitmap
 /// selectivities "often have very large estimation errors" (§4.3), and this
 /// fixed guess reproduces that regime.
-pub const BITMAP_DEFAULT_SEL: f64 = 0.75;
+pub(crate) const BITMAP_DEFAULT_SEL: f64 = 0.75;
 
 /// Run the pass over `plan`.
-pub fn estimate(plan: &mut PhysicalPlan, db: &Database) {
+pub(crate) fn estimate(plan: &mut PhysicalPlan, db: &Database) {
     // Bottom-up: per-execution cardinalities.
     for id in plan.post_order() {
         let rows = estimate_node(plan, db, id);

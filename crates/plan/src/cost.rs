@@ -103,7 +103,7 @@ impl CostModel {
 }
 
 /// Fill `est_cpu_ns` / `est_io_pages` for every node of `plan`.
-pub fn estimate(plan: &mut PhysicalPlan, db: &Database, m: &CostModel) {
+pub(crate) fn estimate(plan: &mut PhysicalPlan, db: &Database, m: &CostModel) {
     for id in plan.post_order() {
         let (cpu, io) = node_cost(plan, db, m, plan.node(id));
         let n = plan.node_mut(id);

@@ -236,36 +236,8 @@ impl Expr {
         truthy(&self.eval(row))
     }
 
-    /// Rewrite all column references through `map` (old ordinal → new
-    /// ordinal). Used when predicates move across operators whose output
-    /// layout differs.
-    pub fn remap_columns(&self, map: &dyn Fn(usize) -> usize) -> Expr {
-        match self {
-            Expr::Col(i) => Expr::Col(map(*i)),
-            Expr::Lit(v) => Expr::Lit(v.clone()),
-            Expr::Cmp { op, lhs, rhs } => Expr::Cmp {
-                op: *op,
-                lhs: Box::new(lhs.remap_columns(map)),
-                rhs: Box::new(rhs.remap_columns(map)),
-            },
-            Expr::And(p) => Expr::And(p.iter().map(|e| e.remap_columns(map)).collect()),
-            Expr::Or(p) => Expr::Or(p.iter().map(|e| e.remap_columns(map)).collect()),
-            Expr::Not(e) => Expr::Not(Box::new(e.remap_columns(map))),
-            Expr::Arith { op, lhs, rhs } => Expr::Arith {
-                op: *op,
-                lhs: Box::new(lhs.remap_columns(map)),
-                rhs: Box::new(rhs.remap_columns(map)),
-            },
-            Expr::IsNull(e) => Expr::IsNull(Box::new(e.remap_columns(map))),
-            Expr::InList { expr, list } => Expr::InList {
-                expr: Box::new(expr.remap_columns(map)),
-                list: list.clone(),
-            },
-        }
-    }
-
     /// All column ordinals referenced by this expression.
-    pub fn referenced_columns(&self) -> Vec<usize> {
+    pub(crate) fn referenced_columns(&self) -> Vec<usize> {
         let mut out = Vec::new();
         self.collect_columns(&mut out);
         out.sort_unstable();
@@ -550,8 +522,6 @@ mod tests {
             .eq(Expr::col(3))
             .and(Expr::col(1).gt(Expr::lit(0i64)));
         assert_eq!(e.referenced_columns(), vec![1, 3]);
-        let shifted = e.remap_columns(&|c| c + 10);
-        assert_eq!(shifted.referenced_columns(), vec![11, 13]);
     }
 
     #[test]

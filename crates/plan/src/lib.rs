@@ -16,6 +16,7 @@
 //! * [`pipeline`] — pipeline decomposition and driver nodes (§3.1.1).
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod builder;
 pub mod cardinality;

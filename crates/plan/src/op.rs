@@ -110,15 +110,6 @@ impl SeekRange {
             hi: None,
         }
     }
-
-    /// Whether any component references the outer row (i.e. the seek is
-    /// correlated and must run on the inner side of a nested-loops join).
-    pub fn is_correlated(&self) -> bool {
-        let is_outer = |k: &SeekKey| matches!(k, SeekKey::OuterRef(_));
-        self.eq_keys.iter().any(is_outer)
-            || self.lo.as_ref().is_some_and(|(k, _)| is_outer(k))
-            || self.hi.as_ref().is_some_and(|(k, _)| is_outer(k))
-    }
 }
 
 /// What an index seek/scan emits.
@@ -371,7 +362,7 @@ impl PhysicalOp {
     }
 
     /// Leaf operators (no children).
-    pub fn is_leaf(&self) -> bool {
+    pub(crate) fn is_leaf(&self) -> bool {
         matches!(
             self,
             PhysicalOp::TableScan { .. }
@@ -383,7 +374,7 @@ impl PhysicalOp {
     }
 
     /// Number of children this operator requires (`None` = variadic ≥ 1).
-    pub fn required_children(&self) -> Option<usize> {
+    pub(crate) fn required_children(&self) -> Option<usize> {
         match self {
             op if op.is_leaf() => Some(0),
             PhysicalOp::HashJoin { .. }
@@ -397,7 +388,7 @@ impl PhysicalOp {
     /// Whether this operator runs in batch mode (coarse-grained progress,
     /// §4.7). Currently columnstore scans; batch-mode propagation up the
     /// plan is handled by the planner via [`crate::plan::PlanNode::batch_mode`].
-    pub fn is_batch_source(&self) -> bool {
+    pub(crate) fn is_batch_source(&self) -> bool {
         matches!(self, PhysicalOp::ColumnstoreScan { .. })
     }
 }
@@ -441,20 +432,6 @@ mod tests {
             outer_buffer: 1
         }
         .is_semi_blocking());
-    }
-
-    #[test]
-    fn seek_correlation() {
-        let uncorrelated = SeekRange::eq(vec![SeekKey::Lit(Value::Int(1))]);
-        assert!(!uncorrelated.is_correlated());
-        let correlated = SeekRange::eq(vec![SeekKey::OuterRef(2)]);
-        assert!(correlated.is_correlated());
-        let range_correlated = SeekRange {
-            eq_keys: vec![],
-            lo: Some((SeekKey::OuterRef(0), true)),
-            hi: None,
-        };
-        assert!(range_correlated.is_correlated());
     }
 
     #[test]

@@ -35,10 +35,6 @@ pub struct Pipeline {
     /// Leaves on the inner side of nested-loops joins, the additional driver
     /// nodes of §4.4(1).
     pub nl_inner_leaves: Vec<NodeId>,
-    /// The boundary node that consumes this pipeline's output (a blocking
-    /// operator, or a hash join consuming its build input). `None` for the
-    /// root pipeline.
-    pub sink: Option<NodeId>,
     /// Pipelines that feed this one through blocking boundaries; they must
     /// finish before (or as) this pipeline runs.
     pub upstream: Vec<PipelineId>,
@@ -64,20 +60,19 @@ impl PipelineSet {
             pipeline_of: vec![PipelineId(0); n],
             nl_inner: vec![false; n],
         };
-        let root_pipe = set.new_pipeline(None);
+        let root_pipe = set.new_pipeline();
         set.assign(plan, plan.root(), root_pipe, false);
         set.compute_drivers(plan);
         set
     }
 
-    fn new_pipeline(&mut self, sink: Option<NodeId>) -> PipelineId {
+    fn new_pipeline(&mut self) -> PipelineId {
         let id = PipelineId(self.pipelines.len());
         self.pipelines.push(Pipeline {
             id,
             nodes: vec![],
             driver_nodes: vec![],
             nl_inner_leaves: vec![],
-            sink,
             upstream: vec![],
         });
         id
@@ -91,14 +86,14 @@ impl PipelineSet {
         let children = n.children.clone();
         match &n.op {
             op if op.is_blocking() => {
-                let child_pipe = self.new_pipeline(Some(node));
+                let child_pipe = self.new_pipeline();
                 self.pipelines[pipe.0].upstream.push(child_pipe);
                 self.assign(plan, children[0], child_pipe, false);
             }
             PhysicalOp::HashJoin { .. } => {
                 // Build side (child 0) is consumed in its own pipeline; probe
                 // side shares the join's pipeline.
-                let build_pipe = self.new_pipeline(Some(node));
+                let build_pipe = self.new_pipeline();
                 self.pipelines[pipe.0].upstream.push(build_pipe);
                 self.assign(plan, children[0], build_pipe, false);
                 self.assign(plan, children[1], pipe, nl_inner);
@@ -159,17 +154,12 @@ impl PipelineSet {
         self.pipeline_of[node.0]
     }
 
-    /// Whether `node` is on the inner side of a nested-loops join within its
-    /// pipeline.
-    pub fn is_nl_inner(&self, node: NodeId) -> bool {
-        self.nl_inner[node.0]
-    }
-
     /// Whether `node` is separated from its pipeline's sources by at least
     /// one semi-blocking operator **below** it in the same pipeline — the
     /// condition under which §4.4(2) switches cardinality-refinement
     /// scale-up from driver-node progress to immediate-child progress.
-    pub fn semi_blocking_below(&self, plan: &PhysicalPlan, node: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn semi_blocking_below(&self, plan: &PhysicalPlan, node: NodeId) -> bool {
         let pipe = self.pipeline_of(node);
         let mut stack: Vec<NodeId> = plan
             .node(node)
@@ -250,10 +240,9 @@ mod tests {
         let root = pipes.pipeline(PipelineId(0));
         assert_eq!(root.nodes, vec![agg]);
         assert_eq!(root.driver_nodes, vec![agg]);
-        assert!(root.sink.is_none());
         // Middle pipeline: sort(out), scan B, merge, filter; sink = agg.
         let mid = pipes.pipeline(pipes.pipeline_of(merge));
-        assert_eq!(mid.sink, Some(agg));
+        assert_eq!(root.upstream, vec![mid.id]);
         assert!(mid.nodes.contains(&sort));
         assert!(mid.nodes.contains(&scan_b));
         assert!(mid.nodes.contains(&filter));
@@ -267,7 +256,7 @@ mod tests {
         // First pipeline: scan A only, sink = sort.
         let p1 = pipes.pipeline(pipes.pipeline_of(scan_a));
         assert_eq!(p1.nodes, vec![scan_a]);
-        assert_eq!(p1.sink, Some(sort));
+        assert_eq!(mid.upstream, vec![p1.id]);
         assert_eq!(p1.driver_nodes, vec![scan_a]);
     }
 
@@ -285,7 +274,6 @@ mod tests {
         assert_ne!(pipes.pipeline_of(build), pipes.pipeline_of(probe));
         assert_eq!(pipes.pipeline_of(join), pipes.pipeline_of(probe));
         let build_pipe = pipes.pipeline(pipes.pipeline_of(build));
-        assert_eq!(build_pipe.sink, Some(join));
         // Root pipeline's upstream is the build pipeline.
         let root = pipes.pipeline(pipes.pipeline_of(join));
         assert_eq!(root.upstream, vec![build_pipe.id]);
@@ -311,8 +299,6 @@ mod tests {
         let p = pipes.pipeline(PipelineId(0));
         assert_eq!(p.driver_nodes, vec![outer]);
         assert_eq!(p.nl_inner_leaves, vec![inner]);
-        assert!(pipes.is_nl_inner(inner));
-        assert!(!pipes.is_nl_inner(outer));
     }
 
     #[test]

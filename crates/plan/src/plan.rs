@@ -29,7 +29,7 @@ pub struct PlanNode {
     /// Children, in operator-specific order (see [`PhysicalOp`] docs).
     pub children: Vec<NodeId>,
     /// Parent node, if any (filled by the builder).
-    pub parent: Option<NodeId>,
+    pub(crate) parent: Option<NodeId>,
     /// Optimizer estimate: rows produced **per execution**.
     pub est_rows_per_exec: f64,
     /// Optimizer estimate: number of times this node is (re-)executed.
@@ -91,7 +91,7 @@ impl PhysicalPlan {
 
     /// Mutable access (used by refinement experiments that overwrite
     /// estimates wholesale; the estimator itself never mutates plans).
-    pub fn node_mut(&mut self, id: NodeId) -> &mut PlanNode {
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> &mut PlanNode {
         &mut self.nodes[id.0]
     }
 

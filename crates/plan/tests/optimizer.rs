@@ -160,7 +160,7 @@ fn scalar_aggregate_estimates_one() {
 #[test]
 fn nested_loops_inner_executions() {
     let (mut db, t) = uniform_db(5000);
-    let ix = db.create_btree_index("ix", t, vec![0], true);
+    let ix = db.create_btree_index("ix", t, vec![0]);
     let mut b = PlanBuilder::new(&db);
     let outer = b.table_scan_filtered(t, Expr::col(1).lt(Expr::lit(10i64)), true);
     let seek = b.index_seek(ix, SeekRange::eq(vec![SeekKey::OuterRef(0)]));

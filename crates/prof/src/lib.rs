@@ -28,6 +28,7 @@
 //! an explicit no-profile, never a fabricated one.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 use lqs_exec::QueryRun;
 use lqs_plan::{NodeId, PhysicalPlan};
@@ -135,7 +136,7 @@ impl ProfileReport {
     /// down to the node itself. Frame labels are `name#id` — the id keeps
     /// two same-named siblings (e.g. two Filters) from merging into one
     /// flamegraph frame.
-    pub fn stack_of(&self, node: usize) -> Vec<String> {
+    pub(crate) fn stack_of(&self, node: usize) -> Vec<String> {
         let mut path = Vec::new();
         let mut cur = Some(node);
         while let Some(i) = cur {

@@ -32,13 +32,13 @@ pub struct Bounds {
 
 impl Bounds {
     /// No information: `[0, +inf)`.
-    pub const UNBOUNDED: Bounds = Bounds {
+    pub(crate) const UNBOUNDED: Bounds = Bounds {
         lb: 0.0,
         ub: f64::INFINITY,
     };
 
     /// Clamp `estimate` into `[lb, ub]`.
-    pub fn clamp(&self, estimate: f64) -> f64 {
+    pub(crate) fn clamp(&self, estimate: f64) -> f64 {
         estimate.max(self.lb).min(self.ub)
     }
 }

@@ -162,7 +162,7 @@ impl Figure {
 
 /// An ensemble member: a view over one of the ensemble's §4 passes. It
 /// owns no derivation of its own — per-node detail is the pass's, and the
-/// query-level figure is its [`Figure`] of the pass and the shared
+/// query-level figure is its `Figure` of the pass and the shared
 /// per-snapshot state. `pmax` and `safe` both read the bounded-TGN pass.
 /// The figure is a pure function of the snapshot, so an offline replay of a
 /// recorded trace reproduces the online figures bit for bit.
@@ -861,7 +861,7 @@ mod tests {
     fn a_closed_root_reads_as_done_from_every_member() {
         let (mut db, _, _) = sorted_scan();
         let tid = db.table_by_name("t").expect("table t");
-        let ix = db.create_btree_index("ix_b", tid, vec![1], false);
+        let ix = db.create_btree_index("ix_b", tid, vec![1]);
         let mut b = PlanBuilder::new(&db);
         let scan = b.table_scan(tid);
         let none = b.filter(scan, Expr::col(0).lt(Expr::lit(0i64)));

@@ -59,17 +59,6 @@ pub enum EstimateQuality {
     Degraded,
 }
 
-impl EstimateQuality {
-    /// Lower-case label for metrics/JSON exposition.
-    pub fn label(self) -> &'static str {
-        match self {
-            EstimateQuality::Fresh => "fresh",
-            EstimateQuality::Stale => "stale",
-            EstimateQuality::Degraded => "degraded",
-        }
-    }
-}
-
 /// Which ensemble member produced (and how members were weighted behind)
 /// a [`ProgressReport`]. Only present where the
 /// [`crate::ensemble::EnsembleEstimator`] had members to choose between;
@@ -212,7 +201,7 @@ impl ProgressEstimator {
     /// time-to-completion) silently diverge from the observed counters.
     /// Treat the return value like a `#[must_use = "pair with the run's
     /// cost model"]`: harness code should go through
-    /// `lqs_harness::run::estimator_for_run`.
+    /// `lqs_bench::run::estimator_for_run`.
     pub fn new(plan: &PhysicalPlan, db: &Database, config: EstimatorConfig) -> Self {
         Self::with_cost_model(plan, db, config, &lqs_plan::CostModel::default())
     }

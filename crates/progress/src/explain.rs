@@ -82,7 +82,7 @@ impl RefinementSource {
 
     /// Whether this source represents an online refinement (as opposed to
     /// the static estimate or the trivial closed-node substitution).
-    pub fn is_refinement(&self) -> bool {
+    pub(crate) fn is_refinement(&self) -> bool {
         matches!(
             self,
             RefinementSource::BlockingPropagation

@@ -155,18 +155,13 @@ impl SnapshotGuard {
     }
 
     /// The plan's node count this guard validates against.
-    pub fn n_nodes(&self) -> usize {
+    pub(crate) fn n_nodes(&self) -> usize {
         self.n_nodes
     }
 
     /// Anomaly tallies since construction.
     pub fn anomalies(&self) -> &AnomalyCounts {
         &self.anomalies
-    }
-
-    /// Whether the most recent [`Self::ingest`] detected an anomaly.
-    pub fn last_ingest_had_anomaly(&self) -> bool {
-        self.last_ingest_had_anomaly
     }
 }
 

@@ -29,6 +29,7 @@
 //! paper's ablation experiments are config deltas.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod bounds;
 pub mod config;

@@ -150,20 +150,6 @@ impl PerOperatorError {
             .map(|(&k, &(sum, n))| (k, if n == 0 { 0.0 } else { sum / n as f64 }))
             .collect()
     }
-
-    /// Observation counts per operator type.
-    pub fn counts(&self) -> BTreeMap<&'static str, u64> {
-        self.sums.iter().map(|(&k, &(_, n))| (k, n)).collect()
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &PerOperatorError) {
-        for (&k, &(sum, n)) in &other.sums {
-            let e = self.sums.entry(k).or_insert((0.0, 0));
-            e.0 += sum;
-            e.1 += n;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ fn unique_point_seek(
 
 /// Operator classification used by the bounding logic (Appendix A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoundKind {
+pub(crate) enum BoundKind {
     /// Joins: `(outer_child, inner_child)` as arena indices into children.
     Join {
         /// Index of the outer/probe child in `children`.
@@ -65,60 +65,60 @@ pub struct NodeStatic {
     /// Display name (operator type) for per-operator reporting.
     pub name: &'static str,
     /// Optimizer estimate `N̂ᵢ` (total rows across executions).
-    pub est_rows: f64,
+    pub(crate) est_rows: f64,
     /// Children ids.
     pub children: Vec<NodeId>,
     /// Fully blocking operator (§4.5 candidates).
     pub blocking: bool,
     /// Semi-blocking operator (§4.4).
-    pub semi_blocking: bool,
+    pub(crate) semi_blocking: bool,
     /// Base-relation row count for access operators (`TableSize`).
-    pub table_rows: Option<f64>,
+    pub(crate) table_rows: Option<f64>,
     /// Total pages/leaves a full scan of this node's relation touches
     /// (denominator of §4.3 I/O-fraction progress).
     pub total_pages: Option<f64>,
     /// Exact output cardinality known a priori (unpredicated scans,
     /// constant scans): used for driver-node denominators.
-    pub known_rows: Option<f64>,
+    pub(crate) known_rows: Option<f64>,
     /// Columnstore segment total (denominator of §4.7).
-    pub total_segments: Option<f64>,
+    pub(crate) total_segments: Option<f64>,
     /// The scan evaluates a predicate or bitmap probe inside the storage
     /// engine (§4.3 applies, and `known_rows` does not).
     pub storage_filtered: bool,
     /// Batch-mode operator (§4.7).
     pub batch_mode: bool,
     /// Bounding classification.
-    pub bound_kind: BoundKind,
+    pub(crate) bound_kind: BoundKind,
     /// Static (counter-free) upper bound on *per-execution* output, used for
     /// join bounding of nested-loops inner sides.
-    pub static_ub_per_exec: f64,
+    pub(crate) static_ub_per_exec: f64,
     /// The enclosing nested-loops join if this node is on an inner side.
     pub enclosing_nl: Option<NodeId>,
     /// An ancestor may stop pulling before this node is exhausted (Top
     /// above it, a merge join side, the inner side of a semi/anti nested
     /// loops). When set, "a priori exact" cardinalities become upper bounds
     /// only and consumed-input lower bounds are invalid.
-    pub may_stop_early: bool,
+    pub(crate) may_stop_early: bool,
     /// This node filters rows (refinement guard: must observe both passing
     /// and non-passing rows).
-    pub filters_rows: bool,
+    pub(crate) filters_rows: bool,
     /// Index seek that is a full-key equality probe of a unique index.
-    pub unique_seek: bool,
+    pub(crate) unique_seek: bool,
     /// Per-tuple weight `wᵢ` from optimizer costs: `max(cpu, io)` per output
     /// tuple, in ns (§4.6).
     pub weight: f64,
     /// Total estimated work of this node in ns: `max(cpu_total, io_total)`
     /// (§4.6's overlap assumption applied to the whole operator).
-    pub work_total_ns: f64,
+    pub(crate) work_total_ns: f64,
     /// For blocking nodes: fraction of the operator's work attributed to the
     /// input phase (rest is output phase).
-    pub input_phase_fraction: f64,
+    pub(crate) input_phase_fraction: f64,
     /// A semi-blocking operator sits strictly below this node within the
     /// same pipeline (§4.4(2)'s trigger condition).
-    pub semi_blocking_below: bool,
+    pub(crate) semi_blocking_below: bool,
     /// Columnstore scans in this node's subtree (itself included), whose
     /// segment counters give a batch-mode operator its §4.7 progress.
-    pub columnstore_scans: Vec<NodeId>,
+    pub(crate) columnstore_scans: Vec<NodeId>,
 }
 
 /// All static estimator inputs for one plan.
@@ -128,9 +128,7 @@ pub struct PlanStatics {
     /// Pipeline decomposition.
     pub pipelines: PipelineSet,
     /// Post-order traversal (children before parents).
-    pub post_order: Vec<NodeId>,
-    /// Virtual I/O cost per page (to express weights in ns).
-    pub io_page_ns: f64,
+    pub(crate) post_order: Vec<NodeId>,
 }
 
 impl PlanStatics {
@@ -191,7 +189,6 @@ impl PlanStatics {
             nodes,
             pipelines,
             post_order,
-            io_page_ns,
         }
     }
 }

@@ -118,7 +118,7 @@ fn make_db(rows: i64, seed: i64) -> Ctx {
     let mut db = Database::new();
     let table = db.add_table_analyzed(t);
     let small = db.add_table_analyzed(s);
-    let index = db.create_btree_index("ix_c", table, vec![2], false);
+    let index = db.create_btree_index("ix_c", table, vec![2]);
     Ctx {
         db,
         table,

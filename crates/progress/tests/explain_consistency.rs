@@ -47,7 +47,7 @@ fn make_db() -> Ctx {
     let mut db = Database::new();
     let big = db.add_table_analyzed(t);
     let small = db.add_table_analyzed(s);
-    let index = db.create_btree_index("ix_b", big, vec![1], false);
+    let index = db.create_btree_index("ix_b", big, vec![1]);
     Ctx {
         db,
         big,

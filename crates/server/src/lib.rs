@@ -16,7 +16,7 @@
 //!   pollers copy it out into reusable buffers. Either side holds the
 //!   lock for one allocation-free copy of the counters and nothing else.
 //! * Session lifecycle — one value under one lock: `Queued`, `Running`, or
-//!   done with a [`SessionResult`], whose [`SessionResult::state`] is the
+//!   done with a [`SessionResult`], whose `SessionResult::state` is the
 //!   terminal [`SessionState`]. Only `start` and `finish` move it, and they
 //!   own the running gauge, the cost-pool release and the waiters' wake-up.
 //! * [`RegistryPoller`] — the SSMS-client analog: turns each session's
@@ -98,6 +98,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod http;
 pub mod metrics;

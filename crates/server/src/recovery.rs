@@ -6,9 +6,10 @@
 //!
 //! * **Terminal record present** — the session finished before the process
 //!   died (or exited cleanly). Its result is restored faithfully: a
-//!   `Succeeded` session gets a reconstructed [`QueryRun`] whose snapshot
-//!   trace is the journaled publish stream, so a [`crate::RegistryPoller`]
-//!   re-attaches and its accuracy replay scores **bit-identically** to the
+//!   `Succeeded` session gets a reconstructed
+//!   [`QueryRun`](lqs_exec::QueryRun) whose snapshot trace is the
+//!   journaled publish stream, so a [`crate::RegistryPoller`] re-attaches
+//!   and its accuracy replay scores **bit-identically** to the
 //!   uninterrupted run (estimator statics depend only on plan, database,
 //!   and cost model — all journaled or re-resolved).
 //! * **No terminal record** — the process died mid-run. The session is
@@ -75,7 +76,7 @@ pub enum RecoveredOutcome {
 
 impl RecoveredOutcome {
     /// The `outcome` label on `lqs_sessions_recovered_total`.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             RecoveredOutcome::Restored(state) => state_label(state),
             RecoveredOutcome::Orphaned => "orphaned",
@@ -105,8 +106,6 @@ pub struct RecoveredSessionSummary {
     pub snapshots: usize,
     /// Whether the journal ends with the clean-shutdown sentinel.
     pub clean_shutdown: bool,
-    /// Corrupt records discarded while reading this session's journal.
-    pub corrupt_records: u64,
 }
 
 /// What a recovery pass found and rebuilt.
@@ -116,8 +115,6 @@ pub struct RecoveryReport {
     pub sessions: Vec<RecoveredSessionSummary>,
     /// Corrupt records discarded across the whole scan.
     pub corrupt_records: u64,
-    /// Total journal bytes read.
-    pub bytes_scanned: u64,
 }
 
 impl RecoveryReport {
@@ -187,7 +184,6 @@ impl RecoveryManager {
         let mut report = RecoveryReport {
             sessions: Vec::with_capacity(scan.sessions.len()),
             corrupt_records: scan.corrupt_records,
-            bytes_scanned: scan.bytes_scanned,
         };
         for session in &scan.sessions {
             let summary = self.recover_session(session, registry);
@@ -214,7 +210,6 @@ impl RecoveryManager {
             outcome: RecoveredOutcome::Unreadable,
             snapshots: session.snapshots.len(),
             clean_shutdown: session.clean_shutdown,
-            corrupt_records: session.corrupt_records,
         };
         let Some(meta) = &session.meta else {
             return summary;

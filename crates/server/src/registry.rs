@@ -75,7 +75,7 @@ impl SessionRegistry {
     }
 
     /// Sessions currently in [`SessionState::Running`].
-    pub fn running_now(&self) -> usize {
+    pub(crate) fn running_now(&self) -> usize {
         self.running.current()
     }
 
@@ -527,7 +527,7 @@ pub(crate) fn lineup_of_one(config: EstimatorConfig) -> Box<Lineup> {
 
 /// The estimator for one session: `lineup` over the session's plan, with
 /// the session's own cost model feeding the statics (the same parity rule
-/// as the harness's `estimator_for_run`).
+/// as the harness's `lqs_bench::run::estimator_for_run`).
 pub(crate) fn session_estimator(
     lineup: &Lineup,
     db: &Database,

@@ -72,7 +72,7 @@ impl SnapshotSlot {
 
     /// The latest snapshot's virtual timestamp without copying the nodes.
     /// `None` before the first publish.
-    pub fn read_ts(&self) -> Option<u64> {
+    pub(crate) fn read_ts(&self) -> Option<u64> {
         let inner = self.lock();
         inner.published.then_some(inner.snapshot.ts_ns)
     }

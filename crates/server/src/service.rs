@@ -44,7 +44,6 @@ use std::time::{Duration, Instant};
 /// pollers see it (as `Queued`) before a worker picks it up — exactly the
 /// visibility the DMV gives a query that is waiting on a scheduler.
 pub struct QueryService {
-    db: Arc<Database>,
     registry: Arc<SessionRegistry>,
     metrics: Arc<ServiceMetrics>,
     queue: Option<Sender<Arc<SessionHandle>>>,
@@ -253,7 +252,6 @@ impl QueryService {
             })
             .collect();
         QueryService {
-            db,
             registry,
             metrics,
             queue: Some(tx),
@@ -339,11 +337,6 @@ impl QueryService {
     /// (`None` unless running predicted-cost admission).
     pub fn predicted_outstanding_ns(&self) -> Option<u64> {
         self.cost_admission.as_ref().map(|c| c.outstanding_cpu_ns())
-    }
-
-    /// The database this service executes against.
-    pub fn db(&self) -> &Arc<Database> {
-        &self.db
     }
 
     /// The shared session registry (hand clones to pollers).

@@ -103,7 +103,7 @@ impl SessionResult {
     /// The terminal state this outcome is. A finished session's state is
     /// derived from its result here, never stored beside it, so the two
     /// cannot disagree.
-    pub fn state(&self) -> SessionState {
+    pub(crate) fn state(&self) -> SessionState {
         match self {
             SessionResult::Completed(_) => SessionState::Succeeded,
             SessionResult::Aborted(aborted) => match aborted.reason {
@@ -199,32 +199,32 @@ impl RunningGauge {
 #[derive(Clone)]
 pub struct QuerySpec {
     /// Display name (e.g. the workload query label).
-    pub name: String,
+    pub(crate) name: String,
     /// The compiled physical plan. Shared with the poller, which builds
     /// its estimator statics from it.
-    pub plan: Arc<PhysicalPlan>,
+    pub(crate) plan: Arc<PhysicalPlan>,
     /// Execution options (snapshot cadence, cost model).
-    pub opts: ExecOptions,
+    pub(crate) opts: ExecOptions,
     /// Abort the run once its virtual clock reaches this (runaway guard).
-    pub deadline_ns: Option<u64>,
+    pub(crate) deadline_ns: Option<u64>,
     /// Workload label for accuracy telemetry (the `workload` label on the
     /// `lqs_estimator_error_*` families). Defaults to `name`.
-    pub workload: Option<String>,
+    pub(crate) workload: Option<String>,
     /// Shared trace capture: the worker taps this sink with the session id,
     /// so multi-session captures stay attributable per session.
-    pub trace: Option<Arc<SharedSessionSink>>,
+    pub(crate) trace: Option<Arc<SharedSessionSink>>,
     /// How many times a run that fails with a *transient*
     /// [`lqs_exec::QueryFault`] may be re-executed before the session is
     /// marked `Failed`. Zero (the default) disables retry.
-    pub retry_budget: u32,
+    pub(crate) retry_budget: u32,
     /// Deterministic fault oracle driven on the executing worker (chaos
     /// testing). `None` runs fault-free.
-    pub fault: Option<Arc<dyn FaultInjector + Send>>,
+    pub(crate) fault: Option<Arc<dyn FaultInjector + Send>>,
     /// Telemetry-channel fault filter interposed between the engine's
     /// mid-run publishes and this session's DMV slot (chaos testing). The
     /// *final* snapshot on completion/abort bypasses it — the terminal
     /// counter state always lands intact.
-    pub snapshot_filter: Option<Arc<dyn SnapshotFilter>>,
+    pub(crate) snapshot_filter: Option<Arc<dyn SnapshotFilter>>,
 }
 
 impl QuerySpec {
@@ -443,7 +443,7 @@ impl SessionHandle {
     /// Mark the session quarantined by watchdog remediation: it is (or is
     /// being) cancelled for stalling, and its last-known progress is served
     /// at degraded estimate quality.
-    pub fn quarantine(&self) {
+    pub(crate) fn quarantine(&self) {
         self.quarantined.store(true, Ordering::Release);
     }
 
@@ -497,12 +497,12 @@ impl SessionHandle {
     }
 
     /// Shared trace capture this session emits into, if any.
-    pub fn trace_sink(&self) -> Option<&Arc<SharedSessionSink>> {
+    pub(crate) fn trace_sink(&self) -> Option<&Arc<SharedSessionSink>> {
         self.spec.trace.as_ref()
     }
 
     /// Wall-clock instant the session was submitted.
-    pub fn submitted_at(&self) -> Instant {
+    pub(crate) fn submitted_at(&self) -> Instant {
         self.created
     }
 
@@ -533,22 +533,22 @@ impl SessionHandle {
     }
 
     /// The session's virtual-time deadline, if any.
-    pub fn deadline_ns(&self) -> Option<u64> {
+    pub(crate) fn deadline_ns(&self) -> Option<u64> {
         self.spec.deadline_ns
     }
 
     /// Allowed re-executions on transient injected faults.
-    pub fn retry_budget(&self) -> u32 {
+    pub(crate) fn retry_budget(&self) -> u32 {
         self.spec.retry_budget
     }
 
     /// The session's deterministic fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<dyn FaultInjector + Send>> {
+    pub(crate) fn fault_injector(&self) -> Option<&Arc<dyn FaultInjector + Send>> {
         self.spec.fault.as_ref()
     }
 
     /// The session's telemetry-channel fault filter, if any.
-    pub fn snapshot_filter(&self) -> Option<&Arc<dyn SnapshotFilter>> {
+    pub(crate) fn snapshot_filter(&self) -> Option<&Arc<dyn SnapshotFilter>> {
         self.spec.snapshot_filter.as_ref()
     }
 
@@ -591,11 +591,8 @@ impl SessionHandle {
         self.published_seq.load(Ordering::Acquire)
     }
 
-    /// The most recently published snapshot, if any, as a fresh copy. For
-    /// repeated polls, [`read_snapshot_into`] reuses one buffer instead of
-    /// allocating per call.
-    ///
-    /// [`read_snapshot_into`]: SessionHandle::read_snapshot_into
+    /// The most recently published snapshot, if any, as a fresh copy (the
+    /// crate's own poller reuses one buffer instead of allocating per call).
     pub fn latest_snapshot(&self) -> Option<DmvSnapshot> {
         let mut buf = DmvSnapshot {
             ts_ns: 0,
@@ -607,13 +604,13 @@ impl SessionHandle {
     /// Copy the most recently published snapshot into `buf`, reusing its
     /// allocations. Returns `false` (leaving `buf` untouched) before the
     /// first publish. Holds the slot's lock for the one copy only.
-    pub fn read_snapshot_into(&self, buf: &mut DmvSnapshot) -> bool {
+    pub(crate) fn read_snapshot_into(&self, buf: &mut DmvSnapshot) -> bool {
         self.latest.read_into(buf)
     }
 
     /// Virtual timestamp of the most recently published snapshot, without
     /// copying the counters (for listings that only need the position).
-    pub fn latest_snapshot_ts(&self) -> Option<u64> {
+    pub(crate) fn latest_snapshot_ts(&self) -> Option<u64> {
         self.latest.read_ts()
     }
 

@@ -109,29 +109,18 @@ pub enum Health {
     Diverging,
 }
 
-impl Health {
-    /// Lower-snake label for JSON and metric output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Health::Healthy => "healthy",
-            Health::Stalled => "stalled",
-            Health::Diverging => "diverging",
-        }
-    }
-}
-
 /// A live alert: one session currently classified unhealthy.
 #[derive(Debug, Clone)]
 pub struct SessionAlert {
     /// The unhealthy session.
     pub id: SessionId,
     /// Its display name.
-    pub name: String,
+    pub(crate) name: String,
     /// What kind of unhealth.
     pub kind: AlertKind,
     /// Virtual timestamp of the session's latest snapshot when the alert
     /// was raised (0 before any publish).
-    pub ts_ns: u64,
+    pub(crate) ts_ns: u64,
     /// Publish sequence when the alert was raised.
     pub seq: u64,
     /// Human-readable specifics (sweep counts, progress figures).

@@ -13,7 +13,7 @@
 //!   is on leaf `p / LEAF_FANOUT`, and there are `⌈len / LEAF_FANOUT⌉` of
 //!   them (one, empty, for an empty index);
 //! * the **height** is the number of levels a tree packed bottom-up at
-//!   [`INTERNAL_FANOUT`] children per node would have over those leaves.
+//!   `INTERNAL_FANOUT` children per node would have over those leaves.
 //!
 //! A seek charges `height` reads for the descent plus one per further leaf
 //! its forward run crosses; a full scan charges one per leaf. The descent
@@ -33,7 +33,7 @@ use std::cmp::Ordering;
 pub const LEAF_FANOUT: usize = 64;
 
 /// Maximum children per internal node.
-pub const INTERNAL_FANOUT: usize = 64;
+pub(crate) const INTERNAL_FANOUT: usize = 64;
 
 /// Every entry's key, in key order.
 #[derive(Debug, Clone)]
@@ -92,9 +92,6 @@ pub struct BTreeIndex {
     /// Ordinals of the indexed columns in the base table schema. Their
     /// count is the key arity.
     key_columns: Vec<usize>,
-    /// Whether this is the clustered index (leaf = base rows, in our model
-    /// the distinction only changes costing done by the planner).
-    clustered: bool,
     /// Whether the key is unique (PK indexes): an equality seek on the full
     /// key returns at most one row, which the planner exploits for bounds.
     unique: bool,
@@ -110,10 +107,9 @@ impl BTreeIndex {
     ///
     /// # Panics
     /// Panics if `key_columns` is empty or names a column a row lacks.
-    pub fn bulk_load(
+    pub(crate) fn bulk_load(
         name: impl Into<String>,
         key_columns: Vec<usize>,
-        clustered: bool,
         rows: &[Row],
     ) -> Self {
         let arity = key_columns.len();
@@ -147,7 +143,6 @@ impl BTreeIndex {
         BTreeIndex {
             name: name.into(),
             key_columns,
-            clustered,
             unique,
             keys,
             rids,
@@ -162,11 +157,6 @@ impl BTreeIndex {
     /// Indexed column ordinals.
     pub fn key_columns(&self) -> &[usize] {
         &self.key_columns
-    }
-
-    /// Whether this is a clustered index.
-    pub fn is_clustered(&self) -> bool {
-        self.clustered
     }
 
     /// Whether the key is unique (no duplicate key values at load time).
@@ -213,13 +203,15 @@ impl BTreeIndex {
     /// Returns the matches plus the number of logical reads performed
     /// (`height` for the root-to-leaf walk, plus one per extra leaf walked
     /// through for duplicate runs).
-    pub fn seek(&self, key: &[Value]) -> (Vec<RowId>, usize) {
+    #[cfg(test)]
+    pub(crate) fn seek(&self, key: &[Value]) -> (Vec<RowId>, usize) {
         self.seek_range(Some(key), true, Some(key), true)
     }
 
     /// Range seek: rids with `lo <(=) key <(=) hi`; `None` bound = unbounded.
     /// Returns matching rids in key order and the logical reads charged.
-    pub fn seek_range(
+    #[cfg(test)]
+    pub(crate) fn seek_range(
         &self,
         lo: Option<&[Value]>,
         lo_inclusive: bool,
@@ -231,7 +223,7 @@ impl BTreeIndex {
         (out, reads)
     }
 
-    /// [`seek_range`](BTreeIndex::seek_range) into a caller-owned buffer:
+    /// Range seek (`lo <(=) key <(=) hi`) into a caller-owned buffer:
     /// `out` is cleared, filled with the matching rids in key order, and
     /// the logical reads charged are returned. A correlated seek rebinds
     /// once per outer row; reusing one buffer spares it an allocation each
@@ -335,7 +327,7 @@ mod tests {
 
     fn build(n: i64) -> BTreeIndex {
         let rows = rows((0..n).map(|i| vec![Value::Int(i)]));
-        BTreeIndex::bulk_load("ix", vec![0], false, &rows)
+        BTreeIndex::bulk_load("ix", vec![0], &rows)
     }
 
     #[test]
@@ -365,7 +357,7 @@ mod tests {
     #[test]
     fn duplicates_all_returned() {
         let rows = rows((0..500).map(|i| vec![Value::Int(i % 7)]));
-        let t = BTreeIndex::bulk_load("ix", vec![0], false, &rows);
+        let t = BTreeIndex::bulk_load("ix", vec![0], &rows);
         let (rids, _) = t.seek(&[Value::Int(3)]);
         assert_eq!(rids.len(), 500 / 7 + usize::from(3 < 500 % 7));
         // All returned rids actually have key 3.
@@ -396,7 +388,7 @@ mod tests {
     fn scan_yields_sorted_and_charges_leaves() {
         // Loaded in reverse, so key order is not rid order.
         let rows = rows((0..1000).map(|i| vec![Value::Int(999 - i)]));
-        let t = BTreeIndex::bulk_load("ix", vec![0], false, &rows);
+        let t = BTreeIndex::bulk_load("ix", vec![0], &rows);
         let want: Vec<RowId> = (0..1000).rev().collect();
         assert_eq!(t.rids(), want);
         let max_leaf = (t.rids().len() - 1) / LEAF_FANOUT;
@@ -444,7 +436,7 @@ mod tests {
     fn composite_key_prefix_seek() {
         // Key (a, b); seek on prefix a=2 must return all b values.
         let rows = rows((0..100).map(|i| vec![Value::Int(i / 10), Value::Int(i % 10)]));
-        let t = BTreeIndex::bulk_load("ix", vec![0, 1], false, &rows);
+        let t = BTreeIndex::bulk_load("ix", vec![0, 1], &rows);
         let (rids, _) = t.seek(&[Value::Int(2)]);
         assert_eq!(rids, (20..30).map(|i| i as RowId).collect::<Vec<_>>());
     }
@@ -515,7 +507,7 @@ mod tests {
         // An index is loaded over rows, so an entry's rid is its position.
         assert!(entries.iter().enumerate().all(|(i, (_, rid))| *rid == i));
         let rows = rows(entries.iter().map(|(k, _)| k.clone()));
-        let tree = BTreeIndex::bulk_load("ix", (0..arity).collect(), false, &rows);
+        let tree = BTreeIndex::bulk_load("ix", (0..arity).collect(), &rows);
         let bound = |b: &Bound| b.as_ref().is_none_or(|(_, inc)| *inc);
         let got = tree.seek_range(
             lo.as_ref().map(|(k, _)| k.as_slice()),

@@ -15,36 +15,34 @@
 //! segment elimination for pushed-down range predicates, like the real
 //! engine.
 
-use crate::table::{Row, RowId, Table};
+use crate::table::{Row, Table};
 use crate::value::Value;
 
 /// Rows per segment. SQL Server packs up to 2^20 rows per row group; the
 /// simulator uses 2^10 so scaled-down tables still span many segments
 /// (segment counts are the granularity of batch-mode progress, §4.7).
-pub const SEGMENT_SIZE: usize = 1024;
+pub(crate) const SEGMENT_SIZE: usize = 1024;
 
 /// Per-column metadata within one segment.
 #[derive(Debug, Clone)]
-pub struct SegmentColumnMeta {
+pub(crate) struct SegmentColumnMeta {
     /// Minimum non-null value in the segment (None if all null/empty).
-    pub min: Option<Value>,
+    pub(crate) min: Option<Value>,
     /// Maximum non-null value in the segment.
-    pub max: Option<Value>,
+    pub(crate) max: Option<Value>,
 }
 
 /// One row group: a contiguous run of rows stored column-wise.
 #[derive(Debug, Clone)]
 pub struct Segment {
     /// Segment ordinal within the index.
-    pub id: usize,
-    /// First base-table rid covered.
-    pub first_rid: RowId,
+    pub(crate) id: usize,
     /// Number of rows in the segment.
     pub row_count: usize,
     /// Column-wise data: `columns[c][r]`.
     columns: Vec<Vec<Value>>,
     /// Per-column min/max for segment elimination.
-    pub meta: Vec<SegmentColumnMeta>,
+    pub(crate) meta: Vec<SegmentColumnMeta>,
 }
 
 impl Segment {
@@ -55,11 +53,6 @@ impl Segment {
             .map(|col| col[offset].clone())
             .collect::<Vec<_>>()
             .into()
-    }
-
-    /// Column-wise access, for batch-mode evaluation.
-    pub fn column(&self, c: usize) -> &[Value] {
-        &self.columns[c]
     }
 
     /// Whether a `[lo, hi]` range predicate on column `c` can possibly match
@@ -95,7 +88,7 @@ pub struct ColumnstoreIndex {
 
 impl ColumnstoreIndex {
     /// Build a columnstore index covering all columns of `table`.
-    pub fn build(name: impl Into<String>, table: &Table) -> Self {
+    pub(crate) fn build(name: impl Into<String>, table: &Table) -> Self {
         let ncols = table.schema().len();
         let rows = table.rows();
         let mut segments = Vec::new();
@@ -123,7 +116,6 @@ impl ColumnstoreIndex {
                 .collect();
             segments.push(Segment {
                 id: segments.len(),
-                first_rid: first,
                 row_count: count,
                 columns,
                 meta,
@@ -190,12 +182,6 @@ mod tests {
         assert_eq!(cs.row_count(), 10_000);
         let total: usize = cs.segments().iter().map(|s| s.row_count).sum();
         assert_eq!(total, 10_000);
-        // Segments are contiguous.
-        let mut expect_first = 0;
-        for s in cs.segments() {
-            assert_eq!(s.first_rid, expect_first);
-            expect_first += s.row_count;
-        }
     }
 
     #[test]
@@ -204,7 +190,7 @@ mod tests {
         let cs = ColumnstoreIndex::build("cs", &t);
         let seg = &cs.segments()[1];
         let row = seg.row(10);
-        assert_eq!(&row, t.row(seg.first_rid + 10));
+        assert_eq!(&row, t.row(SEGMENT_SIZE + 10));
     }
 
     #[test]

@@ -36,13 +36,13 @@ struct ColumnstoreEntry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnstoreSegmentRow {
     /// Owning columnstore index.
-    pub columnstore: ColumnstoreId,
+    pub(crate) columnstore: ColumnstoreId,
     /// Owning table.
     pub table: TableId,
     /// Segment ordinal.
-    pub segment_id: usize,
+    pub(crate) segment_id: usize,
     /// Rows in the segment.
-    pub row_count: usize,
+    pub(crate) row_count: usize,
 }
 
 /// An in-memory database: the unit the executor and planner operate on.
@@ -62,7 +62,7 @@ impl Database {
 
     /// Register a table. Statistics are computed lazily via
     /// [`Database::analyze`] or eagerly with [`Database::add_table_analyzed`].
-    pub fn add_table(&mut self, table: Table) -> TableId {
+    pub(crate) fn add_table(&mut self, table: Table) -> TableId {
         let id = TableId(self.tables.len());
         self.tables.push(table);
         self.stats.push(None);
@@ -77,7 +77,7 @@ impl Database {
     }
 
     /// (Re)compute statistics for a table.
-    pub fn analyze(&mut self, id: TableId) {
+    pub(crate) fn analyze(&mut self, id: TableId) {
         self.stats[id.0] = Some(TableStats::compute(&self.tables[id.0]));
     }
 
@@ -122,10 +122,9 @@ impl Database {
         name: impl Into<String>,
         table: TableId,
         key_columns: Vec<usize>,
-        clustered: bool,
     ) -> IndexId {
         let rows = self.tables[table.0].rows();
-        let index = BTreeIndex::bulk_load(name, key_columns, clustered, rows);
+        let index = BTreeIndex::bulk_load(name, key_columns, rows);
         let id = IndexId(self.indexes.len());
         self.indexes.push(IndexEntry { table, index });
         id
@@ -218,7 +217,7 @@ mod tests {
     #[test]
     fn btree_index_over_table() {
         let (mut db, id) = db_with_table(1000);
-        let ix = db.create_btree_index("ix_cust", id, vec![1], false);
+        let ix = db.create_btree_index("ix_cust", id, vec![1]);
         let (rids, _) = db.btree(ix).seek(&[Value::Int(5)]);
         assert!(!rids.is_empty());
         for rid in rids {

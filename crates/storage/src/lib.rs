@@ -20,6 +20,7 @@
 //!   `sys.column_store_segments` DMV.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod btree;
 pub mod columnstore;
@@ -30,9 +31,9 @@ pub mod table;
 pub mod value;
 
 pub use btree::BTreeIndex;
-pub use columnstore::{ColumnstoreIndex, SEGMENT_SIZE};
+pub use columnstore::ColumnstoreIndex;
 pub use db::{ColumnstoreId, Database, IndexId, TableId};
 pub use schema::{Column, Schema};
 pub use stats::TableStats;
-pub use table::{Row, RowId, Table, PAGE_SIZE};
+pub use table::{Row, RowId, Table};
 pub use value::{DataType, Value};

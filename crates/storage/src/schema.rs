@@ -7,11 +7,11 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     /// Column name, unique within its schema.
-    pub name: String,
+    pub(crate) name: String,
     /// Logical type.
-    pub data_type: DataType,
+    pub(crate) data_type: DataType,
     /// Whether NULLs are permitted.
-    pub nullable: bool,
+    pub(crate) nullable: bool,
 }
 
 impl Column {
@@ -57,11 +57,6 @@ impl Schema {
         }
     }
 
-    /// All columns in order.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
-    }
-
     /// Number of columns.
     pub fn len(&self) -> usize {
         self.columns.len()
@@ -72,18 +67,8 @@ impl Schema {
         self.columns.is_empty()
     }
 
-    /// Ordinal of the column called `name`, if any.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|c| c.name == name)
-    }
-
-    /// The column at `idx`.
-    pub fn column(&self, idx: usize) -> &Column {
-        &self.columns[idx]
-    }
-
     /// Validates that `row` matches this schema (arity, types, nullability).
-    pub fn validate_row(&self, row: &[Value]) -> Result<(), SchemaError> {
+    pub(crate) fn validate_row(&self, row: &[Value]) -> Result<(), SchemaError> {
         if row.len() != self.columns.len() {
             return Err(SchemaError::Arity {
                 expected: self.columns.len(),
@@ -164,14 +149,6 @@ mod tests {
             Column::new("id", DataType::Int),
             Column::nullable("name", DataType::Str),
         ])
-    }
-
-    #[test]
-    fn index_of_finds_columns() {
-        let s = schema();
-        assert_eq!(s.index_of("id"), Some(0));
-        assert_eq!(s.index_of("name"), Some(1));
-        assert_eq!(s.index_of("missing"), None);
     }
 
     #[test]

@@ -13,19 +13,19 @@ use crate::value::Value;
 use std::collections::HashSet;
 
 /// Number of histogram buckets (SQL Server uses up to 200 steps).
-pub const HISTOGRAM_BUCKETS: usize = 64;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
 
 /// One equi-depth histogram bucket: values in `(prev_upper, upper]`.
 #[derive(Debug, Clone)]
 pub struct Bucket {
     /// Inclusive upper bound of the bucket.
-    pub upper: Value,
+    pub(crate) upper: Value,
     /// Rows with value equal to `upper` (like SQL Server's EQ_ROWS).
     pub eq_rows: f64,
     /// Rows strictly inside the bucket, excluding `upper` (RANGE_ROWS).
-    pub range_rows: f64,
+    pub(crate) range_rows: f64,
     /// Distinct values strictly inside the bucket (DISTINCT_RANGE_ROWS).
-    pub range_distinct: f64,
+    pub(crate) range_distinct: f64,
 }
 
 /// Equi-depth histogram over the non-null values of one column.
@@ -41,7 +41,7 @@ pub struct Histogram {
 impl Histogram {
     /// Build from a column's values (nulls are excluded from the histogram;
     /// they are tracked separately in [`ColumnStats`]).
-    pub fn build(values: &mut Vec<Value>) -> Self {
+    pub(crate) fn build(values: &mut Vec<Value>) -> Self {
         values.retain(|v| !v.is_null());
         values.sort();
         let n = values.len();
@@ -198,8 +198,6 @@ pub struct ColumnStats {
     pub nulls: f64,
     /// Histogram over non-null values.
     pub histogram: Histogram,
-    /// Average on-page byte width (for row-size estimates).
-    pub avg_width: f64,
 }
 
 /// Statistics for a whole table.
@@ -216,16 +214,14 @@ pub struct TableStats {
 impl TableStats {
     /// Compute full statistics for `table` (a full scan; the simulator has
     /// no sampling because tables are small).
-    pub fn compute(table: &Table) -> Self {
+    pub(crate) fn compute(table: &Table) -> Self {
         let ncols = table.schema().len();
         let mut columns = Vec::with_capacity(ncols);
         for c in 0..ncols {
             let mut values: Vec<Value> = Vec::with_capacity(table.row_count());
             let mut nulls = 0usize;
-            let mut width_sum = 0usize;
             for row in table.rows() {
                 let v = &row[c];
-                width_sum += v.byte_width();
                 if v.is_null() {
                     nulls += 1;
                 } else {
@@ -244,11 +240,6 @@ impl TableStats {
                 distinct,
                 nulls: nulls as f64,
                 histogram,
-                avg_width: if table.row_count() == 0 {
-                    0.0
-                } else {
-                    width_sum as f64 / table.row_count() as f64
-                },
             });
         }
         TableStats {

@@ -11,10 +11,10 @@ use crate::value::Value;
 use std::sync::Arc;
 
 /// Simulated page size in bytes (SQL Server uses 8 KiB pages).
-pub const PAGE_SIZE: usize = 8192;
+pub(crate) const PAGE_SIZE: usize = 8192;
 
 /// Per-page header overhead in bytes (slot array, header).
-pub const PAGE_HEADER: usize = 96;
+pub(crate) const PAGE_HEADER: usize = 96;
 
 /// A row is a boxed slice of values; `Arc` keeps spools/buffers cheap.
 pub type Row = Arc<[Value]>;

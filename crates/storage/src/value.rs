@@ -59,16 +59,8 @@ impl Value {
         }
     }
 
-    /// The string payload, if this is a `Str`.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// The logical type of this value, used for schema checking.
-    pub fn data_type(&self) -> DataType {
+    pub(crate) fn data_type(&self) -> DataType {
         match self {
             Value::Null => DataType::Null,
             Value::Int(_) => DataType::Int,
@@ -80,7 +72,7 @@ impl Value {
 
     /// On-page width in bytes, used by the heap's page-packing model to
     /// derive logical-I/O page counts (8 KiB pages, see [`crate::table`]).
-    pub fn byte_width(&self) -> usize {
+    pub(crate) fn byte_width(&self) -> usize {
         match self {
             Value::Null => 1,
             Value::Int(_) => 8,
@@ -195,7 +187,7 @@ pub enum DataType {
 
 impl DataType {
     /// Whether a value of type `other` may be stored in a column of `self`.
-    pub fn accepts(self, other: DataType) -> bool {
+    pub(crate) fn accepts(self, other: DataType) -> bool {
         self == other || other == DataType::Null
     }
 }

@@ -12,6 +12,7 @@
 //! showplans rather than SQL text.
 
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod real;
 pub mod rng;

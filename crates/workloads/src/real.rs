@@ -176,7 +176,7 @@ fn build_schema(prof: &Profile, data_scale: f64, rng: &mut SmallRng) -> (Databas
             table.insert(row).unwrap();
         }
         let id = db.add_table_analyzed(table);
-        let pk_index = db.create_btree_index(format!("pk_t{t}"), id, vec![0], true);
+        let pk_index = db.create_btree_index(format!("pk_t{t}"), id, vec![0]);
         infos.push(TableInfo {
             id,
             pk_index,

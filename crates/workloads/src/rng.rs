@@ -4,7 +4,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// A seeded RNG for reproducible workload generation.
-pub fn seeded(seed: u64) -> SmallRng {
+pub(crate) fn seeded(seed: u64) -> SmallRng {
     SmallRng::seed_from_u64(seed)
 }
 
@@ -14,13 +14,13 @@ pub fn seeded(seed: u64) -> SmallRng {
 /// uses ("data generated with a skew-parameter of Z = 1"). Sampling is by
 /// binary search over the precomputed CDF.
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     cdf: Vec<f64>,
 }
 
 impl Zipf {
     /// Build a sampler over `0..n` with exponent `z ≥ 0`.
-    pub fn new(n: usize, z: f64) -> Self {
+    pub(crate) fn new(n: usize, z: f64) -> Self {
         assert!(n > 0, "Zipf domain must be non-empty");
         assert!(z >= 0.0, "Zipf exponent must be non-negative");
         let mut cdf = Vec::with_capacity(n);
@@ -37,20 +37,15 @@ impl Zipf {
     }
 
     /// Draw one value in `0..n`.
-    pub fn sample(&self, rng: &mut SmallRng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut SmallRng) -> usize {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
-    }
-
-    /// Domain size.
-    pub fn n(&self) -> usize {
-        self.cdf.len()
     }
 }
 
 /// A fixed pool of generated strings (for comment/name columns), so string
 /// columns have realistic repeated values without unbounded memory.
-pub fn string_pool(rng: &mut SmallRng, count: usize, len: usize) -> Vec<String> {
+pub(crate) fn string_pool(rng: &mut SmallRng, count: usize, len: usize) -> Vec<String> {
     const WORDS: &[&str] = &[
         "alpha", "bravo", "carbon", "delta", "ember", "fjord", "gamma", "harbor", "iris", "joule",
         "karma", "lumen", "meadow", "nickel", "onyx", "prism", "quartz", "raven", "sable",

@@ -17,34 +17,32 @@ pub struct TpcdsDb {
     /// The database.
     pub db: Database,
     /// date_dim(d_datekey, d_year, d_moy, d_dom) — 1825 days.
-    pub date_dim: TableId,
+    pub(crate) date_dim: TableId,
     /// item(i_itemkey, i_brand, i_category, i_price)
-    pub item: TableId,
+    pub(crate) item: TableId,
     /// customer(cu_custkey, cu_demo, cu_state, cu_income)
-    pub customer: TableId,
+    pub(crate) customer: TableId,
     /// store(st_storekey, st_state, st_size)
-    pub store: TableId,
+    pub(crate) store: TableId,
     /// promotion(p_promokey, p_channel)
-    pub promotion: TableId,
+    pub(crate) promotion: TableId,
     /// warehouse(w_warehousekey, w_state)
-    pub warehouse: TableId,
+    pub(crate) warehouse: TableId,
     /// store_sales(ss_datekey, ss_itemkey, ss_custkey, ss_storekey,
     /// ss_promokey, ss_qty, ss_price, ss_netpaid)
     pub store_sales: TableId,
     /// inventory(inv_datekey, inv_itemkey, inv_warehousekey, inv_qty)
-    pub inventory: TableId,
+    pub(crate) inventory: TableId,
     /// Clustered PK indexes on the dimension tables.
     pub customer_pk: IndexId,
     /// Clustered PK index on item.
-    pub item_pk: IndexId,
+    pub(crate) item_pk: IndexId,
     /// Clustered PK index on store.
-    pub store_pk: IndexId,
-    /// NC index store_sales(ss_itemkey).
-    pub ss_item: IndexId,
+    pub(crate) store_pk: IndexId,
 }
 
 /// Number of days in date_dim (5 years).
-pub const DAYS: i64 = 1825;
+pub(crate) const DAYS: i64 = 1825;
 
 /// Generate the database.
 pub fn build_db(scale: WorkloadScale) -> TpcdsDb {
@@ -219,10 +217,11 @@ pub fn build_db(scale: WorkloadScale) -> TpcdsDb {
     let warehouse = db.add_table_analyzed(warehouse);
     let store_sales = db.add_table_analyzed(store_sales);
     let inventory = db.add_table_analyzed(inventory);
-    let customer_pk = db.create_btree_index("pk_customer", customer, vec![0], true);
-    let item_pk = db.create_btree_index("pk_item", item, vec![0], true);
-    let store_pk = db.create_btree_index("pk_store", store, vec![0], true);
-    let ss_item = db.create_btree_index("ix_ss_item", store_sales, vec![1], false);
+    let customer_pk = db.create_btree_index("pk_customer", customer, vec![0]);
+    let item_pk = db.create_btree_index("pk_item", item, vec![0]);
+    let store_pk = db.create_btree_index("pk_store", store, vec![0]);
+    // No query seeks store_sales(ss_itemkey); the index stays in the design.
+    db.create_btree_index("ix_ss_item", store_sales, vec![1]);
 
     TpcdsDb {
         db,
@@ -237,7 +236,6 @@ pub fn build_db(scale: WorkloadScale) -> TpcdsDb {
         customer_pk,
         item_pk,
         store_pk,
-        ss_item,
     }
 }
 
@@ -574,7 +572,7 @@ mod tests {
         use lqs_plan::{PhysicalPlan, PipelineSet};
         use lqs_storage::Database;
 
-        pub fn build(plan: &PhysicalPlan, _db: &Database) -> Vec<f64> {
+        pub(super) fn build(plan: &PhysicalPlan, _db: &Database) -> Vec<f64> {
             let pipes = PipelineSet::decompose(plan);
             pipes
                 .pipelines()

@@ -39,74 +39,64 @@ pub struct TpchDb {
     /// The database.
     pub db: Database,
     /// region(r_regionkey, r_name)
-    pub region: TableId,
+    pub(crate) region: TableId,
     /// nation(n_nationkey, n_regionkey, n_name)
-    pub nation: TableId,
+    pub(crate) nation: TableId,
     /// supplier(s_suppkey, s_nationkey, s_acctbal)
-    pub supplier: TableId,
+    pub(crate) supplier: TableId,
     /// customer(c_custkey, c_nationkey, c_mktsegment, c_acctbal)
-    pub customer: TableId,
+    pub(crate) customer: TableId,
     /// part(p_partkey, p_brand, p_type, p_size, p_retailprice)
-    pub part: TableId,
+    pub(crate) part: TableId,
     /// partsupp(ps_partkey, ps_suppkey, ps_supplycost)
-    pub partsupp: TableId,
+    pub(crate) partsupp: TableId,
     /// orders(o_orderkey, o_custkey, o_orderdate, o_totalprice, o_orderpriority)
-    pub orders: TableId,
+    pub(crate) orders: TableId,
     /// lineitem(l_orderkey, l_linenumber, l_partkey, l_suppkey, l_quantity,
     /// l_extendedprice, l_discount, l_shipdate, l_returnflag, l_linestatus)
-    pub lineitem: TableId,
+    pub(crate) lineitem: TableId,
     /// Row-store secondary indexes (present in `RowStore` design).
-    pub ix: Option<RowIndexes>,
+    pub(crate) ix: Option<RowIndexes>,
     /// Columnstore indexes (present in `Columnstore` design).
-    pub cs: Option<CsIndexes>,
+    pub(crate) cs: Option<CsIndexes>,
     /// The design the database was built with.
-    pub design: PhysicalDesign,
+    pub(crate) design: PhysicalDesign,
 }
 
 /// Secondary B+tree indexes of the row-store design.
-pub struct RowIndexes {
+pub(crate) struct RowIndexes {
     /// orders clustered on o_orderkey.
-    pub orders_pk: IndexId,
+    pub(crate) orders_pk: IndexId,
     /// orders(o_custkey).
-    pub orders_custkey: IndexId,
-    /// orders(o_orderdate).
-    pub orders_date: IndexId,
+    pub(crate) orders_custkey: IndexId,
     /// lineitem clustered on (l_orderkey, l_linenumber).
-    pub lineitem_pk: IndexId,
-    /// lineitem(l_partkey).
-    pub lineitem_partkey: IndexId,
-    /// lineitem(l_suppkey).
-    pub lineitem_suppkey: IndexId,
-    /// lineitem(l_shipdate).
-    pub lineitem_shipdate: IndexId,
+    pub(crate) lineitem_pk: IndexId,
     /// customer clustered on c_custkey.
-    pub customer_pk: IndexId,
+    pub(crate) customer_pk: IndexId,
     /// supplier clustered on s_suppkey.
-    pub supplier_pk: IndexId,
+    pub(crate) supplier_pk: IndexId,
     /// part clustered on p_partkey.
-    pub part_pk: IndexId,
-    /// partsupp(ps_partkey).
-    pub partsupp_partkey: IndexId,
+    pub(crate) part_pk: IndexId,
 }
 
 /// Columnstore indexes of the columnstore design.
-pub struct CsIndexes {
+pub(crate) struct CsIndexes {
     /// Columnstore over lineitem.
-    pub lineitem: ColumnstoreId,
+    pub(crate) lineitem: ColumnstoreId,
     /// Columnstore over orders.
-    pub orders: ColumnstoreId,
+    pub(crate) orders: ColumnstoreId,
     /// Columnstore over customer.
-    pub customer: ColumnstoreId,
+    pub(crate) customer: ColumnstoreId,
     /// Columnstore over part.
-    pub part: ColumnstoreId,
+    pub(crate) part: ColumnstoreId,
     /// Columnstore over partsupp.
-    pub partsupp: ColumnstoreId,
+    pub(crate) partsupp: ColumnstoreId,
     /// Columnstore over supplier.
-    pub supplier: ColumnstoreId,
+    pub(crate) supplier: ColumnstoreId,
 }
 
 /// Days in the simulated 7-year order-date domain.
-pub const DATE_DOMAIN: i32 = 2555;
+pub(crate) const DATE_DOMAIN: i32 = 2555;
 
 /// Generate the TPC-H database at `scale.data_scale` with Zipf z=1 skew.
 pub fn build_db(scale: WorkloadScale, design: PhysicalDesign) -> TpchDb {
@@ -114,7 +104,7 @@ pub fn build_db(scale: WorkloadScale, design: PhysicalDesign) -> TpchDb {
 }
 
 /// Generate with an explicit Zipf exponent.
-pub fn build_db_with_skew(scale: WorkloadScale, design: PhysicalDesign, z: f64) -> TpchDb {
+pub(crate) fn build_db_with_skew(scale: WorkloadScale, design: PhysicalDesign, z: f64) -> TpchDb {
     let s = scale.data_scale;
     let n_lineitem = (28_000.0 * s) as i64;
     let n_orders = (7_000.0 * s) as i64;
@@ -305,19 +295,25 @@ pub fn build_db_with_skew(scale: WorkloadScale, design: PhysicalDesign, z: f64) 
 
     let (ix, cs) = match design {
         PhysicalDesign::RowStore => {
+            // No query seeks the `ix_o_orderdate`, `ix_l_*` or
+            // `ix_ps_partkey` indexes, but the design still carries them (and
+            // in this order, which fixes every `IndexId`).
+            let orders_pk = db.create_btree_index("pk_orders", orders, vec![0]);
+            let orders_custkey = db.create_btree_index("ix_o_custkey", orders, vec![1]);
+            db.create_btree_index("ix_o_orderdate", orders, vec![2]);
+            let lineitem_pk = db.create_btree_index("pk_lineitem", lineitem, vec![0, 1]);
+            db.create_btree_index("ix_l_partkey", lineitem, vec![2]);
+            db.create_btree_index("ix_l_suppkey", lineitem, vec![3]);
+            db.create_btree_index("ix_l_shipdate", lineitem, vec![7]);
             let ix = RowIndexes {
-                orders_pk: db.create_btree_index("pk_orders", orders, vec![0], true),
-                orders_custkey: db.create_btree_index("ix_o_custkey", orders, vec![1], false),
-                orders_date: db.create_btree_index("ix_o_orderdate", orders, vec![2], false),
-                lineitem_pk: db.create_btree_index("pk_lineitem", lineitem, vec![0, 1], true),
-                lineitem_partkey: db.create_btree_index("ix_l_partkey", lineitem, vec![2], false),
-                lineitem_suppkey: db.create_btree_index("ix_l_suppkey", lineitem, vec![3], false),
-                lineitem_shipdate: db.create_btree_index("ix_l_shipdate", lineitem, vec![7], false),
-                customer_pk: db.create_btree_index("pk_customer", customer, vec![0], true),
-                supplier_pk: db.create_btree_index("pk_supplier", supplier, vec![0], true),
-                part_pk: db.create_btree_index("pk_part", part, vec![0], true),
-                partsupp_partkey: db.create_btree_index("ix_ps_partkey", partsupp, vec![0], false),
+                orders_pk,
+                orders_custkey,
+                lineitem_pk,
+                customer_pk: db.create_btree_index("pk_customer", customer, vec![0]),
+                supplier_pk: db.create_btree_index("pk_supplier", supplier, vec![0]),
+                part_pk: db.create_btree_index("pk_part", part, vec![0]),
             };
+            db.create_btree_index("ix_ps_partkey", partsupp, vec![0]);
             (Some(ix), None)
         }
         PhysicalDesign::Columnstore => {

@@ -50,7 +50,7 @@ fn main() {
     let mut db = Database::new();
     let orders_id = db.add_table_analyzed(orders);
     let customers_id = db.add_table_analyzed(customers);
-    let cust_pk = db.create_btree_index("pk_customers", customers_id, vec![0], true);
+    let cust_pk = db.create_btree_index("pk_customers", customers_id, vec![0]);
 
     // Correlated conjunction: the optimizer multiplies the two ~10%
     // selectivities, estimating ~1% when the true selectivity is 10%.

@@ -81,7 +81,7 @@ fn executions_track_nested_loops_rebinds() {
     }
     let mut db = Database::new();
     let tid = db.add_table_analyzed(t);
-    let ix = db.create_btree_index("pk", tid, vec![0], true);
+    let ix = db.create_btree_index("pk", tid, vec![0]);
     let mut b = PlanBuilder::new(&db);
     let outer = b.table_scan(tid);
     let seek = b.index_seek(ix, SeekRange::eq(vec![SeekKey::OuterRef(1)]));
