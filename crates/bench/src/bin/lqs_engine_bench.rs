@@ -1,14 +1,16 @@
-//! `lqs_engine_bench` — engine substrate throughput: the one operator
-//! code path driven one row at a time vs 1024 rows at a time.
+//! `lqs_engine_bench` — the workspace's timing gate: engine substrate
+//! throughput (the one operator code path driven one row at a time vs 1024
+//! rows at a time) and the estimator's cost per DMV snapshot.
 //!
 //! Measures each workload in both [`ExecMode::Tuple`] (the root asked for
 //! `limit = 1` rows per `next_batch` call) and [`ExecMode::Batch`]
 //! (`limit = batch_size`, production) — the same operators either way, so
 //! the ratio is what batching amortizes per call — with a best-of-K
-//! wall-clock timer. Self-timed with
-//! `std::time::Instant` — no criterion — so it can run as a plain binary
-//! in CI and emit machine-readable JSON. (Snapshot publishing is measured
-//! by the benchmark ledger's `server.seqslot.*` layer figures, not here.)
+//! wall-clock timer. Self-timed with `std::time::Instant`, so it runs as a
+//! plain binary in CI and emits machine-readable JSON. (Snapshot
+//! publishing is measured by the benchmark ledger's `server.seqslot.*`
+//! layer figures, not here; so are the absolute per-snapshot costs of each
+//! estimator, `progress.*`.)
 //!
 //! The headline "row-mode tuples/sec" figure is `pipeline12` (a table
 //! scan under twelve stacked filters): per-operator overhead dominates
@@ -20,30 +22,42 @@
 //!                  [--out BENCH_engine.json] [--check BENCH_engine.json]
 //! ```
 //!
-//! Checks (exit non-zero on failure):
+//! Checks (`--rows 0` and `--reps 0` exit 2; a failed check exits 1, and
+//! a reading that is not a number fails every check):
 //! * always: profiling must stay cheap — the headline pipeline run at the
 //!   production batch size *with a recording event sink attached* must
-//!   keep its throughput within 10% of the bare run (re-measured up to
-//!   twice to rule out scheduling dips);
+//!   keep its throughput within 10% of the bare run;
+//! * always: estimation must stay cheap enough to leave on — per snapshot
+//!   of a REAL-2 ~22-node trace ([`real2_trace`]), the six-member
+//!   ensemble's `observe` costs at most [`MAX_ENSEMBLE_OVER_LQS`] × its
+//!   `lqs` member alone, and a lineup of one at most
+//!   [`MAX_GUARDED_ONE_OVER_LONE`] × the estimator it wraps;
 //! * with `--out FILE`: headline batch/tuple (`limit` 1024 / `limit` 1)
 //!   speedup ≥ 2.0 — a committed baseline must demonstrate what batching
 //!   is there to buy;
 //! * with `--check FILE`: the measured headline speedup must not fall
-//!   more than 10% below the committed baseline's speedup (re-measured up
-//!   to twice to rule out scheduling dips), and neither must the seek
-//!   path's standing against a bare scan — `index_nl_ob1` ÷ `table_scan`
-//!   batch Melem/s, both from this process — under the same policy.
-//!   Ratios, not absolute rates, so the check is meaningful across
-//!   machines.
+//!   more than 10% below the committed baseline's speedup, and neither
+//!   must the seek path's standing against a bare scan — `index_nl_ob1` ÷
+//!   `table_scan` batch Melem/s, both from this process.
+//!
+//! Each gated figure is a ratio of two measurements from this process, so
+//! the checks are meaningful across machines, and one that fails is
+//! measured afresh up to twice before it fails the run ([`remeasured`]).
 
-use lqs::exec::{execute, execute_traced, ExecMode, ExecOptions};
+use lqs::exec::{execute, execute_traced, DmvSnapshot, ExecMode, ExecOptions, QueryRun};
 use lqs::obs::RingBufferSink;
 use lqs::plan::{
     AggFunc, Aggregate, Expr, JoinKind, PhysicalPlan, PlanBuilder, SeekKey, SeekRange, SortKey,
 };
+use lqs::progress::{
+    EnsembleConfig, EnsembleEstimator, EstimatorConfig, GuardedEstimator, ProgressEstimator,
+};
 use lqs::storage::{Database, IndexId, TableId};
+use lqs::workloads::real::{self, RealProfile};
+use lqs::workloads::WorkloadScale;
 use lqs_bench::{table_t, Cli, Kind};
 use serde_json::Value as Json;
+use std::hint::black_box;
 use std::time::Instant;
 
 const HEADLINE: &str = "pipeline12";
@@ -54,6 +68,12 @@ const MIN_HEADLINE_SPEEDUP: f64 = 2.0;
 const CHECK_TOLERANCE: f64 = 0.9;
 /// Batch-traced throughput may cost at most this fraction of bare batch.
 const MAX_TRACED_OVERHEAD: f64 = 0.10;
+/// Bound on `ensemble_over_lqs`: the six-member ensemble's `observe` ÷ its
+/// lone `lqs` member, per snapshot (ROADMAP item 4's goal is ≤ 2).
+const MAX_ENSEMBLE_OVER_LQS: f64 = 3.5;
+/// Bound on `guarded_one_over_lone`: a `GuardedEstimator` over a lineup of
+/// one ÷ the `ProgressEstimator::estimate` it wraps, per snapshot.
+const MAX_GUARDED_ONE_OVER_LONE: f64 = 1.5;
 
 const CLI: Cli = Cli {
     usage: "usage: lqs_engine_bench [--rows N] [--reps K] [--quick] [--out FILE] [--check FILE]",
@@ -165,25 +185,70 @@ fn seek_over_scan(d: &Database, t: TableId, pk: IndexId, rows: i64, reps: usize)
     seek.batch_melem_s / scan.batch_melem_s
 }
 
-/// `value` if it clears `floor`, else the best of it and up to two fresh
-/// measurements: a transient scheduling dip in one best-of window is far
-/// more common than a real regression, and a retry that clears the floor
-/// proves the dip was noise.
-fn above_floor(what: &str, mut value: f64, floor: f64, mut remeasure: impl FnMut() -> f64) -> f64 {
-    let mut attempts = 0;
-    while value < floor && attempts < 2 {
-        attempts += 1;
-        println!("{what} below floor ({value:.4}) — re-measuring ({attempts}/2)");
-        value = value.max(remeasure());
-    }
-    value
+/// The side of a gate's bound that passes; a NaN passes neither.
+#[derive(Clone, Copy)]
+enum Bound {
+    /// At least this much (a speedup, a throughput ratio).
+    Floor(f64),
+    /// At most this much (an overhead, a cost ratio).
+    Ceiling(f64),
 }
 
+impl Bound {
+    fn passes(self, x: f64) -> bool {
+        match self {
+            Bound::Floor(floor) => x >= floor,
+            Bound::Ceiling(ceiling) => x <= ceiling,
+        }
+    }
+
+    /// Whether `x` reads better than `than` (never, if either is NaN).
+    fn better(self, x: f64, than: f64) -> bool {
+        match self {
+            Bound::Floor(_) => x > than,
+            Bound::Ceiling(_) => x < than,
+        }
+    }
+}
+
+/// `first` if its gated figure passes `bound`, else the best of it and up
+/// to two fresh measurements: a transient scheduling dip in one window is
+/// far more common than a real regression, and a retry that passes proves
+/// the dip was noise. The one retry policy of every gate in this binary.
+fn remeasured<T: Copy + Into<f64>>(
+    what: &str,
+    first: T,
+    bound: Bound,
+    mut remeasure: impl FnMut() -> T,
+) -> T {
+    let mut best = first;
+    for attempt in 1..=2 {
+        let value = best.into();
+        if bound.passes(value) {
+            break;
+        }
+        println!("{what} {value:.4} fails its gate — re-measuring ({attempt}/2)");
+        let retry = remeasure();
+        if bound.better(retry.into(), value) {
+            best = retry;
+        }
+    }
+    best
+}
+
+#[derive(Clone, Copy)]
 struct ProfilingResult {
     bare_melem_s: f64,
     traced_melem_s: f64,
     /// Fractional slowdown of traced vs bare (0.03 = 3% slower).
     overhead: f64,
+}
+
+/// The figure the traced-overhead gate reads.
+impl From<ProfilingResult> for f64 {
+    fn from(r: ProfilingResult) -> f64 {
+        r.overhead
+    }
 }
 
 /// The profiling overhead gate: the headline pipeline run at the
@@ -216,6 +281,123 @@ fn profiling_overhead(d: &Database, t: TableId, rows: i64, reps: usize) -> Profi
         r.overhead * 100.0
     );
     r
+}
+
+// ---- estimator overhead ----------------------------------------------------
+
+/// The REAL-2 plan closest to 22 nodes on tiny data, executed once and
+/// sampled 384 times: the benchmark ledger's `dense_real2` shape.
+struct Trace {
+    label: String,
+    plan: PhysicalPlan,
+    db: Database,
+    run: QueryRun,
+}
+
+fn real2_trace() -> Trace {
+    let scale = WorkloadScale {
+        data_scale: 0.05,
+        query_limit: 64,
+        seed: 42,
+    };
+    let w = real::workload(RealProfile::Real2, scale);
+    let q = w
+        .queries
+        .into_iter()
+        .min_by_key(|q| q.plan.len().abs_diff(22));
+    let plan = q.expect("REAL-2 generates queries").plan;
+    let opts = ExecOptions {
+        snapshot_target: 384,
+        ..ExecOptions::default()
+    };
+    let run = execute(&w.db, &plan, &opts);
+    Trace {
+        label: format!("real2_{}_nodes", plan.len()),
+        plan,
+        db: w.db,
+        run,
+    }
+}
+
+impl Trace {
+    /// Median ns per snapshot of `walk`, one call of which visits every
+    /// snapshot of the trace once; `setup` runs untimed before each call.
+    /// Prints it as the arm `arm`.
+    fn walk_ns<S, R>(
+        &self,
+        arm: &str,
+        mut setup: impl FnMut() -> S,
+        mut walk: impl FnMut(&mut S, &[DmvSnapshot]) -> R,
+    ) -> f64 {
+        const ROUNDS: usize = 31;
+        let snapshots = &self.run.snapshots[..];
+        let per_snapshot = 1e9 / snapshots.len() as f64;
+        let mut samples: Vec<f64> = (0..ROUNDS + 3)
+            .map(|_| {
+                let mut state = setup();
+                timed(&mut || drop(black_box(walk(&mut state, snapshots)))) * per_snapshot
+            })
+            // The first rounds warm caches and the allocator.
+            .skip(3)
+            .collect();
+        samples.sort_by(|a, b| a.total_cmp(b));
+        let (ns, name) = (samples[ROUNDS / 2], format!("{}/{arm}", self.label));
+        println!("{name:<40} {ns:>14.0} ns/snapshot");
+        ns
+    }
+
+    /// [`Trace::walk_ns`] of a walk that calls `step` on each snapshot.
+    fn step_ns<S, R>(
+        &self,
+        arm: &str,
+        setup: impl FnMut() -> S,
+        mut step: impl FnMut(&mut S, &DmvSnapshot) -> R,
+    ) -> f64 {
+        self.walk_ns(arm, setup, |state, snapshots| {
+            for s in snapshots {
+                black_box(step(state, s));
+            }
+        })
+    }
+
+    fn ratio(&self, name: &str, over: f64, under: f64) -> f64 {
+        let ratio = over / under;
+        println!("{:<40} {ratio:>14.2}", format!("{}/{name}", self.label));
+        ratio
+    }
+}
+
+/// Each of the six members alone, `EnsembleEstimator::observe` and `replay`
+/// over the whole trace; returns `ensemble_over_lqs` = observe ÷ the lone
+/// `lqs` member.
+fn ensemble_over_lqs(trace: &Trace) -> f64 {
+    let (plan, db, cost_model) = (&trace.plan, &trace.db, &trace.run.cost_model);
+    let build = || EnsembleEstimator::build(plan, db, cost_model, EnsembleConfig::default());
+    let ens = build();
+    let mut lqs = f64::NAN;
+    for member in ens.members() {
+        let ns = trace.step_ns(member.id(), || (), |_, s| member.estimate(s));
+        if member.id() == "lqs" {
+            lqs = ns;
+        }
+    }
+    // A fresh ensemble per walk: the selection state grows with the
+    // history it has observed.
+    let observe = trace.step_ns("observe", build, |ens, s| ens.observe(s, false));
+    trace.walk_ns("replay", || (), |_, snapshots| ens.replay(snapshots));
+    trace.ratio("ensemble_over_lqs", observe, lqs)
+}
+
+/// The lineup of one, as the watchdog and the soaks run it, against the
+/// estimator it wraps; returns `guarded_one_over_lone`.
+fn guarded_one_over_lone(trace: &Trace) -> f64 {
+    let (plan, db, cost_model) = (&trace.plan, &trace.db, &trace.run.cost_model);
+    let lone = || ProgressEstimator::with_cost_model(plan, db, EstimatorConfig::full(), cost_model);
+    let est = lone();
+    let lone_ns = trace.step_ns("lone", || (), |_, s| est.estimate(s));
+    let guarded = || GuardedEstimator::new(EnsembleEstimator::single(lone()));
+    let guarded_ns = trace.step_ns("guarded_one", guarded, |g, s| g.observe(s));
+    trace.ratio("guarded_one_over_lone", guarded_ns, lone_ns)
 }
 
 fn workloads(d: &Database, t: TableId, pk: IndexId, rows: i64, reps: usize) -> Vec<WorkloadResult> {
@@ -335,6 +517,11 @@ fn main() {
     };
     let rows = flags.int("--rows").map_or(rows, |n| n as i64);
     let reps = flags.int("--reps").map_or(reps, |n| n as usize);
+    for (flag, n) in [("--rows", rows as usize), ("--reps", reps)] {
+        if n == 0 {
+            CLI.reject(&format!("{flag} 0 leaves nothing to measure"));
+        }
+    }
     let (out, check) = (flags.text("--out"), flags.text("--check"));
     let mut failures: Vec<String> = Vec::new();
 
@@ -343,23 +530,10 @@ fn main() {
     let results = workloads(&d, t, pk, rows, reps);
 
     println!("\nbatch-native profiling overhead ({HEADLINE}, recording sink attached)");
-    let mut profiling = profiling_overhead(&d, t, rows, reps);
-    // Same noise policy as the headline check: re-measure up to twice
-    // before declaring the tracing path too slow — the gate is a tight
-    // ratio and a single scheduling dip on either arm can blow it.
-    let mut prof_attempts = 0;
-    while profiling.overhead > MAX_TRACED_OVERHEAD && prof_attempts < 2 {
-        prof_attempts += 1;
-        println!(
-            "traced overhead above gate ({:+.1}%) — re-measuring ({prof_attempts}/2)",
-            profiling.overhead * 100.0
-        );
-        let retry = profiling_overhead(&d, t, rows, reps);
-        if retry.overhead < profiling.overhead {
-            profiling = retry;
-        }
-    }
-    if profiling.overhead > MAX_TRACED_OVERHEAD {
+    let traced_gate = Bound::Ceiling(MAX_TRACED_OVERHEAD);
+    let measure = || profiling_overhead(&d, t, rows, reps);
+    let profiling = remeasured("traced overhead", measure(), traced_gate, measure);
+    if !traced_gate.passes(profiling.overhead) {
         failures.push(format!(
             "batch tracing slows the hot path: {:+.1}% overhead with a recording \
              sink attached (allowed {:.0}%)",
@@ -368,12 +542,36 @@ fn main() {
         ));
     }
 
+    let trace = real2_trace();
+    let snapshots = trace.run.snapshots.len();
+    println!("\nestimator cost per snapshot ({snapshots} snapshots, median of 31 walks)");
+    let mut estimator_gate = |name: &str, ceiling: f64, measure: fn(&Trace) -> f64| {
+        let gate = Bound::Ceiling(ceiling);
+        let ratio = remeasured(name, measure(&trace), gate, || measure(&trace));
+        if !gate.passes(ratio) {
+            failures.push(format!(
+                "estimator overhead: {}/{name} {ratio:.2} is above its bound {ceiling}",
+                trace.label
+            ));
+        }
+    };
+    estimator_gate(
+        "ensemble_over_lqs",
+        MAX_ENSEMBLE_OVER_LQS,
+        ensemble_over_lqs,
+    );
+    estimator_gate(
+        "guarded_one_over_lone",
+        MAX_GUARDED_ONE_OVER_LONE,
+        guarded_one_over_lone,
+    );
+
     let mut headline_speedup = results
         .iter()
         .find(|r| r.name == HEADLINE)
         .expect("headline workload present")
         .speedup;
-    if out.is_some() && headline_speedup < MIN_HEADLINE_SPEEDUP {
+    if out.is_some() && !Bound::Floor(MIN_HEADLINE_SPEEDUP).passes(headline_speedup) {
         // A committed baseline must demonstrate the claimed improvement.
         failures.push(format!(
             "headline {HEADLINE} speedup {headline_speedup:.2}x < required \
@@ -400,14 +598,15 @@ fn main() {
         };
         let base_speedup = base(HEADLINE, "speedup");
         let floor = base_speedup * CHECK_TOLERANCE;
-        headline_speedup = above_floor("headline speedup", headline_speedup, floor, || {
+        let gate = Bound::Floor(floor);
+        headline_speedup = remeasured("headline speedup", headline_speedup, gate, || {
             run_workload(HEADLINE, rows, reps, &d, &headline_plan(&d, t)).speedup
         });
         println!(
             "\ncheck vs {path}: headline speedup {headline_speedup:.2}x \
              (baseline {base_speedup:.2}x, floor {floor:.2}x)"
         );
-        if headline_speedup < floor {
+        if !gate.passes(headline_speedup) {
             failures.push(format!(
                 "row-mode regression: headline speedup {headline_speedup:.2}x is more than \
                  10% below the committed baseline {base_speedup:.2}x"
@@ -424,14 +623,15 @@ fn main() {
         };
         let base_ratio = base(SEEK, "batch_melem_per_s") / base(SCAN, "batch_melem_per_s");
         let floor = base_ratio * CHECK_TOLERANCE;
-        let seek_ratio = above_floor("seek/scan", batch(SEEK) / batch(SCAN), floor, || {
+        let gate = Bound::Floor(floor);
+        let seek_ratio = remeasured("seek/scan", batch(SEEK) / batch(SCAN), gate, || {
             seek_over_scan(&d, t, pk, rows, reps)
         });
         println!(
             "check vs {path}: {SEEK}/{SCAN} batch {seek_ratio:.4} \
              (baseline {base_ratio:.4}, floor {floor:.4})"
         );
-        if seek_ratio < floor {
+        if !gate.passes(seek_ratio) {
             failures.push(format!(
                 "seek-path regression: {SEEK}/{SCAN} batch throughput {seek_ratio:.4} is more \
                  than 10% below the committed baseline {base_ratio:.4}"

@@ -1,4 +1,4 @@
-//! # lqs-bench — the evaluation harness as five binaries, plus criterion benches
+//! # lqs-bench — the evaluation harness as five binaries
 //!
 //! One binary per job, not per figure (DESIGN.md's experiment index maps
 //! every table and figure of the paper to a `paper --only` name):
@@ -11,8 +11,10 @@
 //!   service stack, checked and (where journaled) byte-for-byte repeatable.
 //! * `lqs_soak --scene <name>` — soak: a seeded fault matrix with a
 //!   deterministic summary.
-//! * `lqs_engine_bench` — the engine throughput gate against
-//!   `BENCH_engine.json`; `lqs_live` — the terminal LQS viewer.
+//! * `lqs_engine_bench` — the timing gates: engine throughput against
+//!   `BENCH_engine.json`, traced overhead, and the estimator's cost per
+//!   snapshot (cheap enough for 500 ms DMV polling); `lqs_live` — the
+//!   terminal LQS viewer.
 //!
 //! This library is what the five share: the one command-line parser
 //! ([`Cli`] — nothing else in the crate reads `std::env::args`), the smoke
@@ -24,9 +26,6 @@
 //! `Errorcount`/`Errortime` ([`experiment`]), and regenerates every table
 //! and figure of the paper ([`figures`], [`report`]; DESIGN.md holds the
 //! experiment index mapping each figure to its function).
-//!
-//! Criterion micro-benchmarks (in `benches/`) measure estimator overhead per
-//! snapshot — the estimator must be cheap enough for 500 ms DMV polling.
 
 #![warn(unreachable_pub)]
 
@@ -182,8 +181,8 @@ pub fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// The two-column table `t(a, b)` the smoke fixture and the engine and
-/// metrics benches run over: `a` is the row number, `b = a % modulus`.
+/// The two-column table `t(a, b)` the smoke fixture and the engine bench
+/// run over: `a` is the row number, `b = a % modulus`.
 pub fn table_t(rows: i64, modulus: i64) -> Table {
     let mut table = Table::new(
         "t",

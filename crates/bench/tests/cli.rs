@@ -1,5 +1,6 @@
-//! The selectors that replaced binary names: `paper --only` / `--list`,
-//! `lqs_smoke --scene`, `lqs_soak --scene`.
+//! The selectors that replaced binary names (`paper --only` / `--list`,
+//! `lqs_smoke --scene`, `lqs_soak --scene`) and the flag values a binary
+//! refuses because they leave nothing to measure.
 
 use std::process::Command;
 
@@ -66,4 +67,28 @@ fn paper_refuses_a_scale_it_cannot_honour() {
         let expected = format!("paper: --scale takes a finite number > 0, got \"{scale}\"\n");
         assert!(stderr.starts_with(&expected), "{stderr}");
     }
+}
+
+/// Zero rows or zero reps time nothing, and the NaN ratios they would read
+/// must never reach a gate (or a baseline written with `--out`).
+fn engine_bench_refuses(args: &[&str], flag: &str) {
+    let exe = env!("CARGO_BIN_EXE_lqs_engine_bench");
+    let out = Command::new(exe).args(args).output().unwrap();
+    assert_eq!(out.status.code(), Some(2), "{args:?}");
+    assert!(out.stdout.is_empty(), "{args:?}");
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    let (error, usage) = stderr.split_once('\n').expect("error line, then usage");
+    let expected = format!("lqs_engine_bench: {flag} 0 leaves nothing to measure");
+    assert_eq!(error, expected);
+    assert!(usage.starts_with("usage: lqs_engine_bench "), "{stderr}");
+}
+
+#[test]
+fn engine_bench_refuses_zero_reps_with_the_usage() {
+    engine_bench_refuses(&["--reps", "0", "--rows", "1000"], "--reps");
+}
+
+#[test]
+fn engine_bench_refuses_zero_rows_with_the_usage() {
+    engine_bench_refuses(&["--rows", "0", "--reps", "1"], "--rows");
 }

@@ -32,7 +32,7 @@ pub use reader::{
     SessionSegments,
 };
 pub use record::{
-    crc32, plan_fingerprint, AlertKind, AlertRecord, EstimatorRecord, JournalExecMode, Record,
+    plan_fingerprint, AlertKind, AlertRecord, EstimatorRecord, JournalExecMode, Record,
     SegmentHeader, SessionMeta, TerminalKind, TerminalRecord, FORMAT_VERSION, SEGMENT_HEADER_BYTES,
 };
 pub use writer::{

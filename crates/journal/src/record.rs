@@ -85,7 +85,7 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 /// CRC32 (IEEE 802.3, reflected) over `data`: slice-by-8 over whole 8-byte
 /// groups, byte-at-a-time over the tail. Safe code only; the tables are
 /// 8 KiB of read-only data.
-pub fn crc32(data: &[u8]) -> u32 {
+pub(crate) fn crc32(data: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
     let mut groups = data.chunks_exact(8);

@@ -29,9 +29,10 @@
 //!   deterministic seeded tie-break, so replays are byte-for-byte
 //!   reproducible.
 //! * A single estimator is a **lineup of one**
-//!   ([`EnsembleEstimator::single`]): the same fold runs, its one weight
-//!   normalises to `w / w == 1.0` and the blend is `1.0 * est / 1.0`, so the
-//!   composed figure is the member's, bit for bit, with no special case.
+//!   ([`EnsembleEstimator::single`]): the same step and blend run, its one
+//!   weight is the prior's `1.0` and the blend is `1.0 * est / 1.0`, so the
+//!   composed figure is the member's, bit for bit. With nothing to choose
+//!   between, its selection fold stops after the estimate history.
 //!
 //! König et al. frame the competing estimators as different readings of
 //! one shared feature vector, and that is how a snapshot is processed here:
@@ -454,9 +455,10 @@ impl EnsembleEstimator {
         Self::with_lineup(members, config, prior)
     }
 
-    /// A lineup of one: `estimator` as the member `lqs`. The selection fold
-    /// runs as for any lineup; its one weight normalises to `w / w == 1.0`,
-    /// so every composed figure is `estimator`'s own.
+    /// A lineup of one: `estimator` as the member `lqs`. Its one weight is
+    /// the prior's `1.0` and never moves (the selection fold has nothing to
+    /// choose between and stops after the estimate history), so every
+    /// composed figure is `estimator`'s own.
     pub fn single(estimator: ProgressEstimator) -> Self {
         let member = Member {
             id: "lqs",
@@ -542,10 +544,9 @@ impl EnsembleEstimator {
 impl Lineup {
     /// What `state` selected, as reports, journals and `/sessions` show it:
     /// only where there was a choice. A lineup of one selects itself with
-    /// weight 1, which says nothing — this is the one place the member count
-    /// decides anything.
+    /// weight 1, which says nothing.
     fn selection_of(&self, state: &SelectState) -> Option<EnsembleSelection> {
-        (self.members.len() > 1).then(|| EnsembleSelection {
+        self.chooses().then(|| EnsembleSelection {
             selected: self.members[state.selected].id,
             weights: self
                 .members
@@ -554,6 +555,13 @@ impl Lineup {
                 .map(|(m, w)| (m.id, *w))
                 .collect(),
         })
+    }
+
+    /// Whether there is a member to select — the one place the member count
+    /// decides anything. A lineup of one keeps its initial weight `1.0` and
+    /// selection `0` whatever it observes.
+    fn chooses(&self) -> bool {
+        self.members.len() > 1
     }
 
     /// Derive snapshot `s` once into `run`, read every member's figure off
@@ -647,6 +655,9 @@ impl Lineup {
             state.last_total_n[m] = total_n;
         }
         state.est_hist.push(est);
+        if !self.chooses() {
+            return;
+        }
 
         // Retrospective truth denominator: per-node *median* of the
         // members' refined cardinalities, floored by observed counts, then
