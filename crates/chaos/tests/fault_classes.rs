@@ -256,7 +256,7 @@ fn full_admission_queue_rejects_cleanly() {
         .collect();
     for h in &shed {
         assert_eq!(h.state(), SessionState::Rejected);
-        assert!(matches!(h.result(), Some(SessionResult::Rejected)));
+        assert!(matches!(h.result(), Some(SessionResult::Rejected { .. })));
     }
 
     gate.release();

@@ -25,7 +25,9 @@
 
 use crate::metrics::state_label;
 use crate::registry::SessionRegistry;
-use crate::session::{QuerySpec, SessionHandle, SessionId, SessionResult, SessionState};
+use crate::session::{
+    QuerySpec, SessionHandle, SessionId, SessionResult, SessionState, SessionTerms,
+};
 use lqs_exec::{AbortReason, AbortedQuery, ExecOptions};
 use lqs_journal::{
     plan_fingerprint, scan_dir, JournalMetrics, JournalScan, RecoveredSession, SessionMeta,
@@ -230,7 +232,11 @@ impl RecoveryManager {
                 cost_model: meta.cost_model.clone(),
                 ..ExecOptions::default()
             });
-        let handle = registry.register(spec);
+        let terms = SessionTerms {
+            recovered: true,
+            ..SessionTerms::default()
+        };
+        let handle = registry.register(registry.next_id(), spec, terms);
         summary.id = Some(handle.id());
         summary.outcome = restore_handle(&handle, session);
         summary
@@ -265,7 +271,10 @@ fn restore_handle(handle: &SessionHandle, session: &RecoveredSession) -> Recover
             // journal is a genuine mid-run publish — keep it visible.
             session.snapshots.last().cloned(),
         ),
-        (None, TerminalKind::Rejected) => (SessionResult::Rejected, None),
+        (None, TerminalKind::Rejected) => {
+            let reason = Some(terminal.message.clone()).filter(|m| !m.is_empty());
+            (SessionResult::Rejected { reason }, None)
+        }
         // Not reached: `completed_run` answers every `Succeeded` record that
         // `terminal_publish` accepts. A run that is gone is an orphan.
         (None, TerminalKind::Succeeded) => (SessionResult::Orphaned, Some(last)),

@@ -9,7 +9,7 @@
 use crate::metrics::PollerMetrics;
 use crate::session::{
     QuerySpec, RunningGauge, SessionDurability, SessionHandle, SessionId, SessionResult,
-    SessionState,
+    SessionState, SessionTerms,
 };
 use lqs_plan::{CostModel, PhysicalPlan};
 use lqs_progress::{
@@ -46,15 +46,29 @@ impl SessionRegistry {
         self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Register a new session for `spec`, assigning it the next id.
-    pub(crate) fn register(&self, spec: QuerySpec) -> Arc<SessionHandle> {
-        let id = SessionId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let handle = Arc::new(SessionHandle::new(id, spec, Arc::clone(&self.running)));
-        self.lock().push(Arc::clone(&handle));
+    /// The id the next session will be registered under.
+    pub(crate) fn next_id(&self) -> SessionId {
+        SessionId(self.next_id.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// Register the session `id` (from [`next_id`](Self::next_id)) for
+    /// `spec`, built whole under `terms`. Submitters that took their ids
+    /// in one order may register in another, so it goes in by id.
+    pub(crate) fn register(
+        &self,
+        id: SessionId,
+        spec: QuerySpec,
+        terms: SessionTerms,
+    ) -> Arc<SessionHandle> {
+        let gauge = Arc::clone(&self.running);
+        let handle = Arc::new(SessionHandle::new(id, spec, gauge, terms));
+        let mut sessions = self.lock();
+        let at = sessions.partition_point(|h| h.id() < id);
+        sessions.insert(at, Arc::clone(&handle));
         handle
     }
 
-    /// Snapshot of all registered sessions, in submission order.
+    /// Snapshot of all registered sessions, in id (submission) order.
     pub fn sessions(&self) -> Vec<Arc<SessionHandle>> {
         self.lock().clone()
     }
@@ -547,16 +561,46 @@ mod tests {
         QuerySpec::new(name, Arc::new(b.finish(scan)))
     }
 
+    fn register(registry: &SessionRegistry, name: &str) -> Arc<SessionHandle> {
+        registry.register(registry.next_id(), spec(name), SessionTerms::default())
+    }
+
+    fn ids(handles: Vec<Arc<SessionHandle>>) -> Vec<SessionId> {
+        handles.iter().map(|h| h.id()).collect()
+    }
+
+    /// Ids are taken before registration (a submitter opens its journal in
+    /// between), so submitters can register out of id order; the list
+    /// stays in id order whatever order they arrive in.
+    #[test]
+    fn sessions_stay_in_id_order_when_registrations_race() {
+        let registry = SessionRegistry::new();
+        let taken: Vec<SessionId> = (0..8).map(|_| registry.next_id()).collect();
+        let barrier = std::sync::Barrier::new(taken.len());
+        std::thread::scope(|s| {
+            for (i, &id) in taken.iter().enumerate() {
+                let (registry, barrier) = (&registry, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    // Later ids arrive first.
+                    std::thread::sleep(Duration::from_millis(5 * (8 - i as u64)));
+                    registry.register(id, spec("racer"), SessionTerms::default());
+                });
+            }
+        });
+        assert_eq!(ids(registry.sessions()), taken);
+    }
+
     /// One thread panicking with the session list locked (a failed session,
     /// a bug in a caller) must not turn every later `sessions()` into a
     /// panic of its own.
     #[test]
     fn a_poisoned_registry_still_answers() {
         let registry = SessionRegistry::new();
-        let done = registry.register(spec("done"));
+        let done = register(&registry, "done");
         done.start().unwrap();
         done.settle(done.fail("boom".into()));
-        let live = registry.register(spec("live"));
+        let live = register(&registry, "live");
         let panicked = std::thread::scope(|s| {
             s.spawn(|| {
                 let _held = registry.sessions.lock().unwrap();
@@ -566,10 +610,9 @@ mod tests {
         });
         assert!(panicked.is_err() && registry.sessions.is_poisoned());
 
-        let ids = |hs: Vec<Arc<SessionHandle>>| hs.iter().map(|h| h.id()).collect::<Vec<_>>();
         assert_eq!(ids(registry.sessions()), [done.id(), live.id()]);
         assert!(registry.session(live.id()).is_some());
-        let late = registry.register(spec("late"));
+        let late = register(&registry, "late");
         assert_eq!(ids(registry.evict_terminal()), [done.id()]);
         assert_eq!(ids(registry.sessions()), [live.id(), late.id()]);
     }

@@ -20,7 +20,8 @@
 use crate::metrics::ServiceMetrics;
 use crate::registry::SessionRegistry;
 use crate::session::{
-    FilteredPublisher, PendingTerminal, QuerySpec, SessionCost, SessionHandle, SessionState,
+    FilteredPublisher, PendingTerminal, QuerySpec, SessionCost, SessionHandle, SessionId,
+    SessionState, SessionTerms,
 };
 use lqs_exec::{
     execute_hooked, ExecHooks, ExecMode, ExecOptions, FaultInjector, QueryFault, QueryRun,
@@ -100,14 +101,6 @@ impl Default for BrownoutConfig {
     }
 }
 
-/// Per-session shedding policy, attached to the handle at submit time
-/// (workers spawn before `with_*` builders run, so dequeue-time policy
-/// cannot live in worker captures).
-#[derive(Debug, Clone)]
-pub(crate) struct ShedPolicy {
-    pub(crate) queue_deadline: Option<Duration>,
-}
-
 /// Live brownout state shared by submitters.
 struct BrownoutState {
     config: BrownoutConfig,
@@ -178,6 +171,30 @@ impl CostAdmission {
                 Ok(_) => return true,
                 Err(seen) => current = seen,
             }
+        }
+    }
+
+    /// A session's share of the pool: its plan's predicted cost, taken
+    /// from the pool when it fits. A cold plan (no history) takes nothing
+    /// but still carries the pool, so its completed run warms the store.
+    fn admit(self: &Arc<Self>, plan: &PhysicalPlan) -> SessionCost {
+        let prediction = self.store.predict_plan(plan);
+        let mut admitted_cpu_ns = 0;
+        match &prediction {
+            None => self.metrics.cold_miss(),
+            Some(p) => {
+                self.metrics.prediction_issued(p.basis);
+                let cost_ns = p.cpu_ns.max(1.0).ceil() as u64;
+                match self.try_admit(cost_ns) {
+                    true => admitted_cpu_ns = cost_ns,
+                    false => self.metrics.cost_rejection(),
+                }
+            }
+        }
+        SessionCost {
+            admission: Arc::clone(self),
+            prediction,
+            admitted_cpu_ns,
         }
     }
 
@@ -354,7 +371,7 @@ impl QueryService {
     /// submission that finds the queue full returns a handle already in
     /// [`SessionState::Rejected`] — check the state, don't assume it ran.
     pub fn submit(&self, mut spec: QuerySpec) -> Arc<SessionHandle> {
-        // Brownout widening happens before registration so the widened
+        // Brownout widening happens before the journal opens so the widened
         // cadence is what the journal meta records and what pollers see in
         // `opts()` — replay and recovery stay consistent with the run.
         if let Some(brownout) = &self.brownout {
@@ -364,97 +381,49 @@ impl QueryService {
                 self.metrics.brownout_sessions.inc();
             }
         }
-        let handle = self.registry.register(spec);
-        if let Some(brownout) = &self.brownout {
-            handle.attach_shed(ShedPolicy {
-                queue_deadline: brownout.config.queue_deadline,
-            });
-        }
+        let id = self.registry.next_id();
         self.metrics.submitted.inc();
         // Open the session's journal before admission control runs, so even
         // a shed session leaves a meta + Rejected terminal record behind.
-        if let Some(journal) = &self.journal {
-            let meta = SessionMeta {
-                session_id: handle.id().0,
-                name: handle.name().to_owned(),
-                workload: handle.workload().to_owned(),
-                n_nodes: handle.plan().len() as u32,
-                plan_fingerprint: plan_fingerprint(handle.plan()),
-                snapshot_target: handle.opts().snapshot_target as u64,
-                snapshot_interval_ns: handle.opts().snapshot_interval_ns,
-                cost_model: handle.opts().cost_model.clone(),
-                exec_mode: resolved_exec_mode(&handle),
-                estimator: None,
-            };
-            match journal.writer(meta) {
-                Ok(writer) => handle.attach_journal(Arc::new(writer)),
-                Err(e) => eprintln!(
-                    "lqs-server: {} runs un-journaled (journal open failed: {e})",
-                    handle.id()
-                ),
+        let journal = self.journal.as_ref().and_then(|journal| {
+            match journal.writer(session_meta(id, &spec)) {
+                Ok(writer) => Some(Arc::new(writer)),
+                Err(e) => {
+                    eprintln!("lqs-server: {id} runs un-journaled (journal open failed: {e})");
+                    None
+                }
             }
-        }
+        });
         // Predicted-cost admission runs first: when the plan has history,
         // the prediction replaces the fixed queue-depth policy entirely.
         // Cold plans (explicit no-history) fall through to the fixed limit.
-        let mut admitted_by_cost = false;
-        if let Some(cost) = &self.cost_admission {
-            match cost.store.predict_plan(handle.plan()) {
-                Some(prediction) => {
-                    cost.metrics.prediction_issued(prediction.basis);
-                    let cost_ns = prediction.cpu_ns.max(1.0).ceil() as u64;
-                    let admitted = cost.try_admit(cost_ns);
-                    handle.attach_cost(SessionCost {
-                        admission: Arc::clone(cost),
-                        prediction: Some(prediction),
-                        admitted_cpu_ns: if admitted { cost_ns } else { 0 },
-                    });
-                    if !admitted {
-                        cost.metrics.cost_rejection();
-                        self.metrics.rejected.inc();
-                        self.metrics.finished(SessionState::Rejected);
-                        handle.reject(None);
-                        return handle;
-                    }
-                    admitted_by_cost = true;
-                }
-                None => {
-                    cost.metrics.cold_miss();
-                    // Still attach the admission state (with no admitted
-                    // cost): the completed run must warm the store.
-                    handle.attach_cost(SessionCost {
-                        admission: Arc::clone(cost),
-                        prediction: None,
-                        admitted_cpu_ns: 0,
-                    });
-                }
-            }
-        }
-        if admitted_by_cost {
-            self.queued_depth.fetch_add(1, Ordering::AcqRel);
-        } else if let Some(limit) = self.admission_limit {
-            // CAS loop so two racing submissions cannot both take the last
-            // queue slot.
-            let mut depth = self.queued_depth.load(Ordering::Acquire);
-            loop {
-                if depth >= limit {
-                    self.metrics.rejected.inc();
-                    self.metrics.finished(SessionState::Rejected);
-                    handle.reject(None);
-                    return handle;
-                }
-                match self.queued_depth.compare_exchange_weak(
-                    depth,
-                    depth + 1,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                ) {
-                    Ok(_) => break,
-                    Err(seen) => depth = seen,
-                }
-            }
-        } else {
-            self.queued_depth.fetch_add(1, Ordering::AcqRel);
+        // `limit` is the queue depth below which this session may join.
+        let cost = (self.cost_admission.as_ref()).map(|pool| pool.admit(&spec.plan));
+        let limit = match cost.as_ref().filter(|c| c.prediction.is_some()) {
+            Some(c) if c.admitted_cpu_ns > 0 => usize::MAX, // the pool took it
+            Some(_) => 0,                                   // the pool refused it
+            None => self.admission_limit.unwrap_or(usize::MAX),
+        };
+        let terms = SessionTerms {
+            journal,
+            cost,
+            queue_deadline: (self.brownout.as_ref())
+                .map(|b| b.config.queue_deadline.unwrap_or(Duration::MAX)),
+            recovered: false,
+        };
+        let handle = self.registry.register(id, spec, terms);
+        // One atomic update, so two racing submissions cannot both take the
+        // last queue slot.
+        let queued = self
+            .queued_depth
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |d| {
+                (d < limit).then_some(d + 1)
+            });
+        if queued.is_err() {
+            self.metrics.rejected.inc();
+            self.metrics.finished(SessionState::Rejected);
+            handle.reject(None);
+            return handle;
         }
         self.queue
             .as_ref()
@@ -587,14 +556,25 @@ fn worker_loop(
     }
 }
 
-/// The execution mode this session runs under, as journaled in its meta
-/// so history analytics can segment throughput by engine path. A fault
-/// injector does not change it: faults fire from inside the charging
-/// scopes, at whatever batch size the session asked for.
-pub(crate) fn resolved_exec_mode(handle: &SessionHandle) -> JournalExecMode {
-    match handle.opts().mode {
-        ExecMode::Tuple => JournalExecMode::Tuple,
-        ExecMode::Batch => JournalExecMode::Batch,
+/// The meta record session `id`'s journal opens with: what its spec runs.
+fn session_meta(id: SessionId, spec: &QuerySpec) -> SessionMeta {
+    SessionMeta {
+        session_id: id.0,
+        name: spec.name.clone(),
+        workload: spec.workload.as_deref().unwrap_or(&spec.name).to_owned(),
+        n_nodes: spec.plan.len() as u32,
+        plan_fingerprint: plan_fingerprint(&spec.plan),
+        snapshot_target: spec.opts.snapshot_target as u64,
+        snapshot_interval_ns: spec.opts.snapshot_interval_ns,
+        cost_model: spec.opts.cost_model.clone(),
+        // Journaled so history analytics can segment throughput by engine
+        // path. A fault injector does not change it: faults fire from
+        // inside the charging scopes, at whatever batch size was asked for.
+        exec_mode: match spec.opts.mode {
+            ExecMode::Tuple => JournalExecMode::Tuple,
+            ExecMode::Batch => JournalExecMode::Batch,
+        },
+        estimator: None,
     }
 }
 
@@ -624,18 +604,16 @@ fn run_session(
     let queue_wait = handle.submitted_at().elapsed();
     // Brownout shedding at dequeue: a session that cannot meet its latency
     // contract any more is rejected with a reason instead of run-to-fail.
-    if let Some(shed) = handle.shed_policy() {
-        if let Some(deadline) = shed.queue_deadline {
-            if queue_wait > deadline {
-                metrics.shed("queue_deadline");
-                metrics.finished(SessionState::Rejected);
-                handle.reject(Some(format!(
-                    "queue-wait deadline exceeded: waited {:.3}s over a {:.3}s budget",
-                    queue_wait.as_secs_f64(),
-                    deadline.as_secs_f64()
-                )));
-                return;
-            }
+    if let Some(deadline) = handle.queue_deadline() {
+        if queue_wait > deadline {
+            metrics.shed("queue_deadline");
+            metrics.finished(SessionState::Rejected);
+            handle.reject(Some(format!(
+                "queue-wait deadline exceeded: waited {:.3}s over a {:.3}s budget",
+                queue_wait.as_secs_f64(),
+                deadline.as_secs_f64()
+            )));
+            return;
         }
         // A session whose predicted runtime already exceeds its virtual
         // deadline would only run to be aborted — shed it up front.
@@ -768,7 +746,8 @@ mod tests {
         let db = Database::new();
         let mut b = lqs_plan::PlanBuilder::new(&db);
         let scan = b.constant_scan(vec![vec![lqs_storage::Value::Int(1)]]);
-        registry.register(QuerySpec::new("q", Arc::new(b.finish(scan))))
+        let spec = QuerySpec::new("q", Arc::new(b.finish(scan)));
+        registry.register(registry.next_id(), spec, SessionTerms::default())
     }
 
     /// A panicking terminal path fails that session alone: its waiters

@@ -8,7 +8,7 @@
 //! pollers read it concurrently without touching the execution.
 
 use crate::seqslot::SnapshotSlot;
-use crate::service::{CostAdmission, ShedPolicy};
+use crate::service::CostAdmission;
 use lqs_exec::{
     AbortReason, AbortedQuery, CancellationToken, DmvSnapshot, ExecOptions, FaultInjector,
     QueryRun, SnapshotFilter, SnapshotPublisher,
@@ -18,7 +18,7 @@ use lqs_journal::{SessionJournal, TerminalKind, TerminalRecord};
 use lqs_obs::SharedSessionSink;
 use lqs_plan::PhysicalPlan;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Opaque session identifier, unique within one [`crate::SessionRegistry`].
@@ -51,8 +51,9 @@ pub enum SessionState {
     /// Execution panicked; the panic message is in
     /// [`SessionResult::Failed`]. The worker survives and moves on.
     Failed,
-    /// Shed at admission: the service's bounded queue was full. The
-    /// session never reached a worker and has no counters.
+    /// Shed before it ran: at admission (queue full, or predicted cost
+    /// over the pool) or, under brownout, at dequeue. The session never
+    /// executed and has no counters.
     Rejected,
     /// Restored from the journal of a crashed service incarnation: the
     /// session was in flight when the process died, so it has a last-known
@@ -92,8 +93,13 @@ pub enum SessionResult {
     Aborted(Arc<AbortedQuery>),
     /// Execution panicked; the payload is the panic message.
     Failed(String),
-    /// Shed at admission (queue full); never executed.
-    Rejected,
+    /// Shed before it ran: at admission (queue full, or predicted cost
+    /// over the pool) or, under brownout, at dequeue. Never executed.
+    Rejected {
+        /// Why, when the shed gave a reason (brownout's dequeue-time sheds
+        /// do); journaled as the terminal record's message.
+        reason: Option<String>,
+    },
     /// Interrupted by a service crash and restored from the journal; only
     /// the last journaled snapshot (in the handle's DMV slot) survives.
     Orphaned,
@@ -111,7 +117,7 @@ impl SessionResult {
                 AbortReason::DeadlineExceeded => SessionState::DeadlineExceeded,
             },
             SessionResult::Failed(_) => SessionState::Failed,
-            SessionResult::Rejected => SessionState::Rejected,
+            SessionResult::Rejected { .. } => SessionState::Rejected,
             SessionResult::Orphaned => SessionState::Orphaned,
         }
     }
@@ -316,33 +322,36 @@ pub struct SessionHandle {
     /// `u64::MAX` until the first. Pollers subtract this from "now" to get
     /// snapshot age without taking the `latest` lock.
     last_publish_ns: AtomicU64,
-    /// Durability sink: every publish and terminal transition is appended
-    /// here when the owning service runs with a journal.
-    journal: OnceLock<Arc<SessionJournal>>,
-    /// Whether this handle was rebuilt from a journal by recovery rather
-    /// than submitted live.
-    recovered: AtomicBool,
-    /// Predicted-cost admission state, attached at submit time when the
-    /// owning service runs cost-based admission. Lives on the handle (not
-    /// in worker captures) because workers spawn before `with_*` builders
-    /// run.
-    cost: OnceLock<SessionCost>,
-    /// Why the session was rejected, when it was shed with a reason
-    /// (brownout queue-deadline shedding, admission limits).
-    reject_reason: OnceLock<String>,
+    /// What the session runs under, fixed before the handle existed.
+    terms: SessionTerms,
     /// Set by watchdog quarantine remediation: the session was cancelled
     /// for stalling and its progress is served at degraded quality.
     quarantined: AtomicBool,
-    /// Overload-shedding policy the owning service attached at submit
-    /// time (workers spawn before `with_*` builders run, so per-session
-    /// policy rides the handle).
-    shed: OnceLock<ShedPolicy>,
     /// Latest ensemble estimator selection a poller computed for this
     /// session (`None` for single-estimator pollers). Mid-run this tracks
     /// the live selection; once the session terminates the poller overwrites
     /// it with the deterministic full-trace replay selection, which is also
     /// what gets journaled.
     estimator_selection: Mutex<Option<lqs_progress::EnsembleSelection>>,
+}
+
+/// Everything a session runs under that is not in its [`QuerySpec`]:
+/// decided by the service (or by recovery) before the handle is built, and
+/// never changed after.
+#[derive(Default)]
+pub(crate) struct SessionTerms {
+    /// Durability sink: every publish and terminal transition is appended
+    /// here when the owning service runs with a journal.
+    pub(crate) journal: Option<Arc<SessionJournal>>,
+    /// Predicted-cost admission state, when the owning service runs
+    /// cost-based admission.
+    pub(crate) cost: Option<SessionCost>,
+    /// Brownout's queue-wait budget (`Duration::MAX` when brownout sheds
+    /// on prediction only): a session dequeued later is shed, and so is one
+    /// predicted to overrun its virtual deadline. `None` without brownout.
+    pub(crate) queue_deadline: Option<Duration>,
+    /// Rebuilt from a journal by recovery rather than submitted live.
+    pub(crate) recovered: bool,
 }
 
 /// Cost-admission state one session carries: the service-wide admission
@@ -356,7 +365,12 @@ pub(crate) struct SessionCost {
 }
 
 impl SessionHandle {
-    pub(crate) fn new(id: SessionId, spec: QuerySpec, gauge: Arc<RunningGauge>) -> Self {
+    pub(crate) fn new(
+        id: SessionId,
+        spec: QuerySpec,
+        gauge: Arc<RunningGauge>,
+        terms: SessionTerms,
+    ) -> Self {
         let plan_nodes = spec.plan.len();
         SessionHandle {
             id,
@@ -369,12 +383,8 @@ impl SessionHandle {
             gauge,
             created: Instant::now(),
             last_publish_ns: AtomicU64::new(u64::MAX),
-            journal: OnceLock::new(),
-            recovered: AtomicBool::new(false),
-            cost: OnceLock::new(),
-            reject_reason: OnceLock::new(),
+            terms,
             quarantined: AtomicBool::new(false),
-            shed: OnceLock::new(),
             estimator_selection: Mutex::new(None),
         }
     }
@@ -398,42 +408,25 @@ impl SessionHandle {
             .clone()
     }
 
-    /// Attach cost-admission state. At most once, at submit time.
-    pub(crate) fn attach_cost(&self, cost: SessionCost) {
-        let _ = self.cost.set(cost);
-    }
-
     /// The resource prediction this session was admitted on, if any.
     pub fn predicted_cost(&self) -> Option<&ResourcePrediction> {
-        self.cost.get().and_then(|c| c.prediction.as_ref())
-    }
-
-    /// Attach this session's journal writer. At most once, before the
-    /// session starts publishing; later calls are ignored.
-    pub(crate) fn attach_journal(&self, journal: Arc<SessionJournal>) {
-        let _ = self.journal.set(journal);
+        self.terms.cost.as_ref()?.prediction.as_ref()
     }
 
     /// The session's journal writer, if the service runs with one.
     pub(crate) fn journal(&self) -> Option<&Arc<SessionJournal>> {
-        self.journal.get()
+        self.terms.journal.as_ref()
     }
 
-    /// Attach the service's overload-shedding policy. At most once, at
-    /// submit time; later calls are ignored.
-    pub(crate) fn attach_shed(&self, shed: ShedPolicy) {
-        let _ = self.shed.set(shed);
-    }
-
-    /// The overload-shedding policy attached at submit time, if any.
-    pub(crate) fn shed_policy(&self) -> Option<&ShedPolicy> {
-        self.shed.get()
+    /// Brownout's queue-wait budget for this session, if any.
+    pub(crate) fn queue_deadline(&self) -> Option<Duration> {
+        self.terms.queue_deadline
     }
 
     /// Whether this session's journaled record is trustworthy. Lock-free;
     /// safe to call from pollers and HTTP handlers.
     pub fn durability(&self) -> SessionDurability {
-        match self.journal.get() {
+        match self.journal() {
             None => SessionDurability::Unjournaled,
             Some(j) if j.is_durable() => SessionDurability::Durable,
             Some(_) => SessionDurability::Lost,
@@ -453,8 +446,11 @@ impl SessionHandle {
     }
 
     /// Why the session was rejected, when it was shed with a reason.
-    pub fn reject_reason(&self) -> Option<&str> {
-        self.reject_reason.get().map(String::as_str)
+    pub fn reject_reason(&self) -> Option<String> {
+        match &*self.lifecycle() {
+            Lifecycle::Done(SessionResult::Rejected { reason }) => reason.clone(),
+            _ => None,
+        }
     }
 
     /// Append the terminal record of an executed session without flushing
@@ -466,7 +462,7 @@ impl SessionHandle {
         rows_returned: u64,
         message: &str,
     ) -> bool {
-        self.journal.get().is_some_and(|journal| {
+        self.journal().is_some_and(|journal| {
             journal.append_terminal_record(&TerminalRecord {
                 kind,
                 at_ns,
@@ -478,7 +474,7 @@ impl SessionHandle {
 
     /// Whether this handle was rebuilt from a journal by recovery.
     pub fn recovered(&self) -> bool {
-        self.recovered.load(Ordering::Acquire)
+        self.terms.recovered
     }
 
     /// Session id.
@@ -658,7 +654,7 @@ impl SessionHandle {
             Lifecycle::Done(_) => return Err(IllegalTransition),
         }
         *lifecycle = Lifecycle::Done(result);
-        if let Some(cost) = self.cost.get() {
+        if let Some(cost) = &self.terms.cost {
             cost.admission.release(cost.admitted_cpu_ns);
         }
         self.lifecycle_changed.notify_all();
@@ -716,12 +712,12 @@ impl SessionHandle {
     /// the terminal record to disk, then — and only then — make the outcome
     /// observable. A session is never terminal before its flush returned.
     pub(crate) fn settle(&self, pending: PendingTerminal) {
-        if let (true, Some(journal)) = (pending.sync_owed, self.journal.get()) {
+        if let (true, Some(journal)) = (pending.sync_owed, self.journal()) {
             journal.sync_terminal();
         }
         // Warm the prediction history with the now-known ground truth and
         // score this session's admission-time prediction against it.
-        if let (SessionResult::Completed(run), Some(cost)) = (&pending.result, self.cost.get()) {
+        if let (SessionResult::Completed(run), Some(cost)) = (&pending.result, &self.terms.cost) {
             cost.admission
                 .observe_completed(self.plan(), run, cost.prediction.as_ref());
         }
@@ -734,27 +730,26 @@ impl SessionHandle {
     /// dequeue. Terminal immediately, on the calling thread (there was no
     /// execution for a flush to overlap with); the session never ran, so
     /// there are no counters to publish. A human-readable `reason` is
-    /// journaled on the terminal record and surfaced by `/sessions`, so an
-    /// operator can tell *why* a session never ran.
+    /// journaled as the terminal record's message and kept in the result
+    /// ([`SessionResult::Rejected`], [`reject_reason`](Self::reject_reason)),
+    /// so an operator can tell *why* a session never ran.
     pub(crate) fn reject(&self, reason: Option<String>) {
-        let reason = reason.map_or("", |r| self.reject_reason.get_or_init(|| r).as_str());
-        if let Some(journal) = self.journal.get() {
+        if let Some(journal) = self.journal() {
             journal.append_terminal(&TerminalRecord {
                 kind: TerminalKind::Rejected,
                 at_ns: 0,
                 rows_returned: 0,
-                message: reason.to_owned(),
+                message: reason.clone().unwrap_or_default(),
             });
         }
-        let _ = self.finish(SessionResult::Rejected);
+        let _ = self.finish(SessionResult::Rejected { reason });
     }
 
     /// Rebuild this handle's terminal state from journaled records
-    /// (recovery path). Lands `snapshot` in the DMV slot — no journal is
-    /// attached to a recovered handle, so nothing is re-journaled — then
-    /// finishes the session with `result`.
+    /// (recovery path). Lands `snapshot` in the DMV slot — a recovered
+    /// handle has no journal, so nothing is re-journaled — then finishes
+    /// the session with `result`.
     pub(crate) fn restore(&self, snapshot: Option<DmvSnapshot>, result: SessionResult) {
-        self.recovered.store(true, Ordering::Release);
         if let Some(snapshot) = &snapshot {
             self.publish(snapshot);
         }
@@ -787,7 +782,7 @@ impl SnapshotPublisher for SessionHandle {
         // the handle rather than an exec-level tee means terminal publishes
         // from `complete`/`abort` — which bypass the engine's publisher
         // hook — are journaled too.)
-        if let Some(journal) = self.journal.get() {
+        if let Some(journal) = self.journal() {
             journal.append_snapshot(snapshot);
         }
         // Allocation-free copy into the slot, under its lock.
@@ -822,6 +817,7 @@ mod tests {
             SessionId(0),
             QuerySpec::new("q", dummy_plan()),
             Arc::default(),
+            SessionTerms::default(),
         );
         assert_eq!(h.published_seq(), 0);
         assert!(h.latest_snapshot().is_none());
@@ -840,6 +836,7 @@ mod tests {
             SessionId(0),
             QuerySpec::new("q", dummy_plan()),
             Arc::default(),
+            SessionTerms::default(),
         );
         assert!(h.snapshot_age().is_none());
         assert_eq!(h.workload(), "q"); // falls back to the name
@@ -853,6 +850,7 @@ mod tests {
             SessionId(1),
             QuerySpec::new("q", dummy_plan()).with_workload("tpch-q01"),
             Arc::default(),
+            SessionTerms::default(),
         );
         assert_eq!(labelled.workload(), "tpch-q01");
     }
@@ -871,6 +869,7 @@ mod tests {
             SessionId(7),
             QuerySpec::new("q", dummy_plan()),
             Arc::default(),
+            SessionTerms::default(),
         );
         h.publish(&DmvSnapshot {
             ts_ns: 1,
@@ -928,6 +927,7 @@ mod tests {
             SessionId(0),
             QuerySpec::new("q", dummy_plan()),
             Arc::default(),
+            SessionTerms::default(),
         ));
         let poisoner = Arc::clone(&h);
         let panicked = std::thread::spawn(move || {
@@ -963,6 +963,7 @@ mod tests {
                 SessionId(id),
                 QuerySpec::new("q", dummy_plan()),
                 Arc::clone(&gauge),
+                SessionTerms::default(),
             )
         };
         let a = mk(0);
@@ -1013,7 +1014,7 @@ mod tests {
             SessionState::Cancelled => aborted(AbortReason::Cancelled),
             SessionState::DeadlineExceeded => aborted(AbortReason::DeadlineExceeded),
             SessionState::Failed => SessionResult::Failed("boom".into()),
-            SessionState::Rejected => SessionResult::Rejected,
+            SessionState::Rejected => SessionResult::Rejected { reason: None },
             SessionState::Orphaned => SessionResult::Orphaned,
             SessionState::Queued | SessionState::Running => unreachable!("not an outcome"),
         }
@@ -1091,19 +1092,22 @@ mod tests {
                 // decrement shows as a delta rather than a wrap.
                 let gauge = Arc::new(RunningGauge::default());
                 let pool = Arc::new(CostAdmission::holding(BYSTANDER + ADMITTED));
-                let handle = || {
+                let handle = |terms| {
                     SessionHandle::new(
                         SessionId(0),
                         QuerySpec::new("q", dummy_plan()),
                         Arc::clone(&gauge),
+                        terms,
                     )
                 };
-                handle().start().unwrap();
-                let h = handle();
-                h.attach_cost(SessionCost {
-                    admission: Arc::clone(&pool),
-                    prediction: None,
-                    admitted_cpu_ns: ADMITTED,
+                handle(SessionTerms::default()).start().unwrap();
+                let h = handle(SessionTerms {
+                    cost: Some(SessionCost {
+                        admission: Arc::clone(&pool),
+                        prediction: None,
+                        admitted_cpu_ns: ADMITTED,
+                    }),
+                    ..SessionTerms::default()
                 });
                 for &s in &setup {
                     apply(&h, s).unwrap();
@@ -1168,6 +1172,7 @@ mod tests {
             SessionId(0),
             QuerySpec::new("q", dummy_plan()),
             Arc::default(),
+            SessionTerms::default(),
         );
         h.start().unwrap();
         h.finish(outcome(SessionState::Succeeded)).unwrap();

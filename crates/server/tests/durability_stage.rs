@@ -270,3 +270,36 @@ fn unjournaled_and_never_fsync_sessions_take_the_same_path() {
         .all(|s| s.terminal.is_some() && s.clean_shutdown));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Racing submitters take their ids before opening their journals and
+/// register after, so they can arrive out of id order; the registry still
+/// lists every session in id order.
+#[test]
+fn racing_submitters_leave_sessions_in_id_order() {
+    let dir = tmpdir("id-order");
+    let db = Arc::new(orders_db(300));
+    let plan = scan_sort_plan(&db);
+    let journal = Journal::open(JournalConfig::new(&dir)).expect("open journal");
+    let service = QueryService::new(Arc::clone(&db), 2).with_journal(journal);
+    let barrier = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            let (service, plan, barrier) = (&service, &plan, &barrier);
+            s.spawn(move || {
+                barrier.wait();
+                for i in 0..8 {
+                    service.submit(QuerySpec::new(format!("t{t}-{i}"), Arc::clone(plan)));
+                }
+            });
+        }
+    });
+    service.wait_all();
+    let ids: Vec<u64> = service
+        .registry()
+        .sessions()
+        .iter()
+        .map(|h| h.id().0)
+        .collect();
+    assert_eq!(ids, (0..32).collect::<Vec<_>>());
+    service.shutdown();
+}

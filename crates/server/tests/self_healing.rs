@@ -292,6 +292,53 @@ fn brownout_sheds_expired_queue_waits_with_reason() {
     );
 }
 
+/// A session shed with a reason keeps it across a restart: the reason is
+/// journaled on the terminal record, and recovery reads it back.
+#[test]
+fn recovery_restores_a_shed_sessions_reason() {
+    let dir = tmpdir("shed-reason");
+    let db = Arc::new(orders_db(6000));
+    let plan = scan_sort_plan(&db);
+    let journal = Journal::open(JournalConfig::new(&dir)).expect("open journal");
+    let service = QueryService::new(Arc::clone(&db), 1)
+        .with_journal(journal)
+        .with_brownout(BrownoutConfig {
+            queue_high: usize::MAX,
+            queue_deadline: Some(Duration::ZERO),
+            ..BrownoutConfig::default()
+        });
+    let handles: Vec<_> = (0..3)
+        .map(|i| service.submit(QuerySpec::new(format!("shed-{i}"), Arc::clone(&plan))))
+        .collect();
+    service.wait_all();
+    let shed: Vec<(String, String)> = handles
+        .iter()
+        .map(|h| {
+            let reason = h.reject_reason().expect("shed sessions carry a reason");
+            (h.name().to_owned(), reason.to_string())
+        })
+        .collect();
+    service.shutdown();
+
+    let registry = SessionRegistry::new();
+    let resolve_plan = Arc::clone(&plan);
+    let report = RecoveryManager::new(move |_: &SessionMeta| Some(Arc::clone(&resolve_plan)))
+        .recover(&dir, &registry)
+        .expect("recovery scan");
+    assert_eq!(report.restored(), shed.len());
+    for (name, reason) in &shed {
+        let h = (registry.sessions().into_iter())
+            .find(|h| h.name() == name)
+            .expect("recovered handle");
+        assert_eq!(h.state(), SessionState::Rejected);
+        assert_eq!(
+            h.reject_reason().map(|r| r.to_string()).as_ref(),
+            Some(reason),
+            "{name}: the journaled reason must survive recovery"
+        );
+    }
+}
+
 #[test]
 fn brownout_widens_snapshot_cadence_under_sustained_overload() {
     let db = Arc::new(orders_db(6000));
