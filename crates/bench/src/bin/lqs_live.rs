@@ -187,30 +187,35 @@ fn describe(s: &RecoveredSession) -> String {
 /// Guard shared by `--journal` and `--fleet`: a missing, non-directory,
 /// unreadable, or session-less journal directory is a hard error with a
 /// clear message and non-zero exit — never an empty-but-plausible view.
-fn scan_journal_dir_or_exit(dir: &str) -> lqs::journal::JournalScan {
+/// `read` reads the directory; `sessions` counts what it found.
+fn read_journal_dir_or_exit<T>(
+    dir: &str,
+    read: impl FnOnce(&std::path::Path) -> std::io::Result<T>,
+    sessions: impl FnOnce(&T) -> usize,
+) -> T {
     let path = std::path::Path::new(dir);
     if !path.is_dir() {
         eprintln!("lqs_live: journal directory {dir} does not exist (or is not a directory)");
         std::process::exit(1);
     }
-    let scan = match scan_dir(path) {
-        Ok(s) => s,
+    let read = match read(path) {
+        Ok(r) => r,
         Err(e) => {
             eprintln!("lqs_live: cannot scan journal dir {dir}: {e}");
             std::process::exit(1);
         }
     };
-    if scan.sessions.is_empty() {
+    if sessions(&read) == 0 {
         eprintln!("lqs_live: no journaled sessions in {dir}");
         std::process::exit(1);
     }
-    scan
+    read
 }
 
 /// `--journal DIR`: read a crash-recovery journal and replay one session's
 /// snapshot stream through the terminal UI, no execution.
 fn replay_journal(dir: &str, query: &str, frames: usize, scale: WorkloadScale) {
-    let scan = scan_journal_dir_or_exit(dir);
+    let scan = read_journal_dir_or_exit(dir, scan_dir, |scan| scan.sessions.len());
     eprintln!(
         "lqs_live: {} journaled session(s) in {dir}:",
         scan.sessions.len()
@@ -324,10 +329,9 @@ fn replay_journal(dir: &str, query: &str, frames: usize, scale: WorkloadScale) {
 /// `--fleet DIR`: render the whole journal directory as the fleet
 /// analytics view — sessions, per-workload percentiles, slowest nodes.
 fn fleet_view(dir: &str, scale: WorkloadScale) {
-    use lqs::history::{history_from_scan, HistoryResolver, ResolvedPlan};
+    use lqs::history::{scan_history, HistoryResolver, ResolvedPlan};
     use std::sync::Arc;
 
-    let scan = scan_journal_dir_or_exit(dir);
     // Rebuild the standard workloads so sessions resolve to plans
     // (operator names, ErrorAvg/ErrorTime); unresolvable sessions still
     // get journal-pure curves and attribution.
@@ -350,7 +354,11 @@ fn fleet_view(dir: &str, scale: WorkloadScale) {
                 })
         })
     };
-    let fleet = history_from_scan(&scan, Some(&resolver as &dyn HistoryResolver));
+    let fleet = read_journal_dir_or_exit(
+        dir,
+        |path| scan_history(path, None, Some(&resolver as &dyn HistoryResolver)),
+        |fleet| fleet.sessions.len(),
+    );
 
     println!(
         "fleet history: {} session(s), {} corrupt record(s), {} swept mid-scan",

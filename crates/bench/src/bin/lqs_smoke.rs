@@ -39,7 +39,7 @@
 
 use lqs::chaos::PageGate;
 use lqs::history::{
-    history_from_scan, HistoryMetrics, HistoryResolver, HistoryStore, ResolvedPlan,
+    history_from_scan, scan_history, HistoryMetrics, HistoryResolver, HistoryStore, ResolvedPlan,
 };
 use lqs::journal::{plan_fingerprint, scan_dir, AlertKind, SessionMeta};
 use lqs::metrics::MetricsRegistry;
@@ -286,8 +286,8 @@ fn history(out: Option<&str>) {
         })
         .collect();
     let resolver = catalog_resolver(&fx.db, catalog);
-    let scan = scan_dir(&journal_dir).unwrap_or_else(|e| fail(&format!("scan failed: {e}")));
-    let fleet = history_from_scan(&scan, Some(&resolver as &dyn HistoryResolver));
+    let fleet = scan_history(&journal_dir, None, Some(&resolver as &dyn HistoryResolver))
+        .unwrap_or_else(|e| fail(&format!("scan failed: {e}")));
     if fleet.sessions.len() != 2 * plans.len() {
         fail(&format!(
             "scan found {} sessions, want {}",

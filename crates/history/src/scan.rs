@@ -6,13 +6,15 @@
 //! sessions' own virtual clocks — no wall clock, no live registry — so two
 //! scans of an unchanged directory produce identical values, and any
 //! serialization of them is byte-for-byte reproducible. Torn tails and
-//! concurrent retention sweeps are absorbed by `lqs_journal::scan_dir`
+//! concurrent retention sweeps are absorbed by `lqs_journal::walk_dir`
 //! (truncate-at-first-invalid-frame, swept-sessions-dropped); this layer
-//! never panics on hostile input either.
+//! never panics on hostile input either. A scan holds one session's
+//! snapshots at a time: each is read, windowed, folded into its
+//! [`SessionHistory`] and dropped before the next is read.
 
 use crate::store::{plan_features, PlanFeatures};
 use lqs_journal::{
-    list_sessions, read_session, scan_dir, JournalScan, RecoveredSession, SessionMeta,
+    list_sessions, read_session, walk_dir, JournalScan, RecoveredSession, SessionMeta,
 };
 use lqs_metrics::percentile;
 use lqs_plan::PhysicalPlan;
@@ -378,7 +380,7 @@ impl FleetHistory {
 /// runs the §5 accuracy replay (the dominant cost, one estimator pass per
 /// snapshot); without it `error_avg`/`error_time` are `None`.
 fn session_history(
-    session: &RecoveredSession,
+    session: RecoveredSession,
     resolver: Option<&dyn HistoryResolver>,
     score: bool,
 ) -> SessionHistory {
@@ -439,44 +441,14 @@ fn session_history(
         })
         .unwrap_or_default();
 
-    // §5 accuracy replay of the journaled run, bit-identical to the offline
-    // harness and the poller's online scoring. A run none of whose
-    // snapshots survived has nothing to score.
-    let scored = (resolved.as_ref())
-        .filter(|_| score && !session.snapshots.is_empty())
-        .and_then(|r| Some((r, session.completed_run()?)));
-    let (error_avg, error_time_v) = match scored {
-        Some((r, run)) => {
-            let est = ProgressEstimator::with_cost_model(
-                &r.plan,
-                &r.db,
-                EstimatorConfig::full(),
-                &run.cost_model,
-            );
-            let estimates = est.estimate_trace(&run.snapshots);
-            (
-                Some(error_count(&run, &estimates)),
-                Some(error_time(&run, &estimates)),
-            )
-        }
-        None => (None, None),
-    };
-
-    SessionHistory {
+    let meta = session.meta.as_ref();
+    let mut history = SessionHistory {
         epoch: session.epoch,
         session_id: session.session_id,
-        name: session
-            .meta
-            .as_ref()
-            .map(|m| m.name.clone())
-            .unwrap_or_default(),
-        workload: session
-            .meta
-            .as_ref()
-            .map(|m| m.workload.clone())
-            .unwrap_or_default(),
-        plan_fingerprint: session.meta.as_ref().map_or(0, |m| m.plan_fingerprint),
-        outcome: match (&session.meta, &session.terminal) {
+        name: meta.map(|m| m.name.clone()).unwrap_or_default(),
+        workload: meta.map(|m| m.workload.clone()).unwrap_or_default(),
+        plan_fingerprint: meta.map_or(0, |m| m.plan_fingerprint),
+        outcome: match (meta, &session.terminal) {
             (None, _) => "unreadable",
             (_, Some(t)) => t.kind.as_str(),
             (_, None) => "interrupted",
@@ -490,43 +462,69 @@ fn session_history(
         curve,
         nodes,
         features: resolved.as_ref().map(|r| plan_features(&r.plan)),
-        error_avg,
-        error_time: error_time_v,
+        error_avg: None,
+        error_time: None,
         estimator: session.estimator.as_ref().map(|e| e.selected.clone()),
+    };
+
+    // §5 accuracy replay of the journaled run, bit-identical to the offline
+    // harness and the poller's online scoring. A run none of whose
+    // snapshots survived has nothing to score.
+    let scored = resolved
+        .filter(|_| score && history.snapshots > 0)
+        .and_then(|r| Some((r, session.completed_run()?)));
+    if let Some((r, run)) = scored {
+        let est = ProgressEstimator::with_cost_model(
+            &r.plan,
+            &r.db,
+            EstimatorConfig::full(),
+            &run.cost_model,
+        );
+        let estimates = est.estimate_trace(&run.snapshots);
+        history.error_avg = Some(error_count(&run, &estimates));
+        history.error_time = Some(error_time(&run, &estimates));
     }
+    history
 }
 
-/// Materialize the fleet history of an already-performed journal scan.
+/// Materialize the fleet history of an already-performed journal scan:
+/// [`scan_history`]'s per-session step, over a clone of each session.
 pub fn history_from_scan(
     scan: &JournalScan,
     resolver: Option<&dyn HistoryResolver>,
 ) -> FleetHistory {
-    FleetHistory {
-        sessions: scan
-            .sessions
-            .iter()
-            .map(|s| session_history(s, resolver, true))
-            .collect(),
-        corrupt_records: scan.corrupt_records,
-        bytes_scanned: scan.bytes_scanned,
-        sessions_swept: scan.sessions_swept,
-    }
+    let sessions = scan.sessions.iter().cloned();
+    fleet(sessions.map(|s| session_history(s, resolver, true)), scan)
 }
 
 /// Scan a journal directory into a [`FleetHistory`], optionally windowed
 /// to sessions whose virtual-time activity intersects `[since_ns,
-/// until_ns]` and enriched through `resolver`. I/O errors on the directory
-/// itself propagate; corrupt or concurrently-deleted content never does.
+/// until_ns]` and enriched through `resolver`; the corruption, byte and
+/// sweep totals count every session, in the window or not. I/O errors on
+/// the directory itself propagate; corrupt or concurrently-deleted content
+/// never does.
 pub fn scan_history(
     dir: &Path,
     window: Option<(u64, u64)>,
     resolver: Option<&dyn HistoryResolver>,
 ) -> std::io::Result<FleetHistory> {
-    let mut scan = scan_dir(dir)?;
-    if let Some((since, until)) = window {
-        scan.retain_window(since, until);
+    let mut sessions = Vec::new();
+    let totals = walk_dir(dir, |session| {
+        if window.is_none_or(|(since, until)| session.overlaps_window(since, until)) {
+            sessions.push(session_history(session, resolver, true));
+        }
+    })?;
+    Ok(fleet(sessions, &totals))
+}
+
+/// The fleet of `sessions`, under the totals of the read that found them.
+fn fleet(sessions: impl IntoIterator<Item = SessionHistory>, totals: &JournalScan) -> FleetHistory {
+    FleetHistory {
+        sessions: sessions.into_iter().collect(),
+        corrupt_records: totals.corrupt_records,
+        bytes_scanned: totals.bytes_scanned,
+        sessions_swept: totals.sessions_swept,
     }
-    Ok(history_from_scan(&scan, resolver))
 }
 
 /// What [`scan_session_curve`] found and what finding it cost.
@@ -572,14 +570,13 @@ pub fn scan_session_curve(
         .rev()
         .filter(|l| l.session_id == session_id && epoch.is_none_or(|e| l.epoch == e));
     for candidate in candidates {
-        let read = read_session(candidate);
-        out.bytes_scanned += read.bytes_scanned;
+        let (session, bytes) = read_session(candidate);
+        out.bytes_scanned += bytes;
         out.sessions_read += 1;
-        let in_scan = read
-            .session
-            .filter(|s| window.is_none_or(|(since, until)| s.overlaps_window(since, until)));
+        let in_scan =
+            session.filter(|s| window.is_none_or(|(since, until)| s.overlaps_window(since, until)));
         if let Some(session) = in_scan {
-            out.session = Some(session_history(&session, resolver, false));
+            out.session = Some(session_history(session, resolver, false));
             break;
         }
     }

@@ -3,12 +3,15 @@
 //! scans select exactly the overlapping sessions, and scans racing a live
 //! retention sweep never panic and never double-count a session.
 
-use lqs_exec::{DmvSnapshot, NodeCounters};
-use lqs_history::scan_history;
+use lqs_exec::{execute, DmvSnapshot, ExecOptions, NodeCounters};
+use lqs_history::{scan_history, ResolvedPlan};
 use lqs_journal::record::{SessionMeta, TerminalKind, TerminalRecord};
-use lqs_journal::{FsyncPolicy, Journal, JournalConfig};
+use lqs_journal::{plan_fingerprint, FsyncPolicy, Journal, JournalConfig};
 use lqs_plan::CostModel;
+use lqs_workloads::real::{workload, RealProfile};
+use lqs_workloads::WorkloadScale;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lqs-history-{tag}-{}", std::process::id()));
@@ -235,5 +238,69 @@ fn scans_racing_retention_sweeps_never_panic_or_double_count() {
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
     assert_eq!(a.sessions.len(), 6, "only the newest epoch survives");
     assert!(a.sessions.iter().all(|s| s.epoch == 7));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_snapshot_of_the_wrong_width_truncates_instead_of_panicking_the_scan() {
+    // A REAL-1 session journaled with a meta whose `n_nodes` is the plan's
+    // length, and whose second snapshot is one node wide (a valid frame,
+    // CRC and all). Scored against the resolved plan, that snapshot would
+    // index past its end; the reader truncates the segment there instead.
+    let dir = tmpdir("width");
+    let scale = WorkloadScale {
+        data_scale: 0.05,
+        query_limit: 1,
+        seed: 42,
+    };
+    let real1 = workload(RealProfile::Real1, scale);
+    let db = Arc::new(real1.db);
+    let plan = Arc::new(real1.queries.into_iter().next().expect("one query").plan);
+    let opts = ExecOptions::default();
+    let run = execute(&db, &plan, &opts);
+    assert!(run.snapshots.len() >= 3 && plan.len() >= 2);
+
+    let journal =
+        Journal::open(JournalConfig::new(&dir).with_fsync(FsyncPolicy::Never)).expect("open");
+    let writer = journal
+        .writer(SessionMeta {
+            n_nodes: plan.len() as u32,
+            plan_fingerprint: plan_fingerprint(&plan),
+            cost_model: opts.cost_model.clone(),
+            ..meta(1, "real1-q000", "real1")
+        })
+        .expect("open session journal");
+    for (i, snapshot) in run.snapshots.iter().enumerate() {
+        let mut snapshot = snapshot.clone();
+        if i == 1 {
+            snapshot.nodes.truncate(1);
+        }
+        writer.append_snapshot(&snapshot);
+    }
+    writer.append_snapshot(&DmvSnapshot {
+        ts_ns: run.duration_ns,
+        nodes: run.final_counters.clone(),
+    });
+    writer.append_terminal(&TerminalRecord {
+        kind: TerminalKind::Succeeded,
+        at_ns: run.duration_ns,
+        rows_returned: run.rows_returned,
+        message: String::new(),
+    });
+    writer.flush();
+
+    let resolver = |_: &SessionMeta| {
+        Some(ResolvedPlan {
+            plan: Arc::clone(&plan),
+            db: Arc::clone(&db),
+        })
+    };
+    let fleet = scan_history(&dir, None, Some(&resolver)).expect("scan never errors");
+    assert_eq!(fleet.corrupt_records, 1);
+    let session = &fleet.sessions[0];
+    assert_eq!(session.snapshots, 1, "the valid prefix survives");
+    assert_eq!(session.corrupt_records, 1);
+    assert_eq!(session.outcome, "interrupted");
+    assert_eq!(session.nodes.len(), plan.len());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,11 +5,11 @@
 //! metadata, its terminal state, and a clean-shutdown sentinel are appended
 //! as length-prefixed, CRC32-checksummed records ([`record`]). Segment
 //! files rotate at a configurable size and a retention sweep bounds the
-//! directory's disk budget ([`writer`]). After a crash, [`reader::scan_dir`]
-//! reassembles every session's stream, truncating at the first torn or
-//! corrupt frame — recovery loses at most the unsynced tail, never a
-//! session — and the server's `RecoveryManager` rebuilds its registry from
-//! the scan so pollers and estimators re-attach to journaled runs
+//! directory's disk budget ([`writer`]). After a crash, [`reader::walk_dir`]
+//! reassembles each session's stream in turn, truncating at the first torn
+//! or corrupt frame — recovery loses at most the unsynced tail, never a
+//! session — and the server's `RecoveryManager` rebuilds its registry one
+//! session at a time so pollers and estimators re-attach to journaled runs
 //! bit-identically.
 //!
 //! Crash realism is a first-class test surface: [`WriteCrashPoint`] lets a
@@ -28,8 +28,7 @@ pub mod writer;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use metrics::JournalMetrics;
 pub use reader::{
-    list_sessions, read_session, scan_dir, JournalScan, RecoveredSession, SessionRead,
-    SessionSegments,
+    list_sessions, read_session, scan_dir, walk_dir, JournalScan, RecoveredSession, SessionSegments,
 };
 pub use record::{
     plan_fingerprint, AlertKind, AlertRecord, EstimatorRecord, JournalExecMode, Record,

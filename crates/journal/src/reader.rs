@@ -1,23 +1,26 @@
-//! The read side: scan a journal directory, reassemble every session's
+//! The read side: walk a journal directory, reassemble every session's
 //! record stream across its segments, and classify how each session ended.
 //!
 //! Reading comes in two pieces: [`list_sessions`] groups the directory's
 //! segment files by session from their names alone, and [`read_session`]
-//! reads one listed session. [`scan_dir`] is the two composed over every
-//! session; a caller that wants one session (the `/history` curve route)
-//! lists, picks, and reads only that one.
+//! reads one listed session. [`walk_dir`] is the two composed over every
+//! session, handing each on before reading the next, so a reader of the
+//! whole directory holds one session at a time; [`scan_dir`] collects it. A
+//! caller that wants one session (the `/history` curve route) lists, picks,
+//! and reads only that one.
 //!
 //! Corruption tolerance is absolute — [`read_session`] never panics and
 //! never returns a decode error. A session's stream is read frame by frame and
-//! truncated at the first invalid frame (torn length prefix, oversized
-//! length, CRC mismatch, undecodable payload); everything before it is
-//! kept, and each truncation tallies one corrupt record. Recovery built on
+//! truncated at the first invalid frame (another format version in the
+//! segment header, torn length prefix, oversized length, CRC mismatch,
+//! undecodable payload, a snapshot not `n_nodes` wide); everything before it
+//! is kept, and each truncation tallies one corrupt record. Recovery built on
 //! top therefore degrades: a torn tail costs the newest snapshots, never
 //! the session.
 
 use crate::record::{
     AlertRecord, EstimatorRecord, Record, SegmentHeader, SessionMeta, TerminalKind, TerminalRecord,
-    MAX_PAYLOAD_BYTES, SEGMENT_HEADER_BYTES,
+    FORMAT_VERSION, MAX_PAYLOAD_BYTES, SEGMENT_HEADER_BYTES,
 };
 use crate::writer::parse_segment_file_name;
 use lqs_exec::{DmvSnapshot, NodeCounters, QueryRun};
@@ -66,67 +69,54 @@ impl RecoveredSession {
     /// partial counters as the *last* snapshot record, and everything
     /// before it is the mid-run trace the engine recorded in
     /// `QueryRun::snapshots`. Returns `(terminal record, trace, terminal
-    /// publish)`. With no snapshot at all (`Failed` / `Rejected` publish
-    /// nothing) the terminal publish is an all-zero counter state, so
-    /// consumers still see one row per plan node. `None` without a meta or
-    /// a terminal record.
-    pub fn terminal_publish(&self) -> Option<(&TerminalRecord, &[DmvSnapshot], DmvSnapshot)> {
-        let (meta, terminal) = (self.meta.as_ref()?, self.terminal.as_ref()?);
-        Some(match self.snapshots.split_last() {
-            Some((last, trace)) => (terminal, trace, last.clone()),
-            None => (
-                terminal,
-                &[],
-                DmvSnapshot {
-                    ts_ns: terminal.at_ns,
-                    nodes: vec![NodeCounters::default(); meta.n_nodes as usize],
-                },
-            ),
-        })
+    /// publish)`, moving the trace out of the session. With no snapshot at
+    /// all (`Failed` / `Rejected` publish nothing) the terminal publish is
+    /// an all-zero counter state, so consumers still see one row per plan
+    /// node. `None` without a meta or a terminal record.
+    pub fn terminal_publish(self) -> Option<(TerminalRecord, Vec<DmvSnapshot>, DmvSnapshot)> {
+        let (meta, terminal) = (self.meta?, self.terminal?);
+        let mut trace = self.snapshots;
+        let last = trace.pop().unwrap_or_else(|| DmvSnapshot {
+            ts_ns: terminal.at_ns,
+            nodes: vec![NodeCounters::default(); meta.n_nodes as usize],
+        });
+        Some((terminal, trace, last))
     }
 
     /// The run a `Succeeded` session completed, rebuilt from its journal by
     /// [`terminal_publish`](Self::terminal_publish)'s rule — what recovery
     /// re-attaches and history replays, bit-identical to the uninterrupted
     /// run but for `node_elapsed_ns`, which is not journaled.
-    pub fn completed_run(&self) -> Option<QueryRun> {
-        let meta = self.meta.as_ref()?;
+    pub fn completed_run(self) -> Option<QueryRun> {
+        let cost_model = self.meta.as_ref()?.cost_model.clone();
         let (terminal, trace, last) = self.terminal_publish()?;
         (terminal.kind == TerminalKind::Succeeded).then(|| QueryRun {
-            snapshots: trace.to_vec(),
+            snapshots: trace,
             final_counters: last.nodes,
             duration_ns: terminal.at_ns,
             rows_returned: terminal.rows_returned,
-            cost_model: meta.cost_model.clone(),
+            cost_model,
             node_elapsed_ns: Vec::new(),
         })
     }
 
-    /// Virtual timestamp of the newest surviving snapshot.
-    pub(crate) fn last_ts_ns(&self) -> Option<u64> {
-        self.snapshots.last().map(|s| s.ts_ns)
-    }
-
-    /// Virtual timestamp of the oldest surviving snapshot (the start of
-    /// this session's observable activity window). 0 when nothing survived.
-    pub(crate) fn start_ts_ns(&self) -> u64 {
-        self.snapshots.first().map_or(0, |s| s.ts_ns)
-    }
-
     /// Virtual timestamp this session's activity ends at: the terminal
-    /// record's time when one reached disk, else the newest snapshot.
+    /// record's time when one reached disk, else the newest snapshot's.
     pub fn end_ts_ns(&self) -> u64 {
+        let last = self.snapshots.last().map(|s| s.ts_ns);
         self.terminal
             .as_ref()
             .map(|t| t.at_ns)
-            .or_else(|| self.last_ts_ns())
+            .or(last)
             .unwrap_or(0)
     }
 
-    /// Whether this session's `[start_ts_ns, end_ts_ns]` activity window
+    /// Whether this session's activity window — from its oldest surviving
+    /// snapshot (0 when none survived) to [`end_ts_ns`](Self::end_ts_ns) —
     /// intersects the closed window `[since_ns, until_ns]`.
     pub fn overlaps_window(&self, since_ns: u64, until_ns: u64) -> bool {
-        self.start_ts_ns() <= until_ns && self.end_ts_ns() >= since_ns
+        let start = self.snapshots.first().map_or(0, |s| s.ts_ns);
+        start <= until_ns && self.end_ts_ns() >= since_ns
     }
 }
 
@@ -145,17 +135,6 @@ pub struct JournalScan {
     pub sessions_swept: u64,
 }
 
-impl JournalScan {
-    /// Drop every session whose activity window does not intersect the
-    /// closed virtual-time window `[since_ns, until_ns]`. Journals carry
-    /// only virtual timestamps, so this is the windowing primitive for
-    /// history queries ("what ran between t₀ and t₁").
-    pub fn retain_window(&mut self, since_ns: u64, until_ns: u64) {
-        self.sessions
-            .retain(|s| s.overlaps_window(since_ns, until_ns));
-    }
-}
-
 /// One session's segment files, as found by [`list_sessions`]: names only,
 /// nothing opened or read yet.
 #[derive(Debug, Clone)]
@@ -166,18 +145,6 @@ pub struct SessionSegments {
     pub session_id: u64,
     /// Segment index -> path.
     pub(crate) segments: BTreeMap<u32, PathBuf>,
-}
-
-/// What [`read_session`] made of one listed session.
-#[derive(Debug, Clone)]
-pub struct SessionRead {
-    /// The recovered session; `None` when its files vanished before any of
-    /// it was read (a concurrent retention sweep deleted it between
-    /// directory listing and read). Not an error and not corruption — the
-    /// sweep won the race.
-    pub session: Option<RecoveredSession>,
-    /// Bytes read from this session's segments.
-    pub bytes_scanned: u64,
 }
 
 /// List the session journals under `dir` from file names alone, ordered by
@@ -209,8 +176,11 @@ pub fn list_sessions(dir: &Path) -> std::io::Result<Vec<SessionSegments>> {
 
 /// Read one listed session: walk its segment chain in order and fold every
 /// valid record straight into the [`RecoveredSession`]. Unreadable content
-/// never errors — it is tallied as corruption on the session.
-pub fn read_session(listed: &SessionSegments) -> SessionRead {
+/// never errors — it is tallied as corruption on the session. Returns the
+/// session and the bytes read; the session is `None` when its files
+/// vanished before any of it was read (a concurrent retention sweep won the
+/// race between listing and read — not an error and not corruption).
+pub fn read_session(listed: &SessionSegments) -> (Option<RecoveredSession>, u64) {
     let SessionSegments {
         epoch,
         session_id,
@@ -277,13 +247,12 @@ pub fn read_session(listed: &SessionSegments) -> SessionRead {
     // swept rather than as an empty (and apparently corrupt) session — a
     // scan racing retention must agree with a scan run after it.
     let gone = swept && recovered.meta.is_none() && recovered.snapshots.is_empty();
-    SessionRead {
-        session: (!gone).then_some(recovered),
-        bytes_scanned,
-    }
+    ((!gone).then_some(recovered), bytes_scanned)
 }
 
-fn fold_record(recovered: &mut RecoveredSession, record: Record) {
+/// Fold one record into the session; `false` rejects it as corrupt (a
+/// snapshot whose width is not the meta's `n_nodes`).
+fn fold_record(recovered: &mut RecoveredSession, record: Record) -> bool {
     match record {
         Record::Meta(m) => {
             // First meta wins; a duplicate would be a writer bug.
@@ -298,6 +267,12 @@ fn fold_record(recovered: &mut RecoveredSession, record: Record) {
             }
         }
         Record::Snapshot(s) => {
+            // Every consumer indexes a snapshot by plan node; only a lost
+            // meta leaves nothing to hold its width to.
+            let n_nodes = recovered.meta.as_ref().map(|m| m.n_nodes as usize);
+            if n_nodes.is_some_and(|n| n != s.nodes.len()) {
+                return false;
+            }
             // Snapshots after the terminal record would be a writer bug;
             // tolerate by ignoring them.
             if recovered.terminal.is_none() {
@@ -313,44 +288,56 @@ fn fold_record(recovered: &mut RecoveredSession, record: Record) {
         Record::Alert(a) => recovered.alerts.push(a),
         Record::Estimator(sel) => recovered.estimator = Some(sel),
     }
+    true
 }
 
 /// Read every session journal under `dir`: [`list_sessions`], then
-/// [`read_session`] on each. I/O errors on the directory itself propagate;
-/// unreadable *content* never does (it is tallied as corruption instead).
-pub fn scan_dir(dir: &Path) -> std::io::Result<JournalScan> {
-    let mut scan = JournalScan::default();
+/// [`read_session`] on each, handing each unswept session to `f` before
+/// reading the next. Returns the totals, `sessions` left empty. I/O errors
+/// on the directory itself propagate; unreadable *content* never does (it
+/// is tallied as corruption instead).
+pub fn walk_dir(dir: &Path, mut f: impl FnMut(RecoveredSession)) -> std::io::Result<JournalScan> {
+    let mut totals = JournalScan::default();
     for listed in list_sessions(dir)? {
-        let read = read_session(&listed);
-        scan.bytes_scanned += read.bytes_scanned;
-        match read.session {
+        let (session, bytes) = read_session(&listed);
+        totals.bytes_scanned += bytes;
+        match session {
             Some(session) => {
-                scan.corrupt_records += session.corrupt_records;
-                scan.sessions.push(session);
+                totals.corrupt_records += session.corrupt_records;
+                f(session);
             }
-            None => scan.sessions_swept += 1,
+            None => totals.sessions_swept += 1,
         }
     }
-    Ok(scan)
+    Ok(totals)
+}
+
+/// Every session journal under `dir` at once: [`walk_dir`], collected.
+pub fn scan_dir(dir: &Path) -> std::io::Result<JournalScan> {
+    let mut sessions = Vec::new();
+    let totals = walk_dir(dir, |session| sessions.push(session))?;
+    Ok(JournalScan { sessions, ..totals })
 }
 
 /// Decode one segment's bytes, handing each record to `sink` and stopping
-/// at the first invalid frame. Returns the corrupt-record count: 1 when the
-/// segment was truncated (the torn/invalid frame itself) or its header was
-/// unusable, else 0.
+/// at the first invalid frame or the first record `sink` rejects. Returns
+/// the corrupt-record count: 1 when the segment was truncated (the
+/// torn/invalid/rejected frame itself) or its header was unusable, else 0.
 fn read_segment(
     bytes: &[u8],
     epoch: u32,
     session_id: u64,
     segment: u32,
-    mut sink: impl FnMut(Record),
+    mut sink: impl FnMut(Record) -> bool,
 ) -> u64 {
     let Some(header) = SegmentHeader::decode(bytes) else {
         return 1;
     };
-    if header.epoch != epoch || header.session_id != session_id || header.segment != segment {
-        // Header intact but claims a different identity than its file name
-        // — a renamed or cross-linked file. Nothing in it is trustworthy.
+    let identity = (header.epoch, header.session_id, header.segment);
+    if header.version != FORMAT_VERSION || identity != (epoch, session_id, segment) {
+        // Header intact but written in another format, or claiming a
+        // different identity than its file name (a renamed or cross-linked
+        // file). Nothing in it is trustworthy.
         return 1;
     }
     let mut rest = &bytes[SEGMENT_HEADER_BYTES as usize..];
@@ -367,9 +354,9 @@ fn read_segment(
         if crate::record::crc32(payload) != crc {
             return 1; // bit rot or torn write inside the payload
         }
-        match Record::decode_payload(payload) {
-            Some(r) => sink(r),
-            None => return 1, // CRC-valid but undecodable
+        // CRC-valid but undecodable, or rejected by the session's fold.
+        if !Record::decode_payload(payload).is_some_and(&mut sink) {
+            return 1;
         }
         rest = &rest[8 + len..];
     }
@@ -377,11 +364,14 @@ fn read_segment(
 }
 
 /// Decode a standalone segment byte buffer (exposed for tests and offline
-/// tooling); same truncation semantics as [`scan_dir`].
+/// tooling); same frame truncation semantics as [`scan_dir`].
 pub fn read_segment_bytes(bytes: &[u8]) -> (Vec<Record>, u64) {
     let mut records = Vec::new();
     let corrupt = match SegmentHeader::decode(bytes) {
-        Some(h) => read_segment(bytes, h.epoch, h.session_id, h.segment, |r| records.push(r)),
+        Some(h) => read_segment(bytes, h.epoch, h.session_id, h.segment, |r| {
+            records.push(r);
+            true
+        }),
         None => 1,
     };
     (records, corrupt)

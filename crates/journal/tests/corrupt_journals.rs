@@ -180,3 +180,46 @@ fn on_disk_tail_corruption_is_tallied_by_scan() {
     assert!(s.is_interrupted());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_segment_of_another_format_version_is_one_corrupt_record() {
+    let dir = std::env::temp_dir().join(format!("lqs-journal-version-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = JournalConfig::new(&dir)
+        .with_fsync(FsyncPolicy::Never)
+        .with_segment_max_bytes(1200);
+    let journal = Journal::open(config).unwrap();
+    let w = journal.writer(meta()).unwrap();
+    for i in 0..10 {
+        w.append_snapshot(&snap(i));
+    }
+    w.flush();
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    assert_eq!(
+        files.len(),
+        2,
+        "one rotation: segments 0 and 1, got {files:?}"
+    );
+    let (first, corrupt) = read_segment_bytes(&std::fs::read(&files[0]).unwrap());
+    assert_eq!(corrupt, 0);
+    let kept = first
+        .iter()
+        .filter(|r| matches!(r, Record::Snapshot(_)))
+        .count();
+    assert!(kept < 10, "segment 1 holds snapshots too");
+
+    // Restamp segment 1 as format version 2 (the `u16` after the magic);
+    // every frame behind the header stays CRC-valid.
+    let mut bytes = std::fs::read(&files[1]).unwrap();
+    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+    std::fs::write(&files[1], &bytes).unwrap();
+
+    let scan = scan_dir(&dir).unwrap();
+    assert_eq!(scan.corrupt_records, 1);
+    assert_eq!(scan.sessions[0].snapshots.len(), kept);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,8 +1,8 @@
 //! Crash recovery: rebuild a [`SessionRegistry`] from the snapshot journal
 //! a previous service incarnation left behind.
 //!
-//! On startup, [`RecoveryManager::recover`] scans the journal directory and
-//! classifies every journaled session:
+//! On startup, [`RecoveryManager::recover`] walks the journal directory,
+//! holding one session at a time, and classifies each as soon as it is read:
 //!
 //! * **Terminal record present** — the session finished before the process
 //!   died (or exited cleanly). Its result is restored faithfully: a
@@ -28,9 +28,9 @@ use crate::registry::SessionRegistry;
 use crate::session::{
     QuerySpec, SessionHandle, SessionId, SessionResult, SessionState, SessionTerms,
 };
-use lqs_exec::{AbortReason, AbortedQuery, ExecOptions};
+use lqs_exec::{AbortReason, AbortedQuery, DmvSnapshot, ExecOptions};
 use lqs_journal::{
-    plan_fingerprint, scan_dir, JournalMetrics, JournalScan, RecoveredSession, SessionMeta,
+    plan_fingerprint, walk_dir, JournalMetrics, JournalScan, RecoveredSession, SessionMeta,
     TerminalKind,
 };
 use lqs_plan::PhysicalPlan;
@@ -170,34 +170,41 @@ impl RecoveryManager {
         &self.metrics
     }
 
-    /// Scan `dir` and register every recoverable session into `registry`.
-    /// I/O errors on the directory propagate; corrupt content never does.
+    /// Walk `dir` and register every recoverable session into `registry`,
+    /// each as soon as it is read. I/O errors on the directory propagate;
+    /// corrupt content never does.
     pub fn recover(
         &self,
         dir: &Path,
         registry: &SessionRegistry,
     ) -> std::io::Result<RecoveryReport> {
-        Ok(self.recover_scan(&scan_dir(dir)?, registry))
+        let mut sessions = Vec::new();
+        let totals = walk_dir(dir, |s| sessions.push(self.recover_session(s, registry)))?;
+        Ok(self.report(sessions, totals.corrupt_records))
     }
 
-    /// Register every recoverable session of an already-performed scan.
+    /// Register every recoverable session of an already-performed scan,
+    /// each through the same step as [`recover`](Self::recover), cloned.
     pub fn recover_scan(&self, scan: &JournalScan, registry: &SessionRegistry) -> RecoveryReport {
-        self.metrics.add_corrupt_records(scan.corrupt_records);
-        let mut report = RecoveryReport {
-            sessions: Vec::with_capacity(scan.sessions.len()),
-            corrupt_records: scan.corrupt_records,
-        };
-        for session in &scan.sessions {
-            let summary = self.recover_session(session, registry);
+        let recover = |s: &RecoveredSession| self.recover_session(s.clone(), registry);
+        let sessions = scan.sessions.iter().map(recover).collect();
+        self.report(sessions, scan.corrupt_records)
+    }
+
+    fn report(&self, sessions: Vec<RecoveredSessionSummary>, corrupt: u64) -> RecoveryReport {
+        self.metrics.add_corrupt_records(corrupt);
+        for summary in &sessions {
             self.metrics.session_recovered(summary.outcome.label());
-            report.sessions.push(summary);
         }
-        report
+        RecoveryReport {
+            sessions,
+            corrupt_records: corrupt,
+        }
     }
 
     fn recover_session(
         &self,
-        session: &RecoveredSession,
+        session: RecoveredSession,
         registry: &SessionRegistry,
     ) -> RecoveredSessionSummary {
         let mut summary = RecoveredSessionSummary {
@@ -243,42 +250,48 @@ impl RecoveryManager {
     }
 }
 
-/// Install a journaled session's state into a freshly registered handle.
-fn restore_handle(handle: &SessionHandle, session: &RecoveredSession) -> RecoveredOutcome {
-    let Some((terminal, trace, last)) = session.terminal_publish() else {
+/// Install a journaled session's state into a freshly registered handle,
+/// moving its trace into the restored result.
+fn restore_handle(handle: &SessionHandle, mut session: RecoveredSession) -> RecoveredOutcome {
+    let Some(terminal) = session.terminal.clone() else {
         // Died mid-run: the last journaled snapshot is the session's
         // last-known progress; pollers estimate from it at Degraded.
-        handle.restore(session.snapshots.last().cloned(), SessionResult::Orphaned);
+        handle.restore(session.snapshots.pop(), SessionResult::Orphaned);
         return RecoveredOutcome::Orphaned;
     };
-    let aborted = |reason| {
-        SessionResult::Aborted(Arc::new(AbortedQuery {
+    // `fail` publishes nothing, so whatever snapshot is last in the journal
+    // is a genuine mid-run publish — keep it visible.
+    let published = session.snapshots.last().cloned();
+    let aborted = |session: RecoveredSession, reason| {
+        let (terminal, snapshots, last) = session.terminal_publish()?;
+        let aborted = AbortedQuery {
             reason,
             at_ns: terminal.at_ns,
-            snapshots: trace.to_vec(),
+            snapshots,
             partial_counters: last.nodes.clone(),
-        }))
+        };
+        Some((SessionResult::Aborted(Arc::new(aborted)), Some(last)))
     };
-    let (result, snapshot) = match (session.completed_run(), terminal.kind) {
-        (Some(run), _) => (SessionResult::Completed(Arc::new(run)), Some(last)),
-        (None, TerminalKind::Cancelled) => (aborted(AbortReason::Cancelled), Some(last)),
-        (None, TerminalKind::DeadlineExceeded) => {
-            (aborted(AbortReason::DeadlineExceeded), Some(last))
+    let restored = match terminal.kind {
+        TerminalKind::Failed => Some((SessionResult::Failed(terminal.message), published)),
+        TerminalKind::Rejected => {
+            let reason = Some(terminal.message).filter(|m| !m.is_empty());
+            Some((SessionResult::Rejected { reason }, None))
         }
-        (None, TerminalKind::Failed) => (
-            SessionResult::Failed(terminal.message.clone()),
-            // `fail` publishes nothing, so whatever snapshot is last in the
-            // journal is a genuine mid-run publish — keep it visible.
-            session.snapshots.last().cloned(),
-        ),
-        (None, TerminalKind::Rejected) => {
-            let reason = Some(terminal.message.clone()).filter(|m| !m.is_empty());
-            (SessionResult::Rejected { reason }, None)
-        }
-        // Not reached: `completed_run` answers every `Succeeded` record that
-        // `terminal_publish` accepts. A run that is gone is an orphan.
-        (None, TerminalKind::Succeeded) => (SessionResult::Orphaned, Some(last)),
+        TerminalKind::Succeeded => session.completed_run().map(|run| {
+            // With nothing journaled, the terminal publish is the all-zero
+            // state the run was rebuilt with.
+            let last = published.unwrap_or_else(|| DmvSnapshot {
+                ts_ns: run.duration_ns,
+                nodes: run.final_counters.clone(),
+            });
+            (SessionResult::Completed(Arc::new(run)), Some(last))
+        }),
+        TerminalKind::Cancelled => aborted(session, AbortReason::Cancelled),
+        TerminalKind::DeadlineExceeded => aborted(session, AbortReason::DeadlineExceeded),
     };
+    // `None` is not reached: the caller only restores a session with a meta.
+    let (result, snapshot) = restored.unwrap_or((SessionResult::Orphaned, None));
     let state = result.state();
     handle.restore(snapshot, result);
     RecoveredOutcome::Restored(state)
