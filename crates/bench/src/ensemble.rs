@@ -63,8 +63,6 @@ pub(crate) fn ensemble_errors(
         if run.snapshots.is_empty() {
             continue;
         }
-        // Same cost-model discipline as `estimator_for_run`: the members'
-        // §4.6 weights must come from the model the run was charged under.
         let ens = EnsembleEstimator::build(&q.plan, &workload.db, &run.cost_model, config.clone());
         if member_ids.is_empty() {
             member_ids = ens.members().map(|m| m.id().to_string()).collect();

@@ -1,9 +1,11 @@
 //! Workload-level experiment drivers: run every query of a workload under a
 //! set of estimator configurations and aggregate the paper's error metrics.
 
-use crate::run::{estimates_only, estimator_for_run, run_query, trace_estimator};
+use crate::run::{estimates_only, run_query};
 use lqs::exec::ExecOptions;
-use lqs::progress::{error_count, error_time, EstimatorConfig, PerOperatorError};
+use lqs::progress::{
+    error_count, error_time, EstimatorConfig, PerOperatorError, ProgressEstimator,
+};
 use lqs::workloads::Workload;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -106,14 +108,16 @@ pub fn per_operator_errors(
             continue;
         }
         for (i, spec) in configs.iter().enumerate() {
-            let trace = trace_estimator(&q.plan, &workload.db, &run, spec.config.clone());
-            // The statics fed to the accumulators must come from the same
-            // cost model the run was charged under (the PR 1 bug class:
-            // `ProgressEstimator::new` hard-codes the default model here).
-            let est = estimator_for_run(&q.plan, &workload.db, &run, spec.config.clone());
+            let est = ProgressEstimator::with_cost_model(
+                &q.plan,
+                &workload.db,
+                spec.config.clone(),
+                &run.cost_model,
+            );
+            let reports: Vec<_> = run.snapshots.iter().map(|s| est.estimate(s)).collect();
             match metric {
-                Metric::Count => accs[i].add_count_errors(est.statics(), &run, &trace.reports),
-                Metric::Time => accs[i].add_time_errors(est.statics(), &run, &trace.reports),
+                Metric::Count => accs[i].add_count_errors(est.statics(), &run, &reports),
+                Metric::Time => accs[i].add_time_errors(est.statics(), &run, &reports),
             }
         }
     }

@@ -31,21 +31,6 @@ pub fn run_query(db: &Database, plan: &PhysicalPlan, opts: &ExecOptions) -> Quer
     execute(db, plan, opts)
 }
 
-/// Build the estimator for replaying `run` — always with the *run's* cost
-/// model, never `CostModel::default()`. Every harness path that pairs an
-/// estimator with an executed run must go through here: constructing via
-/// [`ProgressEstimator::new`] silently bakes in default-model §4.6 weights
-/// and time baselines, which diverge from the observed counters whenever
-/// the run used a custom [`ExecOptions::cost_model`].
-pub fn estimator_for_run(
-    plan: &PhysicalPlan,
-    db: &Database,
-    run: &QueryRun,
-    config: EstimatorConfig,
-) -> ProgressEstimator {
-    ProgressEstimator::with_cost_model(plan, db, config, &run.cost_model)
-}
-
 /// Replay a run's snapshots through an estimator configuration.
 ///
 /// The estimator's §4.6 weights use the *run's* cost model, not the default
@@ -57,18 +42,20 @@ pub fn trace_estimator(
     run: &QueryRun,
     config: EstimatorConfig,
 ) -> EstimatorTrace {
-    let est = estimator_for_run(plan, db, run, config);
+    let est = ProgressEstimator::with_cost_model(plan, db, config, &run.cost_model);
     let reports: Vec<ProgressReport> = run.snapshots.iter().map(|s| est.estimate(s)).collect();
     let estimates = reports.iter().map(|r| r.query_progress).collect();
     EstimatorTrace { estimates, reports }
 }
 
-/// Convenience: query-progress estimates only (no report is built).
+/// Convenience: query-progress estimates only (no report is built), under
+/// the run's cost model like [`trace_estimator`].
 pub fn estimates_only(
     plan: &PhysicalPlan,
     db: &Database,
     run: &QueryRun,
     config: EstimatorConfig,
 ) -> Vec<f64> {
-    estimator_for_run(plan, db, run, config).estimate_trace(&run.snapshots)
+    ProgressEstimator::with_cost_model(plan, db, config, &run.cost_model)
+        .estimate_trace(&run.snapshots)
 }

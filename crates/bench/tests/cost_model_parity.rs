@@ -8,7 +8,7 @@ use lqs::progress::{EstimatorConfig, ProgressEstimator};
 use lqs::storage::{Column, DataType, Database, Schema, Table, Value};
 use lqs::workloads::{NamedQuery, Workload};
 use lqs_bench::experiment::{per_operator_errors, workload_errors, ConfigSpec, Metric};
-use lqs_bench::run::{estimator_for_run, run_query};
+use lqs_bench::run::{estimates_only, run_query};
 
 /// An I/O-heavy cost model far from the default (io_page_ns 40_000).
 fn weird_cost_model() -> CostModel {
@@ -45,11 +45,11 @@ fn tiny_workload() -> Workload {
     }
 }
 
-/// The estimator the harness pairs with a run must carry the run's cost
-/// model. Fails on the pre-fix code path (`ProgressEstimator::new`), whose
-/// statics bake in default-model weights.
+/// The harness's estimate-only replay must use the run's cost model: its
+/// estimates equal an estimator built with that model and differ from one
+/// built with the default model.
 #[test]
-fn estimator_for_run_uses_the_runs_cost_model() {
+fn estimates_only_uses_the_runs_cost_model() {
     let w = tiny_workload();
     let q = &w.queries[0];
     let opts = lqs::exec::ExecOptions {
@@ -59,22 +59,16 @@ fn estimator_for_run_uses_the_runs_cost_model() {
     let run = run_query(&w.db, &q.plan, &opts);
     assert_eq!(run.cost_model.io_page_ns, weird_cost_model().io_page_ns);
 
-    let harness_est = estimator_for_run(&q.plan, &w.db, &run, EstimatorConfig::full());
-    let matched = ProgressEstimator::with_cost_model(
-        &q.plan,
-        &w.db,
-        EstimatorConfig::full(),
-        &run.cost_model,
-    );
-    let defaulted = ProgressEstimator::new(&q.plan, &w.db, EstimatorConfig::full());
-
-    let weights = |e: &ProgressEstimator| -> Vec<f64> {
-        e.statics().nodes.iter().map(|n| n.weight).collect()
+    let replayed = estimates_only(&q.plan, &w.db, &run, EstimatorConfig::full());
+    let under = |cost: &CostModel| {
+        ProgressEstimator::with_cost_model(&q.plan, &w.db, EstimatorConfig::full(), cost)
+            .estimate_trace(&run.snapshots)
     };
-    assert_eq!(weights(&harness_est), weights(&matched));
-    // Sanity: under an I/O-heavy model the weights genuinely differ, so the
-    // equality above is not vacuous.
-    assert_ne!(weights(&harness_est), weights(&defaulted));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&replayed), bits(&under(&run.cost_model)));
+    // Sanity: under an I/O-heavy model the estimates genuinely differ, so
+    // the equality above is not vacuous.
+    assert_ne!(bits(&replayed), bits(&under(&CostModel::default())));
 }
 
 /// End-to-end: the experiment drivers run cleanly under a non-default cost

@@ -99,7 +99,8 @@ fn replay_uses_the_runs_cost_model() {
         cfg.clone(),
         &opts.cost_model,
     );
-    let wrong = lqs::progress::ProgressEstimator::new(&plan, &db, cfg);
+    let wrong =
+        lqs::progress::ProgressEstimator::with_cost_model(&plan, &db, cfg, &CostModel::default());
 
     let mut diverged = false;
     for (s, est) in run.snapshots.iter().zip(&traced.estimates) {

@@ -338,8 +338,6 @@ pub fn run_overload_soak(cfg: &OverloadSoakConfig) -> SoakReport {
             ServerConfig {
                 journal: Some(journal_arc),
                 ingress: IngressConfig {
-                    workers: 4,
-                    backlog: 8,
                     head_deadline: Duration::from_millis(300),
                     ..IngressConfig::default()
                 },

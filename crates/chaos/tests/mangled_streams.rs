@@ -56,9 +56,14 @@ fn ctx() -> &'static Ctx {
             ts_ns: run.duration_ns,
             nodes: run.final_counters.clone(),
         };
-        let fault_free_final = ProgressEstimator::new(&plan, &db, EstimatorConfig::full())
-            .estimate(&final_snap)
-            .query_progress;
+        let fault_free_final = ProgressEstimator::with_cost_model(
+            &plan,
+            &db,
+            EstimatorConfig::full(),
+            &run.cost_model,
+        )
+        .estimate(&final_snap)
+        .query_progress;
         Ctx {
             db,
             plan,
@@ -93,7 +98,7 @@ proptest! {
         let mangled = mangle_stream(&ctx.run.snapshots, &faults, seed);
 
         let mut guard = GuardedEstimator::new(EnsembleEstimator::single(
-            ProgressEstimator::new(&ctx.plan, &ctx.db, EstimatorConfig::full()),
+            ProgressEstimator::with_cost_model(&ctx.plan, &ctx.db, EstimatorConfig::full(), &ctx.run.cost_model),
         ));
         for s in &mangled {
             let r = guard.observe(s);

@@ -43,7 +43,7 @@
 //! let run = execute(&db, &plan, &ExecOptions::default());
 //!
 //! // 4. Replay the snapshots through the progress estimator.
-//! let estimator = ProgressEstimator::new(&plan, &db, EstimatorConfig::full());
+//! let estimator = ProgressEstimator::with_cost_model(&plan, &db, EstimatorConfig::full(), &run.cost_model);
 //! let mid = &run.snapshots[run.snapshots.len() / 2];
 //! let report = estimator.estimate(mid);
 //! assert!(report.query_progress > 0.0 && report.query_progress <= 1.0);

@@ -6,7 +6,7 @@
 use lqs_exec::{execute, DmvSnapshot, ExecOptions, NodeCounters};
 use lqs_history::{scan_history, ResolvedPlan};
 use lqs_journal::record::{SessionMeta, TerminalKind, TerminalRecord};
-use lqs_journal::{plan_fingerprint, FsyncPolicy, Journal, JournalConfig};
+use lqs_journal::{plan_fingerprint, Journal, JournalConfig};
 use lqs_plan::CostModel;
 use lqs_workloads::real::{workload, RealProfile};
 use lqs_workloads::WorkloadScale;
@@ -86,8 +86,7 @@ fn write_session(
 #[test]
 fn two_scans_of_unchanged_dir_render_identically() {
     let dir = tmpdir("unchanged");
-    let journal =
-        Journal::open(JournalConfig::new(&dir).with_fsync(FsyncPolicy::Never)).expect("open");
+    let journal = Journal::open(JournalConfig::new(&dir)).expect("open");
     write_session(&journal, 1, "oltp", 0, 20, Some(TerminalKind::Succeeded));
     write_session(
         &journal,
@@ -145,8 +144,7 @@ fn two_scans_of_unchanged_dir_render_identically() {
 #[test]
 fn windowed_scan_selects_overlapping_sessions() {
     let dir = tmpdir("window");
-    let journal =
-        Journal::open(JournalConfig::new(&dir).with_fsync(FsyncPolicy::Never)).expect("open");
+    let journal = Journal::open(JournalConfig::new(&dir)).expect("open");
     // Session 1 lives on [1_000, 10_000], session 2 on [101_000, 120_000].
     write_session(&journal, 1, "w", 0, 10, Some(TerminalKind::Succeeded));
     write_session(&journal, 2, "w", 100_000, 20, Some(TerminalKind::Succeeded));
@@ -208,12 +206,8 @@ fn scans_racing_retention_sweeps_never_panic_or_double_count() {
     // prior epoch away (1-byte retention budget), deleting files out from
     // under any in-flight scan.
     for epoch in 0..8u64 {
-        let journal = Journal::open(
-            JournalConfig::new(&dir)
-                .with_fsync(FsyncPolicy::Never)
-                .with_retention_max_bytes(1),
-        )
-        .expect("open epoch journal");
+        let journal = Journal::open(JournalConfig::new(&dir).with_retention_max_bytes(1))
+            .expect("open epoch journal");
         for id in 0..6 {
             write_session(
                 &journal,
@@ -260,8 +254,7 @@ fn a_snapshot_of_the_wrong_width_truncates_instead_of_panicking_the_scan() {
     let run = execute(&db, &plan, &opts);
     assert!(run.snapshots.len() >= 3 && plan.len() >= 2);
 
-    let journal =
-        Journal::open(JournalConfig::new(&dir).with_fsync(FsyncPolicy::Never)).expect("open");
+    let journal = Journal::open(JournalConfig::new(&dir)).expect("open");
     let writer = journal
         .writer(SessionMeta {
             n_nodes: plan.len() as u32,

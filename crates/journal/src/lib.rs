@@ -35,6 +35,6 @@ pub use record::{
     SegmentHeader, SessionMeta, TerminalKind, TerminalRecord, FORMAT_VERSION, SEGMENT_HEADER_BYTES,
 };
 pub use writer::{
-    parse_segment_file_name, FsyncPolicy, Journal, JournalConfig, JournalFaultInjector,
-    RetentionSweep, SessionJournal, WriteCrashPoint,
+    parse_segment_file_name, Journal, JournalConfig, JournalFaultInjector, RetentionSweep,
+    SessionJournal, WriteCrashPoint,
 };

@@ -342,23 +342,25 @@ fn read_segment(
     }
     let mut rest = &bytes[SEGMENT_HEADER_BYTES as usize..];
     while !rest.is_empty() {
-        if rest.len() < 8 {
+        let Some((len, after_len)) = rest.split_first_chunk() else {
             return 1; // torn frame header
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if len > MAX_PAYLOAD_BYTES as usize || rest.len() < 8 + len {
+        };
+        let Some((crc, body)) = after_len.split_first_chunk() else {
+            return 1; // torn frame header
+        };
+        let len = u32::from_le_bytes(*len) as usize;
+        if len > MAX_PAYLOAD_BYTES as usize || body.len() < len {
             return 1; // absurd length / torn payload
         }
-        let payload = &rest[8..8 + len];
-        if crate::record::crc32(payload) != crc {
+        let (payload, after) = body.split_at(len);
+        if crate::record::crc32(payload) != u32::from_le_bytes(*crc) {
             return 1; // bit rot or torn write inside the payload
         }
         // CRC-valid but undecodable, or rejected by the session's fold.
         if !Record::decode_payload(payload).is_some_and(&mut sink) {
             return 1;
         }
-        rest = &rest[8 + len..];
+        rest = after;
     }
     0
 }

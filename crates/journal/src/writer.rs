@@ -1,6 +1,9 @@
 //! The write side: per-session append-only journals under one directory,
-//! with segment rotation, a configurable fsync policy, a retention budget,
-//! and a crash-point seam for deterministic process-death simulation.
+//! with segment rotation, a retention budget, and a crash-point seam for
+//! deterministic process-death simulation. Only the terminal record and
+//! the clean-shutdown sentinel are forced to stable storage: mid-run
+//! snapshots are reconstructible telemetry, terminal states are the
+//! contract.
 
 use crate::breaker::{BreakerConfig, BreakerEvent, BreakerState, CircuitBreaker, WriteAdmit};
 use crate::metrics::JournalMetrics;
@@ -11,20 +14,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
-
-/// When journal appends are forced to stable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FsyncPolicy {
-    /// Never fsync (OS flush order only). Fastest; a crash can lose
-    /// everything since the last kernel writeback.
-    Never,
-    /// Fsync after every N snapshot records (and always on terminal).
-    EveryN(u32),
-    /// Fsync only on terminal-state and clean-shutdown records. The
-    /// default: mid-run snapshots are reconstructible telemetry, terminal
-    /// states are the contract.
-    OnTerminal,
-}
 
 /// Crash-point seam: lets a chaos harness declare, per session, the exact
 /// journal byte offset at which the writing process "dies". The record
@@ -53,8 +42,6 @@ pub trait JournalFaultInjector: Send + Sync {
 pub struct JournalConfig {
     /// Directory holding every session's segment files.
     pub(crate) dir: PathBuf,
-    /// Fsync policy for all writers.
-    pub(crate) fsync: FsyncPolicy,
     /// Rotate a session's segment once it exceeds this many bytes.
     pub(crate) segment_max_bytes: u64,
     /// Disk budget: [`Journal::sweep_retention`] deletes oldest
@@ -70,24 +57,17 @@ pub struct JournalConfig {
 }
 
 impl JournalConfig {
-    /// A config with default policy: fsync on terminal, 1 MiB segments,
-    /// unbounded retention, no crash faults.
+    /// A config with 1 MiB segments, unbounded retention and no crash
+    /// faults.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         JournalConfig {
             dir: dir.into(),
-            fsync: FsyncPolicy::OnTerminal,
             segment_max_bytes: 1 << 20,
             retention_max_bytes: None,
             crash: None,
             fault: None,
             breaker: BreakerConfig::default(),
         }
-    }
-
-    /// Set the fsync policy.
-    pub fn with_fsync(mut self, fsync: FsyncPolicy) -> Self {
-        self.fsync = fsync;
-        self
     }
 
     /// Set the segment rotation threshold.
@@ -224,14 +204,12 @@ impl Journal {
                 file: None,
                 seg_bytes: 0,
                 total_bytes: 0,
-                snapshots_since_fsync: 0,
                 crash_at,
                 dead: false,
                 needs_rotate: false,
                 append_index: 0,
                 write_errors: 0,
                 fault: self.config.fault.clone(),
-                fsync_policy: self.config.fsync,
                 segment_max_bytes: self.config.segment_max_bytes,
                 frame: Vec::new(),
             }),
@@ -298,7 +276,6 @@ struct WriterInner {
     file: Option<File>,
     seg_bytes: u64,
     total_bytes: u64,
-    snapshots_since_fsync: u32,
     /// Simulated process death: once `total_bytes` reaches this, writes
     /// are torn/lost.
     crash_at: Option<u64>,
@@ -312,7 +289,6 @@ struct WriterInner {
     append_index: u64,
     write_errors: u64,
     fault: Option<std::sync::Arc<dyn JournalFaultInjector>>,
-    fsync_policy: FsyncPolicy,
     segment_max_bytes: u64,
     /// The one frame buffer every append of this writer encodes into; kept
     /// so a steady-state append allocates nothing.
@@ -450,7 +426,7 @@ impl SessionJournal {
     }
 
     /// Run one append under the breaker. Returns whether the record made
-    /// it to the file (regardless of fsync policy).
+    /// it to the file (flushed or not).
     fn with_inner(&self, f: impl FnOnce(&mut WriterInner) -> std::io::Result<()>) -> bool {
         let admit = self.breaker.admit();
         if admit == WriteAdmit::Suppress {
@@ -497,36 +473,17 @@ impl SessionJournal {
         }
     }
 
-    /// Append one record under the breaker, then fsync as its kind demands:
-    /// snapshots follow the policy's cadence, the clean-shutdown sentinel is
-    /// forced (any policy except `Never`), and everything else rides the
-    /// next forced flush — annotations (alerts, estimator selections)
-    /// because they are diagnostics, the terminal record because its flush
-    /// is [`sync_terminal`](Self::sync_terminal), a call of its own.
-    /// Returns whether the record made it to the file.
+    /// Append one record under the breaker. Only the clean-shutdown
+    /// sentinel is forced here; everything else rides the next forced
+    /// flush — snapshots and annotations (alerts, estimator selections)
+    /// because they are telemetry and diagnostics, the terminal record
+    /// because its flush is [`sync_terminal`](Self::sync_terminal), a call
+    /// of its own. Returns whether the record made it to the file.
     fn append(&self, record: RecordRef<'_>) -> bool {
         let mut fsynced = None;
         let ok = self.with_inner(|inner| {
             inner.append_record(record)?;
-            let due = match record {
-                RecordRef::Snapshot(_) => match inner.fsync_policy {
-                    FsyncPolicy::EveryN(n) => {
-                        inner.snapshots_since_fsync += 1;
-                        let due = inner.snapshots_since_fsync >= n.max(1);
-                        if due {
-                            inner.snapshots_since_fsync = 0;
-                        }
-                        due
-                    }
-                    _ => false,
-                },
-                RecordRef::CleanShutdown => inner.fsync_policy != FsyncPolicy::Never,
-                RecordRef::Meta(_)
-                | RecordRef::Terminal(_)
-                | RecordRef::Alert(_)
-                | RecordRef::Estimator(_) => false,
-            };
-            if due {
+            if matches!(record, RecordRef::CleanShutdown) {
                 fsynced = inner.fsync()?;
             }
             Ok(())
@@ -544,9 +501,6 @@ impl SessionJournal {
     /// as lost and the next append starts a fresh segment.
     fn force(&self, terminal: bool) {
         let mut inner = self.lock_inner();
-        if terminal && inner.fsync_policy == FsyncPolicy::Never {
-            return;
-        }
         let fsynced = match inner.fsync() {
             Ok(seconds) => seconds,
             Err(_) => {
@@ -563,13 +517,13 @@ impl SessionJournal {
         self.record_fsync(fsynced);
     }
 
-    /// Append one published DMV snapshot, fsyncing per policy.
+    /// Append one published DMV snapshot (not forced to disk).
     pub fn append_snapshot(&self, snapshot: &lqs_exec::DmvSnapshot) {
         self.append(RecordRef::Snapshot(snapshot));
     }
 
-    /// Append the terminal-state record and force it to disk (any policy
-    /// except `Never`) — the terminal state is the recovery contract. This
+    /// Append the terminal-state record and force it to disk — the
+    /// terminal state is the recovery contract. This
     /// is [`append_terminal_record`](Self::append_terminal_record) followed,
     /// when the record reached the file, by
     /// [`sync_terminal`](Self::sync_terminal); the service makes the two
@@ -589,8 +543,7 @@ impl SessionJournal {
         self.append(RecordRef::Terminal(terminal))
     }
 
-    /// Force the appended terminal record to stable storage (any policy
-    /// except `Never`). Like [`flush`](Self::flush) this bypasses the
+    /// Force the appended terminal record to stable storage. Like [`flush`](Self::flush) this bypasses the
     /// breaker — no record rides on the call, so an fsync failure changes no
     /// breaker state — but it keeps the consequences a failed terminal
     /// append has for the session: `write_errors` +1, `lost_records` +1 (the
@@ -600,8 +553,8 @@ impl SessionJournal {
         self.force(true);
     }
 
-    /// Append a watchdog alert annotation. Fsyncs per the snapshot policy's
-    /// spirit: alerts are diagnostics, not the recovery contract, so they
+    /// Append a watchdog alert annotation. Not forced: alerts are
+    /// diagnostics, not the recovery contract, so they
     /// ride the next forced flush rather than forcing one themselves.
     pub fn append_alert(&self, alert: &crate::record::AlertRecord) {
         self.append(RecordRef::Alert(alert));
@@ -925,18 +878,7 @@ mod tests {
         assert_eq!(fsyncs(&metrics), 2, "the facade is append + sync");
         let scan = scan_dir(&dir).unwrap();
         assert!(scan.sessions.iter().all(|s| s.terminal.is_some()));
-
-        let never_dir = tmpdir("terminal-halves-never");
-        let never = Journal::open(JournalConfig::new(&never_dir).with_fsync(FsyncPolicy::Never))
-            .unwrap()
-            .with_metrics(metrics.clone());
-        never
-            .writer(meta(0, "never"))
-            .unwrap()
-            .append_terminal(&terminal);
-        assert_eq!(fsyncs(&metrics), 2, "`Never` appends without forcing");
         let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&never_dir);
     }
 
     struct PanicAt(u64);

@@ -9,7 +9,7 @@ use lqs_journal::record::{
     Record, SegmentHeader, SessionMeta, TerminalKind, TerminalRecord, FORMAT_VERSION,
     SEGMENT_HEADER_BYTES,
 };
-use lqs_journal::{scan_dir, FsyncPolicy, Journal, JournalConfig};
+use lqs_journal::{scan_dir, Journal, JournalConfig};
 use lqs_plan::CostModel;
 use proptest::prelude::*;
 
@@ -154,7 +154,7 @@ proptest! {
 fn on_disk_tail_corruption_is_tallied_by_scan() {
     let dir = std::env::temp_dir().join(format!("lqs-journal-corrupt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let journal = Journal::open(JournalConfig::new(&dir).with_fsync(FsyncPolicy::Never)).unwrap();
+    let journal = Journal::open(JournalConfig::new(&dir)).unwrap();
     let w = journal.writer(meta()).unwrap();
     for i in 0..10 {
         w.append_snapshot(&snap(i));
@@ -185,9 +185,7 @@ fn on_disk_tail_corruption_is_tallied_by_scan() {
 fn a_segment_of_another_format_version_is_one_corrupt_record() {
     let dir = std::env::temp_dir().join(format!("lqs-journal-version-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let config = JournalConfig::new(&dir)
-        .with_fsync(FsyncPolicy::Never)
-        .with_segment_max_bytes(1200);
+    let config = JournalConfig::new(&dir).with_segment_max_bytes(1200);
     let journal = Journal::open(config).unwrap();
     let w = journal.writer(meta()).unwrap();
     for i in 0..10 {

@@ -214,41 +214,20 @@ impl Member {
     }
 }
 
-/// Tuning of the online selection layer. All fields are deterministic
-/// inputs; the `seed` only breaks exact score ties, so two configs
-/// differing only in seed produce identical estimates whenever no tie
-/// occurs.
+/// The online selection layer's one input: the `seed` that breaks exact
+/// score ties, so two configs differing only in seed produce identical
+/// estimates whenever no tie occurs. The scoring coefficients are the
+/// private constants of this module (`SHARPNESS`, `MONO_COEFF`, …).
 #[derive(Debug, Clone)]
 pub struct EnsembleConfig {
     /// Tie-break seed (replay determinism; never affects non-tied picks).
     pub seed: u64,
-    /// Observations before the pipeline-shape prior stops dominating.
-    pub warmup_snapshots: u64,
-    /// Inverse-power sharpness of the loss → weight mapping. Higher values
-    /// concentrate weight on the best-scoring member.
-    pub sharpness: f64,
-    /// Penalty coefficient for monotonicity-violation mass (true progress
-    /// never decreases; an estimator that backslides is lying somewhere).
-    pub mono_coeff: f64,
-    /// Penalty coefficient for refinement churn (instability of a member's
-    /// total-cardinality view between snapshots).
-    pub churn_coeff: f64,
-    /// Penalty coefficient for per-snapshot disagreement with the member
-    /// median.
-    pub disagree_coeff: f64,
 }
 
 impl EnsembleConfig {
-    /// The standard tuning used by the server poller and the harness.
+    /// The selection layer breaking ties by `seed`.
     pub fn standard(seed: u64) -> Self {
-        EnsembleConfig {
-            seed,
-            warmup_snapshots: 1,
-            sharpness: 10.0,
-            mono_coeff: 0.5,
-            churn_coeff: 0.05,
-            disagree_coeff: 0.005,
-        }
+        EnsembleConfig { seed }
     }
 }
 
@@ -370,7 +349,7 @@ pub struct EnsembleReplay {
 }
 
 /// What an [`EnsembleEstimator`] fixes for a plan: the members (and through
-/// them the §4 passes they read) and the selection tuning.
+/// them the §4 passes they read) and the tie-break seed.
 struct Lineup {
     /// `1..=MAX_MEMBERS` of them, over one shared [`PlanStatics`].
     members: Vec<Member>,
@@ -693,10 +672,10 @@ impl Lineup {
         let mut inv = [0.0f64; MAX_MEMBERS];
         for m in 0..n {
             let score = loss[m] / obs
-                + self.config.mono_coeff * state.mono[m] / obs
-                + self.config.churn_coeff * state.churn[m] / obs
-                + self.config.disagree_coeff * state.disagree[m] / obs;
-            inv[m] = (score + EPS).powf(-self.config.sharpness);
+                + MONO_COEFF * state.mono[m] / obs
+                + CHURN_COEFF * state.churn[m] / obs
+                + DISAGREE_COEFF * state.disagree[m] / obs;
+            inv[m] = (score + EPS).powf(-SHARPNESS);
         }
         let inv_sum: f64 = inv[..n].iter().sum();
         if inv_sum > 0.0 && inv_sum.is_finite() {
@@ -706,8 +685,7 @@ impl Lineup {
         } else {
             inv = self.prior;
         }
-        let prior_mix =
-            self.config.warmup_snapshots as f64 / (self.config.warmup_snapshots as f64 + obs);
+        let prior_mix = WARMUP_SNAPSHOTS / (WARMUP_SNAPSHOTS + obs);
         let mut weights = [0.0f64; MAX_MEMBERS];
         for m in 0..n {
             weights[m] = prior_mix * self.prior[m] + (1.0 - prior_mix) * inv[m];
@@ -740,6 +718,26 @@ type PerMember = [f64; MAX_MEMBERS];
 /// out of the composed blend (they still compete for selection — their
 /// scores keep updating every snapshot).
 const BLEND_FLOOR: f64 = 0.25;
+
+/// Observations before the pipeline-shape prior stops dominating: the
+/// prior's share of a weight is `WARMUP_SNAPSHOTS / (WARMUP_SNAPSHOTS +
+/// observed)`.
+const WARMUP_SNAPSHOTS: f64 = 1.0;
+
+/// Inverse-power sharpness of the score → weight mapping. Higher values
+/// concentrate weight on the best-scoring member.
+const SHARPNESS: f64 = 10.0;
+
+/// Score penalty per unit of monotonicity-violation mass (true progress
+/// never decreases; an estimator that backslides is lying somewhere).
+const MONO_COEFF: f64 = 0.5;
+
+/// Score penalty per unit of refinement churn (instability of a member's
+/// total-cardinality view between snapshots).
+const CHURN_COEFF: f64 = 0.05;
+
+/// Score penalty per unit of disagreement with the member median.
+const DISAGREE_COEFF: f64 = 0.005;
 
 /// Prior over members from pipeline shape features. The base preference
 /// order is the one the robust-estimation paper observed globally — the

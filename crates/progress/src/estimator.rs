@@ -190,24 +190,12 @@ pub struct ProgressEstimator {
 }
 
 impl ProgressEstimator {
-    /// Build an estimator for `plan`, deriving §4.6 weights from
-    /// [`lqs_plan::CostModel::default`].
-    ///
-    /// **Warning:** only correct for runs executed under the *default* cost
-    /// model. If the snapshots you will feed to [`Self::estimate`] came
-    /// from an execution with a custom cost model, use
-    /// [`Self::with_cost_model`] with that run's recorded model instead —
-    /// otherwise the optimizer-estimate baselines (operator weights,
-    /// time-to-completion) silently diverge from the observed counters.
-    /// Treat the return value like a `#[must_use = "pair with the run's
-    /// cost model"]`: harness code should go through
-    /// `lqs_bench::run::estimator_for_run`.
-    pub fn new(plan: &PhysicalPlan, db: &Database, config: EstimatorConfig) -> Self {
-        Self::with_cost_model(plan, db, config, &lqs_plan::CostModel::default())
-    }
-
-    /// Build with a specific cost model's I/O constant (for weight parity
-    /// with a non-default executor configuration).
+    /// Build an estimator for `plan` whose §4.6 weights and time baselines
+    /// come from `cost`. Pass the cost model of the run whose snapshots
+    /// will be fed to [`Self::estimate`] (`QueryRun::cost_model`, or the
+    /// session's `ExecOptions::cost_model`): under any other model the
+    /// optimizer-estimate baselines silently diverge from the observed
+    /// counters.
     pub fn with_cost_model(
         plan: &PhysicalPlan,
         db: &Database,

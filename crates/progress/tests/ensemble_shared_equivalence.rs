@@ -36,7 +36,14 @@ use proptest::prelude::*;
 // ---------------------------------------------------------------------------
 // The oracle: the per-member fold as it was before members became views.
 
+// Literal copies of the library's selection constants, so that changing
+// one there fails this test instead of moving the oracle with it.
 const BLEND_FLOOR: f64 = 0.25;
+const WARMUP_SNAPSHOTS: u64 = 1;
+const SHARPNESS: f64 = 10.0;
+const MONO_COEFF: f64 = 0.5;
+const CHURN_COEFF: f64 = 0.05;
+const DISAGREE_COEFF: f64 = 0.005;
 
 fn tie_rank(seed: u64, index: usize) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64 ^ seed;
@@ -211,15 +218,15 @@ impl Reference {
                 loss += (est - truth).abs();
             }
             scores[m] = loss / obs
-                + self.config.mono_coeff * self.mono[m] / obs
-                + self.config.churn_coeff * self.churn[m] / obs
-                + self.config.disagree_coeff * self.disagree[m] / obs;
+                + MONO_COEFF * self.mono[m] / obs
+                + CHURN_COEFF * self.churn[m] / obs
+                + DISAGREE_COEFF * self.disagree[m] / obs;
         }
 
         const EPS: f64 = 1e-4;
         let mut inv: Vec<f64> = scores
             .iter()
-            .map(|&sc| (sc + EPS).powf(-self.config.sharpness))
+            .map(|&sc| (sc + EPS).powf(-SHARPNESS))
             .collect();
         let inv_sum: f64 = inv.iter().sum();
         if inv_sum > 0.0 && inv_sum.is_finite() {
@@ -229,8 +236,7 @@ impl Reference {
         } else {
             inv = self.prior.clone();
         }
-        let prior_mix =
-            self.config.warmup_snapshots as f64 / (self.config.warmup_snapshots as f64 + obs);
+        let prior_mix = WARMUP_SNAPSHOTS as f64 / (WARMUP_SNAPSHOTS as f64 + obs);
         let mut weights: Vec<f64> = inv
             .iter()
             .zip(&self.prior)

@@ -43,7 +43,7 @@ fn estimates(
     run: &QueryRun,
     config: EstimatorConfig,
 ) -> Vec<f64> {
-    let est = ProgressEstimator::new(plan, db, config);
+    let est = ProgressEstimator::with_cost_model(plan, db, config, &run.cost_model);
     run.snapshots
         .iter()
         .map(|s| est.estimate(s).query_progress)
@@ -77,7 +77,7 @@ fn estimates_stay_in_unit_interval_and_end_at_one() {
         EstimatorConfig::dne_refined(),
         EstimatorConfig::full(),
     ] {
-        let est = ProgressEstimator::new(&plan, &db, config);
+        let est = ProgressEstimator::with_cost_model(&plan, &db, config, &run.cost_model);
         let mut last = 0.0;
         for s in &run.snapshots {
             let rep = est.estimate(s);
@@ -125,7 +125,8 @@ fn closed_operators_report_complete() {
     let (db, f, d) = test_db(5_000);
     let plan = build_query(&db, f, d);
     let run = execute(&db, &plan, &ExecOptions::default());
-    let est = ProgressEstimator::new(&plan, &db, EstimatorConfig::full());
+    let est =
+        ProgressEstimator::with_cost_model(&plan, &db, EstimatorConfig::full(), &run.cost_model);
     let last = est.estimate(run.snapshots.last().unwrap());
     for np in &last.nodes {
         let c = run.snapshots.last().unwrap().node(np.node.0);
@@ -153,8 +154,9 @@ fn two_phase_blocking_tracks_hash_aggregate() {
         c.two_phase_blocking = false;
         c
     };
-    let est_two = ProgressEstimator::new(&plan, &db, EstimatorConfig::full());
-    let est_out = ProgressEstimator::new(&plan, &db, output_only);
+    let est_two =
+        ProgressEstimator::with_cost_model(&plan, &db, EstimatorConfig::full(), &run.cost_model);
+    let est_out = ProgressEstimator::with_cost_model(&plan, &db, output_only, &run.cost_model);
 
     // Midway through execution the two-phase model must report substantial
     // aggregate progress while the output-only model reports ~0.

@@ -127,7 +127,7 @@ proptest! {
         let plan = build_plan(&ctx, shape);
         let cfg = config_from_flags(flags);
         let run = execute(&ctx.db, &plan, &ExecOptions::default());
-        let est = ProgressEstimator::new(&plan, &ctx.db, cfg.clone());
+        let est = ProgressEstimator::with_cost_model(&plan, &ctx.db, cfg.clone(), &run.cost_model);
         let statics = est.statics();
 
         for s in &run.snapshots {

@@ -43,16 +43,16 @@ fn propagation_improves_downstream_pipeline_estimates() {
     let plan = b.finish(agg);
     let run = execute(&db, &plan, &ExecOptions::default());
 
-    let base = ProgressEstimator::new(&plan, &db, {
-        let mut c = EstimatorConfig::full();
-        c.bound_cardinality = false; // isolate the propagation effect
-        c
-    });
-    let ext = ProgressEstimator::new(&plan, &db, {
-        let mut c = EstimatorConfig::extended();
-        c.bound_cardinality = false;
-        c
-    });
+    // Bounds off in both, to isolate the propagation effect.
+    let unbounded = |config| {
+        let config = EstimatorConfig {
+            bound_cardinality: false,
+            ..config
+        };
+        ProgressEstimator::with_cost_model(&plan, &db, config, &run.cost_model)
+    };
+    let base = unbounded(EstimatorConfig::full());
+    let ext = unbounded(EstimatorConfig::extended());
 
     // Mid-way through pipeline 1: both see the same upstream refinement, and
     // the extended config pushes it through to the sort's denominator.
@@ -89,15 +89,17 @@ fn weight_feedback_rescales_query_progress() {
     let plan = b.finish(agg);
     let run = execute(&db, &plan, &ExecOptions::default());
 
-    let plain = ProgressEstimator::new(&plan, &db, EstimatorConfig::full());
+    let plain =
+        ProgressEstimator::with_cost_model(&plan, &db, EstimatorConfig::full(), &run.cost_model);
     // Pretend calibration says scans are 10x more expensive per tuple than
     // the optimizer believes: scan progress should dominate more.
     let mut feedback = std::collections::BTreeMap::new();
     feedback.insert("Table Scan", 10.0);
-    let fed = ProgressEstimator::new(
+    let fed = ProgressEstimator::with_cost_model(
         &plan,
         &db,
         EstimatorConfig::full().with_weight_feedback(feedback),
+        &run.cost_model,
     );
     let mid = &run.snapshots[run.snapshots.len() / 2];
     let p_plain = plain.estimate(mid).query_progress;
@@ -118,7 +120,12 @@ fn extended_config_keeps_all_invariants() {
     let sort = b.sort(agg, vec![SortKey::desc(1)]);
     let plan = b.finish(sort);
     let run = execute(&db, &plan, &ExecOptions::default());
-    let est = ProgressEstimator::new(&plan, &db, EstimatorConfig::extended());
+    let est = ProgressEstimator::with_cost_model(
+        &plan,
+        &db,
+        EstimatorConfig::extended(),
+        &run.cost_model,
+    );
     for s in &run.snapshots {
         let r = est.estimate(s);
         assert!((0.0..=1.0).contains(&r.query_progress));

@@ -10,7 +10,8 @@
 //! * `GET /sessions` — JSON array of every registered session's id, name,
 //!   workload, lifecycle state, and latest-snapshot position.
 //! * `GET /healthz` — liveness + build info: version, uptime, session
-//!   counts, journal-directory status, recovered-session count.
+//!   counts (running, and registered ones that recovery rebuilt from the
+//!   journal), journal-directory status.
 //! * `GET /history/sessions[?since=NS&until=NS]` — journaled sessions in
 //!   the window, as JSON (scanned fresh from the journal directory).
 //! * `GET /history/session/{key}/curve` — one session's progress-over-time
@@ -73,6 +74,12 @@ use std::time::{Duration, Instant};
 /// Largest request head accepted; anything longer is rejected with 431.
 const MAX_HEAD_BYTES: usize = 8 * 1024;
 
+/// Per-connection read/write budget once the head has arrived.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Value of the `Retry-After` header on `503` shed responses, seconds.
+const RETRY_AFTER_SECS: u32 = 1;
+
 /// Sizing and patience knobs for the hardened HTTP ingress.
 #[derive(Debug, Clone)]
 pub struct IngressConfig {
@@ -82,13 +89,9 @@ pub struct IngressConfig {
     /// Bounded hand-off queue between the acceptor and the workers.
     /// When full, new connections are shed with `503` + `Retry-After`.
     pub backlog: usize,
-    /// Per-connection read/write budget once the head has arrived.
-    pub io_timeout: Duration,
     /// Total wall-clock budget for the request head to arrive. A client
     /// trickling bytes (slow loris) is cut off with `408` at this bound.
     pub head_deadline: Duration,
-    /// Value of the `Retry-After` header on `503` shed responses, seconds.
-    pub retry_after_secs: u32,
 }
 
 impl Default for IngressConfig {
@@ -96,9 +99,7 @@ impl Default for IngressConfig {
         IngressConfig {
             workers: 4,
             backlog: 8,
-            io_timeout: Duration::from_secs(2),
             head_deadline: Duration::from_secs(2),
-            retry_after_secs: 1,
         }
     }
 }
@@ -127,9 +128,6 @@ pub struct HistoryEndpoints {
 pub struct ServerConfig {
     /// Enables the `/history/*` routes when set.
     pub history: Option<HistoryEndpoints>,
-    /// Sessions rebuilt from the journal at startup, surfaced in
-    /// `/healthz`.
-    pub recovered_sessions: u64,
     /// Enables the `/alerts` route when set. The server only *reads* the
     /// watchdog's current alerts; whoever owns the sweep loop shares the
     /// same handle and drives [`Watchdog::sweep`] on its own cadence.
@@ -163,17 +161,8 @@ pub struct MetricsServer {
 }
 
 impl MetricsServer {
-    /// Bind `addr` and start serving `metrics` and `sessions` on a
-    /// background thread, with no history routes.
-    pub fn start(
-        addr: impl ToSocketAddrs,
-        metrics: Arc<MetricsRegistry>,
-        sessions: Arc<SessionRegistry>,
-    ) -> std::io::Result<Self> {
-        Self::start_with(addr, metrics, sessions, ServerConfig::default())
-    }
-
-    /// [`MetricsServer::start`] with history routes and health detail.
+    /// Bind `addr` and start serving `metrics`, `sessions` and whatever
+    /// else `config` enables on background threads.
     pub fn start_with(
         addr: impl ToSocketAddrs,
         metrics: Arc<MetricsRegistry>,
@@ -295,7 +284,7 @@ fn accept_loop(
                 // acceptor with 503 + Retry-After rather than letting the
                 // kernel backlog grow an invisible queue of doomed scrapes.
                 shed.inc();
-                let _ = reject_busy(stream, state.config.ingress.retry_after_secs);
+                let _ = reject_busy(stream);
             }
             Err(mpsc::TrySendError::Disconnected(_)) => return,
         }
@@ -332,21 +321,20 @@ fn worker_loop(rx: &Mutex<mpsc::Receiver<TcpStream>>, state: &ServerState) {
 /// Shed one connection with `503` + `Retry-After`. Uses a short write
 /// budget of its own: this runs on the acceptor, and a client too slow to
 /// take a 60-byte response does not get to stall accept.
-fn reject_busy(mut stream: TcpStream, retry_after_secs: u32) -> std::io::Result<()> {
+fn reject_busy(mut stream: TcpStream) -> std::io::Result<()> {
     stream.set_write_timeout(Some(Duration::from_millis(200)))?;
     respond_with(
         &mut stream,
         503,
         "text/plain",
         "all ingress workers busy, retry shortly\n",
-        &[("Retry-After", &retry_after_secs.to_string())],
+        &[("Retry-After", &RETRY_AFTER_SECS.to_string())],
     )
 }
 
 fn serve_connection(stream: &mut TcpStream, state: &ServerState) -> std::io::Result<()> {
-    let ingress = &state.config.ingress;
-    stream.set_write_timeout(Some(ingress.io_timeout))?;
-    let head = match read_head(stream, ingress.head_deadline)? {
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
+    let head = match read_head(stream, state.config.ingress.head_deadline)? {
         HeadOutcome::Head(head) => head,
         HeadOutcome::TooLarge => {
             return respond(stream, 431, "text/plain", "request head too large\n")
@@ -365,7 +353,7 @@ fn serve_connection(stream: &mut TcpStream, state: &ServerState) -> std::io::Res
             return respond(stream, 408, "text/plain", "request head timed out\n");
         }
     };
-    stream.set_read_timeout(Some(ingress.io_timeout))?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
     let mut parts = head.lines().next().unwrap_or("").split_whitespace();
     let (method, target) = (parts.next().unwrap_or(""), parts.next().unwrap_or(""));
     if method != "GET" {
@@ -957,7 +945,7 @@ fn healthz_json(state: &ServerState) -> String {
         ),
         (
             "sessions_recovered".into(),
-            Value::Int(state.config.recovered_sessions as i64),
+            Value::Int(state.sessions.recovered_now() as i64),
         ),
         ("journal".into(), journal),
         (

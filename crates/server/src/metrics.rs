@@ -4,7 +4,7 @@
 //!
 //! Everything funnels into one shared [`MetricsRegistry`]; hand the same
 //! `Arc` to [`ServiceMetrics::new`], [`PollerMetrics::new`], and
-//! [`crate::MetricsServer::start`], and a single `/metrics` scrape covers
+//! [`crate::MetricsServer::start_with`], and a single `/metrics` scrape covers
 //! the whole stack (operator close-time totals included — [`ServiceMetrics`]
 //! owns the [`ExecMetrics`] recorder the workers attach to their runs).
 

@@ -93,6 +93,11 @@ impl SessionRegistry {
         self.running.current()
     }
 
+    /// Registered sessions that recovery rebuilt from a journal.
+    pub(crate) fn recovered_now(&self) -> usize {
+        self.lock().iter().filter(|h| h.recovered()).count()
+    }
+
     /// High-water mark of simultaneously running sessions. Maintained on
     /// state transitions, so short overlaps count even if no poll ever
     /// observed them — use this (not poll sampling) for concurrency
@@ -540,8 +545,7 @@ pub(crate) fn lineup_of_one(config: EstimatorConfig) -> Box<Lineup> {
 }
 
 /// The estimator for one session: `lineup` over the session's plan, with
-/// the session's own cost model feeding the statics (the same parity rule
-/// as the harness's `lqs_bench::run::estimator_for_run`).
+/// the session's own cost model feeding the statics.
 pub(crate) fn session_estimator(
     lineup: &Lineup,
     db: &Database,

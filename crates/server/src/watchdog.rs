@@ -13,7 +13,7 @@
 //!   faster than the snapshot cadence from crying wolf.
 //! * **Diverging** — the GetNext-model estimate and the raw observed-rows
 //!   progress disagree by more than [`WatchdogConfig::divergence_band`]
-//!   for [`WatchdogConfig::divergence_sweeps`] consecutive sweeps. The
+//!   for two consecutive sweeps (`DIVERGENCE_SWEEPS`). The
 //!   estimate is the paper's Equation 2 figure from the session's
 //!   [`GuardedEstimator`]; the observed figure is the unweighted row
 //!   fraction Σ min(rows_output, N̂) / Σ N̂ over the same refined
@@ -67,6 +67,9 @@ pub enum RemediationPolicy {
     },
 }
 
+/// Consecutive divergent sweeps before a session is flagged diverging.
+const DIVERGENCE_SWEEPS: u64 = 2;
+
 /// Classification thresholds for one [`Watchdog`].
 #[derive(Debug, Clone)]
 pub struct WatchdogConfig {
@@ -80,8 +83,6 @@ pub struct WatchdogConfig {
     /// How far (in absolute progress, `[0, 1]`) the estimate may sit from
     /// the observed-rows figure before a sweep counts as divergent.
     pub divergence_band: f64,
-    /// Consecutive divergent sweeps before the session is flagged.
-    pub divergence_sweeps: u64,
     /// What to do about sessions that stay stalled.
     pub remediation: RemediationPolicy,
 }
@@ -92,7 +93,6 @@ impl Default for WatchdogConfig {
             stall_sweeps: 3,
             stall_wall: Duration::from_secs(2),
             divergence_band: 0.35,
-            divergence_sweeps: 2,
             remediation: RemediationPolicy::Observe,
         }
     }
@@ -304,7 +304,7 @@ impl Watchdog {
 
             let stalled = track.unchanged_sweeps >= self.config.stall_sweeps
                 && track.changed_at.elapsed() >= self.config.stall_wall;
-            let diverging = track.diverging_sweeps >= self.config.divergence_sweeps;
+            let diverging = track.diverging_sweeps >= DIVERGENCE_SWEEPS;
             let health = if stalled {
                 Health::Stalled
             } else if diverging {

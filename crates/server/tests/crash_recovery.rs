@@ -14,14 +14,15 @@ use lqs_metrics::MetricsRegistry;
 use lqs_plan::PhysicalPlan;
 use lqs_progress::{EstimateQuality, EstimatorConfig, ProgressReport};
 use lqs_server::{
-    QueryService, QuerySpec, RecoveredOutcome, RecoveryManager, RegistryPoller, SessionRegistry,
-    SessionResult, SessionState,
+    MetricsServer, QueryService, QuerySpec, RecoveredOutcome, RecoveryManager, RegistryPoller,
+    ServerConfig, SessionRegistry, SessionResult, SessionState,
 };
 use lqs_storage::{Database, TableId};
+use std::path::Path;
 use std::sync::Arc;
 
 mod common;
-use common::{mixed_db, mixed_plans, tmpdir};
+use common::{body_of, http_get, mixed_db, mixed_plans, tmpdir};
 
 /// The first two [`mixed_plans`] shapes, under the names they journal as.
 fn plans(db: &Database, t: TableId) -> Vec<(String, Arc<PhysicalPlan>)> {
@@ -158,26 +159,29 @@ fn recovered_succeeded_session_replays_bit_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Run `plans` under a journal in `dir` whose "scan-sort" writer dies
+/// 700 bytes in, so recovery finds one orphan and one restored session.
+fn journal_with_one_crash(dir: &Path, db: &Arc<Database>, plans: &[(String, Arc<PhysicalPlan>)]) {
+    let journal = Journal::open(JournalConfig::new(dir).with_crash(Arc::new(CrashNamed {
+        name: "scan-sort",
+        at: 700,
+    })))
+    .expect("open journal");
+    let service = QueryService::new(Arc::clone(db), 2).with_journal(journal);
+    for (name, plan) in plans {
+        service.submit(QuerySpec::new(name.clone(), Arc::clone(plan)));
+    }
+    service.wait_all();
+    service.shutdown();
+}
+
 #[test]
 fn crashed_journal_recovers_orphaned_and_degraded() {
     let dir = tmpdir("orphan");
     let (db, t) = mixed_db();
     let db = Arc::new(db);
     let plans = plans(&db, t);
-
-    {
-        let journal = Journal::open(JournalConfig::new(&dir).with_crash(Arc::new(CrashNamed {
-            name: "scan-sort",
-            at: 700,
-        })))
-        .expect("open journal");
-        let service = QueryService::new(Arc::clone(&db), 2).with_journal(journal);
-        for (name, plan) in &plans {
-            service.submit(QuerySpec::new(name.clone(), Arc::clone(plan)));
-        }
-        service.wait_all();
-        service.shutdown();
-    }
+    journal_with_one_crash(&dir, &db, &plans);
 
     let mreg = Arc::new(MetricsRegistry::new());
     let registry = Arc::new(SessionRegistry::new());
@@ -233,6 +237,39 @@ fn crashed_journal_recovers_orphaned_and_degraded() {
         "exposition:\n{text}"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `/healthz` counts the sessions recovery registered, with nothing set
+/// in the server's config.
+#[test]
+fn healthz_counts_what_recovery_registered() {
+    let dir = tmpdir("healthz");
+    let (db, t) = mixed_db();
+    let db = Arc::new(db);
+    let plans = plans(&db, t);
+    journal_with_one_crash(&dir, &db, &plans);
+
+    let registry = Arc::new(SessionRegistry::new());
+    let report = RecoveryManager::new(resolver(plans))
+        .recover(&dir, &registry)
+        .expect("recovery scan");
+    assert_eq!((report.restored(), report.orphaned()), (1, 1));
+    let server = MetricsServer::start_with(
+        "127.0.0.1:0",
+        Arc::new(MetricsRegistry::new()),
+        Arc::clone(&registry),
+        ServerConfig::default(),
+    )
+    .expect("bind ephemeral port");
+    let health = http_get(server.addr(), "/healthz");
+    assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
+    let parsed = serde_json::from_str(body_of(&health)).expect("valid JSON");
+    assert_eq!(
+        parsed["sessions_recovered"].as_u64(),
+        Some((report.restored() + report.orphaned()) as u64)
+    );
+    server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
 

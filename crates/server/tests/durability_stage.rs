@@ -10,8 +10,8 @@
 use lqs_exec::{FaultInjector, IoVerdict};
 use lqs_journal::reader::read_segment_bytes;
 use lqs_journal::{
-    scan_dir, BreakerConfig, FsyncPolicy, Journal, JournalConfig, JournalFaultInjector,
-    JournalMetrics, Record, TerminalKind,
+    scan_dir, BreakerConfig, Journal, JournalConfig, JournalFaultInjector, JournalMetrics, Record,
+    TerminalKind,
 };
 use lqs_metrics::MetricsRegistry;
 use lqs_plan::NodeId;
@@ -229,10 +229,12 @@ fn one_worker_fault_storm_is_deterministic() {
     }
 }
 
-/// (e) One path: with no journal at all, and with a journal that never
-/// fsyncs, sessions complete through the same hand-off.
+/// (e) One path: with no journal at all, and with a journal, sessions
+/// complete through the same hand-off. A journaled session is forced to
+/// disk twice, at its terminal record and at its clean-shutdown sentinel,
+/// and never for a snapshot.
 #[test]
-fn unjournaled_and_never_fsync_sessions_take_the_same_path() {
+fn unjournaled_and_journaled_sessions_take_the_same_path() {
     let db = Arc::new(orders_db(3000));
     let plan = scan_sort_plan(&db);
 
@@ -247,9 +249,9 @@ fn unjournaled_and_never_fsync_sessions_take_the_same_path() {
     }
     bare.shutdown();
 
-    let dir = tmpdir("never");
+    let dir = tmpdir("journaled");
     let registry = Arc::new(MetricsRegistry::new());
-    let journal = Journal::open(JournalConfig::new(&dir).with_fsync(FsyncPolicy::Never))
+    let journal = Journal::open(JournalConfig::new(&dir))
         .expect("open journal")
         .with_metrics(JournalMetrics::new(Arc::clone(&registry)));
     let service = QueryService::new(Arc::clone(&db), 2).with_journal(journal);
@@ -261,7 +263,7 @@ fn unjournaled_and_never_fsync_sessions_take_the_same_path() {
         assert_eq!(handle.durability(), SessionDurability::Durable);
     }
     service.shutdown();
-    assert_eq!(fsyncs_done(&registry), 0, "`Never` must never force");
+    assert_eq!(fsyncs_done(&registry), 2 * handles.len());
     let scan = scan_dir(&dir).expect("scan journal");
     assert_eq!(scan.sessions.len(), handles.len());
     assert!(scan

@@ -135,8 +135,6 @@ fn cold_prediction_is_explicit_no_history_and_admission_falls_back() {
                 store: Some(Arc::clone(&store)),
                 metrics: None,
             }),
-            recovered_sessions: 0,
-            watchdog: None,
             ..ServerConfig::default()
         },
     )
@@ -202,8 +200,6 @@ fn history_endpoints_are_deterministic_and_healthz_reports() {
                 store: None,
                 metrics: None,
             }),
-            recovered_sessions: 3,
-            watchdog: None,
             ..ServerConfig::default()
         },
     )
@@ -254,12 +250,13 @@ fn history_endpoints_are_deterministic_and_healthz_reports() {
     // Parameter validation happens before any journal I/O.
     assert!(http_get(addr, "/history/sessions?since=abc").starts_with("HTTP/1.1 400"));
 
-    // /healthz: liveness plus journal-dir status and recovery count.
+    // /healthz: liveness plus journal-dir status; nothing was recovered
+    // into this server's registry.
     let health = http_get(addr, "/healthz");
     assert!(health.starts_with("HTTP/1.1 200 OK"));
     let parsed = serde_json::from_str(body_of(&health)).expect("valid JSON");
     assert_eq!(parsed["status"].as_str(), Some("ok"));
-    assert_eq!(parsed["sessions_recovered"].as_u64(), Some(3));
+    assert_eq!(parsed["sessions_recovered"].as_u64(), Some(0));
     assert_eq!(parsed["journal"]["dir_exists"].as_bool(), Some(true));
     assert!(parsed["journal"]["segments"].as_i64().unwrap() >= 3);
 

@@ -14,7 +14,8 @@ use lqs_obs::{split_sessions, to_chrome_trace_sessions, SessionTraceExport, Shar
 use lqs_progress::{error_count, error_time, EstimatorConfig, ProgressEstimator};
 use lqs_server::{
     MetricsServer, PollerMetrics, QueryService, QuerySpec, RecoveryManager, RegistryPoller,
-    ServiceMetrics, SessionRegistry, SessionResult, SessionState, Watchdog, WatchdogConfig,
+    ServerConfig, ServiceMetrics, SessionRegistry, SessionResult, SessionState, Watchdog,
+    WatchdogConfig,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -159,10 +160,11 @@ fn metrics_server_serves_exposition_and_sessions() {
     service.wait_all();
     poller.poll();
 
-    let server = MetricsServer::start(
+    let server = MetricsServer::start_with(
         "127.0.0.1:0",
         Arc::clone(&registry),
         Arc::clone(service.registry()),
+        ServerConfig::default(),
     )
     .expect("bind ephemeral port");
     let addr = server.addr();

@@ -5,7 +5,7 @@
 
 use lqs_exec::{DmvSnapshot, NodeCounters};
 use lqs_journal::record::SessionMeta;
-use lqs_journal::{FsyncPolicy, Journal, JournalConfig};
+use lqs_journal::{Journal, JournalConfig};
 use lqs_plan::CostModel;
 use lqs_server::{RecoveryManager, SessionRegistry};
 
@@ -31,8 +31,7 @@ fn peak_rss_kb() -> u64 {
 /// Journal `SESSIONS` sessions of `SNAPSHOTS` × `NODES` counters each, no
 /// terminal record, building one snapshot at a time.
 fn write_directory(dir: &std::path::Path) {
-    let journal =
-        Journal::open(JournalConfig::new(dir).with_fsync(FsyncPolicy::Never)).expect("open");
+    let journal = Journal::open(JournalConfig::new(dir)).expect("open");
     for id in 0..SESSIONS {
         let writer = journal
             .writer(SessionMeta {

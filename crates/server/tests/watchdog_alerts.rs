@@ -136,7 +136,6 @@ fn divergence_mangled_session_raises_diverging_alert() {
             stall_sweeps: u64::MAX,
             stall_wall: Duration::ZERO,
             divergence_band: 0.15,
-            divergence_sweeps: 2,
             ..WatchdogConfig::default()
         },
     )

@@ -35,7 +35,12 @@ fn main() {
     println!("\nplan:\n{}", q.plan.display_tree());
 
     let run = execute(&t.db, &q.plan, &ExecOptions::default());
-    let estimator = ProgressEstimator::new(&q.plan, &t.db, EstimatorConfig::full());
+    let estimator = ProgressEstimator::with_cost_model(
+        &q.plan,
+        &t.db,
+        EstimatorConfig::full(),
+        &run.cost_model,
+    );
     // The scan is the leaf of the plan.
     let scan = q
         .plan

@@ -73,7 +73,12 @@ fn main() {
     // TPC-H Q1, the query shown in the paper's Figure 2.
     let q = queries.iter().find(|q| q.name == "tpch-q01").expect("q01");
     let run = execute(&t.db, &q.plan, &ExecOptions::default());
-    let estimator = ProgressEstimator::new(&q.plan, &t.db, EstimatorConfig::full());
+    let estimator = ProgressEstimator::with_cost_model(
+        &q.plan,
+        &t.db,
+        EstimatorConfig::full(),
+        &run.cost_model,
+    );
     let pipes = PipelineSet::decompose(&q.plan);
 
     for frac in [0.05, 0.25, 0.5, 0.75, 0.95] {

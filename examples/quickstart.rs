@@ -52,7 +52,8 @@ fn main() {
     );
 
     // 4. Replay snapshots through the estimator, as the SSMS client would.
-    let estimator = ProgressEstimator::new(&plan, &db, EstimatorConfig::full());
+    let estimator =
+        ProgressEstimator::with_cost_model(&plan, &db, EstimatorConfig::full(), &run.cost_model);
     println!("{:>8} {:>10} {:>10}", "time", "estimate", "true");
     for i in (0..run.snapshots.len()).step_by((run.snapshots.len() / 10).max(1)) {
         let s = &run.snapshots[i];

@@ -70,8 +70,10 @@ fn main() {
     );
 
     let run = execute(&db, &plan, &ExecOptions::default());
-    let naive = ProgressEstimator::new(&plan, &db, EstimatorConfig::tgn());
-    let lqs = ProgressEstimator::new(&plan, &db, EstimatorConfig::full());
+    let naive =
+        ProgressEstimator::with_cost_model(&plan, &db, EstimatorConfig::tgn(), &run.cost_model);
+    let lqs =
+        ProgressEstimator::with_cost_model(&plan, &db, EstimatorConfig::full(), &run.cost_model);
 
     let scan_est = plan.node(scan).est_total_rows();
     println!("optimizer estimate for the filtered scan: {scan_est:.0} rows");

@@ -283,6 +283,28 @@ fn is_pub_item(line: &str) -> bool {
         })
 }
 
+/// `pub` fields of the `pub struct …Config` and `…Options` items in the
+/// non-test code of `text`: the settings a caller can set.
+fn settings_fields(text: &str) -> usize {
+    let mut in_settings = false;
+    let mut fields = 0;
+    for line in text.lines().take(code_lines(text)) {
+        if in_settings {
+            if line.starts_with('}') {
+                in_settings = false;
+            } else if line.trim_start().starts_with("pub ") {
+                fields += 1;
+            }
+        } else if let Some(name) = line
+            .strip_prefix("pub struct ")
+            .and_then(|rest| rest.strip_suffix(" {"))
+        {
+            in_settings = name.ends_with("Config") || name.ends_with("Options");
+        }
+    }
+    fields
+}
+
 fn counters(tree: &[Entry], ci: &str) -> String {
     let files = |scope: &'static [&'static str]| {
         tree.iter()
@@ -381,6 +403,14 @@ fn counters(tree: &[Entry], ci: &str) -> String {
                 l.contains("pub fn with_")
             })
             .to_string(),
+        ),
+        (
+            "`pub` fields of `pub struct …Config` / `…Options` in crates/*/src",
+            files(&["crates/*/src"])
+                .filter(|(p, _)| rs(p))
+                .map(|(_, t)| settings_fields(t))
+                .sum::<usize>()
+                .to_string(),
         ),
         (
             "eprintln! outside crates/bench",
@@ -500,6 +530,93 @@ fn experiments_tables_quote_the_full_run() {
     assert!(
         missing.is_empty(),
         "not in tests/golden/paper_full.txt:\n{missing}"
+    );
+}
+
+/// The rows of the full run's section headed `== {title}`: every line up to
+/// the next blank line or section header, the column header included.
+fn full_run_section<'a>(golden: &'a str, title: &str) -> Vec<&'a str> {
+    golden
+        .lines()
+        .skip_while(|l| !l.starts_with(&format!("== {title}")))
+        .skip(1)
+        .take_while(|l| !l.is_empty() && !l.starts_with("=="))
+        .collect()
+}
+
+/// A row's leading name and its trailing `n` columns, `-` read as `None`.
+fn split_row(row: &str, n: usize) -> (String, Vec<Option<f64>>) {
+    let tokens: Vec<&str> = row.split_whitespace().collect();
+    let (name, values) = tokens.split_at(tokens.len() - n);
+    let values = values.iter().map(|v| v.parse().ok()).collect();
+    (name.join(" "), values)
+}
+
+/// DESIGN.md §7's shapes for Figures 14, 18 and 20, as the full run meets
+/// them, deviations included (ROADMAP item 10 explains or fixes those):
+/// moving one is a change to this test and to §7.
+#[test]
+fn design_shapes_hold_on_the_full_run() {
+    let golden = read("tests/golden/paper_full.txt");
+
+    // F14: No Refinement, Bounding only, Bounding + Refinement, queries.
+    let f14: Vec<(String, Vec<Option<f64>>)> = full_run_section(&golden, "Figure 14")
+        .into_iter()
+        .skip(1)
+        .map(|row| split_row(row, 4))
+        .collect();
+    let workloads = |keep: &dyn Fn(f64, f64, f64) -> bool| -> BTreeSet<String> {
+        f14.iter()
+            .filter(|(_, v)| keep(v[0].unwrap(), v[1].unwrap(), v[2].unwrap()))
+            .map(|(name, _)| name.clone())
+            .collect()
+    };
+    let set =
+        |names: &[&str]| -> BTreeSet<String> { names.iter().map(|n| n.to_string()).collect() };
+    assert_eq!(f14.len(), 5, "{f14:?}");
+    assert_eq!(
+        workloads(&|none, bound, both| both < none && both < bound),
+        set(&["REAL-1", "REAL-2", "REAL-3", "TPC-H"]),
+        "F14: bounding + refinement wins"
+    );
+    let tpcds = &f14.iter().find(|(name, _)| name == "TPC-DS").unwrap().1;
+    assert_eq!(
+        (tpcds[0], tpcds[2]),
+        (Some(0.0640), Some(0.0737)),
+        "F14 TPC-DS"
+    );
+    assert_eq!(
+        workloads(&|none, bound, _| bound > none),
+        set(&["REAL-1", "REAL-2", "TPC-DS", "TPC-H"]),
+        "F14: bounding alone is worse"
+    );
+
+    // F18: row design, then columnstore.
+    let f18: Vec<Option<f64>> = full_run_section(&golden, "Figure 18")
+        .into_iter()
+        .map(|row| split_row(row, 1).1[0])
+        .collect();
+    assert_eq!(f18, [Some(0.0892), Some(0.0342)], "F18");
+
+    // F20: operator, row design, columnstore.
+    let worse: BTreeSet<String> = full_run_section(&golden, "Figure 20")
+        .into_iter()
+        .map(|row| split_row(row, 2))
+        .filter_map(|(op, v)| match (v[0], v[1]) {
+            (Some(row), Some(columnstore)) if columnstore > row => Some(op),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        worse,
+        set(&[
+            "Bitmap Create",
+            "Filter",
+            "Hash Match (Aggregate)",
+            "Sort",
+            "Table Scan"
+        ]),
+        "F20: operators worse under columnstore"
     );
 }
 
@@ -646,4 +763,10 @@ fn seeded_collecting_read_is_caught_above_the_tests_only() {
     );
     let (found, _) = seeded(path, "mod tests {", line);
     assert!(found.is_empty(), "{found:?}");
+}
+
+#[test]
+fn settings_fields_count_pub_fields_of_settings_structs_above_the_tests() {
+    let text = "pub struct ServerConfig {\n    /// Doc.\n    pub history: u8,\n    pub(crate) hidden: u8,\n}\npub struct Server {\n    pub addr: u8,\n}\npub struct ExecOptions {\n    pub limit: usize,\n}\n#[cfg(test)]\nmod tests {\npub struct TestConfig {\n    pub seed: u64,\n}\n}\n";
+    assert_eq!(settings_fields(text), 2);
 }

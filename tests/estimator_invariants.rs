@@ -32,7 +32,12 @@ fn estimates_in_range_and_converge() {
                 continue;
             }
             for config in all_configs() {
-                let est = ProgressEstimator::new(&q.plan, &w.db, config.clone());
+                let est = ProgressEstimator::with_cost_model(
+                    &q.plan,
+                    &w.db,
+                    config.clone(),
+                    &run.cost_model,
+                );
                 for s in &run.snapshots {
                     let r = est.estimate(s);
                     assert!(
@@ -87,7 +92,12 @@ fn refined_cardinalities_respect_bounds_under_full_config() {
     for w in standard_five(smoke()) {
         for q in &w.queries {
             let run = lqs::exec::execute(&w.db, &q.plan, &ExecOptions::default());
-            let est = ProgressEstimator::new(&q.plan, &w.db, EstimatorConfig::full());
+            let est = ProgressEstimator::with_cost_model(
+                &q.plan,
+                &w.db,
+                EstimatorConfig::full(),
+                &run.cost_model,
+            );
             for s in &run.snapshots {
                 let r = est.estimate(s);
                 for np in &r.nodes {
@@ -111,8 +121,10 @@ fn estimation_is_deterministic() {
     let w = &standard_five(smoke())[0];
     let q = &w.queries[0];
     let run = lqs::exec::execute(&w.db, &q.plan, &ExecOptions::default());
-    let a = ProgressEstimator::new(&q.plan, &w.db, EstimatorConfig::full());
-    let b = ProgressEstimator::new(&q.plan, &w.db, EstimatorConfig::full());
+    let full = || {
+        ProgressEstimator::with_cost_model(&q.plan, &w.db, EstimatorConfig::full(), &run.cost_model)
+    };
+    let (a, b) = (full(), full());
     for s in &run.snapshots {
         assert_eq!(a.estimate(s).query_progress, b.estimate(s).query_progress);
     }
@@ -135,8 +147,13 @@ fn full_estimator_beats_naive_on_errorcount_across_suite() {
             if run.snapshots.is_empty() {
                 continue;
             }
-            let full = ProgressEstimator::new(&q.plan, &w.db, EstimatorConfig::full());
-            let tgn = ProgressEstimator::new(&q.plan, &w.db, EstimatorConfig::tgn());
+            let estimator = |config| {
+                ProgressEstimator::with_cost_model(&q.plan, &w.db, config, &run.cost_model)
+            };
+            let (full, tgn) = (
+                estimator(EstimatorConfig::full()),
+                estimator(EstimatorConfig::tgn()),
+            );
             let ef: Vec<f64> = run
                 .snapshots
                 .iter()
