@@ -22,10 +22,11 @@
 //! diffs them).
 
 use crate::channel::mangle_stream;
+use crate::inject::PageGate;
 use crate::plan::FaultPlan;
-use lqs_exec::{DmvSnapshot, FaultInjector, IoVerdict, QueryRun};
+use lqs_exec::{DmvSnapshot, FaultInjector, QueryRun};
 use lqs_metrics::MetricsRegistry;
-use lqs_plan::{NodeId, PhysicalPlan};
+use lqs_plan::PhysicalPlan;
 use lqs_progress::{
     EnsembleEstimator, EstimateScratch, EstimatorConfig, GuardedEstimator, ProgressEstimator,
 };
@@ -35,7 +36,7 @@ use lqs_server::{
 };
 use lqs_storage::Database;
 use lqs_workloads::{standard_five, WorkloadScale};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Size and content of one soak run.
@@ -166,32 +167,6 @@ fn offline_replay(
     bounded &= in_bounds(final_report.query_progress);
     let matches = (final_report.query_progress - fault_free_final).abs() <= 1e-9;
     (guarded.anomalies().total(), matches, bounded)
-}
-
-/// A fault injector that parks the executing worker at its first I/O
-/// charge until released — turns one session into a deterministic queue
-/// blocker for the admission-control scenario.
-#[derive(Default)]
-struct Gate {
-    released: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn release(&self) {
-        *self.released.lock().expect("gate poisoned") = true;
-        self.cv.notify_all();
-    }
-}
-
-impl FaultInjector for Gate {
-    fn on_io(&self, _node: NodeId, _total_pages: u64, _now_ns: u64) -> IoVerdict {
-        let mut released = self.released.lock().expect("gate poisoned");
-        while !*released {
-            released = self.cv.wait(released).expect("gate poisoned");
-        }
-        IoVerdict::Ok
-    }
 }
 
 /// A workload as the soaks run it: name, shared database, named plans.
@@ -394,7 +369,8 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         let smetrics = ServiceMetrics::new(Arc::clone(&mreg));
         let service =
             QueryService::with_metrics(Arc::clone(db), 1, smetrics).with_admission_limit(2);
-        let gate = Arc::new(Gate::default());
+        // Parks the worker at the blocker's first I/O charge.
+        let gate = PageGate::new(0);
         let blocker = service.submit(
             QuerySpec::new("admission-blocker", Arc::clone(qplan))
                 .with_fault(Arc::clone(&gate) as Arc<dyn FaultInjector + Send>),
@@ -421,7 +397,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
             .iter()
             .filter(|h| h.state() == SessionState::Rejected)
             .count();
-        gate.release();
+        gate.open();
         service.wait_all();
         let succeeded = std::iter::once(&blocker)
             .chain(queued.iter())

@@ -238,7 +238,7 @@ pub enum AlertKind {
     /// drifted apart beyond the watchdog's divergence band.
     Diverging,
     /// The watchdog's remediation policy acted on a stalled session
-    /// (cancelled or quarantined it); `detail` names the action.
+    /// (cancelled it); `detail` names the action.
     Remediated,
 }
 

@@ -1,7 +1,7 @@
 //! Trace exporters: JSONL (loss-free, reparseable) and Chrome trace-event
 //! JSON (loadable in `chrome://tracing` / Perfetto).
 
-use crate::sink::{EventKind, SessionEvent, TraceEvent};
+use crate::sink::{EventKind, TraceEvent};
 use lqs_plan::NodeId;
 use serde::Value;
 
@@ -173,76 +173,16 @@ pub fn to_collapsed_stacks(stacks: &[(Vec<String>, u64)]) -> String {
 /// spans with details under `args`. Operators render one lane (`tid`) per
 /// plan node; query-level events use lane 0.
 pub fn to_chrome_trace(events: &[TraceEvent], names: &[String]) -> String {
-    let mut out: Vec<Value> = Vec::new();
-    emit_stream(&mut out, 1, events, names);
-    finish_chrome_trace(out, 0)
+    to_chrome_trace_with_drops(events, names, 0)
 }
 
 /// [`to_chrome_trace`] for a capture that lost `dropped` events to a full
-/// ring buffer: the export leads with a zero-duration warning span naming
+/// ring buffer: the export ends with a zero-duration warning span naming
 /// the loss, so a viewer sees the truncation instead of a silently
 /// incomplete timeline.
 pub fn to_chrome_trace_with_drops(events: &[TraceEvent], names: &[String], dropped: u64) -> String {
     let mut out: Vec<Value> = Vec::new();
-    emit_stream(&mut out, 1, events, names);
-    finish_chrome_trace(out, dropped)
-}
-
-/// One session of a multi-session capture, ready for
-/// [`to_chrome_trace_sessions`].
-pub struct SessionTraceExport<'a> {
-    /// Session identifier; becomes the Chrome trace `pid` (+1, so pid 0
-    /// stays free for capture-level annotations).
-    pub session: u64,
-    /// Human label for the session's process lane (e.g. the query name).
-    pub label: String,
-    /// The session's events, in emission order.
-    pub events: &'a [TraceEvent],
-    /// Node display names for the session's plan.
-    pub names: &'a [String],
-}
-
-/// Chrome trace-event export of a *multi-session* capture: each session
-/// renders as its own process (`pid` = session id + 1, named by a
-/// `process_name` metadata record), with its operators on per-node `tid`
-/// lanes inside it. A single-pid export of interleaved sessions is
-/// actively wrong — two sessions' node-0 spans land on one lane and nest
-/// into each other — so anything captured through a
-/// [`crate::SharedSessionSink`] should come through here.
-pub fn to_chrome_trace_sessions(sessions: &[SessionTraceExport<'_>], dropped: u64) -> String {
-    let mut out: Vec<Value> = Vec::new();
-    for s in sessions {
-        let pid = (s.session as i64).saturating_add(1);
-        out.push(Value::Object(vec![
-            ("name".into(), Value::String("process_name".into())),
-            ("ph".into(), Value::String("M".into())),
-            ("pid".into(), Value::Int(pid)),
-            (
-                "args".into(),
-                Value::Object(vec![("name".into(), Value::String(s.label.clone()))]),
-            ),
-        ]));
-        emit_stream(&mut out, pid, s.events, s.names);
-    }
-    finish_chrome_trace(out, dropped)
-}
-
-/// Group a tagged capture by session id (ascending), preserving each
-/// session's own event order — the grouping
-/// [`to_chrome_trace_sessions`] consumes.
-pub fn split_sessions(events: &[SessionEvent]) -> Vec<(u64, Vec<TraceEvent>)> {
-    let mut by_session: std::collections::BTreeMap<u64, Vec<TraceEvent>> =
-        std::collections::BTreeMap::new();
-    for e in events {
-        by_session
-            .entry(e.session)
-            .or_default()
-            .push(e.event.clone());
-    }
-    by_session.into_iter().collect()
-}
-
-fn finish_chrome_trace(mut out: Vec<Value>, dropped: u64) -> String {
+    emit_stream(&mut out, events, names);
     if dropped > 0 {
         out.push(Value::Object(vec![
             (
@@ -267,8 +207,9 @@ fn finish_chrome_trace(mut out: Vec<Value>, dropped: u64) -> String {
     .to_json()
 }
 
-/// Emit one event stream's spans into `out` under process lane `pid`.
-fn emit_stream(out: &mut Vec<Value>, pid: i64, events: &[TraceEvent], names: &[String]) {
+/// Emit one event stream's spans into `out`, all under process lane 1
+/// (lane 0 holds the truncation warning).
+fn emit_stream(out: &mut Vec<Value>, events: &[TraceEvent], names: &[String]) {
     let us = |ns: u64| Value::Float(ns as f64 / 1000.0);
     let end_ts = events.iter().map(|e| e.ts_ns).max().unwrap_or(0);
     let mut complete = |name: String,
@@ -280,7 +221,7 @@ fn emit_stream(out: &mut Vec<Value>, pid: i64, events: &[TraceEvent], names: &[S
         let mut fields: Vec<(String, Value)> = vec![
             ("name".into(), Value::String(name)),
             ("ph".into(), Value::String("X".into())),
-            ("pid".into(), Value::Int(pid)),
+            ("pid".into(), Value::Int(1)),
             ("tid".into(), Value::Int(tid)),
             ("ts".into(), us(start_ns)),
             ("dur".into(), us(dur_ns)),
@@ -647,72 +588,6 @@ mod tests {
         let clean = to_chrome_trace_with_drops(&sample_events(), &[], 0);
         assert!(!clean.contains("trace truncated"));
         assert_eq!(clean, to_chrome_trace(&sample_events(), &[]));
-    }
-
-    #[test]
-    fn multi_session_trace_uses_distinct_pids() {
-        use crate::sink::{EventSink, SessionTap, SharedSessionSink};
-        use std::sync::Arc;
-
-        // Two sessions interleave the *same* node ids through one shared
-        // sink — the failure mode a single-pid export renders as nested
-        // spans on one lane.
-        let sink = Arc::new(SharedSessionSink::new(64));
-        let s0 = sink.tap(0);
-        let s1 = sink.tap(1);
-        let op = |tap: &SessionTap, ts_ns, kind| {
-            tap.emit(TraceEvent {
-                ts_ns,
-                node: Some(NodeId(0)),
-                kind,
-            })
-        };
-        op(&s0, 0, EventKind::OperatorOpen);
-        op(&s1, 50, EventKind::OperatorOpen);
-        op(&s0, 100, EventKind::OperatorClose);
-        op(&s1, 150, EventKind::OperatorClose);
-
-        let grouped = split_sessions(&sink.events());
-        assert_eq!(grouped.len(), 2);
-        let names = vec!["Table Scan".to_string()];
-        let exports: Vec<SessionTraceExport<'_>> = grouped
-            .iter()
-            .map(|(session, events)| SessionTraceExport {
-                session: *session,
-                label: format!("q{session}"),
-                events,
-                names: &names,
-            })
-            .collect();
-        let text = to_chrome_trace_sessions(&exports, 0);
-        let parsed = serde_json::from_str(&text).unwrap();
-        let spans = parsed["traceEvents"].as_array().unwrap();
-
-        // One process-name metadata record per session, distinct pids.
-        let mut pids: Vec<i64> = spans
-            .iter()
-            .filter(|e| e["ph"] == "M")
-            .map(|e| e["pid"].as_i64().unwrap())
-            .collect();
-        pids.sort_unstable();
-        assert_eq!(pids, vec![1, 2]);
-
-        // Each session's operator span lands under its own pid with the
-        // correct duration (100 ns each → 0.1 µs).
-        let op_spans: Vec<&serde_json::Value> = spans
-            .iter()
-            .filter(|e| e["ph"] == "X" && e["name"] == "Table Scan")
-            .collect();
-        assert_eq!(op_spans.len(), 2);
-        let mut span_pids: Vec<i64> = op_spans
-            .iter()
-            .map(|e| e["pid"].as_i64().unwrap())
-            .collect();
-        span_pids.sort_unstable();
-        assert_eq!(span_pids, vec![1, 2]);
-        for s in op_spans {
-            assert!((s["dur"].as_f64().unwrap() - 0.1).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -7,13 +7,10 @@
 //! blocking → emit, spool write → replay), exchange buffer high-water
 //! marks, bitmap builds, and DMV snapshot ticks — into an [`EventSink`].
 //!
-//! Two sinks ship with the crate (a run with no sink at all skips event
-//! construction entirely, so untraced runs pay almost nothing):
-//! [`RingBufferSink`] (bounded
-//! single-threaded in-memory capture with drop-oldest overflow), and
-//! [`SharedSessionSink`] (the same semantics behind a mutex, `Send + Sync`,
-//! every event tagged with its session, for concurrent sessions sharing
-//! one capture buffer — e.g. an `lqs-server` worker pool).
+//! One sink ships with the crate: [`RingBufferSink`], a bounded
+//! single-threaded in-memory capture with drop-oldest overflow. A run with
+//! no sink at all skips event construction entirely, so untraced runs pay
+//! almost nothing.
 //!
 //! Captured traces export two ways (see [`export`]):
 //! - JSONL — one event per line, loss-free, reparseable with
@@ -27,9 +24,6 @@ pub mod export;
 pub mod sink;
 
 pub use export::{
-    from_jsonl, split_sessions, to_chrome_trace, to_chrome_trace_sessions,
-    to_chrome_trace_with_drops, to_collapsed_stacks, to_jsonl, SessionTraceExport,
+    from_jsonl, to_chrome_trace, to_chrome_trace_with_drops, to_collapsed_stacks, to_jsonl,
 };
-pub use sink::{
-    EventKind, EventSink, RingBufferSink, SessionEvent, SessionTap, SharedSessionSink, TraceEvent,
-};
+pub use sink::{EventKind, EventSink, RingBufferSink, TraceEvent};

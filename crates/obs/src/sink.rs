@@ -3,7 +3,6 @@
 use lqs_plan::NodeId;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// What happened. Operator lifecycle events pair with the per-node
 /// counters' `open_ns`/`first_row_ns`/`close_ns` stamps; the rest expose
@@ -101,17 +100,17 @@ pub trait EventSink {
     }
 }
 
-/// The drop-oldest bounded queue behind all three ring sinks: when full,
-/// pushing evicts the oldest item and counts it.
+/// The drop-oldest bounded queue behind [`RingBufferSink`]: when full,
+/// pushing evicts the oldest event and counts it.
 #[derive(Debug)]
-struct Ring<T> {
-    buf: VecDeque<T>,
+struct Ring {
+    buf: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
 }
 
-impl<T> Ring<T> {
-    /// A ring retaining at most `capacity` items (min 1).
+impl Ring {
+    /// A ring retaining at most `capacity` events (min 1).
     fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         Ring {
@@ -121,29 +120,13 @@ impl<T> Ring<T> {
         }
     }
 
-    fn push(&mut self, item: T) {
+    fn push(&mut self, event: TraceEvent) {
         if self.buf.len() == self.capacity {
             self.buf.pop_front();
             self.dropped += 1;
         }
-        self.buf.push_back(item);
+        self.buf.push_back(event);
     }
-
-    /// Retained items, oldest first.
-    fn items(&self) -> Vec<T>
-    where
-        T: Clone,
-    {
-        self.buf.iter().cloned().collect()
-    }
-}
-
-/// Lock a shared sink's ring. A trace sink is shared by every session, so
-/// a thread that panicked under the lock must not silence the rest: recover
-/// the guard. Every [`Ring`] update leaves it valid at each step, so the
-/// state behind a poisoned lock is still a ring.
-fn lock<T>(ring: &Mutex<Ring<T>>) -> MutexGuard<'_, Ring<T>> {
-    ring.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Bounded in-memory capture. When full, the oldest event is dropped and
@@ -151,7 +134,7 @@ fn lock<T>(ring: &Mutex<Ring<T>>) -> MutexGuard<'_, Ring<T>> {
 /// account of what was lost. Not `Sync`: the per-session path takes no
 /// lock.
 #[derive(Debug)]
-pub struct RingBufferSink(RefCell<Ring<TraceEvent>>);
+pub struct RingBufferSink(RefCell<Ring>);
 
 impl RingBufferSink {
     /// A sink retaining at most `capacity` events (min 1).
@@ -161,7 +144,7 @@ impl RingBufferSink {
 
     /// Events currently retained, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.0.borrow().items()
+        self.0.borrow().buf.iter().cloned().collect()
     }
 
     /// Consume the sink, returning retained events oldest first.
@@ -178,91 +161,6 @@ impl RingBufferSink {
 impl EventSink for RingBufferSink {
     fn emit(&self, event: TraceEvent) {
         self.0.borrow_mut().push(event);
-    }
-}
-
-/// A [`TraceEvent`] tagged with the session that emitted it.
-///
-/// Concurrent sessions merged into one untagged stream would be fine for
-/// counting but useless for rendering, since two sessions' node 0 spans
-/// interleave on the same lane. The session tag keeps attribution so
-/// exporters can keep sessions apart (one Chrome trace `pid` per session,
-/// see [`crate::export::to_chrome_trace_sessions`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionEvent {
-    /// Caller-chosen session identifier (e.g. an `lqs-server` session id).
-    pub(crate) session: u64,
-    /// The event itself.
-    pub(crate) event: TraceEvent,
-}
-
-/// A `Send + Sync` ring buffer of [`SessionEvent`]s shared by many
-/// concurrent sessions, with the same drop-oldest overflow accounting as
-/// [`RingBufferSink`] but mutex-protected, so worker threads can emit while
-/// other threads drain. Sessions attach through [`SharedSessionSink::tap`],
-/// which stamps every emitted event with that session's id.
-#[derive(Debug)]
-pub struct SharedSessionSink(Mutex<Ring<SessionEvent>>);
-
-impl SharedSessionSink {
-    /// A sink retaining at most `capacity` events (min 1) across all
-    /// sessions.
-    pub fn new(capacity: usize) -> Self {
-        SharedSessionSink(Mutex::new(Ring::new(capacity)))
-    }
-
-    /// An [`EventSink`] that stamps everything it receives with `session`.
-    pub fn tap(self: &Arc<Self>, session: u64) -> SessionTap {
-        SessionTap {
-            sink: Arc::clone(self),
-            session,
-        }
-    }
-
-    /// Events currently retained, oldest first.
-    pub fn events(&self) -> Vec<SessionEvent> {
-        lock(&self.0).items()
-    }
-
-    /// Drain all retained events, oldest first, leaving the sink empty.
-    /// The dropped count is *not* reset — it stays an honest total.
-    #[cfg(test)]
-    pub(crate) fn drain(&self) -> Vec<SessionEvent> {
-        lock(&self.0).buf.drain(..).collect()
-    }
-
-    /// Number of events evicted due to capacity.
-    pub fn dropped(&self) -> u64 {
-        lock(&self.0).dropped
-    }
-
-    /// Number of events currently retained.
-    #[cfg(test)]
-    pub(crate) fn len(&self) -> usize {
-        lock(&self.0).buf.len()
-    }
-
-    /// Whether no events are retained.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Per-session handle into a [`SharedSessionSink`] (see
-/// [`SharedSessionSink::tap`]).
-#[derive(Debug, Clone)]
-pub struct SessionTap {
-    sink: Arc<SharedSessionSink>,
-    session: u64,
-}
-
-impl EventSink for SessionTap {
-    fn emit(&self, event: TraceEvent) {
-        lock(&self.sink.0).push(SessionEvent {
-            session: self.session,
-            event,
-        });
     }
 }
 
@@ -287,49 +185,5 @@ mod tests {
         assert_eq!(sink.dropped(), 2);
         let kept: Vec<u64> = sink.events().iter().map(|e| e.ts_ns).collect();
         assert_eq!(kept, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn session_sink_tags_and_drops_across_sessions() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SharedSessionSink>();
-
-        let sink = Arc::new(SharedSessionSink::new(3));
-        let a = sink.tap(7);
-        let b = sink.tap(9);
-        a.emit(ev(0));
-        b.emit(ev(1));
-        a.emit(ev(2));
-        b.emit(ev(3)); // evicts session 7's ts=0 event
-        assert_eq!(sink.dropped(), 1);
-        let tagged: Vec<(u64, u64)> = sink
-            .events()
-            .iter()
-            .map(|e| (e.session, e.event.ts_ns))
-            .collect();
-        assert_eq!(tagged, vec![(9, 1), (7, 2), (9, 3)]);
-        assert_eq!(sink.drain().len(), 3);
-        assert!(sink.is_empty());
-        assert_eq!(sink.dropped(), 1); // drain keeps the loss accounting
-    }
-
-    #[test]
-    fn shared_sinks_survive_a_panic_under_their_lock() {
-        let sessions = Arc::new(SharedSessionSink::new(3));
-        sessions.tap(7).emit(ev(0));
-        std::thread::scope(|s| {
-            let poisoner = s.spawn(|| {
-                let _sessions = sessions.0.lock().unwrap();
-                panic!("poison the sink");
-            });
-            assert!(poisoner.join().is_err());
-        });
-        assert!(sessions.0.is_poisoned());
-
-        sessions.tap(9).emit(ev(1)); // a later tap still lands
-        assert_eq!((sessions.len(), sessions.dropped()), (2, 0));
-        let tagged: Vec<u64> = sessions.events().iter().map(|e| e.session).collect();
-        assert_eq!(tagged, vec![7, 9]);
-        assert_eq!(sessions.drain().len(), 2);
     }
 }

@@ -149,6 +149,22 @@ impl SnapshotGuard {
         !self.last_ingest_had_anomaly
     }
 
+    /// Take `s` — a session's final counters — as the view outright instead
+    /// of merging it by timestamp. A server-side retry restarts the virtual
+    /// clock, so the final snapshot of the last attempt can be older, and
+    /// its counters lower, than a late snapshot of an earlier attempt: the
+    /// same signature as a delayed snapshot, which [`ingest`](Self::ingest)
+    /// rightly refuses to let drag the view backwards. Only the caller
+    /// knows a snapshot is final. Anomaly tallies are left as they are; a
+    /// malformed `s` is counted and dropped like any other.
+    pub(crate) fn adopt(&mut self, s: &DmvSnapshot) {
+        if s.nodes.len() == self.n_nodes {
+            self.view = Some(s.clone());
+        } else {
+            self.anomalies.malformed += 1;
+        }
+    }
+
     /// The sanitized high-water snapshot, if anything has been ingested.
     pub fn view(&self) -> Option<&DmvSnapshot> {
         self.view.as_ref()
@@ -174,9 +190,15 @@ impl SnapshotGuard {
 /// again later (the server's poller) holds the one copy and downgrades it
 /// to [`EstimateQuality::Stale`] itself as the telemetry ages.
 /// Because the view is a high-water reconstruction, reported progress obeys
-/// the same §4 bounds and clamps as a fault-free stream — and once the
-/// genuine final snapshot arrives (in any order, amid any garbage), the
-/// view equals it, so the final report converges to the fault-free one.
+/// the same §4 bounds and clamps as a fault-free stream. Within one
+/// execution attempt, once the genuine final snapshot arrives (in any
+/// order, amid any garbage) the view equals it, so the final report
+/// converges to the fault-free one. Across a server-side retry it need
+/// not: the retry restarts the virtual clock, so the last attempt's final
+/// snapshot can be older than an earlier attempt's late ones, whose
+/// lifecycle fields (an operator still open) the merge keeps. A caller
+/// that knows a snapshot is final hands it to
+/// [`observe_final`](Self::observe_final) instead.
 ///
 /// A degraded stream (any absorbed anomaly) additionally **freezes
 /// selection**: the member estimates still flow, but the selection state
@@ -213,6 +235,20 @@ impl GuardedEstimator {
     /// estimated from an all-zero counter state — progress 0, `Degraded`.
     pub fn observe(&mut self, s: &DmvSnapshot) -> ProgressReport {
         self.guard.ingest(s);
+        self.report()
+    }
+
+    /// [`observe`](Self::observe) for a session's final counters: the guard
+    /// takes `s` as its view instead of merging it, so the report is the
+    /// fault-free final figure whatever arrived before. Quality stays
+    /// `Degraded` if the stream ever misbehaved.
+    pub fn observe_final(&mut self, s: &DmvSnapshot) -> ProgressReport {
+        self.guard.adopt(s);
+        self.report()
+    }
+
+    /// A quality-stamped report from the guard's current view.
+    fn report(&mut self) -> ProgressReport {
         let degraded = self.guard.anomalies().total() > 0;
         let zero;
         let view = match self.guard.view() {
@@ -295,6 +331,29 @@ mod tests {
         assert_eq!(g.anomalies().counter_resets, 1);
         assert_eq!(g.view().unwrap().node(0).rows_output, 50);
         assert_eq!(g.view().unwrap().ts_ns, 30);
+    }
+
+    /// A retry restarts the clock: merged by timestamp, the last attempt's
+    /// final snapshot keeps the first attempt's open node; adopted, it is
+    /// the view, and the tallies stay as the stream left them.
+    #[test]
+    fn adopted_final_snapshot_replaces_a_later_stamped_view() {
+        let mut g = SnapshotGuard::new(1);
+        g.ingest(&snap(90, 40)); // attempt 1, still open at ts 90
+        let mut last = snap(60, 50); // attempt 2 ends at ts 60
+        last.nodes[0].close_ns = Some(60);
+        g.ingest(&last);
+        assert_eq!(g.view().unwrap().node(0).close_ns, None);
+        let tallies = *g.anomalies();
+
+        g.adopt(&last);
+        assert_eq!(g.view(), Some(&last));
+        assert_eq!(*g.anomalies(), tallies);
+        let mut two_nodes = snap(70, 50);
+        two_nodes.nodes.push(counters(1, 1));
+        g.adopt(&two_nodes);
+        assert_eq!(g.anomalies().malformed, tallies.malformed + 1);
+        assert_eq!(g.view(), Some(&last));
     }
 
     #[test]

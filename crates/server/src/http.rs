@@ -866,7 +866,6 @@ fn sessions_json(sessions: &SessionRegistry) -> String {
                         SessionDurability::Lost => Value::Bool(false),
                     },
                 ),
-                ("quarantined".into(), Value::Bool(h.is_quarantined())),
                 ("published_seq".into(), Value::Int(h.published_seq() as i64)),
                 (
                     "snapshot_ts_ns".into(),

@@ -56,8 +56,8 @@
 //!   [`lqs_prof::ProfileReport`] (flamegraph-ready collapsed stacks
 //!   included) on `GET /profile/{session}`.
 //! * Self-healing — the watchdog can *act* on its diagnoses
-//!   ([`RemediationPolicy`]: cancel or quarantine sessions stalled for N
-//!   consecutive sweeps), the journal write path runs behind a circuit
+//!   ([`RemediationPolicy`]: cancel sessions stalled for N consecutive
+//!   sweeps), the journal write path runs behind a circuit
 //!   breaker (a dead disk degrades durability instead of blocking
 //!   executors — surfaced as `durable: false` in `/sessions` and breaker
 //!   state in `/healthz`), sustained overload triggers a brownout

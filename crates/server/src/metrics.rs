@@ -39,7 +39,6 @@ pub struct ServiceMetrics {
     pub(crate) queue_wait_seconds: Arc<Histogram>,
     pub(crate) run_wall_seconds: Arc<Histogram>,
     pub(crate) run_virtual_ns: Arc<Histogram>,
-    pub(crate) trace_events_dropped: Arc<Gauge>,
     pub(crate) rejected: Arc<Counter>,
     pub(crate) retries: Arc<Counter>,
     pub(crate) brownout_active: Arc<Gauge>,
@@ -74,11 +73,6 @@ impl ServiceMetrics {
             "Virtual-clock nanoseconds a session executed for (completed and aborted runs)",
             &[],
         );
-        let trace_events_dropped = registry.gauge(
-            "lqs_trace_events_dropped",
-            "Events evicted so far from the service's shared trace ring buffer",
-            &[],
-        );
         let rejected = registry.counter(
             "lqs_sessions_rejected_total",
             "Sessions shed at admission because the bounded queue was full",
@@ -107,7 +101,6 @@ impl ServiceMetrics {
             queue_wait_seconds,
             run_wall_seconds,
             run_virtual_ns,
-            trace_events_dropped,
             rejected,
             retries,
             brownout_active,
@@ -139,7 +132,7 @@ impl ServiceMetrics {
     }
 
     /// Count one session shed by overload brownout, labeled by reason
-    /// (`queue_deadline`, `predicted_over_deadline`). Distinct from
+    /// (`queue_deadline`). Distinct from
     /// `lqs_sessions_rejected_total`, which counts admission-queue sheds.
     pub(crate) fn shed(&self, reason: &str) {
         self.registry

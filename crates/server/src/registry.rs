@@ -173,6 +173,9 @@ struct PollState {
     /// Report served by that poll, and its snapshot's virtual timestamp.
     report: Option<ProgressReport>,
     ts_ns: Option<u64>,
+    /// That poll read the session's final counters and the guard adopted
+    /// them as its view.
+    settled: bool,
     /// Accuracy has been scored (or ruled out), so the replay runs exactly
     /// once per session.
     scored: bool,
@@ -318,9 +321,18 @@ impl RegistryPoller {
         st.backoff = None;
 
         let seq = handle.published_seq();
+        // A session that `complete`d or `abort`ed published its final
+        // counters before it became terminal, and nothing after them.
+        let state = handle.state();
+        let settled = matches!(
+            state,
+            SessionState::Succeeded | SessionState::Cancelled | SessionState::DeadlineExceeded
+        );
         // Reuse the cached report when nothing new was published (but
-        // re-stamp its staleness — the query may have silently moved on).
-        if st.last_seq == Some(seq) {
+        // re-stamp its staleness — the query may have silently moved on),
+        // unless the session has since settled on the counters that report
+        // was estimated from.
+        if st.last_seq == Some(seq) && st.settled == settled {
             return self.cached_progress(handle, EstimateQuality::Fresh);
         }
         // Pooled read: the slot is copied into the poller's scratch buffer,
@@ -331,14 +343,22 @@ impl RegistryPoller {
                 .estimator
                 .get_or_insert_with(|| session_estimator(&self.lineup, &self.db, handle));
             if snap.nodes.len() == handle.plan().len() {
-                let report = guarded.observe(snap);
+                // The final counters are authoritative: merged by timestamp
+                // like a live snapshot, a retried session's last attempt
+                // (its clock restarted) would lose to the earlier attempt's
+                // later-stamped snapshots.
+                let report = if settled {
+                    guarded.observe_final(snap)
+                } else {
+                    guarded.observe(snap)
+                };
                 // Surface the live ensemble selection on the handle so
                 // `GET /sessions` can show it mid-run — but never for a
                 // terminal session, whose stash is the deterministic
                 // full-trace replay selection written by
                 // `maybe_score_accuracy` (which already ran above).
                 if let Some(sel) = &report.ensemble {
-                    if !handle.state().is_terminal() {
+                    if !state.is_terminal() {
                         handle.set_estimator_selection(sel.clone());
                     }
                 }
@@ -359,6 +379,7 @@ impl RegistryPoller {
             st.last_seq = Some(seq);
             st.report = progress.report.clone();
             st.ts_ns = ts_ns;
+            st.settled = settled;
         }
         progress
     }
@@ -413,13 +434,9 @@ impl RegistryPoller {
         // managed to journal: serve it, but never as anything better than
         // Degraded — the run it describes no longer exists. The same cap
         // applies when the journal circuit breaker dropped records (the
-        // durable trail is incomplete) or the watchdog quarantined the
-        // session (its telemetry stopped moving long ago).
+        // durable trail is incomplete).
         if let Some(r) = &mut report {
-            if state == SessionState::Orphaned
-                || handle.durability() == SessionDurability::Lost
-                || handle.is_quarantined()
-            {
+            if state == SessionState::Orphaned || handle.durability() == SessionDurability::Lost {
                 r.quality = EstimateQuality::Degraded;
             }
             self.metrics.set_session_gauges(
@@ -593,6 +610,71 @@ mod tests {
             }
         });
         assert_eq!(ids(registry.sessions()), taken);
+    }
+
+    /// A retried session's last attempt restarts the virtual clock, so its
+    /// final counters are stamped before the first attempt's late
+    /// snapshots. The poll that finds it terminal must read those counters
+    /// as they are — 100 % — not merged under the first attempt's
+    /// later-stamped lifecycle fields; the anomaly the retry showed still
+    /// degrades the report.
+    #[test]
+    fn a_retried_sessions_terminal_poll_reads_its_final_counters() {
+        use lqs_exec::{DmvSnapshot, SnapshotPublisher};
+        use lqs_storage::{Column, DataType, Schema, Table, Value};
+        let mut t = Table::new("t", Schema::new(vec![Column::new("a", DataType::Int)]));
+        for i in 0..2_000 {
+            t.insert(vec![Value::Int(i % 97)]).unwrap();
+        }
+        let mut db = Database::new();
+        let table = db.add_table_analyzed(t);
+        let mut b = lqs_plan::PlanBuilder::new(&db);
+        let scan = b.table_scan(table);
+        let sort = b.sort(scan, vec![lqs_plan::SortKey::asc(0)]);
+        // A root that passes nothing: while it is open its estimated rows
+        // are still to come, so only its close reads as 100 %.
+        let none = lqs_plan::Expr::col(0).lt(lqs_plan::Expr::lit(0));
+        let filter = b.filter(sort, none);
+        let plan = Arc::new(b.finish(filter));
+        let db = Arc::new(db);
+        let run = lqs_exec::execute(&db, &plan, &lqs_exec::ExecOptions::default());
+        let mid = &run.snapshots[..run.snapshots.len() - 1];
+        assert!(mid.len() >= 2, "the run needs mid-run snapshots");
+
+        let registry = Arc::new(SessionRegistry::new());
+        let spec = QuerySpec::new("retried", Arc::clone(&plan));
+        let handle = registry.register(registry.next_id(), spec, SessionTerms::default());
+        let mut poller = RegistryPoller::new(
+            Arc::clone(&db),
+            Arc::clone(&registry),
+            EstimatorConfig::full(),
+        );
+        handle.start().unwrap();
+        // Attempt 1 stalls, so its snapshots run past attempt 2's end.
+        for s in mid {
+            handle.publish(&DmvSnapshot {
+                ts_ns: s.ts_ns + run.duration_ns,
+                nodes: s.nodes.clone(),
+            });
+        }
+        poller.poll_session(&handle);
+        // Attempt 2 restarts from zero and completes below attempt 1's clock.
+        handle.publish(&mid[0]);
+        poller.poll_session(&handle);
+        for s in &mid[1..] {
+            handle.publish(s);
+        }
+        let pending = handle.complete(run);
+        handle.settle(pending);
+        assert_eq!(handle.state(), SessionState::Succeeded);
+
+        let report = poller.poll_session(&handle).report.expect("a final report");
+        assert!(
+            (report.query_progress - 1.0).abs() <= 1e-9,
+            "terminal poll read {}",
+            report.query_progress
+        );
+        assert_eq!(report.quality, EstimateQuality::Degraded);
     }
 
     /// One thread panicking with the session list locked (a failed session,

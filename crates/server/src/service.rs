@@ -29,7 +29,6 @@ use lqs_exec::{
 };
 use lqs_history::{plan_features, HistoryMetrics, HistoryStore, ObservedRun, ResourcePrediction};
 use lqs_journal::{plan_fingerprint, Journal, JournalExecMode, SessionMeta};
-use lqs_obs::EventSink;
 use lqs_plan::PhysicalPlan;
 use lqs_storage::Database;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -370,6 +369,7 @@ impl QueryService {
     /// query runs when a worker frees up. Under an admission limit, a
     /// submission that finds the queue full returns a handle already in
     /// [`SessionState::Rejected`] — check the state, don't assume it ran.
+    /// So does one that no worker is left to dequeue, with that reason.
     pub fn submit(&self, mut spec: QuerySpec) -> Arc<SessionHandle> {
         // Brownout widening happens before the journal opens so the widened
         // cadence is what the journal meta records and what pollers see in
@@ -407,8 +407,7 @@ impl QueryService {
         let terms = SessionTerms {
             journal,
             cost,
-            queue_deadline: (self.brownout.as_ref())
-                .map(|b| b.config.queue_deadline.unwrap_or(Duration::MAX)),
+            queue_deadline: self.brownout.as_ref().and_then(|b| b.config.queue_deadline),
             recovered: false,
         };
         let handle = self.registry.register(id, spec, terms);
@@ -425,11 +424,20 @@ impl QueryService {
             handle.reject(None);
             return handle;
         }
-        self.queue
-            .as_ref()
-            .expect("service already shut down")
-            .send(Arc::clone(&handle))
-            .expect("worker pool hung up");
+        let unsent = match &self.queue {
+            Some(queue) => queue
+                .send(Arc::clone(&handle))
+                .err()
+                .map(|_| "worker pool is gone"),
+            None => Some("service is shut down"),
+        };
+        // A session no worker will ever dequeue is shed here, not stranded
+        // as `Queued` — and the submitter never panics for it.
+        if let Some(reason) = unsent {
+            self.queued_depth.fetch_sub(1, Ordering::AcqRel);
+            self.metrics.finished(SessionState::Rejected);
+            handle.reject(Some(reason.to_owned()));
+        }
         handle
     }
 
@@ -604,32 +612,15 @@ fn run_session(
     let queue_wait = handle.submitted_at().elapsed();
     // Brownout shedding at dequeue: a session that cannot meet its latency
     // contract any more is rejected with a reason instead of run-to-fail.
-    if let Some(deadline) = handle.queue_deadline() {
-        if queue_wait > deadline {
-            metrics.shed("queue_deadline");
-            metrics.finished(SessionState::Rejected);
-            handle.reject(Some(format!(
-                "queue-wait deadline exceeded: waited {:.3}s over a {:.3}s budget",
-                queue_wait.as_secs_f64(),
-                deadline.as_secs_f64()
-            )));
-            return;
-        }
-        // A session whose predicted runtime already exceeds its virtual
-        // deadline would only run to be aborted — shed it up front.
-        if let (Some(deadline_ns), Some(prediction)) =
-            (handle.deadline_ns(), handle.predicted_cost())
-        {
-            if prediction.runtime_ns > deadline_ns as f64 {
-                metrics.shed("predicted_over_deadline");
-                metrics.finished(SessionState::Rejected);
-                handle.reject(Some(format!(
-                    "predicted runtime {:.0}ns exceeds the {deadline_ns}ns virtual deadline",
-                    prediction.runtime_ns
-                )));
-                return;
-            }
-        }
+    if let Some(deadline) = handle.queue_deadline().filter(|&d| queue_wait > d) {
+        metrics.shed("queue_deadline");
+        metrics.finished(SessionState::Rejected);
+        handle.reject(Some(format!(
+            "queue-wait deadline exceeded: waited {:.3}s over a {:.3}s budget",
+            queue_wait.as_secs_f64(),
+            deadline.as_secs_f64()
+        )));
+        return;
     }
     // Only a queued session starts; one already finished is not run.
     if handle.start().is_err() {
@@ -638,7 +629,6 @@ fn run_session(
     metrics.queue_wait_seconds.observe(queue_wait.as_secs_f64());
     metrics.running.inc();
     let started = Instant::now();
-    let tap = handle.trace_sink().map(|sink| sink.tap(handle.id().0));
     let filter = handle.snapshot_filter().cloned();
     // Mid-run publishes go through the session's snapshot filter (the
     // telemetry-channel fault seam) when one is attached; the terminal
@@ -662,7 +652,7 @@ fn run_session(
     let mut attempts_left = handle.retry_budget();
     let outcome = loop {
         let hooks = ExecHooks {
-            sink: tap.as_ref().map(|t| t as &dyn EventSink),
+            sink: None,
             publisher: Some(publisher),
             cancel: Some(handle.cancel_token()),
             deadline_ns: handle.deadline_ns(),
@@ -718,9 +708,6 @@ fn run_session(
         metrics.run_virtual_ns.observe_u64(ns);
     }
     metrics.finished(pending.result.state());
-    if let Some(sink) = handle.trace_sink() {
-        metrics.trace_events_dropped.set(sink.dropped() as i64);
-    }
     hand_off(stage, handle, pending);
 }
 
@@ -742,12 +729,50 @@ impl CostAdmission {
 mod tests {
     use super::*;
 
-    fn handle(registry: &SessionRegistry) -> Arc<SessionHandle> {
+    fn spec() -> QuerySpec {
         let db = Database::new();
         let mut b = lqs_plan::PlanBuilder::new(&db);
         let scan = b.constant_scan(vec![vec![lqs_storage::Value::Int(1)]]);
-        let spec = QuerySpec::new("q", Arc::new(b.finish(scan)));
-        registry.register(registry.next_id(), spec, SessionTerms::default())
+        QuerySpec::new("q", Arc::new(b.finish(scan)))
+    }
+
+    fn handle(registry: &SessionRegistry) -> Arc<SessionHandle> {
+        registry.register(registry.next_id(), spec(), SessionTerms::default())
+    }
+
+    /// A submission no worker can ever dequeue — the pool's receiver is
+    /// gone, or the queue is closed — is rejected with a reason; the
+    /// submitter does not panic, and the queue depth gives its slot back.
+    #[test]
+    fn submit_rejects_what_no_worker_can_dequeue() {
+        let (tx, rx) = channel();
+        drop(rx);
+        let mut service = QueryService {
+            registry: Arc::new(SessionRegistry::new()),
+            metrics: ServiceMetrics::new(Arc::default()),
+            queue: Some(tx),
+            workers: Vec::new(),
+            stage: None,
+            admission_limit: None,
+            queued_depth: Arc::default(),
+            journal: None,
+            cost_admission: None,
+            brownout: None,
+        };
+        let orphan = service.submit(spec());
+        assert_eq!(orphan.state(), SessionState::Rejected);
+        assert_eq!(
+            orphan.reject_reason().as_deref(),
+            Some("worker pool is gone")
+        );
+        service.queue = None;
+        let late = service.submit(spec());
+        assert_eq!(
+            late.reject_reason().as_deref(),
+            Some("service is shut down")
+        );
+        assert_eq!(service.queued_depth.load(Ordering::Acquire), 0);
+        assert_eq!(service.registry.len(), 2);
     }
 
     /// A panicking terminal path fails that session alone: its waiters

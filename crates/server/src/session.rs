@@ -15,9 +15,8 @@ use lqs_exec::{
 };
 use lqs_history::ResourcePrediction;
 use lqs_journal::{SessionJournal, TerminalKind, TerminalRecord};
-use lqs_obs::SharedSessionSink;
 use lqs_plan::PhysicalPlan;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -97,7 +96,8 @@ pub enum SessionResult {
     /// over the pool) or, under brownout, at dequeue. Never executed.
     Rejected {
         /// Why, when the shed gave a reason (brownout's dequeue-time sheds
-        /// do); journaled as the terminal record's message.
+        /// and a submission no worker can dequeue do); journaled as the
+        /// terminal record's message.
         reason: Option<String>,
     },
     /// Interrupted by a service crash and restored from the journal; only
@@ -216,9 +216,6 @@ pub struct QuerySpec {
     /// Workload label for accuracy telemetry (the `workload` label on the
     /// `lqs_estimator_error_*` families). Defaults to `name`.
     pub(crate) workload: Option<String>,
-    /// Shared trace capture: the worker taps this sink with the session id,
-    /// so multi-session captures stay attributable per session.
-    pub(crate) trace: Option<Arc<SharedSessionSink>>,
     /// How many times a run that fails with a *transient*
     /// [`lqs_exec::QueryFault`] may be re-executed before the session is
     /// marked `Failed`. Zero (the default) disables retry.
@@ -242,7 +239,6 @@ impl QuerySpec {
             opts: ExecOptions::default(),
             deadline_ns: None,
             workload: None,
-            trace: None,
             retry_budget: 0,
             fault: None,
             snapshot_filter: None,
@@ -264,12 +260,6 @@ impl QuerySpec {
     /// Set the workload label for accuracy telemetry.
     pub fn with_workload(mut self, workload: impl Into<String>) -> Self {
         self.workload = Some(workload.into());
-        self
-    }
-
-    /// Attach a shared trace capture for this session's events.
-    pub fn with_trace(mut self, sink: Arc<SharedSessionSink>) -> Self {
-        self.trace = Some(sink);
         self
     }
 
@@ -324,9 +314,6 @@ pub struct SessionHandle {
     last_publish_ns: AtomicU64,
     /// What the session runs under, fixed before the handle existed.
     terms: SessionTerms,
-    /// Set by watchdog quarantine remediation: the session was cancelled
-    /// for stalling and its progress is served at degraded quality.
-    quarantined: AtomicBool,
     /// Latest ensemble estimator selection a poller computed for this
     /// session (`None` for single-estimator pollers). Mid-run this tracks
     /// the live selection; once the session terminates the poller overwrites
@@ -346,9 +333,8 @@ pub(crate) struct SessionTerms {
     /// Predicted-cost admission state, when the owning service runs
     /// cost-based admission.
     pub(crate) cost: Option<SessionCost>,
-    /// Brownout's queue-wait budget (`Duration::MAX` when brownout sheds
-    /// on prediction only): a session dequeued later is shed, and so is one
-    /// predicted to overrun its virtual deadline. `None` without brownout.
+    /// Brownout's queue-wait budget: a session dequeued later is shed.
+    /// `None` without brownout or without a budget.
     pub(crate) queue_deadline: Option<Duration>,
     /// Rebuilt from a journal by recovery rather than submitted live.
     pub(crate) recovered: bool,
@@ -384,7 +370,6 @@ impl SessionHandle {
             created: Instant::now(),
             last_publish_ns: AtomicU64::new(u64::MAX),
             terms,
-            quarantined: AtomicBool::new(false),
             estimator_selection: Mutex::new(None),
         }
     }
@@ -433,18 +418,6 @@ impl SessionHandle {
         }
     }
 
-    /// Mark the session quarantined by watchdog remediation: it is (or is
-    /// being) cancelled for stalling, and its last-known progress is served
-    /// at degraded estimate quality.
-    pub(crate) fn quarantine(&self) {
-        self.quarantined.store(true, Ordering::Release);
-    }
-
-    /// Whether watchdog remediation quarantined this session.
-    pub fn is_quarantined(&self) -> bool {
-        self.quarantined.load(Ordering::Acquire)
-    }
-
     /// Why the session was rejected, when it was shed with a reason.
     pub fn reject_reason(&self) -> Option<String> {
         match &*self.lifecycle() {
@@ -490,11 +463,6 @@ impl SessionHandle {
     /// Workload label for accuracy telemetry (falls back to the name).
     pub fn workload(&self) -> &str {
         self.spec.workload.as_deref().unwrap_or(&self.spec.name)
-    }
-
-    /// Shared trace capture this session emits into, if any.
-    pub(crate) fn trace_sink(&self) -> Option<&Arc<SharedSessionSink>> {
-        self.spec.trace.as_ref()
     }
 
     /// Wall-clock instant the session was submitted.

@@ -58,13 +58,6 @@ pub enum RemediationPolicy {
         /// Consecutive stalled sweeps before cancelling (min 1).
         after_stalled_sweeps: u64,
     },
-    /// Like [`RemediationPolicy::Cancel`], additionally marking the
-    /// session quarantined: pollers serve its last-known progress at
-    /// degraded estimate quality and `/sessions` flags it.
-    Quarantine {
-        /// Consecutive stalled sweeps before quarantining (min 1).
-        after_stalled_sweeps: u64,
-    },
 }
 
 /// Consecutive divergent sweeps before a session is flagged diverging.
@@ -168,7 +161,7 @@ pub struct Watchdog {
     alerts: BTreeMap<SessionId, SessionAlert>,
     /// Completed sweeps — the deterministic time axis.
     sweeps: u64,
-    /// Remediations fired so far (cancel + quarantine).
+    /// Remediations fired so far (cancellations).
     remediations: u64,
     /// Reusable snapshot buffer (same pooling as the poller's).
     scratch: DmvSnapshot,
@@ -217,7 +210,7 @@ impl Watchdog {
         self.sweeps
     }
 
-    /// Remediations fired so far (cancellations plus quarantines).
+    /// Remediations fired so far (cancellations).
     pub fn remediations(&self) -> u64 {
         self.remediations
     }
@@ -364,45 +357,33 @@ impl Watchdog {
             // terminal `Cancelled` state, never a retryable fault (the
             // worker additionally refuses transient-fault retries once the
             // token is cancelled, so the retry budget is untouched).
-            if health == Health::Stalled && !track.remediated {
-                let action = match self.config.remediation {
-                    RemediationPolicy::Observe => None,
-                    RemediationPolicy::Cancel {
-                        after_stalled_sweeps,
-                    } if track.stalled_sweeps >= after_stalled_sweeps.max(1) => Some("cancel"),
-                    RemediationPolicy::Quarantine {
-                        after_stalled_sweeps,
-                    } if track.stalled_sweeps >= after_stalled_sweeps.max(1) => Some("quarantine"),
-                    _ => None,
-                };
-                if let Some(action) = action {
-                    track.remediated = true;
-                    self.remediations += 1;
-                    if action == "quarantine" {
-                        // Flag before cancelling so a poller that sees the
-                        // terminal state also sees the quarantine.
-                        handle.quarantine();
-                    }
-                    handle.cancel();
-                    self.metrics
-                        .counter(
-                            "lqs_watchdog_remediations_total",
-                            "Watchdog remediations fired on sessions that stayed stalled, by action",
-                            &[("action", action)],
-                        )
-                        .inc();
-                    let detail = format!(
-                        "{action} after {} consecutive stalled sweeps",
-                        track.stalled_sweeps
-                    );
-                    raised.push(raise(
-                        &mut self.alerts,
-                        handle,
-                        AlertKind::Remediated,
-                        seq,
-                        detail,
-                    ));
-                }
+            let cancel_due = matches!(
+                self.config.remediation,
+                RemediationPolicy::Cancel { after_stalled_sweeps }
+                    if track.stalled_sweeps >= after_stalled_sweeps.max(1)
+            );
+            if health == Health::Stalled && !track.remediated && cancel_due {
+                track.remediated = true;
+                self.remediations += 1;
+                handle.cancel();
+                self.metrics
+                    .counter(
+                        "lqs_watchdog_remediations_total",
+                        "Watchdog remediations fired on sessions that stayed stalled, by action",
+                        &[("action", "cancel")],
+                    )
+                    .inc();
+                let detail = format!(
+                    "cancel after {} consecutive stalled sweeps",
+                    track.stalled_sweeps
+                );
+                raised.push(raise(
+                    &mut self.alerts,
+                    handle,
+                    AlertKind::Remediated,
+                    seq,
+                    detail,
+                ));
             }
         }
         // Sessions gone from the registry entirely (evicted) end their

@@ -10,7 +10,6 @@
 
 use lqs_journal::{Journal, JournalConfig, SessionMeta};
 use lqs_metrics::MetricsRegistry;
-use lqs_obs::{split_sessions, to_chrome_trace_sessions, SessionTraceExport, SharedSessionSink};
 use lqs_progress::{error_count, error_time, EstimatorConfig, ProgressEstimator};
 use lqs_server::{
     MetricsServer, PollerMetrics, QueryService, QuerySpec, RecoveryManager, RegistryPoller,
@@ -229,67 +228,6 @@ fn metrics_server_serves_exposition_and_sessions() {
     assert!(http_get(addr, "/metrics").starts_with("HTTP/1.1 200"));
 
     server.stop();
-}
-
-#[test]
-fn shared_trace_capture_attributes_sessions_and_surfaces_drops() {
-    let (db, t) = mixed_db();
-    let db = Arc::new(db);
-    let plans = mixed_plans(&db, t);
-    let registry = Arc::new(MetricsRegistry::new());
-    let service_metrics = ServiceMetrics::new(Arc::clone(&registry));
-    // One worker serializes sessions so the drop-gauge's last writer is
-    // deterministic.
-    let service = QueryService::with_metrics(Arc::clone(&db), 1, service_metrics);
-
-    // Roomy sink first: two sessions, full capture, per-session pids.
-    let sink = Arc::new(SharedSessionSink::new(1 << 16));
-    let a =
-        service.submit(QuerySpec::new("qa", Arc::clone(&plans[0])).with_trace(Arc::clone(&sink)));
-    let b =
-        service.submit(QuerySpec::new("qb", Arc::clone(&plans[1])).with_trace(Arc::clone(&sink)));
-    a.wait_terminal();
-    b.wait_terminal();
-
-    let grouped = split_sessions(&sink.events());
-    assert_eq!(grouped.len(), 2, "both sessions attributed");
-    let exports: Vec<SessionTraceExport<'_>> = grouped
-        .iter()
-        .map(|(session, events)| SessionTraceExport {
-            session: *session,
-            label: format!("session-{session}"),
-            events,
-            names: &[],
-        })
-        .collect();
-    let trace = to_chrome_trace_sessions(&exports, sink.dropped());
-    let parsed = serde_json::from_str(&trace).expect("valid chrome trace JSON");
-    let spans = parsed["traceEvents"].as_array().unwrap();
-    let mut pids: Vec<i64> = spans
-        .iter()
-        .filter(|e| e["ph"] == "X")
-        .map(|e| e["pid"].as_i64().unwrap())
-        .collect();
-    pids.sort_unstable();
-    pids.dedup();
-    assert_eq!(
-        pids,
-        vec![a.id().0 as i64 + 1, b.id().0 as i64 + 1],
-        "one pid per session"
-    );
-
-    // Tiny sink second: the capture must overflow and both the sink and
-    // the gauge must say so.
-    let tiny = Arc::new(SharedSessionSink::new(4));
-    service
-        .submit(QuerySpec::new("qc", Arc::clone(&plans[2])).with_trace(Arc::clone(&tiny)))
-        .wait_terminal();
-    service.shutdown(); // joins workers → the final gauge write has landed
-    assert!(tiny.dropped() > 0, "4-event capacity must overflow");
-    assert_eq!(
-        registry.gauge("lqs_trace_events_dropped", "", &[]).get(),
-        tiny.dropped() as i64
-    );
 }
 
 /// There is no telemetry-off path: a stack none of whose parts was handed a

@@ -1,4 +1,4 @@
-//! Self-healing end-to-end: watchdog remediation (cancel / quarantine)
+//! Self-healing end-to-end: watchdog remediation (cancel)
 //! lands stalled sessions terminal without burning their transient-fault
 //! retry budget, the journal circuit breaker degrades durability instead
 //! of blocking executors, breaker-open completions recover as `Orphaned`
@@ -11,11 +11,10 @@ use lqs_journal::{
     SessionMeta,
 };
 use lqs_metrics::MetricsRegistry;
-use lqs_progress::{EstimateQuality, EstimatorConfig};
+use lqs_progress::EstimatorConfig;
 use lqs_server::{
-    BrownoutConfig, QueryService, QuerySpec, RecoveredOutcome, RecoveryManager, RegistryPoller,
-    RemediationPolicy, ServiceMetrics, SessionDurability, SessionRegistry, SessionState, Watchdog,
-    WatchdogConfig,
+    BrownoutConfig, QueryService, QuerySpec, RecoveredOutcome, RecoveryManager, RemediationPolicy,
+    ServiceMetrics, SessionDurability, SessionRegistry, SessionState, Watchdog, WatchdogConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -124,67 +123,6 @@ fn cancel_remediation_lands_terminal_without_burning_retries() {
         "alerts: {:?}",
         session.alerts
     );
-}
-
-#[test]
-fn quarantine_remediation_flags_session_and_degrades_reports() {
-    let db = Arc::new(orders_db(6000));
-    let plan = scan_sort_plan(&db);
-
-    let mreg = Arc::new(MetricsRegistry::new());
-    let service = QueryService::new(Arc::clone(&db), 1);
-    let mut wd = Watchdog::new(
-        Arc::clone(&db),
-        Arc::clone(service.registry()),
-        EstimatorConfig::full(),
-        WatchdogConfig {
-            stall_sweeps: 1,
-            stall_wall: Duration::ZERO,
-            remediation: RemediationPolicy::Quarantine {
-                after_stalled_sweeps: 2,
-            },
-            ..WatchdogConfig::default()
-        },
-    )
-    .with_metrics(Arc::clone(&mreg));
-    let mut poller = RegistryPoller::new(
-        Arc::clone(&db),
-        Arc::clone(service.registry()),
-        EstimatorConfig::full(),
-    );
-
-    // Let some I/O pass before the stall so snapshots may publish and give
-    // the poller a report to downgrade (tolerated as absent below).
-    let gate = Gate::new(16);
-    let handle = service.submit(
-        QuerySpec::new("suspect", Arc::clone(&plan))
-            .with_fault(Arc::clone(&gate) as Arc<dyn lqs_exec::FaultInjector + Send>),
-    );
-    while handle.state() != SessionState::Running {
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    for _ in 0..500 {
-        wd.sweep();
-        if wd.remediations() == 1 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(wd.remediations(), 1);
-    assert!(handle.is_quarantined(), "quarantine must flag the handle");
-    assert!(mreg
-        .render()
-        .contains("lqs_watchdog_remediations_total{action=\"quarantine\"} 1"));
-
-    gate.open();
-    assert_eq!(handle.wait_terminal(), SessionState::Cancelled);
-    // A quarantined session's telemetry is suspect: whatever the poller
-    // still serves for it is capped at Degraded.
-    let p = poller.poll_session(&handle);
-    if let Some(report) = p.report {
-        assert_eq!(report.quality, EstimateQuality::Degraded);
-    }
-    service.wait_all();
 }
 
 #[test]

@@ -726,7 +726,7 @@ fn seeded_poison_panic_is_caught() {
     let path = "crates/server/src/registry.rs";
     let (found, at) = seeded(path, "pub fn sessions(&self)", line);
     assert_eq!(found, only("no poison panics", path, at));
-    let (found, _) = seeded("crates/chaos/src/soak.rs", "released.lock()", line);
+    let (found, _) = seeded("crates/chaos/src/soak.rs", "pub fn run_soak(", line);
     assert!(found.is_empty(), "{found:?}");
 }
 
