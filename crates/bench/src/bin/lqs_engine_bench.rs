@@ -2,12 +2,12 @@
 //! throughput (the one operator code path driven one row at a time vs 1024
 //! rows at a time) and the estimator's cost per DMV snapshot.
 //!
-//! Measures each workload in both [`ExecMode::Tuple`] (the root asked for
-//! `limit = 1` rows per `next_batch` call) and [`ExecMode::Batch`]
-//! (`limit = batch_size`, production) — the same operators either way, so
-//! the ratio is what batching amortizes per call — with a best-of-K
-//! wall-clock timer. Self-timed with `std::time::Instant`, so it runs as a
-//! plain binary in CI and emits machine-readable JSON. (Snapshot
+//! Measures each workload at batch size 1 (the root asked for `limit = 1`
+//! rows per `next_batch` call) and at the default batch size (`limit =
+//! 1024`, production) — the same operators either way, so the ratio is
+//! what batching amortizes per call — with a best-of-K wall-clock timer.
+//! Self-timed with `std::time::Instant`, so it runs as a plain binary in
+//! CI and emits machine-readable JSON. (Snapshot
 //! publishing is measured by the benchmark ledger's `server.seqslot.*`
 //! layer figures, not here; so are the absolute per-snapshot costs of each
 //! estimator, `progress.*`.)
@@ -44,7 +44,7 @@
 //! the checks are meaningful across machines, and one that fails is
 //! measured afresh up to twice before it fails the run ([`remeasured`]).
 
-use lqs::exec::{execute, execute_traced, DmvSnapshot, ExecMode, ExecOptions, QueryRun};
+use lqs::exec::{execute, execute_traced, DmvSnapshot, ExecOptions, QueryRun};
 use lqs::obs::RingBufferSink;
 use lqs::plan::{
     AggFunc, Aggregate, Expr, JoinKind, PhysicalPlan, PlanBuilder, SeekKey, SeekRange, SortKey,
@@ -94,9 +94,9 @@ fn db(rows: i64) -> (Database, TableId, IndexId) {
     (d, id, pk)
 }
 
-fn opts(mode: ExecMode) -> ExecOptions {
+fn opts(batch_size: usize) -> ExecOptions {
     ExecOptions {
-        mode,
+        batch_size,
         ..ExecOptions::default()
     }
 }
@@ -128,10 +128,10 @@ fn run_workload(
     let (mut t, mut b) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
         t = t.min(timed(&mut || {
-            execute(d, plan, &opts(ExecMode::Tuple));
+            execute(d, plan, &opts(1));
         }));
         b = b.min(timed(&mut || {
-            execute(d, plan, &opts(ExecMode::Batch));
+            execute(d, plan, &ExecOptions::default());
         }));
     }
     let r = WorkloadResult {
@@ -261,11 +261,11 @@ fn profiling_overhead(d: &Database, t: TableId, rows: i64, reps: usize) -> Profi
     let (mut bare, mut traced) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..reps {
         bare = bare.min(timed(&mut || {
-            execute(d, &plan, &opts(ExecMode::Batch));
+            execute(d, &plan, &ExecOptions::default());
         }));
         traced = traced.min(timed(&mut || {
             let sink = RingBufferSink::new(1 << 16);
-            execute_traced(d, &plan, &opts(ExecMode::Batch), &sink);
+            execute_traced(d, &plan, &ExecOptions::default(), &sink);
         }));
     }
     let r = ProfilingResult {

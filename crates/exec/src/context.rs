@@ -19,10 +19,9 @@
 //! than estimated, bounding memory while keeping whole-run coverage.
 
 use crate::bloom::BloomFilter;
-use crate::dmv::{DmvSnapshot, NodeCounters};
 use crate::fault::{FaultInjector, GetNextFault, IoVerdict, QueryFault};
 use lqs_obs::{EventKind, EventSink, TraceEvent};
-use lqs_plan::{BitmapId, CostModel, NodeId};
+use lqs_plan::{BitmapId, CostModel, DmvSnapshot, NodeCounters, NodeId};
 use lqs_storage::{Database, Row, Value};
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -4,10 +4,9 @@
 use crate::context::{
     AbortReason, CancellationToken, ExecContext, QueryAborted, SnapshotPublisher,
 };
-use crate::dmv::{DmvSnapshot, NodeCounters};
 use crate::ops::build_operator;
 use lqs_obs::EventSink;
-use lqs_plan::{CostModel, PhysicalOp, PhysicalPlan};
+use lqs_plan::{CostModel, DmvSnapshot, NodeCounters, PhysicalOp, PhysicalPlan, QueryRun};
 use lqs_storage::Database;
 
 /// How many rows the root operator is asked for per `next_batch` call.
@@ -93,58 +92,6 @@ pub struct AbortedQuery {
     pub snapshots: Vec<DmvSnapshot>,
     /// Counter state at the abort (not final — the query did not finish).
     pub partial_counters: Vec<NodeCounters>,
-}
-
-/// The result of executing one query: the full DMV trace plus ground truth.
-#[derive(Debug, Clone)]
-pub struct QueryRun {
-    /// DMV snapshots in time order.
-    pub snapshots: Vec<DmvSnapshot>,
-    /// Final counters — the ground truth (`Nᵢ` = `final_counters[i].rows_output`).
-    pub final_counters: Vec<NodeCounters>,
-    /// Total virtual execution time.
-    pub duration_ns: u64,
-    /// Rows returned by the root operator.
-    pub rows_returned: u64,
-    /// Cost model the run was charged under. Estimators replaying this run
-    /// must use the same model, or their optimizer-estimate baselines
-    /// (operator weights, time-to-completion) silently diverge from the
-    /// observed counters.
-    pub cost_model: CostModel,
-    /// Per-node attributed self-time (virtual ns), indexed by `NodeId`:
-    /// every clock advance — CPU, I/O, injected stall — credited to the
-    /// node that charged it, summing exactly to `duration_ns`. Empty for
-    /// runs reconstructed from journals (the journal format carries
-    /// counters, not attribution).
-    pub node_elapsed_ns: Vec<u64>,
-}
-
-impl QueryRun {
-    /// The true total row count (`Nᵢ`) of node `i`.
-    pub fn true_n(&self, i: usize) -> f64 {
-        self.final_counters[i].rows_output as f64
-    }
-
-    /// True progress of the whole query in the unweighted GetNext model at
-    /// snapshot `s`: `Σkᵢ(t) / ΣNᵢ`.
-    pub fn true_query_progress(&self, s: &DmvSnapshot) -> f64 {
-        let num: u64 = s.nodes.iter().map(|c| c.rows_output).sum();
-        let den: u64 = self.final_counters.iter().map(|c| c.rows_output).sum();
-        if den == 0 {
-            1.0
-        } else {
-            num as f64 / den as f64
-        }
-    }
-
-    /// True time-fraction elapsed at snapshot `s`.
-    pub fn time_fraction(&self, s: &DmvSnapshot) -> f64 {
-        if self.duration_ns == 0 {
-            1.0
-        } else {
-            s.ts_ns as f64 / self.duration_ns as f64
-        }
-    }
 }
 
 /// Total estimated virtual duration of a plan (CPU + I/O, serial).

@@ -21,8 +21,7 @@
 //! catches it per session, marks the session failed, and — when
 //! [`QueryFault::transient`] is set — may retry within a budget.
 
-use crate::dmv::DmvSnapshot;
-use lqs_plan::NodeId;
+use lqs_plan::{DmvSnapshot, NodeId};
 
 /// Verdict of a [`FaultInjector`] on one I/O charge.
 #[derive(Debug, Clone, PartialEq)]

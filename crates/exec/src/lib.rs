@@ -13,8 +13,6 @@
 //!
 //! * [`context`] — virtual clock, counter charging, snapshot recording,
 //!   runtime bitmaps, nested-loops correlation state.
-//! * `dmv` — the `sys.dm_exec_query_profiles` analog ([`DmvSnapshot`],
-//!   [`NodeCounters`]).
 //! * `bloom` — Bloom filters backing bitmap semi-join reduction (§4.3).
 //! * [`ops`] — ~20 physical operators, including the behaviours the paper's
 //!   techniques target: blocking sorts/hash aggregates (§4.5), buffered
@@ -22,6 +20,11 @@
 //!   and batch-mode columnstore scans (§4.7).
 //! * [`executor`] — runs a plan to completion and returns the DMV trace plus
 //!   ground-truth cardinalities and timings.
+//!
+//! The rows it writes — [`DmvSnapshot`], [`NodeCounters`] and the finished
+//! [`QueryRun`] — are [`lqs_plan::dmv`]'s, re-exported here: the DMV
+//! contract sits beside the showplan, so the client crates (estimator,
+//! journal, history, profiler) build without this engine.
 //!
 //! Execution can additionally stream [`lqs_obs`] trace events (operator
 //! lifecycle, phase transitions, buffer high-water marks, bitmap builds,
@@ -35,7 +38,6 @@
 
 pub(crate) mod bloom;
 pub mod context;
-pub(crate) mod dmv;
 pub mod executor;
 pub mod fault;
 pub mod metrics;
@@ -45,11 +47,11 @@ mod pred;
 pub use context::{
     AbortReason, BatchCharge, CancellationToken, ExecContext, QueryAborted, SnapshotPublisher,
 };
-pub use dmv::{DmvSnapshot, NodeCounters};
 pub use executor::{
     estimated_duration_ns, execute, execute_hooked, execute_traced, plan_node_names, AbortedQuery,
-    ExecHooks, ExecMode, ExecOptions, QueryRun,
+    ExecHooks, ExecMode, ExecOptions,
 };
 pub use fault::{FaultInjector, GetNextFault, IoVerdict, QueryFault, SnapshotFilter};
+pub use lqs_plan::{DmvSnapshot, NodeCounters, QueryRun};
 pub use metrics::ExecMetrics;
 pub use ops::{build_operator, BoxedOperator, Operator, RowBatch};

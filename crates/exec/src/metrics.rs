@@ -7,9 +7,8 @@
 //! whether metrics are attached or not, and makes the disabled path one
 //! `Option` check per query.
 
-use crate::executor::QueryRun;
 use lqs_metrics::MetricsRegistry;
-use lqs_plan::PhysicalPlan;
+use lqs_plan::{PhysicalPlan, QueryRun};
 use std::sync::Arc;
 
 /// Records per-operator and per-query execution totals into a shared

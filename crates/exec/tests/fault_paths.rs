@@ -293,8 +293,8 @@ proptest! {
     }
 }
 
-/// At the parent commit `ExecMode::Batch` with an injector attached charged
-/// I/O through scopes that never asked it. Now every charge and every row
+/// Batch execution with an injector attached once charged I/O through
+/// scopes that never asked it. Now every charge and every row
 /// of the production path reaches the hooks: a script that fires (at no
 /// cost) on every visit sees each node's final counter go by.
 #[test]

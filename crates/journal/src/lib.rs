@@ -1,7 +1,7 @@
 //! # lqs-journal — durable snapshot journal with crash recovery
 //!
 //! A per-session write-ahead journal for the LQS stack: every published
-//! [`DmvSnapshot`](lqs_exec::DmvSnapshot), the session's plan/cost-model
+//! [`DmvSnapshot`](lqs_plan::DmvSnapshot), the session's plan/cost-model
 //! metadata, its terminal state, and a clean-shutdown sentinel are appended
 //! as length-prefixed, CRC32-checksummed records ([`record`]). Segment
 //! files rotate at a configurable size and a retention sweep bounds the

@@ -23,7 +23,7 @@ use crate::record::{
     FORMAT_VERSION, MAX_PAYLOAD_BYTES, SEGMENT_HEADER_BYTES,
 };
 use crate::writer::parse_segment_file_name;
-use lqs_exec::{DmvSnapshot, NodeCounters, QueryRun};
+use lqs_plan::{DmvSnapshot, NodeCounters, QueryRun};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 

@@ -18,8 +18,7 @@
 //! All encoding is hand-rolled little-endian — the vendored serde stub has no
 //! binary format, and a durability format should not depend on one anyway.
 
-use lqs_exec::{DmvSnapshot, NodeCounters};
-use lqs_plan::{CostModel, PhysicalPlan};
+use lqs_plan::{CostModel, DmvSnapshot, NodeCounters, PhysicalPlan};
 
 /// Format version stamped into every segment header and meta record.
 pub const FORMAT_VERSION: u16 = 1;

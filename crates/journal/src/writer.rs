@@ -518,7 +518,7 @@ impl SessionJournal {
     }
 
     /// Append one published DMV snapshot (not forced to disk).
-    pub fn append_snapshot(&self, snapshot: &lqs_exec::DmvSnapshot) {
+    pub fn append_snapshot(&self, snapshot: &lqs_plan::DmvSnapshot) {
         self.append(RecordRef::Snapshot(snapshot));
     }
 
@@ -631,8 +631,7 @@ mod tests {
     use super::*;
     use crate::reader::scan_dir;
     use crate::record::TerminalKind;
-    use lqs_exec::{DmvSnapshot, NodeCounters};
-    use lqs_plan::CostModel;
+    use lqs_plan::{CostModel, DmvSnapshot, NodeCounters};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =

@@ -1,6 +1,7 @@
-//! # lqs-plan — physical plans and the mini query optimizer
+//! # lqs-plan — physical plans, the mini query optimizer and the DMV rows
 //!
-//! The "showplan" layer of the LQS reproduction:
+//! The showplan layer of the LQS reproduction, and the DMV contract — what
+//! a client of the engine reads:
 //!
 //! * [`expr`] — scalar expressions and aggregates.
 //! * [`op`] — the physical operator set mirroring SQL Server showplan
@@ -14,6 +15,11 @@
 //!   uniformity/independence/containment assumptions, and a CPU+I/O cost
 //!   model whose constants are shared with the executor's virtual clock.
 //! * [`pipeline`] — pipeline decomposition and driver nodes (§3.1.1).
+//! * [`dmv`] — the `sys.dm_exec_query_profiles` rows the engine writes
+//!   ([`NodeCounters`], [`DmvSnapshot`]) and a finished run's trace plus
+//!   ground truth ([`QueryRun`]). With the showplan, this is everything the
+//!   progress estimator reads, so its crates depend on this one and not on
+//!   the engine.
 
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
@@ -21,6 +27,7 @@
 pub mod builder;
 pub mod cardinality;
 pub mod cost;
+pub mod dmv;
 pub mod expr;
 pub mod op;
 pub mod pipeline;
@@ -28,6 +35,7 @@ pub mod plan;
 
 pub use builder::PlanBuilder;
 pub use cost::CostModel;
+pub use dmv::{DmvSnapshot, NodeCounters, QueryRun};
 pub use expr::{AggFunc, AggState, Aggregate, ArithOp, CmpOp, Expr};
 pub use op::{
     BitmapId, BitmapProbe, ExchangeKind, IndexOutput, JoinKind, NodeId, PhysicalOp, SeekKey,

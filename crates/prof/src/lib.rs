@@ -2,7 +2,7 @@
 //!
 //! The engine's virtual clock makes profiling exact instead of sampled:
 //! every clock advance — CPU, I/O, injected stall — is credited to the plan
-//! node that charged it ([`lqs_exec::QueryRun::node_elapsed_ns`]), so a
+//! node that charged it ([`lqs_plan::QueryRun::node_elapsed_ns`]), so a
 //! completed run carries a complete self-time account whose entries sum to
 //! the run's total duration *by construction*. This crate turns that
 //! account into a [`ProfileReport`]:
@@ -30,8 +30,7 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-use lqs_exec::QueryRun;
-use lqs_plan::{NodeId, PhysicalPlan};
+use lqs_plan::{NodeId, PhysicalPlan, QueryRun};
 
 /// One plan node's profile entry.
 #[derive(Debug, Clone, PartialEq)]
@@ -230,7 +229,7 @@ impl std::ops::Index<NodeId> for ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lqs_exec::{execute, ExecMode, ExecOptions};
+    use lqs_exec::{execute, ExecOptions};
     use lqs_plan::{Expr, PlanBuilder, SortKey};
     use lqs_storage::{Column, DataType, Database, Schema, Table, Value};
 
@@ -261,9 +260,9 @@ mod tests {
     fn report_is_exact_in_both_modes() {
         let (db, t) = db();
         let plan = plan(&db, t);
-        for mode in [ExecMode::Tuple, ExecMode::Batch] {
+        for batch_size in [1, ExecOptions::default().batch_size] {
             let opts = ExecOptions {
-                mode,
+                batch_size,
                 ..ExecOptions::default()
             };
             let run = execute(&db, &plan, &opts);
@@ -282,18 +281,11 @@ mod tests {
             &db,
             &plan,
             &ExecOptions {
-                mode: ExecMode::Tuple,
+                batch_size: 1,
                 ..ExecOptions::default()
             },
         );
-        let batch = execute(
-            &db,
-            &plan,
-            &ExecOptions {
-                mode: ExecMode::Batch,
-                ..ExecOptions::default()
-            },
-        );
+        let batch = execute(&db, &plan, &ExecOptions::default());
         assert_eq!(tuple.node_elapsed_ns, batch.node_elapsed_ns);
     }
 

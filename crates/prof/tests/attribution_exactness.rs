@@ -5,7 +5,7 @@
 //! attribute identically, node for node. No sampling error, no clock
 //! skew: the virtual clock makes profiling a conservation law.
 
-use lqs_exec::{execute, ExecMode, ExecOptions};
+use lqs_exec::{execute, ExecOptions};
 use lqs_prof::ProfileReport;
 use lqs_workloads::real::{workload, RealProfile};
 use lqs_workloads::{Workload, WorkloadScale};
@@ -49,9 +49,9 @@ proptest! {
         let wl = &workloads()[w];
         let nq = &wl.queries[q % wl.queries.len()];
         let mut per_mode = Vec::new();
-        for mode in [ExecMode::Tuple, ExecMode::Batch] {
+        for batch_size in [1, ExecOptions::default().batch_size] {
             let opts = ExecOptions {
-                mode,
+                batch_size,
                 ..ExecOptions::default()
             };
             let run = execute(&wl.db, &nq.plan, &opts);
@@ -61,7 +61,7 @@ proptest! {
             // Σ self == total, root inclusive == total, child inclusive
             // bounded by parent.
             if let Err(e) = report.check_exact() {
-                prop_assert!(false, "{} / {} ({:?}): {}", wl.name, nq.name, mode, e);
+                prop_assert!(false, "{} / {} (batch size {}): {}", wl.name, nq.name, batch_size, e);
             }
             prop_assert_eq!(
                 report.total_ns, run.duration_ns,

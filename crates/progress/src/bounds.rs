@@ -19,7 +19,7 @@
 //! property tests in `tests/bounds_invariant.rs`.
 
 use crate::statics::{BoundKind, PlanStatics};
-use lqs_exec::DmvSnapshot;
+use lqs_plan::DmvSnapshot;
 
 /// Per-node `[LB, UB]` bounds at one snapshot.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -56,8 +56,7 @@ use crate::estimator::{
     SnapshotState,
 };
 use crate::statics::PlanStatics;
-use lqs_exec::DmvSnapshot;
-use lqs_plan::{PhysicalPlan, Pipeline, PipelineId};
+use lqs_plan::{DmvSnapshot, PhysicalPlan, Pipeline, PipelineId};
 use lqs_storage::Database;
 use std::sync::Arc;
 

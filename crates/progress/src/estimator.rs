@@ -19,8 +19,7 @@ use crate::config::{EstimatorConfig, QueryModel};
 use crate::explain::{EstimationPath, ExplainCounters, Explanation, RefinementSource};
 use crate::statics::PlanStatics;
 use crate::weights::{walk_longest_path, ChainMemo};
-use lqs_exec::DmvSnapshot;
-use lqs_plan::{NodeId, PhysicalPlan};
+use lqs_plan::{DmvSnapshot, NodeId, PhysicalPlan};
 use lqs_storage::Database;
 use std::sync::Arc;
 

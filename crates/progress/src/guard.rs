@@ -20,7 +20,7 @@
 
 use crate::ensemble::EnsembleEstimator;
 use crate::estimator::{EstimateQuality, ProgressReport};
-use lqs_exec::{DmvSnapshot, NodeCounters};
+use lqs_plan::{DmvSnapshot, NodeCounters};
 
 /// Tally of telemetry anomalies a [`SnapshotGuard`] has detected and
 /// absorbed since construction.

@@ -11,7 +11,7 @@
 
 use crate::estimator::ProgressReport;
 use crate::statics::PlanStatics;
-use lqs_exec::QueryRun;
+use lqs_plan::QueryRun;
 use std::collections::BTreeMap;
 
 /// Average |estimate − truth| over paired observations; 0 for none.
@@ -155,7 +155,7 @@ impl PerOperatorError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lqs_exec::{DmvSnapshot, NodeCounters, QueryRun};
+    use lqs_plan::{DmvSnapshot, NodeCounters};
 
     fn fake_run(n_snaps: usize, total_rows: u64) -> QueryRun {
         let mut snapshots = Vec::new();

@@ -130,8 +130,10 @@ struct Track {
     changed_at: Instant,
     /// Consecutive sweeps outside the divergence band.
     diverging_sweeps: u64,
-    /// Latest (estimate, observed) pair, for alert detail.
-    last_drift: Option<(f64, f64)>,
+    /// Latest (publish sequence, estimate, observed): the alert detail,
+    /// and the verdict every sweep that finds that sequence unchanged
+    /// applies again without re-estimating.
+    last_drift: Option<(u64, f64, f64)>,
     /// Classification as of the previous sweep.
     health: Health,
     /// Consecutive sweeps classified [`Health::Stalled`] (the remediation
@@ -246,8 +248,6 @@ impl Watchdog {
                 continue;
             }
             let seq = handle.published_seq();
-            let n_nodes = handle.plan().len();
-            let have_snapshot = handle.read_snapshot_into(&mut self.scratch);
             let track = self.track.entry(id).or_insert_with(|| Track {
                 last_seq: None,
                 unchanged_sweeps: 0,
@@ -261,20 +261,26 @@ impl Watchdog {
             });
 
             // Stall bookkeeping: the publish sequence is the heartbeat.
-            if track.last_seq == Some(seq) {
-                track.unchanged_sweeps += 1;
-            } else {
+            let moved = track.last_seq != Some(seq);
+            if moved {
                 track.last_seq = Some(seq);
                 track.unchanged_sweeps = 0;
                 track.changed_at = Instant::now();
+            } else {
+                track.unchanged_sweeps += 1;
             }
 
             // Divergence bookkeeping: compare the work-weighted estimate
             // with the unweighted observed-rows fraction over the same
-            // refined cardinalities. No snapshot (or a shape-mismatched
-            // one from a reshaping filter) leaves the divergence state
-            // untouched — stall detection covers silence.
-            if have_snapshot && self.scratch.nodes.len() == n_nodes {
+            // refined cardinalities. Only a new snapshot is estimated (a
+            // re-read would reach the guard as a duplicate); no snapshot,
+            // or a shape-mismatched one from a reshaping filter, leaves
+            // the divergence state untouched — stall detection covers
+            // silence.
+            if moved
+                && handle.read_snapshot_into(&mut self.scratch)
+                && self.scratch.nodes.len() == handle.plan().len()
+            {
                 let report = track.estimator.observe(&self.scratch);
                 let mut expected = 0.0f64;
                 let mut done = 0.0f64;
@@ -286,12 +292,14 @@ impl Watchdog {
                 if expected > 0.0 {
                     let observed = (done / expected).clamp(0.0, 1.0);
                     let estimate = report.query_progress.clamp(0.0, 1.0);
-                    track.last_drift = Some((estimate, observed));
-                    if (estimate - observed).abs() > self.config.divergence_band {
-                        track.diverging_sweeps += 1;
-                    } else {
-                        track.diverging_sweeps = 0;
-                    }
+                    track.last_drift = Some((seq, estimate, observed));
+                }
+            }
+            if let Some((_, estimate, observed)) = track.last_drift.filter(|d| d.0 == seq) {
+                if (estimate - observed).abs() > self.config.divergence_band {
+                    track.diverging_sweeps += 1;
+                } else {
+                    track.diverging_sweeps = 0;
                 }
             }
 
@@ -325,7 +333,7 @@ impl Watchdog {
                         ),
                     )),
                     Health::Diverging => {
-                        let (estimate, observed) = track.last_drift.unwrap_or((0.0, 0.0));
+                        let (_, estimate, observed) = track.last_drift.unwrap_or_default();
                         Some((
                             AlertKind::Diverging,
                             format!(
@@ -430,4 +438,55 @@ fn raise(
     }
     alerts.insert(alert.id, alert.clone());
     alert
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::session::{QuerySpec, SessionTerms};
+    use lqs_exec::{NodeCounters, SnapshotPublisher};
+
+    /// Sweeps that find the publish sequence where it was do not hand the
+    /// snapshot to the estimator again — its guard would count the re-read
+    /// as a duplicate from the channel — yet each still applies the
+    /// snapshot's verdict, so a session diverges on its second sweep.
+    #[test]
+    fn unchanged_sequence_is_not_estimated_again() {
+        let db = Database::new();
+        let mut b = lqs_plan::PlanBuilder::new(&db);
+        let scan = b.constant_scan(vec![vec![lqs_storage::Value::Int(1)]; 4]);
+        let plan = Arc::new(b.finish(scan));
+        let registry = Arc::new(SessionRegistry::new());
+        let handle = registry.register(
+            registry.next_id(),
+            QuerySpec::new("q", plan),
+            SessionTerms::default(),
+        );
+        handle.start().expect("queued to running");
+        handle.publish(&DmvSnapshot {
+            ts_ns: 1,
+            nodes: vec![NodeCounters {
+                rows_output: 1,
+                open_ns: Some(0),
+                ..NodeCounters::default()
+            }],
+        });
+        let config = WatchdogConfig {
+            divergence_band: -1.0,
+            ..WatchdogConfig::default()
+        };
+        let mut watchdog = Watchdog::new(
+            Arc::new(db),
+            Arc::clone(&registry),
+            EstimatorConfig::full(),
+            config,
+        );
+        for _ in 0..3 {
+            watchdog.sweep();
+        }
+        let track = &watchdog.track[&handle.id()];
+        assert_eq!(track.estimator.anomalies().duplicates, 0);
+        assert_eq!(track.diverging_sweeps, 3);
+        assert_eq!(watchdog.health(handle.id()), Some(Health::Diverging));
+    }
 }

@@ -154,7 +154,7 @@ impl FaultInjector for FailOnce {
 }
 
 /// A fault injector used to drop the session to the tuple loop, where
-/// `ExecMode::Batch` scopes never consulted `on_io`. Now the default-mode
+/// batch-path scopes never consulted `on_io`. Now the default-mode
 /// session stays on the batch path: the injected error fires there, is
 /// retried within budget, and the journal records `exec_mode = batch`.
 #[test]

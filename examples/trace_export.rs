@@ -55,6 +55,7 @@ fn main() {
     let out_dir = std::env::args().nth(1).unwrap_or_else(|| ".".to_string());
     let jsonl_path = format!("{out_dir}/trace.jsonl");
     let chrome_path = format!("{out_dir}/trace.chrome.json");
+    std::fs::create_dir_all(&out_dir).expect("create output directory");
     std::fs::write(&jsonl_path, to_jsonl(&events, &names)).expect("write jsonl");
     std::fs::write(&chrome_path, to_chrome_trace(&events, &names)).expect("write chrome trace");
     println!("wrote {jsonl_path} and {chrome_path}");

@@ -1,8 +1,8 @@
 //! The workspace's structural rules and tracked counters, from one sorted
 //! walk of `crates/`.
 //!
-//! Each rule is one row of [`RULES`]: the text or path that must not
-//! appear, where the rule looks, what it lets stand, why, and the commit
+//! Each rule is one row of [`RULES`]: the text, path or dependency that must
+//! not appear, where the rule looks, what it lets stand, why, and the commit
 //! that introduced it. The same walk renders every counter into
 //! `tests/golden/counters.txt`, so a change that moves a counter shows the
 //! move in that file's diff. When the move is meant, the failure message
@@ -29,6 +29,11 @@ enum Pattern {
     Text(&'static [&'static str]),
     /// No line of non-test code contains any of these.
     Code(&'static [&'static str]),
+    /// The crate of this `Cargo.toml` does not reach the named crate
+    /// through `[dependencies]`, directly or transitively; each hit is the
+    /// line of the dependency it is reached through. `[dev-dependencies]`
+    /// do not count: tests may execute plans.
+    Reaches(&'static str),
 }
 
 struct Rule {
@@ -40,7 +45,8 @@ struct Rule {
     /// Hits that stand: a path prefix, or `path:line` for one exact line.
     allowed: &'static [&'static str],
     reason: &'static str,
-    /// The commit that introduced the rule.
+    /// The commit that introduced the rule, or until it has one, what that
+    /// change did.
     since: &'static str,
 }
 
@@ -130,6 +136,19 @@ const RULES: &[Rule] = &[
         reason: "scan_history and recovery fold over walk_dir; scan_dir holds the whole directory",
         since: "2be274f",
     },
+    Rule {
+        name: "the estimator builds without the engine",
+        pattern: Pattern::Reaches("lqs-exec"),
+        scope: &[
+            "crates/progress/Cargo.toml",
+            "crates/journal/Cargo.toml",
+            "crates/history/Cargo.toml",
+            "crates/prof/Cargo.toml",
+        ],
+        allowed: &[],
+        reason: "the client side reads only the showplan and the DMV rows, which lqs-plan holds",
+        since: "the DMV contract moved into lqs-plan",
+    },
 ];
 
 #[derive(Debug, PartialEq)]
@@ -218,6 +237,49 @@ fn is_allowed(rule: &Rule, path: &str, line: &str) -> bool {
     })
 }
 
+/// The `[dependencies]` of a `Cargo.toml`: each crate's 1-based line and
+/// name, in the `name… = …` form or the `[dependencies.name]` form.
+fn dependencies(toml: &str) -> Vec<(usize, &str)> {
+    let mut section = "";
+    let mut deps = Vec::new();
+    for (i, line) in toml.lines().enumerate() {
+        if let Some(header) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            section = header;
+            if let Some(name) = header.strip_prefix("dependencies.") {
+                deps.push((i + 1, name));
+            }
+        } else if section == "dependencies" {
+            let name = line.split(['.', '=', ' ']).next().unwrap_or_default();
+            if !name.is_empty() && !name.starts_with('#') {
+                deps.push((i + 1, name));
+            }
+        }
+    }
+    deps
+}
+
+/// Whether crate `from` is `target` or reaches it through the
+/// `[dependencies]` of the `crates/*/Cargo.toml` files in `tree`.
+fn reaches(tree: &[Entry], from: &str, target: &str, seen: &mut BTreeSet<String>) -> bool {
+    if from == target {
+        return true;
+    }
+    if !seen.insert(from.to_string()) {
+        return false;
+    }
+    let package = format!("name = \"{from}\"");
+    let manifest = tree.iter().find_map(|e| {
+        let text = e.text.as_deref()?;
+        (under(&e.path, "crates/*/Cargo.toml") && text.lines().any(|l| l == package))
+            .then_some(text)
+    });
+    manifest.is_some_and(|text| {
+        dependencies(text)
+            .into_iter()
+            .any(|(_, dep)| reaches(tree, dep, target, seen))
+    })
+}
+
 fn violations(tree: &[Entry]) -> Vec<Violation> {
     let mut found = Vec::new();
     for entry in tree {
@@ -232,6 +294,18 @@ fn violations(tree: &[Entry]) -> Vec<Violation> {
                         path: entry.path.clone(),
                         line: 0,
                     });
+                    continue;
+                }
+                Pattern::Reaches(target) => {
+                    for (line, dep) in dependencies(entry.text.as_deref().unwrap_or_default()) {
+                        if reaches(tree, dep, target, &mut BTreeSet::new()) {
+                            found.push(Violation {
+                                rule: rule.name,
+                                path: entry.path.clone(),
+                                line,
+                            });
+                        }
+                    }
                     continue;
                 }
                 Pattern::Text(needles) => (needles, false),
@@ -324,12 +398,9 @@ fn counters(tree: &[Entry], ci: &str) -> String {
         .expect("FORMAT_VERSION in crates/journal/src/record.rs")
         .trim_end_matches(';')
         .to_string();
-    let progress_deps = read("crates/progress/Cargo.toml")
-        .lines()
-        .skip_while(|l| *l != "[dependencies]")
-        .skip(1)
-        .take_while(|l| !l.starts_with('['))
-        .filter(|l| l.starts_with("lqs-"))
+    let progress_deps = dependencies(&read("crates/progress/Cargo.toml"))
+        .into_iter()
+        .filter(|(_, name)| name.starts_with("lqs-"))
         .count();
 
     let rows = [
@@ -620,9 +691,28 @@ fn design_shapes_hold_on_the_full_run() {
     );
 }
 
-/// The real file at `path` with `line` inserted after the first line that
-/// contains `after`: what the checker finds, and the new line's number.
+/// What the checker finds in [`seeded_entry`]'s file alone, and the new
+/// line's number.
 fn seeded(path: &str, after: &str, line: &str) -> (Vec<Violation>, usize) {
+    let (entry, at) = seeded_entry(path, after, line);
+    (violations(&[entry]), at)
+}
+
+/// [`seeded`], with the seeded file in place of the real one in the whole
+/// tree.
+fn seeded_in_tree(path: &str, after: &str, line: &str) -> (Vec<Violation>, usize) {
+    let (entry, at) = seeded_entry(path, after, line);
+    let mut tree = tree();
+    *tree
+        .iter_mut()
+        .find(|e| e.path == path)
+        .expect("a file of the tree") = entry;
+    (violations(&tree), at)
+}
+
+/// The real file at `path` with `line` inserted after the first line that
+/// contains `after`, and the new line's number.
+fn seeded_entry(path: &str, after: &str, line: &str) -> (Entry, usize) {
     let text = read(path);
     let mut lines: Vec<&str> = text.lines().collect();
     let at = lines
@@ -635,7 +725,7 @@ fn seeded(path: &str, after: &str, line: &str) -> (Vec<Violation>, usize) {
         path: path.to_string(),
         text: Some(lines.join("\n")),
     };
-    (violations(&[entry]), at + 1)
+    (entry, at + 1)
 }
 
 fn only(rule: &'static str, path: &str, line: usize) -> Vec<Violation> {
@@ -762,6 +852,74 @@ fn seeded_collecting_read_is_caught_above_the_tests_only() {
         only("directory readers fold one session at a time", path, at)
     );
     let (found, _) = seeded(path, "mod tests {", line);
+    assert!(found.is_empty(), "{found:?}");
+}
+
+#[test]
+fn seeded_engine_dependency_is_caught_directly_and_transitively() {
+    let rule = "the estimator builds without the engine";
+    let path = "crates/prof/Cargo.toml";
+    let (found, at) = seeded_in_tree(path, "[dependencies]", "lqs-exec.workspace = true");
+    assert_eq!(found, only(rule, path, at));
+    let (found, at) = seeded_in_tree(path, "lqs-plan.workspace", "[dependencies.lqs-exec]");
+    assert_eq!(found, only(rule, path, at));
+
+    // Every client crate reaches lqs-storage; each is hit on the line of
+    // the dependency that leads there.
+    let (found, _) = seeded_in_tree(
+        "crates/storage/Cargo.toml",
+        "[dependencies]",
+        "lqs-exec = { path = \"../exec\" }",
+    );
+    let hits: Vec<String> = found
+        .iter()
+        .map(|v| {
+            let toml = read(&v.path);
+            let (_, dep) = dependencies(&toml)
+                .into_iter()
+                .find(|(line, _)| *line == v.line)
+                .expect("a dependency line");
+            format!("{} {dep}", v.path)
+        })
+        .collect();
+    assert_eq!(
+        hits,
+        [
+            "crates/history/Cargo.toml lqs-journal",
+            "crates/history/Cargo.toml lqs-plan",
+            "crates/history/Cargo.toml lqs-progress",
+            "crates/history/Cargo.toml lqs-storage",
+            "crates/journal/Cargo.toml lqs-plan",
+            "crates/prof/Cargo.toml lqs-obs",
+            "crates/prof/Cargo.toml lqs-plan",
+            "crates/progress/Cargo.toml lqs-storage",
+            "crates/progress/Cargo.toml lqs-plan",
+        ]
+    );
+}
+
+/// The client crates' own `lqs-exec` dev-dependencies, lqs-plan's
+/// `[dev-dependencies.lqs-exec]` under all four, and one seeded under
+/// lqs-storage's `[dev-dependencies]` are not followed.
+#[test]
+fn engine_dev_dependencies_are_not_followed() {
+    for path in [
+        "crates/progress/Cargo.toml",
+        "crates/journal/Cargo.toml",
+        "crates/history/Cargo.toml",
+        "crates/prof/Cargo.toml",
+    ] {
+        let toml = read(path);
+        let (_, dev) = toml
+            .split_once("[dev-dependencies]")
+            .expect("a dev section");
+        assert!(dev.contains("lqs-exec.workspace = true"), "{path}");
+    }
+    let (found, _) = seeded_in_tree(
+        "crates/storage/Cargo.toml",
+        "[dev-dependencies]",
+        "lqs-exec.workspace = true",
+    );
     assert!(found.is_empty(), "{found:?}");
 }
 
