@@ -3,7 +3,10 @@
 //! deterministic process-death simulation. Only the terminal record and
 //! the clean-shutdown sentinel are forced to stable storage: mid-run
 //! snapshots are reconstructible telemetry, terminal states are the
-//! contract.
+//! contract. A writer can hold snapshot frames and write a run of them
+//! with one `write_all` (group commit) while deciding breaker admission,
+//! injected faults, rotation and the crash point record by record, so the
+//! files are those of writing each frame alone.
 
 use crate::breaker::{BreakerConfig, BreakerEvent, BreakerState, CircuitBreaker, WriteAdmit};
 use crate::metrics::JournalMetrics;
@@ -212,6 +215,8 @@ impl Journal {
                 fault: self.config.fault.clone(),
                 segment_max_bytes: self.config.segment_max_bytes,
                 frame: Vec::new(),
+                held_frames: 0,
+                dropped: 0,
             }),
             metrics: self.metrics.clone(),
             breaker: Arc::clone(&self.breaker),
@@ -291,9 +296,22 @@ struct WriterInner {
     fault: Option<std::sync::Arc<dyn JournalFaultInjector>>,
     segment_max_bytes: u64,
     /// The one frame buffer every append of this writer encodes into; kept
-    /// so a steady-state append allocates nothing.
+    /// so a steady-state append allocates nothing. Between calls it holds
+    /// the frames [`SessionJournal::hold_snapshot`] encoded and has not
+    /// written yet: whole frames, all bound for the current segment.
     frame: Vec<u8>,
+    /// Frames in `frame`, not counting one an append has just encoded.
+    held_frames: u64,
+    /// Held frames a failed write lost, not yet counted in
+    /// [`SessionJournal::lost_records`].
+    dropped: u64,
 }
+
+/// The most bytes of frames a writer holds. Holding starts by sizing the
+/// frame buffer to it once, held frames are written before another one
+/// would not fit, and the buffer gives back any capacity above it after a
+/// write, so it never grows through a chain of reallocations.
+const HOLD_MAX_BYTES: usize = 64 << 10;
 
 impl WriterInner {
     /// Write `bytes`, honoring the crash point: a chunk crossing the crash
@@ -337,12 +355,18 @@ impl WriterInner {
         self.write_chunk(&header)
     }
 
-    /// Encode `record` into the writer's frame buffer and append it with
-    /// one `write_all`.
-    fn append_record(&mut self, record: RecordRef<'_>) -> std::io::Result<()> {
+    /// Encode `record` into the frame buffer, behind the held frames,
+    /// without writing it. Everything a lone append decides per record is
+    /// decided here, in the same order: the dead writer, the fault
+    /// injector's `nth`, and the rotation (the held frames are written to
+    /// the old segment first). So a run of held frames, written later with
+    /// one `write_all`, leaves the same files and counters as writing each
+    /// frame on its own. Returns the length of the frame it encoded (0: a
+    /// writer past its crash point encodes nothing).
+    fn hold_record(&mut self, record: RecordRef<'_>) -> std::io::Result<usize> {
         if self.dead {
             self.append_index += 1;
-            return Ok(());
+            return Ok(0);
         }
         let nth = self.append_index;
         self.append_index += 1;
@@ -354,25 +378,64 @@ impl WriterInner {
                 )));
             }
         }
+        let held = self.frame.len();
+        record.encode_frame_into(&mut self.frame);
+        // Rotate before the append if this frame would overflow the
+        // segment (never rotate an empty segment — oversized single
+        // records just get their own long segment).
+        let seg_bytes = self.seg_bytes + held as u64;
+        let len = self.frame.len() - held;
+        if seg_bytes > crate::record::SEGMENT_HEADER_BYTES
+            && seg_bytes + len as u64 > self.segment_max_bytes
+        {
+            let rotated = self.write_prefix(held).and_then(|()| {
+                self.segment += 1;
+                self.open_segment()
+            });
+            if let Err(e) = rotated {
+                self.frame.clear();
+                return Err(e);
+            }
+        }
+        Ok(len)
+    }
+
+    /// Whether the frame just encoded, `len` bytes, must be written now
+    /// rather than held: another frame of its size would take the held
+    /// bytes past [`HOLD_MAX_BYTES`], or they reach the crash point (so the
+    /// tear lands where a lone append would put it, and every later append
+    /// meets a dead writer).
+    fn must_write(&self, len: usize) -> bool {
+        self.frame.len() + len > HOLD_MAX_BYTES
+            || (self.crash_at).is_some_and(|at| self.total_bytes + self.frame.len() as u64 >= at)
+    }
+
+    /// Write the first `len` bytes of the frame buffer — every held frame —
+    /// with one `write_all` and keep what follows. A failed write loses the
+    /// held frames (counted in `dropped`) and the bytes after them too.
+    fn write_prefix(&mut self, len: usize) -> std::io::Result<()> {
+        let held = std::mem::take(&mut self.held_frames);
+        if len == 0 {
+            return Ok(());
+        }
         let mut frame = std::mem::take(&mut self.frame);
-        frame.clear();
-        record.encode_frame_into(&mut frame);
-        let result = self.write_frame(&frame);
+        let result = self.write_chunk(&frame[..len]);
+        if result.is_ok() {
+            frame.drain(..len);
+        } else {
+            frame.clear();
+            self.dropped += held;
+        }
         self.frame = frame;
         result
     }
 
-    fn write_frame(&mut self, frame: &[u8]) -> std::io::Result<()> {
-        // Rotate before the append if this frame would overflow the
-        // segment (never rotate an empty segment — oversized single
-        // records just get their own long segment).
-        if self.seg_bytes > crate::record::SEGMENT_HEADER_BYTES
-            && self.seg_bytes + frame.len() as u64 > self.segment_max_bytes
-        {
-            self.segment += 1;
-            self.open_segment()?;
-        }
-        self.write_chunk(frame)
+    /// Write every held frame (and one just encoded) with one `write_all`,
+    /// then give back buffer capacity above [`HOLD_MAX_BYTES`].
+    fn write_held(&mut self) -> std::io::Result<()> {
+        let result = self.write_prefix(self.frame.len());
+        self.frame.shrink_to(HOLD_MAX_BYTES);
+        result
     }
 
     fn fsync(&mut self) -> std::io::Result<Option<f64>> {
@@ -408,7 +471,8 @@ impl SessionJournal {
     fn open_first_segment(&mut self, meta: &SessionMeta) -> std::io::Result<()> {
         let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
         inner.open_segment()?;
-        inner.append_record(RecordRef::Meta(meta))
+        inner.hold_record(RecordRef::Meta(meta))?;
+        inner.write_held()
     }
 
     /// Lock the writer, recovering it if a thread panicked while holding the
@@ -425,27 +489,35 @@ impl SessionJournal {
         })
     }
 
-    /// Run one append under the breaker. Returns whether the record made
-    /// it to the file (flushed or not).
-    fn with_inner(&self, f: impl FnOnce(&mut WriterInner) -> std::io::Result<()>) -> bool {
+    /// Count a failed append or write: one write error, `records` plus the
+    /// held frames the write lost as lost records, and a fresh segment for
+    /// the next append (the old one may end in a torn frame).
+    fn count_failure(&self, inner: &mut WriterInner, records: u64) {
+        inner.needs_rotate = true;
+        inner.write_errors += 1;
+        let dropped = std::mem::take(&mut inner.dropped);
+        self.lost.fetch_add(records + dropped, Ordering::Relaxed);
+        self.metrics.write_errors.inc();
+    }
+
+    /// Run one append under the breaker. Returns what `f` returned, or
+    /// `None` when the record was suppressed or failed. A record counts as
+    /// appended once it is in the file or held for it.
+    fn with_inner<T>(&self, f: impl FnOnce(&mut WriterInner) -> std::io::Result<T>) -> Option<T> {
         let admit = self.breaker.admit();
         if admit == WriteAdmit::Suppress {
             self.lost.fetch_add(1, Ordering::Relaxed);
             self.metrics.records_suppressed.inc();
-            return false;
+            return None;
         }
         let mut inner = self.lock_inner();
         let result = rotate_and_run(&mut inner, f);
-        let ok = result.is_ok();
         if result.is_err() {
-            inner.needs_rotate = true;
-            inner.write_errors += 1;
-            self.lost.fetch_add(1, Ordering::Relaxed);
-            self.metrics.write_errors.inc();
+            self.count_failure(&mut inner, 1);
         }
         let session_id = inner.session_id;
         drop(inner);
-        match self.breaker.record_outcome(admit, ok) {
+        match self.breaker.record_outcome(admit, result.is_ok()) {
             BreakerEvent::Tripped => {
                 self.metrics.breaker_trips.inc();
                 self.metrics.set_breaker_state(BreakerState::Open);
@@ -464,7 +536,10 @@ impl SessionJournal {
             BreakerEvent::Reopened => self.metrics.set_breaker_state(BreakerState::Open),
             BreakerEvent::None => {}
         }
-        ok
+        if result.is_ok() {
+            self.metrics.records_appended.inc();
+        }
+        result.ok()
     }
 
     fn record_fsync(&self, seconds: Option<f64>) {
@@ -473,7 +548,8 @@ impl SessionJournal {
         }
     }
 
-    /// Append one record under the breaker. Only the clean-shutdown
+    /// Append one record under the breaker, behind any held frames, with
+    /// one `write_all` for all of them. Only the clean-shutdown
     /// sentinel is forced here; everything else rides the next forced
     /// flush — snapshots and annotations (alerts, estimator selections)
     /// because they are telemetry and diagnostics, the terminal record
@@ -482,24 +558,28 @@ impl SessionJournal {
     fn append(&self, record: RecordRef<'_>) -> bool {
         let mut fsynced = None;
         let ok = self.with_inner(|inner| {
-            inner.append_record(record)?;
-            if matches!(record, RecordRef::CleanShutdown) {
-                fsynced = inner.fsync()?;
+            inner.hold_record(record)?;
+            inner.write_held()?;
+            match record {
+                RecordRef::CleanShutdown => fsynced = inner.fsync()?,
+                // The snapshot stream is over: give back the buffer that
+                // batches grew, so a finished session holds none of it.
+                RecordRef::Terminal(_) => inner.frame = Vec::new(),
+                _ => {}
             }
             Ok(())
         });
         self.record_fsync(fsynced);
-        if ok {
-            self.metrics.records_appended.inc();
-        }
-        ok
+        ok.is_some()
     }
 
-    /// Fsync outside the breaker (no record rides on the call). A failure is
+    /// Fsync outside the breaker (no record rides on the call), after
+    /// writing any held frames. A failure is
     /// counted as a write error; when the flush was the terminal record's,
     /// that record can no longer be trusted to be on disk, so it also counts
     /// as lost and the next append starts a fresh segment.
     fn force(&self, terminal: bool) {
+        self.write_held();
         let mut inner = self.lock_inner();
         let fsynced = match inner.fsync() {
             Ok(seconds) => seconds,
@@ -517,9 +597,50 @@ impl SessionJournal {
         self.record_fsync(fsynced);
     }
 
-    /// Append one published DMV snapshot (not forced to disk).
+    /// Append one published DMV snapshot (not forced to disk), behind any
+    /// held frames.
     pub fn append_snapshot(&self, snapshot: &lqs_plan::DmvSnapshot) {
         self.append(RecordRef::Snapshot(snapshot));
+    }
+
+    /// Encode one published DMV snapshot into the writer's frame buffer and
+    /// hold it there, unwritten, behind any frames already held. Returns
+    /// whether it is held: `false` when it was written after all (another
+    /// frame of its size would take the held frames past 64 KiB, or they
+    /// reach the crash point), or was suppressed or failed. Held frames are
+    /// written, with one `write_all` per segment, by
+    /// [`write_held`](Self::write_held), by the next append of any record,
+    /// or by a flush. The breaker, the fault injector, rotation and
+    /// the crash point still see one record at a time, so the files and
+    /// counters are those of appending each snapshot on its own.
+    pub fn hold_snapshot(&self, snapshot: &lqs_plan::DmvSnapshot) -> bool {
+        self.with_inner(|inner| {
+            let len = inner.hold_record(RecordRef::Snapshot(snapshot))?;
+            if len == 0 {
+                return Ok(false);
+            }
+            if inner.must_write(len) {
+                inner.write_held()?;
+                return Ok(false);
+            }
+            if inner.held_frames == 0 {
+                let room = HOLD_MAX_BYTES - inner.frame.len();
+                inner.frame.reserve_exact(room);
+            }
+            inner.held_frames += 1;
+            Ok(true)
+        }) == Some(true)
+    }
+
+    /// Write every held frame with one `write_all`. Like
+    /// [`flush`](Self::flush) this bypasses the breaker; a failed write
+    /// counts one write error, every frame it carried as lost, and sends
+    /// the next append to a fresh segment.
+    pub fn write_held(&self) {
+        let mut inner = self.lock_inner();
+        if inner.write_held().is_err() {
+            self.count_failure(&mut inner, 0);
+        }
     }
 
     /// Append the terminal-state record and force it to disk — the
@@ -614,11 +735,13 @@ impl SessionJournal {
 
 /// Rotate to a fresh segment if the previous append failed (the old
 /// segment may end in a torn frame), then run the append.
-fn rotate_and_run(
+fn rotate_and_run<T>(
     inner: &mut WriterInner,
-    f: impl FnOnce(&mut WriterInner) -> std::io::Result<()>,
-) -> std::io::Result<()> {
+    f: impl FnOnce(&mut WriterInner) -> std::io::Result<T>,
+) -> std::io::Result<T> {
     if inner.needs_rotate {
+        // Held frames belong to the old segment.
+        inner.write_held()?;
         inner.segment += 1;
         inner.open_segment()?;
         inner.needs_rotate = false;

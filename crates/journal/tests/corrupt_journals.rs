@@ -3,7 +3,6 @@
 //! reader, which truncates to the last CRC-valid record and tallies what it
 //! discarded.
 
-use lqs_exec::{DmvSnapshot, NodeCounters};
 use lqs_journal::reader::read_segment_bytes;
 use lqs_journal::record::{
     Record, SegmentHeader, SessionMeta, TerminalKind, TerminalRecord, FORMAT_VERSION,
@@ -11,6 +10,7 @@ use lqs_journal::record::{
 };
 use lqs_journal::{scan_dir, Journal, JournalConfig};
 use lqs_plan::CostModel;
+use lqs_plan::{DmvSnapshot, NodeCounters};
 use proptest::prelude::*;
 
 fn meta() -> SessionMeta {

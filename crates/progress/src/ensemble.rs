@@ -247,6 +247,12 @@ struct SelectState {
     sum_k: Vec<f64>,
     /// Per observed snapshot: every member's query-progress estimate.
     est_hist: Vec<PerMember>,
+    /// Per member: the latest retrospective loss over the whole history,
+    /// and the truth denominator it was taken at. While the denominator
+    /// keeps its exact bits, the next loss is this plus the newest row's
+    /// term — the same additions in the same order as recomputing it.
+    loss: PerMember,
+    loss_denom: Option<f64>,
     /// Per member: last estimate (monotonicity basis).
     last_est: PerMember,
     /// Per member: cumulative monotonicity-violation mass.
@@ -270,6 +276,8 @@ impl SelectState {
             observed: 0,
             sum_k: Vec::new(),
             est_hist: Vec::new(),
+            loss: [0.0; MAX_MEMBERS],
+            loss_denom: None,
             last_est: [0.0; MAX_MEMBERS],
             mono: [0.0; MAX_MEMBERS],
             churn: [0.0; MAX_MEMBERS],
@@ -327,12 +335,17 @@ fn median(values: &mut [f64]) -> f64 {
 fn retrospective_loss(est_hist: &[PerMember], sum_k: &[f64], denom: f64) -> PerMember {
     let mut loss = [0.0f64; MAX_MEMBERS];
     for (past, &sum_k) in est_hist.iter().zip(sum_k) {
-        let truth = (sum_k / denom).clamp(0.0, 1.0);
-        for (loss, est) in loss.iter_mut().zip(past) {
-            *loss += (est - truth).abs();
-        }
+        add_loss_row(&mut loss, past, sum_k, denom);
     }
     loss
+}
+
+/// Add one past snapshot's term to every member's retrospective loss.
+fn add_loss_row(loss: &mut PerMember, past: &PerMember, sum_k: f64, denom: f64) {
+    let truth = (sum_k / denom).clamp(0.0, 1.0);
+    for (loss, est) in loss.iter_mut().zip(past) {
+        *loss += (est - truth).abs();
+    }
 }
 
 /// One deterministic replay of an ensemble over a recorded snapshot trace.
@@ -600,9 +613,8 @@ impl Lineup {
         let state = &mut run.state;
         let est = run.est;
         state.observed += 1;
-        state
-            .sum_k
-            .push(s.nodes.iter().map(|c| c.rows_output as f64).sum());
+        let sum_k: f64 = s.nodes.iter().map(|c| c.rows_output as f64).sum();
+        state.sum_k.push(sum_k);
 
         // Per-snapshot disagreement against the member median.
         let mut sorted = est;
@@ -662,7 +674,16 @@ impl Lineup {
         }
         let denom = denom.max(1.0);
 
-        let loss = retrospective_loss(&state.est_hist, &state.sum_k, denom);
+        let loss = match state.loss_denom {
+            Some(cached) if cached.to_bits() == denom.to_bits() => {
+                let mut loss = state.loss;
+                add_loss_row(&mut loss, &est, sum_k, denom);
+                loss
+            }
+            _ => retrospective_loss(&state.est_hist, &state.sum_k, denom),
+        };
+        state.loss = loss;
+        state.loss_denom = Some(denom);
         let obs = state.observed as f64;
         // Weights: inverse-power of the score, blended with the
         // pipeline-shape prior during warmup (the prior's influence decays

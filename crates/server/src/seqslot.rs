@@ -27,7 +27,7 @@ struct Inner {
 
 /// `DmvSnapshot`'s derived `clone_from` reallocates; going field by field
 /// lets `Vec::clone_from` reuse `dst`'s allocation.
-fn copy_into(dst: &mut DmvSnapshot, src: &DmvSnapshot) {
+pub(crate) fn copy_into(dst: &mut DmvSnapshot, src: &DmvSnapshot) {
     dst.ts_ns = src.ts_ns;
     dst.nodes.clone_from(&src.nodes);
 }

@@ -409,6 +409,7 @@ impl QueryService {
             cost,
             queue_deadline: self.brownout.as_ref().and_then(|b| b.config.queue_deadline),
             recovered: false,
+            queued: Some(Arc::clone(&self.queued_depth)),
         };
         let handle = self.registry.register(id, spec, terms);
         // One atomic update, so two racing submissions cannot both take the

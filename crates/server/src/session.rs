@@ -7,7 +7,7 @@
 //! boundaries (via the [`SnapshotPublisher`] hook), and any number of
 //! pollers read it concurrently without touching the execution.
 
-use crate::seqslot::SnapshotSlot;
+use crate::seqslot::{copy_into, SnapshotSlot};
 use crate::service::CostAdmission;
 use lqs_exec::{
     AbortReason, AbortedQuery, CancellationToken, DmvSnapshot, ExecOptions, FaultInjector,
@@ -19,6 +19,10 @@ use lqs_plan::PhysicalPlan;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// A snapshot that arrives this long after the session's previous one is
+/// written at once, together with any frames held before it.
+const HOLD_MAX_GAP_NS: u64 = 1_000_000;
 
 /// Opaque session identifier, unique within one [`crate::SessionRegistry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -302,8 +306,12 @@ pub struct SessionHandle {
     /// Latest published snapshot — the DMV row family for this session.
     latest: SnapshotSlot,
     /// Count of snapshots published so far (monotone; `Relaxed` reads are
-    /// only ever used as a staleness hint).
+    /// only ever used as a staleness hint). Counts only snapshots whose
+    /// journal frames are written: a held batch advances it by its size.
     published_seq: AtomicU64,
+    /// Snapshots whose journal frames the writer holds unwritten, and so
+    /// not yet visible. Only the executing worker touches it.
+    held: Mutex<HeldSnapshots>,
     /// Registry-wide running-sessions gauge, bumped on lifecycle transitions.
     gauge: Arc<RunningGauge>,
     /// Wall-clock submission instant (queue-wait and staleness metrics).
@@ -338,6 +346,23 @@ pub(crate) struct SessionTerms {
     pub(crate) queue_deadline: Option<Duration>,
     /// Rebuilt from a journal by recovery rather than submitted live.
     pub(crate) recovered: bool,
+    /// The owning service's count of sessions waiting for a worker. While
+    /// it is non-zero, publishes hold their journal frames and write them
+    /// in batches (`None`: every frame is written as it is published).
+    pub(crate) queued: Option<Arc<AtomicUsize>>,
+}
+
+/// The group-commit batch of one session: snapshots published while
+/// sessions wait for a worker, whose frames the journal writer holds.
+#[derive(Default)]
+struct HeldSnapshots {
+    /// How many snapshots are held.
+    count: u64,
+    /// The newest of them: the slot gets it once their frames are written.
+    newest: Option<DmvSnapshot>,
+    /// Wall-clock nanoseconds after `created` at which the previous
+    /// snapshot arrived (zero before the first).
+    last_ns: u64,
 }
 
 /// Cost-admission state one session carries: the service-wide admission
@@ -366,6 +391,7 @@ impl SessionHandle {
             lifecycle_changed: Condvar::new(),
             latest: SnapshotSlot::new(plan_nodes),
             published_seq: AtomicU64::new(0),
+            held: Mutex::default(),
             gauge,
             created: Instant::now(),
             last_publish_ns: AtomicU64::new(u64::MAX),
@@ -435,6 +461,7 @@ impl SessionHandle {
         rows_returned: u64,
         message: &str,
     ) -> bool {
+        self.release_held();
         self.journal().is_some_and(|journal| {
             journal.append_terminal_record(&TerminalRecord {
                 kind,
@@ -633,10 +660,13 @@ impl SessionHandle {
     /// last snapshot (so pollers see 100% without racing the lifecycle)
     /// and append the `Succeeded` record.
     pub(crate) fn complete(&self, run: QueryRun) -> PendingTerminal {
-        self.publish(&DmvSnapshot {
-            ts_ns: run.duration_ns,
-            nodes: run.final_counters.clone(),
-        });
+        self.publish_journaled(
+            &DmvSnapshot {
+                ts_ns: run.duration_ns,
+                nodes: run.final_counters.clone(),
+            },
+            false,
+        );
         let sync_owed = self.journal_terminal(
             TerminalKind::Succeeded,
             run.duration_ns,
@@ -652,10 +682,13 @@ impl SessionHandle {
     /// Worker half of an aborted run, keeping the partial trace honest: the
     /// counter state at the abort tick becomes the final published snapshot.
     pub(crate) fn abort(&self, aborted: AbortedQuery) -> PendingTerminal {
-        self.publish(&DmvSnapshot {
-            ts_ns: aborted.at_ns,
-            nodes: aborted.partial_counters.clone(),
-        });
+        self.publish_journaled(
+            &DmvSnapshot {
+                ts_ns: aborted.at_ns,
+                nodes: aborted.partial_counters.clone(),
+            },
+            false,
+        );
         let kind = match aborted.reason {
             AbortReason::Cancelled => TerminalKind::Cancelled,
             AbortReason::DeadlineExceeded => TerminalKind::DeadlineExceeded,
@@ -745,25 +778,89 @@ impl SnapshotPublisher for FilteredPublisher<'_> {
 
 impl SnapshotPublisher for SessionHandle {
     fn publish(&self, snapshot: &DmvSnapshot) {
-        // Journal first, then make the snapshot visible: a poller must
-        // never see counters the journal can lose. (Landing the publish in
-        // the handle rather than an exec-level tee means terminal publishes
-        // from `complete`/`abort` — which bypass the engine's publisher
-        // hook — are journaled too.)
-        if let Some(journal) = self.journal() {
-            journal.append_snapshot(snapshot);
-        }
-        // Allocation-free copy into the slot, under its lock.
-        self.latest.publish(snapshot);
+        self.publish_journaled(snapshot, true);
+    }
+}
+
+impl SessionHandle {
+    /// Journal first, then make the snapshot visible: a poller must never
+    /// see counters the journal can lose. (Landing the publish in the
+    /// handle rather than an exec-level tee means terminal publishes from
+    /// `complete`/`abort` — which bypass the engine's publisher hook — are
+    /// journaled too.)
+    ///
+    /// Group commit: while sessions wait for a worker, and the snapshot
+    /// came within [`HOLD_MAX_GAP_NS`] of the previous one, `may_hold`
+    /// lets its frame wait in the journal writer, invisible, for the next
+    /// one; the writer writes held frames before they pass 64 KiB. When a
+    /// snapshot is not held, it is written together with the held ones,
+    /// and the whole batch becomes visible at once: the slot takes the
+    /// newest, `published_seq` advances by the batch size.
+    fn publish_journaled(&self, snapshot: &DmvSnapshot, may_hold: bool) {
         // `u64::MAX` is the never-published sentinel; a >584-year uptime
         // would be needed to collide with it.
-        let elapsed = self
+        let now_ns = self
             .created
             .elapsed()
             .as_nanos()
             .min(u128::from(u64::MAX - 1)) as u64;
-        self.last_publish_ns.store(elapsed, Ordering::Release);
-        self.published_seq.fetch_add(1, Ordering::AcqRel);
+        let Some(journal) = self.journal() else {
+            self.show(snapshot, 1, now_ns);
+            return;
+        };
+        let mut held = self.held();
+        let prompt = now_ns.saturating_sub(held.last_ns) < HOLD_MAX_GAP_NS;
+        held.last_ns = now_ns;
+        if may_hold && prompt && self.sessions_waiting() {
+            if journal.hold_snapshot(snapshot) {
+                held.count += 1;
+                match &mut held.newest {
+                    Some(newest) => copy_into(newest, snapshot),
+                    newest => *newest = Some(snapshot.clone()),
+                }
+                return;
+            }
+            journal.write_held();
+        } else {
+            journal.append_snapshot(snapshot);
+        }
+        let batch = std::mem::take(&mut held.count) + 1;
+        drop(held);
+        self.show(snapshot, batch, now_ns);
+    }
+
+    /// Write any held frames and show the newest held snapshot, then drop
+    /// the batch buffer: a terminal record follows, so nothing is held
+    /// again.
+    fn release_held(&self) {
+        let mut held = self.held();
+        let (count, newest, at_ns) = (held.count, held.newest.take(), held.last_ns);
+        held.count = 0;
+        drop(held);
+        if let (Some(journal), Some(newest)) = (self.journal(), newest.filter(|_| count > 0)) {
+            journal.write_held();
+            self.show(&newest, count, at_ns);
+        }
+    }
+
+    /// Make `snapshot`, the newest of `batch` journaled snapshots that
+    /// arrived up to `at_ns`, the visible one.
+    fn show(&self, snapshot: &DmvSnapshot, batch: u64, at_ns: u64) {
+        // Allocation-free copy into the slot, under its lock.
+        self.latest.publish(snapshot);
+        self.last_publish_ns.store(at_ns, Ordering::Release);
+        self.published_seq.fetch_add(batch, Ordering::AcqRel);
+    }
+
+    /// The batch lives as long as the handle and is replaced field by
+    /// field, so a guard poisoned by a panicking holder is still usable.
+    fn held(&self) -> MutexGuard<'_, HeldSnapshots> {
+        self.held.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Whether any session of the owning service waits for a worker.
+    fn sessions_waiting(&self) -> bool {
+        (self.terms.queued.as_ref()).is_some_and(|q| q.load(Ordering::Acquire) > 0)
     }
 }
 

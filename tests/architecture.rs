@@ -898,14 +898,14 @@ fn seeded_engine_dependency_is_caught_directly_and_transitively() {
     );
 }
 
-/// The client crates' own `lqs-exec` dev-dependencies, lqs-plan's
-/// `[dev-dependencies.lqs-exec]` under all four, and one seeded under
-/// lqs-storage's `[dev-dependencies]` are not followed.
+/// The client crates' own `lqs-exec` dev-dependencies (lqs-journal's tests
+/// execute no plan and have none), lqs-plan's `[dev-dependencies.lqs-exec]`
+/// under all four, and one seeded under lqs-storage's `[dev-dependencies]`
+/// are not followed.
 #[test]
 fn engine_dev_dependencies_are_not_followed() {
     for path in [
         "crates/progress/Cargo.toml",
-        "crates/journal/Cargo.toml",
         "crates/history/Cargo.toml",
         "crates/prof/Cargo.toml",
     ] {
