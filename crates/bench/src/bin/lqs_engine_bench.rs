@@ -44,8 +44,8 @@
 //! the checks are meaningful across machines, and one that fails is
 //! measured afresh up to twice before it fails the run ([`remeasured`]).
 
+use lqs::exec::trace::RingBufferSink;
 use lqs::exec::{execute, execute_traced, DmvSnapshot, ExecOptions, QueryRun};
-use lqs::obs::RingBufferSink;
 use lqs::plan::{
     AggFunc, Aggregate, Expr, JoinKind, PhysicalPlan, PlanBuilder, SeekKey, SeekRange, SortKey,
 };

@@ -42,8 +42,8 @@
 //! empty-but-plausible view.
 
 use lqs::exec::execute_traced;
+use lqs::exec::trace::to_chrome_trace_with_drops;
 use lqs::journal::{plan_fingerprint, scan_dir, RecoveredSession};
-use lqs::obs::to_chrome_trace_with_drops;
 use lqs::plan::{NodeId, PhysicalPlan};
 use lqs::prelude::*;
 use lqs::progress::ProgressReport;

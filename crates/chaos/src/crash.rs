@@ -635,4 +635,31 @@ mod tests {
             let _ = std::fs::remove_dir_all(&d);
         }
     }
+
+    /// One worker and six sessions per cycle keep sessions queued, so group
+    /// commit holds frames while they wait and the seeded crash points can
+    /// fall inside a batch, which `quick`'s two sessions on two workers
+    /// almost never allow.
+    #[test]
+    fn queued_crash_soak_passes_and_is_deterministic() {
+        for seed in [42, 43] {
+            let queued = |dir: &PathBuf| CrashSoakConfig {
+                workers: 1,
+                queries_per_cycle: 6,
+                ..CrashSoakConfig::quick(seed, dir)
+            };
+            let da = tmpdir("queued-a");
+            let a = run_crash_soak(&queued(&da));
+            assert!(a.passed(), "seed {seed} violations: {:?}", a.violations);
+            let db = tmpdir("queued-b");
+            let b = run_crash_soak(&queued(&db));
+            assert_eq!(
+                a.summary, b.summary,
+                "seed {seed}: same seed must give identical summaries"
+            );
+            for d in [da, db] {
+                let _ = std::fs::remove_dir_all(&d);
+            }
+        }
+    }
 }

@@ -3,15 +3,17 @@
 //! A from-scratch reproduction of *"Operator and Query Progress Estimation
 //! in Microsoft SQL Server Live Query Statistics"* (SIGMOD 2016): a
 //! per-operator and per-query progress estimator ([`progress`]) layered on
-//! an instrumented query execution engine ([`exec`]) with its own storage
-//! layer ([`storage`]), mini-optimizer ([`plan`]), benchmark-shaped
-//! workloads ([`workloads`]), and a Prometheus-style telemetry subsystem
-//! ([`metrics`]) threaded through the multi-session query service ([`server`]), a durable per-session
-//! snapshot journal with crash recovery ([`journal`]), fleet-wide
-//! progress analytics and resource prediction over those journals
-//! ([`history`]), exact per-operator time attribution with flamegraph
-//! export ([`prof`]), plus a deterministic fault-injection layer
-//! ([`chaos`]) for robustness testing.
+//! an instrumented query execution engine ([`exec`], whose virtual-clock
+//! event trace exports as JSONL or Chrome trace JSON through
+//! [`exec::trace`]) with its own storage layer ([`storage`]),
+//! mini-optimizer ([`plan`]), benchmark-shaped workloads ([`workloads`]),
+//! and a Prometheus-style telemetry subsystem ([`metrics`]) threaded
+//! through the multi-session query service ([`server`]), a durable
+//! per-session snapshot journal with crash recovery ([`journal`]),
+//! fleet-wide progress analytics and resource prediction over those
+//! journals ([`history`]), exact per-operator time attribution with
+//! flamegraph export ([`prof`]), plus a deterministic fault-injection
+//! layer ([`chaos`]) for robustness testing.
 //!
 //! ## Quickstart
 //!
@@ -57,7 +59,6 @@ pub use lqs_exec as exec;
 pub use lqs_history as history;
 pub use lqs_journal as journal;
 pub use lqs_metrics as metrics;
-pub use lqs_obs as obs;
 pub use lqs_plan as plan;
 pub use lqs_prof as prof;
 pub use lqs_progress as progress;
@@ -69,10 +70,10 @@ pub use lqs_workloads as workloads;
 /// examples use. Everything else is one module path away (`lqs::server`,
 /// `lqs::journal`, ...).
 pub mod prelude {
+    pub use lqs_exec::trace::{to_chrome_trace, to_jsonl, RingBufferSink};
     pub use lqs_exec::{
         execute, execute_traced, plan_node_names, DmvSnapshot, ExecOptions, QueryRun,
     };
-    pub use lqs_obs::{to_chrome_trace, to_jsonl, RingBufferSink};
     pub use lqs_plan::{
         AggFunc, Aggregate, Expr, JoinKind, NodeId, PhysicalOp, PhysicalPlan, PipelineSet,
         PlanBuilder, SeekKey, SeekRange, SortKey,

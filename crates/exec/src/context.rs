@@ -20,7 +20,7 @@
 
 use crate::bloom::BloomFilter;
 use crate::fault::{FaultInjector, GetNextFault, IoVerdict, QueryFault};
-use lqs_obs::{EventKind, EventSink, TraceEvent};
+use crate::trace::{EventKind, RingBufferSink, TraceEvent};
 use lqs_plan::{BitmapId, CostModel, DmvSnapshot, NodeCounters, NodeId};
 use lqs_storage::{Database, Row, Value};
 use std::cell::{Cell, RefCell};
@@ -190,7 +190,7 @@ pub struct ExecContext<'a> {
     /// Snapshots recorded so far, counting ones later thinned away.
     snapshot_seq: Cell<u64>,
     /// Trace event sink; `None` when the run is untraced.
-    sink: Option<&'a dyn EventSink>,
+    sink: Option<&'a RingBufferSink>,
     /// Live snapshot publisher; `None` for post-hoc-only runs.
     publisher: Option<&'a dyn SnapshotPublisher>,
     /// Cooperative cancellation flag, checked at every clock tick.
@@ -247,7 +247,7 @@ impl<'a> ExecContext<'a> {
 
     /// Attach a trace event sink. Call before handing the context to
     /// operators; events start flowing immediately.
-    pub(crate) fn with_sink(mut self, sink: &'a dyn EventSink) -> Self {
+    pub(crate) fn with_sink(mut self, sink: &'a RingBufferSink) -> Self {
         self.sink = Some(sink);
         self
     }
@@ -291,11 +291,11 @@ impl<'a> ExecContext<'a> {
 
     // ---- tracing --------------------------------------------------------
 
-    /// Whether a recording sink is attached. Emission sites that must
-    /// build an event (format strings, compare gauges) check this first so
-    /// untraced runs skip the work entirely.
+    /// Whether a sink is attached. Emission sites that must build an
+    /// event (format strings, compare gauges) check this first so untraced
+    /// runs skip the work entirely.
     pub(crate) fn trace_enabled(&self) -> bool {
-        self.sink.is_some_and(EventSink::is_recording)
+        self.sink.is_some()
     }
 
     /// Emit an event stamped `at_ns` (snapshot boundaries lag `now_ns`).

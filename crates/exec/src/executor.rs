@@ -5,7 +5,7 @@ use crate::context::{
     AbortReason, CancellationToken, ExecContext, QueryAborted, SnapshotPublisher,
 };
 use crate::ops::build_operator;
-use lqs_obs::EventSink;
+use crate::trace::RingBufferSink;
 use lqs_plan::{CostModel, DmvSnapshot, NodeCounters, PhysicalOp, PhysicalPlan, QueryRun};
 use lqs_storage::Database;
 
@@ -58,7 +58,7 @@ impl Default for ExecOptions {
 #[derive(Default, Clone, Copy)]
 pub struct ExecHooks<'a> {
     /// Trace event sink (same role as in [`execute_traced`]).
-    pub sink: Option<&'a dyn EventSink>,
+    pub sink: Option<&'a RingBufferSink>,
     /// Receives every DMV snapshot as it is recorded.
     pub publisher: Option<&'a dyn SnapshotPublisher>,
     /// Cancelling this token aborts the run at its next clock tick.
@@ -160,7 +160,7 @@ pub fn execute_traced(
     db: &Database,
     plan: &PhysicalPlan,
     opts: &ExecOptions,
-    sink: &dyn EventSink,
+    sink: &RingBufferSink,
 ) -> QueryRun {
     execute_inner(
         db,

@@ -20,16 +20,15 @@
 //!   and batch-mode columnstore scans (§4.7).
 //! * [`executor`] — runs a plan to completion and returns the DMV trace plus
 //!   ground-truth cardinalities and timings.
+//! * [`trace`] — the event trace: [`execute_traced`] streams operator
+//!   lifecycle, phase transitions, buffer high-water marks, bitmap builds
+//!   and snapshot ticks into a [`trace::RingBufferSink`], exported as JSONL
+//!   or Chrome trace-event JSON; untraced runs pay nothing.
 //!
 //! The rows it writes — [`DmvSnapshot`], [`NodeCounters`] and the finished
 //! [`QueryRun`] — are [`lqs_plan::dmv`]'s, re-exported here: the DMV
 //! contract sits beside the showplan, so the client crates (estimator,
 //! journal, history, profiler) build without this engine.
-//!
-//! Execution can additionally stream [`lqs_obs`] trace events (operator
-//! lifecycle, phase transitions, buffer high-water marks, bitmap builds,
-//! snapshot ticks) into an [`lqs_obs::EventSink`] via
-//! [`executor::execute_traced`]; untraced runs pay nothing.
 
 #![warn(unreachable_pub)]
 
@@ -43,6 +42,7 @@ pub mod fault;
 pub mod metrics;
 pub mod ops;
 mod pred;
+pub mod trace;
 
 pub use context::{
     AbortReason, BatchCharge, CancellationToken, ExecContext, QueryAborted, SnapshotPublisher,

@@ -1,4 +1,4 @@
-//! Event model and sinks.
+//! The event model and the ring-buffer sink.
 
 use lqs_plan::NodeId;
 use std::cell::RefCell;
@@ -82,24 +82,6 @@ pub struct TraceEvent {
     pub kind: EventKind,
 }
 
-/// Receives trace events from the engine.
-///
-/// Sinks use interior mutability (`&self` receivers) because the engine
-/// shares one immutable `ExecContext` across the whole operator tree.
-/// Execution is single-threaded on the virtual clock, so no sink needs to
-/// be `Sync`.
-pub trait EventSink {
-    /// Record one event.
-    fn emit(&self, event: TraceEvent);
-
-    /// Whether emitting is worthwhile. Call sites with non-trivial event
-    /// construction (string formatting, gauge comparisons) check this
-    /// first so a sink that never records costs one virtual call and nothing else.
-    fn is_recording(&self) -> bool {
-        true
-    }
-}
-
 /// The drop-oldest bounded queue behind [`RingBufferSink`]: when full,
 /// pushing evicts the oldest event and counts it.
 #[derive(Debug)]
@@ -156,10 +138,11 @@ impl RingBufferSink {
     pub fn dropped(&self) -> u64 {
         self.0.borrow().dropped
     }
-}
 
-impl EventSink for RingBufferSink {
-    fn emit(&self, event: TraceEvent) {
+    /// Record one event. `&self`, because the engine shares one immutable
+    /// `ExecContext` across the whole operator tree; execution is
+    /// single-threaded on the virtual clock, so a `RefCell` suffices.
+    pub(crate) fn emit(&self, event: TraceEvent) {
         self.0.borrow_mut().push(event);
     }
 }

@@ -9,8 +9,8 @@
 mod common;
 
 use common::{make_db, masked, opts, plan_of, spec_strategy};
+use lqs_exec::trace::{EventKind, RingBufferSink};
 use lqs_exec::{execute, execute_traced, ExecMode, ExecOptions};
-use lqs_obs::{EventKind, RingBufferSink};
 use lqs_plan::{Aggregate, Expr, JoinKind, PhysicalPlan, PlanBuilder, SeekKey, SeekRange};
 use lqs_storage::Database;
 use proptest::prelude::*;

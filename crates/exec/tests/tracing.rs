@@ -1,9 +1,12 @@
 //! End-to-end tracing: a traced run emits a complete, well-ordered event
-//! stream and changes nothing about the run itself.
+//! stream and changes nothing about the run itself; the JSONL export
+//! rebuilds to the same stream and the Chrome export renders it as spans.
 
+use lqs_exec::trace::{
+    to_chrome_trace, to_chrome_trace_with_drops, to_jsonl, EventKind, RingBufferSink, TraceEvent,
+};
 use lqs_exec::{execute, execute_traced, plan_node_names, ExecOptions};
-use lqs_obs::{to_chrome_trace, to_jsonl, EventKind, RingBufferSink};
-use lqs_plan::{AggFunc, Aggregate, Expr, JoinKind, PlanBuilder, SortKey};
+use lqs_plan::{AggFunc, Aggregate, Expr, JoinKind, NodeId, PlanBuilder, SortKey};
 use lqs_storage::{Column, DataType, Database, Schema, Table, TableId, Value};
 
 fn db() -> (Database, TableId, TableId) {
@@ -36,11 +39,7 @@ fn db() -> (Database, TableId, TableId) {
 
 /// A plan exercising the traced behaviours: hash join (build → probe),
 /// sort (blocking → emit), filter, and aggregation.
-fn traced_run() -> (
-    lqs_plan::PhysicalPlan,
-    lqs_exec::QueryRun,
-    Vec<lqs_obs::TraceEvent>,
-) {
+fn traced_run() -> (lqs_plan::PhysicalPlan, lqs_exec::QueryRun, Vec<TraceEvent>) {
     let (db, f, d) = db();
     let mut b = PlanBuilder::new(&db);
     let dim_scan = b.table_scan(d);
@@ -159,7 +158,7 @@ fn real_trace_exports_cleanly() {
     let names = plan_node_names(&plan);
 
     let jsonl = to_jsonl(&events, &names);
-    assert_eq!(lqs_obs::from_jsonl(&jsonl).unwrap(), events);
+    assert_eq!(from_jsonl(&jsonl).unwrap(), events);
 
     let chrome = to_chrome_trace(&events, &names);
     let parsed = serde_json::from_str(&chrome).expect("valid chrome trace JSON");
@@ -171,4 +170,271 @@ fn real_trace_exports_cleanly() {
         assert!(ev["dur"].as_f64().is_some());
         assert!(ev["name"].as_str().is_some());
     }
+}
+
+// ---- Exporters over a fixed stream --------------------------------------
+
+/// Reparse a [`to_jsonl`] export: the oracle for its loss-free claim. Blank
+/// lines are skipped; any malformed line aborts with a message naming the
+/// 1-based line number.
+fn from_jsonl(s: &str) -> Result<Vec<TraceEvent>, String> {
+    let mut events = Vec::new();
+    for (lineno, line) in s.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let v = serde_json::from_str(line).map_err(|e| format!("line {}: {e}", lineno + 1))?;
+        let get_u64 = |key: &str| -> Result<u64, String> {
+            v.get(key)
+                .and_then(serde_json::Value::as_u64)
+                .ok_or_else(|| format!("line {}: missing/invalid \"{key}\"", lineno + 1))
+        };
+        let get_str = |key: &str| -> Result<String, String> {
+            v.get(key)
+                .and_then(serde_json::Value::as_str)
+                .map(str::to_owned)
+                .ok_or_else(|| format!("line {}: missing/invalid \"{key}\"", lineno + 1))
+        };
+        let kind = match get_str("kind")?.as_str() {
+            "operator_open" => EventKind::OperatorOpen,
+            "operator_first_row" => EventKind::OperatorFirstRow,
+            "operator_close" => EventKind::OperatorClose,
+            "phase_transition" => EventKind::PhaseTransition {
+                from: get_str("from")?,
+                to: get_str("to")?,
+            },
+            "buffer_high_water" => EventKind::BufferHighWater {
+                rows: get_u64("rows")?,
+            },
+            "bitmap_built" => EventKind::BitmapBuilt {
+                keys: get_u64("keys")?,
+            },
+            "snapshot_tick" => EventKind::SnapshotTick {
+                index: get_u64("index")?,
+            },
+            "operator_batch" => EventKind::OperatorBatch {
+                start_ns: get_u64("start_ns")?,
+                rows_in: get_u64("rows_in")?,
+                rows_out: get_u64("rows_out")?,
+            },
+            other => return Err(format!("line {}: unknown kind {other:?}", lineno + 1)),
+        };
+        events.push(TraceEvent {
+            ts_ns: get_u64("ts_ns")?,
+            node: v
+                .get("node")
+                .and_then(serde_json::Value::as_u64)
+                .map(|n| NodeId(n as usize)),
+            kind,
+        });
+    }
+    Ok(events)
+}
+
+fn sample_events() -> Vec<TraceEvent> {
+    vec![
+        TraceEvent {
+            ts_ns: 0,
+            node: Some(NodeId(0)),
+            kind: EventKind::OperatorOpen,
+        },
+        TraceEvent {
+            ts_ns: 10,
+            node: Some(NodeId(1)),
+            kind: EventKind::OperatorOpen,
+        },
+        TraceEvent {
+            ts_ns: 500,
+            node: Some(NodeId(1)),
+            kind: EventKind::PhaseTransition {
+                from: "build".into(),
+                to: "probe".into(),
+            },
+        },
+        TraceEvent {
+            ts_ns: 510,
+            node: Some(NodeId(1)),
+            kind: EventKind::BitmapBuilt { keys: 42 },
+        },
+        TraceEvent {
+            ts_ns: 520,
+            node: Some(NodeId(1)),
+            kind: EventKind::OperatorFirstRow,
+        },
+        TraceEvent {
+            ts_ns: 600,
+            node: None,
+            kind: EventKind::SnapshotTick { index: 0 },
+        },
+        TraceEvent {
+            ts_ns: 700,
+            node: Some(NodeId(2)),
+            kind: EventKind::BufferHighWater { rows: 64 },
+        },
+        TraceEvent {
+            ts_ns: 800,
+            node: Some(NodeId(1)),
+            kind: EventKind::OperatorBatch {
+                start_ns: 520,
+                rows_in: 1024,
+                rows_out: 512,
+            },
+        },
+        TraceEvent {
+            ts_ns: 900,
+            node: Some(NodeId(1)),
+            kind: EventKind::OperatorClose,
+        },
+        TraceEvent {
+            ts_ns: 950,
+            node: Some(NodeId(0)),
+            kind: EventKind::OperatorClose,
+        },
+    ]
+}
+
+#[test]
+fn jsonl_round_trips() {
+    let events = sample_events();
+    let names = vec!["Gather".into(), "Hash Join".into(), "Exchange".into()];
+    let text = to_jsonl(&events, &names);
+    assert_eq!(from_jsonl(&text).unwrap(), events);
+    // Also loss-free without labels.
+    assert_eq!(from_jsonl(&to_jsonl(&events, &[])).unwrap(), events);
+}
+
+#[test]
+fn jsonl_rejects_garbage() {
+    assert!(from_jsonl("{\"ts_ns\": 1}").is_err());
+    assert!(from_jsonl("not json").is_err());
+    assert!(from_jsonl("{\"ts_ns\": 1, \"kind\": \"nope\"}").is_err());
+}
+
+#[test]
+fn chrome_trace_is_valid_and_complete() {
+    let events = sample_events();
+    let names = vec!["Gather".into(), "Hash Join".into(), "Exchange".into()];
+    let text = to_chrome_trace(&events, &names);
+    let parsed = serde_json::from_str(&text).expect("valid JSON");
+    let trace_events = parsed["traceEvents"].as_array().expect("traceEvents array");
+    assert!(!trace_events.is_empty());
+    for ev in trace_events {
+        assert_eq!(ev["ph"], "X");
+        assert!(ev["ts"].as_f64().is_some(), "missing ts: {}", ev.to_json());
+        assert!(
+            ev["dur"].as_f64().is_some(),
+            "missing dur: {}",
+            ev.to_json()
+        );
+        assert!(ev["name"].as_str().is_some(), "missing name");
+    }
+    // The hash join's build phase spans open(10) → transition(500):
+    // 0.01 µs → 0.49 µs.
+    let build = trace_events
+        .iter()
+        .find(|e| e["name"] == "Hash Join: build")
+        .expect("build phase span");
+    assert!((build["ts"].as_f64().unwrap() - 0.01).abs() < 1e-9);
+    assert!((build["dur"].as_f64().unwrap() - 0.49).abs() < 1e-9);
+    // The probe phase runs transition(500) → close(900).
+    let probe = trace_events
+        .iter()
+        .find(|e| e["name"] == "Hash Join: probe")
+        .expect("probe phase span");
+    assert!((probe["dur"].as_f64().unwrap() - 0.4).abs() < 1e-9);
+    // Virtual ns → trace µs on the full operator span (10..900 ns).
+    let join = trace_events
+        .iter()
+        .find(|e| e["name"] == "Hash Join")
+        .expect("operator span");
+    assert!((join["dur"].as_f64().unwrap() - 0.89).abs() < 1e-9);
+}
+
+#[test]
+fn chrome_trace_closes_dangling_spans() {
+    // Open with no close: the exporter must still emit a span.
+    let events = vec![
+        TraceEvent {
+            ts_ns: 100,
+            node: Some(NodeId(0)),
+            kind: EventKind::OperatorOpen,
+        },
+        TraceEvent {
+            ts_ns: 400,
+            node: None,
+            kind: EventKind::SnapshotTick { index: 0 },
+        },
+    ];
+    let text = to_chrome_trace(&events, &[]);
+    let parsed = serde_json::from_str(&text).unwrap();
+    let spans = parsed["traceEvents"].as_array().unwrap();
+    let op = spans.iter().find(|e| e["name"] == "node0").unwrap();
+    assert!((op["dur"].as_f64().unwrap() - 0.3).abs() < 1e-9);
+}
+
+#[test]
+fn chrome_trace_surfaces_drops() {
+    let text = to_chrome_trace_with_drops(&sample_events(), &[], 5);
+    let parsed = serde_json::from_str(&text).unwrap();
+    let spans = parsed["traceEvents"].as_array().unwrap();
+    let warn = spans
+        .iter()
+        .find(|e| {
+            e["name"]
+                .as_str()
+                .is_some_and(|n| n.starts_with("trace truncated"))
+        })
+        .expect("truncation warning span");
+    assert_eq!(warn["args"]["dropped"].as_u64(), Some(5));
+    // The lossless path emits no warning.
+    let clean = to_chrome_trace_with_drops(&sample_events(), &[], 0);
+    assert!(!clean.contains("trace truncated"));
+    assert_eq!(clean, to_chrome_trace(&sample_events(), &[]));
+}
+
+#[test]
+fn batch_spans_render_with_duration_and_rows() {
+    let events = sample_events();
+    let names = vec!["Gather".into(), "Hash Join".into(), "Exchange".into()];
+    let text = to_chrome_trace(&events, &names);
+    let parsed = serde_json::from_str(&text).unwrap();
+    let spans = parsed["traceEvents"].as_array().unwrap();
+    let batch = spans
+        .iter()
+        .find(|e| e["name"] == "Hash Join batch")
+        .expect("batch span");
+    // 520 → 800 ns = 0.28 µs, starting at 0.52 µs.
+    assert!((batch["ts"].as_f64().unwrap() - 0.52).abs() < 1e-9);
+    assert!((batch["dur"].as_f64().unwrap() - 0.28).abs() < 1e-9);
+    assert_eq!(batch["args"]["rows_in"].as_u64(), Some(1024));
+    assert_eq!(batch["args"]["rows_out"].as_u64(), Some(512));
+}
+
+#[test]
+fn rewind_splits_executions() {
+    let events = vec![
+        TraceEvent {
+            ts_ns: 0,
+            node: Some(NodeId(0)),
+            kind: EventKind::OperatorOpen,
+        },
+        TraceEvent {
+            ts_ns: 100,
+            node: Some(NodeId(0)),
+            kind: EventKind::OperatorOpen, // rewind
+        },
+        TraceEvent {
+            ts_ns: 250,
+            node: Some(NodeId(0)),
+            kind: EventKind::OperatorClose,
+        },
+    ];
+    let text = to_chrome_trace(&events, &[]);
+    let parsed = serde_json::from_str(&text).unwrap();
+    let spans = parsed["traceEvents"].as_array().unwrap();
+    assert_eq!(spans.len(), 2);
+    assert_eq!(spans[0]["name"], "node0");
+    assert!((spans[0]["dur"].as_f64().unwrap() - 0.1).abs() < 1e-9);
+    assert_eq!(spans[1]["name"], "node0 (exec 2)");
+    assert!((spans[1]["dur"].as_f64().unwrap() - 0.15).abs() < 1e-9);
 }

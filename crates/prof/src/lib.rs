@@ -11,8 +11,7 @@
 //! * **inclusive time** per node — the node's subtree sum, the number a
 //!   flamegraph frame width shows;
 //! * **collapsed-stack text** ([`ProfileReport::collapsed_stacks`]) —
-//!   root-first `frame;frame weight` lines rendered through
-//!   [`lqs_obs::to_collapsed_stacks`], loadable in `flamegraph.pl`,
+//!   root-first `frame;frame weight` lines, loadable in `flamegraph.pl`,
 //!   inferno, or speedscope;
 //! * **a terminal table** ([`ProfileReport::render_text`]) for the
 //!   `lqs_live --profile` view and smoke tests.
@@ -157,7 +156,7 @@ impl ProfileReport {
             .iter()
             .map(|n| (self.stack_of(n.node), n.self_ns))
             .collect();
-        lqs_obs::to_collapsed_stacks(&stacks)
+        to_collapsed_stacks(&stacks)
     }
 
     /// Fixed-width terminal table, hottest node first (ties broken by node
@@ -224,6 +223,29 @@ impl std::ops::Index<NodeId> for ProfileReport {
     fn index(&self, id: NodeId) -> &NodeProfile {
         &self.nodes[id.0]
     }
+}
+
+/// Render weighted stacks as collapsed-stack text — the line format
+/// `frame;frame;frame weight` consumed by `flamegraph.pl`, `inferno`, and
+/// speedscope. Frames are root-first; weights are virtual nanoseconds of
+/// per-node self-time. Zero-weight stacks are skipped, `;` inside a frame
+/// name is replaced with `,` (it is the separator), and lines are sorted
+/// lexicographically so the same stacks always render byte-identically.
+fn to_collapsed_stacks(stacks: &[(Vec<String>, u64)]) -> String {
+    let mut lines: Vec<String> = stacks
+        .iter()
+        .filter(|(frames, weight)| *weight > 0 && !frames.is_empty())
+        .map(|(frames, weight)| {
+            let path: Vec<String> = frames.iter().map(|f| f.replace(';', ",")).collect();
+            format!("{} {weight}", path.join(";"))
+        })
+        .collect();
+    lines.sort_unstable();
+    let mut out = lines.join("\n");
+    if !out.is_empty() {
+        out.push('\n');
+    }
+    out
 }
 
 #[cfg(test)]
@@ -329,5 +351,18 @@ mod tests {
             .map(|l| l.split_whitespace().next().unwrap().parse().unwrap())
             .collect();
         assert!(selfs.windows(2).all(|w| w[0] >= w[1]));
+    }
+
+    #[test]
+    fn collapsed_stacks_are_sorted_and_escaped() {
+        let stacks = vec![
+            (vec!["query".into(), "Sort".into()], 300u64),
+            (vec!["query".into(), "Sort".into(), "Scan;odd".into()], 700),
+            (vec!["query".into()], 0), // zero weight: skipped
+            (Vec::new(), 42),          // empty stack: skipped
+        ];
+        let text = to_collapsed_stacks(&stacks);
+        assert_eq!(text, "query;Sort 300\nquery;Sort;Scan,odd 700\n");
+        assert_eq!(to_collapsed_stacks(&[]), "");
     }
 }

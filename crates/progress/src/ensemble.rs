@@ -69,7 +69,7 @@ enum Figure {
     /// work (the "pmax" estimator of the robust estimation literature):
     /// robust when one pipeline dominates and the optimizer misprices the
     /// rest. The pipeline is a function of the plan, chosen at build.
-    DominantWork(Option<PipelineId>),
+    DominantWork(PipelineId),
     /// Appendix-A worst-case *upper bounds* as denominators wherever they
     /// are finite — a conservative estimator that never overestimates, at
     /// the cost of chronic pessimism.
@@ -77,24 +77,28 @@ enum Figure {
 }
 
 /// The pipeline whose nodes carry the most estimated work; ties break on
-/// the lowest pipeline id (deterministic).
-fn dominant_pipeline(statics: &PlanStatics) -> Option<PipelineId> {
-    let mut best: Option<(f64, PipelineId)> = None;
-    for p in statics.pipelines.pipelines() {
-        let work: f64 = p
-            .nodes
+/// the lowest pipeline id (deterministic). Every decomposition has the
+/// root's pipeline 0, so there always is one.
+fn dominant_pipeline(statics: &PlanStatics) -> PipelineId {
+    let work = |p: &Pipeline| -> f64 {
+        p.nodes
             .iter()
             .map(|n| statics.nodes[n.0].work_total_ns)
-            .sum();
-        let better = match best {
-            None => true,
-            Some((w, _)) => work > w,
-        };
-        if better {
-            best = Some((work, p.id));
+            .sum()
+    };
+    let (first, rest) = statics
+        .pipelines
+        .pipelines()
+        .split_first()
+        .expect("a decomposition has the root's pipeline");
+    let mut best = (work(first), first.id);
+    for p in rest {
+        let w = work(p);
+        if w > best.0 {
+            best = (w, p.id);
         }
     }
-    best.map(|(_, pid)| pid)
+    best.1
 }
 
 /// Driver progress of one pipeline: Σ min(kᵢ, Nᵢ) / Σ Nᵢ over its driver
@@ -128,8 +132,7 @@ impl Figure {
     fn of(self, statics: &PlanStatics, s: &DmvSnapshot, shared: &SnapshotState, own: f64) -> f64 {
         match self {
             Figure::Config => own,
-            Figure::DominantWork(None) => 0.0,
-            Figure::DominantWork(Some(pid)) => {
+            Figure::DominantWork(pid) => {
                 pipeline_alpha(statics, s, statics.pipelines.pipeline(pid))
             }
             Figure::SafeBounds => {

@@ -798,16 +798,19 @@ fn respond_with(
         503 => "Service Unavailable",
         _ => "Error",
     };
-    write!(
-        stream,
+    // One write: the acceptor's `503` shed closes with the request unread,
+    // which resets the connection and discards whatever the kernel has not
+    // sent yet. A response written in pieces could lose its tail that way.
+    let mut response = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n",
         body.len()
-    )?;
+    );
     for (name, value) in extra_headers {
-        write!(stream, "{name}: {value}\r\n")?;
+        response.push_str(&format!("{name}: {value}\r\n"));
     }
-    stream.write_all(b"\r\n")?;
-    stream.write_all(body.as_bytes())?;
+    response.push_str("\r\n");
+    response.push_str(body);
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 

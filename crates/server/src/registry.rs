@@ -11,7 +11,6 @@ use crate::session::{
     QuerySpec, RunningGauge, SessionDurability, SessionHandle, SessionId, SessionResult,
     SessionState, SessionTerms,
 };
-use lqs_plan::{CostModel, PhysicalPlan};
 use lqs_progress::{
     EnsembleConfig, EnsembleEstimator, EstimateQuality, EstimatorConfig, GuardedEstimator,
     ProgressEstimator, ProgressReport, TruthCurves,
@@ -191,9 +190,11 @@ struct PollState {
 pub struct RegistryPoller {
     db: Arc<Database>,
     registry: Arc<SessionRegistry>,
-    /// Who estimates a session: a lineup of one until
-    /// [`Self::with_ensemble`] names the standard six.
-    lineup: Box<Lineup>,
+    /// Each session's estimator while `ensemble` is `None`.
+    config: EstimatorConfig,
+    /// Tunes the standard six-member lineup once [`Self::with_ensemble`]
+    /// sets it; while `None`, `config` alone estimates (a lineup of one).
+    ensemble: Option<EnsembleConfig>,
     states: HashMap<SessionId, PollState>,
     metrics: PollerMetrics,
     /// Client-side fault injection on the poll path (chaos testing).
@@ -215,7 +216,8 @@ impl RegistryPoller {
         RegistryPoller {
             db,
             registry,
-            lineup: lineup_of_one(config),
+            config,
+            ensemble: None,
             states: HashMap::new(),
             metrics: PollerMetrics::new(Arc::default()),
             poll_fault: None,
@@ -235,8 +237,7 @@ impl RegistryPoller {
     /// and terminal sessions get their final selection journaled and
     /// exposed on `GET /sessions`.
     pub fn with_ensemble(mut self, cfg: EnsembleConfig) -> Self {
-        self.lineup =
-            Box::new(move |plan, db, cost| EnsembleEstimator::build(plan, db, cost, cfg.clone()));
+        self.ensemble = Some(cfg);
         self
     }
 
@@ -339,9 +340,9 @@ impl RegistryPoller {
         // so steady-state polls allocate nothing.
         let snap = &mut self.scratch;
         let (report, ts_ns) = if handle.read_snapshot_into(snap) {
-            let guarded = st
-                .estimator
-                .get_or_insert_with(|| session_estimator(&self.lineup, &self.db, handle));
+            let guarded = st.estimator.get_or_insert_with(|| {
+                session_estimator(&self.db, handle, &self.config, self.ensemble.as_ref())
+            });
             if snap.nodes.len() == handle.plan().len() {
                 // The final counters are authoritative: merged by timestamp
                 // like a live snapshot, a retried session's last attempt
@@ -478,9 +479,9 @@ impl RegistryPoller {
         let SessionResult::Completed(run) = result else {
             return;
         };
-        let guarded = st
-            .estimator
-            .get_or_insert_with(|| session_estimator(&self.lineup, &self.db, handle));
+        let guarded = st.estimator.get_or_insert_with(|| {
+            session_estimator(&self.db, handle, &self.config, self.ensemble.as_ref())
+        });
         // Replay through the *stateless* estimators (never the guard's live
         // anomaly state): the run's recorded trace is already clean, and
         // the accuracy figures must stay bit-identical to an offline replay
@@ -549,26 +550,25 @@ impl RegistryPoller {
     }
 }
 
-/// Who estimates a plan: the lineup to run over it, given the database and
-/// the cost model its statics must be derived under.
-pub(crate) type Lineup = dyn Fn(&PhysicalPlan, &Database, &CostModel) -> EnsembleEstimator + Send;
-
-/// The lineup of one: `config` alone.
-pub(crate) fn lineup_of_one(config: EstimatorConfig) -> Box<Lineup> {
-    Box::new(move |plan, db, cost| {
-        let estimator = ProgressEstimator::with_cost_model(plan, db, config.clone(), cost);
-        EnsembleEstimator::single(estimator)
-    })
-}
-
-/// The estimator for one session: `lineup` over the session's plan, with
-/// the session's own cost model feeding the statics.
+/// The estimator for one session, over the session's plan with the
+/// session's own cost model feeding the statics: the standard six tuned by
+/// `ensemble`, or `config` alone as a lineup of one.
 pub(crate) fn session_estimator(
-    lineup: &Lineup,
     db: &Database,
     handle: &SessionHandle,
+    config: &EstimatorConfig,
+    ensemble: Option<&EnsembleConfig>,
 ) -> GuardedEstimator {
-    GuardedEstimator::new(lineup(handle.plan(), db, &handle.opts().cost_model))
+    let (plan, cost) = (handle.plan(), &handle.opts().cost_model);
+    GuardedEstimator::new(match ensemble {
+        Some(cfg) => EnsembleEstimator::build(plan, db, cost, cfg.clone()),
+        None => EnsembleEstimator::single(ProgressEstimator::with_cost_model(
+            plan,
+            db,
+            config.clone(),
+            cost,
+        )),
+    })
 }
 
 #[cfg(test)]

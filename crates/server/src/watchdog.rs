@@ -32,7 +32,7 @@
 //! `GET /alerts`. Returning to health clears the live alert; the journal
 //! record stays, as history.
 
-use crate::registry::{lineup_of_one, session_estimator, Lineup, SessionRegistry};
+use crate::registry::{session_estimator, SessionRegistry};
 use crate::session::{SessionHandle, SessionId, SessionState};
 use lqs_exec::DmvSnapshot;
 use lqs_journal::{AlertKind, AlertRecord};
@@ -156,7 +156,8 @@ pub struct Watchdog {
     db: Arc<Database>,
     registry: Arc<SessionRegistry>,
     config: WatchdogConfig,
-    lineup: Box<Lineup>,
+    /// Each session's estimator (a lineup of one).
+    estimator_config: EstimatorConfig,
     metrics: Arc<MetricsRegistry>,
     track: HashMap<SessionId, Track>,
     /// Current alerts, keyed (and therefore served) by session id.
@@ -182,7 +183,7 @@ impl Watchdog {
             db,
             registry,
             config,
-            lineup: lineup_of_one(estimator_config),
+            estimator_config,
             metrics: Arc::default(),
             track: HashMap::new(),
             alerts: BTreeMap::new(),
@@ -257,7 +258,7 @@ impl Watchdog {
                 health: Health::Healthy,
                 stalled_sweeps: 0,
                 remediated: false,
-                estimator: session_estimator(&self.lineup, &self.db, handle),
+                estimator: session_estimator(&self.db, handle, &self.estimator_config, None),
             });
 
             // Stall bookkeeping: the publish sequence is the heartbeat.

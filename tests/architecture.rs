@@ -890,7 +890,6 @@ fn seeded_engine_dependency_is_caught_directly_and_transitively() {
             "crates/history/Cargo.toml lqs-progress",
             "crates/history/Cargo.toml lqs-storage",
             "crates/journal/Cargo.toml lqs-plan",
-            "crates/prof/Cargo.toml lqs-obs",
             "crates/prof/Cargo.toml lqs-plan",
             "crates/progress/Cargo.toml lqs-storage",
             "crates/progress/Cargo.toml lqs-plan",
